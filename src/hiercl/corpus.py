@@ -14,9 +14,13 @@ a known latent structure that zero-shot evaluation can measure against.
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from hashlib import sha256
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +35,7 @@ from .numerics import Matrix
 from .encoders import sample_frames
 from .seeding import substream
 
-SCHEMA = "hiercorpus/1"
+SCHEMA = "hiercorpus/2"
 
 NARRATION_LEN = 10
 CONCEPT_LEN = 8
@@ -220,7 +224,9 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: JSON Lines, one header record then one video per line.
+# Persistence: JSON Lines, one header record then one video per line. A
+# clip's frames are the base64 text of their row-major little-endian float64
+# bytes; the row count follows from the header's d_in.
 # ---------------------------------------------------------------------------
 
 
@@ -230,7 +236,8 @@ def _video_to_record(v: LectureVideo) -> dict:
         "clips": [
             {
                 "id": c.clip_id,
-                "frames": c.frames.tolist(),
+                "frames": base64.b64encode(c.frames.array.astype("<f8", copy=False)
+                                           .tobytes()).decode("ascii"),
                 "narration_a": list(c.narration_a),
                 "narration_b": list(c.narration_b),
             }
@@ -245,27 +252,70 @@ def _video_to_record(v: LectureVideo) -> dict:
     }
 
 
-def _video_from_record(rec: dict) -> LectureVideo:
+def _check_tokens(texts: list[tuple], vocab_size: int) -> None:
+    """Every token of every text must be an int (not a bool) in [0, vocab_size)."""
+    flat = list(chain.from_iterable(texts))
+    # One pass per video, not per text; min/max only run on all-int tokens.
+    if flat and (set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= vocab_size):
+        bad = next(t for t in flat if type(t) is not int or not 0 <= t < vocab_size)
+        raise CorpusFormatError(f"token {bad!r} is not an integer id in [0, {vocab_size})")
+
+
+def _index(value, limit: int, what: str) -> int:
+    if type(value) is not int or not 0 <= value < limit:
+        raise CorpusFormatError(f"{what} must be an integer in [0, {limit}), got {value!r}")
+    return value
+
+
+def _frame_bytes(clip: dict, d_in: int) -> bytes:
+    try:
+        raw = base64.b64decode(clip["frames"], validate=True)
+    except binascii.Error as e:
+        raise CorpusFormatError(f"clip {clip['id']}: frames are not base64: {e}") from e
+    if not raw or len(raw) % (8 * d_in):
+        raise CorpusFormatError(
+            f"clip {clip['id']}: {len(raw)} frame bytes is not a positive multiple "
+            f"of {8 * d_in} (d_in={d_in})"
+        )
+    return raw
+
+
+def _video_from_record(rec: dict, config: GeneratorConfig) -> LectureVideo:
+    raws = [_frame_bytes(c, config.d_in) for c in rec["clips"]]
+    # One decode and one finiteness check per video; clips get row views.
+    values = np.frombuffer(b"".join(raws), dtype="<f8").reshape(-1, config.d_in)
+    ends = list(accumulate(len(raw) // (8 * config.d_in) for raw in raws))
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        clip = rec["clips"][bisect_right(ends, bad)]
+        raise CorpusFormatError(f"clip {clip['id']}: non-finite frame value")
     clips = tuple(
         VideoClip(
             clip_id=c["id"],
-            frames=Matrix(c["frames"]),
-            narration_a=tuple(int(t) for t in c["narration_a"]),
-            narration_b=tuple(int(t) for t in c["narration_b"]),
+            frames=Matrix._wrap(values[start:end]),
+            narration_a=tuple(c["narration_a"]),
+            narration_b=tuple(c["narration_b"]),
         )
-        for c in rec["clips"]
+        for c, start, end in zip(rec["clips"], [0, *ends], ends)
     )
+    limit = len(clips) + 1
     phases = tuple(
-        PhaseSegment(start=int(p["start"]), end=int(p["end"]),
-                     concept=tuple(int(t) for t in p["concept"]),
-                     phase_class=int(p["class"]))
+        PhaseSegment(start=_index(p["start"], limit, "segment start"),
+                     end=_index(p["end"], limit, "segment end"),
+                     concept=tuple(p["concept"]),
+                     phase_class=_index(p["class"], config.num_classes, "phase class"))
         for p in rec["phases"]
     )
+    abstract = tuple(rec["abstract"])
+    _check_tokens([abstract, *(p.concept for p in phases),
+                   *(t for c in clips for t in (c.narration_a, c.narration_b))],
+                  config.vocab_size)
     return LectureVideo(
         video_id=rec["video_id"],
         clips=clips,
         phases=phases,
-        abstract=tuple(int(t) for t in rec["abstract"]),
+        abstract=abstract,
     )
 
 
@@ -279,24 +329,28 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def load_corpus(path) -> Corpus:
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise CorpusFormatError("line 1: file is empty")
-    header = _parse_line(lines[0], 1)
-    tag = header.get("schema")
-    if tag != SCHEMA:
-        raise SchemaVersionError(f"unsupported corpus schema {tag!r}, expected {SCHEMA!r}")
-    try:
-        config = GeneratorConfig(**header["config"])
-    except (TypeError, KeyError) as e:
-        raise CorpusFormatError(f"line 1: bad generator config: {e}") from e
-    videos = []
-    for i, line in enumerate(lines[1:], start=2):
-        rec = _parse_line(line, i)
+        first = f.readline()
+        if not first:
+            raise CorpusFormatError("line 1: file is empty")
+        header = _parse_line(first, 1)
+        tag = header.get("schema")
+        if tag != SCHEMA:
+            raise SchemaVersionError(
+                f"unsupported corpus schema {tag!r}, this build reads {SCHEMA!r}; "
+                "regenerate the corpus with `hiercl generate --config` from the "
+                "generator config in its header"
+            )
         try:
-            videos.append(_video_from_record(rec))
-        except (KeyError, TypeError, ValueError) as e:
-            raise CorpusFormatError(f"line {i}: bad video record: {e}") from e
+            config = GeneratorConfig(**header["config"])
+        except (TypeError, KeyError) as e:
+            raise CorpusFormatError(f"line 1: bad generator config: {e}") from e
+        videos = []
+        for i, line in enumerate(f, start=2):
+            rec = _parse_line(line, i)
+            try:
+                videos.append(_video_from_record(rec, config))
+            except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
+                raise CorpusFormatError(f"line {i}: bad video record: {e}") from e
     return Corpus(config=config, videos=tuple(videos))
 
 

@@ -347,9 +347,17 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointIntegrityError(f"{path}: unreadable header: {e}") from e
     off += header_len
+    try:
+        return _checkpoint_from(header, body, off, version, path)
+    except (KeyError, TypeError, ValueError, struct.error) as e:
+        # The checksum held, so the writer produced a header this build cannot read.
+        raise CheckpointIntegrityError(f"{path}: malformed header: {e!r}") from e
+
+
+def _checkpoint_from(header: dict, body: bytes, off: int, version: int, path) -> Checkpoint:
     arrays = {}
     for spec in header["arrays"]:
-        n_bytes = struct.unpack_from("<Q", blob, off)[0]
+        n_bytes = struct.unpack_from("<Q", body, off)[0]
         off += 8
         expected = spec["rows"] * spec["cols"] * 8
         if n_bytes != expected:

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import struct
 
 import pytest
 
@@ -272,6 +273,33 @@ def test_exit_5_on_corrupt_checkpoint(workspace, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(bad),
                "--corpus", str(workspace["corpus"]), "--out", str(out)])
     assert rc == 5
+
+
+def _drop_header_key(header: dict, key: str) -> None:
+    if key == "array spec":
+        del header["arrays"][0]["rows"]
+    else:
+        del header[key]
+
+
+@pytest.mark.parametrize("key", ["arrays", "config", "config_digest", "array spec"])
+def test_exit_5_on_malformed_checkpoint_header(workspace, tmp_path, capsys, key):
+    """A header that passes the checksum but lacks a key is still an integrity error."""
+    blob = (workspace["run"] / "checkpoint.bin").read_bytes()
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    header = json.loads(blob[12:12 + header_len])
+    _drop_header_key(header, key)
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    body = (blob[:8] + struct.pack("<I", len(header_bytes)) + header_bytes
+            + blob[12 + header_len:-32])
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(body + hashlib.sha256(body).digest())
+    out = tmp_path / "ev"
+    out.mkdir()
+    rc = main(["eval", "--checkpoint", str(bad),
+               "--corpus", str(workspace["corpus"]), "--out", str(out)])
+    assert rc == 5
+    assert "malformed header" in capsys.readouterr().err
 
 
 def test_exit_5_on_dimension_mismatch(workspace, tmp_path, capsys):

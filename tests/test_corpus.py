@@ -1,14 +1,25 @@
 """Synthetic corpus: generation, persistence, batch sampling."""
+import base64
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hiercl.cli import main
 from hiercl.corpus import (
     Corpus,
     ClipBatch,
     ClipExample,
     GeneratorConfig,
+    LectureVideo,
+    PhaseSegment,
+    VideoClip,
     corpus_digest,
     generate_synthetic,
     load_corpus,
@@ -25,6 +36,7 @@ from hiercl.errors import (
 )
 from hiercl.numerics import Matrix
 from hiercl.seeding import substream
+from hiercl.trainer import TrainConfig, save_checkpoint, untrained_checkpoint
 
 SMALL = GeneratorConfig(num_videos=5, num_classes=3, clips_per_phase=2,
                         frames_per_clip=4, d_in=8, vocab_size=30, seed=9)
@@ -162,7 +174,7 @@ def test_header_schema_tag(corpus, tmp_path):
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)
     header = json.loads(path.read_text().splitlines()[0])
-    assert header["schema"] == "hiercorpus/1"
+    assert header["schema"] == "hiercorpus/2"
 
 
 def test_load_rejects_unknown_schema(tmp_path):
@@ -195,6 +207,143 @@ def test_load_names_bad_record(corpus, tmp_path):
     lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
     del rec["clips"]
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match="line 3"):
+        load_corpus(path)
+
+
+def _eval_exit_code(path, tmp_path) -> int:
+    """Exit code of `hiercl eval` on a corpus file, with a checkpoint that fits SMALL."""
+    cfg = TrainConfig(d_tok=4, hidden=6, d_emb=3)
+    ckpt = tmp_path / "ckpt.bin"
+    save_checkpoint(untrained_checkpoint(cfg, generate_synthetic(SMALL)), ckpt)
+    out = tmp_path / "eval"
+    out.mkdir()
+    return main(["eval", "--checkpoint", str(ckpt), "--corpus", str(path),
+                 "--out", str(out)])
+
+
+def test_frames_are_base64_little_endian_float64(corpus, tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    rec = json.loads(path.read_text().splitlines()[1])
+    clip = corpus.videos[0].clips[0]
+    raw = base64.b64decode(rec["clips"][0]["frames"])
+    assert len(raw) == 8 * clip.frames.rows * SMALL.d_in
+    assert raw == clip.frames.array.astype("<f8").tobytes()
+
+
+def test_load_rejects_v1_corpus(corpus, tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["schema"] = "hiercorpus/1"
+    v1 = [json.dumps(header)]
+    for line, video in zip(lines[1:], corpus.videos):
+        rec = json.loads(line)
+        for c, clip in zip(rec["clips"], video.clips):
+            c["frames"] = clip.frames.tolist()
+        v1.append(json.dumps(rec))
+    path.write_text("\n".join(v1) + "\n")
+    with pytest.raises(SchemaVersionError, match="hiercorpus/1.*hiercorpus/2"):
+        load_corpus(path)
+    assert _eval_exit_code(path, tmp_path) == 5
+    assert "regenerate" in capsys.readouterr().err
+
+
+def test_load_counts_blank_lines(corpus, tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    lines = path.read_text().splitlines()
+    lines.insert(4, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match="line 5: invalid JSON"):
+        load_corpus(path)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    arrays(np.float64, st.tuples(st.integers(1, 3), st.just(3)),
+           elements=st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from(EXTREMES)),
+    min_size=1, max_size=4))
+@example([np.array([EXTREMES[:3], EXTREMES[3:6], EXTREMES[4:]])])
+def test_roundtrip_preserves_frame_bits(frames):
+    cfg = GeneratorConfig(num_videos=1, num_classes=1, d_in=3, vocab_size=4)
+    clips = tuple(VideoClip(f"c{i}", Matrix(f), (0, 3), (1,)) for i, f in enumerate(frames))
+    video = LectureVideo("v0", clips, (PhaseSegment(0, len(clips), (2,), 0),), (3, 0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        save_corpus(Corpus(cfg, (video,)), path)
+        loaded = load_corpus(path)
+    assert len(loaded.videos[0].clips) == len(clips)
+    for before, after in zip(clips, loaded.videos[0].clips):
+        assert before.frames.same_values(after.frames)
+        assert before.frames.array.tobytes() == after.frames.array.tobytes()
+
+
+def _with_clip(video, ci, **changes):
+    clips = list(video.clips)
+    clips[ci] = replace(clips[ci], **changes)
+    return replace(video, clips=tuple(clips))
+
+
+def _with_phase(video, pi, **changes):
+    phases = list(video.phases)
+    phases[pi] = replace(phases[pi], **changes)
+    return replace(video, phases=tuple(phases))
+
+
+def _nan_frames(video):
+    frames = video.clips[1].frames.array.copy()
+    frames[1, 3] = np.nan
+    return _with_clip(video, 1, frames=Matrix(frames))
+
+
+# Each fault is one a loader must refuse, written by save_corpus itself.
+RECORD_FAULTS = {
+    "token 9999": lambda v: _with_clip(v, 0, narration_a=(9999,) + v.clips[0].narration_a[1:]),
+    "token -3": lambda v: _with_phase(v, 0, concept=(-3,) + v.phases[0].concept[1:]),
+    "float token": lambda v: replace(v, abstract=(3.7,) + v.abstract[1:]),
+    "bool token": lambda v: _with_clip(v, 2, narration_b=(True,) + v.clips[2].narration_b[1:]),
+    "phase class 99": lambda v: _with_phase(v, 1, phase_class=99),
+    "frame row too wide": lambda v: _with_clip(v, 0, frames=Matrix.zeros(1, SMALL.d_in + 1)),
+    "NaN frame value": _nan_frames,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+def test_load_rejects_bad_record_with_exit_4(fault, corpus, tmp_path, capsys):
+    videos = list(corpus.videos)
+    videos[1] = RECORD_FAULTS[fault](videos[1])
+    path = tmp_path / "c.jsonl"
+    save_corpus(replace(corpus, videos=tuple(videos)), path)
+    with pytest.raises(CorpusFormatError, match="line 3"):
+        load_corpus(path)
+    assert _eval_exit_code(path, tmp_path) == 4
+    assert "line 3" in capsys.readouterr().err
+
+
+ENCODING_FAULTS = {
+    "not base64": "not base64!",
+    "no frame bytes": "",
+    "bytes not whole floats": base64.b64encode(bytes(8 * SMALL.d_in + 3)).decode(),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ENCODING_FAULTS))
+def test_load_rejects_bad_frame_encoding(fault, corpus, tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["clips"][0]["frames"] = ENCODING_FAULTS[fault]
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusFormatError, match="line 3"):
