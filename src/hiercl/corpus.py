@@ -59,9 +59,12 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         for field in ("num_videos", "num_classes", "clips_per_phase", "frames_per_clip",
-                      "d_in", "vocab_size"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
+                      "d_in", "vocab_size", "seed"):
+            value = getattr(self, field)
+            if type(value) is not int:
+                raise ConfigError(f"{field} must be an integer, got {value!r}")
+            if value < 1 and field != "seed":
+                raise ConfigError(f"{field} must be >= 1, got {value}")
         if not 0.0 <= self.token_noise < 1.0:
             raise ConfigError(f"token_noise must lie in [0, 1), got {self.token_noise}")
         if self.noise_scale < 0.0:
@@ -342,7 +345,7 @@ def load_corpus(path) -> Corpus:
             )
         try:
             config = GeneratorConfig(**header["config"])
-        except (TypeError, KeyError) as e:
+        except (TypeError, KeyError, ConfigError) as e:
             raise CorpusFormatError(f"line 1: bad generator config: {e}") from e
         videos = []
         for i, line in enumerate(f, start=2):

@@ -10,11 +10,17 @@ are cosine similarities.
 Frames are precomputed feature vectors, not images; a segment of frames is
 a Matrix with one frame per row. Texts are sequences of integer token ids,
 mean-pooled order-invariantly before the affine stack.
+
+Each encoder takes a whole batch in one pass, whatever the segment frame
+counts, text lengths or set sizes: items are stacked row-wise and
+`segment_mean` pools each item's rows, so the number of tape nodes does not
+depend on the number of items.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -204,8 +210,7 @@ def sample_frames(frames: Matrix, k: int) -> Matrix:
         raise EmptyInputError("cannot sample frames from an empty segment")
     if k < 1:
         raise ConfigError(f"frame count must be >= 1, got {k}")
-    idx = [j * frames.rows // k for j in range(k)]
-    return nm.gather_rows(frames, idx)
+    return Matrix._wrap(frames.array[np.arange(k, dtype=np.intp) * frames.rows // k])
 
 
 def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
@@ -213,12 +218,18 @@ def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
     return {name: tape.leaf(m) for name, m in params.leaves()}
 
 
-def _validate_tokens(tokens: TokenSeq, vocab_size: int) -> None:
-    if len(tokens) == 0:
+def _token_index(texts: Sequence[TokenSeq], vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every text's token ids as one flat intp array, and each text's length."""
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    if not lengths.all():
         raise EmptyInputError("text has no tokens")
-    for t in tokens:
-        if not 0 <= int(t) < vocab_size:
-            raise VocabularyError(f"token id {int(t)} outside vocabulary of size {vocab_size}")
+    flat = np.fromiter(chain.from_iterable(texts), dtype=np.intp, count=int(lengths.sum()))
+    bad = (flat < 0) | (flat >= vocab_size)
+    if bad.any():
+        raise VocabularyError(
+            f"token id {int(flat[bad.argmax()])} outside vocabulary of size {vocab_size}"
+        )
+    return flat, lengths
 
 
 def _affine_stack(tape: Tape, x: Node, pn: dict[str, Node], prefix: str) -> Node:
@@ -230,53 +241,30 @@ def visual_embedding_rows(tape: Tape, pn: dict[str, Node],
                           segments: Sequence[Matrix]) -> Node:
     """Unit-norm embedding per frame segment, stacked into one matrix.
 
-    Per segment: encode each frame, mean-pool the raw frame encodings, then
-    L2-normalize once. Segments with equal frame counts share one fused
-    pass through the network.
+    Every frame of every segment goes through the network in one pass; each
+    segment's raw frame encodings are then mean-pooled and L2-normalized.
+    Segments may have different frame counts.
     """
     if not segments:
         raise EmptyInputError("no segments to encode")
-    counts = {s.rows for s in segments}
-    if len(counts) == 1:
-        k = segments[0].rows
-        stacked = tape.constant(nm.concat_rows(list(segments)))
-        encoded = _affine_stack(tape, stacked, pn, "visual")
-        pooled = tape.mean_pool_groups(encoded, k)
-    else:
-        per_segment = []
-        for seg in segments:
-            enc = _affine_stack(tape, tape.constant(seg), pn, "visual")
-            per_segment.append(tape.mean_pool(enc))
-        pooled = tape.concat_rows(per_segment)
-    return tape.l2_normalize_rows(pooled)
+    stacked = tape.constant(nm.concat_rows(list(segments)))
+    encoded = _affine_stack(tape, stacked, pn, "visual")
+    return tape.l2_normalize_rows(tape.segment_mean(encoded, [s.rows for s in segments]))
 
 
 def text_embedding_rows(tape: Tape, pn: dict[str, Node],
                         texts: Sequence[TokenSeq]) -> Node:
     """Unit-norm embedding per text, stacked into one matrix.
 
-    Token embeddings are mean-pooled (order-invariant) before the affine
-    stack. Equal-length texts share one fused pass.
+    All tokens of all texts are gathered from the embedding table at once;
+    each text's token embeddings are mean-pooled (order-invariant) before
+    one pass through the affine stack. Texts may have different lengths.
     """
     if not texts:
         raise EmptyInputError("no texts to encode")
-    vocab = pn["text.embed"].value.rows
-    for t in texts:
-        _validate_tokens(t, vocab)
-    lengths = {len(t) for t in texts}
-    if len(lengths) == 1:
-        n = len(texts[0])
-        flat = [int(tok) for text in texts for tok in text]
-        rows = tape.gather_rows(pn["text.embed"], flat)
-        pooled_tok = tape.mean_pool_groups(rows, n)
-        encoded = _affine_stack(tape, pooled_tok, pn, "text")
-    else:
-        per_text = []
-        for text in texts:
-            rows = tape.gather_rows(pn["text.embed"], [int(tok) for tok in text])
-            per_text.append(tape.mean_pool(rows))
-        encoded = _affine_stack(tape, tape.concat_rows(per_text), pn, "text")
-    return tape.l2_normalize_rows(encoded)
+    flat, lengths = _token_index(texts, pn["text.embed"].value.rows)
+    pooled = tape.segment_mean(tape.gather_rows(pn["text.embed"], flat), lengths)
+    return tape.l2_normalize_rows(_affine_stack(tape, pooled, pn, "text"))
 
 
 def aggregated_text_rows(tape: Tape, pn: dict[str, Node],
@@ -284,27 +272,16 @@ def aggregated_text_rows(tape: Tape, pn: dict[str, Node],
     """Average-pooled textual embedding per set of texts, re-normalized.
 
     This is the textual side of the aggregator that lifts clip-level
-    embeddings to the phase or video level.
+    embeddings to the phase or video level. All members of all sets are
+    embedded in one pass; sets may differ in size.
     """
     if not text_sets:
         raise EmptyInputError("no text sets to aggregate")
-    for ts in text_sets:
-        if len(ts) == 0:
-            raise EmptyInputError("text set has no members")
-    set_sizes = {len(ts) for ts in text_sets}
-    all_lengths = {len(t) for ts in text_sets for t in ts}
-    if len(set_sizes) == 1 and len(all_lengths) == 1:
-        size = len(text_sets[0])
-        flat_texts = [t for ts in text_sets for t in ts]
-        member_rows = text_embedding_rows(tape, pn, flat_texts)
-        pooled = tape.mean_pool_groups(member_rows, size)
-    else:
-        per_set = []
-        for ts in text_sets:
-            member_rows = text_embedding_rows(tape, pn, list(ts))
-            per_set.append(tape.mean_pool(member_rows))
-        pooled = tape.concat_rows(per_set)
-    return tape.l2_normalize_rows(pooled)
+    sizes = [len(ts) for ts in text_sets]
+    if not all(sizes):
+        raise EmptyInputError("text set has no members")
+    members = text_embedding_rows(tape, pn, [t for ts in text_sets for t in ts])
+    return tape.l2_normalize_rows(tape.segment_mean(members, sizes))
 
 
 # Eager wrappers: evaluate the same graph on a throwaway tape.

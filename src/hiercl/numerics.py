@@ -182,21 +182,14 @@ def l2_normalize_rows(m: Matrix) -> Matrix:
     return Matrix._wrap(m.array / norms)
 
 
-def mean_pool(m: Matrix) -> Matrix:
-    """Arithmetic mean over rows, returned as a 1xC matrix."""
-    if m.rows == 0:
-        raise EmptyInputError("mean_pool: no rows to aggregate")
-    return Matrix._wrap(m.array.mean(axis=0, keepdims=True))
-
-
-def mean_pool_groups(m: Matrix, size: int) -> Matrix:
-    """Mean over consecutive row groups of the given size."""
-    if size < 1:
-        raise ConfigError(f"group size must be >= 1, got {size}")
-    if m.rows == 0 or m.rows % size != 0:
-        raise ShapeError(f"mean_pool_groups: {m.rows} rows not divisible into groups of {size}")
-    g = m.rows // size
-    return Matrix._wrap(m.array.reshape(g, size, m.cols).mean(axis=1))
+def segment_mean(m: Matrix, lengths: Sequence[int]) -> Matrix:
+    """Mean over consecutive row segments of the given lengths, one row each."""
+    n = np.asarray(lengths, dtype=np.intp)
+    if n.ndim != 1 or n.size == 0 or n.min() < 1:
+        raise EmptyInputError("segment_mean: needs one or more segments, none of them empty")
+    if n.sum() != m.rows:
+        raise ShapeError(f"segment_mean: lengths sum to {int(n.sum())}, not {m.rows} rows")
+    return Matrix._wrap(np.add.reduceat(m.array, np.cumsum(n) - n, axis=0) / n[:, None])
 
 
 def concat_rows(parts: Sequence[Matrix]) -> Matrix:
@@ -215,7 +208,7 @@ def gather_rows(m: Matrix, indices: Sequence[int]) -> Matrix:
         raise EmptyInputError("gather_rows: need at least one index")
     if idx.min() < 0 or idx.max() >= m.rows:
         raise ShapeError(f"gather_rows: index out of range for {m.rows} rows")
-    return Matrix._wrap(m.array[idx].copy())
+    return Matrix._wrap(m.array[idx])
 
 
 def gather_diag(m: Matrix) -> Matrix:
@@ -242,8 +235,7 @@ _FORWARD: dict[str, Callable] = {
     "exp": lambda vals, meta: exp(vals[0]),
     "softmax_rows": lambda vals, meta: softmax_rows(vals[0], meta["tau"]),
     "l2_normalize_rows": lambda vals, meta: l2_normalize_rows(vals[0]),
-    "mean_pool": lambda vals, meta: mean_pool(vals[0]),
-    "mean_pool_groups": lambda vals, meta: mean_pool_groups(vals[0], meta["size"]),
+    "segment_mean": lambda vals, meta: segment_mean(vals[0], meta["lengths"]),
     "concat_rows": lambda vals, meta: concat_rows(vals),
     "gather_rows": lambda vals, meta: gather_rows(vals[0], meta["indices"]),
     "gather_diag": lambda vals, meta: gather_diag(vals[0]),
@@ -346,12 +338,10 @@ class Tape:
         return self._push("l2_normalize_rows", (a.nid,), l2_normalize_rows(a.value),
                           {}, self._needs(a))
 
-    def mean_pool(self, a: Node) -> Node:
-        return self._push("mean_pool", (a.nid,), mean_pool(a.value), {}, self._needs(a))
-
-    def mean_pool_groups(self, a: Node, size: int) -> Node:
-        return self._push("mean_pool_groups", (a.nid,), mean_pool_groups(a.value, size),
-                          {"size": int(size)}, self._needs(a))
+    def segment_mean(self, a: Node, lengths: Sequence[int]) -> Node:
+        n = np.array(lengths, dtype=np.intp)
+        return self._push("segment_mean", (a.nid,), segment_mean(a.value, n),
+                          {"lengths": n}, self._needs(a))
 
     def concat_rows(self, parts: Sequence[Node]) -> Node:
         return self._push("concat_rows", tuple(p.nid for p in parts),
@@ -359,7 +349,7 @@ class Tape:
                           self._needs(*parts))
 
     def gather_rows(self, a: Node, indices: Sequence[int]) -> Node:
-        idx = tuple(int(i) for i in indices)
+        idx = np.array(indices, dtype=np.intp)
         return self._push("gather_rows", (a.nid,), gather_rows(a.value, idx),
                           {"indices": idx}, self._needs(a))
 
@@ -438,19 +428,19 @@ class Tape:
             y = r.value.array
             norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
             return [(g - y * (g * y).sum(axis=1, keepdims=True)) / norms]
-        if op == "mean_pool":
-            n = vals[0].shape[0]
-            return [np.repeat(g, n, axis=0) / n]
-        if op == "mean_pool_groups":
-            size = r.meta["size"]
-            return [np.repeat(g, size, axis=0) / size]
+        if op == "segment_mean":
+            n = r.meta["lengths"]
+            return [np.repeat(g / n[:, None], n, axis=0)]
         if op == "concat_rows":
             offsets = np.cumsum([0] + [v.shape[0] for v in vals])
             return [np.ascontiguousarray(g[offsets[i]:offsets[i + 1]]) for i in range(len(vals))]
         if op == "gather_rows":
-            gx = np.zeros(vals[0].shape)
-            np.add.at(gx, np.asarray(r.meta["indices"], dtype=np.intp), g)
-            return [gx]
+            # One bincount over (row, column) cells sums each cell's
+            # contributions in index order: the bits of np.add.at, faster.
+            rows, cols = vals[0].shape
+            cells = (r.meta["indices"][:, None] * cols + np.arange(cols)).ravel()
+            gx = np.bincount(cells, weights=g.ravel(), minlength=rows * cols)
+            return [gx.reshape(rows, cols)]
         if op == "gather_diag":
             gx = np.zeros(vals[0].shape)
             np.fill_diagonal(gx, g[0])

@@ -49,13 +49,9 @@ def _check_tau(tau: float) -> None:
 
 def _sim_diagnostics(sims: list[np.ndarray]) -> tuple[float, float]:
     """Mean matched-pair and mean unmatched-pair cosine similarity."""
-    pos, neg = [], []
-    for s in sims:
-        pos.extend(np.diag(s))
-        if s.shape[0] > 1:
-            off = s[~np.eye(s.shape[0], dtype=bool)]
-            neg.extend(off)
-    return float(np.mean(pos)), float(np.mean(neg)) if neg else 0.0
+    pos = np.concatenate([np.diag(s) for s in sims])
+    neg = np.concatenate([s[~np.eye(s.shape[0], dtype=bool)] for s in sims])
+    return float(np.mean(pos)), float(np.mean(neg)) if neg.size else 0.0
 
 
 def _matched_prob(tape: Tape, queries: Node, targets: Node, tau: float) -> tuple[Node, np.ndarray]:

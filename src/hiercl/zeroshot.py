@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import Corpus, GeneratorConfig
 from .encoders import (
     ModelParams,
-    encode_text,
+    aggregated_text_rows,
     param_nodes,
     sample_frames,
     text_embedding_rows,
@@ -29,7 +29,6 @@ from .errors import (
     SchemaVersionError,
     ShapeError,
 )
-from . import numerics as nm
 from .numerics import Matrix, Tape
 from .seeding import substream
 from .trainer import Checkpoint
@@ -91,6 +90,13 @@ def save_prompts(prompts: PromptSet, path) -> None:
         f.write("\n")
 
 
+def _integer(value, what: str) -> int:
+    # int() would silently turn 2.9 into 2 and true into 1.
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def load_prompts(path) -> PromptSet:
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -104,7 +110,8 @@ def load_prompts(path) -> PromptSet:
         )
     try:
         classes = tuple(
-            (int(c["label"]), tuple(tuple(int(t) for t in p) for p in c["prompts"]))
+            (_integer(c["label"], "label"),
+             tuple(tuple(_integer(t, "token") for t in p) for p in c["prompts"]))
             for c in doc["classes"]
         )
     except (KeyError, TypeError, ValueError) as e:
@@ -114,11 +121,9 @@ def load_prompts(path) -> PromptSet:
 
 def embed_prompts(prompts: PromptSet, params: ModelParams) -> Matrix:
     """One unit-norm row per class: mean of its prompt embeddings, renormalized."""
-    rows = []
-    for _, plist in prompts.classes:
-        embedded = np.vstack([encode_text(p, params).array for p in plist])
-        rows.append(embedded.mean(axis=0))
-    return nm.l2_normalize_rows(Matrix(np.vstack(rows)))
+    tape = Tape()
+    pn = param_nodes(tape, params)
+    return aggregated_text_rows(tape, pn, [plist for _, plist in prompts.classes]).value
 
 
 def classify(visual: Matrix, class_embeddings: Matrix) -> list[int]:

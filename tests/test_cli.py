@@ -7,6 +7,8 @@ import struct
 import pytest
 
 from hiercl.cli import main
+from hiercl.errors import CorpusFormatError
+from hiercl.zeroshot import load_prompts
 
 GEN_SECTION = {"num_videos": 8, "num_classes": 3, "clips_per_phase": 2,
                "frames_per_clip": 4, "d_in": 8, "vocab_size": 30, "seed": 5}
@@ -238,6 +240,12 @@ def test_exit_2_on_unknown_config_key(tmp_path, capsys):
     assert main(["generate", "--config", config, "--out", str(tmp_path / "c.jsonl")]) == 2
 
 
+def test_exit_2_on_float_generator_field(tmp_path, capsys):
+    config = _write_config(tmp_path, generator={**GEN_SECTION, "d_in": 8.5})
+    assert main(["generate", "--config", config, "--out", str(tmp_path / "c.jsonl")]) == 2
+    assert "d_in must be an integer" in capsys.readouterr().err
+
+
 def test_exit_3_on_missing_corpus(tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
@@ -323,6 +331,21 @@ def test_exit_5_on_bad_prompts_schema(workspace, tmp_path, capsys):
                "--corpus", str(workspace["corpus"]),
                "--prompts", str(prompts), "--out", str(out)])
     assert rc == 5
+
+
+@pytest.mark.parametrize("where, value", [("label", 2.9), ("token", 3.7), ("token", True)])
+def test_exit_4_on_non_integer_prompt_values(workspace, tmp_path, capsys, where, value):
+    doc = json.loads((workspace["root"] / "corpus.prompts.json").read_text())
+    if where == "label":
+        doc["classes"][2]["label"] = value
+    else:
+        doc["classes"][0]["prompts"][1][3] = value
+    prompts = tmp_path / "p.json"
+    prompts.write_text(json.dumps(doc))
+    with pytest.raises(CorpusFormatError, match=f"{where} {value!r} is not an integer"):
+        load_prompts(prompts)
+    assert _run_eval(workspace, tmp_path / "ev", "--prompts", str(prompts)) == 4
+    assert "is not an integer" in capsys.readouterr().err
 
 
 def test_cli_requires_subcommand(capsys):

@@ -58,6 +58,30 @@ def test_config_validation():
         GeneratorConfig(num_classes=10, vocab_size=5)
 
 
+INT_FIELDS = ("num_videos", "num_classes", "clips_per_phase", "frames_per_clip",
+              "d_in", "vocab_size", "seed")
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+@pytest.mark.parametrize("value", [8.5, 8.0, True])
+def test_config_rejects_non_integer_fields(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        GeneratorConfig(**{field: value})
+
+
+def test_load_rejects_float_config_in_header(corpus, tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["d_in"] = float(header["config"]["d_in"])
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match="line 1: .*d_in must be an integer"):
+        load_corpus(path)
+    assert _eval_exit_code(path, tmp_path) == 4
+
+
 def test_class_blocks_partition_vocab():
     cfg = GeneratorConfig(num_classes=4, vocab_size=32)
     edges = [cfg.class_block(c) for c in range(4)]

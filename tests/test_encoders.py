@@ -8,9 +8,13 @@ from hiercl.encoders import (
     TextEncoderParams,
     VisualEncoderParams,
     aggregate_texts,
+    aggregated_text_rows,
     encode_segment,
     encode_text,
+    param_nodes,
     sample_frames,
+    text_embedding_rows,
+    visual_embedding_rows,
 )
 from hiercl.errors import (
     ConfigError,
@@ -19,7 +23,7 @@ from hiercl.errors import (
     ShapeError,
     VocabularyError,
 )
-from hiercl.numerics import Matrix
+from hiercl.numerics import Matrix, Tape
 from hiercl.seeding import substream
 
 DIMS = EncoderDims(d_in=6, d_tok=5, hidden=9, d_emb=4, vocab_size=40)
@@ -225,11 +229,9 @@ def test_aggregate_duplicate_text_is_identity(params):
 
 
 def test_fused_and_ragged_text_paths_agree(params):
-    # same text embedded via the equal-length fast path and the mixed-length
-    # fallback must match
+    # a text embeds the same whether its batch has equal or mixed lengths,
+    # and a text set aggregates the same beside sets of equal or other sizes
     rng = np.random.default_rng(5)
-    from hiercl.encoders import param_nodes, text_embedding_rows
-    from hiercl.numerics import Tape
 
     texts_equal = [rng.integers(0, 40, 6).tolist() for _ in range(3)]
     tape = Tape()
@@ -238,6 +240,36 @@ def test_fused_and_ragged_text_paths_agree(params):
     tape2 = Tape()
     ragged = text_embedding_rows(tape2, param_nodes(tape2, params), ragged_input).value
     assert np.allclose(fused.array, ragged.array[:3], atol=1e-12)
+
+    sets_equal = [[rng.integers(0, 40, 6).tolist() for _ in range(2)] for _ in range(3)]
+    tape3 = Tape()
+    fused_sets = aggregated_text_rows(tape3, param_nodes(tape3, params), sets_equal).value
+    mixed_sets = sets_equal + [[rng.integers(0, 40, n).tolist() for n in (3, 9, 5)],
+                               [rng.integers(0, 40, 2).tolist()]]
+    tape4 = Tape()
+    mixed = aggregated_text_rows(tape4, param_nodes(tape4, params), mixed_sets).value
+    assert np.allclose(fused_sets.array, mixed.array[:3], atol=1e-12)
+    for i, ts in enumerate(mixed_sets):
+        assert np.allclose(mixed.array[i], aggregate_texts(ts, params).array[0], atol=1e-12)
+
+
+def test_tape_length_does_not_grow_with_item_count(params):
+    # one pass per batch: a per-item loop would add nodes for every item
+    rng = np.random.default_rng(6)
+
+    def nodes(encode, items):
+        tape = Tape()
+        encode(tape, param_nodes(tape, params), items)
+        return len(tape)
+
+    def texts(n):
+        return [rng.integers(0, 40, rng.integers(1, 12)).tolist() for _ in range(n)]
+
+    def segments(n):
+        return [Matrix(rng.standard_normal((rng.integers(1, 9), 6))) for _ in range(n)]
+
+    assert nodes(text_embedding_rows, texts(3)) == nodes(text_embedding_rows, texts(300))
+    assert nodes(visual_embedding_rows, segments(3)) == nodes(visual_embedding_rows, segments(300))
 
 
 def test_digest_reflects_values(params):

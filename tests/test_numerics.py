@@ -1,6 +1,9 @@
 """Matrix ops, the gradient tape, and the finite-difference harness."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hiercl import numerics as nm
 from hiercl.errors import (
@@ -139,25 +142,75 @@ def test_l2_normalize_degenerate_row_names_index():
         nm.l2_normalize_rows(m)
 
 
-def test_mean_pool():
+def test_segment_mean_equal_lengths():
     m = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert nm.mean_pool(m).tolist() == [[2.0, 3.0]]
-    with pytest.raises(EmptyInputError):
-        nm.mean_pool(Matrix(np.zeros((0, 2))))
-
-
-def test_mean_pool_groups_matches_loop():
+    assert nm.segment_mean(m, [2]).tolist() == [[2.0, 3.0]]
     rng = np.random.default_rng(4)
     m = rand(rng, 12, 5)
-    got = nm.mean_pool_groups(m, 4)
+    got = nm.segment_mean(m, [4, 4, 4])
     for g in range(3):
-        want = m.array[4 * g:4 * (g + 1)].mean(axis=0)
-        assert np.allclose(got.array[g], want)
+        assert np.allclose(got.array[g], m.array[4 * g:4 * (g + 1)].mean(axis=0))
+    with pytest.raises(EmptyInputError):
+        nm.segment_mean(Matrix(np.zeros((0, 2))), [])
 
 
-def test_mean_pool_groups_rejects_ragged():
-    with pytest.raises(ShapeError):
-        nm.mean_pool_groups(Matrix.zeros(10, 2), 4)
+def test_segment_mean_mixed_lengths():
+    m = Matrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
+    got = nm.segment_mean(m, [1, 3, 2])
+    assert got.tolist() == [[1.0, 2.0], [5.0, 6.0], [10.0, 11.0]]
+
+
+def test_segment_mean_rejects_lengths_that_do_not_partition_rows():
+    for lengths in ([4, 4], [4, 4, 4], [3, 3, 3, 3], [12, 1]):
+        with pytest.raises(ShapeError, match="sum to"):
+            nm.segment_mean(Matrix.zeros(10, 2), lengths)
+    with pytest.raises(EmptyInputError):
+        nm.segment_mean(Matrix.zeros(10, 2), [5, 0, 5])
+
+
+_segments = st.lists(st.integers(1, 40), min_size=1, max_size=6).flatmap(
+    lambda lengths: st.tuples(
+        st.just(lengths),
+        arrays(np.float64, (sum(lengths), 3),
+               elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_segments)
+def test_segment_mean_matches_per_segment_loop(case):
+    lengths, rows = case
+    got = nm.segment_mean(Matrix(rows), lengths).array
+    starts = np.cumsum(lengths) - lengths
+    for i, (a, n) in enumerate(zip(starts, lengths)):
+        seg = rows[a:a + n]
+        # A segment's mean does not depend on the other segments beside it.
+        assert np.array_equal(got[i], nm.segment_mean(Matrix(seg), [n]).array[0])
+        # reduceat adds the first row to a pairwise sum of the rest, while
+        # sum(axis=0) adds the rows one by one: the two agree to within the
+        # float64 error bound of an n-term sum, and exactly for n <= 2.
+        want = seg.sum(axis=0) / n
+        bound = 2 * n * np.finfo(np.float64).eps * np.abs(seg).mean(axis=0)
+        assert np.all(np.abs(got[i] - want) <= bound)
+        if n <= 2:
+            assert np.array_equal(got[i], want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_segment_mean_gradient_matches_finite_differences(lengths, seed):
+    weights = Matrix(np.random.default_rng(seed).standard_normal((len(lengths), 3)))
+
+    def f(leaves):
+        t = Tape()
+        x = t.leaf(leaves["x"])
+        pooled = t.segment_mean(t.exp(x), lengths)
+        loss = t.sum_all(t.mul(pooled, t.constant(weights)))
+        return float(loss.value.array[0, 0]), {"x": t.backward(loss)[x.nid]}
+
+    leaves = {"x": Matrix(np.random.default_rng(seed + 1).standard_normal((sum(lengths), 3)))}
+    assert finite_diff_check(f, leaves, seed=seed) < 1e-6
 
 
 def test_concat_and_gather():
@@ -220,7 +273,7 @@ def _tape_loss(leaves: dict[str, Matrix]) -> tuple[float, dict[str, Matrix]]:
     h = t.l2_normalize_rows(h)
     s = t.softmax_rows(t.matmul(h, t.transpose(nodes["t"])), 0.3)
     p = t.gather_diag(s)
-    pooled = t.mean_pool_groups(t.exp(nodes["x"]), 2)
+    pooled = t.segment_mean(t.exp(nodes["x"]), [2, 2])
     extra = t.sum_all(t.mul(pooled, pooled))
     loss = t.add(t.scale(t.sum_all(t.log(p)), -0.5), t.scale(extra, 0.01))
     grads = t.backward(loss)
@@ -277,8 +330,9 @@ def test_verify_replay_passes_on_fresh_tape():
     t = Tape()
     x = t.leaf(rand(rng, 3, 3))
     y = t.softmax_rows(t.matmul(x, x), 1.0)
-    t.sum_all(y)
-    t.verify_replay()  # recomputes every record; must be bit-identical
+    rows = t.gather_rows(y, np.array([2, 0, 2, 1], dtype=np.intp))
+    t.sum_all(t.segment_mean(rows, [1, 3]))
+    assert t.verify_replay()  # recomputes every record; must be bit-identical
 
 
 def test_tape_records_are_in_creation_order():

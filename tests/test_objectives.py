@@ -33,7 +33,7 @@ from hiercl.encoders import (
 )
 from hiercl.errors import ConfigError, EmptyInputError
 from hiercl.numerics import Matrix, finite_diff_check
-from hiercl.objectives import loss_clip, loss_phase, loss_single, loss_video
+from hiercl.objectives import _sim_diagnostics, loss_clip, loss_phase, loss_single, loss_video
 from hiercl.seeding import substream
 
 LEAF_NAMES = ["visual.w1", "visual.b1", "visual.w2", "visual.b2",
@@ -374,3 +374,20 @@ def test_diagnostics_ranges(corpus):
     assert -1.0 - 1e-12 <= lv.neg_sim <= 1.0 + 1e-12
     solo = loss_clip(sample_clip_batch(corpus, 1, rng), params, 0.07)
     assert solo.neg_sim == 0.0
+
+
+def _list_sim_diagnostics(sims):
+    """The element-by-element formula the vectorised diagnostics replace."""
+    pos, neg = [], []
+    for s in sims:
+        pos.extend(np.diag(s))
+        if s.shape[0] > 1:
+            neg.extend(s[~np.eye(s.shape[0], dtype=bool)])
+    return float(np.mean(pos)), float(np.mean(neg)) if neg else 0.0
+
+
+def test_sim_diagnostics_match_list_formula():
+    rng = np.random.default_rng(12)
+    for shapes in ([16, 16], [190], [1], [1, 1], [1, 4], [3, 1, 120], [60, 60]):
+        sims = [rng.uniform(-1.0, 1.0, (n, n)) for n in shapes]
+        assert _sim_diagnostics(sims) == _list_sim_diagnostics(sims)
