@@ -57,7 +57,7 @@ from .trainer import (
     save_checkpoint,
     train,
 )
-from .zeroshot import default_prompts, evaluate, load_prompts, save_prompts
+from .zeroshot import default_prompts, evaluate, format_table, load_prompts, save_prompts
 
 DEFAULT_HOLDOUT = 0.25
 
@@ -264,10 +264,10 @@ GRADCHECK_TOL = 1e-4
 
 def _gradcheck_losses(seed: int, corrupt: str | None):
     """(name, loss_and_grad fn, leaf dict) per loss, on small random batches."""
-    rng = substream(seed, "gradcheck")
     gen = GeneratorConfig(num_videos=6, num_classes=3, clips_per_phase=2,
                           frames_per_clip=4, d_in=8, vocab_size=48,
                           seed=seed)
+    rng = substream(seed, "gradcheck")
     corpus = generate_synthetic(gen)
     dims = EncoderDims(d_in=8, d_tok=8, hidden=12, d_emb=8, vocab_size=48)
     params = ModelParams.initialize(dims, rng)
@@ -290,7 +290,7 @@ def _gradcheck_losses(seed: int, corrupt: str | None):
                 batches = (clip, phase, video)
 
             def fn_of_leaves(leaf_dict, _fn=fn, _batches=batches, _name=name):
-                p = params.with_leaves(leaf_dict)
+                p = ModelParams.from_blocks(dims, leaf_dict)
                 lv = _fn(*_batches, p, 0.07)
                 grads = lv.grads
                 if corrupt == _name:
@@ -362,12 +362,11 @@ def cmd_ablate(args) -> int:
         rows.append({"variant": label, "mode": mode,
                      "accuracy": report.accuracy, "macro_f1": report.macro_f1})
         print(f"{label}: acc {report.accuracy:.3f}  macro F1 {report.macro_f1:.3f}")
-    headers = ("Variant", "Top-1 Acc.", "F1 Score")
-    cells = [(r["variant"], f"{100.0 * r['accuracy']:.1f}", f"{100.0 * r['macro_f1']:.1f}")
-             for r in rows]
-    widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    table = fmt.format(*headers) + "\n" + "\n".join(fmt.format(*c) for c in cells) + "\n"
+    table = format_table(
+        ("Variant", "Top-1 Acc.", "F1 Score"),
+        [(r["variant"], f"{100.0 * r['accuracy']:.1f}", f"{100.0 * r['macro_f1']:.1f}")
+         for r in rows],
+    )
     _atomic_write(json_path, json.dumps({"variants": rows}, sort_keys=True, indent=2) + "\n")
     _atomic_write(txt_path, table)
     _write_manifest(manifest_path, "ablate", config_doc, base_cfg.seed,

@@ -30,6 +30,7 @@ from .errors import (
     CorpusFormatError,
     InsufficientDataError,
     SchemaVersionError,
+    check_ints,
 )
 from .numerics import Matrix
 from .encoders import sample_frames
@@ -58,13 +59,9 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for field in ("num_videos", "num_classes", "clips_per_phase", "frames_per_clip",
-                      "d_in", "vocab_size", "seed"):
-            value = getattr(self, field)
-            if type(value) is not int:
-                raise ConfigError(f"{field} must be an integer, got {value!r}")
-            if value < 1 and field != "seed":
-                raise ConfigError(f"{field} must be >= 1, got {value}")
+        check_ints(self, ("num_videos", "num_classes", "clips_per_phase", "frames_per_clip",
+                          "d_in", "vocab_size"), minimum=1)
+        check_ints(self, ("seed",), minimum=0)
         if not 0.0 <= self.token_noise < 1.0:
             raise ConfigError(f"token_noise must lie in [0, 1), got {self.token_noise}")
         if self.noise_scale < 0.0:

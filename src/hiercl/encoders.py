@@ -11,6 +11,9 @@ Frames are precomputed feature vectors, not images; a segment of frames is
 a Matrix with one frame per row. Texts are sequences of integer token ids,
 mean-pooled order-invariantly before the affine stack.
 
+Every weight of both encoders lives in one flat vector; `EncoderDims.layout`
+is the one table of where each named block sits in it.
+
 Each encoder takes a whole batch in one pass, whatever the segment frame
 counts, text lengths or set sizes: items are stacked row-wise and
 `segment_mean` pools each item's rows, so the number of tape nodes does not
@@ -19,9 +22,10 @@ depend on the number of items.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import sha256
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,10 +36,39 @@ from .errors import (
     EmptyInputError,
     ShapeError,
     VocabularyError,
+    check_ints,
 )
 from .numerics import Matrix, Node, Tape
 
 TokenSeq = Sequence[int]
+
+
+# Every parameter block in layout order: its name, then the EncoderDims
+# fields (or the literal 1 of a bias row) that give its rows and columns.
+_BLOCKS = (
+    ("visual.w1", "d_in", "hidden"),
+    ("visual.b1", 1, "hidden"),
+    ("visual.w2", "hidden", "d_emb"),
+    ("visual.b2", 1, "d_emb"),
+    ("text.embed", "vocab_size", "d_tok"),
+    ("text.w1", "d_tok", "hidden"),
+    ("text.b1", 1, "hidden"),
+    ("text.w2", "hidden", "d_emb"),
+    ("text.b2", 1, "d_emb"),
+)
+
+
+class Block(NamedTuple):
+    """One parameter block: the rows x cols matrix stored row-major at offset."""
+
+    name: str
+    offset: int
+    rows: int
+    cols: int
+
+    @property
+    def stop(self) -> int:
+        return self.offset + self.rows * self.cols
 
 
 @dataclass(frozen=True)
@@ -49,9 +82,32 @@ class EncoderDims:
     vocab_size: int = 256
 
     def __post_init__(self) -> None:
-        for field in ("d_in", "d_tok", "hidden", "d_emb", "vocab_size"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
+        check_ints(self, ("d_in", "d_tok", "hidden", "d_emb", "vocab_size"), minimum=1)
+
+    @cached_property
+    def layout(self) -> tuple[Block, ...]:
+        """Where each parameter block lives in the flat parameter vector."""
+        blocks, offset = [], 0
+        for name, rows, cols in _BLOCKS:
+            b = Block(name, offset, rows if rows == 1 else getattr(self, rows),
+                      getattr(self, cols))
+            blocks.append(b)
+            offset = b.stop
+        return tuple(blocks)
+
+    @property
+    def size(self) -> int:
+        """Number of parameters: the length of the flat vector."""
+        return self.layout[-1].stop
+
+
+def nonfinite_block(dims: EncoderDims, vector: np.ndarray) -> str | None:
+    """Name of the block holding the first non-finite entry of a flat vector."""
+    finite = np.isfinite(vector)
+    if finite.all():
+        return None
+    first = int(finite.argmin())
+    return next(b.name for b in dims.layout if first < b.stop)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:
@@ -59,141 +115,71 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:
     return Matrix._wrap(rng.uniform(-a, a, size=(fan_in, fan_out)))
 
 
-def _check_finite(name: str, m: Matrix) -> None:
-    if not m.is_finite():
-        raise ContractError(f"{name} contains non-finite values")
-
-
-@dataclass(frozen=True)
-class VisualEncoderParams:
-    """Two-layer affine network over frame features: d_in -> hidden -> d_emb."""
-
-    w1: Matrix
-    b1: Matrix
-    w2: Matrix
-    b2: Matrix
-
-    def __post_init__(self) -> None:
-        if (
-            self.b1.shape != (1, self.w1.cols)
-            or self.w2.rows != self.w1.cols
-            or self.b2.shape != (1, self.w2.cols)
-        ):
-            raise ShapeError(
-                "visual encoder shapes inconsistent: "
-                f"w1 {self.w1.shape}, b1 {self.b1.shape}, w2 {self.w2.shape}, b2 {self.b2.shape}"
-            )
-        for name in ("w1", "b1", "w2", "b2"):
-            _check_finite(f"visual.{name}", getattr(self, name))
-
-
-@dataclass(frozen=True)
-class TextEncoderParams:
-    """Token embedding table followed by a two-layer affine network."""
-
-    embed: Matrix
-    w1: Matrix
-    b1: Matrix
-    w2: Matrix
-    b2: Matrix
-
-    def __post_init__(self) -> None:
-        if (
-            self.w1.rows != self.embed.cols
-            or self.b1.shape != (1, self.w1.cols)
-            or self.w2.rows != self.w1.cols
-            or self.b2.shape != (1, self.w2.cols)
-        ):
-            raise ShapeError(
-                "text encoder shapes inconsistent: "
-                f"embed {self.embed.shape}, w1 {self.w1.shape}, b1 {self.b1.shape}, "
-                f"w2 {self.w2.shape}, b2 {self.b2.shape}"
-            )
-        for name in ("embed", "w1", "b1", "w2", "b2"):
-            _check_finite(f"text.{name}", getattr(self, name))
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embed.rows
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """All trainable weights; one shared set across every hierarchy level."""
+    """All trainable weights; one shared set across every hierarchy level.
 
-    visual: VisualEncoderParams
-    text: TextEncoderParams
+    The weights are one read-only float64 vector laid out by `dims.layout`;
+    `leaves()` shows each block as a read-only Matrix view into it.
+    """
+
+    dims: EncoderDims
+    vector: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.visual.w2.cols != self.text.w2.cols:
-            raise ShapeError(
-                f"embedding widths differ: visual {self.visual.w2.cols}, text {self.text.w2.cols}"
-            )
+        vector = np.array(self.vector, dtype=np.float64)
+        if vector.shape != (self.dims.size,):
+            raise ShapeError(f"parameter vector has shape {vector.shape}, "
+                             f"layout needs ({self.dims.size},)")
+        bad = nonfinite_block(self.dims, vector)
+        if bad is not None:
+            raise ContractError(f"{bad} contains non-finite values")
+        vector.setflags(write=False)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "_leaves", tuple(
+            (b.name, Matrix._wrap(vector[b.offset:b.stop].reshape(b.rows, b.cols)))
+            for b in self.dims.layout
+        ))
+
+    @classmethod
+    def from_blocks(cls, dims: EncoderDims, blocks: dict[str, Matrix]) -> "ModelParams":
+        """Params from every named block, each with the shape the layout gives it."""
+        names = [b.name for b in dims.layout]
+        for name in blocks:
+            if name not in names:
+                raise ConfigError(f"unknown parameter block {name!r}")
+        for b in dims.layout:
+            if b.name not in blocks:
+                raise ConfigError(f"missing parameter block {b.name!r}")
+            if blocks[b.name].shape != (b.rows, b.cols):
+                raise ShapeError(
+                    f"{b.name}: shape {blocks[b.name].shape} != {(b.rows, b.cols)}"
+                )
+        return cls(dims, np.concatenate([blocks[b.name].data for b in dims.layout]))
 
     @classmethod
     def initialize(cls, dims: EncoderDims, rng: np.random.Generator) -> "ModelParams":
         """Seeded uniform Glorot weights, zero biases."""
-        visual = VisualEncoderParams(
-            w1=_glorot(rng, dims.d_in, dims.hidden),
-            b1=Matrix.zeros(1, dims.hidden),
-            w2=_glorot(rng, dims.hidden, dims.d_emb),
-            b2=Matrix.zeros(1, dims.d_emb),
-        )
-        text = TextEncoderParams(
-            embed=_glorot(rng, dims.vocab_size, dims.d_tok),
-            w1=_glorot(rng, dims.d_tok, dims.hidden),
-            b1=Matrix.zeros(1, dims.hidden),
-            w2=_glorot(rng, dims.hidden, dims.d_emb),
-            b2=Matrix.zeros(1, dims.d_emb),
-        )
-        return cls(visual=visual, text=text)
+        return cls.from_blocks(dims, {
+            b.name: Matrix.zeros(1, b.cols) if rows == 1 else _glorot(rng, b.rows, b.cols)
+            for (_, rows, _), b in zip(_BLOCKS, dims.layout)
+        })
 
     @property
     def d_in(self) -> int:
-        return self.visual.w1.rows
+        return self.dims.d_in
 
     @property
     def d_emb(self) -> int:
-        return self.visual.w2.cols
+        return self.dims.d_emb
 
     @property
     def vocab_size(self) -> int:
-        return self.text.vocab_size
+        return self.dims.vocab_size
 
     def leaves(self) -> list[tuple[str, Matrix]]:
-        """Named parameter blocks in a fixed, stable order."""
-        return [
-            ("visual.w1", self.visual.w1),
-            ("visual.b1", self.visual.b1),
-            ("visual.w2", self.visual.w2),
-            ("visual.b2", self.visual.b2),
-            ("text.embed", self.text.embed),
-            ("text.w1", self.text.w1),
-            ("text.b1", self.text.b1),
-            ("text.w2", self.text.w2),
-            ("text.b2", self.text.b2),
-        ]
-
-    def with_leaves(self, updates: dict[str, Matrix]) -> "ModelParams":
-        """Copy of the params with some named blocks replaced."""
-        current = dict(self.leaves())
-        for name, m in updates.items():
-            if name not in current:
-                raise ConfigError(f"unknown parameter block {name!r}")
-            if m.shape != current[name].shape:
-                raise ShapeError(
-                    f"{name}: replacement shape {m.shape} != {current[name].shape}"
-                )
-            current[name] = m
-        visual = VisualEncoderParams(
-            w1=current["visual.w1"], b1=current["visual.b1"],
-            w2=current["visual.w2"], b2=current["visual.b2"],
-        )
-        text = TextEncoderParams(
-            embed=current["text.embed"], w1=current["text.w1"], b1=current["text.b1"],
-            w2=current["text.w2"], b2=current["text.b2"],
-        )
-        return ModelParams(visual=visual, text=text)
+        """Named parameter blocks in layout order, as read-only views."""
+        return list(self._leaves)
 
     def digest(self) -> str:
         """SHA-256 over all parameter bytes; stable across processes."""

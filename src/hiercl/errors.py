@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer-field check.
 
 Every error raised by public APIs derives from HierclError so callers can
 catch the whole family. The CLI maps these onto process exit codes.
@@ -55,3 +55,16 @@ class CheckpointIntegrityError(HierclError):
 
 class CoverageError(HierclError):
     """Evaluation data contains a class the prompt set does not cover."""
+
+
+def check_ints(owner, fields, minimum: int) -> None:
+    """Raise ConfigError unless each named attribute of owner is an int >= minimum.
+
+    A bool is rejected although it subclasses int: a flag is never a count.
+    """
+    for field in fields:
+        value = getattr(owner, field)
+        if type(value) is not int:
+            raise ConfigError(f"{field} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{field} must be >= {minimum}, got {value}")

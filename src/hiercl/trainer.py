@@ -15,32 +15,28 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from hashlib import sha256
 from typing import Callable
 
 import numpy as np
 
 from .corpus import Corpus, sample_clip_batch, sample_phase_batch, sample_video_batch
-from .encoders import (
-    EncoderDims,
-    ModelParams,
-    TextEncoderParams,
-    VisualEncoderParams,
-)
+from .encoders import EncoderDims, ModelParams, nonfinite_block
 from .errors import (
     CheckpointIntegrityError,
     ConfigError,
     InsufficientDataError,
     NumericError,
     SchemaVersionError,
+    check_ints,
 )
 from .numerics import Matrix
 from .objectives import LossValue, loss_clip, loss_phase, loss_single, loss_video
 from .seeding import substream
 
 CKPT_MAGIC = b"HECV"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 MODES = ("hecvl", "single", "sequential", "clip", "clip_phase")
 
@@ -76,11 +72,10 @@ class TrainConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        for field in ("m", "n", "l", "b_clip", "b_phase", "b_video",
-                      "k_clip", "k_phase", "k_video", "cycles",
-                      "d_tok", "hidden", "d_emb"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
+        check_ints(self, ("m", "n", "l", "b_clip", "b_phase", "b_video",
+                          "k_clip", "k_phase", "k_video", "cycles",
+                          "d_tok", "hidden", "d_emb"), minimum=1)
+        check_ints(self, ("seed",), minimum=0)
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
         if self.mode not in MODES:
@@ -132,39 +127,40 @@ def _level_at(cfg: TrainConfig, index: int) -> str:
     return "video"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizerState:
-    first: dict[str, Matrix]
-    second: dict[str, Matrix]
+    """Adam's first and second moments, flat vectors in the parameter layout."""
+
+    first: np.ndarray
+    second: np.ndarray
     step: int
 
     @classmethod
     def initialize(cls, params: ModelParams) -> "OptimizerState":
-        zeros = {name: Matrix.zeros(m.rows, m.cols) for name, m in params.leaves()}
-        return cls(first=dict(zeros), second=dict(zeros), step=0)
+        zeros = np.zeros(params.dims.size)
+        zeros.setflags(write=False)
+        return cls(first=zeros, second=zeros, step=0)
 
 
 def adamw_step(params: ModelParams, grads: dict[str, Matrix],
                state: OptimizerState, cfg: TrainConfig) -> tuple[ModelParams, OptimizerState]:
     """One bias-corrected Adam update with decoupled weight decay."""
     t = state.step + 1
-    new_first, new_second, updates = {}, {}, {}
-    for name, theta in params.leaves():
-        g = grads[name].array
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter block {name}")
-        m1 = cfg.beta1 * state.first[name].array + (1.0 - cfg.beta1) * g
-        m2 = cfg.beta2 * state.second[name].array + (1.0 - cfg.beta2) * (g * g)
-        m1_hat = m1 / (1.0 - cfg.beta1 ** t)
-        m2_hat = m2 / (1.0 - cfg.beta2 ** t)
-        step = cfg.lr * (m1_hat / (np.sqrt(m2_hat) + cfg.eps))
-        decay = cfg.lr * cfg.weight_decay * theta.array
-        new_first[name] = Matrix._wrap(m1)
-        new_second[name] = Matrix._wrap(m2)
-        updates[name] = Matrix._wrap(theta.array - step - decay)
+    g = np.concatenate([grads[b.name].data for b in params.dims.layout])
+    bad = nonfinite_block(params.dims, g)
+    if bad is not None:
+        raise NumericError(f"non-finite gradient for parameter block {bad}")
+    m1 = cfg.beta1 * state.first + (1.0 - cfg.beta1) * g
+    m2 = cfg.beta2 * state.second + (1.0 - cfg.beta2) * (g * g)
+    m1_hat = m1 / (1.0 - cfg.beta1 ** t)
+    m2_hat = m2 / (1.0 - cfg.beta2 ** t)
+    step = cfg.lr * (m1_hat / (np.sqrt(m2_hat) + cfg.eps))
+    decay = cfg.lr * cfg.weight_decay * params.vector
+    m1.setflags(write=False)
+    m2.setflags(write=False)
     return (
-        params.with_leaves(updates),
-        OptimizerState(first=new_first, second=new_second, step=t),
+        ModelParams(params.dims, params.vector - step - decay),
+        OptimizerState(first=m1, second=m2, step=t),
     )
 
 
@@ -283,28 +279,19 @@ def untrained_checkpoint(cfg: TrainConfig, corpus: Corpus) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint file format: magic, version, JSON header, raw arrays, checksum.
+# Checkpoint file format: magic, version, JSON header, the parameter vector
+# and both moment vectors as little-endian float64, SHA-256 of all before it.
 # ---------------------------------------------------------------------------
 
 
-def _array_entries(ckpt: Checkpoint) -> list[tuple[str, Matrix]]:
-    entries = [(f"param:{name}", m) for name, m in ckpt.params.leaves()]
-    entries += [(f"first:{name}", ckpt.opt_state.first[name])
-                for name, _ in ckpt.params.leaves()]
-    entries += [(f"second:{name}", ckpt.opt_state.second[name])
-                for name, _ in ckpt.params.leaves()]
-    return entries
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    arrays = _array_entries(ckpt)
     header = {
         "config": asdict(ckpt.config),
         "config_digest": ckpt.config.digest(),
+        "dims": asdict(ckpt.params.dims),
         "global_batch": ckpt.global_batch,
         "opt_step": ckpt.opt_state.step,
         "rng_state": ckpt.rng_state,
-        "arrays": [{"name": n, "rows": m.rows, "cols": m.cols} for n, m in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = bytearray()
@@ -312,10 +299,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blob += struct.pack("<I", CKPT_VERSION)
     blob += struct.pack("<I", len(header_bytes))
     blob += header_bytes
-    for _, m in arrays:
-        raw = m.array.astype("<f8").tobytes()
-        blob += struct.pack("<Q", len(raw))
-        blob += raw
+    for vector in (ckpt.params.vector, ckpt.opt_state.first, ckpt.opt_state.second):
+        blob += vector.astype("<f8").tobytes()
     blob += sha256(bytes(blob)).digest()
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
@@ -349,49 +334,28 @@ def load_checkpoint(path) -> Checkpoint:
     off += header_len
     try:
         return _checkpoint_from(header, body, off, version, path)
-    except (KeyError, TypeError, ValueError, struct.error) as e:
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
         # The checksum held, so the writer produced a header this build cannot read.
         raise CheckpointIntegrityError(f"{path}: malformed header: {e!r}") from e
 
 
 def _checkpoint_from(header: dict, body: bytes, off: int, version: int, path) -> Checkpoint:
-    arrays = {}
-    for spec in header["arrays"]:
-        n_bytes = struct.unpack_from("<Q", body, off)[0]
-        off += 8
-        expected = spec["rows"] * spec["cols"] * 8
-        if n_bytes != expected:
-            raise CheckpointIntegrityError(
-                f"{path}: array {spec['name']} has {n_bytes} bytes, expected {expected}"
-            )
-        data = np.frombuffer(body, dtype="<f8", count=spec["rows"] * spec["cols"],
-                             offset=off)
-        arrays[spec["name"]] = Matrix(data.reshape(spec["rows"], spec["cols"]))
-        off += n_bytes
+    # Every field is required: a default would silently change the layout.
+    dims = EncoderDims(**{f.name: header["dims"][f.name] for f in fields(EncoderDims)})
+    expected = 3 * dims.size * 8
+    if len(body) - off != expected:
+        raise CheckpointIntegrityError(
+            f"{path}: {len(body) - off} bytes of vectors, dims need {expected}"
+        )
+    params, first, second = np.frombuffer(body, dtype="<f8", offset=off).reshape(3, -1)
     cfg = TrainConfig(**header["config"])
     if cfg.digest() != header["config_digest"]:
         raise CheckpointIntegrityError(f"{path}: config digest mismatch")
-    params = ModelParams(
-        visual=VisualEncoderParams(
-            w1=arrays["param:visual.w1"], b1=arrays["param:visual.b1"],
-            w2=arrays["param:visual.w2"], b2=arrays["param:visual.b2"],
-        ),
-        text=TextEncoderParams(
-            embed=arrays["param:text.embed"], w1=arrays["param:text.w1"],
-            b1=arrays["param:text.b1"], w2=arrays["param:text.w2"],
-            b2=arrays["param:text.b2"],
-        ),
-    )
-    opt = OptimizerState(
-        first={name: arrays[f"first:{name}"] for name, _ in params.leaves()},
-        second={name: arrays[f"second:{name}"] for name, _ in params.leaves()},
-        step=header["opt_step"],
-    )
     return Checkpoint(
         config=cfg,
         global_batch=header["global_batch"],
-        params=params,
-        opt_state=opt,
+        params=ModelParams(dims, params),
+        opt_state=OptimizerState(first=first, second=second, step=header["opt_step"]),
         rng_state=_restore_rng_state(header["rng_state"]),
         version=version,
     )

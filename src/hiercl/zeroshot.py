@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -161,11 +162,17 @@ class MetricsReport:
 
     def table(self, model: str = "hecvl", dataset: str = "synthetic") -> str:
         """Aligned four-column summary: model, data, accuracy, macro F1."""
-        headers = ("Model", "Pretraining dataset", "Top-1 Acc.", "F1 Score")
-        row = (model, dataset, f"{100.0 * self.accuracy:.1f}", f"{100.0 * self.macro_f1:.1f}")
-        widths = [max(len(h), len(r)) for h, r in zip(headers, row)]
-        fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-        return fmt.format(*headers) + "\n" + fmt.format(*row) + "\n"
+        return format_table(
+            ("Model", "Pretraining dataset", "Top-1 Acc.", "F1 Score"),
+            [(model, dataset, f"{100.0 * self.accuracy:.1f}", f"{100.0 * self.macro_f1:.1f}")],
+        )
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns two spaces apart, each as wide as its widest cell."""
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
+    return "".join(fmt.format(*row) + "\n" for row in (headers, *rows))
 
 
 def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:

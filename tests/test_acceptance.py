@@ -32,8 +32,6 @@ from hiercl.corpus import (
 from hiercl.encoders import (
     EncoderDims,
     ModelParams,
-    TextEncoderParams,
-    VisualEncoderParams,
     encode_segment,
     encode_text,
 )
@@ -99,8 +97,11 @@ def test_criterion_1_gradient_correctness(capsys):
 def _identity_params(d: int) -> ModelParams:
     eye = Matrix.identity(d)
     zero = Matrix.zeros(1, d)
-    return ModelParams(visual=VisualEncoderParams(eye, zero, eye, zero),
-                       text=TextEncoderParams(eye, eye, zero, eye, zero))
+    return ModelParams.from_blocks(
+        EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
+        {"visual.w1": eye, "visual.b1": zero, "visual.w2": eye, "visual.b2": zero,
+         "text.embed": eye, "text.w1": eye, "text.b1": zero, "text.w2": eye, "text.b2": zero},
+    )
 
 
 def _same_embedding_entries(b: int, d: int):

@@ -246,6 +246,32 @@ def test_exit_2_on_float_generator_field(tmp_path, capsys):
     assert "d_in must be an integer" in capsys.readouterr().err
 
 
+def test_exit_2_on_float_train_field(workspace, tmp_path, capsys):
+    config = _write_config(tmp_path, train={**TRAIN_SECTION, "b_clip": 3.5})
+    out = tmp_path / "run"
+    out.mkdir()
+    rc = main(["train", "--config", config,
+               "--corpus", str(workspace["corpus"]), "--out", str(out)])
+    assert rc == 2
+    assert "b_clip must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "ablate", "gradcheck"])
+def test_exit_2_on_negative_seed(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "generate": ["generate", "--out", str(out / "c.jsonl")],
+        "train": ["train", "--config", workspace["config"],
+                  "--corpus", str(workspace["corpus"]), "--out", str(out)],
+        "ablate": ["ablate", "--config", workspace["config"],
+                   "--corpus", str(workspace["corpus"]), "--out", str(out)],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_exit_3_on_missing_corpus(tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
@@ -283,20 +309,23 @@ def test_exit_5_on_corrupt_checkpoint(workspace, tmp_path, capsys):
     assert rc == 5
 
 
-def _drop_header_key(header: dict, key: str) -> None:
-    if key == "array spec":
-        del header["arrays"][0]["rows"]
+def _break_header(header: dict, key: str) -> None:
+    if key == "dims field":
+        del header["dims"]["hidden"]
+    elif key == "non-integer dims field":
+        header["dims"]["hidden"] = float(header["dims"]["hidden"])
     else:
         del header[key]
 
 
-@pytest.mark.parametrize("key", ["arrays", "config", "config_digest", "array spec"])
+@pytest.mark.parametrize("key", ["dims", "config", "config_digest", "dims field",
+                                 "non-integer dims field"])
 def test_exit_5_on_malformed_checkpoint_header(workspace, tmp_path, capsys, key):
-    """A header that passes the checksum but lacks a key is still an integrity error."""
+    """A header that passes the checksum but lacks or mistypes a key is still an integrity error."""
     blob = (workspace["run"] / "checkpoint.bin").read_bytes()
     header_len = struct.unpack_from("<I", blob, 8)[0]
     header = json.loads(blob[12:12 + header_len])
-    _drop_header_key(header, key)
+    _break_header(header, key)
     header_bytes = json.dumps(header, sort_keys=True).encode()
     body = (blob[:8] + struct.pack("<I", len(header_bytes)) + header_bytes
             + blob[12 + header_len:-32])
@@ -308,6 +337,20 @@ def test_exit_5_on_malformed_checkpoint_header(workspace, tmp_path, capsys, key)
                "--corpus", str(workspace["corpus"]), "--out", str(out)])
     assert rc == 5
     assert "malformed header" in capsys.readouterr().err
+
+
+def test_exit_5_on_version_1_checkpoint(workspace, tmp_path, capsys):
+    blob = bytearray((workspace["run"] / "checkpoint.bin").read_bytes())
+    struct.pack_into("<I", blob, 4, 1)
+    body = bytes(blob[:-32])
+    bad = tmp_path / "v1.bin"
+    bad.write_bytes(body + hashlib.sha256(body).digest())
+    out = tmp_path / "ev"
+    out.mkdir()
+    rc = main(["eval", "--checkpoint", str(bad),
+               "--corpus", str(workspace["corpus"]), "--out", str(out)])
+    assert rc == 5
+    assert "checkpoint version 1" in capsys.readouterr().err
 
 
 def test_exit_5_on_dimension_mismatch(workspace, tmp_path, capsys):

@@ -69,6 +69,12 @@ def test_config_rejects_non_integer_fields(field, value):
         GeneratorConfig(**{field: value})
 
 
+def test_config_rejects_negative_seed_and_accepts_zero():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        GeneratorConfig(seed=-1)
+    assert GeneratorConfig(seed=0).seed == 0
+
+
 def test_load_rejects_float_config_in_header(corpus, tmp_path):
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)

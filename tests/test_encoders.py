@@ -5,8 +5,6 @@ import pytest
 from hiercl.encoders import (
     EncoderDims,
     ModelParams,
-    TextEncoderParams,
-    VisualEncoderParams,
     aggregate_texts,
     aggregated_text_rows,
     encode_segment,
@@ -41,19 +39,36 @@ def test_dims_validation():
         EncoderDims(vocab_size=0)
 
 
+@pytest.mark.parametrize("field", ["d_in", "d_tok", "hidden", "d_emb", "vocab_size"])
+@pytest.mark.parametrize("value", [8.0, 3.5, True, "8", None])
+def test_dims_reject_non_integer(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        EncoderDims(**{field: value})
+
+
 def test_initialize_shapes_and_zero_biases(params):
-    assert params.visual.w1.shape == (6, 9)
-    assert params.visual.w2.shape == (9, 4)
-    assert params.text.embed.shape == (40, 5)
-    assert params.text.w1.shape == (5, 9)
-    assert np.all(params.visual.b1.array == 0.0)
-    assert np.all(params.text.b2.array == 0.0)
+    blocks = dict(params.leaves())
+    assert blocks["visual.w1"].shape == (6, 9)
+    assert blocks["visual.w2"].shape == (9, 4)
+    assert blocks["text.embed"].shape == (40, 5)
+    assert blocks["text.w1"].shape == (5, 9)
+    assert np.all(blocks["visual.b1"].array == 0.0)
+    assert np.all(blocks["text.b2"].array == 0.0)
     assert params.d_in == 6 and params.d_emb == 4 and params.vocab_size == 40
+
+
+def test_initialize_digest_is_pinned():
+    # Value from the release before parameters moved into one flat vector:
+    # the same Glorot draws in the same block order give the same bits.
+    params = ModelParams.initialize(EncoderDims(), substream(0, "train"))
+    assert params.digest() == (
+        "bceb37e7668a6980da499d048a3dad004852b955c9308e44f8278c57476915a3"
+    )
 
 
 def test_glorot_bound(params):
     limit = np.sqrt(6.0 / (6 + 9))
-    w = params.visual.w1.array
+    w = dict(params.leaves())["visual.w1"].array
     assert np.all(np.abs(w) <= limit)
     assert w.std() > 0.1 * limit  # actually spread out, not degenerate
 
@@ -66,30 +81,56 @@ def test_initialize_is_deterministic():
     assert a.digest() != c.digest()
 
 
-def test_params_reject_nonfinite():
-    bad = Matrix(np.full((6, 9), np.nan))
-    with pytest.raises(ContractError):
-        VisualEncoderParams(bad, Matrix.zeros(1, 9), Matrix.zeros(9, 4), Matrix.zeros(1, 4))
+def test_params_reject_nonfinite(params):
+    blocks = dict(params.leaves())
+    for name, value in (("visual.w1", np.nan), ("text.embed", np.inf), ("text.b2", -np.inf)):
+        bad = blocks[name].array.copy()
+        bad[-1, -1] = value
+        with pytest.raises(ContractError, match=name):
+            ModelParams.from_blocks(DIMS, {**blocks, name: Matrix(bad)})
 
 
-def test_params_reject_inconsistent_shapes():
+def test_params_reject_inconsistent_shapes(params):
+    blocks = dict(params.leaves())
+    with pytest.raises(ShapeError, match="visual.w2"):
+        ModelParams.from_blocks(DIMS, {**blocks, "visual.w2": Matrix.zeros(8, 4)})
     with pytest.raises(ShapeError):
-        VisualEncoderParams(
-            Matrix.zeros(6, 9), Matrix.zeros(1, 9),
-            Matrix.zeros(8, 4),  # hidden mismatch
-            Matrix.zeros(1, 4),
-        )
+        ModelParams(DIMS, params.vector[:-1])
 
 
-def test_with_leaves_replaces_and_validates(params):
+def test_from_blocks_replaces_and_validates(params):
+    blocks = dict(params.leaves())
     new_w1 = Matrix(np.ones((6, 9)))
-    updated = params.with_leaves({"visual.w1": new_w1})
-    assert updated.visual.w1.same_values(new_w1)
-    assert updated.text.embed.same_values(params.text.embed)
-    with pytest.raises(ConfigError):
-        params.with_leaves({"nonsense": new_w1})
+    updated = dict(ModelParams.from_blocks(DIMS, {**blocks, "visual.w1": new_w1}).leaves())
+    assert updated["visual.w1"].same_values(new_w1)
+    assert updated["text.embed"].same_values(blocks["text.embed"])
+    with pytest.raises(ConfigError, match="unknown"):
+        ModelParams.from_blocks(DIMS, {**blocks, "nonsense": new_w1})
+    missing = dict(blocks)
+    del missing["text.b1"]
+    with pytest.raises(ConfigError, match="missing"):
+        ModelParams.from_blocks(DIMS, missing)
     with pytest.raises(ShapeError):
-        params.with_leaves({"visual.w1": Matrix.zeros(2, 2)})
+        ModelParams.from_blocks(DIMS, {**blocks, "visual.w1": Matrix.zeros(2, 2)})
+
+
+def test_layout_tiles_the_vector(params):
+    offset = 0
+    for (name, m), block in zip(params.leaves(), DIMS.layout):
+        assert (block.name, block.offset, (block.rows, block.cols)) == (name, offset, m.shape)
+        assert np.shares_memory(m.array, params.vector)
+        offset = block.stop
+    assert offset == DIMS.size == params.vector.size
+
+
+def test_leaves_and_vector_are_read_only(params):
+    w1 = dict(params.leaves())["visual.w1"]
+    with pytest.raises(ValueError):
+        w1.array[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        w1.data[0] = 1.0
+    with pytest.raises(ValueError):
+        params.vector[0] = 1.0
 
 
 def test_leaf_order_is_stable(params):
@@ -139,8 +180,9 @@ def test_sample_frames_errors():
 
 
 def _manual_visual(frames: np.ndarray, p: ModelParams) -> np.ndarray:
-    h = np.maximum(frames @ p.visual.w1.array + p.visual.b1.array, 0.0)
-    enc = h @ p.visual.w2.array + p.visual.b2.array
+    b = {name: m.array for name, m in p.leaves()}
+    h = np.maximum(frames @ b["visual.w1"] + b["visual.b1"], 0.0)
+    enc = h @ b["visual.w2"] + b["visual.b2"]
     pooled = enc.mean(axis=0)
     return pooled / np.linalg.norm(pooled)
 
@@ -274,8 +316,9 @@ def test_tape_length_does_not_grow_with_item_count(params):
 
 def test_digest_reflects_values(params):
     d0 = params.digest()
-    bumped = params.with_leaves(
-        {"visual.b2": Matrix(params.visual.b2.array + 1e-9)}
+    blocks = dict(params.leaves())
+    bumped = ModelParams.from_blocks(
+        DIMS, {**blocks, "visual.b2": Matrix(blocks["visual.b2"].array + 1e-9)}
     )
     assert bumped.digest() != d0
     assert params.digest() == d0  # unchanged original

@@ -25,8 +25,6 @@ from hiercl.corpus import (
 from hiercl.encoders import (
     EncoderDims,
     ModelParams,
-    TextEncoderParams,
-    VisualEncoderParams,
     aggregate_texts,
     encode_segment,
     encode_text,
@@ -48,9 +46,11 @@ LEAF_NAMES = ["visual.w1", "visual.b1", "visual.w2", "visual.b2",
 def identity_params(d: int) -> ModelParams:
     eye = Matrix.identity(d)
     zero_bias = Matrix.zeros(1, d)
-    return ModelParams(
-        visual=VisualEncoderParams(eye, zero_bias, eye, zero_bias),
-        text=TextEncoderParams(eye, eye, zero_bias, eye, zero_bias),
+    return ModelParams.from_blocks(
+        EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
+        {"visual.w1": eye, "visual.b1": zero_bias, "visual.w2": eye, "visual.b2": zero_bias,
+         "text.embed": eye, "text.w1": eye, "text.b1": zero_bias, "text.w2": eye,
+         "text.b2": zero_bias},
     )
 
 
@@ -331,7 +331,7 @@ def test_gradients_match_finite_differences(corpus):
 
     def check(fn, *batches):
         def f(leaf_dict):
-            lv = fn(*batches, params.with_leaves(leaf_dict), 0.07)
+            lv = fn(*batches, ModelParams.from_blocks(params.dims, leaf_dict), 0.07)
             return lv.loss, lv.grads
         return finite_diff_check(f, leaves, max_coords_per_block=6, seed=0)
 

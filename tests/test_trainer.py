@@ -59,6 +59,23 @@ def test_config_validation():
         TrainConfig(mode="fancy")
 
 
+COUNT_FIELDS = ("m", "n", "l", "b_clip", "b_phase", "b_video", "k_clip", "k_phase",
+                "k_video", "cycles", "d_tok", "hidden", "d_emb")
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS + ("seed",))
+@pytest.mark.parametrize("value", [3.5, 4.0, True, "4", None])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+def test_config_rejects_negative_seed_and_accepts_zero():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(seed=0).seed == 0
+
+
 def test_desk_and_paper_batch_sizes():
     desk = TrainConfig()
     assert (desk.b_clip, desk.b_phase, desk.b_video) == (16, 8, 4)
@@ -122,9 +139,10 @@ def test_schedule_rejects_negative_index():
 def _scalar_setup(theta: float, grad: float):
     dims = EncoderDims(d_in=1, d_tok=1, hidden=1, d_emb=1, vocab_size=1)
     base = ModelParams.initialize(dims, substream(0, "train"))
-    params = base.with_leaves(
+    params = ModelParams.from_blocks(
+        dims,
         {name: Matrix([[theta]]) if name == "visual.w1" else Matrix.zeros(m.rows, m.cols)
-         for name, m in base.leaves()}
+         for name, m in base.leaves()},
     )
     grads = {name: Matrix([[grad]]) if name == "visual.w1" else Matrix.zeros(m.rows, m.cols)
              for name, m in params.leaves()}
@@ -162,6 +180,11 @@ def test_adamw_rejects_nonfinite_gradient():
     params, grads = _scalar_setup(1.0, float("nan"))
     with pytest.raises(NumericError, match="visual.w1"):
         adamw_step(params, grads, OptimizerState.initialize(params), TrainConfig())
+    # the message names the first bad block in layout order
+    grads = {**grads, "visual.w1": Matrix([[1.0]]),
+             "text.w1": Matrix([[float("inf")]]), "text.b2": Matrix([[float("nan")]])}
+    with pytest.raises(NumericError, match="block text.w1$"):
+        adamw_step(params, grads, OptimizerState.initialize(params), TrainConfig())
 
 
 def test_adamw_moment_shapes_and_step_counter():
@@ -172,9 +195,41 @@ def test_adamw_moment_shapes_and_step_counter():
     for want_step in (1, 2, 3):
         params, state = adamw_step(params, grads, state, TrainConfig())
         assert state.step == want_step
-    for name, m in params.leaves():
-        assert state.first[name].shape == m.shape
-        assert state.second[name].shape == m.shape
+    assert state.first.shape == state.second.shape == params.vector.shape == (dims.size,)
+
+
+def _adamw_reference(blocks, grads, first, second, t, cfg):
+    """Per-block AdamW, updating the three dicts in place: the flat step's reference."""
+    for name, theta in blocks.items():
+        g = grads[name]
+        first[name] = cfg.beta1 * first[name] + (1.0 - cfg.beta1) * g
+        second[name] = cfg.beta2 * second[name] + (1.0 - cfg.beta2) * (g * g)
+        m1_hat = first[name] / (1.0 - cfg.beta1 ** t)
+        m2_hat = second[name] / (1.0 - cfg.beta2 ** t)
+        step = cfg.lr * (m1_hat / (np.sqrt(m2_hat) + cfg.eps))
+        blocks[name] = theta - step - cfg.lr * cfg.weight_decay * theta
+
+
+def test_adamw_flat_update_equals_per_block_loop():
+    # All five widths differ, so only the two b1 and the two b2 blocks share a shape.
+    dims = EncoderDims(d_in=3, d_tok=5, hidden=7, d_emb=2, vocab_size=11)
+    params = ModelParams.initialize(dims, substream(4, "train"))
+    cfg = TrainConfig(lr=1e-2, weight_decay=0.1)
+    state = OptimizerState.initialize(params)
+    blocks = {name: m.array for name, m in params.leaves()}
+    first = {name: np.zeros(m.shape) for name, m in params.leaves()}
+    second = {name: np.zeros(m.shape) for name, m in params.leaves()}
+    rng = np.random.default_rng(5)
+    for t in (1, 2, 3, 4):
+        grads = {name: Matrix(rng.standard_normal(m.shape) * 10.0 ** rng.integers(-3, 3))
+                 for name, m in params.leaves()}
+        params, state = adamw_step(params, grads, state, cfg)
+        _adamw_reference(blocks, {n: g.array for n, g in grads.items()}, first, second, t, cfg)
+        for b, (name, m) in zip(dims.layout, params.leaves()):
+            assert np.array_equal(m.array, blocks[name])
+            assert np.array_equal(state.first[b.offset:b.stop], first[name].ravel())
+            assert np.array_equal(state.second[b.offset:b.stop], second[name].ravel())
+    assert state.step == 4
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +330,10 @@ def test_checkpoint_roundtrip(corpus, tmp_path):
     assert loaded.global_batch == ckpt.global_batch
     assert loaded.opt_state.step == ckpt.opt_state.step
     assert loaded.rng_state == ckpt.rng_state
-    for name, m in ckpt.opt_state.first.items():
-        assert loaded.opt_state.first[name].same_values(m)
+    assert np.array_equal(loaded.params.vector, ckpt.params.vector)
+    assert np.array_equal(loaded.opt_state.first, ckpt.opt_state.first)
+    assert np.array_equal(loaded.opt_state.second, ckpt.opt_state.second)
+    assert loaded.params.dims == ckpt.params.dims
     assert not (tmp_path / "ck.bin.tmp").exists()
 
 
@@ -324,6 +381,19 @@ def test_checkpoint_rejects_future_version(corpus, tmp_path):
     body = bytes(blob[:-32])
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(SchemaVersionError, match="99"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_version_1(corpus, tmp_path):
+    # Version 1 stored 27 per-block arrays; it is not read, only rejected.
+    cfg = TrainConfig(cycles=1, seed=7, **TINY)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(train(cfg, corpus).checkpoint, path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 4, 1)
+    body = bytes(blob[:-32])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(SchemaVersionError, match="version 1, this build reads 2"):
         load_checkpoint(path)
 
 

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from hiercl.corpus import GeneratorConfig, generate_synthetic
-from hiercl.encoders import (
-    ModelParams,
-    TextEncoderParams,
-    VisualEncoderParams,
-    encode_text,
-)
+from hiercl.encoders import EncoderDims, ModelParams, encode_text
 from hiercl.errors import (
     ConfigError,
     ContractError,
@@ -31,6 +26,7 @@ from hiercl.zeroshot import (
     default_prompts,
     embed_prompts,
     evaluate,
+    format_table,
     load_prompts,
     save_prompts,
 )
@@ -44,9 +40,11 @@ TINY = dict(m=1, n=1, l=1, b_clip=3, b_phase=2, b_video=2,
 def identity_params(d: int) -> ModelParams:
     eye = Matrix.identity(d)
     zero_bias = Matrix.zeros(1, d)
-    return ModelParams(
-        visual=VisualEncoderParams(eye, zero_bias, eye, zero_bias),
-        text=TextEncoderParams(eye, eye, zero_bias, eye, zero_bias),
+    return ModelParams.from_blocks(
+        EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
+        {"visual.w1": eye, "visual.b1": zero_bias, "visual.w2": eye, "visual.b2": zero_bias,
+         "text.embed": eye, "text.w1": eye, "text.b1": zero_bias, "text.w2": eye,
+         "text.b2": zero_bias},
     )
 
 
@@ -270,6 +268,23 @@ def test_report_json_and_table():
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
+
+
+
+def test_tables_keep_their_literal_layout():
+    # Columns are padded to their widest cell, the last one too, so lines
+    # carry trailing spaces; report.txt and ablation.txt depend on this.
+    report = MetricsReport(accuracy=0.5, macro_f1=0.3333, per_class=(), confusion=(), samples=4)
+    assert report.table(model="clip_phase", dataset="synthetic") == (
+        "Model       Pretraining dataset  Top-1 Acc.  F1 Score\n"
+        "clip_phase  synthetic            50.0        33.3    \n"
+    )
+    assert format_table(("Variant", "Top-1 Acc.", "F1 Score"),
+                        [("clip-only", "12.3", "5.0"), ("single-space", "100.0", "98.8")]) == (
+        "Variant       Top-1 Acc.  F1 Score\n"
+        "clip-only     12.3        5.0     \n"
+        "single-space  100.0       98.8    \n"
+    )
 
 
 def test_evaluate_is_deterministic(corpus, trained):
