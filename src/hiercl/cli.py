@@ -89,17 +89,27 @@ def _build_dataclass(cls, section: dict, overrides: dict, where: str):
         raise ConfigError(f"{where}: {e}") from e
 
 
+def _section(doc: dict, key: str) -> dict:
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {key!r} must be a JSON object, got {section!r}")
+    return section
+
+
 def _resolve_generator(doc: dict, args) -> GeneratorConfig:
     overrides = {"seed": getattr(args, "seed", None)}
     if doc.get("seed") is not None and overrides["seed"] is None:
         overrides["seed"] = doc["seed"]
-    return _build_dataclass(GeneratorConfig, doc.get("generator", {}),
+    return _build_dataclass(GeneratorConfig, _section(doc, "generator"),
                             overrides, "generator config")
 
 
 def _resolve_train(doc: dict, args) -> TrainConfig:
-    section = dict(doc.get("train", {}))
-    paper = section.pop("paper_scale", False) or getattr(args, "paper_scale", False)
+    section = dict(_section(doc, "train"))
+    paper = section.pop("paper_scale", False)
+    if type(paper) is not bool:
+        raise ConfigError(f"paper_scale must be a JSON boolean, got {paper!r}")
+    paper = paper or getattr(args, "paper_scale", False)
     overrides = {
         "seed": getattr(args, "seed", None),
         "mode": getattr(args, "mode", None),
@@ -114,9 +124,13 @@ def _resolve_train(doc: dict, args) -> TrainConfig:
 
 
 def _holdout_fraction(doc: dict, args) -> float:
+    """The flag, else the config value; Corpus.split checks the range."""
     if getattr(args, "holdout", None) is not None:
         return args.holdout
-    return float(doc.get("holdout_fraction", DEFAULT_HOLDOUT))
+    value = doc.get("holdout_fraction", DEFAULT_HOLDOUT)
+    if type(value) not in (int, float):
+        raise ConfigError(f"holdout_fraction must be a JSON number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +192,8 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     doc = _load_config_file(args.config)
     cfg = _resolve_train(doc, args)
-    corpus = load_corpus(args.corpus)
     holdout = _holdout_fraction(doc, args)
+    corpus = load_corpus(args.corpus)
     train_split, _ = corpus.split(holdout)
     out_dir = args.out
     log_path = os.path.join(out_dir, "train_log.jsonl")
@@ -228,11 +242,11 @@ def _eval_split(corpus: Corpus, which: str, holdout: float) -> Corpus:
 
 def cmd_eval(args) -> int:
     doc = _load_config_file(args.config)
+    holdout = _holdout_fraction(doc, args)
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus)
     _compatible(ckpt, corpus)
     prompts = load_prompts(args.prompts) if args.prompts else default_prompts(corpus.config)
-    holdout = _holdout_fraction(doc, args)
     split = _eval_split(corpus, args.split, holdout)
     out_dir = args.out
     report_json = os.path.join(out_dir, "report.json")
@@ -341,8 +355,8 @@ ABLATION_VARIANTS = (
 def cmd_ablate(args) -> int:
     doc = _load_config_file(args.config)
     base_cfg = _resolve_train(doc, args)
-    corpus = load_corpus(args.corpus)
     holdout = _holdout_fraction(doc, args)
+    corpus = load_corpus(args.corpus)
     train_split, hold_split = corpus.split(holdout)
     prompts = default_prompts(corpus.config)
     out_dir = args.out

@@ -4,8 +4,7 @@ Values live in `Matrix`, an immutable 2-D float64 array; vectors are 1xN
 matrices. Plain module functions (matmul, softmax_rows, ...) evaluate
 eagerly. The same primitives are available as `Tape` methods, which record
 every application so `Tape.backward` can push a scalar loss gradient back
-to the leaves. Each recorded step can be replayed from its inputs, so a
-tape doubles as an audit trail of the forward pass.
+to the leaves.
 
 Everything is float64 and single-threaded; identical inputs produce
 bit-identical outputs.
@@ -223,26 +222,6 @@ def sum_all(m: Matrix) -> Matrix:
     return Matrix._wrap(np.array([[m.array.sum()]]))
 
 
-# Replay table: recompute a recorded value from its input values + metadata.
-_FORWARD: dict[str, Callable] = {
-    "matmul": lambda vals, meta: matmul(vals[0], vals[1]),
-    "transpose": lambda vals, meta: transpose(vals[0]),
-    "add": lambda vals, meta: add(vals[0], vals[1]),
-    "mul": lambda vals, meta: mul(vals[0], vals[1]),
-    "scale": lambda vals, meta: scale(vals[0], meta["c"]),
-    "relu": lambda vals, meta: relu(vals[0]),
-    "log": lambda vals, meta: log(vals[0]),
-    "exp": lambda vals, meta: exp(vals[0]),
-    "softmax_rows": lambda vals, meta: softmax_rows(vals[0], meta["tau"]),
-    "l2_normalize_rows": lambda vals, meta: l2_normalize_rows(vals[0]),
-    "segment_mean": lambda vals, meta: segment_mean(vals[0], meta["lengths"]),
-    "concat_rows": lambda vals, meta: concat_rows(vals),
-    "gather_rows": lambda vals, meta: gather_rows(vals[0], meta["indices"]),
-    "gather_diag": lambda vals, meta: gather_diag(vals[0]),
-    "sum_all": lambda vals, meta: sum_all(vals[0]),
-}
-
-
 @dataclass
 class _Record:
     op: str
@@ -448,17 +427,6 @@ class Tape:
         if op == "sum_all":
             return [np.full(vals[0].shape, g[0, 0])]
         raise ContractError(f"no gradient rule for op {op!r}")
-
-    def verify_replay(self) -> bool:
-        """Recompute every recorded value from its inputs; True if all bit-equal."""
-        for r in self._recs:
-            if r.op in ("leaf", "const"):
-                continue
-            vals = [self._recs[i].value for i in r.inputs]
-            again = _FORWARD[r.op](vals, r.meta)
-            if not again.same_values(r.value):
-                return False
-        return True
 
 
 def finite_diff_check(

@@ -28,7 +28,7 @@ from .encoders import (
     text_embedding_rows,
     visual_embedding_rows,
 )
-from .errors import ConfigError, EmptyInputError, NumericError
+from .errors import EmptyInputError, NumericError
 from .numerics import Matrix, Tape
 
 
@@ -40,11 +40,6 @@ class LossValue:
     grads: dict[str, Matrix]
     pos_sim: float
     neg_sim: float
-
-
-def _check_tau(tau: float) -> None:
-    if not tau > 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
 
 
 def _sim_diagnostics(sims: list[np.ndarray]) -> tuple[float, float]:
@@ -92,7 +87,6 @@ def _dual_route_loss(tape: Tape, pn: dict[str, Node],
 
 def loss_clip(batch: ClipBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
     """Clip narrations from both transcript variants as the two routes."""
-    _check_tau(tau)
     tape = Tape()
     pn = param_nodes(tape, params)
     visual = visual_embedding_rows(tape, pn, [e.frames for e in batch.entries])
@@ -103,7 +97,6 @@ def loss_clip(batch: ClipBatch, params: ModelParams, tau: float = 0.07) -> LossV
 
 def loss_phase(batch: PhaseBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
     """Visual and aggregated-narration queries against concept targets."""
-    _check_tau(tau)
     tape = Tape()
     pn = param_nodes(tape, params)
     visual = visual_embedding_rows(tape, pn, [e.frames for e in batch.entries])
@@ -114,7 +107,6 @@ def loss_phase(batch: PhaseBatch, params: ModelParams, tau: float = 0.07) -> Los
 
 def loss_video(batch: VideoBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
     """Visual and aggregated-narration queries against abstract targets."""
-    _check_tau(tau)
     tape = Tape()
     pn = param_nodes(tape, params)
     visual = visual_embedding_rows(tape, pn, [e.frames for e in batch.entries])
@@ -132,7 +124,6 @@ def loss_single(clip: ClipBatch, phase: PhaseBatch, video: VideoBatch,
     with the abstract. The softmax for each visual query runs over the
     whole pooled target set.
     """
-    _check_tau(tau)
     tape = Tape()
     pn = param_nodes(tape, params)
     visual_parts = []

@@ -38,7 +38,16 @@ from .seeding import substream
 CKPT_MAGIC = b"HECV"
 CKPT_VERSION = 2
 
-MODES = ("hecvl", "single", "sequential", "clip", "clip_phase")
+# The levels each mode samples over a run; every mode samples all of its
+# levels within the first cycle, since m, n and l are at least 1.
+_MODE_LEVELS = {
+    "hecvl": ("clip", "phase", "video"),
+    "single": ("clip", "phase", "video"),
+    "sequential": ("clip", "phase", "video"),
+    "clip": ("clip",),
+    "clip_phase": ("clip", "phase"),
+}
+MODES = tuple(_MODE_LEVELS)
 
 
 @dataclass(frozen=True)
@@ -199,52 +208,46 @@ def _loss_at_level(level: str, corpus: Corpus, cfg: TrainConfig, params: ModelPa
 
 def _check_capacity(cfg: TrainConfig, corpus: Corpus) -> None:
     counts = corpus.pair_counts()
-    used = {lvl for i in range(cfg.total_batches) for lvl in [_level_at(cfg, i)]}
     needs = {"clip": cfg.b_clip, "phase": cfg.b_phase, "video": cfg.b_video}
-    if "single" in used:
-        used = {"clip", "phase", "video"}
-    for level in ("clip", "phase", "video"):
-        if level in used and counts[level] < needs[level]:
+    for level in _MODE_LEVELS[cfg.mode]:
+        if counts[level] < needs[level]:
             raise InsufficientDataError(
                 f"{level} level: corpus has {counts[level]} pairs, "
                 f"batch size {needs[level]} requested"
             )
 
 
-def initialize_run(cfg: TrainConfig, corpus: Corpus) -> tuple[ModelParams, OptimizerState, np.random.Generator]:
-    """Fresh parameters, optimizer state, and sampler stream for a run."""
-    dims = EncoderDims(
-        d_in=corpus.config.d_in,
-        d_tok=cfg.d_tok,
-        hidden=cfg.hidden,
-        d_emb=cfg.d_emb,
-        vocab_size=corpus.config.vocab_size,
-    )
-    rng = substream(cfg.seed, "train")
-    params = ModelParams.initialize(dims, rng)
-    return params, OptimizerState.initialize(params), rng
-
-
 def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
           resume: Checkpoint | None = None,
-          on_batch: Callable[[dict], None] | None = None) -> TrainResult:
-    """Run the configured schedule to completion (or from a checkpoint)."""
+          on_batch: Callable[[dict], None] | None = None,
+          stop_at: int | None = None) -> TrainResult:
+    """Run the schedule from batch 0, or from a checkpoint, up to `stop_at`.
+
+    `stop_at` defaults to the end of the schedule; the returned checkpoint
+    resumes from there. A resumed run appends to `log_path`, so a run stopped
+    and resumed leaves the same log as an uninterrupted one.
+    """
     _check_capacity(cfg, corpus)
+    rng = substream(cfg.seed, "train")
     if resume is not None:
         if resume.config != cfg:
             raise ConfigError("checkpoint was written under a different config")
         params, opt, start = resume.params, resume.opt_state, resume.global_batch
-        rng = substream(cfg.seed, "train")
         rng.bit_generator.state = resume.rng_state
     else:
-        params, opt, rng = initialize_run(cfg, corpus)
-        start = 0
+        dims = EncoderDims(d_in=corpus.config.d_in, d_tok=cfg.d_tok, hidden=cfg.hidden,
+                           d_emb=cfg.d_emb, vocab_size=corpus.config.vocab_size)
+        params = ModelParams.initialize(dims, rng)
+        opt, start = OptimizerState.initialize(params), 0
+    stop = cfg.total_batches if stop_at is None else stop_at
+    if not start <= stop <= cfg.total_batches:
+        raise ConfigError(f"stop_at must lie in [{start}, {cfg.total_batches}], got {stop_at}")
 
     log: list[dict] = []
     log_file = open(log_path, "a" if resume is not None else "w",
                     encoding="utf-8") if log_path else None
     try:
-        for i in range(start, cfg.total_batches):
+        for i in range(start, stop):
             level = _level_at(cfg, i)
             try:
                 lv = _loss_at_level(level, corpus, cfg, params, rng)
@@ -263,7 +266,7 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
             log_file.close()
     ckpt = Checkpoint(
         config=cfg,
-        global_batch=cfg.total_batches,
+        global_batch=stop,
         params=params,
         opt_state=opt,
         rng_state=rng.bit_generator.state,
@@ -273,9 +276,7 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
 
 def untrained_checkpoint(cfg: TrainConfig, corpus: Corpus) -> Checkpoint:
     """Initialization-only checkpoint (the zero-shot chance baseline)."""
-    params, opt, rng = initialize_run(cfg, corpus)
-    return Checkpoint(config=cfg, global_batch=0, params=params, opt_state=opt,
-                      rng_state=rng.bit_generator.state)
+    return train(cfg, corpus, stop_at=0).checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +371,3 @@ def _restore_rng_state(state: dict) -> dict:
         "has_uint32": int(state["has_uint32"]),
         "uinteger": int(state["uinteger"]),
     }
-
-
-def run_to_batch(cfg: TrainConfig, corpus: Corpus, stop_at: int) -> Checkpoint:
-    """Train the first `stop_at` batches only and return that checkpoint."""
-    if not 0 < stop_at <= cfg.total_batches:
-        raise ConfigError(f"stop_at must lie in [1, {cfg.total_batches}], got {stop_at}")
-    params, opt, rng = initialize_run(cfg, corpus)
-    for i in range(stop_at):
-        level = _level_at(cfg, i)
-        lv = _loss_at_level(level, corpus, cfg, params, rng)
-        params, opt = adamw_step(params, lv.grads, opt, cfg)
-    return Checkpoint(config=cfg, global_batch=stop_at, params=params,
-                      opt_state=opt, rng_state=rng.bit_generator.state)

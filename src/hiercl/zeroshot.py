@@ -54,6 +54,8 @@ class PromptSet:
         for label, prompts in self.classes:
             if not prompts:
                 raise ConfigError(f"class {label} has no prompts")
+            if not all(prompts):
+                raise ConfigError(f"class {label} has an empty prompt")
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -117,7 +119,10 @@ def load_prompts(path) -> PromptSet:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusFormatError(f"{path}: bad prompt record: {e}") from e
-    return PromptSet(classes=classes)
+    try:
+        return PromptSet(classes=classes)
+    except ConfigError as e:
+        raise CorpusFormatError(f"{path}: {e}") from e
 
 
 def embed_prompts(prompts: PromptSet, params: ModelParams) -> Matrix:

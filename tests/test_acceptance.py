@@ -41,7 +41,6 @@ from hiercl.seeding import substream
 from hiercl.trainer import (
     TrainConfig,
     load_checkpoint,
-    run_to_batch,
     schedule_level,
     train,
     untrained_checkpoint,
@@ -177,7 +176,7 @@ def test_criterion_4_determinism_and_resume(corpus_file, workdir, capsys):
     cfg = TrainConfig(cycles=10)
     train_split, _ = load_corpus(corpus_file).split(0.25)
     halfway = 5 * (cfg.m + cfg.n + cfg.l)
-    resumed = train(cfg, train_split, resume=run_to_batch(cfg, train_split, halfway))
+    resumed = train(cfg, train_split, resume=train(cfg, train_split, stop_at=halfway).checkpoint)
     uninterrupted = load_checkpoint(workdir / "d1" / "checkpoint.bin")
     full_log = [json.loads(s) for s in
                 (workdir / "d1" / "train_log.jsonl").read_text().splitlines()]

@@ -272,6 +272,55 @@ def test_exit_2_on_negative_seed(workspace, tmp_path, capsys, command):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("generate", {"generator": 5}, "section 'generator' must be a JSON object"),
+    ("generate", {"generator": None}, "section 'generator' must be a JSON object"),
+    ("train", {"train": [1]}, "section 'train' must be a JSON object"),
+    ("train", {"train": "fast"}, "section 'train' must be a JSON object"),
+    ("train", {"train": {**TRAIN_SECTION, "paper_scale": "no"}},
+     "paper_scale must be a JSON boolean"),
+    ("train", {"train": {**TRAIN_SECTION, "paper_scale": 0}},
+     "paper_scale must be a JSON boolean"),
+], ids=["generator-number", "generator-null", "train-list", "train-string",
+        "paper_scale-string", "paper_scale-number"])
+def test_exit_2_on_malformed_config_section(workspace, tmp_path, capsys, command, doc, message):
+    config = _write_config(tmp_path, **doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "generate": ["generate", "--config", config, "--out", str(out / "c.jsonl")],
+        "train": ["train", "--config", config,
+                  "--corpus", str(workspace["corpus"]), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", None, "0.3", True, [0.3]])
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_exit_2_on_non_number_holdout_fraction(workspace, tmp_path, capsys, command, value):
+    config = _write_config(tmp_path, train=TRAIN_SECTION, holdout_fraction=value)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "train": ["train", "--corpus", str(workspace["corpus"])],
+        "eval": ["eval", "--checkpoint", str(workspace["run"] / "checkpoint.bin"),
+                 "--corpus", str(workspace["corpus"])],
+        "ablate": ["ablate", "--corpus", str(workspace["corpus"])],
+    }[command]
+    assert main(argv + ["--config", config, "--out", str(out)]) == 2
+    assert "holdout_fraction must be a JSON number" in capsys.readouterr().err
+
+
+def test_exit_2_on_holdout_fraction_out_of_range(workspace, tmp_path, capsys):
+    config = _write_config(tmp_path, train=TRAIN_SECTION, holdout_fraction=1)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", "--config", config, "--corpus", str(workspace["corpus"]),
+                 "--out", str(out)]) == 2
+    assert "holdout_fraction must lie in (0, 1), got 1.0" in capsys.readouterr().err
+
+
 def test_exit_3_on_missing_corpus(tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
@@ -389,6 +438,44 @@ def test_exit_4_on_non_integer_prompt_values(workspace, tmp_path, capsys, where,
         load_prompts(prompts)
     assert _run_eval(workspace, tmp_path / "ev", "--prompts", str(prompts)) == 4
     assert "is not an integer" in capsys.readouterr().err
+
+
+def _break_prompts(doc: dict, fault: str) -> None:
+    if fault == "one class":
+        del doc["classes"][1:]
+    elif fault == "duplicate label":
+        doc["classes"][1]["label"] = doc["classes"][0]["label"]
+    elif fault == "no prompts":
+        doc["classes"][1]["prompts"] = []
+    else:
+        doc["classes"][1]["prompts"][0] = []
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("one class", "need at least 2 classes"),
+    ("duplicate label", "class labels must be unique"),
+    ("no prompts", "class 1 has no prompts"),
+    ("empty prompt", "class 1 has an empty prompt"),
+], ids=["one-class", "duplicate-label", "no-prompts", "empty-prompt"])
+def test_exit_4_on_malformed_prompt_set(workspace, tmp_path, capsys, fault, message):
+    doc = json.loads((workspace["root"] / "corpus.prompts.json").read_text())
+    _break_prompts(doc, fault)
+    prompts = tmp_path / "p.json"
+    prompts.write_text(json.dumps(doc))
+    with pytest.raises(CorpusFormatError, match=message):
+        load_prompts(prompts)
+    out = tmp_path / "ev"
+    assert _run_eval(workspace, out, "--prompts", str(prompts)) == 4
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()  # rejected at load, before the run
+
+
+def test_exit_5_on_out_of_vocabulary_prompt_token(workspace, tmp_path, capsys):
+    doc = json.loads((workspace["root"] / "corpus.prompts.json").read_text())
+    doc["classes"][0]["prompts"][0][0] = GEN_SECTION["vocab_size"]
+    prompts = tmp_path / "p.json"
+    prompts.write_text(json.dumps(doc))
+    assert _run_eval(workspace, tmp_path / "ev", "--prompts", str(prompts)) == 5
 
 
 def test_cli_requires_subcommand(capsys):

@@ -325,16 +325,6 @@ def test_concat_rows_gradient_splits():
     assert finite_diff_check(f, leaves, seed=2) < 1e-8
 
 
-def test_verify_replay_passes_on_fresh_tape():
-    rng = np.random.default_rng(9)
-    t = Tape()
-    x = t.leaf(rand(rng, 3, 3))
-    y = t.softmax_rows(t.matmul(x, x), 1.0)
-    rows = t.gather_rows(y, np.array([2, 0, 2, 1], dtype=np.intp))
-    t.sum_all(t.segment_mean(rows, [1, 3]))
-    assert t.verify_replay()  # recomputes every record; must be bit-identical
-
-
 def test_tape_records_are_in_creation_order():
     t = Tape()
     x = t.leaf(Matrix([[1.0]]))

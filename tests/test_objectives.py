@@ -163,10 +163,16 @@ def test_single_rejects_all_empty():
 
 def test_tau_must_be_positive():
     p = identity_params(4)
-    clip = ClipBatch((clip_entry(0, basis_frames(4, 0), 0),))
-    for bad in (0.0, -0.5):
-        with pytest.raises(ConfigError):
-            loss_clip(clip, p, bad)
+    frames = basis_frames(4, 0)
+    clip = ClipBatch((clip_entry(0, frames, 0),))
+    phase = PhaseBatch((phase_entry(0, frames, 0),))
+    video = VideoBatch((video_entry(0, frames, 0),))
+    for bad in (0.0, -0.5, float("nan")):
+        for call in (lambda: loss_clip(clip, p, bad), lambda: loss_phase(phase, p, bad),
+                     lambda: loss_video(video, p, bad),
+                     lambda: loss_single(clip, phase, video, p, bad)):
+            with pytest.raises(ConfigError, match="temperature must be positive"):
+                call()
 
 
 # ---------------------------------------------------------------------------

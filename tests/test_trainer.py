@@ -21,9 +21,10 @@ from hiercl.trainer import (
     Checkpoint,
     OptimizerState,
     TrainConfig,
+    _check_capacity,
+    _level_at,
     adamw_step,
     load_checkpoint,
-    run_to_batch,
     save_checkpoint,
     schedule_level,
     train,
@@ -297,6 +298,32 @@ def test_capacity_check_ignores_unused_levels(corpus):
     assert len(result.log) == 3
 
 
+SAMPLED_LEVELS = {
+    "hecvl": {"clip", "phase", "video"},
+    "single": {"clip", "phase", "video"},
+    "sequential": {"clip", "phase", "video"},
+    "clip": {"clip"},
+    "clip_phase": {"clip", "phase"},
+}
+
+
+@pytest.mark.parametrize("mode", list(SAMPLED_LEVELS))
+def test_capacity_check_names_exactly_the_sampled_levels(corpus, mode):
+    levels = SAMPLED_LEVELS[mode]
+    cfg = TrainConfig(cycles=2, mode=mode, **TINY)
+    sampled = {_level_at(cfg, i) for i in range(cfg.total_batches)}
+    assert sampled == ({"single"} if mode == "single" else levels)
+    counts = corpus.pair_counts()
+    for level in ("clip", "phase", "video"):
+        oversized = TrainConfig(cycles=2, mode=mode,
+                                **{**TINY, f"b_{level}": counts[level] + 1})
+        if level in levels:
+            with pytest.raises(InsufficientDataError, match=f"^{level} level"):
+                _check_capacity(oversized, corpus)
+        else:
+            _check_capacity(oversized, corpus)  # e.g. clip_phase ignores b_video
+
+
 def test_clip_loss_trends_down(corpus):
     cfg = TrainConfig(cycles=4, seed=5, lr=1e-2, d_tok=6, hidden=10, d_emb=5,
                       b_clip=8, b_phase=4, b_video=2, k_clip=2, k_phase=3,
@@ -400,8 +427,10 @@ def test_checkpoint_rejects_version_1(corpus, tmp_path):
 def test_resume_equals_uninterrupted(corpus):
     cfg = TrainConfig(cycles=2, seed=8, **TINY)
     full = train(cfg, corpus)
-    mid = run_to_batch(cfg, corpus, 3)
+    mid = train(cfg, corpus, stop_at=3).checkpoint
+    assert (mid.global_batch, mid.opt_state.step) == (3, 3)
     resumed = train(cfg, corpus, resume=mid)
+    assert resumed.checkpoint.global_batch == cfg.total_batches
     assert resumed.checkpoint.params.digest() == full.checkpoint.params.digest()
     assert resumed.checkpoint.rng_state == full.checkpoint.rng_state
     assert resumed.log == full.log[3:]
@@ -410,7 +439,7 @@ def test_resume_equals_uninterrupted(corpus):
 def test_resume_through_file_roundtrip(corpus, tmp_path):
     cfg = TrainConfig(cycles=2, seed=8, **TINY)
     full = train(cfg, corpus)
-    mid = run_to_batch(cfg, corpus, 4)
+    mid = train(cfg, corpus, stop_at=4).checkpoint
     path = tmp_path / "mid.bin"
     save_checkpoint(mid, path)
     resumed = train(cfg, corpus, resume=load_checkpoint(path))
@@ -419,7 +448,7 @@ def test_resume_through_file_roundtrip(corpus, tmp_path):
 
 def test_resume_rejects_config_mismatch(corpus):
     cfg = TrainConfig(cycles=2, seed=8, **TINY)
-    mid = run_to_batch(cfg, corpus, 3)
+    mid = train(cfg, corpus, stop_at=3).checkpoint
     other = TrainConfig(cycles=2, seed=9, **TINY)
     with pytest.raises(ConfigError):
         train(other, corpus, resume=mid)
@@ -432,3 +461,40 @@ def test_untrained_checkpoint(corpus):
     assert a.global_batch == 0
     assert a.opt_state.step == 0
     assert a.params.digest() == b.params.digest()
+
+
+def test_stop_at_zero_is_the_untrained_checkpoint(corpus):
+    cfg = TrainConfig(cycles=1, seed=10, **TINY)
+    stopped = train(cfg, corpus, stop_at=0)
+    untrained = untrained_checkpoint(cfg, corpus)
+    assert stopped.log == []
+    assert stopped.checkpoint.params.digest() == untrained.params.digest()
+    assert stopped.checkpoint.global_batch == 0
+    assert stopped.checkpoint.opt_state.step == 0
+    assert stopped.checkpoint.rng_state == untrained.rng_state
+
+
+@pytest.mark.parametrize("stop_at", [-1, 7])
+def test_stop_at_out_of_range(corpus, stop_at):
+    cfg = TrainConfig(cycles=2, seed=8, **TINY)  # 6 batches
+    with pytest.raises(ConfigError, match=r"stop_at must lie in \[0, 6\]"):
+        train(cfg, corpus, stop_at=stop_at)
+
+
+def test_stop_at_below_resume_point(corpus):
+    cfg = TrainConfig(cycles=2, seed=8, **TINY)
+    mid = train(cfg, corpus, stop_at=3).checkpoint
+    with pytest.raises(ConfigError, match=r"stop_at must lie in \[3, 6\], got 2"):
+        train(cfg, corpus, resume=mid, stop_at=2)
+    assert train(cfg, corpus, resume=mid, stop_at=3).log == []
+
+
+def test_stopped_and_resumed_log_file_equals_uninterrupted(corpus, tmp_path):
+    cfg = TrainConfig(cycles=2, seed=8, **TINY)
+    full_path = tmp_path / "full.jsonl"
+    train(cfg, corpus, log_path=full_path)
+    path = tmp_path / "log.jsonl"
+    mid = train(cfg, corpus, log_path=path, stop_at=2).checkpoint
+    mid = train(cfg, corpus, log_path=path, resume=mid, stop_at=4).checkpoint
+    train(cfg, corpus, log_path=path, resume=mid)
+    assert path.read_bytes() == full_path.read_bytes()

@@ -71,6 +71,8 @@ def test_prompt_set_validation():
         PromptSet(classes=((0, ((1,),)), (0, ((2,),))))  # duplicate label
     with pytest.raises(ConfigError, match="class 1"):
         PromptSet(classes=((0, ((1,),)), (1, ())))  # empty prompt list
+    with pytest.raises(ConfigError, match="class 1 has an empty prompt"):
+        PromptSet(classes=((0, ((1,),)), (1, ((2,), ()))))
 
 
 def test_default_prompts_stay_in_class_blocks():
