@@ -46,7 +46,6 @@ from .errors import (
     ShapeError,
     VocabularyError,
 )
-from . import numerics as nm
 from .numerics import finite_diff_check
 from .objectives import loss_clip, loss_phase, loss_single, loss_video
 from .seeding import substream
@@ -277,7 +276,7 @@ GRADCHECK_TOL = 1e-4
 
 
 def _gradcheck_losses(seed: int, corrupt: str | None):
-    """(name, loss_and_grad fn, leaf dict) per loss, on small random batches."""
+    """(name, case, loss_and_grad fn) per loss on small random batches, and the params."""
     gen = GeneratorConfig(num_videos=6, num_classes=3, clips_per_phase=2,
                           frames_per_clip=4, d_in=8, vocab_size=48,
                           seed=seed)
@@ -285,7 +284,7 @@ def _gradcheck_losses(seed: int, corrupt: str | None):
     corpus = generate_synthetic(gen)
     dims = EncoderDims(d_in=8, d_tok=8, hidden=12, d_emb=8, vocab_size=48)
     params = ModelParams.initialize(dims, rng)
-    leaves = dict(params.leaves())
+    w1 = next(b for b in dims.layout if b.name == "visual.w1")
     sizes = [2, 3, 4, 2, 3]
     checks = []
     for name, fn in (("loss_clip", loss_clip), ("loss_phase", loss_phase),
@@ -303,25 +302,22 @@ def _gradcheck_losses(seed: int, corrupt: str | None):
             else:
                 batches = (clip, phase, video)
 
-            def fn_of_leaves(leaf_dict, _fn=fn, _batches=batches, _name=name):
-                p = ModelParams.from_blocks(dims, leaf_dict)
-                lv = _fn(*_batches, p, 0.07)
-                grads = lv.grads
+            def fn_of_vector(vector, _fn=fn, _batches=batches, _name=name):
+                lv = _fn(*_batches, ModelParams(dims, vector), 0.07)
                 if corrupt == _name:
-                    grads = dict(grads)
-                    grads["visual.w1"] = nm.scale(grads["visual.w1"], 1.5)
-                return lv.loss, grads
+                    lv.grads[w1.offset:w1.stop] *= 1.5
+                return lv.loss, lv.grads
 
-            checks.append((name, case, fn_of_leaves))
-    return checks, leaves
+            checks.append((name, case, fn_of_vector))
+    return checks, params
 
 
 def cmd_gradcheck(args) -> int:
-    checks, leaves = _gradcheck_losses(args.seed, args.corrupt)
+    checks, params = _gradcheck_losses(args.seed, args.corrupt)
     worst: dict[str, float] = {}
     for name, case, fn in checks:
-        err = finite_diff_check(fn, leaves, max_coords_per_block=8,
-                                seed=args.seed + case)
+        err = finite_diff_check(fn, params.vector, params.dims.layout,
+                                max_coords_per_block=8, seed=args.seed + case)
         worst[name] = max(worst.get(name, 0.0), err)
     failed = []
     lines = []

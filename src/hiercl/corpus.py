@@ -30,6 +30,7 @@ from .errors import (
     CorpusFormatError,
     InsufficientDataError,
     SchemaVersionError,
+    check_floats,
     check_ints,
 )
 from .numerics import Matrix
@@ -64,8 +65,7 @@ class GeneratorConfig:
         check_ints(self, ("seed",), minimum=0)
         if not 0.0 <= self.token_noise < 1.0:
             raise ConfigError(f"token_noise must lie in [0, 1), got {self.token_noise}")
-        if self.noise_scale < 0.0:
-            raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        check_floats(self, ("noise_scale",), minimum=0.0, strict=False)
         if self.num_classes > self.vocab_size:
             raise ConfigError(
                 f"{self.num_classes} classes need {self.num_classes} vocabulary blocks, "

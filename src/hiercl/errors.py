@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the integer-field check.
+"""Exception types shared across the package, and the config field checks.
 
 Every error raised by public APIs derives from HierclError so callers can
 catch the whole family. The CLI maps these onto process exit codes.
 """
+import math
 
 
 class HierclError(Exception):
@@ -68,3 +69,20 @@ def check_ints(owner, fields, minimum: int) -> None:
             raise ConfigError(f"{field} must be an integer, got {value!r}")
         if value < minimum:
             raise ConfigError(f"{field} must be >= {minimum}, got {value}")
+
+
+def check_floats(owner, fields, minimum: float, strict: bool) -> None:
+    """Raise ConfigError unless each named attribute of owner is a finite number
+    above minimum (strict) or at least minimum.
+
+    Ints are accepted as numbers; a bool is not, and neither are NaN or +-inf.
+    """
+    for field in fields:
+        value = getattr(owner, field)
+        if type(value) is bool or not isinstance(value, (int, float)):
+            raise ConfigError(f"{field} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{field} must be finite, got {value}")
+        if value < minimum or (strict and value == minimum):
+            raise ConfigError(f"{field} must be {'>' if strict else '>='} {minimum}, "
+                              f"got {value}")

@@ -2,9 +2,10 @@
 
 Values live in `Matrix`, an immutable 2-D float64 array; vectors are 1xN
 matrices. Plain module functions (matmul, softmax_rows, ...) evaluate
-eagerly. The same primitives are available as `Tape` methods, which record
-every application so `Tape.backward` can push a scalar loss gradient back
-to the leaves.
+eagerly. Most of them are also `Tape` methods, which record every
+application so `Tape.backward` can push a scalar loss gradient back to the
+leaves, as one flat vector. `Tape.matched_prob` fuses the contrastive
+pattern diag(softmax(q t^T / tau)) into one op with a closed-form gradient.
 
 Everything is float64 and single-threaded; identical inputs produce
 bit-identical outputs.
@@ -12,7 +13,7 @@ bit-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,14 +50,6 @@ class Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[float]]) -> "Matrix":
-        return cls(list(list(r) for r in rows))
-
-    @classmethod
-    def row_vector(cls, values: Iterable[float]) -> "Matrix":
-        return cls([list(values)])
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls._wrap(np.zeros((rows, cols)))
 
@@ -86,14 +79,8 @@ class Matrix:
         """Flat row-major view of the values."""
         return self._a.reshape(-1)
 
-    def row(self, i: int) -> np.ndarray:
-        return self._a[i]
-
     def tolist(self) -> list[list[float]]:
         return self._a.tolist()
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self._a)))
 
     def same_values(self, other: "Matrix") -> bool:
         """Bit-exact equality."""
@@ -106,11 +93,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def _require_same_shape(a: Matrix, b: Matrix, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +109,11 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._wrap(a.array @ b.array)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return Matrix._wrap(np.ascontiguousarray(a.array.T))
-
-
 def add(a: Matrix, b: Matrix) -> Matrix:
     """Elementwise sum; b may be a 1xC row vector broadcast over a's rows."""
     if b.shape != a.shape and not (b.rows == 1 and b.cols == a.cols):
         raise ShapeError(f"add: shapes differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     return Matrix._wrap(a.array + b.array)
-
-
-def mul(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise (Hadamard) product of same-shape matrices."""
-    _require_same_shape(a, b, "mul")
-    return Matrix._wrap(a.array * b.array)
 
 
 def scale(a: Matrix, c: float) -> Matrix:
@@ -154,10 +126,6 @@ def relu(a: Matrix) -> Matrix:
 
 def log(a: Matrix) -> Matrix:
     return Matrix._wrap(np.log(a.array))
-
-
-def exp(a: Matrix) -> Matrix:
-    return Matrix._wrap(np.exp(a.array))
 
 
 def softmax_rows(m: Matrix, tau: float) -> Matrix:
@@ -208,13 +176,6 @@ def gather_rows(m: Matrix, indices: Sequence[int]) -> Matrix:
     if idx.min() < 0 or idx.max() >= m.rows:
         raise ShapeError(f"gather_rows: index out of range for {m.rows} rows")
     return Matrix._wrap(m.array[idx])
-
-
-def gather_diag(m: Matrix) -> Matrix:
-    """Main diagonal of a square matrix, as a 1xN row."""
-    if m.rows != m.cols:
-        raise ShapeError(f"gather_diag: matrix is {m.rows}x{m.cols}, not square")
-    return Matrix._wrap(np.diagonal(m.array).copy()[None, :])
 
 
 def sum_all(m: Matrix) -> Matrix:
@@ -285,15 +246,8 @@ class Tape:
         return self._push("matmul", (a.nid, b.nid), matmul(a.value, b.value), {},
                           self._needs(a, b))
 
-    def transpose(self, a: Node) -> Node:
-        return self._push("transpose", (a.nid,), transpose(a.value), {}, self._needs(a))
-
     def add(self, a: Node, b: Node) -> Node:
         return self._push("add", (a.nid, b.nid), add(a.value, b.value), {},
-                          self._needs(a, b))
-
-    def mul(self, a: Node, b: Node) -> Node:
-        return self._push("mul", (a.nid, b.nid), mul(a.value, b.value), {},
                           self._needs(a, b))
 
     def scale(self, a: Node, c: float) -> Node:
@@ -305,13 +259,6 @@ class Tape:
 
     def log(self, a: Node) -> Node:
         return self._push("log", (a.nid,), log(a.value), {}, self._needs(a))
-
-    def exp(self, a: Node) -> Node:
-        return self._push("exp", (a.nid,), exp(a.value), {}, self._needs(a))
-
-    def softmax_rows(self, a: Node, tau: float) -> Node:
-        return self._push("softmax_rows", (a.nid,), softmax_rows(a.value, tau),
-                          {"tau": float(tau)}, self._needs(a))
 
     def l2_normalize_rows(self, a: Node) -> Node:
         return self._push("l2_normalize_rows", (a.nid,), l2_normalize_rows(a.value),
@@ -332,20 +279,36 @@ class Tape:
         return self._push("gather_rows", (a.nid,), gather_rows(a.value, idx),
                           {"indices": idx}, self._needs(a))
 
-    def gather_diag(self, a: Node) -> Node:
-        return self._push("gather_diag", (a.nid,), gather_diag(a.value), {},
-                          self._needs(a))
+    def matched_prob(self, queries: Node, targets: Node, tau: float) -> tuple[Node, np.ndarray]:
+        """Row i's softmax probability of target i: diag(softmax(q t^T / tau)), as 1xB.
+
+        Also returns the similarity matrix q t^T.
+        """
+        if queries.value.shape != targets.value.shape:
+            raise ShapeError(f"matched_prob: queries {queries.value.shape} and targets "
+                             f"{targets.value.shape} must pair row for row")
+        # BLAS may round q @ t.T through a strided view differently from a
+        # product with the contiguous transpose; the copy pins the bits.
+        t_cols = np.ascontiguousarray(targets.value.array.T)
+        sims = queries.value.array @ t_cols
+        probs = softmax_rows(Matrix._wrap(sims), tau).array
+        node = self._push("matched_prob", (queries.nid, targets.nid),
+                          Matrix._wrap(np.diagonal(probs).copy()[None, :]),
+                          {"tau": float(tau), "probs": probs, "t_cols": t_cols},
+                          self._needs(queries, targets))
+        return node, sims
 
     def sum_all(self, a: Node) -> Node:
         return self._push("sum_all", (a.nid,), sum_all(a.value), {}, self._needs(a))
 
     # -- reverse pass --------------------------------------------------------
 
-    def backward(self, loss: Node) -> dict[int, Matrix]:
-        """Gradient of a scalar loss with respect to every leaf.
+    def backward(self, loss: Node, wrt: Sequence[Node]) -> np.ndarray:
+        """Gradient of a scalar loss with respect to the leaves in `wrt`.
 
-        Returns a dict keyed by leaf node id; leaves that do not influence
-        the loss get zero gradients. Deterministic for a fixed tape.
+        Returns one flat float64 vector: each leaf's gradient, row-major, in
+        the order of `wrt`; a leaf the loss does not reach contributes zeros.
+        Deterministic for a fixed tape.
         """
         rec = self._recs[loss.nid]
         if rec.value.shape != (1, 1):
@@ -355,24 +318,17 @@ class Tape:
         grads: dict[int, np.ndarray] = {loss.nid: np.ones((1, 1))}
         for nid in range(loss.nid, -1, -1):
             r = self._recs[nid]
-            g = grads.pop(nid, None)
-            if g is None or r.op in ("leaf", "const"):
-                if g is not None and r.op == "leaf":
-                    grads[nid] = g
+            if r.op in ("leaf", "const") or nid not in grads:
                 continue
-            for in_id, ig in zip(r.inputs, self._input_grads(r, g)):
+            for in_id, ig in zip(r.inputs, self._input_grads(r, grads.pop(nid))):
                 if ig is None or not self._recs[in_id].needs_grad:
                     continue
                 if in_id in grads:
                     grads[in_id] = grads[in_id] + ig
                 else:
                     grads[in_id] = ig
-        out: dict[int, Matrix] = {}
-        for nid, r in enumerate(self._recs):
-            if r.op == "leaf":
-                g = grads.get(nid)
-                out[nid] = Matrix._wrap(g if g is not None else np.zeros(r.value.shape))
-        return out
+        return np.concatenate([grads[n.nid].ravel() if n.nid in grads
+                               else np.zeros(n.value.array.size) for n in wrt])
 
     def _input_grads(self, r: _Record, g: np.ndarray) -> list[np.ndarray | None]:
         vals = [self._recs[i].value.array for i in r.inputs]
@@ -381,27 +337,24 @@ class Tape:
         if op == "matmul":
             a, b = vals
             return [g @ b.T if needs[0] else None, a.T @ g if needs[1] else None]
-        if op == "transpose":
-            return [np.ascontiguousarray(g.T)]
         if op == "add":
             a, b = vals
             gb = g if b.shape == a.shape else g.sum(axis=0, keepdims=True)
             return [g, gb]
-        if op == "mul":
-            a, b = vals
-            return [g * b, g * a]
         if op == "scale":
             return [g * r.meta["c"]]
         if op == "relu":
             return [g * (vals[0] > 0.0)]
         if op == "log":
             return [g / vals[0]]
-        if op == "exp":
-            return [g * r.value.array]
-        if op == "softmax_rows":
-            s = r.value.array
-            inner = (g * s).sum(axis=1, keepdims=True)
-            return [s * (g - inner) / r.meta["tau"]]
+        if op == "matched_prob":
+            p, t_cols = r.meta["probs"], r.meta["t_cols"]
+            gp = np.zeros(p.shape)
+            np.fill_diagonal(gp, g[0])
+            inner = (gp * p).sum(axis=1, keepdims=True)
+            gs = p * (gp - inner) / r.meta["tau"]
+            return [gs @ t_cols.T if needs[0] else None,
+                    np.ascontiguousarray((vals[0].T @ gs).T) if needs[1] else None]
         if op == "l2_normalize_rows":
             x = vals[0]
             y = r.value.array
@@ -420,57 +373,51 @@ class Tape:
             cells = (r.meta["indices"][:, None] * cols + np.arange(cols)).ravel()
             gx = np.bincount(cells, weights=g.ravel(), minlength=rows * cols)
             return [gx.reshape(rows, cols)]
-        if op == "gather_diag":
-            gx = np.zeros(vals[0].shape)
-            np.fill_diagonal(gx, g[0])
-            return [gx]
         if op == "sum_all":
             return [np.full(vals[0].shape, g[0, 0])]
         raise ContractError(f"no gradient rule for op {op!r}")
 
 
 def finite_diff_check(
-    loss_and_grad: Callable[[dict[str, Matrix]], tuple[float, dict[str, Matrix]]],
-    params: dict[str, Matrix],
+    loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x: np.ndarray,
+    blocks: Sequence[tuple[str, int, int, int]],
     eps: float = 1e-5,
     max_coords_per_block: int = 64,
     seed: int = 0,
 ) -> float:
-    """Compare analytic gradients against central finite differences.
+    """Compare an analytic gradient against central finite differences.
 
-    `loss_and_grad` must be deterministic and return (loss, grads) with one
-    gradient matrix per parameter block. At most `max_coords_per_block`
-    coordinates per block are probed, chosen by a seeded generator so the
-    check is reproducible. Returns the max relative error over all probes.
+    `loss_and_grad` must be deterministic and return (loss, gradient) for a
+    flat vector shaped like `x`. `blocks` tiles `x` into named row-major
+    matrices as (name, offset, rows, cols), in order; at most
+    `max_coords_per_block` coordinates of each block are probed, chosen by a
+    seeded generator so the check is reproducible. Returns the max relative
+    error over all probes.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ConfigError(f"finite-difference eps must lie in [1e-7, 1e-3], got {eps}")
-    loss0, grads = loss_and_grad(params)
+    x = np.asarray(x, dtype=np.float64)
+    loss0, grad = loss_and_grad(x)
     if not np.isfinite(loss0):
         raise NumericError(f"loss is not finite: {loss0}")
+    if grad.shape != x.shape:
+        raise ShapeError(f"gradient has shape {grad.shape}, parameters {x.shape}")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for name, m in params.items():
-        size = m.rows * m.cols
-        count = min(max_coords_per_block, size)
-        coords = rng.choice(size, size=count, replace=False)
-        analytic = grads[name].data
-        for flat in coords:
-            i, j = divmod(int(flat), m.cols)
-            fp = _perturbed_loss(loss_and_grad, params, name, i, j, +eps)
-            fm = _perturbed_loss(loss_and_grad, params, name, i, j, -eps)
-            if not (np.isfinite(fp) and np.isfinite(fm)):
+    for name, offset, rows, cols in blocks:
+        count = min(max_coords_per_block, rows * cols)
+        for flat in rng.choice(rows * cols, size=count, replace=False):
+            losses = []
+            for delta in (eps, -eps):
+                bumped = x.copy()
+                bumped[offset + flat] += delta
+                losses.append(loss_and_grad(bumped)[0])
+            if not np.all(np.isfinite(losses)):
+                i, j = divmod(int(flat), cols)
                 raise NumericError(f"perturbed loss not finite at {name}[{i},{j}]")
-            fd = (fp - fm) / (2.0 * eps)
-            a = float(analytic[flat])
+            fd = (losses[0] - losses[1]) / (2.0 * eps)
+            a = float(grad[offset + flat])
             err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
             worst = max(worst, err)
     return worst
-
-
-def _perturbed_loss(loss_and_grad, params, name, i, j, delta):
-    arr = params[name].array.copy()
-    arr[i, j] += delta
-    bumped = dict(params)
-    bumped[name] = Matrix._wrap(arr)
-    return loss_and_grad(bumped)[0]

@@ -29,15 +29,15 @@ from .encoders import (
     visual_embedding_rows,
 )
 from .errors import EmptyInputError, NumericError
-from .numerics import Matrix, Tape
+from .numerics import Tape
 
 
 @dataclass(frozen=True)
 class LossValue:
-    """Scalar loss, per-block gradients, similarity diagnostics."""
+    """Scalar loss, flat gradient in `EncoderDims.layout` order, similarity diagnostics."""
 
     loss: float
-    grads: dict[str, Matrix]
+    grads: np.ndarray
     pos_sim: float
     neg_sim: float
 
@@ -49,40 +49,23 @@ def _sim_diagnostics(sims: list[np.ndarray]) -> tuple[float, float]:
     return float(np.mean(pos)), float(np.mean(neg)) if neg.size else 0.0
 
 
-def _matched_prob(tape: Tape, queries: Node, targets: Node, tau: float) -> tuple[Node, np.ndarray]:
-    """Per-row softmax probability of the matched (diagonal) target."""
-    sims = tape.matmul(queries, tape.transpose(targets))
-    probs = tape.softmax_rows(sims, tau)
-    return tape.gather_diag(probs), sims.value.array
-
-
 def _finalize(tape: Tape, loss_node: Node, pn: dict[str, Node],
               sims: list[np.ndarray]) -> LossValue:
     loss = float(loss_node.value.array[0, 0])
     if not math.isfinite(loss):
         raise NumericError(f"contrastive loss is not finite: {loss}")
-    grads = tape.backward(loss_node)
     pos, neg = _sim_diagnostics(sims)
-    return LossValue(
-        loss=loss,
-        grads={name: grads[node.nid] for name, node in pn.items()},
-        pos_sim=pos,
-        neg_sim=neg,
-    )
+    return LossValue(loss=loss, grads=tape.backward(loss_node, list(pn.values())),
+                     pos_sim=pos, neg_sim=neg)
 
 
 def _dual_route_loss(tape: Tape, pn: dict[str, Node],
                      routes: list[tuple[Node, Node]], tau: float) -> LossValue:
     """loss = -(1/B) * sum_i log(p_route1(i) + p_route2(i))."""
     b = routes[0][0].value.rows
-    probs, sims = [], []
-    for queries, targets in routes:
-        p, s = _matched_prob(tape, queries, targets, tau)
-        probs.append(p)
-        sims.append(s)
-    total = tape.log(tape.add(probs[0], probs[1]))
-    loss_node = tape.scale(tape.sum_all(total), -1.0 / b)
-    return _finalize(tape, loss_node, pn, sims)
+    (p1, s1), (p2, s2) = (tape.matched_prob(q, t, tau) for q, t in routes)
+    loss_node = tape.scale(tape.sum_all(tape.log(tape.add(p1, p2))), -1.0 / b)
+    return _finalize(tape, loss_node, pn, [s1, s2])
 
 
 def loss_clip(batch: ClipBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
@@ -141,6 +124,6 @@ def loss_single(clip: ClipBatch, phase: PhaseBatch, video: VideoBatch,
     queries = visual_parts[0] if len(visual_parts) == 1 else tape.concat_rows(visual_parts)
     targets = text_embedding_rows(tape, pn, texts)
     m = queries.value.rows
-    p, sims = _matched_prob(tape, queries, targets, tau)
+    p, sims = tape.matched_prob(queries, targets, tau)
     loss_node = tape.scale(tape.sum_all(tape.log(p)), -1.0 / m)
     return _finalize(tape, loss_node, pn, [sims])

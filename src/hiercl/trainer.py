@@ -29,9 +29,9 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     SchemaVersionError,
+    check_floats,
     check_ints,
 )
-from .numerics import Matrix
 from .objectives import LossValue, loss_clip, loss_phase, loss_single, loss_video
 from .seeding import substream
 
@@ -75,12 +75,8 @@ class TrainConfig:
     d_emb: int = 16
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        check_floats(self, ("lr", "eps", "tau"), minimum=0.0, strict=True)
+        check_floats(self, ("weight_decay",), minimum=0.0, strict=False)
         check_ints(self, ("m", "n", "l", "b_clip", "b_phase", "b_video",
                           "k_clip", "k_phase", "k_video", "cycles",
                           "d_tok", "hidden", "d_emb"), minimum=1)
@@ -151,11 +147,13 @@ class OptimizerState:
         return cls(first=zeros, second=zeros, step=0)
 
 
-def adamw_step(params: ModelParams, grads: dict[str, Matrix],
+def adamw_step(params: ModelParams, g: np.ndarray,
                state: OptimizerState, cfg: TrainConfig) -> tuple[ModelParams, OptimizerState]:
-    """One bias-corrected Adam update with decoupled weight decay."""
+    """One bias-corrected Adam update with decoupled weight decay.
+
+    `g` is the flat gradient, laid out like `params.vector`.
+    """
     t = state.step + 1
-    g = np.concatenate([grads[b.name].data for b in params.dims.layout])
     bad = nonfinite_block(params.dims, g)
     if bad is not None:
         raise NumericError(f"non-finite gradient for parameter block {bad}")

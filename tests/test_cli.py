@@ -246,6 +246,23 @@ def test_exit_2_on_float_generator_field(tmp_path, capsys):
     assert "d_in must be an integer" in capsys.readouterr().err
 
 
+def test_exit_2_on_non_finite_float_fields(workspace, tmp_path, capsys):
+    # Before these checks, generate wrote a NaN-noise corpus that load rejected.
+    config = _write_config(tmp_path, generator={**GEN_SECTION, "noise_scale": float("nan")})
+    out = tmp_path / "c.jsonl"
+    assert main(["generate", "--config", config, "--out", str(out)]) == 2
+    assert "noise_scale must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    config = _write_config(tmp_path, name="train.json",
+                           train={**TRAIN_SECTION, "lr": float("inf")})
+    run = tmp_path / "run"
+    run.mkdir()
+    rc = main(["train", "--config", config,
+               "--corpus", str(workspace["corpus"]), "--out", str(run)])
+    assert rc == 2
+    assert "lr must be finite" in capsys.readouterr().err
+
+
 def test_exit_2_on_float_train_field(workspace, tmp_path, capsys):
     config = _write_config(tmp_path, train={**TRAIN_SECTION, "b_clip": 3.5})
     out = tmp_path / "run"

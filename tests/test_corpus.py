@@ -75,6 +75,13 @@ def test_config_rejects_negative_seed_and_accepts_zero():
     assert GeneratorConfig(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "2.0", -0.5])
+def test_config_rejects_bad_noise_scale(value):
+    with pytest.raises(ConfigError, match="^noise_scale must be"):
+        GeneratorConfig(noise_scale=value)
+    assert GeneratorConfig(noise_scale=0).noise_scale == 0
+
+
 def test_load_rejects_float_config_in_header(corpus, tmp_path):
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)

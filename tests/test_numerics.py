@@ -21,6 +21,31 @@ def rand(rng, r, c):
     return Matrix(rng.standard_normal((r, c)))
 
 
+def flatten(leaves: dict[str, Matrix]):
+    """The leaves as one flat vector, and the (name, offset, rows, cols) blocks tiling it."""
+    blocks, offset = [], 0
+    for name, m in leaves.items():
+        blocks.append((name, offset, m.rows, m.cols))
+        offset += m.rows * m.cols
+    return np.concatenate([m.data for m in leaves.values()]), blocks
+
+
+def tape_fn(build, blocks):
+    """loss_and_grad over a flat vector: each block becomes a leaf, build(tape, nodes) the loss."""
+    def f(x):
+        t = Tape()
+        nodes = {name: t.leaf(Matrix(x[o:o + r * c].reshape(r, c))) for name, o, r, c in blocks}
+        loss = build(t, nodes)
+        return float(loss.value.array[0, 0]), t.backward(loss, list(nodes.values()))
+    return f
+
+
+def tape_check(build, leaves: dict[str, Matrix], **kwargs) -> float:
+    """finite_diff_check of the tape loss build(tape, nodes) at the given leaves."""
+    x, blocks = flatten(leaves)
+    return finite_diff_check(tape_fn(build, blocks), x, blocks, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Matrix basics
 # ---------------------------------------------------------------------------
@@ -49,8 +74,8 @@ def test_matrix_rejects_non_2d():
 def test_constructors():
     assert Matrix.identity(3).array.tolist() == np.eye(3).tolist()
     assert Matrix.zeros(2, 4).shape == (2, 4)
-    assert Matrix.row_vector([1, 2, 3]).shape == (1, 3)
-    assert Matrix.from_rows([[1, 2], [3, 4]]).row(1).tolist() == [3.0, 4.0]
+    assert Matrix(np.array([[1, 2, 3]])).shape == (1, 3)
+    assert Matrix([[1, 2], [3, 4]]).array[1].tolist() == [3.0, 4.0]
 
 
 def test_same_values_is_bit_exact():
@@ -90,11 +115,9 @@ def test_add_rejects_mismatched_shapes():
 
 def test_elementwise_ops():
     rng = np.random.default_rng(1)
-    a, b = rand(rng, 4, 3), rand(rng, 4, 3)
-    assert np.allclose(nm.mul(a, b).array, a.array * b.array)
+    a = rand(rng, 4, 3)
     assert np.allclose(nm.scale(a, -2.5).array, -2.5 * a.array)
     assert np.allclose(nm.relu(a).array, np.maximum(a.array, 0.0))
-    assert np.allclose(nm.exp(a).array, np.exp(a.array))
     pos = Matrix(np.abs(a.array) + 0.1)
     assert np.allclose(nm.log(pos).array, np.log(pos.array))
 
@@ -121,7 +144,7 @@ def test_softmax_matches_direct_formula():
 
 def test_softmax_is_stable_for_large_logits():
     s = nm.softmax_rows(Matrix([[1000.0, 999.0]]), 1.0)
-    assert s.is_finite()
+    assert np.all(np.isfinite(s.array))
     assert np.allclose(s.array.sum(), 1.0)
 
 
@@ -200,17 +223,15 @@ def test_segment_mean_matches_per_segment_loop(case):
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
 def test_segment_mean_gradient_matches_finite_differences(lengths, seed):
-    weights = Matrix(np.random.default_rng(seed).standard_normal((len(lengths), 3)))
+    rng = np.random.default_rng(seed)
+    left, right = rand(rng, 2, len(lengths)), rand(rng, 3, 2)
 
-    def f(leaves):
-        t = Tape()
-        x = t.leaf(leaves["x"])
-        pooled = t.segment_mean(t.exp(x), lengths)
-        loss = t.sum_all(t.mul(pooled, t.constant(weights)))
-        return float(loss.value.array[0, 0]), {"x": t.backward(loss)[x.nid]}
+    def build(t, n):
+        pooled = t.segment_mean(t.l2_normalize_rows(n["x"]), lengths)
+        return t.sum_all(t.matmul(t.matmul(t.constant(left), pooled), t.constant(right)))
 
     leaves = {"x": Matrix(np.random.default_rng(seed + 1).standard_normal((sum(lengths), 3)))}
-    assert finite_diff_check(f, leaves, seed=seed) < 1e-6
+    assert tape_check(build, leaves, seed=seed) < 1e-6
 
 
 def test_concat_and_gather():
@@ -221,13 +242,6 @@ def test_concat_and_gather():
     assert nm.gather_rows(cat, [2, 0]).tolist() == [[5.0, 6.0], [1.0, 2.0]]
     with pytest.raises(ShapeError):
         nm.gather_rows(cat, [3])
-
-
-def test_gather_diag():
-    m = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert nm.gather_diag(m).tolist() == [[1.0, 4.0]]
-    with pytest.raises(ShapeError):
-        nm.gather_diag(Matrix.zeros(2, 3))
 
 
 def test_sum_all():
@@ -252,32 +266,28 @@ def test_backward_requires_scalar():
     t = Tape()
     x = t.leaf(Matrix.zeros(2, 2))
     with pytest.raises(ContractError):
-        t.backward(x)
+        t.backward(x, [x])
 
 
 def test_backward_zero_for_untouched_leaf():
     t = Tape()
     x = t.leaf(Matrix([[1.0, 2.0]]))
-    unused = t.leaf(Matrix([[3.0, 4.0]]))
-    loss = t.sum_all(t.mul(x, x))
-    grads = t.backward(loss)
-    assert np.allclose(grads[x.nid].array, 2.0 * x.value.array)
-    assert np.all(grads[unused.nid].array == 0.0)
+    unused = t.leaf(Matrix([[3.0, 4.0], [5.0, 6.0]]))
+    loss = t.sum_all(t.matmul(x, t.constant(Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
+    # one flat vector, each leaf's gradient row-major in the order asked for
+    assert t.backward(loss, [x, unused]).tolist() == [6.0, 15.0, 0.0, 0.0, 0.0, 0.0]
+    assert t.backward(loss, [unused, x]).tolist() == [0.0, 0.0, 0.0, 0.0, 6.0, 15.0]
 
 
-def _tape_loss(leaves: dict[str, Matrix]) -> tuple[float, dict[str, Matrix]]:
+def _tape_loss(t, n):
     """A deliberately gnarly composite touching every differentiable op."""
-    t = Tape()
-    nodes = {k: t.leaf(v) for k, v in leaves.items()}
-    h = t.relu(t.add(t.matmul(nodes["x"], nodes["w"]), nodes["b"]))
+    h = t.relu(t.add(t.matmul(n["x"], n["w"]), n["b"]))
     h = t.l2_normalize_rows(h)
-    s = t.softmax_rows(t.matmul(h, t.transpose(nodes["t"])), 0.3)
-    p = t.gather_diag(s)
-    pooled = t.segment_mean(t.exp(nodes["x"]), [2, 2])
-    extra = t.sum_all(t.mul(pooled, pooled))
-    loss = t.add(t.scale(t.sum_all(t.log(p)), -0.5), t.scale(extra, 0.01))
-    grads = t.backward(loss)
-    return float(loss.value.array[0, 0]), {k: grads[n.nid] for k, n in nodes.items()}
+    p, _ = t.matched_prob(h, n["t"], 0.3)
+    pooled = t.segment_mean(n["x"], [2, 2])
+    q, _ = t.matched_prob(pooled, pooled, 1.0)
+    extra = t.sum_all(t.log(q))
+    return t.add(t.scale(t.sum_all(t.log(p)), -0.5), t.scale(extra, 0.01))
 
 
 def test_composite_gradient_matches_finite_differences():
@@ -288,49 +298,96 @@ def test_composite_gradient_matches_finite_differences():
         "b": Matrix(rng.standard_normal((1, 5))),
         "t": rand(rng, 4, 5),
     }
-    err = finite_diff_check(_tape_loss, leaves, max_coords_per_block=20, seed=0)
-    assert err < 1e-6
+    assert tape_check(_tape_loss, leaves, max_coords_per_block=20, seed=0) < 1e-6
 
 
 def test_gather_rows_gradient_accumulates_duplicates():
-    def f(leaves):
-        t = Tape()
-        x = t.leaf(leaves["x"])
-        g = t.gather_rows(x, [0, 0, 1])
-        loss = t.sum_all(t.mul(g, g))
-        grads = t.backward(loss)
-        return float(loss.value.array[0, 0]), {"x": grads[x.nid]}
-
     rng = np.random.default_rng(7)
+    weights = rand(rng, 4, 2)
+
+    def build(t, n):
+        return t.sum_all(t.matmul(t.gather_rows(n["x"], [0, 0, 1]), t.constant(weights)))
+
     leaves = {"x": rand(rng, 3, 4)}
-    assert finite_diff_check(f, leaves, seed=1) < 1e-8
+    assert tape_check(build, leaves, seed=1) < 1e-8
     # row 0 is gathered twice, so its gradient is doubled
-    _, grads = f(leaves)
-    x = leaves["x"].array
-    assert np.allclose(grads["x"].array[0], 4.0 * x[0])
-    assert np.allclose(grads["x"].array[2], 0.0)
+    x, blocks = flatten(leaves)
+    grad = tape_fn(build, blocks)(x)[1].reshape(3, 4)
+    row = weights.array.sum(axis=1)
+    assert np.allclose(grad, [2.0 * row, row, np.zeros(4)])
 
 
 def test_concat_rows_gradient_splits():
-    def f(leaves):
-        t = Tape()
-        a, b = t.leaf(leaves["a"]), t.leaf(leaves["b"])
-        cat = t.concat_rows([a, b])
-        loss = t.sum_all(t.mul(cat, cat))
-        grads = t.backward(loss)
-        return float(loss.value.array[0, 0]), {k: grads[n.nid] for k, n in (("a", a), ("b", b))}
-
     rng = np.random.default_rng(8)
+    left = rand(rng, 2, 6)  # a distinct weight per row, so a misplaced split shows
+
+    def build(t, n):
+        return t.sum_all(t.matmul(t.constant(left), t.concat_rows([n["a"], n["b"]])))
+
     leaves = {"a": rand(rng, 2, 3), "b": rand(rng, 4, 3)}
-    assert finite_diff_check(f, leaves, seed=2) < 1e-8
+    assert tape_check(build, leaves, seed=2) < 1e-8
 
 
 def test_tape_records_are_in_creation_order():
     t = Tape()
     x = t.leaf(Matrix([[1.0]]))
-    y = t.exp(x)
+    y = t.relu(x)
     z = t.log(y)
     assert x.nid < y.nid < z.nid
+
+
+# ---------------------------------------------------------------------------
+# matched_prob: the fused diag(softmax(q t^T / tau)) op
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("b, d", [(1, 3), (2, 16), (5, 64), (33, 16), (120, 16)])
+def test_matched_prob_forward_is_bit_equal_to_numpy(b, d):
+    rng = np.random.default_rng(b * d)
+    q, tg, tau = rng.standard_normal((b, d)), rng.standard_normal((b, d)), 0.07
+    t = Tape()
+    p, sims = t.matched_prob(t.leaf(Matrix(q)), t.constant(Matrix(tg)), tau)
+    # q @ tg.T through a transposed view may round differently in BLAS; the op
+    # multiplies by the contiguous transpose, as the reference does here.
+    want_sims = q @ np.ascontiguousarray(tg.T)
+    z = want_sims / tau
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    want = np.diag(e / e.sum(axis=1, keepdims=True))
+    assert np.array_equal(sims, want_sims)
+    assert p.value.shape == (1, b)
+    assert np.array_equal(p.value.array[0], want)
+
+
+@pytest.mark.parametrize("b", [1, 2, 5])
+def test_matched_prob_gradient_matches_finite_differences(b):
+    # Inputs of norm about 1 keep the softmax soft enough that no gradient
+    # entry is so small that finite-difference rounding swamps it.
+    rng = np.random.default_rng(20 + b)
+    weights = Matrix(rng.uniform(0.5, 1.5, (b, 1)))
+
+    def small(rows):
+        return Matrix(0.5 * rng.standard_normal((rows, 4)))
+
+    def separate(t, n):
+        p, _ = t.matched_prob(n["q"], n["t"], 0.3)
+        return t.sum_all(t.matmul(p, t.constant(weights)))
+
+    def same_node(t, n):
+        p, _ = t.matched_prob(n["x"], n["x"], 0.3)
+        return t.sum_all(t.log(p))
+
+    assert tape_check(separate, {"q": small(b), "t": small(b)}, seed=b) < 1e-6
+    assert tape_check(same_node, {"x": small(b)}, seed=b) < 1e-6
+
+
+def test_matched_prob_rejects_bad_tau_and_shapes():
+    t = Tape()
+    q = t.leaf(Matrix.identity(2))
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ConfigError, match="temperature must be positive"):
+            t.matched_prob(q, q, bad)
+    with pytest.raises(ShapeError, match="matched_prob"):
+        t.matched_prob(q, t.leaf(Matrix.zeros(3, 2)), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,54 +395,60 @@ def test_tape_records_are_in_creation_order():
 # ---------------------------------------------------------------------------
 
 
+def quad(x):
+    return float((x * x).sum()), 2.0 * x
+
+
 def test_finite_diff_quadratic_self_test():
     # gradients of a quadratic are exact under central differences
-    def quad(leaves):
-        x = leaves["x"].array
-        return float((x * x).sum()), {"x": Matrix(2.0 * x)}
-
-    rng = np.random.default_rng(10)
-    leaves = {"x": rand(rng, 5, 5)}
-    assert finite_diff_check(quad, leaves, seed=3) < 1e-9
+    x = np.random.default_rng(10).standard_normal(25)
+    assert finite_diff_check(quad, x, [("x", 0, 5, 5)], seed=3) < 1e-9
 
 
 def test_finite_diff_catches_wrong_gradient():
-    def wrong(leaves):
-        x = leaves["x"].array
-        return float((x * x).sum()), {"x": Matrix(3.0 * x)}  # off by 1.5x
+    def wrong(x):
+        return float((x * x).sum()), 3.0 * x  # off by 1.5x
 
-    leaves = {"x": Matrix([[1.0, 2.0]])}
-    assert finite_diff_check(wrong, leaves, seed=4) > 0.1
+    assert finite_diff_check(wrong, np.array([1.0, 2.0]), [("x", 0, 1, 2)], seed=4) > 0.1
 
 
 def test_finite_diff_eps_bounds():
-    def quad(leaves):
-        x = leaves["x"].array
-        return float((x * x).sum()), {"x": Matrix(2.0 * x)}
-
-    leaves = {"x": Matrix([[1.0]])}
     for bad in (1e-8, 1e-2, 0.0):
         with pytest.raises(ConfigError):
-            finite_diff_check(quad, leaves, eps=bad)
+            finite_diff_check(quad, np.array([1.0]), [("x", 0, 1, 1)], eps=bad)
 
 
 def test_finite_diff_rejects_nonfinite_loss():
-    def nan_loss(leaves):
-        return float("nan"), {"x": Matrix([[0.0]])}
+    def nan_loss(x):
+        return float("nan"), np.zeros(1)
 
     with pytest.raises(NumericError):
-        finite_diff_check(nan_loss, {"x": Matrix([[1.0]])})
+        finite_diff_check(nan_loss, np.array([1.0]), [("x", 0, 1, 1)])
+
+
+def test_finite_diff_names_the_block_of_a_bad_probe():
+    # finite only at x itself: coordinate 3 is b[0,1] of the second block
+    def fragile(v):
+        return (0.0 if v[3] == 1.0 else float("nan")), np.zeros(6)
+
+    blocks = [("a", 0, 1, 2), ("b", 2, 2, 2)]
+    with pytest.raises(NumericError, match=r"at b\[0,1\]"):
+        finite_diff_check(fragile, np.ones(6), blocks, seed=0)
+
+
+def test_finite_diff_rejects_misshapen_gradient():
+    with pytest.raises(ShapeError):
+        finite_diff_check(lambda x: (0.0, np.zeros(3)), np.ones(4), [("x", 0, 2, 2)])
 
 
 def test_finite_diff_probe_count_is_capped():
     calls = []
 
-    def counting(leaves):
+    def counting(x):
         calls.append(1)
-        x = leaves["x"].array
-        return float((x * x).sum()), {"x": Matrix(2.0 * x)}
+        return quad(x)
 
-    leaves = {"x": Matrix(np.ones((10, 10)))}
-    finite_diff_check(counting, leaves, max_coords_per_block=5, seed=5)
-    # 1 baseline + 2 per probed coordinate
-    assert len(calls) == 1 + 2 * 5
+    blocks = [("x", 0, 10, 10), ("y", 100, 1, 3)]
+    finite_diff_check(counting, np.ones(103), blocks, max_coords_per_block=5, seed=5)
+    # 1 baseline + 2 per probed coordinate: 5 in x, all 3 of y
+    assert len(calls) == 1 + 2 * (5 + 3)

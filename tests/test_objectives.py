@@ -333,13 +333,13 @@ def test_gradients_match_finite_differences(corpus):
     clip = sample_clip_batch(corpus, 2, rng, k=2)
     phase = sample_phase_batch(corpus, 3, rng, k=2)
     video = sample_video_batch(corpus, 2, rng, k=4)
-    leaves = dict(params.leaves())
 
     def check(fn, *batches):
-        def f(leaf_dict):
-            lv = fn(*batches, ModelParams.from_blocks(params.dims, leaf_dict), 0.07)
+        def f(vector):
+            lv = fn(*batches, ModelParams(params.dims, vector), 0.07)
             return lv.loss, lv.grads
-        return finite_diff_check(f, leaves, max_coords_per_block=6, seed=0)
+        return finite_diff_check(f, params.vector, params.dims.layout,
+                                 max_coords_per_block=6, seed=0)
 
     assert check(loss_clip, clip) < 1e-4
     assert check(loss_phase, phase) < 1e-4
@@ -351,9 +351,11 @@ def test_gradients_cover_every_leaf(corpus):
     params = ModelParams.initialize(DIMS, substream(4, "train"))
     rng = substream(5, "eval")
     lv = loss_clip(sample_clip_batch(corpus, 2, rng), params, 0.07)
-    assert sorted(lv.grads) == sorted(LEAF_NAMES)
-    for name, ref in params.leaves():
-        assert lv.grads[name].shape == ref.shape
+    # one flat vector in layout order, and every block gets some gradient
+    assert [b.name for b in params.dims.layout] == LEAF_NAMES
+    assert lv.grads.shape == (params.dims.size,)
+    for b in params.dims.layout:
+        assert np.any(lv.grads[b.offset:b.stop] != 0.0), b.name
 
 
 def test_unused_token_rows_get_zero_gradient():
@@ -367,7 +369,8 @@ def test_unused_token_rows_get_zero_gradient():
         ClipExample("c1", Matrix(rng.standard_normal((2, 4))), (1,), (1,)),
     ))
     lv = loss_clip(clip, params, 0.07)
-    g = lv.grads["text.embed"].array
+    embed = next(b for b in params.dims.layout if b.name == "text.embed")
+    g = lv.grads[embed.offset:embed.stop].reshape(embed.rows, embed.cols)
     assert np.any(g[0] != 0.0) and np.any(g[1] != 0.0)
     assert np.all(g[2:] == 0.0)
 

@@ -77,6 +77,24 @@ def test_config_rejects_negative_seed_and_accepts_zero():
     assert TrainConfig(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("field", ["lr", "eps", "tau", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "0.1", None])
+def test_config_rejects_non_finite_or_non_numeric_floats(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_config_float_ranges():
+    for field in ("lr", "eps", "tau"):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ConfigError, match=f"^{field} must be > 0"):
+                TrainConfig(**{field: bad})
+        assert getattr(TrainConfig(**{field: 1}), field) == 1  # an int is a number
+    with pytest.raises(ConfigError, match="^weight_decay must be >= 0"):
+        TrainConfig(weight_decay=-1e-3)
+    assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
+
+
 def test_desk_and_paper_batch_sizes():
     desk = TrainConfig()
     assert (desk.b_clip, desk.b_phase, desk.b_video) == (16, 8, 4)
@@ -145,14 +163,13 @@ def _scalar_setup(theta: float, grad: float):
         {name: Matrix([[theta]]) if name == "visual.w1" else Matrix.zeros(m.rows, m.cols)
          for name, m in base.leaves()},
     )
-    grads = {name: Matrix([[grad]]) if name == "visual.w1" else Matrix.zeros(m.rows, m.cols)
-             for name, m in params.leaves()}
+    grads = np.zeros(dims.size)
+    grads[0] = grad  # every block is 1x1, and visual.w1 comes first
     return params, grads
 
 
 def test_adamw_zero_gradient_without_decay_is_fixed_point():
-    params, _ = _scalar_setup(1.0, 0.0)
-    zero_grads = {name: Matrix.zeros(m.rows, m.cols) for name, m in params.leaves()}
+    params, zero_grads = _scalar_setup(1.0, 0.0)
     cfg = TrainConfig(lr=0.1, weight_decay=0.0)
     updated, state = adamw_step(params, zero_grads, OptimizerState.initialize(params), cfg)
     assert updated.digest() == params.digest()
@@ -169,8 +186,7 @@ def test_adamw_first_step_hand_value():
 
 
 def test_adamw_decay_only_shrinks_exactly():
-    params, _ = _scalar_setup(2.0, 0.0)
-    zero_grads = {name: Matrix.zeros(m.rows, m.cols) for name, m in params.leaves()}
+    params, zero_grads = _scalar_setup(2.0, 0.0)
     cfg = TrainConfig(lr=0.1, weight_decay=0.01)
     updated, _ = adamw_step(params, zero_grads, OptimizerState.initialize(params), cfg)
     theta = dict(updated.leaves())["visual.w1"].array[0, 0]
@@ -182,8 +198,10 @@ def test_adamw_rejects_nonfinite_gradient():
     with pytest.raises(NumericError, match="visual.w1"):
         adamw_step(params, grads, OptimizerState.initialize(params), TrainConfig())
     # the message names the first bad block in layout order
-    grads = {**grads, "visual.w1": Matrix([[1.0]]),
-             "text.w1": Matrix([[float("inf")]]), "text.b2": Matrix([[float("nan")]])}
+    names = [b.name for b in params.dims.layout]
+    grads[0] = 1.0
+    grads[names.index("text.w1")] = float("inf")
+    grads[names.index("text.b2")] = float("nan")
     with pytest.raises(NumericError, match="block text.w1$"):
         adamw_step(params, grads, OptimizerState.initialize(params), TrainConfig())
 
@@ -191,7 +209,7 @@ def test_adamw_rejects_nonfinite_gradient():
 def test_adamw_moment_shapes_and_step_counter():
     dims = EncoderDims(d_in=3, d_tok=3, hidden=4, d_emb=2, vocab_size=5)
     params = ModelParams.initialize(dims, substream(1, "train"))
-    grads = {name: Matrix(np.ones(m.shape)) for name, m in params.leaves()}
+    grads = np.ones(dims.size)
     state = OptimizerState.initialize(params)
     for want_step in (1, 2, 3):
         params, state = adamw_step(params, grads, state, TrainConfig())
@@ -222,10 +240,11 @@ def test_adamw_flat_update_equals_per_block_loop():
     second = {name: np.zeros(m.shape) for name, m in params.leaves()}
     rng = np.random.default_rng(5)
     for t in (1, 2, 3, 4):
-        grads = {name: Matrix(rng.standard_normal(m.shape) * 10.0 ** rng.integers(-3, 3))
+        grads = {name: rng.standard_normal(m.shape) * 10.0 ** rng.integers(-3, 3)
                  for name, m in params.leaves()}
-        params, state = adamw_step(params, grads, state, cfg)
-        _adamw_reference(blocks, {n: g.array for n, g in grads.items()}, first, second, t, cfg)
+        flat = np.concatenate([grads[b.name].ravel() for b in dims.layout])
+        params, state = adamw_step(params, flat, state, cfg)
+        _adamw_reference(blocks, grads, first, second, t, cfg)
         for b, (name, m) in zip(dims.layout, params.leaves()):
             assert np.array_equal(m.array, blocks[name])
             assert np.array_equal(state.first[b.offset:b.stop], first[name].ravel())
@@ -236,6 +255,25 @@ def test_adamw_flat_update_equals_per_block_loop():
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def default_train_split():
+    return generate_synthetic(GeneratorConfig()).split(0.25)[0]
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (TrainConfig(cycles=1),
+     "4dee3b1ee981873bfa4f0080062ef5ed6976934b017954a729644903f9fd2190"),
+    (TrainConfig.paper_scale(cycles=1, mode="single"),
+     "f5db9d2d0036a659bc838b48801a9b9672e52878a0ee0653519803271d7a59d5"),
+    (TrainConfig(cycles=1, mode="clip_phase"),
+     "6ec57c487b0b1f4dbb4debe5d52c312c84034ea47ec6a975c8f2e56ab1c4fc62"),
+], ids=["hecvl", "paper-single", "clip_phase"])
+def test_trained_digest_is_pinned(default_train_split, cfg, digest):
+    # One seed-0 cycle on the default corpus's train split. Any change to
+    # the bits of training must update these values on purpose.
+    assert train(cfg, default_train_split).checkpoint.params.digest() == digest
 
 
 def test_train_is_deterministic(corpus):
