@@ -22,6 +22,7 @@ from . import __version__
 from .corpus import (
     Corpus,
     GeneratorConfig,
+    atomic_file,
     corpus_digest,
     generate_synthetic,
     load_corpus,
@@ -72,8 +73,8 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: config is not valid JSON: {e}") from e
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: config is not valid UTF-8 JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
@@ -138,10 +139,8 @@ def _holdout_fraction(doc: dict, args) -> float:
 
 
 def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with atomic_file(path) as f:
         f.write(text)
-    os.replace(tmp, path)
 
 
 def _write_manifest(path, command: str, config: dict, seed: int,

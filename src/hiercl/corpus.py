@@ -17,11 +17,13 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import os
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from hashlib import sha256
 from itertools import accumulate, chain
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -320,7 +322,7 @@ def _video_from_record(rec: dict, config: GeneratorConfig) -> LectureVideo:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_file(path) as f:
         header = {"schema": SCHEMA, "config": asdict(corpus.config)}
         f.write(json.dumps(header) + "\n")
         for v in corpus.videos:
@@ -328,7 +330,10 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as f:
+    # Bytes, decoded line by line, so a bad UTF-8 byte is reported by line.
+    # Video lines run to tens of KB, and readline on the default 8 KiB
+    # buffer joins many reads per line.
+    with open(path, "rb", buffering=1 << 20) as f:
         first = f.readline()
         if not first:
             raise CorpusFormatError("line 1: file is empty")
@@ -354,14 +359,36 @@ def load_corpus(path) -> Corpus:
     return Corpus(config=config, videos=tuple(videos))
 
 
-def _parse_line(line: str, lineno: int) -> dict:
+def _parse_line(line: bytes, lineno: int) -> dict:
     try:
-        rec = json.loads(line)
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CorpusFormatError(f"line {lineno}: not valid UTF-8: {e}") from e
+    try:
+        rec = json.loads(text)
     except json.JSONDecodeError as e:
         raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
     if not isinstance(rec, dict):
         raise CorpusFormatError(f"line {lineno}: expected an object")
     return rec
+
+
+@contextmanager
+def atomic_file(path, mode: str = "w") -> Iterator[IO]:
+    """Write through `<path>.tmp` and move it over `path` once the body returns.
+
+    If the body raises, the temporary file is removed and `path` keeps its
+    old contents. Text modes write UTF-8.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def corpus_digest(path) -> str:

@@ -2,9 +2,11 @@
 
 Values live in `Matrix`, an immutable 2-D float64 array; vectors are 1xN
 matrices. Plain module functions (matmul, softmax_rows, ...) evaluate
-eagerly. Most of them are also `Tape` methods, which record every
-application so `Tape.backward` can push a scalar loss gradient back to the
-leaves, as one flat vector. `Tape.matched_prob` fuses the contrastive
+eagerly. Most of them are also `Tape` methods: each computes its value and
+records, in the same place, its own vector-Jacobian product as a closure on
+the node. `Tape.backward` walks the nodes in reverse, calls those closures
+and skips inputs that need no gradient, pushing a scalar loss gradient back
+to the leaves as one flat vector. `Tape.matched_prob` fuses the contrastive
 pattern diag(softmax(q t^T / tau)) into one op with a closed-form gradient.
 
 Everything is float64 and single-threaded; identical inputs produce
@@ -12,7 +14,6 @@ bit-identical outputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -183,23 +184,23 @@ def sum_all(m: Matrix) -> Matrix:
     return Matrix._wrap(np.array([[m.array.sum()]]))
 
 
-@dataclass
-class _Record:
-    op: str
-    inputs: tuple[int, ...]
-    value: Matrix
-    meta: dict
-    needs_grad: bool
+# A vector-Jacobian product: (gradient of the node's value, which inputs need
+# a gradient) -> one gradient or None per input.
+VJP = Callable[[np.ndarray, Sequence[bool]], Sequence["np.ndarray | None"]]
 
 
 class Node:
-    """Handle to one recorded value on a tape."""
+    """One recorded value on a tape, with its inputs and its backward rule."""
 
-    __slots__ = ("nid", "value")
+    __slots__ = ("nid", "value", "inputs", "needs_grad", "vjp")
 
-    def __init__(self, nid: int, value: Matrix) -> None:
+    def __init__(self, nid: int, value: Matrix, inputs: tuple["Node", ...],
+                 needs_grad: bool, vjp: VJP | None) -> None:
         self.nid = nid
         self.value = value
+        self.inputs = inputs
+        self.needs_grad = needs_grad
+        self.vjp = vjp
 
     def __repr__(self) -> str:
         return f"Node({self.nid}, {self.value!r})"
@@ -214,70 +215,85 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        self._recs: list[_Record] = []
+        self._nodes: list[Node] = []
 
     def __len__(self) -> int:
-        return len(self._recs)
+        return len(self._nodes)
 
-    def value(self, nid: int) -> Matrix:
-        return self._recs[nid].value
-
-    def _push(self, op: str, inputs: tuple[int, ...], value: Matrix, meta: dict,
-              needs_grad: bool) -> Node:
-        self._recs.append(_Record(op, inputs, value, meta, needs_grad))
-        return Node(len(self._recs) - 1, value)
-
-    def _needs(self, *nodes: Node) -> bool:
-        return any(self._recs[n.nid].needs_grad for n in nodes)
+    def _push(self, value: Matrix, inputs: tuple[Node, ...] = (), vjp: VJP | None = None,
+              needs_grad: bool | None = None) -> Node:
+        if needs_grad is None:
+            needs_grad = any(i.needs_grad for i in inputs)
+        node = Node(len(self._nodes), value, inputs, needs_grad, vjp)
+        self._nodes.append(node)
+        return node
 
     # -- graph sources ------------------------------------------------------
 
     def leaf(self, m: Matrix) -> Node:
         """Trainable input; backward() reports a gradient for it."""
-        return self._push("leaf", (), m, {}, True)
+        return self._push(m, needs_grad=True)
 
     def constant(self, m: Matrix) -> Node:
         """Non-trainable input; gradients are not propagated into it."""
-        return self._push("const", (), m, {}, False)
+        return self._push(m, needs_grad=False)
 
     # -- recorded primitives -------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
-        return self._push("matmul", (a.nid, b.nid), matmul(a.value, b.value), {},
-                          self._needs(a, b))
+        x, y = a.value.array, b.value.array
+        return self._push(matmul(a.value, b.value), (a, b), lambda g, needs: (
+            g @ y.T if needs[0] else None, x.T @ g if needs[1] else None))
 
     def add(self, a: Node, b: Node) -> Node:
-        return self._push("add", (a.nid, b.nid), add(a.value, b.value), {},
-                          self._needs(a, b))
+        broadcast = b.value.shape != a.value.shape
+        return self._push(add(a.value, b.value), (a, b), lambda g, needs: (
+            g, g.sum(axis=0, keepdims=True) if broadcast else g))
 
     def scale(self, a: Node, c: float) -> Node:
-        return self._push("scale", (a.nid,), scale(a.value, c), {"c": float(c)},
-                          self._needs(a))
+        c = float(c)
+        return self._push(scale(a.value, c), (a,), lambda g, needs: (g * c,))
 
     def relu(self, a: Node) -> Node:
-        return self._push("relu", (a.nid,), relu(a.value), {}, self._needs(a))
+        x = a.value.array
+        return self._push(relu(a.value), (a,), lambda g, needs: (g * (x > 0.0),))
 
     def log(self, a: Node) -> Node:
-        return self._push("log", (a.nid,), log(a.value), {}, self._needs(a))
+        x = a.value.array
+        return self._push(log(a.value), (a,), lambda g, needs: (g / x,))
 
     def l2_normalize_rows(self, a: Node) -> Node:
-        return self._push("l2_normalize_rows", (a.nid,), l2_normalize_rows(a.value),
-                          {}, self._needs(a))
+        x = a.value.array
+        out = l2_normalize_rows(a.value)
+        y = out.array
+
+        def vjp(g, needs):
+            norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+            return ((g - y * (g * y).sum(axis=1, keepdims=True)) / norms,)
+        return self._push(out, (a,), vjp)
 
     def segment_mean(self, a: Node, lengths: Sequence[int]) -> Node:
         n = np.array(lengths, dtype=np.intp)
-        return self._push("segment_mean", (a.nid,), segment_mean(a.value, n),
-                          {"lengths": n}, self._needs(a))
+        return self._push(segment_mean(a.value, n), (a,), lambda g, needs: (
+            np.repeat(g / n[:, None], n, axis=0),))
 
     def concat_rows(self, parts: Sequence[Node]) -> Node:
-        return self._push("concat_rows", tuple(p.nid for p in parts),
-                          concat_rows([p.value for p in parts]), {},
-                          self._needs(*parts))
+        offsets = np.cumsum([0] + [p.value.rows for p in parts])
+        return self._push(concat_rows([p.value for p in parts]), tuple(parts),
+                          lambda g, needs: [np.ascontiguousarray(g[lo:hi])
+                                            for lo, hi in zip(offsets, offsets[1:])])
 
     def gather_rows(self, a: Node, indices: Sequence[int]) -> Node:
         idx = np.array(indices, dtype=np.intp)
-        return self._push("gather_rows", (a.nid,), gather_rows(a.value, idx),
-                          {"indices": idx}, self._needs(a))
+        rows, cols = a.value.shape
+
+        def vjp(g, needs):
+            # One bincount over (row, column) cells sums each cell's
+            # contributions in index order: the bits of np.add.at, faster.
+            cells = (idx[:, None] * cols + np.arange(cols)).ravel()
+            gx = np.bincount(cells, weights=g.ravel(), minlength=rows * cols)
+            return (gx.reshape(rows, cols),)
+        return self._push(gather_rows(a.value, idx), (a,), vjp)
 
     def matched_prob(self, queries: Node, targets: Node, tau: float) -> tuple[Node, np.ndarray]:
         """Row i's softmax probability of target i: diag(softmax(q t^T / tau)), as 1xB.
@@ -287,95 +303,55 @@ class Tape:
         if queries.value.shape != targets.value.shape:
             raise ShapeError(f"matched_prob: queries {queries.value.shape} and targets "
                              f"{targets.value.shape} must pair row for row")
+        q = queries.value.array
         # BLAS may round q @ t.T through a strided view differently from a
         # product with the contiguous transpose; the copy pins the bits.
         t_cols = np.ascontiguousarray(targets.value.array.T)
-        sims = queries.value.array @ t_cols
+        sims = q @ t_cols
         probs = softmax_rows(Matrix._wrap(sims), tau).array
-        node = self._push("matched_prob", (queries.nid, targets.nid),
-                          Matrix._wrap(np.diagonal(probs).copy()[None, :]),
-                          {"tau": float(tau), "probs": probs, "t_cols": t_cols},
-                          self._needs(queries, targets))
+        tau = float(tau)
+
+        def vjp(g, needs):
+            gp = np.zeros(probs.shape)
+            np.fill_diagonal(gp, g[0])
+            inner = (gp * probs).sum(axis=1, keepdims=True)
+            gs = probs * (gp - inner) / tau
+            return (gs @ t_cols.T if needs[0] else None,
+                    np.ascontiguousarray((q.T @ gs).T) if needs[1] else None)
+        node = self._push(Matrix._wrap(np.diagonal(probs).copy()[None, :]),
+                          (queries, targets), vjp)
         return node, sims
 
     def sum_all(self, a: Node) -> Node:
-        return self._push("sum_all", (a.nid,), sum_all(a.value), {}, self._needs(a))
+        shape = a.value.shape
+        return self._push(sum_all(a.value), (a,), lambda g, needs: (np.full(shape, g[0, 0]),))
 
     # -- reverse pass --------------------------------------------------------
 
     def backward(self, loss: Node, wrt: Sequence[Node]) -> np.ndarray:
         """Gradient of a scalar loss with respect to the leaves in `wrt`.
 
-        Returns one flat float64 vector: each leaf's gradient, row-major, in
-        the order of `wrt`; a leaf the loss does not reach contributes zeros.
-        Deterministic for a fixed tape.
+        Walks the nodes from `loss` back to the first, calling each reached
+        node's vector-Jacobian product and summing what it returns into the
+        inputs that need a gradient. Returns one flat float64 vector: each
+        leaf's gradient, row-major, in the order of `wrt`; a leaf the loss
+        does not reach contributes zeros. Deterministic for a fixed tape.
         """
-        rec = self._recs[loss.nid]
-        if rec.value.shape != (1, 1):
+        if loss.value.shape != (1, 1):
             raise ContractError(
-                f"backward requires a scalar (1x1) loss, got {rec.value.rows}x{rec.value.cols}"
+                f"backward requires a scalar (1x1) loss, got {loss.value.rows}x{loss.value.cols}"
             )
         grads: dict[int, np.ndarray] = {loss.nid: np.ones((1, 1))}
-        for nid in range(loss.nid, -1, -1):
-            r = self._recs[nid]
-            if r.op in ("leaf", "const") or nid not in grads:
+        for node in reversed(self._nodes[:loss.nid + 1]):
+            if not node.inputs or node.nid not in grads:
                 continue
-            for in_id, ig in zip(r.inputs, self._input_grads(r, grads.pop(nid))):
-                if ig is None or not self._recs[in_id].needs_grad:
+            needs = [i.needs_grad for i in node.inputs]
+            for i, need, ig in zip(node.inputs, needs, node.vjp(grads.pop(node.nid), needs)):
+                if ig is None or not need:
                     continue
-                if in_id in grads:
-                    grads[in_id] = grads[in_id] + ig
-                else:
-                    grads[in_id] = ig
+                grads[i.nid] = grads[i.nid] + ig if i.nid in grads else ig
         return np.concatenate([grads[n.nid].ravel() if n.nid in grads
                                else np.zeros(n.value.array.size) for n in wrt])
-
-    def _input_grads(self, r: _Record, g: np.ndarray) -> list[np.ndarray | None]:
-        vals = [self._recs[i].value.array for i in r.inputs]
-        needs = [self._recs[i].needs_grad for i in r.inputs]
-        op = r.op
-        if op == "matmul":
-            a, b = vals
-            return [g @ b.T if needs[0] else None, a.T @ g if needs[1] else None]
-        if op == "add":
-            a, b = vals
-            gb = g if b.shape == a.shape else g.sum(axis=0, keepdims=True)
-            return [g, gb]
-        if op == "scale":
-            return [g * r.meta["c"]]
-        if op == "relu":
-            return [g * (vals[0] > 0.0)]
-        if op == "log":
-            return [g / vals[0]]
-        if op == "matched_prob":
-            p, t_cols = r.meta["probs"], r.meta["t_cols"]
-            gp = np.zeros(p.shape)
-            np.fill_diagonal(gp, g[0])
-            inner = (gp * p).sum(axis=1, keepdims=True)
-            gs = p * (gp - inner) / r.meta["tau"]
-            return [gs @ t_cols.T if needs[0] else None,
-                    np.ascontiguousarray((vals[0].T @ gs).T) if needs[1] else None]
-        if op == "l2_normalize_rows":
-            x = vals[0]
-            y = r.value.array
-            norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-            return [(g - y * (g * y).sum(axis=1, keepdims=True)) / norms]
-        if op == "segment_mean":
-            n = r.meta["lengths"]
-            return [np.repeat(g / n[:, None], n, axis=0)]
-        if op == "concat_rows":
-            offsets = np.cumsum([0] + [v.shape[0] for v in vals])
-            return [np.ascontiguousarray(g[offsets[i]:offsets[i + 1]]) for i in range(len(vals))]
-        if op == "gather_rows":
-            # One bincount over (row, column) cells sums each cell's
-            # contributions in index order: the bits of np.add.at, faster.
-            rows, cols = vals[0].shape
-            cells = (r.meta["indices"][:, None] * cols + np.arange(cols)).ravel()
-            gx = np.bincount(cells, weights=g.ravel(), minlength=rows * cols)
-            return [gx.reshape(rows, cols)]
-        if op == "sum_all":
-            return [np.full(vals[0].shape, g[0, 0])]
-        raise ContractError(f"no gradient rule for op {op!r}")
 
 
 def finite_diff_check(

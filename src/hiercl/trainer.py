@@ -13,7 +13,6 @@ carries the sampler state needed to resume mid-run bit-exactly.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from hashlib import sha256
@@ -21,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, sample_clip_batch, sample_phase_batch, sample_video_batch
+from .corpus import Corpus, atomic_file, sample_clip_batch, sample_phase_batch, sample_video_batch
 from .encoders import EncoderDims, ModelParams, nonfinite_block
 from .errors import (
     CheckpointIntegrityError,
@@ -301,10 +300,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     for vector in (ckpt.params.vector, ckpt.opt_state.first, ckpt.opt_state.second):
         blob += vector.astype("<f8").tobytes()
     blob += sha256(bytes(blob)).digest()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
+    with atomic_file(path, "wb") as f:
         f.write(bytes(blob))
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> Checkpoint:

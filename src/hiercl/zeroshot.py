@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, GeneratorConfig
+from .corpus import Corpus, GeneratorConfig, atomic_file
 from .encoders import (
     ModelParams,
     aggregated_text_rows,
@@ -88,7 +88,7 @@ def save_prompts(prompts: PromptSet, path) -> None:
             for label, plist in prompts.classes
         ],
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_file(path) as f:
         json.dump(doc, f)
         f.write("\n")
 
@@ -104,8 +104,8 @@ def load_prompts(path) -> PromptSet:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise CorpusFormatError(f"{path}: invalid JSON: {e}") from e
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise CorpusFormatError(f"{path}: not valid UTF-8 JSON: {e}") from e
     tag = doc.get("schema") if isinstance(doc, dict) else None
     if tag != PROMPTS_SCHEMA:
         raise SchemaVersionError(

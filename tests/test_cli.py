@@ -235,6 +235,14 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_2_on_non_utf8_config(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": "\xff"}')
+    rc = main(["generate", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")])
+    assert rc == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_exit_2_on_unknown_config_key(tmp_path, capsys):
     config = _write_config(tmp_path, generator={**GEN_SECTION, "sides": 3})
     assert main(["generate", "--config", config, "--out", str(tmp_path / "c.jsonl")]) == 2
@@ -363,6 +371,19 @@ def test_exit_4_on_insufficient_data(workspace, tmp_path, capsys):
     assert "video" in capsys.readouterr().err
 
 
+def test_exit_4_on_non_utf8_corpus_line(workspace, tmp_path, capsys):
+    lines = workspace["corpus"].read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"video_id": "', b'"video_id": "\xff', 1)
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_bytes(b"".join(lines))
+    out = tmp_path / "run"
+    out.mkdir()
+    rc = main(["train", "--config", workspace["config"], "--corpus", str(corpus),
+               "--out", str(out)])
+    assert rc == 4
+    assert "line 3: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_exit_5_on_corrupt_checkpoint(workspace, tmp_path, capsys):
     blob = bytearray((workspace["run"] / "checkpoint.bin").read_bytes())
     blob[len(blob) // 2] ^= 0x01
@@ -455,6 +476,14 @@ def test_exit_4_on_non_integer_prompt_values(workspace, tmp_path, capsys, where,
         load_prompts(prompts)
     assert _run_eval(workspace, tmp_path / "ev", "--prompts", str(prompts)) == 4
     assert "is not an integer" in capsys.readouterr().err
+
+
+def test_exit_4_on_non_utf8_prompts(workspace, tmp_path, capsys):
+    prompts = tmp_path / "p.json"
+    prompts.write_bytes((workspace["root"] / "corpus.prompts.json").read_bytes()
+                        .replace(b"hierprompts", b"hier\xffprompts"))
+    assert _run_eval(workspace, tmp_path / "ev", "--prompts", str(prompts)) == 4
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def _break_prompts(doc: dict, fault: str) -> None:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hiercl import corpus as corpus_module
 from hiercl.cli import main
 from hiercl.corpus import (
     Corpus,
@@ -205,6 +206,26 @@ def test_save_is_byte_deterministic(corpus, tmp_path):
     save_corpus(corpus, p1)
     save_corpus(corpus, p2)
     assert corpus_digest(p1) == corpus_digest(p2)
+
+
+def test_failed_save_keeps_the_previous_file(corpus, tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    before = path.read_bytes()
+    calls = []
+
+    def fail_on_second(video):
+        calls.append(video)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return to_record(video)
+
+    to_record = corpus_module._video_to_record
+    monkeypatch.setattr(corpus_module, "_video_to_record", fail_on_second)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save_corpus(generate_synthetic(replace(SMALL, seed=10)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
 
 def test_header_schema_tag(corpus, tmp_path):

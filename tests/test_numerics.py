@@ -380,6 +380,37 @@ def test_matched_prob_gradient_matches_finite_differences(b):
     assert tape_check(same_node, {"x": small(b)}, seed=b) < 1e-6
 
 
+@pytest.mark.parametrize("b", [1, 2, 5])
+@pytest.mark.parametrize("fixed_side", ["targets", "queries"])
+def test_matched_prob_gradient_with_a_constant_input(b, fixed_side):
+    rng = np.random.default_rng(40 + b)
+    weights = Matrix(rng.uniform(0.5, 1.5, (b, 1)))
+    x = Matrix(0.5 * rng.standard_normal((b, 4)))
+    fixed = Matrix(0.5 * rng.standard_normal((b, 4)))
+
+    def pair(free, other):
+        return (free, other) if fixed_side == "targets" else (other, free)
+
+    def build(t, n):
+        p, _ = t.matched_prob(*pair(n["x"], t.constant(fixed)), 0.3)
+        return t.sum_all(t.matmul(p, t.constant(weights)))
+
+    assert tape_check(build, {"x": x}, seed=b) < 1e-6
+    t = Tape()
+    leaf = t.leaf(x)
+    grad = t.backward(build(t, {"x": leaf}), [leaf])
+    # The same product with both inputs as leaves: the leaf's slice is bit-equal.
+    t2 = Tape()
+    free, other = t2.leaf(x), t2.leaf(fixed)
+    p, _ = t2.matched_prob(*pair(free, other), 0.3)
+    full = t2.backward(t2.sum_all(t2.matmul(p, t2.constant(weights))), [free, other])
+    assert grad.shape == (b * 4,)
+    assert np.array_equal(grad, full[:b * 4])
+    # The rule computes no gradient for an input that needs none.
+    needs = pair(True, False)
+    assert [g is None for g in p.vjp(np.ones((1, b)), needs)] == [not n for n in needs]
+
+
 def test_matched_prob_rejects_bad_tau_and_shapes():
     t = Tape()
     q = t.leaf(Matrix.identity(2))
