@@ -286,20 +286,17 @@ def _gradcheck_losses(seed: int, corrupt: str | None):
     w1 = next(b for b in dims.layout if b.name == "visual.w1")
     sizes = [2, 3, 4, 2, 3]
     checks = []
-    for name, fn in (("loss_clip", loss_clip), ("loss_phase", loss_phase),
-                     ("loss_video", loss_video), ("loss_single", loss_single)):
+    for name, fn, levels in (("loss_clip", loss_clip, ("clip",)),
+                             ("loss_phase", loss_phase, ("phase",)),
+                             ("loss_video", loss_video, ("video",)),
+                             ("loss_single", loss_single, ("clip", "phase", "video"))):
         for case, b in enumerate(sizes):
-            clip = sample_clip_batch(corpus, b, rng, k=2)
-            phase = sample_phase_batch(corpus, b, rng, k=4)
-            video = sample_video_batch(corpus, b, rng, k=8)
-            if name == "loss_clip":
-                batches = (clip,)
-            elif name == "loss_phase":
-                batches = (phase,)
-            elif name == "loss_video":
-                batches = (video,)
-            else:
-                batches = (clip, phase, video)
+            # Every case draws all three levels, so the stream does not
+            # depend on which levels a loss reads.
+            drawn = {"clip": sample_clip_batch(corpus, b, rng, k=2),
+                     "phase": sample_phase_batch(corpus, b, rng, k=4),
+                     "video": sample_video_batch(corpus, b, rng, k=8)}
+            batches = tuple(drawn[level] for level in levels)
 
             def fn_of_vector(vector, _fn=fn, _batches=batches, _name=name):
                 lv = _fn(*_batches, ModelParams(dims, vector), 0.07)

@@ -20,15 +20,17 @@ import json
 import os
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from hashlib import sha256
 from itertools import accumulate, chain
-from typing import IO, Iterator, Sequence
+from typing import IO, ClassVar, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     ConfigError,
+    ContractError,
     CorpusFormatError,
     InsufficientDataError,
     SchemaVersionError,
@@ -65,9 +67,9 @@ class GeneratorConfig:
         check_ints(self, ("num_videos", "num_classes", "clips_per_phase", "frames_per_clip",
                           "d_in", "vocab_size"), minimum=1)
         check_ints(self, ("seed",), minimum=0)
-        if not 0.0 <= self.token_noise < 1.0:
+        check_floats(self, ("noise_scale", "token_noise"), minimum=0.0, strict=False)
+        if not self.token_noise < 1.0:
             raise ConfigError(f"token_noise must lie in [0, 1), got {self.token_noise}")
-        check_floats(self, ("noise_scale",), minimum=0.0, strict=False)
         if self.num_classes > self.vocab_size:
             raise ConfigError(
                 f"{self.num_classes} classes need {self.num_classes} vocabulary blocks, "
@@ -138,16 +140,20 @@ class Corpus:
     config: GeneratorConfig
     videos: tuple[LectureVideo, ...]
 
-    def clip_sources(self) -> list[tuple[int, int]]:
-        return [(vi, ci) for vi, v in enumerate(self.videos) for ci in range(len(v.clips))]
+    @cached_property
+    def clip_table(self) -> tuple[VideoClip, ...]:
+        """Every clip of every video, in corpus order: the clip-level sources."""
+        return tuple(chain.from_iterable(v.clips for v in self.videos))
 
-    def phase_sources(self) -> list[tuple[int, int]]:
-        return [(vi, pi) for vi, v in enumerate(self.videos) for pi in range(len(v.phases))]
+    @cached_property
+    def phase_table(self) -> tuple[tuple[LectureVideo, int, PhaseSegment], ...]:
+        """(video, index, segment) of every phase segment: the phase-level sources."""
+        return tuple((v, pi, seg) for v in self.videos for pi, seg in enumerate(v.phases))
 
     def pair_counts(self) -> dict[str, int]:
         return {
-            "clip": len(self.clip_sources()),
-            "phase": len(self.phase_sources()),
+            "clip": len(self.clip_table),
+            "phase": len(self.phase_table),
             "video": len(self.videos),
         }
 
@@ -350,12 +356,23 @@ def load_corpus(path) -> Corpus:
         except (TypeError, KeyError, ConfigError) as e:
             raise CorpusFormatError(f"line 1: bad generator config: {e}") from e
         videos = []
+        # Ids name batch sources, and a batch must not repeat a source.
+        seen_videos: set[str] = set()
+        seen_clips: set[str] = set()
         for i, line in enumerate(f, start=2):
             rec = _parse_line(line, i)
             try:
-                videos.append(_video_from_record(rec, config))
+                video = _video_from_record(rec, config)
+                if video.video_id in seen_videos:
+                    raise CorpusFormatError(f"duplicate video id {video.video_id!r}")
+                seen_videos.add(video.video_id)
+                for clip in video.clips:
+                    if clip.clip_id in seen_clips:
+                        raise CorpusFormatError(f"duplicate clip id {clip.clip_id!r}")
+                    seen_clips.add(clip.clip_id)
             except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
                 raise CorpusFormatError(f"line {i}: bad video record: {e}") from e
+            videos.append(video)
     return Corpus(config=config, videos=tuple(videos))
 
 
@@ -400,73 +417,46 @@ def corpus_digest(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Batches. All entries within a batch come from distinct sources.
+# Batches: one column per field, one item per source. All items within a
+# batch come from distinct sources.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ClipExample:
-    source_id: str
-    frames: Matrix  # k_clip sampled frames
-    narration_a: tuple[int, ...]
-    narration_b: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PhaseExample:
-    source_id: str
-    clip_ids: tuple[str, ...]
-    frames: Matrix  # k_phase frames sampled across the segment
-    narrations: tuple[tuple[int, ...], ...]  # every in-segment narration
-    concept: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class VideoExample:
-    source_id: str
-    clip_ids: tuple[str, ...]
-    frames: Matrix  # k_video frames sampled across the whole video
-    narrations: tuple[tuple[int, ...], ...]  # evenly sampled clip narrations
-    abstract: tuple[int, ...]
-
-
-def _check_distinct(entries, level: str) -> None:
-    ids = [e.source_id for e in entries]
-    if len(set(ids)) != len(ids):
-        raise InsufficientDataError(f"{level} batch repeats a source")
-
-
-@dataclass(frozen=True)
-class ClipBatch:
-    entries: tuple[ClipExample, ...]
+class _Batch:
+    level: ClassVar[str]
+    source_ids: tuple[str, ...]
+    frames: tuple[Matrix, ...]  # k sampled frames per item
 
     def __post_init__(self) -> None:
-        _check_distinct(self.entries, "clip")
+        if len(set(self.source_ids)) != len(self.source_ids):
+            raise InsufficientDataError(f"{self.level} batch repeats a source")
+        if any(len(getattr(self, f.name)) != len(self.source_ids) for f in fields(self)):
+            raise ContractError(f"{self.level} batch columns differ in length")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.source_ids)
 
 
 @dataclass(frozen=True)
-class PhaseBatch:
-    entries: tuple[PhaseExample, ...]
-
-    def __post_init__(self) -> None:
-        _check_distinct(self.entries, "phase")
-
-    def __len__(self) -> int:
-        return len(self.entries)
+class ClipBatch(_Batch):
+    narration_a: tuple[tuple[int, ...], ...]
+    narration_b: tuple[tuple[int, ...], ...]
+    level = "clip"
 
 
 @dataclass(frozen=True)
-class VideoBatch:
-    entries: tuple[VideoExample, ...]
+class PhaseBatch(_Batch):
+    narrations: tuple[tuple[tuple[int, ...], ...], ...]  # every in-segment narration
+    concept: tuple[tuple[int, ...], ...]
+    level = "phase"
 
-    def __post_init__(self) -> None:
-        _check_distinct(self.entries, "video")
 
-    def __len__(self) -> int:
-        return len(self.entries)
+@dataclass(frozen=True)
+class VideoBatch(_Batch):
+    narrations: tuple[tuple[tuple[int, ...], ...], ...]  # evenly spread clip narrations
+    abstract: tuple[tuple[int, ...], ...]
+    level = "video"
 
 
 def _draw(rng: np.random.Generator, n: int, b: int, level: str) -> list[int]:
@@ -481,54 +471,41 @@ def _draw(rng: np.random.Generator, n: int, b: int, level: str) -> list[int]:
 
 def sample_clip_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                       k: int = 4) -> ClipBatch:
-    sources = corpus.clip_sources()
-    entries = []
-    for si in _draw(rng, len(sources), b, "clip"):
-        vi, ci = sources[si]
-        clip = corpus.videos[vi].clips[ci]
-        entries.append(ClipExample(
-            source_id=clip.clip_id,
-            frames=sample_frames(clip.frames, k),
-            narration_a=clip.narration_a,
-            narration_b=clip.narration_b,
-        ))
-    return ClipBatch(entries=tuple(entries))
+    table = corpus.clip_table
+    clips = [table[i] for i in _draw(rng, len(table), b, "clip")]
+    return ClipBatch(
+        source_ids=tuple(c.clip_id for c in clips),
+        frames=sample_frames([(c.frames,) for c in clips], k),
+        narration_a=tuple(c.narration_a for c in clips),
+        narration_b=tuple(c.narration_b for c in clips),
+    )
 
 
 def sample_phase_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 8) -> PhaseBatch:
-    sources = corpus.phase_sources()
-    entries = []
-    for si in _draw(rng, len(sources), b, "phase"):
-        vi, pi = sources[si]
-        video = corpus.videos[vi]
-        seg = video.phases[pi]
-        in_range = video.clips[seg.start:seg.end]
-        frames = Matrix._wrap(np.vstack([c.frames.array for c in in_range]))
-        entries.append(PhaseExample(
-            source_id=f"{video.video_id}p{pi}",
-            clip_ids=tuple(c.clip_id for c in in_range),
-            frames=sample_frames(frames, k),
-            narrations=tuple(c.narration_a for c in in_range),
-            concept=seg.concept,
-        ))
-    return PhaseBatch(entries=tuple(entries))
+    table = corpus.phase_table
+    drawn = [table[i] for i in _draw(rng, len(table), b, "phase")]
+    members = [video.clips[seg.start:seg.end] for video, _, seg in drawn]
+    return PhaseBatch(
+        source_ids=tuple(f"{video.video_id}p{pi}" for video, pi, _ in drawn),
+        frames=sample_frames([[c.frames for c in clips] for clips in members], k),
+        narrations=tuple(tuple(c.narration_a for c in clips) for clips in members),
+        concept=tuple(seg.concept for _, _, seg in drawn),
+    )
+
+
+def _spread_narrations(clips: Sequence[VideoClip], k: int) -> tuple[tuple[int, ...], ...]:
+    """At most k narrations, at clip indices floor(j*n/min(n, k))."""
+    n = min(len(clips), k)
+    return tuple(clips[j * len(clips) // n].narration_a for j in range(n))
 
 
 def sample_video_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 32) -> VideoBatch:
-    entries = []
-    for vi in _draw(rng, len(corpus.videos), b, "video"):
-        video = corpus.videos[vi]
-        frames = Matrix._wrap(np.vstack([c.frames.array for c in video.clips]))
-        n_clips = len(video.clips)
-        n_narr = min(n_clips, k)
-        clip_idx = [j * n_clips // n_narr for j in range(n_narr)]
-        entries.append(VideoExample(
-            source_id=video.video_id,
-            clip_ids=tuple(video.clips[i].clip_id for i in clip_idx),
-            frames=sample_frames(frames, k),
-            narrations=tuple(video.clips[i].narration_a for i in clip_idx),
-            abstract=video.abstract,
-        ))
-    return VideoBatch(entries=tuple(entries))
+    videos = [corpus.videos[i] for i in _draw(rng, len(corpus.videos), b, "video")]
+    return VideoBatch(
+        source_ids=tuple(v.video_id for v in videos),
+        frames=sample_frames([[c.frames for c in v.clips] for v in videos], k),
+        narrations=tuple(_spread_narrations(v.clips, k) for v in videos),
+        abstract=tuple(v.abstract for v in videos),
+    )

@@ -190,13 +190,24 @@ class ModelParams:
         return h.hexdigest()
 
 
-def sample_frames(frames: Matrix, k: int) -> Matrix:
-    """Pick k frames at indices floor(j*L/k); duplicates appear when L < k."""
-    if frames.rows < 1:
-        raise EmptyInputError("cannot sample frames from an empty segment")
+def sample_frames(items: Sequence[Sequence[Matrix]], k: int) -> tuple[Matrix, ...]:
+    """Pick k frames per item at rows floor(j*L/k) of its L stacked frames.
+
+    An item is a run of clips read as one segment; duplicates appear when
+    L < k. Every item's clips are stacked by one concatenate and every
+    pick is made by one fancy index.
+    """
     if k < 1:
         raise ConfigError(f"frame count must be >= 1, got {k}")
-    return Matrix._wrap(frames.array[np.arange(k, dtype=np.intp) * frames.rows // k])
+    if not items:
+        raise EmptyInputError("no segments to sample")
+    lengths = np.array([sum(m.rows for m in clips) for clips in items], dtype=np.intp)
+    if not lengths.all():
+        raise EmptyInputError("cannot sample frames from an empty segment")
+    starts = np.cumsum(lengths) - lengths
+    rows = starts[:, None] + np.arange(k, dtype=np.intp) * lengths[:, None] // k
+    picked = np.concatenate([m.array for clips in items for m in clips])[rows]
+    return tuple(Matrix._wrap(p) for p in picked)
 
 
 def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:

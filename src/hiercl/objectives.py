@@ -72,9 +72,9 @@ def loss_clip(batch: ClipBatch, params: ModelParams, tau: float = 0.07) -> LossV
     """Clip narrations from both transcript variants as the two routes."""
     tape = Tape()
     pn = param_nodes(tape, params)
-    visual = visual_embedding_rows(tape, pn, [e.frames for e in batch.entries])
-    text_a = text_embedding_rows(tape, pn, [e.narration_a for e in batch.entries])
-    text_b = text_embedding_rows(tape, pn, [e.narration_b for e in batch.entries])
+    visual = visual_embedding_rows(tape, pn, batch.frames)
+    text_a = text_embedding_rows(tape, pn, batch.narration_a)
+    text_b = text_embedding_rows(tape, pn, batch.narration_b)
     return _dual_route_loss(tape, pn, [(visual, text_a), (visual, text_b)], tau)
 
 
@@ -82,9 +82,9 @@ def loss_phase(batch: PhaseBatch, params: ModelParams, tau: float = 0.07) -> Los
     """Visual and aggregated-narration queries against concept targets."""
     tape = Tape()
     pn = param_nodes(tape, params)
-    visual = visual_embedding_rows(tape, pn, [e.frames for e in batch.entries])
-    agg_text = aggregated_text_rows(tape, pn, [e.narrations for e in batch.entries])
-    concepts = text_embedding_rows(tape, pn, [e.concept for e in batch.entries])
+    visual = visual_embedding_rows(tape, pn, batch.frames)
+    agg_text = aggregated_text_rows(tape, pn, batch.narrations)
+    concepts = text_embedding_rows(tape, pn, batch.concept)
     return _dual_route_loss(tape, pn, [(visual, concepts), (agg_text, concepts)], tau)
 
 
@@ -92,9 +92,9 @@ def loss_video(batch: VideoBatch, params: ModelParams, tau: float = 0.07) -> Los
     """Visual and aggregated-narration queries against abstract targets."""
     tape = Tape()
     pn = param_nodes(tape, params)
-    visual = visual_embedding_rows(tape, pn, [e.frames for e in batch.entries])
-    agg_text = aggregated_text_rows(tape, pn, [e.narrations for e in batch.entries])
-    abstracts = text_embedding_rows(tape, pn, [e.abstract for e in batch.entries])
+    visual = visual_embedding_rows(tape, pn, batch.frames)
+    agg_text = aggregated_text_rows(tape, pn, batch.narrations)
+    abstracts = text_embedding_rows(tape, pn, batch.abstract)
     return _dual_route_loss(tape, pn, [(visual, abstracts), (agg_text, abstracts)], tau)
 
 
@@ -102,7 +102,7 @@ def loss_single(clip: ClipBatch, phase: PhaseBatch, video: VideoBatch,
                 params: ModelParams, tau: float = 0.07) -> LossValue:
     """One InfoNCE over the pooled positive pairs of all three levels.
 
-    Every entry contributes one (visual, text) pair: clip frames with the
+    Every item contributes one (visual, text) pair: clip frames with the
     first transcript variant, phase frames with the concept, video frames
     with the abstract. The softmax for each visual query runs over the
     whole pooled target set.
@@ -111,16 +111,14 @@ def loss_single(clip: ClipBatch, phase: PhaseBatch, video: VideoBatch,
     pn = param_nodes(tape, params)
     visual_parts = []
     texts = []
-    for entries, text_of in ((clip.entries, lambda e: e.narration_a),
-                             (phase.entries, lambda e: e.concept),
-                             (video.entries, lambda e: e.abstract)):
-        if entries:  # a level may sit the pool out entirely
-            visual_parts.append(
-                visual_embedding_rows(tape, pn, [e.frames for e in entries])
-            )
-            texts.extend(text_of(e) for e in entries)
+    for frames, level_texts in ((clip.frames, clip.narration_a),
+                                (phase.frames, phase.concept),
+                                (video.frames, video.abstract)):
+        if frames:  # a level may sit the pool out entirely
+            visual_parts.append(visual_embedding_rows(tape, pn, frames))
+            texts.extend(level_texts)
     if not visual_parts:
-        raise EmptyInputError("pooled batch has no entries at any level")
+        raise EmptyInputError("pooled batch has no items at any level")
     queries = visual_parts[0] if len(visual_parts) == 1 else tape.concat_rows(visual_parts)
     targets = text_embedding_rows(tape, pn, texts)
     m = queries.value.rows

@@ -75,12 +75,12 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_floats(self, ("lr", "eps", "tau"), minimum=0.0, strict=True)
-        check_floats(self, ("weight_decay",), minimum=0.0, strict=False)
+        check_floats(self, ("weight_decay", "beta1", "beta2"), minimum=0.0, strict=False)
         check_ints(self, ("m", "n", "l", "b_clip", "b_phase", "b_video",
                           "k_clip", "k_phase", "k_video", "cycles",
                           "d_tok", "hidden", "d_emb"), minimum=1)
         check_ints(self, ("seed",), minimum=0)
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+        if not (self.beta1 < 1.0 and self.beta2 < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")

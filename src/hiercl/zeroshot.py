@@ -229,15 +229,15 @@ def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:
     )
 
 
-def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[list[Matrix], list[int]]:
+def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[tuple[Matrix, ...], list[int]]:
     """Every labeled clip in the split: sampled frames plus its phase class."""
-    segments, gt = [], []
+    clips, gt = [], []
     for video in corpus.videos:
         for seg in video.phases:
             for clip in video.clips[seg.start:seg.end]:
-                segments.append(sample_frames(clip.frames, k_clip))
+                clips.append((clip.frames,))
                 gt.append(seg.phase_class)
-    return segments, gt
+    return sample_frames(clips, k_clip), gt
 
 
 def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> MetricsReport:
@@ -278,13 +278,11 @@ def clip_retrieval_recall(checkpoint: Checkpoint, split: Corpus, top_k: int = 1)
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     params = checkpoint.params
-    segments, texts = [], []
-    for video in split.videos:
-        for clip in video.clips:
-            segments.append(sample_frames(clip.frames, checkpoint.config.k_clip))
-            texts.append(clip.narration_a)
-    if not segments:
+    clips = split.clip_table
+    if not clips:
         raise ContractError("split has no clips")
+    segments = sample_frames([(c.frames,) for c in clips], checkpoint.config.k_clip)
+    texts = [c.narration_a for c in clips]
     tape = Tape()
     pn = param_nodes(tape, params)
     visual = visual_embedding_rows(tape, pn, segments).value.array

@@ -17,12 +17,9 @@ import pytest
 from hiercl.cli import main
 from hiercl.corpus import (
     ClipBatch,
-    ClipExample,
     GeneratorConfig,
     PhaseBatch,
-    PhaseExample,
     VideoBatch,
-    VideoExample,
     generate_synthetic,
     load_corpus,
     sample_clip_batch,
@@ -105,12 +102,11 @@ def _identity_params(d: int) -> ModelParams:
 
 def _same_embedding_entries(b: int, d: int):
     frames = Matrix(np.tile(np.eye(d)[0], (2, 1)))
-    clips = tuple(ClipExample(f"c{i}", frames, (0,), (0,)) for i in range(b))
-    phases = tuple(PhaseExample(f"p{i}", (f"c{i}",), frames, ((0,),), (0,))
-                   for i in range(b))
-    videos = tuple(VideoExample(f"v{i}", (f"c{i}",), frames, ((0,),), (0,))
-                   for i in range(b))
-    return ClipBatch(clips), PhaseBatch(phases), VideoBatch(videos)
+    texts = ((0,),) * b
+    clips = ClipBatch(tuple(f"c{i}" for i in range(b)), (frames,) * b, texts, texts)
+    phases = PhaseBatch(tuple(f"p{i}" for i in range(b)), (frames,) * b, (((0,),),) * b, texts)
+    videos = VideoBatch(tuple(f"v{i}" for i in range(b)), (frames,) * b, (((0,),),) * b, texts)
+    return clips, phases, videos
 
 
 def test_criterion_2_loss_identities(capsys):
@@ -290,7 +286,8 @@ def _permutation_cases(rng) -> float:
         batch = sampler(corpus, b, rng, k=k)
         perm = rng.permutation(b).tolist()
         base = fn(batch, params, 0.07).loss
-        shuffled = fn(cls(tuple(batch.entries[j] for j in perm)), params, 0.07).loss
+        shuffled = fn(cls(*(tuple(col[j] for j in perm) for col in vars(batch).values())),
+                      params, 0.07).loss
         worst = max(worst, abs(base - shuffled))
     return worst
 

@@ -3,6 +3,7 @@ import base64
 import json
 import tempfile
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ from hiercl.cli import main
 from hiercl.corpus import (
     Corpus,
     ClipBatch,
-    ClipExample,
     GeneratorConfig,
     LectureVideo,
+    PhaseBatch,
     PhaseSegment,
+    VideoBatch,
     VideoClip,
     corpus_digest,
     generate_synthetic,
@@ -31,6 +33,7 @@ from hiercl.corpus import (
 )
 from hiercl.errors import (
     ConfigError,
+    ContractError,
     CorpusFormatError,
     InsufficientDataError,
     SchemaVersionError,
@@ -81,6 +84,13 @@ def test_config_rejects_bad_noise_scale(value):
     with pytest.raises(ConfigError, match="^noise_scale must be"):
         GeneratorConfig(noise_scale=value)
     assert GeneratorConfig(noise_scale=0).noise_scale == 0
+
+
+@pytest.mark.parametrize("value", [False, "0.5", float("nan"), float("inf"), -0.1, 1.0])
+def test_config_rejects_bad_token_noise(value):
+    with pytest.raises(ConfigError, match="^token_noise must"):
+        GeneratorConfig(token_noise=value)
+    assert GeneratorConfig(token_noise=0).token_noise == 0
 
 
 def test_load_rejects_float_config_in_header(corpus, tmp_path):
@@ -373,6 +383,9 @@ RECORD_FAULTS = {
     "phase class 99": lambda v: _with_phase(v, 1, phase_class=99),
     "frame row too wide": lambda v: _with_clip(v, 0, frames=Matrix.zeros(1, SMALL.d_in + 1)),
     "NaN frame value": _nan_frames,
+    "duplicate video id": lambda v: replace(v, video_id="v000"),
+    "clip id of an earlier video": lambda v: _with_clip(v, 2, clip_id="v000c01"),
+    "clip id repeated in the video": lambda v: _with_clip(v, 2, clip_id=v.clips[0].clip_id),
 }
 
 
@@ -442,51 +455,51 @@ def test_clip_batch_contents(corpus):
     rng = substream(0, "train")
     batch = sample_clip_batch(corpus, 4, rng, k=3)
     assert len(batch) == 4
-    ids = [e.source_id for e in batch.entries]
-    assert len(set(ids)) == 4
-    for e in batch.entries:
-        assert e.frames.shape == (3, 8)
-        assert len(e.narration_a) == len(e.narration_b)
+    assert len(set(batch.source_ids)) == 4
+    for frames, narration_a, narration_b in zip(batch.frames, batch.narration_a,
+                                                batch.narration_b):
+        assert frames.shape == (3, 8)
+        assert len(narration_a) == len(narration_b)
 
 
 def test_phase_batch_has_every_segment_narration(corpus):
     rng = substream(1, "train")
     batch = sample_phase_batch(corpus, 3, rng, k=5)
-    for e in batch.entries:
+    assert len(batch) == 3
+    for frames, narrations, concept in zip(batch.frames, batch.narrations, batch.concept):
         # clips_per_phase=2, so each phase contributes exactly 2 narrations
-        assert len(e.narrations) == 2
-        assert len(e.clip_ids) == 2
-        assert e.frames.shape == (5, 8)
-        assert len(e.concept) > 0
+        assert len(narrations) == 2
+        assert frames.shape == (5, 8)
+        assert len(concept) > 0
 
 
 def test_phase_narrations_match_member_clips(corpus):
     rng = substream(2, "train")
     batch = sample_phase_batch(corpus, 3, rng)
-    by_id = {c.clip_id: c for v in corpus.videos for c in v.clips}
-    for e in batch.entries:
-        for cid, narr in zip(e.clip_ids, e.narrations):
-            assert by_id[cid].narration_a == narr
+    members = {f"{v.video_id}p{pi}": v.clips[seg.start:seg.end]
+               for v in corpus.videos for pi, seg in enumerate(v.phases)}
+    for source_id, narrations in zip(batch.source_ids, batch.narrations):
+        assert narrations == tuple(c.narration_a for c in members[source_id])
 
 
 def test_video_batch_narration_subsample(corpus):
     rng = substream(3, "train")
     # 6 clips per video, k=4 -> 4 evenly spaced narrations
     batch = sample_video_batch(corpus, 2, rng, k=4)
-    for e in batch.entries:
-        assert len(e.narrations) == 4
-        assert e.frames.shape == (4, 8)
+    for frames, narrations in zip(batch.frames, batch.narrations, strict=True):
+        assert len(narrations) == 4
+        assert frames.shape == (4, 8)
     # k larger than the clip count -> one narration per clip, no repeats
     batch = sample_video_batch(corpus, 2, rng, k=32)
-    for e in batch.entries:
-        assert len(e.narrations) == 6
-        assert e.frames.shape == (32, 8)
+    for frames, narrations in zip(batch.frames, batch.narrations, strict=True):
+        assert len(narrations) == 6
+        assert frames.shape == (32, 8)
 
 
 def test_sampling_is_stream_deterministic(corpus):
     a = sample_clip_batch(corpus, 4, substream(5, "train"))
     b = sample_clip_batch(corpus, 4, substream(5, "train"))
-    assert [e.source_id for e in a.entries] == [e.source_id for e in b.entries]
+    assert a.source_ids == b.source_ids
 
 
 def test_oversized_batch_names_level(corpus):
@@ -502,7 +515,95 @@ def test_oversized_batch_names_level(corpus):
 
 
 def test_batch_rejects_repeated_sources():
-    e = ClipExample(source_id="x", frames=Matrix.zeros(2, 3),
-                    narration_a=(1,), narration_b=(1,))
-    with pytest.raises(InsufficientDataError):
-        ClipBatch(entries=(e, e))
+    frames = Matrix.zeros(2, 3)
+    for cls in (ClipBatch, PhaseBatch, VideoBatch):
+        with pytest.raises(InsufficientDataError, match=f"{cls.level} batch repeats"):
+            cls(("x", "x"), (frames, frames), ((1,), (1,)), ((1,), (1,)))
+
+
+def test_batch_rejects_columns_of_different_lengths():
+    frames = Matrix.zeros(2, 3)
+    with pytest.raises(ContractError, match="clip batch columns"):
+        ClipBatch(("x", "y"), (frames, frames), ((1,), (1,)), ((1,),))
+
+
+@st.composite
+def ragged_corpora(draw):
+    """1-3 videos of 1-5 clips of 1-7 frames each, cut into contiguous phases.
+
+    Every frame value is distinct, so a wrong row is never bit-equal to the
+    right one; every text is distinct too.
+    """
+    frame_ids = count()
+    text_ids = count()
+    videos = []
+    for vi in range(draw(st.integers(1, 3))):
+        clips = tuple(
+            VideoClip(f"v{vi}c{ci}",
+                      Matrix([[next(frame_ids), 0.5] for _ in range(rows)]),
+                      (next(text_ids),), (next(text_ids),))
+            for ci, rows in enumerate(draw(st.lists(st.integers(1, 7), min_size=1,
+                                                    max_size=5)))
+        )
+        cuts = sorted(draw(st.sets(st.integers(1, len(clips) - 1)))) if len(clips) > 1 else []
+        bounds = [0, *cuts, len(clips)]
+        phases = tuple(PhaseSegment(lo, hi, (next(text_ids),), pi % 2)
+                       for pi, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+        videos.append(LectureVideo(f"v{vi}", clips, phases, (next(text_ids),)))
+    cfg = GeneratorConfig(num_videos=len(videos), num_classes=2, d_in=2,
+                          vocab_size=next(text_ids))
+    return Corpus(cfg, tuple(videos))
+
+
+def _oracle_frames(clips, k: int) -> np.ndarray:
+    stacked = np.vstack([c.frames.array for c in clips])
+    return stacked[np.arange(k) * len(stacked) // k]
+
+
+def _same_bits(got: Matrix, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.array.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_corpora(), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_sampling_ragged_clips_matches_oracle(built, k, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        save_corpus(built, path)
+        loaded = load_corpus(path)
+    # The loader keeps each video's frames in one buffer; the built corpus
+    # keeps one array per clip. Both must sample the same bits.
+    for corpus in (built, loaded):
+        rng = np.random.default_rng(seed)
+        clips = {c.clip_id: c for v in corpus.videos for c in v.clips}
+        batch = sample_clip_batch(corpus, len(clips), rng, k=k)
+        assert sorted(batch.source_ids) == sorted(clips)
+        for source_id, frames, narration_a, narration_b in zip(
+                batch.source_ids, batch.frames, batch.narration_a, batch.narration_b,
+                strict=True):
+            clip = clips[source_id]
+            assert _same_bits(frames, _oracle_frames([clip], k))
+            assert (narration_a, narration_b) == (clip.narration_a, clip.narration_b)
+
+        phases = {f"{v.video_id}p{pi}": (v.clips[seg.start:seg.end], seg)
+                  for v in corpus.videos for pi, seg in enumerate(v.phases)}
+        batch = sample_phase_batch(corpus, len(phases), rng, k=k)
+        assert sorted(batch.source_ids) == sorted(phases)
+        for source_id, frames, narrations, concept in zip(
+                batch.source_ids, batch.frames, batch.narrations, batch.concept, strict=True):
+            members, seg = phases[source_id]
+            assert _same_bits(frames, _oracle_frames(members, k))
+            assert narrations == tuple(c.narration_a for c in members)
+            assert concept == seg.concept
+
+        videos = {v.video_id: v for v in corpus.videos}
+        batch = sample_video_batch(corpus, len(videos), rng, k=k)
+        assert sorted(batch.source_ids) == sorted(videos)
+        for source_id, frames, narrations, abstract in zip(
+                batch.source_ids, batch.frames, batch.narrations, batch.abstract, strict=True):
+            video = videos[source_id]
+            n = len(video.clips)
+            assert _same_bits(frames, _oracle_frames(video.clips, k))
+            assert narrations == tuple(video.clips[j * n // min(n, k)].narration_a
+                                       for j in range(min(n, k)))
+            assert abstract == video.abstract

@@ -146,32 +146,34 @@ def test_leaf_order_is_stable(params):
 
 def test_sample_frames_even_stride():
     frames = Matrix(np.arange(8.0).reshape(8, 1))
-    got = sample_frames(frames, 4)
+    (got,) = sample_frames([[frames]], 4)
     assert got.array[:, 0].tolist() == [0.0, 2.0, 4.0, 6.0]
 
 
 def test_sample_frames_uneven_length():
     frames = Matrix(np.arange(5.0).reshape(5, 1))
-    got = sample_frames(frames, 4)
+    (got,) = sample_frames([[frames]], 4)
     assert got.array[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_sample_frames_repeats_when_short():
     frames = Matrix(np.arange(2.0).reshape(2, 1))
-    got = sample_frames(frames, 4)
+    (got,) = sample_frames([[frames]], 4)
     assert got.array[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_sample_frames_identity_when_exact():
     frames = Matrix(np.arange(4.0).reshape(4, 1))
-    assert sample_frames(frames, 4).same_values(frames)
+    assert sample_frames([[frames]], 4)[0].same_values(frames)
 
 
 def test_sample_frames_errors():
     with pytest.raises(EmptyInputError):
-        sample_frames(Matrix(np.zeros((0, 3))), 2)
+        sample_frames([[Matrix(np.zeros((0, 3)))]], 2)
+    with pytest.raises(EmptyInputError):
+        sample_frames([], 2)
     with pytest.raises(ConfigError):
-        sample_frames(Matrix.zeros(3, 3), 0)
+        sample_frames([[Matrix.zeros(3, 3)]], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,16 @@ nonnegative inputs (identity weights, zero biases, one-hot token table), so
 tests can place embeddings at chosen positions and know every cosine.
 """
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from hiercl.corpus import (
     ClipBatch,
-    ClipExample,
     GeneratorConfig,
     PhaseBatch,
-    PhaseExample,
     VideoBatch,
-    VideoExample,
     generate_synthetic,
     sample_clip_batch,
     sample_phase_batch,
@@ -60,19 +58,28 @@ def basis_frames(d: int, axis: int, k: int = 2) -> Matrix:
     return Matrix(np.tile(row, (k, 1)))
 
 
-def clip_entry(i: int, frames: Matrix, tok: int) -> ClipExample:
-    return ClipExample(source_id=f"c{i}", frames=frames,
-                       narration_a=(tok,), narration_b=(tok,))
+def clip_batch(frames: list[Matrix], toks: list[int]) -> ClipBatch:
+    """Item i: frames[i], both narrations the one token toks[i]."""
+    texts = tuple((t,) for t in toks)
+    return ClipBatch(tuple(f"c{i}" for i in range(len(frames))), tuple(frames), texts, texts)
 
 
-def phase_entry(i: int, frames: Matrix, tok: int) -> PhaseExample:
-    return PhaseExample(source_id=f"p{i}", clip_ids=(f"c{i}",), frames=frames,
-                        narrations=((tok,),), concept=(tok,))
+def phase_batch(frames: list[Matrix], toks: list[int]) -> PhaseBatch:
+    """Item i: frames[i], one narration and the concept the one token toks[i]."""
+    texts = tuple((t,) for t in toks)
+    return PhaseBatch(tuple(f"p{i}" for i in range(len(frames))), tuple(frames),
+                      tuple((t,) for t in texts), texts)
 
 
-def video_entry(i: int, frames: Matrix, tok: int) -> VideoExample:
-    return VideoExample(source_id=f"v{i}", clip_ids=(f"c{i}",), frames=frames,
-                        narrations=((tok,),), abstract=(tok,))
+def video_batch(frames: list[Matrix], toks: list[int]) -> VideoBatch:
+    """Item i: frames[i], one narration and the abstract the one token toks[i]."""
+    texts = tuple((t,) for t in toks)
+    return VideoBatch(tuple(f"v{i}" for i in range(len(frames))), tuple(frames),
+                      tuple((t,) for t in texts), texts)
+
+
+def empty(batch_cls):
+    return batch_cls(*[()] * len(fields(batch_cls)))
 
 
 def test_identity_params_sanity():
@@ -89,9 +96,9 @@ def test_identity_params_sanity():
 def test_singleton_batches_give_minus_log_two():
     p = identity_params(4)
     want = -math.log(2.0)
-    clip = ClipBatch((clip_entry(0, basis_frames(4, 0), 0),))
-    phase = PhaseBatch((phase_entry(0, basis_frames(4, 0), 0),))
-    video = VideoBatch((video_entry(0, basis_frames(4, 0), 0),))
+    clip = clip_batch([basis_frames(4, 0)], [0])
+    phase = phase_batch([basis_frames(4, 0)], [0])
+    video = video_batch([basis_frames(4, 0)], [0])
     assert abs(loss_clip(clip, p, 0.07).loss - want) < 1e-9
     assert abs(loss_phase(phase, p, 0.07).loss - want) < 1e-9
     assert abs(loss_video(video, p, 0.07).loss - want) < 1e-9
@@ -102,9 +109,9 @@ def test_identical_embeddings_give_minus_log_two_over_b(b):
     # every entry encodes to the same point, so each softmax row is uniform
     p = identity_params(4)
     frames = basis_frames(4, 0)
-    clip = ClipBatch(tuple(clip_entry(i, frames, 0) for i in range(b)))
-    phase = PhaseBatch(tuple(phase_entry(i, frames, 0) for i in range(b)))
-    video = VideoBatch(tuple(video_entry(i, frames, 0) for i in range(b)))
+    clip = clip_batch([frames] * b, [0] * b)
+    phase = phase_batch([frames] * b, [0] * b)
+    video = video_batch([frames] * b, [0] * b)
     want = -math.log(2.0 / b)
     for lv in (loss_clip(clip, p, 0.07), loss_phase(phase, p, 0.07),
                loss_video(video, p, 0.07)):
@@ -116,8 +123,7 @@ def test_orthogonal_pair_hand_value():
     # each route's matched probability is e/(e+1), so the per-entry log
     # argument is 2e/(e+1) and the loss is -log(2e/(e+1)) = -0.3799
     p = identity_params(4)
-    phase = PhaseBatch((phase_entry(0, basis_frames(4, 0), 0),
-                        phase_entry(1, basis_frames(4, 1), 1)))
+    phase = phase_batch([basis_frames(4, 0), basis_frames(4, 1)], [0, 1])
     lv = loss_phase(phase, p, 1.0)
     prob = math.e / (math.e + 1.0)
     assert abs(prob - 0.73106) < 1e-5
@@ -131,8 +137,7 @@ def test_orthogonal_pair_hand_value():
 def test_equal_transcripts_double_the_probability():
     # narration_a == narration_b forces p_a == p_b
     p = identity_params(4)
-    clip = ClipBatch((clip_entry(0, basis_frames(4, 0), 0),
-                      clip_entry(1, basis_frames(4, 1), 1)))
+    clip = clip_batch([basis_frames(4, 0), basis_frames(4, 1)], [0, 1])
     lv = loss_clip(clip, p, 1.0)
     p_a = math.e / (math.e + 1.0)
     assert abs(lv.loss - (-math.log(2.0 * p_a))) < 1e-12
@@ -140,17 +145,17 @@ def test_equal_transcripts_double_the_probability():
 
 def test_single_pool_of_one_is_zero():
     p = identity_params(4)
-    clip = ClipBatch((clip_entry(0, basis_frames(4, 0), 0),))
-    lv = loss_single(clip, PhaseBatch(()), VideoBatch(()), p, 0.07)
+    clip = clip_batch([basis_frames(4, 0)], [0])
+    lv = loss_single(clip, empty(PhaseBatch), empty(VideoBatch), p, 0.07)
     assert abs(lv.loss) < 1e-12
 
 
 def test_single_identical_pool_is_log_m():
     p = identity_params(4)
     frames = basis_frames(4, 0)
-    clip = ClipBatch(tuple(clip_entry(i, frames, 0) for i in range(2)))
-    phase = PhaseBatch(tuple(phase_entry(i, frames, 0) for i in range(2)))
-    video = VideoBatch((video_entry(0, frames, 0),))
+    clip = clip_batch([frames] * 2, [0] * 2)
+    phase = phase_batch([frames] * 2, [0] * 2)
+    video = video_batch([frames], [0])
     lv = loss_single(clip, phase, video, p, 0.07)
     assert abs(lv.loss - math.log(5.0)) < 1e-9
 
@@ -158,15 +163,15 @@ def test_single_identical_pool_is_log_m():
 def test_single_rejects_all_empty():
     p = identity_params(4)
     with pytest.raises(EmptyInputError):
-        loss_single(ClipBatch(()), PhaseBatch(()), VideoBatch(()), p, 0.07)
+        loss_single(empty(ClipBatch), empty(PhaseBatch), empty(VideoBatch), p, 0.07)
 
 
 def test_tau_must_be_positive():
     p = identity_params(4)
     frames = basis_frames(4, 0)
-    clip = ClipBatch((clip_entry(0, frames, 0),))
-    phase = PhaseBatch((phase_entry(0, frames, 0),))
-    video = VideoBatch((video_entry(0, frames, 0),))
+    clip = clip_batch([frames], [0])
+    phase = phase_batch([frames], [0])
+    video = video_batch([frames], [0])
     for bad in (0.0, -0.5, float("nan")):
         for call in (lambda: loss_clip(clip, p, bad), lambda: loss_phase(phase, p, bad),
                      lambda: loss_video(video, p, bad),
@@ -194,38 +199,42 @@ def _softmax_diag(q: np.ndarray, t: np.ndarray, tau: float) -> np.ndarray:
     return np.diag(e / e.sum(axis=1, keepdims=True))
 
 
+def _segments(frames, params):
+    return [encode_segment(f, params).array for f in frames]
+
+
+def _texts(texts, params):
+    return [encode_text(t, params).array for t in texts]
+
+
+def _aggregates(text_sets, params):
+    return np.vstack([aggregate_texts(list(ts), params).array for ts in text_sets])
+
+
 def oracle_clip(batch, params, tau):
-    v = np.vstack([encode_segment(e.frames, params).array for e in batch.entries])
-    ta = np.vstack([encode_text(e.narration_a, params).array for e in batch.entries])
-    tb = np.vstack([encode_text(e.narration_b, params).array for e in batch.entries])
+    v = np.vstack(_segments(batch.frames, params))
+    ta = np.vstack(_texts(batch.narration_a, params))
+    tb = np.vstack(_texts(batch.narration_b, params))
     return -np.mean(np.log(_softmax_diag(v, ta, tau) + _softmax_diag(v, tb, tau)))
 
 
 def oracle_phase(batch, params, tau):
-    v = np.vstack([encode_segment(e.frames, params).array for e in batch.entries])
-    a = np.vstack([aggregate_texts(list(e.narrations), params).array for e in batch.entries])
-    c = np.vstack([encode_text(e.concept, params).array for e in batch.entries])
+    v = np.vstack(_segments(batch.frames, params))
+    a = _aggregates(batch.narrations, params)
+    c = np.vstack(_texts(batch.concept, params))
     return -np.mean(np.log(_softmax_diag(v, c, tau) + _softmax_diag(a, c, tau)))
 
 
 def oracle_video(batch, params, tau):
-    v = np.vstack([encode_segment(e.frames, params).array for e in batch.entries])
-    a = np.vstack([aggregate_texts(list(e.narrations), params).array for e in batch.entries])
-    t = np.vstack([encode_text(e.abstract, params).array for e in batch.entries])
+    v = np.vstack(_segments(batch.frames, params))
+    a = _aggregates(batch.narrations, params)
+    t = np.vstack(_texts(batch.abstract, params))
     return -np.mean(np.log(_softmax_diag(v, t, tau) + _softmax_diag(a, t, tau)))
 
 
 def oracle_single(clip, phase, video, params, tau):
-    v = np.vstack(
-        [encode_segment(e.frames, params).array for e in clip.entries]
-        + [encode_segment(e.frames, params).array for e in phase.entries]
-        + [encode_segment(e.frames, params).array for e in video.entries]
-    )
-    t = np.vstack(
-        [encode_text(e.narration_a, params).array for e in clip.entries]
-        + [encode_text(e.concept, params).array for e in phase.entries]
-        + [encode_text(e.abstract, params).array for e in video.entries]
-    )
+    v = np.vstack(_segments(clip.frames + phase.frames + video.frames, params))
+    t = np.vstack(_texts(clip.narration_a + phase.concept + video.abstract, params))
     return -np.mean(np.log(_softmax_diag(v, t, tau)))
 
 
@@ -250,8 +259,9 @@ def test_losses_match_straight_line_oracles(corpus):
 # ---------------------------------------------------------------------------
 
 
-def _permuted(batch_cls, entries, perm):
-    return batch_cls(tuple(entries[i] for i in perm))
+def _permuted(batch, perm):
+    return type(batch)(*(tuple(getattr(batch, f.name)[i] for i in perm)
+                         for f in fields(batch)))
 
 
 def test_permutation_invariance(corpus):
@@ -264,11 +274,9 @@ def test_permutation_invariance(corpus):
         phase = sample_phase_batch(corpus, b, rng, k=4)
         video = sample_video_batch(corpus, b, rng, k=6)
         perm = rng.permutation(b).tolist()
-        for fn, batch, cls in ((loss_clip, clip, ClipBatch),
-                               (loss_phase, phase, PhaseBatch),
-                               (loss_video, video, VideoBatch)):
+        for fn, batch in ((loss_clip, clip), (loss_phase, phase), (loss_video, video)):
             base = fn(batch, params, 0.07).loss
-            shuffled = fn(_permuted(cls, batch.entries, perm), params, 0.07).loss
+            shuffled = fn(_permuted(batch, perm), params, 0.07).loss
             assert abs(base - shuffled) < 1e-12
             cases += 1
     assert cases >= 100
@@ -282,9 +290,8 @@ def test_single_permutation_invariance(corpus):
     video = sample_video_batch(corpus, 2, rng, k=6)
     base = loss_single(clip, phase, video, params, 0.07).loss
     perm3 = [2, 0, 1]
-    got = loss_single(_permuted(ClipBatch, clip.entries, perm3),
-                      _permuted(PhaseBatch, phase.entries, perm3),
-                      _permuted(VideoBatch, video.entries, [1, 0]),
+    got = loss_single(_permuted(clip, perm3), _permuted(phase, perm3),
+                      _permuted(video, [1, 0]),
                       params, 0.07).loss
     assert abs(base - got) < 1e-12
 
@@ -307,16 +314,13 @@ def test_raising_matched_similarity_never_raises_loss():
     shared = d - 1
 
     def batch_at(theta: float) -> PhaseBatch:
-        entries = []
+        frames = []
         for i in range(3):
             row = np.zeros(d)
             row[i] = math.cos(theta)
             row[shared] = math.sin(theta)
-            frames = Matrix(np.tile(row, (2, 1)))
-            entries.append(PhaseExample(source_id=f"p{i}", clip_ids=(f"c{i}",),
-                                        frames=frames, narrations=((i,),),
-                                        concept=(i,)))
-        return PhaseBatch(tuple(entries))
+            frames.append(Matrix(np.tile(row, (2, 1))))
+        return phase_batch(frames, [0, 1, 2])
 
     thetas = np.linspace(0.0, 1.5, 12)  # matched cosine decreasing
     losses = [loss_phase(batch_at(t), p, 0.3).loss for t in thetas]
@@ -364,10 +368,7 @@ def test_unused_token_rows_get_zero_gradient():
         substream(11, "train"),
     )
     rng = np.random.default_rng(12)
-    clip = ClipBatch((
-        ClipExample("c0", Matrix(rng.standard_normal((2, 4))), (0,), (0,)),
-        ClipExample("c1", Matrix(rng.standard_normal((2, 4))), (1,), (1,)),
-    ))
+    clip = clip_batch([Matrix(rng.standard_normal((2, 4))) for _ in range(2)], [0, 1])
     lv = loss_clip(clip, params, 0.07)
     embed = next(b for b in params.dims.layout if b.name == "text.embed")
     g = lv.grads[embed.offset:embed.stop].reshape(embed.rows, embed.cols)

@@ -77,8 +77,9 @@ def test_config_rejects_negative_seed_and_accepts_zero():
     assert TrainConfig(seed=0).seed == 0
 
 
-@pytest.mark.parametrize("field", ["lr", "eps", "tau", "weight_decay"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "0.1", None])
+@pytest.mark.parametrize("field", ["lr", "eps", "tau", "weight_decay", "beta1", "beta2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, False,
+                                   "0.1", "0.5", None])
 def test_config_rejects_non_finite_or_non_numeric_floats(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be"):
         TrainConfig(**{field: value})
