@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -143,21 +144,30 @@ def _atomic_write(path, text: str) -> None:
         f.write(text)
 
 
-def _write_manifest(path, command: str, config: dict, seed: int,
-                    inputs: dict, outputs: dict) -> None:
+def _digest_entry(path) -> dict:
+    return {"path": str(path), "sha256": corpus_digest(path)}
+
+
+@contextmanager
+def _manifest(path, command: str, config: dict, seed: int, inputs: dict, outputs: dict):
+    """Record a command's run around its work.
+
+    `inputs` and `outputs` map names to file paths. Inputs are hashed once,
+    before the work. The manifest is written first with the planned output
+    paths and, once the body returns, again with each output's digest.
+    """
     doc = {
         "command": command,
         "tool_version": __version__,
         "seed": seed,
         "config": config,
-        "inputs": inputs,
-        "outputs": outputs,
+        "inputs": {name: _digest_entry(p) for name, p in inputs.items()},
+        "outputs": {name: {"path": str(p)} for name, p in outputs.items()},
     }
     _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _digest_entry(path) -> dict:
-    return {"path": str(path), "sha256": corpus_digest(path)}
+    yield
+    doc["outputs"] = {name: _digest_entry(p) for name, p in outputs.items()}
+    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +181,11 @@ def cmd_generate(args) -> int:
     out = args.out
     manifest_path = f"{out}.manifest.json"
     prompts_path = f"{os.path.splitext(out)[0]}.prompts.json"
-    _write_manifest(manifest_path, "generate", asdict(cfg), cfg.seed,
-                    inputs={}, outputs={"corpus": {"path": str(out)},
-                                        "prompts": {"path": prompts_path}})
-    corpus = generate_synthetic(cfg)
-    save_corpus(corpus, out)
-    save_prompts(default_prompts(cfg), prompts_path)
-    _write_manifest(manifest_path, "generate", asdict(cfg), cfg.seed,
-                    inputs={},
-                    outputs={"corpus": _digest_entry(out),
-                             "prompts": _digest_entry(prompts_path)})
+    with _manifest(manifest_path, "generate", asdict(cfg), cfg.seed, inputs={},
+                   outputs={"corpus": out, "prompts": prompts_path}):
+        corpus = generate_synthetic(cfg)
+        save_corpus(corpus, out)
+        save_prompts(default_prompts(cfg), prompts_path)
     for level, count in corpus.pair_counts().items():
         print(f"{level} pairs: {count}")
     print(f"wrote {out}")
@@ -198,17 +203,12 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
     manifest_path = os.path.join(out_dir, "manifest.json")
     config_doc = {"train": asdict(cfg), "holdout_fraction": holdout}
-    _write_manifest(manifest_path, "train", config_doc, cfg.seed,
-                    inputs={"corpus": _digest_entry(args.corpus)},
-                    outputs={"checkpoint": {"path": ckpt_path},
-                             "log": {"path": log_path}})
-    t0 = time.time()
-    result = train(cfg, train_split, log_path=log_path)
-    save_checkpoint(result.checkpoint, ckpt_path)
-    _write_manifest(manifest_path, "train", config_doc, cfg.seed,
-                    inputs={"corpus": _digest_entry(args.corpus)},
-                    outputs={"checkpoint": _digest_entry(ckpt_path),
-                             "log": _digest_entry(log_path)})
+    with _manifest(manifest_path, "train", config_doc, cfg.seed,
+                   inputs={"corpus": args.corpus},
+                   outputs={"checkpoint": ckpt_path, "log": log_path}):
+        t0 = time.time()
+        result = train(cfg, train_split, log_path=log_path)
+        save_checkpoint(result.checkpoint, ckpt_path)
     by_level: dict[str, list[float]] = {}
     for e in result.log:
         by_level.setdefault(e["level"], []).append(e["loss"])
@@ -250,23 +250,16 @@ def cmd_eval(args) -> int:
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")
     manifest_path = os.path.join(out_dir, "manifest.json")
-    inputs = {"checkpoint": _digest_entry(args.checkpoint),
-              "corpus": _digest_entry(args.corpus)}
+    inputs = {"checkpoint": args.checkpoint, "corpus": args.corpus}
     if args.prompts:
-        inputs["prompts"] = _digest_entry(args.prompts)
+        inputs["prompts"] = args.prompts
     config_doc = {"split": args.split, "holdout_fraction": holdout}
-    _write_manifest(manifest_path, "eval", config_doc, ckpt.config.seed,
-                    inputs=inputs,
-                    outputs={"report_json": {"path": report_json},
-                             "report_txt": {"path": report_txt}})
-    report = evaluate(ckpt, split, prompts)
-    table = report.table(model=ckpt.config.mode, dataset="synthetic")
-    _atomic_write(report_json, report.to_json())
-    _atomic_write(report_txt, table)
-    _write_manifest(manifest_path, "eval", config_doc, ckpt.config.seed,
-                    inputs=inputs,
-                    outputs={"report_json": _digest_entry(report_json),
-                             "report_txt": _digest_entry(report_txt)})
+    with _manifest(manifest_path, "eval", config_doc, ckpt.config.seed, inputs=inputs,
+                   outputs={"report_json": report_json, "report_txt": report_txt}):
+        report = evaluate(ckpt, split, prompts)
+        table = report.table(model=ckpt.config.mode, dataset="synthetic")
+        _atomic_write(report_json, report.to_json())
+        _atomic_write(report_txt, table)
     print(table, end="")
     return 0
 
@@ -326,10 +319,10 @@ def cmd_gradcheck(args) -> int:
     print(text, end="")
     if args.out:
         report_path = os.path.join(args.out, "gradcheck.txt")
-        _atomic_write(report_path, text)
-        _write_manifest(os.path.join(args.out, "manifest.json"), "gradcheck",
-                        {"tolerance": GRADCHECK_TOL}, args.seed,
-                        inputs={}, outputs={"report": _digest_entry(report_path)})
+        with _manifest(os.path.join(args.out, "manifest.json"), "gradcheck",
+                       {"tolerance": GRADCHECK_TOL}, args.seed,
+                       inputs={}, outputs={"report": report_path}):
+            _atomic_write(report_path, text)
     if failed:
         print(f"gradient check failed for: {', '.join(failed)}", file=sys.stderr)
         return 6
@@ -356,29 +349,24 @@ def cmd_ablate(args) -> int:
     json_path = os.path.join(out_dir, "ablation.json")
     txt_path = os.path.join(out_dir, "ablation.txt")
     config_doc = {"train": asdict(base_cfg), "holdout_fraction": holdout}
-    _write_manifest(manifest_path, "ablate", config_doc, base_cfg.seed,
-                    inputs={"corpus": _digest_entry(args.corpus)},
-                    outputs={"table": {"path": txt_path},
-                             "report": {"path": json_path}})
-    rows = []
-    for label, mode in ABLATION_VARIANTS:
-        cfg = replace(base_cfg, mode=mode)
-        result = train(cfg, train_split)
-        report = evaluate(result.checkpoint, hold_split, prompts)
-        rows.append({"variant": label, "mode": mode,
-                     "accuracy": report.accuracy, "macro_f1": report.macro_f1})
-        print(f"{label}: acc {report.accuracy:.3f}  macro F1 {report.macro_f1:.3f}")
-    table = format_table(
-        ("Variant", "Top-1 Acc.", "F1 Score"),
-        [(r["variant"], f"{100.0 * r['accuracy']:.1f}", f"{100.0 * r['macro_f1']:.1f}")
-         for r in rows],
-    )
-    _atomic_write(json_path, json.dumps({"variants": rows}, sort_keys=True, indent=2) + "\n")
-    _atomic_write(txt_path, table)
-    _write_manifest(manifest_path, "ablate", config_doc, base_cfg.seed,
-                    inputs={"corpus": _digest_entry(args.corpus)},
-                    outputs={"table": _digest_entry(txt_path),
-                             "report": _digest_entry(json_path)})
+    with _manifest(manifest_path, "ablate", config_doc, base_cfg.seed,
+                   inputs={"corpus": args.corpus},
+                   outputs={"table": txt_path, "report": json_path}):
+        rows = []
+        for label, mode in ABLATION_VARIANTS:
+            cfg = replace(base_cfg, mode=mode)
+            result = train(cfg, train_split)
+            report = evaluate(result.checkpoint, hold_split, prompts)
+            rows.append({"variant": label, "mode": mode,
+                         "accuracy": report.accuracy, "macro_f1": report.macro_f1})
+            print(f"{label}: acc {report.accuracy:.3f}  macro F1 {report.macro_f1:.3f}")
+        table = format_table(
+            ("Variant", "Top-1 Acc.", "F1 Score"),
+            [(r["variant"], f"{100.0 * r['accuracy']:.1f}", f"{100.0 * r['macro_f1']:.1f}")
+             for r in rows],
+        )
+        _atomic_write(json_path, json.dumps({"variants": rows}, sort_keys=True, indent=2) + "\n")
+        _atomic_write(txt_path, table)
     print(table, end="")
     return 0
 

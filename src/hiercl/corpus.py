@@ -275,6 +275,12 @@ def _index(value, limit: int, what: str) -> int:
     return value
 
 
+def _string(value, what: str) -> str:
+    if type(value) is not str:
+        raise CorpusFormatError(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
 def _frame_bytes(clip: dict, d_in: int) -> bytes:
     try:
         raw = base64.b64decode(clip["frames"], validate=True)
@@ -300,7 +306,7 @@ def _video_from_record(rec: dict, config: GeneratorConfig) -> LectureVideo:
         raise CorpusFormatError(f"clip {clip['id']}: non-finite frame value")
     clips = tuple(
         VideoClip(
-            clip_id=c["id"],
+            clip_id=_string(c["id"], "clip id"),
             frames=Matrix._wrap(values[start:end]),
             narration_a=tuple(c["narration_a"]),
             narration_b=tuple(c["narration_b"]),
@@ -320,7 +326,7 @@ def _video_from_record(rec: dict, config: GeneratorConfig) -> LectureVideo:
                    *(t for c in clips for t in (c.narration_a, c.narration_b))],
                   config.vocab_size)
     return LectureVideo(
-        video_id=rec["video_id"],
+        video_id=_string(rec["video_id"], "video id"),
         clips=clips,
         phases=phases,
         abstract=abstract,

@@ -29,7 +29,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import numerics as nm
 from .errors import (
     ConfigError,
     ContractError,
@@ -244,7 +243,10 @@ def visual_embedding_rows(tape: Tape, pn: dict[str, Node],
     """
     if not segments:
         raise EmptyInputError("no segments to encode")
-    stacked = tape.constant(nm.concat_rows(list(segments)))
+    widths = {s.cols for s in segments}
+    if len(widths) > 1:
+        raise ShapeError(f"segments have different widths: {sorted(widths)}")
+    stacked = tape.constant(Matrix._wrap(np.concatenate([s.array for s in segments])))
     encoded = _affine_stack(tape, stacked, pn, "visual")
     return tape.l2_normalize_rows(tape.segment_mean(encoded, [s.rows for s in segments]))
 
@@ -259,7 +261,7 @@ def text_embedding_rows(tape: Tape, pn: dict[str, Node],
     """
     if not texts:
         raise EmptyInputError("no texts to encode")
-    flat, lengths = _token_index(texts, pn["text.embed"].value.rows)
+    flat, lengths = _token_index(texts, pn["text.embed"].value.shape[0])
     pooled = tape.segment_mean(tape.gather_rows(pn["text.embed"], flat), lengths)
     return tape.l2_normalize_rows(_affine_stack(tape, pooled, pn, "text"))
 
@@ -292,18 +294,18 @@ def encode_segment(frames: Matrix, params: ModelParams) -> Matrix:
         raise ShapeError(f"frames have width {frames.cols}, encoder expects {params.d_in}")
     tape = Tape()
     pn = param_nodes(tape, params)
-    return visual_embedding_rows(tape, pn, [frames]).value
+    return Matrix._wrap(visual_embedding_rows(tape, pn, [frames]).value)
 
 
 def encode_text(tokens: TokenSeq, params: ModelParams) -> Matrix:
     """Unit-norm textual embedding (1 x d_emb) of one token sequence."""
     tape = Tape()
     pn = param_nodes(tape, params)
-    return text_embedding_rows(tape, pn, [tokens]).value
+    return Matrix._wrap(text_embedding_rows(tape, pn, [tokens]).value)
 
 
 def aggregate_texts(texts: Sequence[TokenSeq], params: ModelParams) -> Matrix:
     """Unit-norm mean of the individual text embeddings (1 x d_emb)."""
     tape = Tape()
     pn = param_nodes(tape, params)
-    return aggregated_text_rows(tape, pn, [list(texts)]).value
+    return Matrix._wrap(aggregated_text_rows(tape, pn, [list(texts)]).value)

@@ -1,13 +1,15 @@
 """Deterministic dense linear algebra with reverse-mode differentiation.
 
-Values live in `Matrix`, an immutable 2-D float64 array; vectors are 1xN
-matrices. Plain module functions (matmul, softmax_rows, ...) evaluate
-eagerly. Most of them are also `Tape` methods: each computes its value and
-records, in the same place, its own vector-Jacobian product as a closure on
-the node. `Tape.backward` walks the nodes in reverse, calls those closures
-and skips inputs that need no gradient, pushing a scalar loss gradient back
-to the leaves as one flat vector. `Tape.matched_prob` fuses the contrastive
-pattern diag(softmax(q t^T / tau)) into one op with a closed-form gradient.
+`Matrix`, an immutable 2-D float64 array, is the value type at the package
+boundary; vectors are 1xN matrices. Each differentiable op is defined once,
+as a `Tape` method over its input nodes' read-only ndarrays: it checks its
+inputs, computes its value and records, in the same place, its own
+vector-Jacobian product as a closure on the node. `Tape.backward` walks the
+nodes in reverse, calls those closures and skips inputs that need no
+gradient, pushing a scalar loss gradient back to the leaves as one flat
+vector. `Tape.matched_prob` fuses the contrastive pattern
+diag(softmax(q t^T / tau)) into one op with a closed-form gradient; it is the
+only softmax.
 
 Everything is float64 and single-threaded; identical inputs produce
 bit-identical outputs.
@@ -44,7 +46,7 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "Matrix":
-        # Internal fast path: a must be a fresh 2-D float64 C-order array.
+        # Internal fast path: a must be a 2-D float64 C-order array nothing writes to.
         m = cls.__new__(cls)
         a.setflags(write=False)
         m._a = a
@@ -96,105 +98,24 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-# ---------------------------------------------------------------------------
-# Eager primitives. Each returns a fresh Matrix and never mutates inputs.
-# ---------------------------------------------------------------------------
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product."""
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"matmul: inner dimensions differ: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
-    return Matrix._wrap(a.array @ b.array)
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise sum; b may be a 1xC row vector broadcast over a's rows."""
-    if b.shape != a.shape and not (b.rows == 1 and b.cols == a.cols):
-        raise ShapeError(f"add: shapes differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    return Matrix._wrap(a.array + b.array)
-
-
-def scale(a: Matrix, c: float) -> Matrix:
-    return Matrix._wrap(a.array * float(c))
-
-
-def relu(a: Matrix) -> Matrix:
-    return Matrix._wrap(np.maximum(a.array, 0.0))
-
-
-def log(a: Matrix) -> Matrix:
-    return Matrix._wrap(np.log(a.array))
-
-
-def softmax_rows(m: Matrix, tau: float) -> Matrix:
-    """Temperature softmax over each row, with per-row max subtraction."""
-    if not tau > 0.0:
-        raise ConfigError(f"softmax temperature must be positive, got {tau}")
-    z = m.array / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return Matrix._wrap(e / e.sum(axis=1, keepdims=True))
-
-
-def l2_normalize_rows(m: Matrix) -> Matrix:
-    """Scale each row to unit Euclidean norm."""
-    norms = np.sqrt((m.array * m.array).sum(axis=1, keepdims=True))
-    bad = np.nonzero(norms[:, 0] <= NORM_GUARD)[0]
-    if bad.size:
-        raise DegenerateEmbeddingError(
-            f"row {int(bad[0])} has near-zero norm {float(norms[bad[0], 0]):.3e}"
-        )
-    return Matrix._wrap(m.array / norms)
-
-
-def segment_mean(m: Matrix, lengths: Sequence[int]) -> Matrix:
-    """Mean over consecutive row segments of the given lengths, one row each."""
-    n = np.asarray(lengths, dtype=np.intp)
-    if n.ndim != 1 or n.size == 0 or n.min() < 1:
-        raise EmptyInputError("segment_mean: needs one or more segments, none of them empty")
-    if n.sum() != m.rows:
-        raise ShapeError(f"segment_mean: lengths sum to {int(n.sum())}, not {m.rows} rows")
-    return Matrix._wrap(np.add.reduceat(m.array, np.cumsum(n) - n, axis=0) / n[:, None])
-
-
-def concat_rows(parts: Sequence[Matrix]) -> Matrix:
-    if not parts:
-        raise EmptyInputError("concat_rows: no parts")
-    cols = parts[0].cols
-    for p in parts:
-        if p.cols != cols:
-            raise ShapeError(f"concat_rows: column counts differ: {cols} vs {p.cols}")
-    return Matrix._wrap(np.vstack([p.array for p in parts]))
-
-
-def gather_rows(m: Matrix, indices: Sequence[int]) -> Matrix:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise EmptyInputError("gather_rows: need at least one index")
-    if idx.min() < 0 or idx.max() >= m.rows:
-        raise ShapeError(f"gather_rows: index out of range for {m.rows} rows")
-    return Matrix._wrap(m.array[idx])
-
-
-def sum_all(m: Matrix) -> Matrix:
-    """Sum of all entries as a 1x1 matrix."""
-    return Matrix._wrap(np.array([[m.array.sum()]]))
-
-
 # A vector-Jacobian product: (gradient of the node's value, which inputs need
 # a gradient) -> one gradient or None per input.
 VJP = Callable[[np.ndarray, Sequence[bool]], Sequence["np.ndarray | None"]]
 
 
+def _dims(a: np.ndarray) -> str:
+    return f"{a.shape[0]}x{a.shape[1]}"
+
+
 class Node:
-    """One recorded value on a tape, with its inputs and its backward rule."""
+    """One recorded value on a tape, with its inputs and its backward rule.
+
+    `value` is a read-only 2-D float64 ndarray.
+    """
 
     __slots__ = ("nid", "value", "inputs", "needs_grad", "vjp")
 
-    def __init__(self, nid: int, value: Matrix, inputs: tuple["Node", ...],
+    def __init__(self, nid: int, value: np.ndarray, inputs: tuple["Node", ...],
                  needs_grad: bool, vjp: VJP | None) -> None:
         self.nid = nid
         self.value = value
@@ -203,7 +124,7 @@ class Node:
         self.vjp = vjp
 
     def __repr__(self) -> str:
-        return f"Node({self.nid}, {self.value!r})"
+        return f"Node({self.nid}, {_dims(self.value)})"
 
 
 class Tape:
@@ -220,10 +141,11 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _push(self, value: Matrix, inputs: tuple[Node, ...] = (), vjp: VJP | None = None,
+    def _push(self, value: np.ndarray, inputs: tuple[Node, ...] = (), vjp: VJP | None = None,
               needs_grad: bool | None = None) -> Node:
         if needs_grad is None:
             needs_grad = any(i.needs_grad for i in inputs)
+        value.setflags(write=False)
         node = Node(len(self._nodes), value, inputs, needs_grad, vjp)
         self._nodes.append(node)
         return node
@@ -232,60 +154,87 @@ class Tape:
 
     def leaf(self, m: Matrix) -> Node:
         """Trainable input; backward() reports a gradient for it."""
-        return self._push(m, needs_grad=True)
+        return self._push(m.array, needs_grad=True)
 
     def constant(self, m: Matrix) -> Node:
         """Non-trainable input; gradients are not propagated into it."""
-        return self._push(m, needs_grad=False)
+        return self._push(m.array, needs_grad=False)
 
     # -- recorded primitives -------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
-        x, y = a.value.array, b.value.array
-        return self._push(matmul(a.value, b.value), (a, b), lambda g, needs: (
+        """Standard matrix product."""
+        x, y = a.value, b.value
+        if x.shape[1] != y.shape[0]:
+            raise ShapeError(f"matmul: inner dimensions differ: {_dims(x)} @ {_dims(y)}")
+        return self._push(x @ y, (a, b), lambda g, needs: (
             g @ y.T if needs[0] else None, x.T @ g if needs[1] else None))
 
     def add(self, a: Node, b: Node) -> Node:
-        broadcast = b.value.shape != a.value.shape
-        return self._push(add(a.value, b.value), (a, b), lambda g, needs: (
+        """Elementwise sum; b may be a 1xC row vector broadcast over a's rows."""
+        x, y = a.value, b.value
+        broadcast = y.shape != x.shape
+        if broadcast and y.shape != (1, x.shape[1]):
+            raise ShapeError(f"add: shapes differ: {_dims(x)} vs {_dims(y)}")
+        return self._push(x + y, (a, b), lambda g, needs: (
             g, g.sum(axis=0, keepdims=True) if broadcast else g))
 
     def scale(self, a: Node, c: float) -> Node:
         c = float(c)
-        return self._push(scale(a.value, c), (a,), lambda g, needs: (g * c,))
+        return self._push(a.value * c, (a,), lambda g, needs: (g * c,))
 
     def relu(self, a: Node) -> Node:
-        x = a.value.array
-        return self._push(relu(a.value), (a,), lambda g, needs: (g * (x > 0.0),))
+        x = a.value
+        return self._push(np.maximum(x, 0.0), (a,), lambda g, needs: (g * (x > 0.0),))
 
     def log(self, a: Node) -> Node:
-        x = a.value.array
-        return self._push(log(a.value), (a,), lambda g, needs: (g / x,))
+        x = a.value
+        return self._push(np.log(x), (a,), lambda g, needs: (g / x,))
 
     def l2_normalize_rows(self, a: Node) -> Node:
-        x = a.value.array
-        out = l2_normalize_rows(a.value)
-        y = out.array
-
-        def vjp(g, needs):
-            norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-            return ((g - y * (g * y).sum(axis=1, keepdims=True)) / norms,)
-        return self._push(out, (a,), vjp)
+        """Scale each row to unit Euclidean norm."""
+        x = a.value
+        norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+        bad = np.nonzero(norms[:, 0] <= NORM_GUARD)[0]
+        if bad.size:
+            raise DegenerateEmbeddingError(
+                f"row {int(bad[0])} has near-zero norm {float(norms[bad[0], 0]):.3e}"
+            )
+        y = x / norms
+        return self._push(y, (a,), lambda g, needs: (
+            (g - y * (g * y).sum(axis=1, keepdims=True)) / norms,))
 
     def segment_mean(self, a: Node, lengths: Sequence[int]) -> Node:
+        """Mean over consecutive row segments of the given lengths, one row each."""
+        x = a.value
         n = np.array(lengths, dtype=np.intp)
-        return self._push(segment_mean(a.value, n), (a,), lambda g, needs: (
-            np.repeat(g / n[:, None], n, axis=0),))
+        if n.ndim != 1 or n.size == 0 or n.min() < 1:
+            raise EmptyInputError("segment_mean: needs one or more segments, none of them empty")
+        if n.sum() != x.shape[0]:
+            raise ShapeError(f"segment_mean: lengths sum to {int(n.sum())}, not {x.shape[0]} rows")
+        return self._push(np.add.reduceat(x, np.cumsum(n) - n, axis=0) / n[:, None], (a,),
+                          lambda g, needs: (np.repeat(g / n[:, None], n, axis=0),))
 
     def concat_rows(self, parts: Sequence[Node]) -> Node:
-        offsets = np.cumsum([0] + [p.value.rows for p in parts])
-        return self._push(concat_rows([p.value for p in parts]), tuple(parts),
+        if not parts:
+            raise EmptyInputError("concat_rows: no parts")
+        cols = parts[0].value.shape[1]
+        for p in parts:
+            if p.value.shape[1] != cols:
+                raise ShapeError(
+                    f"concat_rows: column counts differ: {cols} vs {p.value.shape[1]}")
+        offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
+        return self._push(np.concatenate([p.value for p in parts]), tuple(parts),
                           lambda g, needs: [np.ascontiguousarray(g[lo:hi])
                                             for lo, hi in zip(offsets, offsets[1:])])
 
     def gather_rows(self, a: Node, indices: Sequence[int]) -> Node:
         idx = np.array(indices, dtype=np.intp)
         rows, cols = a.value.shape
+        if idx.ndim != 1 or idx.size == 0:
+            raise EmptyInputError("gather_rows: need at least one index")
+        if idx.min() < 0 or idx.max() >= rows:
+            raise ShapeError(f"gather_rows: index out of range for {rows} rows")
 
         def vjp(g, needs):
             # One bincount over (row, column) cells sums each cell's
@@ -293,23 +242,28 @@ class Tape:
             cells = (idx[:, None] * cols + np.arange(cols)).ravel()
             gx = np.bincount(cells, weights=g.ravel(), minlength=rows * cols)
             return (gx.reshape(rows, cols),)
-        return self._push(gather_rows(a.value, idx), (a,), vjp)
+        return self._push(a.value[idx], (a,), vjp)
 
     def matched_prob(self, queries: Node, targets: Node, tau: float) -> tuple[Node, np.ndarray]:
         """Row i's softmax probability of target i: diag(softmax(q t^T / tau)), as 1xB.
 
-        Also returns the similarity matrix q t^T.
+        The softmax subtracts each row's max before exponentiating. Also
+        returns the similarity matrix q t^T.
         """
         if queries.value.shape != targets.value.shape:
             raise ShapeError(f"matched_prob: queries {queries.value.shape} and targets "
                              f"{targets.value.shape} must pair row for row")
-        q = queries.value.array
+        if not tau > 0.0:
+            raise ConfigError(f"softmax temperature must be positive, got {tau}")
+        tau = float(tau)
+        q = queries.value
         # BLAS may round q @ t.T through a strided view differently from a
         # product with the contiguous transpose; the copy pins the bits.
-        t_cols = np.ascontiguousarray(targets.value.array.T)
+        t_cols = np.ascontiguousarray(targets.value.T)
         sims = q @ t_cols
-        probs = softmax_rows(Matrix._wrap(sims), tau).array
-        tau = float(tau)
+        z = sims / tau
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
 
         def vjp(g, needs):
             gp = np.zeros(probs.shape)
@@ -318,13 +272,14 @@ class Tape:
             gs = probs * (gp - inner) / tau
             return (gs @ t_cols.T if needs[0] else None,
                     np.ascontiguousarray((q.T @ gs).T) if needs[1] else None)
-        node = self._push(Matrix._wrap(np.diagonal(probs).copy()[None, :]),
-                          (queries, targets), vjp)
+        node = self._push(np.diagonal(probs).copy()[None, :], (queries, targets), vjp)
         return node, sims
 
     def sum_all(self, a: Node) -> Node:
-        shape = a.value.shape
-        return self._push(sum_all(a.value), (a,), lambda g, needs: (np.full(shape, g[0, 0]),))
+        """Sum of all entries as a 1x1 node."""
+        x = a.value
+        return self._push(np.array([[x.sum()]]), (a,),
+                          lambda g, needs: (np.full(x.shape, g[0, 0]),))
 
     # -- reverse pass --------------------------------------------------------
 
@@ -338,9 +293,7 @@ class Tape:
         does not reach contributes zeros. Deterministic for a fixed tape.
         """
         if loss.value.shape != (1, 1):
-            raise ContractError(
-                f"backward requires a scalar (1x1) loss, got {loss.value.rows}x{loss.value.cols}"
-            )
+            raise ContractError(f"backward requires a scalar (1x1) loss, got {_dims(loss.value)}")
         grads: dict[int, np.ndarray] = {loss.nid: np.ones((1, 1))}
         for node in reversed(self._nodes[:loss.nid + 1]):
             if not node.inputs or node.nid not in grads:
@@ -351,7 +304,7 @@ class Tape:
                     continue
                 grads[i.nid] = grads[i.nid] + ig if i.nid in grads else ig
         return np.concatenate([grads[n.nid].ravel() if n.nid in grads
-                               else np.zeros(n.value.array.size) for n in wrt])
+                               else np.zeros(n.value.size) for n in wrt])
 
 
 def finite_diff_check(

@@ -51,7 +51,7 @@ def _sim_diagnostics(sims: list[np.ndarray]) -> tuple[float, float]:
 
 def _finalize(tape: Tape, loss_node: Node, pn: dict[str, Node],
               sims: list[np.ndarray]) -> LossValue:
-    loss = float(loss_node.value.array[0, 0])
+    loss = float(loss_node.value[0, 0])
     if not math.isfinite(loss):
         raise NumericError(f"contrastive loss is not finite: {loss}")
     pos, neg = _sim_diagnostics(sims)
@@ -62,7 +62,7 @@ def _finalize(tape: Tape, loss_node: Node, pn: dict[str, Node],
 def _dual_route_loss(tape: Tape, pn: dict[str, Node],
                      routes: list[tuple[Node, Node]], tau: float) -> LossValue:
     """loss = -(1/B) * sum_i log(p_route1(i) + p_route2(i))."""
-    b = routes[0][0].value.rows
+    b = routes[0][0].value.shape[0]
     (p1, s1), (p2, s2) = (tape.matched_prob(q, t, tau) for q, t in routes)
     loss_node = tape.scale(tape.sum_all(tape.log(tape.add(p1, p2))), -1.0 / b)
     return _finalize(tape, loss_node, pn, [s1, s2])
@@ -121,7 +121,7 @@ def loss_single(clip: ClipBatch, phase: PhaseBatch, video: VideoBatch,
         raise EmptyInputError("pooled batch has no items at any level")
     queries = visual_parts[0] if len(visual_parts) == 1 else tape.concat_rows(visual_parts)
     targets = text_embedding_rows(tape, pn, texts)
-    m = queries.value.rows
+    m = queries.value.shape[0]
     p, sims = tape.matched_prob(queries, targets, tau)
     loss_node = tape.scale(tape.sum_all(tape.log(p)), -1.0 / m)
     return _finalize(tape, loss_node, pn, [sims])

@@ -8,7 +8,7 @@ matrix — no parameter ever changes during evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -129,7 +129,8 @@ def embed_prompts(prompts: PromptSet, params: ModelParams) -> Matrix:
     """One unit-norm row per class: mean of its prompt embeddings, renormalized."""
     tape = Tape()
     pn = param_nodes(tape, params)
-    return aggregated_text_rows(tape, pn, [plist for _, plist in prompts.classes]).value
+    return Matrix._wrap(
+        aggregated_text_rows(tape, pn, [plist for _, plist in prompts.classes]).value)
 
 
 def classify(visual: Matrix, class_embeddings: Matrix) -> list[int]:
@@ -255,22 +256,13 @@ def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> Metri
     class_rows = embed_prompts(prompts, params)
     segments, gt = _clip_examples(split, checkpoint.config.k_clip)
     tape = Tape()
-    visual = visual_embedding_rows(tape, param_nodes(tape, params), segments).value
+    visual = Matrix._wrap(visual_embedding_rows(tape, param_nodes(tape, params), segments).value)
     pred_idx = classify(visual, class_rows)
     predictions = [prompts.labels[i] for i in pred_idx]
     report = compute_metrics(predictions, gt, labels=prompts.labels)
     if params.digest() != before:
         raise ContractError("evaluation mutated model parameters")
-    return MetricsReport(
-        accuracy=report.accuracy,
-        macro_f1=report.macro_f1,
-        per_class=report.per_class,
-        confusion=report.confusion,
-        samples=report.samples,
-        config_digest=checkpoint.config.digest(),
-        checkpoint_id=before[:16],
-        labels=report.labels,
-    )
+    return replace(report, config_digest=checkpoint.config.digest(), checkpoint_id=before[:16])
 
 
 def clip_retrieval_recall(checkpoint: Checkpoint, split: Corpus, top_k: int = 1) -> float:
@@ -285,8 +277,8 @@ def clip_retrieval_recall(checkpoint: Checkpoint, split: Corpus, top_k: int = 1)
     texts = [c.narration_a for c in clips]
     tape = Tape()
     pn = param_nodes(tape, params)
-    visual = visual_embedding_rows(tape, pn, segments).value.array
-    text = text_embedding_rows(tape, pn, texts).value.array
+    visual = visual_embedding_rows(tape, pn, segments).value
+    text = text_embedding_rows(tape, pn, texts).value
     sims = visual @ text.T
     hits = 0
     for i in range(sims.shape[0]):

@@ -386,6 +386,8 @@ RECORD_FAULTS = {
     "duplicate video id": lambda v: replace(v, video_id="v000"),
     "clip id of an earlier video": lambda v: _with_clip(v, 2, clip_id="v000c01"),
     "clip id repeated in the video": lambda v: _with_clip(v, 2, clip_id=v.clips[0].clip_id),
+    "int video id": lambda v: replace(v, video_id=7),
+    "float clip id": lambda v: _with_clip(v, 1, clip_id=3.5),
 }
 
 

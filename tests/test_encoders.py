@@ -247,6 +247,10 @@ def test_encode_text_vocabulary_error_names_token(params):
 def test_encode_segment_width_mismatch(params):
     with pytest.raises(ShapeError):
         encode_segment(Matrix.zeros(3, 5), params)
+    tape = Tape()
+    with pytest.raises(ShapeError, match="different widths"):
+        visual_embedding_rows(tape, param_nodes(tape, params),
+                              [Matrix.zeros(3, 6), Matrix.zeros(2, 5)])
 
 
 def test_aggregate_texts_matches_mean_of_embeddings(params):
@@ -283,7 +287,7 @@ def test_fused_and_ragged_text_paths_agree(params):
     ragged_input = texts_equal + [rng.integers(0, 40, 4).tolist()]
     tape2 = Tape()
     ragged = text_embedding_rows(tape2, param_nodes(tape2, params), ragged_input).value
-    assert np.allclose(fused.array, ragged.array[:3], atol=1e-12)
+    assert np.allclose(fused, ragged[:3], atol=1e-12)
 
     sets_equal = [[rng.integers(0, 40, 6).tolist() for _ in range(2)] for _ in range(3)]
     tape3 = Tape()
@@ -292,9 +296,9 @@ def test_fused_and_ragged_text_paths_agree(params):
                                [rng.integers(0, 40, 2).tolist()]]
     tape4 = Tape()
     mixed = aggregated_text_rows(tape4, param_nodes(tape4, params), mixed_sets).value
-    assert np.allclose(fused_sets.array, mixed.array[:3], atol=1e-12)
+    assert np.allclose(fused_sets, mixed[:3], atol=1e-12)
     for i, ts in enumerate(mixed_sets):
-        assert np.allclose(mixed.array[i], aggregate_texts(ts, params).array[0], atol=1e-12)
+        assert np.allclose(mixed[i], aggregate_texts(ts, params).array[0], atol=1e-12)
 
 
 def test_tape_length_does_not_grow_with_item_count(params):

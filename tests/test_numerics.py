@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hiercl import numerics as nm
 from hiercl.errors import (
     ConfigError,
     ContractError,
@@ -36,7 +35,7 @@ def tape_fn(build, blocks):
         t = Tape()
         nodes = {name: t.leaf(Matrix(x[o:o + r * c].reshape(r, c))) for name, o, r, c in blocks}
         loss = build(t, nodes)
-        return float(loss.value.array[0, 0]), t.backward(loss, list(nodes.values()))
+        return float(loss.value[0, 0]), t.backward(loss, list(nodes.values()))
     return f
 
 
@@ -86,109 +85,84 @@ def test_same_values_is_bit_exact():
 
 
 # ---------------------------------------------------------------------------
-# Eager ops against plain numpy
+# Tape op values against plain numpy
 # ---------------------------------------------------------------------------
+
+
+def value(op, *inputs, **kwargs):
+    """The output array of one tape op applied to constant Matrix inputs."""
+    t = Tape()
+    return op(t, *(t.constant(m) for m in inputs), **kwargs).value
 
 
 def test_matmul_matches_numpy():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a, b = rand(rng, 3, 5), rand(rng, 5, 2)
-        assert np.allclose(nm.matmul(a, b).array, a.array @ b.array)
+        assert np.allclose(value(Tape.matmul, a, b), a.array @ b.array)
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"2x3 @ 2x3"):
-        nm.matmul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
+        value(Tape.matmul, Matrix.zeros(2, 3), Matrix.zeros(2, 3))
 
 
 def test_add_broadcasts_single_row():
     a = Matrix([[1.0, 2.0], [3.0, 4.0]])
     bias = Matrix([[10.0, 20.0]])
-    assert nm.add(a, bias).tolist() == [[11.0, 22.0], [13.0, 24.0]]
+    assert value(Tape.add, a, bias).tolist() == [[11.0, 22.0], [13.0, 24.0]]
 
 
 def test_add_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
-        nm.add(Matrix.zeros(2, 2), Matrix.zeros(3, 2))
+        value(Tape.add, Matrix.zeros(2, 2), Matrix.zeros(3, 2))
 
 
 def test_elementwise_ops():
     rng = np.random.default_rng(1)
     a = rand(rng, 4, 3)
-    assert np.allclose(nm.scale(a, -2.5).array, -2.5 * a.array)
-    assert np.allclose(nm.relu(a).array, np.maximum(a.array, 0.0))
+    assert np.allclose(value(Tape.scale, a, c=-2.5), -2.5 * a.array)
+    assert np.allclose(value(Tape.relu, a), np.maximum(a.array, 0.0))
     pos = Matrix(np.abs(a.array) + 0.1)
-    assert np.allclose(nm.log(pos).array, np.log(pos.array))
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(2)
-    m = rand(rng, 6, 5)
-    s = nm.softmax_rows(m, 0.5)
-    assert np.allclose(s.array.sum(axis=1), 1.0)
-
-
-def test_softmax_sharpens_with_small_tau():
-    s = nm.softmax_rows(Matrix([[1.0, 0.0]]), 0.1)
-    assert s.array[0, 0] > 0.9999
-
-
-def test_softmax_matches_direct_formula():
-    rng = np.random.default_rng(3)
-    m = rand(rng, 4, 7)
-    tau = 0.07
-    want = np.exp(m.array / tau) / np.exp(m.array / tau).sum(axis=1, keepdims=True)
-    assert np.allclose(nm.softmax_rows(m, tau).array, want, atol=1e-12)
-
-
-def test_softmax_is_stable_for_large_logits():
-    s = nm.softmax_rows(Matrix([[1000.0, 999.0]]), 1.0)
-    assert np.all(np.isfinite(s.array))
-    assert np.allclose(s.array.sum(), 1.0)
-
-
-def test_softmax_rejects_bad_tau():
-    with pytest.raises(ConfigError):
-        nm.softmax_rows(Matrix.zeros(1, 2), 0.0)
+    assert np.allclose(value(Tape.log, pos), np.log(pos.array))
 
 
 def test_l2_normalize_unit_norms():
-    m = nm.l2_normalize_rows(Matrix([[1.0, 1.0, 1.0]]))
-    assert np.allclose(m.array, 1.0 / np.sqrt(3.0))
-    assert abs(m.array[0, 0] - 0.5773502691896258) < 1e-15
+    m = value(Tape.l2_normalize_rows, Matrix([[1.0, 1.0, 1.0]]))
+    assert np.allclose(m, 1.0 / np.sqrt(3.0))
+    assert abs(m[0, 0] - 0.5773502691896258) < 1e-15
 
 
 def test_l2_normalize_degenerate_row_names_index():
     m = Matrix([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DegenerateEmbeddingError, match="row 1"):
-        nm.l2_normalize_rows(m)
+        value(Tape.l2_normalize_rows, m)
 
 
 def test_segment_mean_equal_lengths():
     m = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert nm.segment_mean(m, [2]).tolist() == [[2.0, 3.0]]
+    assert value(Tape.segment_mean, m, lengths=[2]).tolist() == [[2.0, 3.0]]
     rng = np.random.default_rng(4)
     m = rand(rng, 12, 5)
-    got = nm.segment_mean(m, [4, 4, 4])
+    got = value(Tape.segment_mean, m, lengths=[4, 4, 4])
     for g in range(3):
-        assert np.allclose(got.array[g], m.array[4 * g:4 * (g + 1)].mean(axis=0))
+        assert np.allclose(got[g], m.array[4 * g:4 * (g + 1)].mean(axis=0))
     with pytest.raises(EmptyInputError):
-        nm.segment_mean(Matrix(np.zeros((0, 2))), [])
+        value(Tape.segment_mean, Matrix(np.zeros((0, 2))), lengths=[])
 
 
 def test_segment_mean_mixed_lengths():
     m = Matrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
-    got = nm.segment_mean(m, [1, 3, 2])
+    got = value(Tape.segment_mean, m, lengths=[1, 3, 2])
     assert got.tolist() == [[1.0, 2.0], [5.0, 6.0], [10.0, 11.0]]
 
 
 def test_segment_mean_rejects_lengths_that_do_not_partition_rows():
     for lengths in ([4, 4], [4, 4, 4], [3, 3, 3, 3], [12, 1]):
         with pytest.raises(ShapeError, match="sum to"):
-            nm.segment_mean(Matrix.zeros(10, 2), lengths)
+            value(Tape.segment_mean, Matrix.zeros(10, 2), lengths=lengths)
     with pytest.raises(EmptyInputError):
-        nm.segment_mean(Matrix.zeros(10, 2), [5, 0, 5])
+        value(Tape.segment_mean, Matrix.zeros(10, 2), lengths=[5, 0, 5])
 
 
 _segments = st.lists(st.integers(1, 40), min_size=1, max_size=6).flatmap(
@@ -204,12 +178,12 @@ _segments = st.lists(st.integers(1, 40), min_size=1, max_size=6).flatmap(
 @given(_segments)
 def test_segment_mean_matches_per_segment_loop(case):
     lengths, rows = case
-    got = nm.segment_mean(Matrix(rows), lengths).array
+    got = value(Tape.segment_mean, Matrix(rows), lengths=lengths)
     starts = np.cumsum(lengths) - lengths
     for i, (a, n) in enumerate(zip(starts, lengths)):
         seg = rows[a:a + n]
         # A segment's mean does not depend on the other segments beside it.
-        assert np.array_equal(got[i], nm.segment_mean(Matrix(seg), [n]).array[0])
+        assert np.array_equal(got[i], value(Tape.segment_mean, Matrix(seg), lengths=[n])[0])
         # reduceat adds the first row to a pairwise sum of the rest, while
         # sum(axis=0) adds the rows one by one: the two agree to within the
         # float64 error bound of an n-term sum, and exactly for n <= 2.
@@ -237,29 +211,46 @@ def test_segment_mean_gradient_matches_finite_differences(lengths, seed):
 def test_concat_and_gather():
     a = Matrix([[1.0, 2.0]])
     b = Matrix([[3.0, 4.0], [5.0, 6.0]])
-    cat = nm.concat_rows([a, b])
-    assert cat.shape == (3, 2)
-    assert nm.gather_rows(cat, [2, 0]).tolist() == [[5.0, 6.0], [1.0, 2.0]]
+    t = Tape()
+    cat = t.concat_rows([t.constant(a), t.constant(b)])
+    assert cat.value.shape == (3, 2)
+    assert t.gather_rows(cat, [2, 0]).value.tolist() == [[5.0, 6.0], [1.0, 2.0]]
     with pytest.raises(ShapeError):
-        nm.gather_rows(cat, [3])
+        t.gather_rows(cat, [3])
+    with pytest.raises(EmptyInputError):
+        t.gather_rows(cat, [])
+    with pytest.raises(ShapeError, match="column counts differ"):
+        t.concat_rows([cat, t.constant(Matrix.zeros(1, 3))])
+    with pytest.raises(EmptyInputError):
+        t.concat_rows([])
 
 
 def test_sum_all():
-    assert nm.sum_all(Matrix([[1.0, 2.0], [3.0, 4.0]])).tolist() == [[10.0]]
+    assert value(Tape.sum_all, Matrix([[1.0, 2.0], [3.0, 4.0]])).tolist() == [[10.0]]
 
 
 # ---------------------------------------------------------------------------
-# Tape: forward values match eager ops, backward matches finite differences
+# Tape: forward values match numpy, backward matches finite differences
 # ---------------------------------------------------------------------------
 
 
 def test_tape_forward_equals_eager():
+    # the tape's values are bit-equal to the same numpy expression evaluated directly
     rng = np.random.default_rng(5)
     a, b = rand(rng, 3, 4), rand(rng, 4, 2)
     t = Tape()
     na, nb = t.leaf(a), t.leaf(b)
     out = t.relu(t.matmul(na, nb))
-    assert out.value.same_values(nm.relu(nm.matmul(a, b)))
+    assert np.array_equal(out.value, np.maximum(a.array @ b.array, 0.0))
+
+
+def test_node_values_are_read_only():
+    t = Tape()
+    x = t.leaf(Matrix([[1.0, -2.0]]))
+    for node in (x, t.relu(x), t.sum_all(x), t.matched_prob(x, x, 0.5)[0]):
+        assert node.value.dtype == np.float64
+        with pytest.raises(ValueError):
+            node.value[0, 0] = 5.0
 
 
 def test_backward_requires_scalar():
@@ -355,7 +346,52 @@ def test_matched_prob_forward_is_bit_equal_to_numpy(b, d):
     want = np.diag(e / e.sum(axis=1, keepdims=True))
     assert np.array_equal(sims, want_sims)
     assert p.value.shape == (1, b)
-    assert np.array_equal(p.value.array[0], want)
+    assert np.array_equal(p.value[0], want)
+
+
+def matched(q, t, tau):
+    """matched_prob's 1xB probabilities for constant query and target rows."""
+    tape = Tape()
+    return tape.matched_prob(tape.constant(Matrix(q)), tape.constant(Matrix(t)), tau)[0].value
+
+
+def test_softmax_rows_sum_to_one():
+    # Across every cyclic shift of the targets, row i is matched once with
+    # each target, so its matched probabilities cover its whole softmax row.
+    rng = np.random.default_rng(2)
+    q, t = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
+    total = sum(matched(q, np.roll(t, -s, axis=0), 0.5) for s in range(6))
+    assert np.allclose(total, 1.0)
+
+
+def test_softmax_sharpens_with_small_tau():
+    p = matched([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 0.1)
+    assert np.all(p > 0.9999)
+
+
+def test_softmax_matches_direct_formula():
+    rng = np.random.default_rng(3)
+    q, t = rng.standard_normal((4, 7)), rng.standard_normal((4, 7))
+    tau = 0.07
+    e = np.exp(q @ t.T / tau)
+    want = np.diag(e / e.sum(axis=1, keepdims=True))
+    assert np.allclose(matched(q, t, tau)[0], want, atol=1e-12)
+
+
+def test_softmax_is_stable_for_large_logits():
+    # Logits of 1000 and 999 at tau 1, and of 1000 and 0 at tau 1e-3, would
+    # overflow exp without the per-row max subtraction.
+    p = matched([[1.0, 0.0], [0.0, 1.0]], [[1000.0, 0.0], [999.0, 0.0]], 1.0)
+    assert np.all(np.isfinite(p))
+    assert np.allclose(p, [[1.0 / (1.0 + np.exp(-1.0)), 0.5]])
+    p = matched([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 1e-3)
+    assert np.array_equal(p, [[1.0, 1.0]])
+
+
+def test_softmax_rejects_bad_tau():
+    for bad in (0.0, -0.5):
+        with pytest.raises(ConfigError, match="temperature must be positive"):
+            matched([[1.0, 0.0]], [[0.0, 1.0]], bad)
 
 
 @pytest.mark.parametrize("b", [1, 2, 5])
