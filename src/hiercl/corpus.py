@@ -23,8 +23,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from hashlib import sha256
-from itertools import accumulate, chain
-from typing import IO, ClassVar, Iterator, Sequence
+from itertools import accumulate, chain, islice
+from typing import IO, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
     check_ints,
 )
 from .numerics import Matrix
-from .encoders import sample_frames
+from .encoders import FrameStack, pick_frames
 from .seeding import substream
 
 SCHEMA = "hiercorpus/2"
@@ -135,10 +135,31 @@ class LectureVideo:
             prev_end = seg.end
 
 
+class RowRanges(NamedTuple):
+    """Segments of a frame table: each one's first row and row count."""
+
+    starts: np.ndarray
+    lengths: np.ndarray
+
+
 @dataclass(frozen=True)
 class Corpus:
     config: GeneratorConfig
     videos: tuple[LectureVideo, ...]
+
+    @cached_property
+    def frame_table(self) -> np.ndarray:
+        """Every clip's frames in corpus order: one read-only rows x d_in array.
+
+        Generated, loaded and split corpora are built on their table, and each
+        clip's frames are a row view of it. A corpus built by hand from
+        separate arrays stacks them here, once.
+        """
+        clips = self.clip_table
+        table = (np.concatenate([c.frames.array for c in clips]) if clips
+                 else np.empty((0, self.config.d_in)))
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def clip_table(self) -> tuple[VideoClip, ...]:
@@ -149,6 +170,39 @@ class Corpus:
     def phase_table(self) -> tuple[tuple[LectureVideo, int, PhaseSegment], ...]:
         """(video, index, segment) of every phase segment: the phase-level sources."""
         return tuple((v, pi, seg) for v in self.videos for pi, seg in enumerate(v.phases))
+
+    @cached_property
+    def clip_offsets(self) -> list[int]:
+        """Index in clip_table of each video's first clip, then the clip count."""
+        return list(accumulate((len(v.clips) for v in self.videos), initial=0))
+
+    @cached_property
+    def _row_bounds(self) -> np.ndarray:
+        """First row in frame_table of each clip, then the row count."""
+        return np.cumsum([0, *(c.frames.rows for c in self.clip_table)], dtype=np.intp)
+
+    def _rows(self, first: Sequence[int], stop: Sequence[int]) -> RowRanges:
+        """Rows of the clip spans [first, stop) of clip_table."""
+        starts = self._row_bounds[first]
+        return RowRanges(starts, self._row_bounds[stop] - starts)
+
+    @cached_property
+    def clip_rows(self) -> RowRanges:
+        """Rows of each clip, in clip_table order."""
+        return RowRanges(self._row_bounds[:-1], np.diff(self._row_bounds))
+
+    @cached_property
+    def phase_rows(self) -> RowRanges:
+        """Rows of each phase segment, in phase_table order."""
+        segments = [(first, seg) for first, v in zip(self.clip_offsets, self.videos)
+                    for seg in v.phases]
+        return self._rows([first + seg.start for first, seg in segments],
+                          [first + seg.end for first, seg in segments])
+
+    @cached_property
+    def video_rows(self) -> RowRanges:
+        """Rows of each video, in corpus order."""
+        return self._rows(self.clip_offsets[:-1], self.clip_offsets[1:])
 
     def pair_counts(self) -> dict[str, int]:
         return {
@@ -171,23 +225,36 @@ class Corpus:
                 f"cannot hold out {n_hold} of {len(self.videos)} videos"
             )
         cut = len(self.videos) - n_hold
+        row = self._row_bounds[self.clip_offsets[cut]]
         return (
-            Corpus(self.config, self.videos[:cut]),
-            Corpus(self.config, self.videos[cut:]),
+            _on_table(self.config, self.videos[:cut], self.frame_table[:row]),
+            _on_table(self.config, self.videos[cut:], self.frame_table[row:]),
         )
+
+
+def _on_table(config: GeneratorConfig, videos: tuple[LectureVideo, ...],
+              table: np.ndarray) -> Corpus:
+    """A corpus whose clips' frames are consecutive row views of `table`."""
+    corpus = Corpus(config, videos)
+    vars(corpus)["frame_table"] = table  # fills the cached property
+    return corpus
 
 
 def _noisy_tokens(rng: np.random.Generator, base: np.ndarray, rate: float,
                   vocab_size: int) -> tuple[int, ...]:
     corrupt = rng.random(base.size) < rate
     noise = rng.integers(0, vocab_size, base.size)
-    return tuple(int(t) for t in np.where(corrupt, noise, base))
+    return tuple(np.where(corrupt, noise, base).tolist())
 
 
 def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
     """Build a corpus with known latent phase structure, fully seed-determined."""
     rng = substream(cfg.seed, "generate")
     prototypes = rng.standard_normal((cfg.num_classes, cfg.d_in))
+    table = np.empty((cfg.num_videos * cfg.num_classes * cfg.clips_per_phase
+                      * cfg.frames_per_clip, cfg.d_in))
+    clip_frames = iter(table.reshape(-1, cfg.frames_per_clip, cfg.d_in))  # in corpus order
+    width = cfg.vocab_size // cfg.num_classes
     videos = []
     for vi in range(cfg.num_videos):
         order = rng.permutation(cfg.num_classes)
@@ -196,14 +263,15 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
         for cls in order:
             lo, hi = cfg.class_block(int(cls))
             start = len(clips)
-            for _ in range(cfg.clips_per_phase):
-                frames = prototypes[cls] + cfg.noise_scale * rng.standard_normal(
-                    (cfg.frames_per_clip, cfg.d_in)
-                )
+            for frames in islice(clip_frames, cfg.clips_per_phase):
+                # prototype + noise_scale * N(0, 1), computed in place
+                rng.standard_normal(out=frames)
+                frames *= cfg.noise_scale
+                frames += prototypes[cls]
                 base = rng.integers(lo, hi, NARRATION_LEN)
                 clips.append(VideoClip(
                     clip_id=f"v{vi:03d}c{len(clips):02d}",
-                    frames=Matrix(frames),
+                    frames=Matrix._wrap(frames),
                     narration_a=_noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size),
                     narration_b=_noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size),
                 ))
@@ -217,18 +285,16 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
                 phase_class=int(cls),
             ))
         abstract_classes = rng.integers(0, cfg.num_classes, ABSTRACT_LEN)
-        width = cfg.vocab_size // cfg.num_classes
-        abstract = tuple(
-            int(c) * width + int(t)
-            for c, t in zip(abstract_classes, rng.integers(0, width, ABSTRACT_LEN))
-        )
+        abstract = tuple((abstract_classes * width
+                          + rng.integers(0, width, ABSTRACT_LEN)).tolist())
         videos.append(LectureVideo(
             video_id=f"v{vi:03d}",
             clips=tuple(clips),
             phases=tuple(phases),
             abstract=abstract,
         ))
-    return Corpus(config=cfg, videos=tuple(videos))
+    table.setflags(write=False)
+    return _on_table(cfg, tuple(videos), table)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +360,14 @@ def _frame_bytes(clip: dict, d_in: int) -> bytes:
     return raw
 
 
-def _video_from_record(rec: dict, config: GeneratorConfig) -> LectureVideo:
+def _video_from_record(rec: dict, config: GeneratorConfig, rows: np.ndarray) -> LectureVideo:
+    """The video on one line; its frames are written to the first of `rows`."""
     raws = [_frame_bytes(c, config.d_in) for c in rec["clips"]]
     # One decode and one finiteness check per video; clips get row views.
-    values = np.frombuffer(b"".join(raws), dtype="<f8").reshape(-1, config.d_in)
-    ends = list(accumulate(len(raw) // (8 * config.d_in) for raw in raws))
+    raw = b"".join(raws)
+    values = rows[:len(raw) // (8 * config.d_in)]
+    values[...] = np.frombuffer(raw, dtype="<f8").reshape(-1, config.d_in)
+    ends = list(accumulate(len(r) // (8 * config.d_in) for r in raws))
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -342,6 +411,13 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path) -> Corpus:
+    """Read a corpus file; every clip's frames become a row view of one table.
+
+    Frames are base64 text in the file, so their bytes fill at most three
+    quarters of it. The table is the start of one buffer of that size: it
+    never moves, so each line's clips view their rows as soon as the line
+    is checked, and pages past the last frame are never written.
+    """
     # Bytes, decoded line by line, so a bad UTF-8 byte is reported by line.
     # Video lines run to tens of KB, and readline on the default 8 KiB
     # buffer joins many reads per line.
@@ -362,13 +438,16 @@ def load_corpus(path) -> Corpus:
         except (TypeError, KeyError, ConfigError) as e:
             raise CorpusFormatError(f"line 1: bad generator config: {e}") from e
         videos = []
+        frames = np.empty((os.fstat(f.fileno()).st_size * 3 // 4 // (8 * config.d_in),
+                           config.d_in))
+        row = 0
         # Ids name batch sources, and a batch must not repeat a source.
         seen_videos: set[str] = set()
         seen_clips: set[str] = set()
         for i, line in enumerate(f, start=2):
             rec = _parse_line(line, i)
             try:
-                video = _video_from_record(rec, config)
+                video = _video_from_record(rec, config, frames[row:])
                 if video.video_id in seen_videos:
                     raise CorpusFormatError(f"duplicate video id {video.video_id!r}")
                 seen_videos.add(video.video_id)
@@ -379,7 +458,10 @@ def load_corpus(path) -> Corpus:
             except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
                 raise CorpusFormatError(f"line {i}: bad video record: {e}") from e
             videos.append(video)
-    return Corpus(config=config, videos=tuple(videos))
+            row += sum(c.frames.rows for c in video.clips)
+    table = frames[:row]
+    table.setflags(write=False)
+    return _on_table(config, tuple(videos), table)
 
 
 def _parse_line(line: bytes, lineno: int) -> dict:
@@ -432,7 +514,7 @@ def corpus_digest(path) -> str:
 class _Batch:
     level: ClassVar[str]
     source_ids: tuple[str, ...]
-    frames: tuple[Matrix, ...]  # k sampled frames per item
+    frames: Sequence[Matrix]  # k sampled frames per item; sampled batches hold a FrameStack
 
     def __post_init__(self) -> None:
         if len(set(self.source_ids)) != len(self.source_ids):
@@ -465,23 +547,29 @@ class VideoBatch(_Batch):
     level = "video"
 
 
-def _draw(rng: np.random.Generator, n: int, b: int, level: str) -> list[int]:
+def _draw(rng: np.random.Generator, n: int, b: int, level: str) -> np.ndarray:
     if b < 1:
         raise ConfigError(f"batch size must be >= 1, got {b}")
     if b > n:
         raise InsufficientDataError(
             f"{level} level: requested batch of {b} but only {n} sources available"
         )
-    return [int(i) for i in rng.choice(n, size=b, replace=False)]
+    return rng.choice(n, size=b, replace=False)
+
+
+def _frames(corpus: Corpus, ranges: RowRanges, drawn: np.ndarray, k: int) -> FrameStack:
+    """k frames of each drawn source, picked from the corpus frame table."""
+    return pick_frames(corpus.frame_table, ranges.starts[drawn], ranges.lengths[drawn], k)
 
 
 def sample_clip_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                       k: int = 4) -> ClipBatch:
     table = corpus.clip_table
-    clips = [table[i] for i in _draw(rng, len(table), b, "clip")]
+    drawn = _draw(rng, len(table), b, "clip")
+    clips = [table[i] for i in drawn.tolist()]
     return ClipBatch(
         source_ids=tuple(c.clip_id for c in clips),
-        frames=sample_frames([(c.frames,) for c in clips], k),
+        frames=_frames(corpus, corpus.clip_rows, drawn, k),
         narration_a=tuple(c.narration_a for c in clips),
         narration_b=tuple(c.narration_b for c in clips),
     )
@@ -490,13 +578,14 @@ def sample_clip_batch(corpus: Corpus, b: int, rng: np.random.Generator,
 def sample_phase_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 8) -> PhaseBatch:
     table = corpus.phase_table
-    drawn = [table[i] for i in _draw(rng, len(table), b, "phase")]
-    members = [video.clips[seg.start:seg.end] for video, _, seg in drawn]
+    drawn = _draw(rng, len(table), b, "phase")
+    phases = [table[i] for i in drawn.tolist()]
+    members = [video.clips[seg.start:seg.end] for video, _, seg in phases]
     return PhaseBatch(
-        source_ids=tuple(f"{video.video_id}p{pi}" for video, pi, _ in drawn),
-        frames=sample_frames([[c.frames for c in clips] for clips in members], k),
+        source_ids=tuple(f"{video.video_id}p{pi}" for video, pi, _ in phases),
+        frames=_frames(corpus, corpus.phase_rows, drawn, k),
         narrations=tuple(tuple(c.narration_a for c in clips) for clips in members),
-        concept=tuple(seg.concept for _, _, seg in drawn),
+        concept=tuple(seg.concept for _, _, seg in phases),
     )
 
 
@@ -508,10 +597,11 @@ def _spread_narrations(clips: Sequence[VideoClip], k: int) -> tuple[tuple[int, .
 
 def sample_video_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 32) -> VideoBatch:
-    videos = [corpus.videos[i] for i in _draw(rng, len(corpus.videos), b, "video")]
+    drawn = _draw(rng, len(corpus.videos), b, "video")
+    videos = [corpus.videos[i] for i in drawn.tolist()]
     return VideoBatch(
         source_ids=tuple(v.video_id for v in videos),
-        frames=sample_frames([[c.frames for c in v.clips] for v in videos], k),
+        frames=_frames(corpus, corpus.video_rows, drawn, k),
         narrations=tuple(_spread_narrations(v.clips, k) for v in videos),
         abstract=tuple(v.abstract for v in videos),
     )

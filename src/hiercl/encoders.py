@@ -189,24 +189,58 @@ class ModelParams:
         return h.hexdigest()
 
 
-def sample_frames(items: Sequence[Sequence[Matrix]], k: int) -> tuple[Matrix, ...]:
-    """Pick k frames per item at rows floor(j*L/k) of its L stacked frames.
+class FrameStack(Sequence[Matrix]):
+    """Frame segments stacked row-wise: one read-only array and each segment's row count.
 
-    An item is a run of clips read as one segment; duplicates appear when
-    L < k. Every item's clips are stacked by one concatenate and every
-    pick is made by one fancy index.
+    It reads as a sequence of per-segment Matrix views; the visual encoder
+    reads the array as it is.
+    """
+
+    __slots__ = ("array", "lengths", "_starts")
+
+    def __init__(self, array: np.ndarray, lengths: np.ndarray) -> None:
+        array.setflags(write=False)
+        self.array = array
+        self.lengths = lengths
+        self._starts = np.cumsum(lengths) - lengths
+
+    @classmethod
+    def of(cls, segments: Sequence[Matrix]) -> "FrameStack":
+        """Separate segments of one width, stacked by one concatenate."""
+        if not segments:
+            raise EmptyInputError("no segments to encode")
+        widths = {s.cols for s in segments}
+        if len(widths) > 1:
+            raise ShapeError(f"segments have different widths: {sorted(widths)}")
+        return cls(np.concatenate([s.array for s in segments]),
+                   np.array([s.rows for s in segments], dtype=np.intp))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> Matrix:
+        i = range(len(self))[i]
+        start = self._starts[i]
+        return Matrix._wrap(self.array[start:start + self.lengths[i]])
+
+
+def pick_frames(table: np.ndarray, starts: Sequence[int], lengths: Sequence[int],
+                k: int) -> FrameStack:
+    """k frames per segment of a frame table, at rows start + floor(j*L/k) for j < k.
+
+    A segment is the L table rows from its start; rows repeat when L < k.
+    Every pick is made by one fancy index into the table.
     """
     if k < 1:
         raise ConfigError(f"frame count must be >= 1, got {k}")
-    if not items:
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if not starts.size:
         raise EmptyInputError("no segments to sample")
-    lengths = np.array([sum(m.rows for m in clips) for clips in items], dtype=np.intp)
     if not lengths.all():
         raise EmptyInputError("cannot sample frames from an empty segment")
-    starts = np.cumsum(lengths) - lengths
     rows = starts[:, None] + np.arange(k, dtype=np.intp) * lengths[:, None] // k
-    picked = np.concatenate([m.array for clips in items for m in clips])[rows]
-    return tuple(Matrix._wrap(p) for p in picked)
+    return FrameStack(table[rows.ravel()], np.full(starts.size, k, dtype=np.intp))
 
 
 def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
@@ -239,16 +273,12 @@ def visual_embedding_rows(tape: Tape, pn: dict[str, Node],
 
     Every frame of every segment goes through the network in one pass; each
     segment's raw frame encodings are then mean-pooled and L2-normalized.
-    Segments may have different frame counts.
+    Segments may have different frame counts. A FrameStack is encoded as it
+    is; other segments are stacked into one first.
     """
-    if not segments:
-        raise EmptyInputError("no segments to encode")
-    widths = {s.cols for s in segments}
-    if len(widths) > 1:
-        raise ShapeError(f"segments have different widths: {sorted(widths)}")
-    stacked = tape.constant(Matrix._wrap(np.concatenate([s.array for s in segments])))
-    encoded = _affine_stack(tape, stacked, pn, "visual")
-    return tape.l2_normalize_rows(tape.segment_mean(encoded, [s.rows for s in segments]))
+    stack = segments if isinstance(segments, FrameStack) else FrameStack.of(segments)
+    encoded = _affine_stack(tape, tape.constant(Matrix._wrap(stack.array)), pn, "visual")
+    return tape.l2_normalize_rows(tape.segment_mean(encoded, stack.lengths))
 
 
 def text_embedding_rows(tape: Tape, pn: dict[str, Node],

@@ -15,10 +15,11 @@ import numpy as np
 
 from .corpus import Corpus, GeneratorConfig, atomic_file
 from .encoders import (
+    FrameStack,
     ModelParams,
     aggregated_text_rows,
     param_nodes,
-    sample_frames,
+    pick_frames,
     text_embedding_rows,
     visual_embedding_rows,
 )
@@ -230,15 +231,15 @@ def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:
     )
 
 
-def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[tuple[Matrix, ...], list[int]]:
+def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[FrameStack, list[int]]:
     """Every labeled clip in the split: sampled frames plus its phase class."""
     clips, gt = [], []
-    for video in corpus.videos:
+    for first, video in zip(corpus.clip_offsets, corpus.videos):
         for seg in video.phases:
-            for clip in video.clips[seg.start:seg.end]:
-                clips.append((clip.frames,))
-                gt.append(seg.phase_class)
-    return sample_frames(clips, k_clip), gt
+            clips.extend(range(first + seg.start, first + seg.end))
+            gt.extend([seg.phase_class] * (seg.end - seg.start))
+    rows = corpus.clip_rows
+    return pick_frames(corpus.frame_table, rows.starts[clips], rows.lengths[clips], k_clip), gt
 
 
 def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> MetricsReport:
@@ -273,7 +274,7 @@ def clip_retrieval_recall(checkpoint: Checkpoint, split: Corpus, top_k: int = 1)
     clips = split.clip_table
     if not clips:
         raise ContractError("split has no clips")
-    segments = sample_frames([(c.frames,) for c in clips], checkpoint.config.k_clip)
+    segments = pick_frames(split.frame_table, *split.clip_rows, checkpoint.config.k_clip)
     texts = [c.narration_a for c in clips]
     tape = Tape()
     pn = param_nodes(tape, params)

@@ -281,6 +281,19 @@ def test_load_names_bad_record(corpus, tmp_path):
         load_corpus(path)
 
 
+def test_load_rejects_frames_narrower_than_a_huge_header_d_in(corpus, tmp_path):
+    # The frame table is sized from the file, not from the header's d_in.
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["d_in"] = 2**40
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match="line 2.*frame bytes"):
+        load_corpus(path)
+
+
 def _eval_exit_code(path, tmp_path) -> int:
     """Exit code of `hiercl eval` on a corpus file, with a checkpoint that fits SMALL."""
     cfg = TrainConfig(d_tok=4, hidden=6, d_emb=3)
@@ -449,6 +462,54 @@ def test_split_validation(corpus):
 
 
 # ---------------------------------------------------------------------------
+# The frame table: one copy of every corpus's frames
+# ---------------------------------------------------------------------------
+
+
+def assert_frames_are_table_rows(corpus: Corpus) -> None:
+    """Each clip's frames are its own rows of the read-only table, which holds nothing else."""
+    table = corpus.frame_table
+    assert not table.flags.writeable
+    assert table.nbytes == sum(c.frames.array.nbytes for c in corpus.clip_table)
+    for clip, start in zip(corpus.clip_table, corpus.clip_rows.starts, strict=True):
+        assert np.shares_memory(clip.frames.array, table)
+        assert clip.frames.array.ctypes.data == table[start:].ctypes.data
+
+
+def test_generated_frames_are_table_rows(corpus):
+    assert_frames_are_table_rows(corpus)
+
+
+def test_loaded_frames_are_table_rows(corpus, tmp_path):
+    save_corpus(corpus, tmp_path / "c.jsonl")
+    loaded = load_corpus(tmp_path / "c.jsonl")
+    assert_frames_are_table_rows(loaded)
+    assert loaded.frame_table.tobytes() == corpus.frame_table.tobytes()
+
+
+def test_split_shares_the_frame_table(corpus, tmp_path):
+    save_corpus(corpus, tmp_path / "c.jsonl")
+    for whole in (corpus, load_corpus(tmp_path / "c.jsonl")):
+        halves = whole.split(0.4)
+        for half in halves:
+            assert_frames_are_table_rows(half)
+            assert half.frame_table.base is not None
+            assert np.shares_memory(half.frame_table, whole.frame_table)
+        assert (sum(h.frame_table.nbytes for h in halves) == whole.frame_table.nbytes)
+        assert halves[1].frame_table.ctypes.data == whole.frame_table[
+            whole.clip_rows.starts[len(halves[0].clip_table)]:].ctypes.data
+
+
+def test_hand_built_corpus_stacks_its_frames_once(corpus):
+    built = Corpus(corpus.config, corpus.videos)
+    table = built.frame_table
+    assert built.frame_table is table
+    assert not table.flags.writeable
+    assert table.tobytes() == np.vstack([c.frames.array for c in built.clip_table]).tobytes()
+    assert not np.shares_memory(table, corpus.frame_table)
+
+
+# ---------------------------------------------------------------------------
 # Batch sampling
 # ---------------------------------------------------------------------------
 
@@ -573,9 +634,17 @@ def test_sampling_ragged_clips_matches_oracle(built, k, seed):
         path = Path(tmp) / "c.jsonl"
         save_corpus(built, path)
         loaded = load_corpus(path)
-    # The loader keeps each video's frames in one buffer; the built corpus
-    # keeps one array per clip. Both must sample the same bits.
-    for corpus in (built, loaded):
+    generated = generate_synthetic(GeneratorConfig(
+        num_videos=3, num_classes=2, clips_per_phase=1 + seed % 3,
+        frames_per_clip=1 + seed % 5, d_in=2, vocab_size=8, seed=seed))
+    # The loaded and generated corpora view one frame table; the built corpus
+    # keeps one array per clip and stacks them. All must sample the same bits,
+    # and so must the halves of a split, which slice the table.
+    corpora = [built, loaded, generated]
+    for whole in (built, loaded):
+        if len(whole.videos) > 1:
+            corpora.extend(whole.split(0.5))
+    for corpus in corpora:
         rng = np.random.default_rng(seed)
         clips = {c.clip_id: c for v in corpus.videos for c in v.clips}
         batch = sample_clip_batch(corpus, len(clips), rng, k=k)

@@ -10,7 +10,7 @@ from hiercl.encoders import (
     encode_segment,
     encode_text,
     param_nodes,
-    sample_frames,
+    pick_frames,
     text_embedding_rows,
     visual_embedding_rows,
 )
@@ -144,36 +144,48 @@ def test_leaf_order_is_stable(params):
 # ---------------------------------------------------------------------------
 
 
+def column(n: int) -> np.ndarray:
+    return np.arange(float(n)).reshape(n, 1)
+
+
 def test_sample_frames_even_stride():
-    frames = Matrix(np.arange(8.0).reshape(8, 1))
-    (got,) = sample_frames([[frames]], 4)
+    (got,) = pick_frames(column(8), [0], [8], 4)
     assert got.array[:, 0].tolist() == [0.0, 2.0, 4.0, 6.0]
 
 
 def test_sample_frames_uneven_length():
-    frames = Matrix(np.arange(5.0).reshape(5, 1))
-    (got,) = sample_frames([[frames]], 4)
+    (got,) = pick_frames(column(5), [0], [5], 4)
     assert got.array[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_sample_frames_repeats_when_short():
-    frames = Matrix(np.arange(2.0).reshape(2, 1))
-    (got,) = sample_frames([[frames]], 4)
+    (got,) = pick_frames(column(2), [0], [2], 4)
     assert got.array[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_sample_frames_identity_when_exact():
-    frames = Matrix(np.arange(4.0).reshape(4, 1))
-    assert sample_frames([[frames]], 4)[0].same_values(frames)
+    assert pick_frames(column(4), [0], [4], 4)[0].same_values(Matrix(column(4)))
+
+
+def test_sample_frames_offsets_each_segment_by_its_start():
+    # segments [2, 7) and [0, 2) of one table, in that order, as one stacked array
+    stack = pick_frames(column(9), [2, 0], [5, 2], 4)
+    assert stack.array[:, 0].tolist() == [2.0, 3.0, 4.0, 5.0, 0.0, 0.0, 1.0, 1.0]
+    assert stack.lengths.tolist() == [4, 4]
+    assert [m.array[:, 0].tolist() for m in stack] == [[2.0, 3.0, 4.0, 5.0],
+                                                       [0.0, 0.0, 1.0, 1.0]]
+    assert stack[-1].same_values(stack[1])
+    with pytest.raises(IndexError):
+        stack[2]
 
 
 def test_sample_frames_errors():
     with pytest.raises(EmptyInputError):
-        sample_frames([[Matrix(np.zeros((0, 3)))]], 2)
+        pick_frames(np.zeros((3, 3)), [0], [0], 2)
     with pytest.raises(EmptyInputError):
-        sample_frames([], 2)
+        pick_frames(np.zeros((3, 3)), [], [], 2)
     with pytest.raises(ConfigError):
-        sample_frames([[Matrix.zeros(3, 3)]], 0)
+        pick_frames(np.zeros((3, 3)), [0], [3], 0)
 
 
 # ---------------------------------------------------------------------------

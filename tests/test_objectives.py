@@ -233,7 +233,7 @@ def oracle_video(batch, params, tau):
 
 
 def oracle_single(clip, phase, video, params, tau):
-    v = np.vstack(_segments(clip.frames + phase.frames + video.frames, params))
+    v = np.vstack(_segments([*clip.frames, *phase.frames, *video.frames], params))
     t = np.vstack(_texts(clip.narration_a + phase.concept + video.abstract, params))
     return -np.mean(np.log(_softmax_diag(v, t, tau)))
 
