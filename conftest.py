@@ -1,5 +1,19 @@
 """Session set-up shared by `tests/` and `perfbench/tests/`."""
 import gc
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent / "src")
+
+
+def pytest_configure(config):
+    # Both suites test this checkout's source. The CLI runs OpenBLAS on one
+    # thread, and so do the tests that call the library directly.
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    from hiercl.numerics import single_thread_blas
+
+    single_thread_blas()
 
 
 def pytest_collection_finish(session):

@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .errors import HierclError
 from .numerics import Matrix, Tape, finite_diff_check
-from .encoders import EncoderDims, ModelParams, encode_segment, encode_text
+from .encoders import EncoderDims, ModelParams
 from .corpus import Corpus, GeneratorConfig, generate_synthetic, load_corpus, save_corpus
 from .objectives import loss_clip, loss_phase, loss_single, loss_video
 from .trainer import (
@@ -32,8 +32,6 @@ __all__ = [
     "finite_diff_check",
     "EncoderDims",
     "ModelParams",
-    "encode_segment",
-    "encode_text",
     "GeneratorConfig",
     "Corpus",
     "generate_synthetic",

@@ -48,7 +48,7 @@ from .errors import (
     ShapeError,
     VocabularyError,
 )
-from .numerics import finite_diff_check
+from .numerics import finite_diff_check, single_thread_blas
 from .objectives import loss_clip, loss_phase, loss_single, loss_video
 from .seeding import substream
 from .trainer import (
@@ -440,6 +440,7 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
+    single_thread_blas()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -34,6 +34,7 @@ from .errors import (
     CorpusFormatError,
     InsufficientDataError,
     SchemaVersionError,
+    ShapeError,
     check_floats,
     check_ints,
 )
@@ -146,6 +147,12 @@ class RowRanges(NamedTuple):
 class Corpus:
     config: GeneratorConfig
     videos: tuple[LectureVideo, ...]
+
+    def __post_init__(self) -> None:
+        for clip in self.clip_table:
+            if clip.frames.cols != self.config.d_in:
+                raise ShapeError(f"clip {clip.clip_id} has frames {clip.frames.cols} wide, "
+                                 f"not the config's d_in={self.config.d_in}")
 
     @cached_property
     def frame_table(self) -> np.ndarray:

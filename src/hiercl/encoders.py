@@ -9,7 +9,7 @@ are cosine similarities.
 
 Frames are precomputed feature vectors, not images; a segment of frames is
 a Matrix with one frame per row. Texts are sequences of integer token ids,
-mean-pooled order-invariantly before the affine stack.
+mean-pooled order-invariantly by `Tape.embed_mean` before the network.
 
 Every weight of both encoders lives in one flat vector; `EncoderDims.layout`
 is the one table of where each named block sits in it.
@@ -169,10 +169,6 @@ class ModelParams:
         return self.dims.d_in
 
     @property
-    def d_emb(self) -> int:
-        return self.dims.d_emb
-
-    @property
     def vocab_size(self) -> int:
         return self.dims.vocab_size
 
@@ -262,9 +258,8 @@ def _token_index(texts: Sequence[TokenSeq], vocab_size: int) -> tuple[np.ndarray
     return flat, lengths
 
 
-def _affine_stack(tape: Tape, x: Node, pn: dict[str, Node], prefix: str) -> Node:
-    h = tape.relu(tape.add(tape.matmul(x, pn[f"{prefix}.w1"]), pn[f"{prefix}.b1"]))
-    return tape.add(tape.matmul(h, pn[f"{prefix}.w2"]), pn[f"{prefix}.b2"])
+def _mlp(tape: Tape, x: Node, pn: dict[str, Node], prefix: str) -> Node:
+    return tape.mlp(x, *(pn[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def visual_embedding_rows(tape: Tape, pn: dict[str, Node],
@@ -277,7 +272,7 @@ def visual_embedding_rows(tape: Tape, pn: dict[str, Node],
     is; other segments are stacked into one first.
     """
     stack = segments if isinstance(segments, FrameStack) else FrameStack.of(segments)
-    encoded = _affine_stack(tape, tape.constant(Matrix._wrap(stack.array)), pn, "visual")
+    encoded = _mlp(tape, tape.constant(Matrix._wrap(stack.array)), pn, "visual")
     return tape.l2_normalize_rows(tape.segment_mean(encoded, stack.lengths))
 
 
@@ -287,13 +282,13 @@ def text_embedding_rows(tape: Tape, pn: dict[str, Node],
 
     All tokens of all texts are gathered from the embedding table at once;
     each text's token embeddings are mean-pooled (order-invariant) before
-    one pass through the affine stack. Texts may have different lengths.
+    one pass through the two-layer network. Texts may have different lengths.
     """
     if not texts:
         raise EmptyInputError("no texts to encode")
     flat, lengths = _token_index(texts, pn["text.embed"].value.shape[0])
-    pooled = tape.segment_mean(tape.gather_rows(pn["text.embed"], flat), lengths)
-    return tape.l2_normalize_rows(_affine_stack(tape, pooled, pn, "text"))
+    pooled = tape.embed_mean(pn["text.embed"], flat, lengths)
+    return tape.l2_normalize_rows(_mlp(tape, pooled, pn, "text"))
 
 
 def aggregated_text_rows(tape: Tape, pn: dict[str, Node],
@@ -312,30 +307,3 @@ def aggregated_text_rows(tape: Tape, pn: dict[str, Node],
     members = text_embedding_rows(tape, pn, [t for ts in text_sets for t in ts])
     return tape.l2_normalize_rows(tape.segment_mean(members, sizes))
 
-
-# Eager wrappers: evaluate the same graph on a throwaway tape.
-
-
-def encode_segment(frames: Matrix, params: ModelParams) -> Matrix:
-    """Unit-norm visual embedding (1 x d_emb) of one frame segment."""
-    if frames.rows < 1:
-        raise EmptyInputError("cannot encode an empty segment")
-    if frames.cols != params.d_in:
-        raise ShapeError(f"frames have width {frames.cols}, encoder expects {params.d_in}")
-    tape = Tape()
-    pn = param_nodes(tape, params)
-    return Matrix._wrap(visual_embedding_rows(tape, pn, [frames]).value)
-
-
-def encode_text(tokens: TokenSeq, params: ModelParams) -> Matrix:
-    """Unit-norm textual embedding (1 x d_emb) of one token sequence."""
-    tape = Tape()
-    pn = param_nodes(tape, params)
-    return Matrix._wrap(text_embedding_rows(tape, pn, [tokens]).value)
-
-
-def aggregate_texts(texts: Sequence[TokenSeq], params: ModelParams) -> Matrix:
-    """Unit-norm mean of the individual text embeddings (1 x d_emb)."""
-    tape = Tape()
-    pn = param_nodes(tape, params)
-    return Matrix._wrap(aggregated_text_rows(tape, pn, [list(texts)]).value)

@@ -7,15 +7,17 @@ inputs, computes its value and records, in the same place, its own
 vector-Jacobian product as a closure on the node. `Tape.backward` walks the
 nodes in reverse, calls those closures and skips inputs that need no
 gradient, pushing a scalar loss gradient back to the leaves as one flat
-vector. `Tape.matched_prob` fuses the contrastive pattern
-diag(softmax(q t^T / tau)) into one op with a closed-form gradient; it is the
-only softmax.
+vector. `Tape.matched_prob` fuses diag(softmax(q t^T / tau)) into one op with
+a closed-form gradient and is the only softmax; `Tape.mlp` and
+`Tape.embed_mean` are the encoders' layers, each one node.
 
-Everything is float64 and single-threaded; identical inputs produce
-bit-identical outputs.
+Everything is float64 and single-threaded (`single_thread_blas`); identical
+inputs produce bit-identical outputs.
 """
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +32,19 @@ from .errors import (
 )
 
 NORM_GUARD = 1e-12  # rows with smaller L2 norm are considered degenerate
+_BLOCK_BYTES = 1 << 16  # bound on each temporary of embed_mean's gradient
+
+
+def single_thread_blas() -> None:
+    """Run the OpenBLAS that numpy ships on one thread from now on; no-op without one."""
+    for path in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))  # already loaded by numpy: the same library
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+            if hasattr(lib, symbol):
+                setter = getattr(lib, symbol)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
 
 
 class Matrix:
@@ -56,10 +71,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls._wrap(np.zeros((rows, cols)))
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls._wrap(np.eye(n))
-
     @property
     def array(self) -> np.ndarray:
         """Read-only ndarray view of the values."""
@@ -82,18 +93,6 @@ class Matrix:
         """Flat row-major view of the values."""
         return self._a.reshape(-1)
 
-    def tolist(self) -> list[list[float]]:
-        return self._a.tolist()
-
-    def same_values(self, other: "Matrix") -> bool:
-        """Bit-exact equality."""
-        return self.shape == other.shape and bool(np.array_equal(self._a, other._a))
-
-    def allclose(self, other: "Matrix", tol: float = 1e-12) -> bool:
-        return self.shape == other.shape and bool(
-            np.allclose(self._a, other._a, rtol=0.0, atol=tol)
-        )
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
@@ -105,6 +104,16 @@ VJP = Callable[[np.ndarray, Sequence[bool]], Sequence["np.ndarray | None"]]
 
 def _dims(a: np.ndarray) -> str:
     return f"{a.shape[0]}x{a.shape[1]}"
+
+
+def _segment_lengths(op: str, lengths: Sequence[int], total: int, unit: str) -> np.ndarray:
+    """Segment lengths as intp, checked to split `total` units into non-empty runs."""
+    n = np.array(lengths, dtype=np.intp)
+    if n.ndim != 1 or n.size == 0 or n.min() < 1:
+        raise EmptyInputError(f"{op}: needs one or more segments, none of them empty")
+    if n.sum() != total:
+        raise ShapeError(f"{op}: lengths sum to {int(n.sum())}, not {total} {unit}")
+    return n
 
 
 class Node:
@@ -162,13 +171,26 @@ class Tape:
 
     # -- recorded primitives -------------------------------------------------
 
-    def matmul(self, a: Node, b: Node) -> Node:
-        """Standard matrix product."""
-        x, y = a.value, b.value
-        if x.shape[1] != y.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions differ: {_dims(x)} @ {_dims(y)}")
-        return self._push(x @ y, (a, b), lambda g, needs: (
-            g @ y.T if needs[0] else None, x.T @ g if needs[1] else None))
+    def mlp(self, x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
+        """Two-layer perceptron relu(x w1 + b1) w2 + b2, whose biases are 1xC rows."""
+        xa, wa, ba, wb, bb = (n.value for n in (x, w1, b1, w2, b2))
+        for inner, w, b in ((xa.shape[1], wa, ba), (wa.shape[1], wb, bb)):
+            if w.shape[0] != inner or b.shape != (1, w.shape[1]):
+                raise ShapeError(f"mlp: shapes do not chain: x {_dims(xa)}, w1 {_dims(wa)}, "
+                                 f"b1 {_dims(ba)}, w2 {_dims(wb)}, b2 {_dims(bb)}")
+        h = xa @ wa
+        h += ba
+        mask = h > 0.0
+        np.maximum(h, 0.0, out=h)
+        out = h @ wb
+        out += bb
+
+        def vjp(g, needs):
+            gh = g @ wb.T
+            gh *= mask
+            return (gh @ wa.T if needs[0] else None, xa.T @ gh, gh.sum(axis=0, keepdims=True),
+                    h.T @ g, g.sum(axis=0, keepdims=True))
+        return self._push(out, (x, w1, b1, w2, b2), vjp)
 
     def add(self, a: Node, b: Node) -> Node:
         """Elementwise sum; b may be a 1xC row vector broadcast over a's rows."""
@@ -182,10 +204,6 @@ class Tape:
     def scale(self, a: Node, c: float) -> Node:
         c = float(c)
         return self._push(a.value * c, (a,), lambda g, needs: (g * c,))
-
-    def relu(self, a: Node) -> Node:
-        x = a.value
-        return self._push(np.maximum(x, 0.0), (a,), lambda g, needs: (g * (x > 0.0),))
 
     def log(self, a: Node) -> Node:
         x = a.value
@@ -207,13 +225,34 @@ class Tape:
     def segment_mean(self, a: Node, lengths: Sequence[int]) -> Node:
         """Mean over consecutive row segments of the given lengths, one row each."""
         x = a.value
-        n = np.array(lengths, dtype=np.intp)
-        if n.ndim != 1 or n.size == 0 or n.min() < 1:
-            raise EmptyInputError("segment_mean: needs one or more segments, none of them empty")
-        if n.sum() != x.shape[0]:
-            raise ShapeError(f"segment_mean: lengths sum to {int(n.sum())}, not {x.shape[0]} rows")
+        n = _segment_lengths("segment_mean", lengths, x.shape[0], "rows")
         return self._push(np.add.reduceat(x, np.cumsum(n) - n, axis=0) / n[:, None], (a,),
                           lambda g, needs: (np.repeat(g / n[:, None], n, axis=0),))
+
+    def embed_mean(self, table: Node, ids: Sequence[int], lengths: Sequence[int]) -> Node:
+        """segment_mean of the table rows of each bag of consecutive ids: an embedding bag."""
+        rows, cols = table.value.shape
+        idx = np.asarray(ids, dtype=np.intp)
+        n = _segment_lengths("embed_mean", lengths, idx.size, "ids")
+        if idx.ndim != 1 or idx.min() < 0 or idx.max() >= rows:
+            raise ShapeError(f"embed_mean: ids must be one flat run of rows of a {rows}-row table")
+
+        def vjp(g, needs):
+            # A bincount over (id, column) cells adds each cell's token shares
+            # in token order: the bits of np.add.at. Blocks of equal width,
+            # as wide as _BLOCK_BYTES allows, share one cells array.
+            share = g / n[:, None]
+            fit = _BLOCK_BYTES // (8 * idx.size)
+            width = max(w for w in range(1, cols + 1) if cols % w == 0 and (w <= fit or w == 1))
+            cells = (idx[:, None] * width + np.arange(width)).ravel()
+            gx = np.empty((rows, cols))
+            for lo in range(0, cols, width):
+                weights = np.repeat(share[:, lo:lo + width], n, axis=0).ravel()
+                gx[:, lo:lo + width] = np.bincount(cells, weights=weights,
+                                                   minlength=rows * width).reshape(rows, width)
+            return (gx,)
+        return self._push(np.add.reduceat(table.value[idx], np.cumsum(n) - n, axis=0)
+                          / n[:, None], (table,), vjp)
 
     def concat_rows(self, parts: Sequence[Node]) -> Node:
         if not parts:
@@ -227,22 +266,6 @@ class Tape:
         return self._push(np.concatenate([p.value for p in parts]), tuple(parts),
                           lambda g, needs: [np.ascontiguousarray(g[lo:hi])
                                             for lo, hi in zip(offsets, offsets[1:])])
-
-    def gather_rows(self, a: Node, indices: Sequence[int]) -> Node:
-        idx = np.array(indices, dtype=np.intp)
-        rows, cols = a.value.shape
-        if idx.ndim != 1 or idx.size == 0:
-            raise EmptyInputError("gather_rows: need at least one index")
-        if idx.min() < 0 or idx.max() >= rows:
-            raise ShapeError(f"gather_rows: index out of range for {rows} rows")
-
-        def vjp(g, needs):
-            # One bincount over (row, column) cells sums each cell's
-            # contributions in index order: the bits of np.add.at, faster.
-            cells = (idx[:, None] * cols + np.arange(cols)).ravel()
-            gx = np.bincount(cells, weights=g.ravel(), minlength=rows * cols)
-            return (gx.reshape(rows, cols),)
-        return self._push(a.value[idx], (a,), vjp)
 
     def matched_prob(self, queries: Node, targets: Node, tau: float) -> tuple[Node, np.ndarray]:
         """Row i's softmax probability of target i: diag(softmax(q t^T / tau)), as 1xB.
@@ -261,19 +284,22 @@ class Tape:
         # product with the contiguous transpose; the copy pins the bits.
         t_cols = np.ascontiguousarray(targets.value.T)
         sims = q @ t_cols
-        z = sims / tau
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
+        probs = sims / tau  # the softmax is taken in place
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        diag = np.diagonal(probs).copy()
 
         def vjp(g, needs):
-            gp = np.zeros(probs.shape)
-            np.fill_diagonal(gp, g[0])
-            inner = (gp * probs).sum(axis=1, keepdims=True)
-            gs = probs * (gp - inner) / tau
+            # d diag_i / d z_ij = p_ii (delta_ij - p_ij), so row i of the
+            # softmax gradient is -g_i p_ii p_ij, plus g_i p_ii on the diagonal.
+            inner = g[0] * diag
+            gs = probs * -inner[:, None]
+            np.fill_diagonal(gs, diag * (g[0] - inner))
+            gs /= tau
             return (gs @ t_cols.T if needs[0] else None,
                     np.ascontiguousarray((q.T @ gs).T) if needs[1] else None)
-        node = self._push(np.diagonal(probs).copy()[None, :], (queries, targets), vjp)
-        return node, sims
+        return self._push(diag[None, :], (queries, targets), vjp), sims
 
     def sum_all(self, a: Node) -> Node:
         """Sum of all entries as a 1x1 node."""

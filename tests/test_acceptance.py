@@ -26,12 +26,7 @@ from hiercl.corpus import (
     sample_phase_batch,
     sample_video_batch,
 )
-from hiercl.encoders import (
-    EncoderDims,
-    ModelParams,
-    encode_segment,
-    encode_text,
-)
+from hiercl.encoders import EncoderDims, ModelParams
 from hiercl.numerics import Matrix
 from hiercl.objectives import loss_clip, loss_phase, loss_video
 from hiercl.seeding import substream
@@ -43,6 +38,8 @@ from hiercl.trainer import (
     untrained_checkpoint,
 )
 from hiercl.zeroshot import classify, compute_metrics, default_prompts, evaluate
+
+from eager import encode_segment, encode_text
 
 
 def _verdict(capsys, num: int, name: str, ok: bool, detail: str) -> None:
@@ -91,7 +88,7 @@ def test_criterion_1_gradient_correctness(capsys):
 
 
 def _identity_params(d: int) -> ModelParams:
-    eye = Matrix.identity(d)
+    eye = Matrix(np.eye(d))
     zero = Matrix.zeros(1, d)
     return ModelParams.from_blocks(
         EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),

@@ -3,8 +3,12 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from blas_threads import openblas_threads
 
 from hiercl.cli import main
 from hiercl.errors import CorpusFormatError
@@ -534,3 +538,24 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("hiercl ")
+
+
+# ---------------------------------------------------------------------------
+# One BLAS thread
+# ---------------------------------------------------------------------------
+
+
+def test_blas_runs_on_one_thread():
+    if openblas_threads() is None:
+        pytest.skip("numpy ships no OpenBLAS")
+    # this session, pinned by the root conftest
+    assert openblas_threads() == 1
+    # a fresh process with OpenBLAS at its own default, once the entry point ran
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    probe = Path(__file__).resolve().parent / "blas_threads.py"
+    out = subprocess.run([sys.executable, str(probe)], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["1"]

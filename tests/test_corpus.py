@@ -37,6 +37,7 @@ from hiercl.errors import (
     CorpusFormatError,
     InsufficientDataError,
     SchemaVersionError,
+    ShapeError,
 )
 from hiercl.numerics import Matrix
 from hiercl.seeding import substream
@@ -131,7 +132,8 @@ def test_structure(corpus):
 
 def test_generation_is_deterministic(corpus):
     again = generate_synthetic(SMALL)
-    assert corpus.videos[0].clips[0].frames.same_values(again.videos[0].clips[0].frames)
+    assert np.array_equal(corpus.videos[0].clips[0].frames.array,
+                          again.videos[0].clips[0].frames.array)
     assert corpus.videos[-1].abstract == again.videos[-1].abstract
     other = generate_synthetic(GeneratorConfig(**{**SMALL.__dict__, "seed": 10}))
     assert corpus.videos[0].abstract != other.videos[0].abstract
@@ -204,7 +206,7 @@ def test_roundtrip_is_bit_exact(corpus, tmp_path):
         assert v1.video_id == v2.video_id
         assert v1.abstract == v2.abstract
         for c1, c2 in zip(v1.clips, v2.clips):
-            assert c1.frames.same_values(c2.frames)
+            assert np.array_equal(c1.frames.array, c2.frames.array)
             assert c1.narration_a == c2.narration_a
         for p1, p2 in zip(v1.phases, v2.phases):
             assert (p1.start, p1.end, p1.concept, p1.phase_class) == \
@@ -325,7 +327,7 @@ def test_load_rejects_v1_corpus(corpus, tmp_path, capsys):
     for line, video in zip(lines[1:], corpus.videos):
         rec = json.loads(line)
         for c, clip in zip(rec["clips"], video.clips):
-            c["frames"] = clip.frames.tolist()
+            c["frames"] = clip.frames.array.tolist()
         v1.append(json.dumps(rec))
     path.write_text("\n".join(v1) + "\n")
     with pytest.raises(SchemaVersionError, match="hiercorpus/1.*hiercorpus/2"):
@@ -348,6 +350,15 @@ EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
             1.7976931348623157e308, -1.7976931348623157e308]
 
 
+def test_hand_built_corpus_rejects_frames_of_another_width():
+    cfg = GeneratorConfig(num_videos=1, num_classes=1, d_in=3, vocab_size=4)
+    clips = tuple(VideoClip(f"c{i}", Matrix(np.ones((2, width))), (0, 3), (1,))
+                  for i, width in enumerate((3, 4)))
+    video = LectureVideo("v0", clips, (PhaseSegment(0, 2, (2,), 0),), (3, 0))
+    with pytest.raises(ShapeError, match="clip c1 has frames 4 wide, not the config's d_in=3"):
+        Corpus(cfg, (video,))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(
     arrays(np.float64, st.tuples(st.integers(1, 3), st.just(3)),
@@ -365,7 +376,7 @@ def test_roundtrip_preserves_frame_bits(frames):
         loaded = load_corpus(path)
     assert len(loaded.videos[0].clips) == len(clips)
     for before, after in zip(clips, loaded.videos[0].clips):
-        assert before.frames.same_values(after.frames)
+        assert np.array_equal(before.frames.array, after.frames.array)
         assert before.frames.array.tobytes() == after.frames.array.tobytes()
 
 
@@ -406,10 +417,13 @@ RECORD_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
 def test_load_rejects_bad_record_with_exit_4(fault, corpus, tmp_path, capsys):
-    videos = list(corpus.videos)
-    videos[1] = RECORD_FAULTS[fault](videos[1])
     path = tmp_path / "c.jsonl"
-    save_corpus(replace(corpus, videos=tuple(videos)), path)
+    save_corpus(corpus, path)
+    # Only the file holds the faulty video: a Corpus rejects some faults itself.
+    lines = path.read_text().splitlines(keepends=True)
+    bad = corpus_module._video_to_record(RECORD_FAULTS[fault](corpus.videos[1]))
+    lines[2] = json.dumps(bad) + "\n"
+    path.write_text("".join(lines))
     with pytest.raises(CorpusFormatError, match="line 3"):
         load_corpus(path)
     assert _eval_exit_code(path, tmp_path) == 4

@@ -45,6 +45,12 @@ def tape_check(build, leaves: dict[str, Matrix], **kwargs) -> float:
     return finite_diff_check(tape_fn(build, blocks), x, blocks, **kwargs)
 
 
+def matmul(t, a, b):
+    """The node a @ b with its textbook gradient: a linear readout for building test losses."""
+    x, y = a.value, b.value
+    return t._push(x @ y, (a, b), lambda g, needs: (g @ y.T, x.T @ g))
+
+
 # ---------------------------------------------------------------------------
 # Matrix basics
 # ---------------------------------------------------------------------------
@@ -71,17 +77,9 @@ def test_matrix_rejects_non_2d():
 
 
 def test_constructors():
-    assert Matrix.identity(3).array.tolist() == np.eye(3).tolist()
     assert Matrix.zeros(2, 4).shape == (2, 4)
     assert Matrix(np.array([[1, 2, 3]])).shape == (1, 3)
     assert Matrix([[1, 2], [3, 4]]).array[1].tolist() == [3.0, 4.0]
-
-
-def test_same_values_is_bit_exact():
-    a = Matrix([[0.1 + 0.2]])
-    b = Matrix([[0.3]])
-    assert not a.same_values(b)
-    assert a.allclose(b, tol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +93,27 @@ def value(op, *inputs, **kwargs):
     return op(t, *(t.constant(m) for m in inputs), **kwargs).value
 
 
-def test_matmul_matches_numpy():
+def mlp_leaves(rng, rows=5, d_in=3, hidden=6, d_out=4):
+    return {"x": rand(rng, rows, d_in), "w1": rand(rng, d_in, hidden),
+            "b1": rand(rng, 1, hidden), "w2": rand(rng, hidden, d_out), "b2": rand(rng, 1, d_out)}
+
+
+def test_mlp_matches_matmul_add_relu_matmul_add():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        a, b = rand(rng, 3, 5), rand(rng, 5, 2)
-        assert np.allclose(value(Tape.matmul, a, b), a.array @ b.array)
+        x, w1, b1, w2, b2 = (m.array for m in mlp_leaves(rng).values())
+        got = value(Tape.mlp, *(Matrix(a) for a in (x, w1, b1, w2, b2)))
+        assert np.array_equal(got, np.maximum(x @ w1 + b1, 0.0) @ w2 + b2)
 
 
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"2x3 @ 2x3"):
-        value(Tape.matmul, Matrix.zeros(2, 3), Matrix.zeros(2, 3))
+def test_mlp_shape_error_names_every_shape():
+    leaves = mlp_leaves(np.random.default_rng(0))
+    for name, bad in (("x", Matrix.zeros(5, 2)), ("b1", Matrix.zeros(5, 6)),
+                      ("w2", Matrix.zeros(5, 4)), ("b2", Matrix.zeros(1, 3))):
+        with pytest.raises(ShapeError, match="mlp: shapes do not chain") as err:
+            value(Tape.mlp, *{**leaves, name: bad}.values())
+        dims = {n: "x".join(map(str, (bad if n == name else m).shape)) for n, m in leaves.items()}
+        assert ", ".join(f"{n} {d}" for n, d in dims.items()) in str(err.value)
 
 
 def test_add_broadcasts_single_row():
@@ -122,7 +131,6 @@ def test_elementwise_ops():
     rng = np.random.default_rng(1)
     a = rand(rng, 4, 3)
     assert np.allclose(value(Tape.scale, a, c=-2.5), -2.5 * a.array)
-    assert np.allclose(value(Tape.relu, a), np.maximum(a.array, 0.0))
     pos = Matrix(np.abs(a.array) + 0.1)
     assert np.allclose(value(Tape.log, pos), np.log(pos.array))
 
@@ -216,7 +224,7 @@ def test_segment_mean_gradient_matches_finite_differences(lengths, seed):
 
     def build(t, n):
         pooled = t.segment_mean(t.l2_normalize_rows(n["x"]), lengths)
-        return t.sum_all(t.matmul(t.matmul(t.constant(left), pooled), t.constant(right)))
+        return t.sum_all(matmul(t, matmul(t, t.constant(left), pooled), t.constant(right)))
 
     leaves = {"x": Matrix(np.random.default_rng(seed + 1).standard_normal((sum(lengths), 3)))}
     x, blocks = flatten(leaves)
@@ -236,11 +244,17 @@ def test_concat_and_gather():
     t = Tape()
     cat = t.concat_rows([t.constant(a), t.constant(b)])
     assert cat.value.shape == (3, 2)
-    assert t.gather_rows(cat, [2, 0]).value.tolist() == [[5.0, 6.0], [1.0, 2.0]]
-    with pytest.raises(ShapeError):
-        t.gather_rows(cat, [3])
-    with pytest.raises(EmptyInputError):
-        t.gather_rows(cat, [])
+    # bags of one id gather rows; longer bags average them
+    assert t.embed_mean(cat, [2, 0], [1, 1]).value.tolist() == [[5.0, 6.0], [1.0, 2.0]]
+    assert t.embed_mean(cat, [2, 0, 1], [2, 1]).value.tolist() == [[3.0, 4.0], [3.0, 4.0]]
+    for ids in ([3], [-1]):
+        with pytest.raises(ShapeError, match="3-row table"):
+            t.embed_mean(cat, ids, [1])
+    with pytest.raises(ShapeError, match="sum to 2, not 3 ids"):
+        t.embed_mean(cat, [0, 1, 2], [1, 1])
+    for lengths in ([], [2, 0]):
+        with pytest.raises(EmptyInputError):
+            t.embed_mean(cat, [0, 1], lengths)
     with pytest.raises(ShapeError, match="column counts differ"):
         t.concat_rows([cat, t.constant(Matrix.zeros(1, 3))])
     with pytest.raises(EmptyInputError):
@@ -262,14 +276,19 @@ def test_tape_forward_equals_eager():
     a, b = rand(rng, 3, 4), rand(rng, 4, 2)
     t = Tape()
     na, nb = t.leaf(a), t.leaf(b)
-    out = t.relu(t.matmul(na, nb))
-    assert np.array_equal(out.value, np.maximum(a.array @ b.array, 0.0))
+    out = t.mlp(t.embed_mean(na, [1, 0, 1], [1, 2]), nb, t.constant(Matrix.zeros(1, 2)),
+                t.constant(Matrix([[1.0], [-1.0]])), t.constant(Matrix([[0.5]])))
+    pooled = np.add.reduceat(a.array[[1, 0, 1]], [0, 1], axis=0) / np.array([[1.0], [2.0]])
+    want = np.maximum(pooled @ b.array + 0.0, 0.0) @ np.array([[1.0], [-1.0]]) + 0.5
+    assert np.array_equal(out.value, want)
 
 
 def test_node_values_are_read_only():
     t = Tape()
     x = t.leaf(Matrix([[1.0, -2.0]]))
-    for node in (x, t.relu(x), t.sum_all(x), t.matched_prob(x, x, 0.5)[0]):
+    one, w = t.constant(Matrix([[1.0]])), t.leaf(Matrix([[1.0], [1.0]]))
+    for node in (x, t.scale(x, 2.0), t.sum_all(x), t.matched_prob(x, x, 0.5)[0],
+                 t.embed_mean(x, [0], [1]), t.mlp(x, w, one, one, one)):
         assert node.value.dtype == np.float64
         with pytest.raises(ValueError):
             node.value[0, 0] = 5.0
@@ -286,7 +305,7 @@ def test_backward_zero_for_untouched_leaf():
     t = Tape()
     x = t.leaf(Matrix([[1.0, 2.0]]))
     unused = t.leaf(Matrix([[3.0, 4.0], [5.0, 6.0]]))
-    loss = t.sum_all(t.matmul(x, t.constant(Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
+    loss = t.sum_all(matmul(t, x, t.constant(Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
     # one flat vector, each leaf's gradient row-major in the order asked for
     assert t.backward(loss, [x, unused]).tolist() == [6.0, 15.0, 0.0, 0.0, 0.0, 0.0]
     assert t.backward(loss, [unused, x]).tolist() == [0.0, 0.0, 0.0, 0.0, 6.0, 15.0]
@@ -294,11 +313,12 @@ def test_backward_zero_for_untouched_leaf():
 
 def _tape_loss(t, n):
     """A deliberately gnarly composite touching every differentiable op."""
-    h = t.relu(t.add(t.matmul(n["x"], n["w"]), n["b"]))
-    h = t.l2_normalize_rows(h)
-    p, _ = t.matched_prob(h, n["t"], 0.3)
+    h = t.mlp(n["x"], n["w"], n["b"], n["v"], n["c"])
+    h = t.l2_normalize_rows(t.concat_rows([h, n["t"]]))
+    p, _ = t.matched_prob(h, h, 0.3)
     pooled = t.segment_mean(n["x"], [2, 2])
-    q, _ = t.matched_prob(pooled, pooled, 1.0)
+    bags = t.embed_mean(n["x"], [3, 0, 0, 1, 3], [2, 3])
+    q, _ = t.matched_prob(pooled, bags, 1.0)
     extra = t.sum_all(t.log(q))
     return t.add(t.scale(t.sum_all(t.log(p)), -0.5), t.scale(extra, 0.01))
 
@@ -309,25 +329,28 @@ def test_composite_gradient_matches_finite_differences():
         "x": rand(rng, 4, 3),
         "w": rand(rng, 3, 5),
         "b": Matrix(rng.standard_normal((1, 5))),
-        "t": rand(rng, 4, 5),
+        "v": rand(rng, 5, 4),
+        "c": Matrix(rng.standard_normal((1, 4))),
+        "t": rand(rng, 2, 4),
     }
     assert tape_check(_tape_loss, leaves, max_coords_per_block=20, seed=0) < 1e-6
 
 
-def test_gather_rows_gradient_accumulates_duplicates():
+def test_embed_mean_gradient_accumulates_duplicates():
     rng = np.random.default_rng(7)
     weights = rand(rng, 4, 2)
 
     def build(t, n):
-        return t.sum_all(t.matmul(t.gather_rows(n["x"], [0, 0, 1]), t.constant(weights)))
+        bags = t.embed_mean(n["x"], [0, 0, 1, 0], [3, 1])
+        return t.sum_all(matmul(t, bags, t.constant(weights)))
 
     leaves = {"x": rand(rng, 3, 4)}
     assert tape_check(build, leaves, seed=1) < 1e-8
-    # row 0 is gathered twice, so its gradient is doubled
+    # row 0 is twice a third of the first bag and all of the second
     x, blocks = flatten(leaves)
     grad = tape_fn(build, blocks)(x)[1].reshape(3, 4)
     row = weights.array.sum(axis=1)
-    assert np.allclose(grad, [2.0 * row, row, np.zeros(4)])
+    assert np.allclose(grad, [(2.0 / 3.0 + 1.0) * row, row / 3.0, np.zeros(4)])
 
 
 def test_concat_rows_gradient_splits():
@@ -335,7 +358,7 @@ def test_concat_rows_gradient_splits():
     left = rand(rng, 2, 6)  # a distinct weight per row, so a misplaced split shows
 
     def build(t, n):
-        return t.sum_all(t.matmul(t.constant(left), t.concat_rows([n["a"], n["b"]])))
+        return t.sum_all(matmul(t, t.constant(left), t.concat_rows([n["a"], n["b"]])))
 
     leaves = {"a": rand(rng, 2, 3), "b": rand(rng, 4, 3)}
     assert tape_check(build, leaves, seed=2) < 1e-8
@@ -344,9 +367,80 @@ def test_concat_rows_gradient_splits():
 def test_tape_records_are_in_creation_order():
     t = Tape()
     x = t.leaf(Matrix([[1.0]]))
-    y = t.relu(x)
+    y = t.scale(x, 2.0)
     z = t.log(y)
     assert x.nid < y.nid < z.nid
+
+
+# ---------------------------------------------------------------------------
+# The fused encoder ops against the composed numpy arithmetic they replace
+# ---------------------------------------------------------------------------
+
+
+def test_mlp_gradient_is_bit_equal_to_the_composed_ops():
+    rng = np.random.default_rng(11)
+    leaves = mlp_leaves(rng, rows=40, d_in=8, hidden=16, d_out=6)
+    x, w1, b1, w2, b2 = (m.array for m in leaves.values())
+    g = rng.standard_normal((40, 6))
+    # matmul -> add -> relu -> matmul -> add, each with its own gradient rule
+    pre = x @ w1 + b1
+    h = np.maximum(pre, 0.0)
+    gh = (g @ w2.T) * (pre > 0.0)
+    want = (gh @ w1.T, x.T @ gh, gh.sum(axis=0, keepdims=True), h.T @ g,
+            g.sum(axis=0, keepdims=True))
+    t = Tape()
+    out = t.mlp(*(t.leaf(m) for m in leaves.values()))
+    got = out.vjp(g, [True] * 5)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # an input that needs no gradient, like the visual encoder's frames, gets none
+    assert out.vjp(g, [False] + [True] * 4)[0] is None
+
+
+def test_mlp_gradient_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    weights = rand(rng, 4, 2)
+
+    def build(t, n):
+        return t.sum_all(matmul(t, t.mlp(n["x"], n["w1"], n["b1"], n["w2"], n["b2"]),
+                                t.constant(weights)))
+
+    assert tape_check(build, mlp_leaves(rng), seed=3) < 1e-6
+
+
+def assert_embed_mean_matches_oracle(rows, cols, lengths, seed):
+    """embed_mean's value and gradient, bit for bit, against gather + mean and np.add.at."""
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((rows, cols))
+    n = np.array(lengths)
+    ids = rng.integers(0, rows, n.sum())
+    g = rng.standard_normal((n.size, cols))
+    t = Tape()
+    node = t.embed_mean(t.leaf(Matrix(table)), ids, lengths)
+    want = np.add.reduceat(table[ids], np.cumsum(n) - n, axis=0) / n[:, None]
+    assert np.array_equal(node.value, want)
+    # each token adds its bag's gradient share to its row, in token order
+    want = np.zeros((rows, cols))
+    np.add.at(want, ids, np.repeat(g / n[:, None], n, axis=0))
+    (got,) = node.vjp(g, [True])
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 9), st.lists(st.integers(1, 12), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_embed_mean_is_bit_equal_to_add_at_on_ragged_bags(rows, cols, lengths, seed):
+    # at most 6 table rows, so most ids repeat within and across bags
+    assert_embed_mean_matches_oracle(rows, cols, lengths, seed)
+
+
+@pytest.mark.parametrize("rows, cols, lengths", [
+    (256, 32, [10] * 120 + [8] * 60 + [24] * 10),  # a paper-scale pooled text batch
+    (50, 6, [500] * 6),  # three blocks of two columns
+    (50, 7, [500] * 6),  # 7 columns split only into blocks of one
+    (3, 2, [9000]),  # one column alone is over the byte bound
+])
+def test_embed_mean_is_bit_equal_to_add_at_across_column_blocks(rows, cols, lengths):
+    assert_embed_mean_matches_oracle(rows, cols, lengths, seed=rows * cols)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +522,7 @@ def test_matched_prob_gradient_matches_finite_differences(b):
 
     def separate(t, n):
         p, _ = t.matched_prob(n["q"], n["t"], 0.3)
-        return t.sum_all(t.matmul(p, t.constant(weights)))
+        return t.sum_all(matmul(t, p, t.constant(weights)))
 
     def same_node(t, n):
         p, _ = t.matched_prob(n["x"], n["x"], 0.3)
@@ -451,7 +545,7 @@ def test_matched_prob_gradient_with_a_constant_input(b, fixed_side):
 
     def build(t, n):
         p, _ = t.matched_prob(*pair(n["x"], t.constant(fixed)), 0.3)
-        return t.sum_all(t.matmul(p, t.constant(weights)))
+        return t.sum_all(matmul(t, p, t.constant(weights)))
 
     assert tape_check(build, {"x": x}, seed=b) < 1e-6
     t = Tape()
@@ -461,7 +555,7 @@ def test_matched_prob_gradient_with_a_constant_input(b, fixed_side):
     t2 = Tape()
     free, other = t2.leaf(x), t2.leaf(fixed)
     p, _ = t2.matched_prob(*pair(free, other), 0.3)
-    full = t2.backward(t2.sum_all(t2.matmul(p, t2.constant(weights))), [free, other])
+    full = t2.backward(t2.sum_all(matmul(t2, p, t2.constant(weights))), [free, other])
     assert grad.shape == (b * 4,)
     assert np.array_equal(grad, full[:b * 4])
     # The rule computes no gradient for an input that needs none.
@@ -469,9 +563,35 @@ def test_matched_prob_gradient_with_a_constant_input(b, fixed_side):
     assert [g is None for g in p.vjp(np.ones((1, b)), needs)] == [not n for n in needs]
 
 
+@pytest.mark.parametrize("b", [1, 3, 190])
+@pytest.mark.parametrize("fixed_side", [None, "targets", "queries"])
+def test_matched_prob_gradient_is_bit_equal_to_the_dense_form(b, fixed_side):
+    rng = np.random.default_rng(60 + b)
+    q, tg, tau = 0.3 * rng.standard_normal((b, 16)), 0.3 * rng.standard_normal((b, 16)), 0.07
+    g = rng.standard_normal((1, b))
+    t = Tape()
+    qn = (t.constant if fixed_side == "queries" else t.leaf)(Matrix(q))
+    tn = (t.constant if fixed_side == "targets" else t.leaf)(Matrix(tg))
+    p, _ = t.matched_prob(qn, tn, tau)
+    needs = [qn.needs_grad, tn.needs_grad]
+    got = p.vjp(g, needs)
+    # the B x B form: the incoming gradient on the diagonal of a zero matrix
+    t_cols = np.ascontiguousarray(tg.T)
+    z = q @ t_cols / tau
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    gp = np.zeros((b, b))
+    np.fill_diagonal(gp, g[0])
+    inner = (gp * probs).sum(axis=1, keepdims=True)
+    gs = probs * (gp - inner) / tau
+    want = (gs @ t_cols.T, np.ascontiguousarray((q.T @ gs).T))
+    for need, a, w in zip(needs, got, want):
+        assert np.array_equal(a, w) if need else a is None
+
+
 def test_matched_prob_rejects_bad_tau_and_shapes():
     t = Tape()
-    q = t.leaf(Matrix.identity(2))
+    q = t.leaf(Matrix(np.eye(2)))
     for bad in (0.0, float("nan")):
         with pytest.raises(ConfigError, match="temperature must be positive"):
             t.matched_prob(q, q, bad)

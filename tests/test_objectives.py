@@ -5,6 +5,7 @@ nonnegative inputs (identity weights, zero biases, one-hot token table), so
 tests can place embeddings at chosen positions and know every cosine.
 """
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -20,17 +21,14 @@ from hiercl.corpus import (
     sample_phase_batch,
     sample_video_batch,
 )
-from hiercl.encoders import (
-    EncoderDims,
-    ModelParams,
-    aggregate_texts,
-    encode_segment,
-    encode_text,
-)
+from hiercl.encoders import EncoderDims, ModelParams
 from hiercl.errors import ConfigError, EmptyInputError
 from hiercl.numerics import Matrix, finite_diff_check
 from hiercl.objectives import _sim_diagnostics, loss_clip, loss_phase, loss_single, loss_video
 from hiercl.seeding import substream
+from hiercl.trainer import TrainConfig
+
+from eager import aggregate_texts, encode_segment, encode_text
 
 LEAF_NAMES = ["visual.w1", "visual.b1", "visual.w2", "visual.b2",
               "text.embed", "text.w1", "text.b1", "text.w2", "text.b2"]
@@ -42,7 +40,7 @@ LEAF_NAMES = ["visual.w1", "visual.b1", "visual.w2", "visual.b2",
 
 
 def identity_params(d: int) -> ModelParams:
-    eye = Matrix.identity(d)
+    eye = Matrix(np.eye(d))
     zero_bias = Matrix.zeros(1, d)
     return ModelParams.from_blocks(
         EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
@@ -401,3 +399,38 @@ def test_sim_diagnostics_match_list_formula():
     for shapes in ([16, 16], [190], [1], [1, 1], [1, 4], [3, 1, 120], [60, 60]):
         sims = [rng.uniform(-1.0, 1.0, (n, n)) for n in shapes]
         assert _sim_diagnostics(sims) == _list_sim_diagnostics(sims)
+
+
+# ---------------------------------------------------------------------------
+# Memory: the bytes one loss with its gradient holds at once
+# ---------------------------------------------------------------------------
+
+
+def traced_peak(fn) -> int:
+    """Most bytes held at once during one call of fn beyond those held before it.
+
+    The first call fills every cache, so the traced second call allocates
+    only what each call does.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_of_one_loss_with_its_gradient():
+    # A paper-scale pooled step, and a desk video step, on the seed-0 corpus.
+    corpus = generate_synthetic(GeneratorConfig(seed=0))
+    params = ModelParams.initialize(EncoderDims(), np.random.default_rng(0))
+    paper, rng = TrainConfig.paper_scale(), np.random.default_rng(0)
+    pools = (sample_clip_batch(corpus, paper.b_clip, rng, k=paper.k_clip),
+             sample_phase_batch(corpus, paper.b_phase, rng, k=paper.k_phase),
+             sample_video_batch(corpus, paper.b_video, rng, k=paper.k_video))
+    assert traced_peak(lambda: loss_single(*pools, params)) <= 3_000_000
+    desk = TrainConfig()
+    video = sample_video_batch(corpus, desk.b_video, np.random.default_rng(0), k=desk.k_video)
+    assert traced_peak(lambda: loss_video(video, params)) <= 800_000

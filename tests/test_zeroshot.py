@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hiercl.corpus import GeneratorConfig, generate_synthetic
-from hiercl.encoders import EncoderDims, ModelParams, encode_text
+from hiercl.encoders import EncoderDims, ModelParams
 from hiercl.errors import (
     ConfigError,
     ContractError,
@@ -38,7 +38,7 @@ TINY = dict(m=1, n=1, l=1, b_clip=3, b_phase=2, b_video=2,
 
 
 def identity_params(d: int) -> ModelParams:
-    eye = Matrix.identity(d)
+    eye = Matrix(np.eye(d))
     zero_bias = Matrix.zeros(1, d)
     return ModelParams.from_blocks(
         EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
@@ -134,13 +134,13 @@ def test_embed_prompts_duplication_invariant():
 
 
 def test_classify_picks_nearest_basis():
-    classes = Matrix.identity(3)
+    classes = Matrix(np.eye(3))
     visual = Matrix(np.array([[0.1, 0.9, 0.0], [2.0, 0.1, 0.0], [0.0, 0.0, 5.0]]))
     assert classify(visual, classes) == [1, 0, 2]
 
 
 def test_classify_tie_goes_to_lowest_index():
-    classes = Matrix.identity(2)
+    classes = Matrix(np.eye(2))
     visual = Matrix(np.array([[0.5, 0.5]]))
     assert classify(visual, classes) == [0]
 
