@@ -58,7 +58,14 @@ from .trainer import (
     save_checkpoint,
     train,
 )
-from .zeroshot import default_prompts, evaluate, format_table, load_prompts, save_prompts
+from .zeroshot import (
+    check_prompts,
+    default_prompts,
+    evaluate,
+    format_table,
+    load_prompts,
+    save_prompts,
+)
 
 DEFAULT_HOLDOUT = 0.25
 
@@ -246,6 +253,7 @@ def cmd_eval(args) -> int:
     _compatible(ckpt, corpus)
     prompts = load_prompts(args.prompts) if args.prompts else default_prompts(corpus.config)
     split = _eval_split(corpus, args.split, holdout)
+    check_prompts(prompts, split, ckpt.params.vocab_size)
     out_dir = args.out
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")

@@ -34,7 +34,6 @@ from .errors import (
     ContractError,
     EmptyInputError,
     ShapeError,
-    VocabularyError,
     check_ints,
 )
 from .numerics import Matrix, Node, Tape
@@ -244,18 +243,13 @@ def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
     return {name: tape.leaf(m) for name, m in params.leaves()}
 
 
-def _token_index(texts: Sequence[TokenSeq], vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _token_index(texts: Sequence[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
     """Every text's token ids as one flat intp array, and each text's length."""
     lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
     if not lengths.all():
         raise EmptyInputError("text has no tokens")
-    flat = np.fromiter(chain.from_iterable(texts), dtype=np.intp, count=int(lengths.sum()))
-    bad = (flat < 0) | (flat >= vocab_size)
-    if bad.any():
-        raise VocabularyError(
-            f"token id {int(flat[bad.argmax()])} outside vocabulary of size {vocab_size}"
-        )
-    return flat, lengths
+    return np.fromiter(chain.from_iterable(texts), dtype=np.intp,
+                       count=int(lengths.sum())), lengths
 
 
 def _mlp(tape: Tape, x: Node, pn: dict[str, Node], prefix: str) -> Node:
@@ -286,8 +280,7 @@ def text_embedding_rows(tape: Tape, pn: dict[str, Node],
     """
     if not texts:
         raise EmptyInputError("no texts to encode")
-    flat, lengths = _token_index(texts, pn["text.embed"].value.shape[0])
-    pooled = tape.embed_mean(pn["text.embed"], flat, lengths)
+    pooled = tape.embed_mean(pn["text.embed"], *_token_index(texts))
     return tape.l2_normalize_rows(_mlp(tape, pooled, pn, "text"))
 
 

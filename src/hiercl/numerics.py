@@ -7,8 +7,9 @@ inputs, computes its value and records, in the same place, its own
 vector-Jacobian product as a closure on the node. `Tape.backward` walks the
 nodes in reverse, calls those closures and skips inputs that need no
 gradient, pushing a scalar loss gradient back to the leaves as one flat
-vector. `Tape.matched_prob` fuses diag(softmax(q t^T / tau)) into one op with
-a closed-form gradient and is the only softmax; `Tape.mlp` and
+vector. `Tape.info_nce` is the whole contrastive loss, -(1/B) sum_i log of
+the sum over routes of diag(softmax(q t^T / tau))_i, in one node with a
+closed-form gradient; it holds the only softmax. `Tape.mlp` and
 `Tape.embed_mean` are the encoders' layers, each one node.
 
 Everything is float64 and single-threaded (`single_thread_blas`); identical
@@ -29,6 +30,7 @@ from .errors import (
     EmptyInputError,
     NumericError,
     ShapeError,
+    VocabularyError,
 )
 
 NORM_GUARD = 1e-12  # rows with smaller L2 norm are considered degenerate
@@ -192,23 +194,6 @@ class Tape:
                     h.T @ g, g.sum(axis=0, keepdims=True))
         return self._push(out, (x, w1, b1, w2, b2), vjp)
 
-    def add(self, a: Node, b: Node) -> Node:
-        """Elementwise sum; b may be a 1xC row vector broadcast over a's rows."""
-        x, y = a.value, b.value
-        broadcast = y.shape != x.shape
-        if broadcast and y.shape != (1, x.shape[1]):
-            raise ShapeError(f"add: shapes differ: {_dims(x)} vs {_dims(y)}")
-        return self._push(x + y, (a, b), lambda g, needs: (
-            g, g.sum(axis=0, keepdims=True) if broadcast else g))
-
-    def scale(self, a: Node, c: float) -> Node:
-        c = float(c)
-        return self._push(a.value * c, (a,), lambda g, needs: (g * c,))
-
-    def log(self, a: Node) -> Node:
-        x = a.value
-        return self._push(np.log(x), (a,), lambda g, needs: (g / x,))
-
     def l2_normalize_rows(self, a: Node) -> Node:
         """Scale each row to unit Euclidean norm."""
         x = a.value
@@ -233,9 +218,12 @@ class Tape:
         """segment_mean of the table rows of each bag of consecutive ids: an embedding bag."""
         rows, cols = table.value.shape
         idx = np.asarray(ids, dtype=np.intp)
+        if idx.ndim != 1:
+            raise ShapeError(f"embed_mean: ids must be one flat run, got {idx.ndim}-D")
         n = _segment_lengths("embed_mean", lengths, idx.size, "ids")
-        if idx.ndim != 1 or idx.min() < 0 or idx.max() >= rows:
-            raise ShapeError(f"embed_mean: ids must be one flat run of rows of a {rows}-row table")
+        if idx.min() < 0 or idx.max() >= rows:
+            bad = idx[(idx < 0) | (idx >= rows)][0]
+            raise VocabularyError(f"token id {int(bad)} outside vocabulary of size {rows}")
 
         def vjp(g, needs):
             # A bincount over (id, column) cells adds each cell's token shares
@@ -267,45 +255,55 @@ class Tape:
                           lambda g, needs: [np.ascontiguousarray(g[lo:hi])
                                             for lo, hi in zip(offsets, offsets[1:])])
 
-    def matched_prob(self, queries: Node, targets: Node, tau: float) -> tuple[Node, np.ndarray]:
-        """Row i's softmax probability of target i: diag(softmax(q t^T / tau)), as 1xB.
+    def info_nce(self, routes: Sequence[tuple[Node, Node]],
+                 tau: float) -> tuple[Node, list[np.ndarray]]:
+        """Contrastive loss -(1/B) sum_i log sum_r p_r(i) over B rows, as a 1x1 node.
 
-        The softmax subtracts each row's max before exponentiating. Also
-        returns the similarity matrix q t^T.
+        p_r(i) is row i's softmax probability of target i in route r:
+        diag(softmax(q t^T / tau)) for that route's (queries, targets),
+        each softmax taken after subtracting its row's max. Routes add in
+        order. Also returns each route's similarity matrix q t^T.
         """
-        if queries.value.shape != targets.value.shape:
-            raise ShapeError(f"matched_prob: queries {queries.value.shape} and targets "
-                             f"{targets.value.shape} must pair row for row")
+        if not routes:
+            raise EmptyInputError("info_nce: no routes")
+        shapes = {n.value.shape for route in routes for n in route}
+        if len(shapes) > 1:
+            raise ShapeError("info_nce: every route's queries and targets must pair row for "
+                             f"row, in one shape; got shapes {sorted(shapes)}")
         if not tau > 0.0:
             raise ConfigError(f"softmax temperature must be positive, got {tau}")
         tau = float(tau)
-        q = queries.value
-        # BLAS may round q @ t.T through a strided view differently from a
-        # product with the contiguous transpose; the copy pins the bits.
-        t_cols = np.ascontiguousarray(targets.value.T)
-        sims = q @ t_cols
-        probs = sims / tau  # the softmax is taken in place
-        probs -= probs.max(axis=1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-        diag = np.diagonal(probs).copy()
+        c = -1.0 / routes[0][0].value.shape[0]
+        sims, saved, total = [], [], None
+        for queries, targets in routes:
+            q = queries.value
+            # BLAS may round q @ t.T through a strided view differently from a
+            # product with the contiguous transpose; the copy pins the bits.
+            t_cols = np.ascontiguousarray(targets.value.T)
+            sims.append(q @ t_cols)
+            probs = sims[-1] / tau  # the softmax is taken in place
+            probs -= probs.max(axis=1, keepdims=True)
+            np.exp(probs, out=probs)
+            probs /= probs.sum(axis=1, keepdims=True)
+            diag = np.diagonal(probs).copy()
+            total = diag if total is None else total + diag
+            saved.append((q, t_cols, probs, diag))
 
         def vjp(g, needs):
-            # d diag_i / d z_ij = p_ii (delta_ij - p_ij), so row i of the
-            # softmax gradient is -g_i p_ii p_ij, plus g_i p_ii on the diagonal.
-            inner = g[0] * diag
-            gs = probs * -inner[:, None]
-            np.fill_diagonal(gs, diag * (g[0] - inner))
-            gs /= tau
-            return (gs @ t_cols.T if needs[0] else None,
-                    np.ascontiguousarray((q.T @ gs).T) if needs[1] else None)
-        return self._push(diag[None, :], (queries, targets), vjp), sims
-
-    def sum_all(self, a: Node) -> Node:
-        """Sum of all entries as a 1x1 node."""
-        x = a.value
-        return self._push(np.array([[x.sum()]]), (a,),
-                          lambda g, needs: (np.full(x.shape, g[0, 0]),))
+            gp = np.full(total.shape, (g * c)[0, 0]) / total
+            grads = []
+            for (q, t_cols, probs, diag), need_q, need_t in zip(saved, needs[::2], needs[1::2]):
+                # d p_ii / d z_ij = p_ii (delta_ij - p_ij), so row i of the
+                # softmax gradient is -g_i p_ii p_ij, plus g_i p_ii on the diagonal.
+                inner = gp * diag
+                gs = probs * -inner[:, None]
+                np.fill_diagonal(gs, diag * (gp - inner))
+                gs /= tau
+                grads += (gs @ t_cols.T if need_q else None,
+                          np.ascontiguousarray((q.T @ gs).T) if need_t else None)
+            return grads
+        loss = np.array([[np.log(total).sum()]]) * c
+        return self._push(loss, tuple(n for route in routes for n in route), vjp), sims
 
     # -- reverse pass --------------------------------------------------------
 

@@ -10,7 +10,9 @@ At clip level the two probabilities come from the two transcript variants
 of one narration; at phase and video level they come from the visual and
 the aggregated-text query against the same text targets (concepts or
 abstracts). The single-space variant pools positive pairs from all levels
-into one plain InfoNCE instead.
+into one plain InfoNCE instead, with one route. Every loss encodes its
+batch and ends in one `Tape.info_nce` call over its (queries, targets)
+routes.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ def _sim_diagnostics(sims: list[np.ndarray]) -> tuple[float, float]:
     return float(np.mean(pos)), float(np.mean(neg)) if neg.size else 0.0
 
 
-def _finalize(tape: Tape, loss_node: Node, pn: dict[str, Node],
+def _finalize(tape: Tape, pn: dict[str, Node], loss_node: Node,
               sims: list[np.ndarray]) -> LossValue:
     loss = float(loss_node.value[0, 0])
     if not math.isfinite(loss):
@@ -61,15 +63,6 @@ def _finalize(tape: Tape, loss_node: Node, pn: dict[str, Node],
                      pos_sim=pos, neg_sim=neg)
 
 
-def _dual_route_loss(tape: Tape, pn: dict[str, Node],
-                     routes: list[tuple[Node, Node]], tau: float) -> LossValue:
-    """loss = -(1/B) * sum_i log(p_route1(i) + p_route2(i))."""
-    b = routes[0][0].value.shape[0]
-    (p1, s1), (p2, s2) = (tape.matched_prob(q, t, tau) for q, t in routes)
-    loss_node = tape.scale(tape.sum_all(tape.log(tape.add(p1, p2))), -1.0 / b)
-    return _finalize(tape, loss_node, pn, [s1, s2])
-
-
 def loss_clip(batch: ClipBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
     """Clip narrations from both transcript variants as the two routes."""
     tape = Tape()
@@ -77,7 +70,7 @@ def loss_clip(batch: ClipBatch, params: ModelParams, tau: float = 0.07) -> LossV
     visual = visual_embedding_rows(tape, pn, batch.frames)
     text_a = text_embedding_rows(tape, pn, batch.narration_a)
     text_b = text_embedding_rows(tape, pn, batch.narration_b)
-    return _dual_route_loss(tape, pn, [(visual, text_a), (visual, text_b)], tau)
+    return _finalize(tape, pn, *tape.info_nce([(visual, text_a), (visual, text_b)], tau))
 
 
 def loss_phase(batch: PhaseBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
@@ -87,7 +80,7 @@ def loss_phase(batch: PhaseBatch, params: ModelParams, tau: float = 0.07) -> Los
     visual = visual_embedding_rows(tape, pn, batch.frames)
     agg_text = aggregated_text_rows(tape, pn, batch.narrations)
     concepts = text_embedding_rows(tape, pn, batch.concept)
-    return _dual_route_loss(tape, pn, [(visual, concepts), (agg_text, concepts)], tau)
+    return _finalize(tape, pn, *tape.info_nce([(visual, concepts), (agg_text, concepts)], tau))
 
 
 def loss_video(batch: VideoBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
@@ -97,7 +90,7 @@ def loss_video(batch: VideoBatch, params: ModelParams, tau: float = 0.07) -> Los
     visual = visual_embedding_rows(tape, pn, batch.frames)
     agg_text = aggregated_text_rows(tape, pn, batch.narrations)
     abstracts = text_embedding_rows(tape, pn, batch.abstract)
-    return _dual_route_loss(tape, pn, [(visual, abstracts), (agg_text, abstracts)], tau)
+    return _finalize(tape, pn, *tape.info_nce([(visual, abstracts), (agg_text, abstracts)], tau))
 
 
 def loss_single(clip: ClipBatch, phase: PhaseBatch, video: VideoBatch,
@@ -123,7 +116,4 @@ def loss_single(clip: ClipBatch, phase: PhaseBatch, video: VideoBatch,
         raise EmptyInputError("pooled batch has no items at any level")
     queries = visual_parts[0] if len(visual_parts) == 1 else tape.concat_rows(visual_parts)
     targets = text_embedding_rows(tape, pn, texts)
-    m = queries.value.shape[0]
-    p, sims = tape.matched_prob(queries, targets, tau)
-    loss_node = tape.scale(tape.sum_all(tape.log(p)), -1.0 / m)
-    return _finalize(tape, loss_node, pn, [sims])
+    return _finalize(tape, pn, *tape.info_nce([(queries, targets)], tau))

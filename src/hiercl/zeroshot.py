@@ -30,6 +30,7 @@ from .errors import (
     CoverageError,
     SchemaVersionError,
     ShapeError,
+    VocabularyError,
 )
 from .numerics import Matrix, Tape
 from .seeding import substream
@@ -242,16 +243,24 @@ def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[FrameStack, list[int]]:
     return pick_frames(corpus.frame_table, rows.starts[clips], rows.lengths[clips], k_clip), gt
 
 
+def check_prompts(prompts: PromptSet, split: Corpus, vocab_size: int) -> None:
+    """Reject a prompt token outside the vocabulary, and a split class without prompts."""
+    for label, plist in prompts.classes:
+        for token in (t for p in plist for t in p):
+            if not 0 <= token < vocab_size:
+                raise VocabularyError(f"class {label} has prompt token id {token} "
+                                      f"outside vocabulary of size {vocab_size}")
+    split_classes = {seg.phase_class for v in split.videos for seg in v.phases}
+    missing = sorted(split_classes - set(prompts.labels))
+    if missing:
+        raise CoverageError(f"classes {missing} appear in the split but have no prompts")
+
+
 def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> MetricsReport:
     """Zero-shot phase recognition over every clip of a corpus split."""
     if not split.videos:
         raise ContractError("evaluation split has no videos")
-    split_classes = {seg.phase_class for v in split.videos for seg in v.phases}
-    missing = sorted(split_classes - set(prompts.labels))
-    if missing:
-        raise CoverageError(
-            f"classes {missing} appear in the split but have no prompts"
-        )
+    check_prompts(prompts, split, checkpoint.params.vocab_size)
     params = checkpoint.params
     before = params.digest()
     class_rows = embed_prompts(prompts, params)

@@ -525,7 +525,21 @@ def test_exit_5_on_out_of_vocabulary_prompt_token(workspace, tmp_path, capsys):
     doc["classes"][0]["prompts"][0][0] = GEN_SECTION["vocab_size"]
     prompts = tmp_path / "p.json"
     prompts.write_text(json.dumps(doc))
-    assert _run_eval(workspace, tmp_path / "ev", "--prompts", str(prompts)) == 5
+    out = tmp_path / "ev"
+    assert _run_eval(workspace, out, "--prompts", str(prompts)) == 5
+    assert "prompt token id 30 outside vocabulary of size 30" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()  # rejected before the run
+
+
+def test_exit_5_on_split_class_without_prompts(workspace, tmp_path, capsys):
+    doc = json.loads((workspace["root"] / "corpus.prompts.json").read_text())
+    del doc["classes"][2]  # every video holds every class, so the held-out split has class 2
+    prompts = tmp_path / "p.json"
+    prompts.write_text(json.dumps(doc))
+    out = tmp_path / "ev"
+    assert _run_eval(workspace, out, "--prompts", str(prompts)) == 5
+    assert "classes [2] appear in the split but have no prompts" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()  # rejected before the run
 
 
 def test_cli_requires_subcommand(capsys):

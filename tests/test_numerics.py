@@ -1,4 +1,7 @@
 """Matrix ops, the gradient tape, and the finite-difference harness."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from hiercl.errors import (
     EmptyInputError,
     NumericError,
     ShapeError,
+    VocabularyError,
 )
 from hiercl.numerics import Matrix, Tape, finite_diff_check
 
@@ -49,6 +53,12 @@ def matmul(t, a, b):
     """The node a @ b with its textbook gradient: a linear readout for building test losses."""
     x, y = a.value, b.value
     return t._push(x @ y, (a, b), lambda g, needs: (g @ y.T, x.T @ g))
+
+
+def total(t, a):
+    """The 1x1 node summing every entry of a, with its textbook gradient: a scalar readout."""
+    x = a.value
+    return t._push(np.array([[x.sum()]]), (a,), lambda g, needs: (np.full(x.shape, g[0, 0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -114,25 +124,6 @@ def test_mlp_shape_error_names_every_shape():
             value(Tape.mlp, *{**leaves, name: bad}.values())
         dims = {n: "x".join(map(str, (bad if n == name else m).shape)) for n, m in leaves.items()}
         assert ", ".join(f"{n} {d}" for n, d in dims.items()) in str(err.value)
-
-
-def test_add_broadcasts_single_row():
-    a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    bias = Matrix([[10.0, 20.0]])
-    assert value(Tape.add, a, bias).tolist() == [[11.0, 22.0], [13.0, 24.0]]
-
-
-def test_add_rejects_mismatched_shapes():
-    with pytest.raises(ShapeError):
-        value(Tape.add, Matrix.zeros(2, 2), Matrix.zeros(3, 2))
-
-
-def test_elementwise_ops():
-    rng = np.random.default_rng(1)
-    a = rand(rng, 4, 3)
-    assert np.allclose(value(Tape.scale, a, c=-2.5), -2.5 * a.array)
-    pos = Matrix(np.abs(a.array) + 0.1)
-    assert np.allclose(value(Tape.log, pos), np.log(pos.array))
 
 
 def test_l2_normalize_unit_norms():
@@ -224,7 +215,7 @@ def test_segment_mean_gradient_matches_finite_differences(lengths, seed):
 
     def build(t, n):
         pooled = t.segment_mean(t.l2_normalize_rows(n["x"]), lengths)
-        return t.sum_all(matmul(t, matmul(t, t.constant(left), pooled), t.constant(right)))
+        return total(t, matmul(t, matmul(t, t.constant(left), pooled), t.constant(right)))
 
     leaves = {"x": Matrix(np.random.default_rng(seed + 1).standard_normal((sum(lengths), 3)))}
     x, blocks = flatten(leaves)
@@ -247,9 +238,12 @@ def test_concat_and_gather():
     # bags of one id gather rows; longer bags average them
     assert t.embed_mean(cat, [2, 0], [1, 1]).value.tolist() == [[5.0, 6.0], [1.0, 2.0]]
     assert t.embed_mean(cat, [2, 0, 1], [2, 1]).value.tolist() == [[3.0, 4.0], [3.0, 4.0]]
-    for ids in ([3], [-1]):
-        with pytest.raises(ShapeError, match="3-row table"):
-            t.embed_mean(cat, ids, [1])
+    # the error names the first id out of the table's range
+    for ids, bad in (([3], 3), ([-1], -1), ([0, 7, 5], 7)):
+        with pytest.raises(VocabularyError, match=f"token id {bad} outside vocabulary of size 3"):
+            t.embed_mean(cat, ids, [len(ids)])
+    with pytest.raises(ShapeError, match="one flat run, got 2-D"):
+        t.embed_mean(cat, [[0, 1]], [2])
     with pytest.raises(ShapeError, match="sum to 2, not 3 ids"):
         t.embed_mean(cat, [0, 1, 2], [1, 1])
     for lengths in ([], [2, 0]):
@@ -259,10 +253,6 @@ def test_concat_and_gather():
         t.concat_rows([cat, t.constant(Matrix.zeros(1, 3))])
     with pytest.raises(EmptyInputError):
         t.concat_rows([])
-
-
-def test_sum_all():
-    assert value(Tape.sum_all, Matrix([[1.0, 2.0], [3.0, 4.0]])).tolist() == [[10.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +277,7 @@ def test_node_values_are_read_only():
     t = Tape()
     x = t.leaf(Matrix([[1.0, -2.0]]))
     one, w = t.constant(Matrix([[1.0]])), t.leaf(Matrix([[1.0], [1.0]]))
-    for node in (x, t.scale(x, 2.0), t.sum_all(x), t.matched_prob(x, x, 0.5)[0],
+    for node in (x, t.info_nce([(x, x)], 0.5)[0], t.l2_normalize_rows(x),
                  t.embed_mean(x, [0], [1]), t.mlp(x, w, one, one, one)):
         assert node.value.dtype == np.float64
         with pytest.raises(ValueError):
@@ -305,7 +295,7 @@ def test_backward_zero_for_untouched_leaf():
     t = Tape()
     x = t.leaf(Matrix([[1.0, 2.0]]))
     unused = t.leaf(Matrix([[3.0, 4.0], [5.0, 6.0]]))
-    loss = t.sum_all(matmul(t, x, t.constant(Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
+    loss = total(t, matmul(t, x, t.constant(Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
     # one flat vector, each leaf's gradient row-major in the order asked for
     assert t.backward(loss, [x, unused]).tolist() == [6.0, 15.0, 0.0, 0.0, 0.0, 0.0]
     assert t.backward(loss, [unused, x]).tolist() == [0.0, 0.0, 0.0, 0.0, 6.0, 15.0]
@@ -315,12 +305,11 @@ def _tape_loss(t, n):
     """A deliberately gnarly composite touching every differentiable op."""
     h = t.mlp(n["x"], n["w"], n["b"], n["v"], n["c"])
     h = t.l2_normalize_rows(t.concat_rows([h, n["t"]]))
-    p, _ = t.matched_prob(h, h, 0.3)
+    first, _ = t.info_nce([(h, h)], 0.3)
     pooled = t.segment_mean(n["x"], [2, 2])
     bags = t.embed_mean(n["x"], [3, 0, 0, 1, 3], [2, 3])
-    q, _ = t.matched_prob(pooled, bags, 1.0)
-    extra = t.sum_all(t.log(q))
-    return t.add(t.scale(t.sum_all(t.log(p)), -0.5), t.scale(extra, 0.01))
+    second, _ = t.info_nce([(pooled, bags), (bags, pooled)], 1.0)
+    return matmul(t, t.constant(Matrix([[0.5, -0.01]])), t.concat_rows([first, second]))
 
 
 def test_composite_gradient_matches_finite_differences():
@@ -342,7 +331,7 @@ def test_embed_mean_gradient_accumulates_duplicates():
 
     def build(t, n):
         bags = t.embed_mean(n["x"], [0, 0, 1, 0], [3, 1])
-        return t.sum_all(matmul(t, bags, t.constant(weights)))
+        return total(t, matmul(t, bags, t.constant(weights)))
 
     leaves = {"x": rand(rng, 3, 4)}
     assert tape_check(build, leaves, seed=1) < 1e-8
@@ -358,17 +347,27 @@ def test_concat_rows_gradient_splits():
     left = rand(rng, 2, 6)  # a distinct weight per row, so a misplaced split shows
 
     def build(t, n):
-        return t.sum_all(matmul(t, t.constant(left), t.concat_rows([n["a"], n["b"]])))
+        return total(t, matmul(t, t.constant(left), t.concat_rows([n["a"], n["b"]])))
 
     leaves = {"a": rand(rng, 2, 3), "b": rand(rng, 4, 3)}
     assert tape_check(build, leaves, seed=2) < 1e-8
 
 
+def test_readme_lists_every_recording_op():
+    # the op list in README "Gradients" names every public Tape method but backward
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Gradients", 1)[1]
+    listed = re.findall(r"`(\w+)`", re.search(r"Its ops are (.*?)\.\s", section, re.S).group(1))
+    public = [name for name, member in vars(Tape).items()
+              if callable(member) and not name.startswith("_") and name != "backward"]
+    assert sorted(listed) == sorted(public)
+
+
 def test_tape_records_are_in_creation_order():
     t = Tape()
     x = t.leaf(Matrix([[1.0]]))
-    y = t.scale(x, 2.0)
-    z = t.log(y)
+    y = t.l2_normalize_rows(x)
+    z, _ = t.info_nce([(x, y)], 1.0)
     assert x.nid < y.nid < z.nid
 
 
@@ -401,8 +400,8 @@ def test_mlp_gradient_matches_finite_differences():
     weights = rand(rng, 4, 2)
 
     def build(t, n):
-        return t.sum_all(matmul(t, t.mlp(n["x"], n["w1"], n["b1"], n["w2"], n["b2"]),
-                                t.constant(weights)))
+        return total(t, matmul(t, t.mlp(n["x"], n["w1"], n["b1"], n["w2"], n["b2"]),
+                               t.constant(weights)))
 
     assert tape_check(build, mlp_leaves(rng), seed=3) < 1e-6
 
@@ -444,45 +443,88 @@ def test_embed_mean_is_bit_equal_to_add_at_across_column_blocks(rows, cols, leng
 
 
 # ---------------------------------------------------------------------------
-# matched_prob: the fused diag(softmax(q t^T / tau)) op
+# info_nce: the contrastive loss against a numpy chain of matched probabilities
+#
+# Each route's matched probabilities p_r(i) = diag(softmax(q t^T / tau))_i
+# are what the tests named matched_prob check; the reference chain computes
+# them, adds the routes, and takes log, sum and scale as separate steps.
 # ---------------------------------------------------------------------------
+
+
+def matched_prob(q, tg, tau):
+    """Row i's softmax probability of target i as 1xB, and the whole softmax."""
+    # q @ tg.T through a transposed view may round differently in BLAS; the op
+    # multiplies by the contiguous transpose, as the reference does here.
+    z = q @ np.ascontiguousarray(tg.T) / tau
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    return np.diag(probs)[None, :], probs
+
+
+def matched_prob_vjp(g, q, tg, tau):
+    """Query and target gradients of the 1xB matched probabilities, by the B x B form."""
+    t_cols = np.ascontiguousarray(tg.T)
+    probs = matched_prob(q, tg, tau)[1]
+    gp = np.zeros(probs.shape)
+    np.fill_diagonal(gp, g[0])  # the incoming gradient on the diagonal of a zero matrix
+    inner = (gp * probs).sum(axis=1, keepdims=True)
+    gs = probs * (gp - inner) / tau
+    return gs @ t_cols.T, np.ascontiguousarray((q.T @ gs).T)
+
+
+def chain(routes, tau, g=1.0):
+    """The loss, and each route's (query, target) gradients, by matched_prob -> add -> log
+    -> sum -> scale, each step with its own gradient rule."""
+    c = -1.0 / routes[0][0].shape[0]
+    probs = [matched_prob(q, tg, tau)[0] for q, tg in routes]
+    p = probs[0]
+    for more in probs[1:]:
+        p = p + more
+    loss = np.array([[np.log(p).sum()]]) * c
+    g_log = np.full(p.shape, g * c) / p
+    return loss, [matched_prob_vjp(g_log, q, tg, tau) for q, tg in routes]
+
+
+def nce_tape(arrays, routes, tau, constants=()):
+    """A tape holding each named array as a leaf (or a constant) and info_nce over routes."""
+    t = Tape()
+    nodes = {name: (t.constant if name in constants else t.leaf)(Matrix(a))
+             for name, a in arrays.items()}
+    loss, sims = t.info_nce([(nodes[q], nodes[tg]) for q, tg in routes], tau)
+    return t, nodes, loss, sims
 
 
 @pytest.mark.parametrize("b, d", [(1, 3), (2, 16), (5, 64), (33, 16), (120, 16)])
 def test_matched_prob_forward_is_bit_equal_to_numpy(b, d):
     rng = np.random.default_rng(b * d)
     q, tg, tau = rng.standard_normal((b, d)), rng.standard_normal((b, d)), 0.07
-    t = Tape()
-    p, sims = t.matched_prob(t.leaf(Matrix(q)), t.constant(Matrix(tg)), tau)
-    # q @ tg.T through a transposed view may round differently in BLAS; the op
-    # multiplies by the contiguous transpose, as the reference does here.
-    want_sims = q @ np.ascontiguousarray(tg.T)
-    z = want_sims / tau
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    want = np.diag(e / e.sum(axis=1, keepdims=True))
-    assert np.array_equal(sims, want_sims)
-    assert p.value.shape == (1, b)
-    assert np.array_equal(p.value[0], want)
+    _, _, loss, sims = nce_tape({"q": q, "t": tg}, [("q", "t")], tau, constants={"t"})
+    assert len(sims) == 1 and np.array_equal(sims[0], q @ np.ascontiguousarray(tg.T))
+    assert loss.value.shape == (1, 1)
+    assert np.array_equal(loss.value, chain([(q, tg)], tau)[0])
 
 
-def matched(q, t, tau):
-    """matched_prob's 1xB probabilities for constant query and target rows."""
-    tape = Tape()
-    return tape.matched_prob(tape.constant(Matrix(q)), tape.constant(Matrix(t)), tau)[0].value
+def single_route_loss(q, t, tau):
+    """info_nce's loss for one route of constant query and target rows."""
+    return float(nce_tape({"q": np.array(q), "t": np.array(t)}, [("q", "t")], tau,
+                          constants={"q", "t"})[2].value[0, 0])
 
 
 def test_softmax_rows_sum_to_one():
     # Across every cyclic shift of the targets, row i is matched once with
-    # each target, so its matched probabilities cover its whole softmax row.
+    # each target, so with one route per shift its matched probabilities
+    # add up to its whole softmax row: 1, whose log is 0.
     rng = np.random.default_rng(2)
-    q, t = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
-    total = sum(matched(q, np.roll(t, -s, axis=0), 0.5) for s in range(6))
-    assert np.allclose(total, 1.0)
+    q, tg = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
+    arrays = {"q": q, **{f"t{s}": np.roll(tg, -s, axis=0) for s in range(6)}}
+    _, _, loss, _ = nce_tape(arrays, [("q", f"t{s}") for s in range(6)], 0.5, set(arrays))
+    assert abs(loss.value[0, 0]) < 1e-12
 
 
 def test_softmax_sharpens_with_small_tau():
-    p = matched([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 0.1)
-    assert np.all(p > 0.9999)
+    # each matched probability is above 0.9999, so the loss is below 1e-4
+    loss = single_route_loss([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 0.1)
+    assert 0.0 <= loss < 1e-4
 
 
 def test_softmax_matches_direct_formula():
@@ -490,24 +532,22 @@ def test_softmax_matches_direct_formula():
     q, t = rng.standard_normal((4, 7)), rng.standard_normal((4, 7))
     tau = 0.07
     e = np.exp(q @ t.T / tau)
-    want = np.diag(e / e.sum(axis=1, keepdims=True))
-    assert np.allclose(matched(q, t, tau)[0], want, atol=1e-12)
+    want = -np.mean(np.log(np.diag(e / e.sum(axis=1, keepdims=True))))
+    assert np.isclose(single_route_loss(q, t, tau), want, rtol=1e-12, atol=1e-12)
 
 
 def test_softmax_is_stable_for_large_logits():
     # Logits of 1000 and 999 at tau 1, and of 1000 and 0 at tau 1e-3, would
     # overflow exp without the per-row max subtraction.
-    p = matched([[1.0, 0.0], [0.0, 1.0]], [[1000.0, 0.0], [999.0, 0.0]], 1.0)
-    assert np.all(np.isfinite(p))
-    assert np.allclose(p, [[1.0 / (1.0 + np.exp(-1.0)), 0.5]])
-    p = matched([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 1e-3)
-    assert np.array_equal(p, [[1.0, 1.0]])
+    loss = single_route_loss([[1.0, 0.0], [0.0, 1.0]], [[1000.0, 0.0], [999.0, 0.0]], 1.0)
+    assert np.isclose(loss, -np.mean(np.log([1.0 / (1.0 + np.exp(-1.0)), 0.5])))
+    assert single_route_loss([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 1e-3) == 0.0
 
 
 def test_softmax_rejects_bad_tau():
     for bad in (0.0, -0.5):
         with pytest.raises(ConfigError, match="temperature must be positive"):
-            matched([[1.0, 0.0]], [[0.0, 1.0]], bad)
+            single_route_loss([[1.0, 0.0]], [[0.0, 1.0]], bad)
 
 
 @pytest.mark.parametrize("b", [1, 2, 5])
@@ -515,18 +555,15 @@ def test_matched_prob_gradient_matches_finite_differences(b):
     # Inputs of norm about 1 keep the softmax soft enough that no gradient
     # entry is so small that finite-difference rounding swamps it.
     rng = np.random.default_rng(20 + b)
-    weights = Matrix(rng.uniform(0.5, 1.5, (b, 1)))
 
     def small(rows):
         return Matrix(0.5 * rng.standard_normal((rows, 4)))
 
     def separate(t, n):
-        p, _ = t.matched_prob(n["q"], n["t"], 0.3)
-        return t.sum_all(matmul(t, p, t.constant(weights)))
+        return t.info_nce([(n["q"], n["t"])], 0.3)[0]
 
     def same_node(t, n):
-        p, _ = t.matched_prob(n["x"], n["x"], 0.3)
-        return t.sum_all(t.log(p))
+        return t.info_nce([(n["x"], n["x"])], 0.3)[0]
 
     assert tape_check(separate, {"q": small(b), "t": small(b)}, seed=b) < 1e-6
     assert tape_check(same_node, {"x": small(b)}, seed=b) < 1e-6
@@ -536,7 +573,6 @@ def test_matched_prob_gradient_matches_finite_differences(b):
 @pytest.mark.parametrize("fixed_side", ["targets", "queries"])
 def test_matched_prob_gradient_with_a_constant_input(b, fixed_side):
     rng = np.random.default_rng(40 + b)
-    weights = Matrix(rng.uniform(0.5, 1.5, (b, 1)))
     x = Matrix(0.5 * rng.standard_normal((b, 4)))
     fixed = Matrix(0.5 * rng.standard_normal((b, 4)))
 
@@ -544,23 +580,22 @@ def test_matched_prob_gradient_with_a_constant_input(b, fixed_side):
         return (free, other) if fixed_side == "targets" else (other, free)
 
     def build(t, n):
-        p, _ = t.matched_prob(*pair(n["x"], t.constant(fixed)), 0.3)
-        return t.sum_all(matmul(t, p, t.constant(weights)))
+        return t.info_nce([pair(n["x"], t.constant(fixed))], 0.3)[0]
 
     assert tape_check(build, {"x": x}, seed=b) < 1e-6
     t = Tape()
     leaf = t.leaf(x)
     grad = t.backward(build(t, {"x": leaf}), [leaf])
-    # The same product with both inputs as leaves: the leaf's slice is bit-equal.
+    # The same loss with both inputs as leaves: the leaf's slice is bit-equal.
     t2 = Tape()
     free, other = t2.leaf(x), t2.leaf(fixed)
-    p, _ = t2.matched_prob(*pair(free, other), 0.3)
-    full = t2.backward(t2.sum_all(matmul(t2, p, t2.constant(weights))), [free, other])
+    loss, _ = t2.info_nce([pair(free, other)], 0.3)
+    full = t2.backward(loss, [free, other])
     assert grad.shape == (b * 4,)
     assert np.array_equal(grad, full[:b * 4])
     # The rule computes no gradient for an input that needs none.
     needs = pair(True, False)
-    assert [g is None for g in p.vjp(np.ones((1, b)), needs)] == [not n for n in needs]
+    assert [g is None for g in loss.vjp(np.ones((1, 1)), needs)] == [not n for n in needs]
 
 
 @pytest.mark.parametrize("b", [1, 3, 190])
@@ -568,23 +603,12 @@ def test_matched_prob_gradient_with_a_constant_input(b, fixed_side):
 def test_matched_prob_gradient_is_bit_equal_to_the_dense_form(b, fixed_side):
     rng = np.random.default_rng(60 + b)
     q, tg, tau = 0.3 * rng.standard_normal((b, 16)), 0.3 * rng.standard_normal((b, 16)), 0.07
-    g = rng.standard_normal((1, b))
-    t = Tape()
-    qn = (t.constant if fixed_side == "queries" else t.leaf)(Matrix(q))
-    tn = (t.constant if fixed_side == "targets" else t.leaf)(Matrix(tg))
-    p, _ = t.matched_prob(qn, tn, tau)
-    needs = [qn.needs_grad, tn.needs_grad]
-    got = p.vjp(g, needs)
-    # the B x B form: the incoming gradient on the diagonal of a zero matrix
-    t_cols = np.ascontiguousarray(tg.T)
-    z = q @ t_cols / tau
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    gp = np.zeros((b, b))
-    np.fill_diagonal(gp, g[0])
-    inner = (gp * probs).sum(axis=1, keepdims=True)
-    gs = probs * (gp - inner) / tau
-    want = (gs @ t_cols.T, np.ascontiguousarray((q.T @ gs).T))
+    g = rng.standard_normal()
+    _, nodes, loss, _ = nce_tape({"q": q, "t": tg}, [("q", "t")], tau,
+                                 constants={"queries": {"q"}, "targets": {"t"}}.get(fixed_side, ()))
+    needs = [nodes["q"].needs_grad, nodes["t"].needs_grad]
+    got = loss.vjp(np.array([[g]]), needs)
+    want = chain([(q, tg)], tau, g)[1][0]
     for need, a, w in zip(needs, got, want):
         assert np.array_equal(a, w) if need else a is None
 
@@ -592,11 +616,62 @@ def test_matched_prob_gradient_is_bit_equal_to_the_dense_form(b, fixed_side):
 def test_matched_prob_rejects_bad_tau_and_shapes():
     t = Tape()
     q = t.leaf(Matrix(np.eye(2)))
-    for bad in (0.0, float("nan")):
+    for bad in (0.0, -0.5, float("nan")):
         with pytest.raises(ConfigError, match="temperature must be positive"):
-            t.matched_prob(q, q, bad)
-    with pytest.raises(ShapeError, match="matched_prob"):
-        t.matched_prob(q, t.leaf(Matrix.zeros(3, 2)), 0.1)
+            t.info_nce([(q, q)], bad)
+    with pytest.raises(ShapeError, match=r"info_nce: .* got shapes \[\(2, 2\), \(3, 2\)\]"):
+        t.info_nce([(q, t.leaf(Matrix.zeros(3, 2)))], 0.1)
+    with pytest.raises(EmptyInputError, match="no routes"):
+        t.info_nce([], 0.1)
+
+
+# The routes of each loss: (queries, targets) by name, and the names held constant.
+ROUTES = {
+    "single": ([("v", "a")], ()),
+    "clip": ([("v", "a"), ("v", "b")], ()),  # routes share the query node
+    "phase": ([("v", "c"), ("g", "c")], ()),  # routes share the target node
+    "constant targets": ([("v", "c"), ("g", "c")], {"c"}),
+    "constant query": ([("v", "a"), ("v", "b")], {"v"}),
+    "same node": ([("v", "v")], ()),
+}
+
+
+@pytest.mark.parametrize("b", [1, 4, 60])
+@pytest.mark.parametrize("case", list(ROUTES))
+def test_info_nce_is_bit_equal_to_the_chain(case, b):
+    routes, constants = ROUTES[case]
+    rng = np.random.default_rng(b)
+    arrays = {name: 0.3 * rng.standard_normal((b, 16))
+              for name in dict.fromkeys(n for route in routes for n in route)}
+    t, nodes, loss, sims = nce_tape(arrays, routes, 0.07, constants)
+    pairs = [(arrays[q], arrays[tg]) for q, tg in routes]
+    want_loss, want_routes = chain(pairs, 0.07)
+    assert np.array_equal(loss.value, want_loss)
+    assert all(np.array_equal(s, q @ np.ascontiguousarray(tg.T)) for s, (q, tg) in zip(sims, pairs))
+    # The flat gradient: each leaf sums what its routes send it. No leaf here
+    # gets more than two shares, so the order of that sum leaves its bits alone.
+    want = {}
+    for (q, tg), grads in zip(routes, want_routes):
+        for name, grad in zip((q, tg), grads):
+            want[name] = want[name] + grad if name in want else grad
+    leaves = [name for name in arrays if name not in constants]
+    assert np.array_equal(t.backward(loss, [nodes[n] for n in leaves]),
+                          np.concatenate([want[n].ravel() for n in leaves]))
+
+
+@pytest.mark.parametrize("case", list(ROUTES))
+def test_info_nce_gradient_matches_finite_differences(case):
+    routes, constants = ROUTES[case]
+    rng = np.random.default_rng(80)
+    names = dict.fromkeys(n for route in routes for n in route)
+    fixed = {n: Matrix(0.5 * rng.standard_normal((3, 4))) for n in names if n in constants}
+
+    def build(t, n):
+        node = {**n, **{name: t.constant(m) for name, m in fixed.items()}}
+        return t.info_nce([(node[q], node[tg]) for q, tg in routes], 0.3)[0]
+
+    leaves = {n: Matrix(0.5 * rng.standard_normal((3, 4))) for n in names if n not in constants}
+    assert tape_check(build, leaves, seed=4) < 1e-6
 
 
 # ---------------------------------------------------------------------------

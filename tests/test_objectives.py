@@ -23,7 +23,7 @@ from hiercl.corpus import (
 )
 from hiercl.encoders import EncoderDims, ModelParams
 from hiercl.errors import ConfigError, EmptyInputError
-from hiercl.numerics import Matrix, finite_diff_check
+from hiercl.numerics import Matrix, Tape, finite_diff_check
 from hiercl.objectives import _sim_diagnostics, loss_clip, loss_phase, loss_single, loss_video
 from hiercl.seeding import substream
 from hiercl.trainer import TrainConfig
@@ -434,3 +434,34 @@ def test_peak_memory_of_one_loss_with_its_gradient():
     desk = TrainConfig()
     video = sample_video_batch(corpus, desk.b_video, np.random.default_rng(0), k=desk.k_video)
     assert traced_peak(lambda: loss_video(video, params)) <= 800_000
+
+
+# ---------------------------------------------------------------------------
+# Tape size: nodes recorded per loss
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_tape_nodes_per_loss(monkeypatch, scale):
+    # 9 parameter leaves; a visual encoding is 4 nodes, a text encoding 3 and
+    # an aggregated one 5; one info_nce node ends every loss.
+    cfg = TrainConfig() if scale == "desk" else TrainConfig.paper_scale()
+    corpus = generate_synthetic(GeneratorConfig(seed=0))
+    params = ModelParams.initialize(EncoderDims(), np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    clip = sample_clip_batch(corpus, cfg.b_clip, rng, k=cfg.k_clip)
+    phase = sample_phase_batch(corpus, cfg.b_phase, rng, k=cfg.k_phase)
+    video = sample_video_batch(corpus, cfg.b_video, rng, k=cfg.k_video)
+    counts = []
+    backward = Tape.backward
+
+    def counting(tape, loss, wrt):
+        counts.append(len(tape))
+        return backward(tape, loss, wrt)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    loss_clip(clip, params)
+    loss_phase(phase, params)
+    loss_video(video, params)
+    loss_single(clip, phase, video, params)
+    assert counts == [20, 22, 22, 26]

@@ -14,6 +14,7 @@ from hiercl.errors import (
     CoverageError,
     SchemaVersionError,
     ShapeError,
+    VocabularyError,
 )
 from hiercl.numerics import Matrix
 from hiercl.trainer import TrainConfig, train, untrained_checkpoint
@@ -315,6 +316,16 @@ def test_evaluate_requires_prompt_coverage(corpus, trained):
     partial = PromptSet(classes=default_prompts(GEN).classes[:2])
     with pytest.raises(CoverageError, match="2"):
         evaluate(trained, corpus, partial)
+
+
+@pytest.mark.parametrize("token", [GEN.vocab_size, -1])
+def test_evaluate_rejects_prompt_token_outside_vocabulary(corpus, trained, token):
+    classes = list(default_prompts(GEN).classes)
+    label, prompts = classes[1]
+    classes[1] = (label, (prompts[0], (3, token, 4)))
+    with pytest.raises(VocabularyError, match=f"class 1 has prompt token id {token} "
+                                              f"outside vocabulary of size {GEN.vocab_size}"):
+        evaluate(trained, corpus, PromptSet(classes=tuple(classes)))
 
 
 def test_evaluate_invariant_to_class_order(corpus, trained):
