@@ -1,10 +1,11 @@
 """Alternating-schedule training with AdamW and binary checkpoints.
 
 One schedule cycle is m clip batches, then n phase batches, then l video
-batches; training length is configured in cycles. Alternative modes reuse
-the same total batch budget: "single" pools all levels into one loss per
-step, "sequential" runs each level's full budget back-to-back instead of
-interleaved, and "clip" / "clip_phase" restrict the levels (ablations).
+batches; training length is configured in cycles. A mode is the run lengths
+of its cycle (`_RUNS`): "sequential" stretches the cycle to the whole run,
+so each level's full budget runs back-to-back, and "clip" / "clip_phase"
+zero the runs of the levels they drop (ablations). "single" pools all levels
+into one loss per step. Every mode runs the same total batch budget.
 
 Everything is a pure function of (config, corpus): the same seed gives
 bit-identical parameters, logs, and checkpoints, and a saved checkpoint
@@ -28,6 +29,7 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     SchemaVersionError,
+    ShapeError,
     check_floats,
     check_ints,
 )
@@ -37,16 +39,16 @@ from .seeding import substream
 CKPT_MAGIC = b"HECV"
 CKPT_VERSION = 2
 
-# The levels each mode samples over a run; every mode samples all of its
-# levels within the first cycle, since m, n and l are at least 1.
-_MODE_LEVELS = {
-    "hecvl": ("clip", "phase", "video"),
-    "single": ("clip", "phase", "video"),
-    "sequential": ("clip", "phase", "video"),
-    "clip": ("clip",),
-    "clip_phase": ("clip", "phase"),
+# Each mode's (clip, phase, video) run lengths: the level of batch i is
+# schedule_level(i, *runs). A level with run 0 is never sampled.
+_RUNS = {
+    "hecvl": lambda c: (c.m, c.n, c.l),
+    "single": lambda c: (c.m, c.n, c.l),
+    "sequential": lambda c: (c.cycles * c.m, c.cycles * c.n, c.cycles * c.l),
+    "clip": lambda c: (c.m, 0, 0),
+    "clip_phase": lambda c: (c.m, c.n, 0),
 }
-MODES = tuple(_MODE_LEVELS)
+MODES = tuple(_RUNS)
 
 
 @dataclass(frozen=True)
@@ -114,21 +116,9 @@ def schedule_level(index: int, m: int, n: int, l: int) -> str:
 
 
 def _level_at(cfg: TrainConfig, index: int) -> str:
-    if cfg.mode == "hecvl":
-        return schedule_level(index, cfg.m, cfg.n, cfg.l)
     if cfg.mode == "single":
         return "single"
-    if cfg.mode == "clip":
-        return "clip"
-    if cfg.mode == "clip_phase":
-        r = index % (cfg.m + cfg.n)
-        return "clip" if r < cfg.m else "phase"
-    # sequential: the same per-level budget as hecvl, run back-to-back
-    if index < cfg.cycles * cfg.m:
-        return "clip"
-    if index < cfg.cycles * (cfg.m + cfg.n):
-        return "phase"
-    return "video"
+    return schedule_level(index, *_RUNS[cfg.mode](cfg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +167,6 @@ class Checkpoint:
     params: ModelParams
     opt_state: OptimizerState
     rng_state: dict
-    version: int = CKPT_VERSION
 
 
 @dataclass(frozen=True)
@@ -206,12 +195,26 @@ def _loss_at_level(level: str, corpus: Corpus, cfg: TrainConfig, params: ModelPa
 def _check_capacity(cfg: TrainConfig, corpus: Corpus) -> None:
     counts = corpus.pair_counts()
     needs = {"clip": cfg.b_clip, "phase": cfg.b_phase, "video": cfg.b_video}
-    for level in _MODE_LEVELS[cfg.mode]:
-        if counts[level] < needs[level]:
+    for level, run in zip(needs, _RUNS[cfg.mode](cfg)):
+        if run and counts[level] < needs[level]:
             raise InsufficientDataError(
                 f"{level} level: corpus has {counts[level]} pairs, "
                 f"batch size {needs[level]} requested"
             )
+
+
+def check_compatible(params: ModelParams, corpus: Corpus) -> None:
+    """Raise ShapeError unless the model reads the corpus's frames and tokens."""
+    if params.d_in != corpus.config.d_in:
+        raise ShapeError(
+            f"checkpoint expects {params.d_in}-dim frames, "
+            f"corpus has {corpus.config.d_in}"
+        )
+    if params.vocab_size != corpus.config.vocab_size:
+        raise ShapeError(
+            f"checkpoint vocabulary {params.vocab_size} != "
+            f"corpus vocabulary {corpus.config.vocab_size}"
+        )
 
 
 def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
@@ -222,13 +225,15 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
 
     `stop_at` defaults to the end of the schedule; the returned checkpoint
     resumes from there. A resumed run appends to `log_path`, so a run stopped
-    and resumed leaves the same log as an uninterrupted one.
+    and resumed leaves the same log as an uninterrupted one. A resume first
+    checks the checkpoint against the corpus (`check_compatible`).
     """
     _check_capacity(cfg, corpus)
     rng = substream(cfg.seed, "train")
     if resume is not None:
         if resume.config != cfg:
             raise ConfigError("checkpoint was written under a different config")
+        check_compatible(resume.params, corpus)
         params, opt, start = resume.params, resume.opt_state, resume.global_batch
         rng.bit_generator.state = resume.rng_state
     else:
@@ -329,13 +334,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointIntegrityError(f"{path}: unreadable header: {e}") from e
     off += header_len
     try:
-        return _checkpoint_from(header, body, off, version, path)
+        return _checkpoint_from(header, body, off, path)
     except (KeyError, TypeError, ValueError, ConfigError) as e:
         # The checksum held, so the writer produced a header this build cannot read.
         raise CheckpointIntegrityError(f"{path}: malformed header: {e!r}") from e
 
 
-def _checkpoint_from(header: dict, body: bytes, off: int, version: int, path) -> Checkpoint:
+def _checkpoint_from(header: dict, body: bytes, off: int, path) -> Checkpoint:
     # Every field is required: a default would silently change the layout.
     dims = EncoderDims(**{f.name: header["dims"][f.name] for f in fields(EncoderDims)})
     expected = 3 * dims.size * 8
@@ -353,7 +358,6 @@ def _checkpoint_from(header: dict, body: bytes, off: int, version: int, path) ->
         params=ModelParams(dims, params),
         opt_state=OptimizerState(first=first, second=second, step=header["opt_step"]),
         rng_state=_restore_rng_state(header["rng_state"]),
-        version=version,
     )
 
 

@@ -64,13 +64,13 @@ class PromptSet:
         return tuple(label for label, _ in self.classes)
 
 
-def default_prompts(cfg: GeneratorConfig, seed: int | None = None) -> PromptSet:
+def default_prompts(cfg: GeneratorConfig) -> PromptSet:
     """Per-class prompts drawn from each class's vocabulary block.
 
     The synthetic stand-in for hand-written textual prompts: clean token
     sequences from the same block the class's narrations and concepts use.
     """
-    rng = substream(cfg.seed if seed is None else seed, "prompts")
+    rng = substream(cfg.seed, "prompts")
     classes = []
     for cls in range(cfg.num_classes):
         lo, hi = cfg.class_block(cls)
@@ -162,9 +162,6 @@ class MetricsReport:
 
     def to_json(self) -> str:
         doc = asdict(self)
-        doc["confusion"] = [list(r) for r in self.confusion]
-        doc["per_class"] = [dict(d) for d in self.per_class]
-        doc["labels"] = list(self.labels)
         doc["f1_averaging"] = "macro"
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

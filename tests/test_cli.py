@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from blas_threads import openblas_threads
 
+import hiercl.cli
+from hiercl import errors
 from hiercl.cli import main
-from hiercl.errors import CorpusFormatError
+from hiercl.errors import CorpusFormatError, HierclError
 from hiercl.zeroshot import load_prompts
 
 GEN_SECTION = {"num_videos": 8, "num_classes": 3, "clips_per_phase": 2,
@@ -204,8 +206,16 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
     assert (out / "gradcheck.txt").read_text() == stdout
 
 
-def test_gradcheck_detects_corrupted_gradient(capsys):
-    rc = main(["gradcheck", "--seed", "0", "--corrupt", "loss_clip"])
+def test_gradcheck_detects_corrupted_gradient(monkeypatch, capsys):
+    loss_clip = hiercl.cli.loss_clip
+
+    def corrupted(*args):
+        lv = loss_clip(*args)
+        lv.grads[:8] *= 1.5  # the first entries of visual.w1
+        return lv
+
+    monkeypatch.setattr(hiercl.cli, "loss_clip", corrupted)
+    rc = main(["gradcheck", "--seed", "0"])
     captured = capsys.readouterr()
     assert rc == 6
     assert "loss_clip" in captured.err
@@ -229,6 +239,30 @@ def test_ablate_reports_four_variants(workspace, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
+
+
+# Each error class's exit code, as README "Exit codes" documents it.
+EXIT_CODE_ORACLE = {
+    "HierclError": 1,
+    "ConfigError": 2,
+    "InsufficientDataError": 4, "EmptyInputError": 4, "CorpusFormatError": 4,
+    "SchemaVersionError": 5, "CheckpointIntegrityError": 5, "ShapeError": 5,
+    "CoverageError": 5, "VocabularyError": 5, "ContractError": 5,
+    "NumericError": 6, "DegenerateEmbeddingError": 6,
+}
+ERROR_CLASSES = sorted(name for name, member in vars(errors).items()
+                       if isinstance(member, type) and issubclass(member, HierclError))
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_exit_code_of_every_error_class(monkeypatch, capsys, name):
+    def fail(seed):
+        raise getattr(errors, name)(f"injected {name}")
+
+    monkeypatch.setattr(hiercl.cli, "_gradcheck_losses", fail)
+    assert name in EXIT_CODE_ORACLE, f"{name} has no documented exit code"
+    assert main(["gradcheck"]) == EXIT_CODE_ORACLE[name]
+    assert capsys.readouterr().err == f"error: injected {name}\n"
 
 
 def test_exit_2_on_bad_config(tmp_path, capsys):

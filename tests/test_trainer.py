@@ -1,10 +1,15 @@
 """Schedule, AdamW, the training loop, and checkpoint persistence."""
 import hashlib
 import json
+import re
 import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiercl.corpus import GeneratorConfig, generate_synthetic
 from hiercl.encoders import EncoderDims, ModelParams
@@ -14,10 +19,12 @@ from hiercl.errors import (
     InsufficientDataError,
     NumericError,
     SchemaVersionError,
+    ShapeError,
 )
 from hiercl.numerics import Matrix
 from hiercl.seeding import substream
 from hiercl.trainer import (
+    MODES,
     Checkpoint,
     OptimizerState,
     TrainConfig,
@@ -149,6 +156,46 @@ def test_schedule_is_periodic():
 def test_schedule_rejects_negative_index():
     with pytest.raises(ConfigError):
         schedule_level(-1, 1, 1, 1)
+
+
+def _level_oracle(cfg: TrainConfig, index: int) -> str:
+    """Each mode's level rule written out by hand, one branch per mode."""
+    if cfg.mode == "hecvl":
+        r = index % (cfg.m + cfg.n + cfg.l)
+        return "clip" if r < cfg.m else "phase" if r < cfg.m + cfg.n else "video"
+    if cfg.mode == "single":
+        return "single"
+    if cfg.mode == "clip":
+        return "clip"
+    if cfg.mode == "clip_phase":
+        r = index % (cfg.m + cfg.n)
+        return "clip" if r < cfg.m else "phase"
+    if cfg.mode == "sequential":
+        if index < cfg.cycles * cfg.m:
+            return "clip"
+        if index < cfg.cycles * (cfg.m + cfg.n):
+            return "phase"
+        return "video"
+    raise AssertionError(f"the oracle has no rule for mode {cfg.mode!r}")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 6), l=st.integers(1, 6),
+       cycles=st.integers(1, 4))
+def test_level_at_matches_per_mode_oracle(mode, m, n, l, cycles):
+    cfg = TrainConfig(mode=mode, m=m, n=n, l=l, cycles=cycles)
+    got = [_level_at(cfg, i) for i in range(cfg.total_batches)]
+    assert got == [_level_oracle(cfg, i) for i in range(cfg.total_batches)]
+
+
+def test_readme_lists_every_mode():
+    # the table under "Training modes" in README has one row per mode
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Training modes (`--mode`)", 1)[1]
+    table = re.search(r"^\|.*?\n(?!\|)", section, re.S | re.M).group(0)
+    listed = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert sorted(listed) == sorted(MODES)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +538,21 @@ def test_resume_rejects_config_mismatch(corpus):
     other = TrainConfig(cycles=2, seed=9, **TINY)
     with pytest.raises(ConfigError):
         train(other, corpus, resume=mid)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("d_in", "checkpoint expects 8-dim frames, corpus has 16"),
+    ("vocab_size", "checkpoint vocabulary 30 != corpus vocabulary 60"),
+])
+def test_resume_rejects_corpus_the_checkpoint_cannot_read(corpus, tmp_path, field, message):
+    cfg = TrainConfig(cycles=2, seed=8, **TINY)
+    path = tmp_path / "log.jsonl"
+    mid = train(cfg, corpus, log_path=path, stop_at=3).checkpoint
+    before = path.read_bytes()
+    other = generate_synthetic(replace(GEN, **{field: 2 * getattr(GEN, field)}))
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        train(cfg, other, log_path=path, resume=mid)
+    assert path.read_bytes() == before
 
 
 def test_untrained_checkpoint(corpus):
