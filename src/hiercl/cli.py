@@ -40,6 +40,7 @@ from .seeding import substream
 from .trainer import (
     MODES,
     TrainConfig,
+    check_capacity,
     check_compatible,
     load_checkpoint,
     save_checkpoint,
@@ -75,15 +76,6 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _build_dataclass(cls, section: dict, overrides: dict, where: str):
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return cls(**merged)
-    except TypeError as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
 def _section(doc: dict, key: str) -> dict:
     section = doc.get(key, {})
     if not isinstance(section, dict):
@@ -91,31 +83,27 @@ def _section(doc: dict, key: str) -> dict:
     return section
 
 
-def _resolve_generator(doc: dict, args) -> GeneratorConfig:
-    overrides = {"seed": getattr(args, "seed", None)}
-    if doc.get("seed") is not None and overrides["seed"] is None:
-        overrides["seed"] = doc["seed"]
-    return _build_dataclass(GeneratorConfig, _section(doc, "generator"),
-                            overrides, "generator config")
+def _settings(cls, section: dict, doc: dict, args, where: str):
+    """`cls` from a config section; the top-level "seed", then any flag, overrides a key."""
+    merged = dict(section)
+    for source in ({"seed": doc.get("seed")},
+                   {key: getattr(args, key, None) for key in ("seed", "mode", "cycles")}):
+        merged.update({k: v for k, v in source.items() if v is not None})
+    try:
+        return cls(**merged)
+    except TypeError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _resolve_train(doc: dict, args) -> TrainConfig:
+    """The train settings; `paper_scale` sets batch sizes that explicit keys override."""
     section = dict(_section(doc, "train"))
     paper = section.pop("paper_scale", False)
     if type(paper) is not bool:
         raise ConfigError(f"paper_scale must be a JSON boolean, got {paper!r}")
-    paper = paper or getattr(args, "paper_scale", False)
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "mode": getattr(args, "mode", None),
-        "cycles": getattr(args, "cycles", None),
-    }
-    if doc.get("seed") is not None and overrides["seed"] is None:
-        overrides["seed"] = doc["seed"]
-    if paper:
-        base = TrainConfig.paper_scale()
-        section = {**{k: v for k, v in asdict(base).items()}, **section}
-    return _build_dataclass(TrainConfig, section, overrides, "train config")
+    if paper or getattr(args, "paper_scale", False):
+        section = {**asdict(TrainConfig.paper_scale()), **section}
+    return _settings(TrainConfig, section, doc, args, "train config")
 
 
 def _holdout_fraction(doc: dict, args) -> float:
@@ -171,7 +159,8 @@ def _manifest(path, command: str, config: dict, seed: int, inputs: dict, outputs
 
 def cmd_generate(args) -> int:
     doc = _load_config_file(args.config)
-    cfg = _resolve_generator(doc, args)
+    cfg = _settings(GeneratorConfig, _section(doc, "generator"), doc, args, "generator config")
+    prompts = default_prompts(cfg)
     out = args.out
     manifest_path = f"{out}.manifest.json"
     prompts_path = f"{os.path.splitext(out)[0]}.prompts.json"
@@ -179,7 +168,7 @@ def cmd_generate(args) -> int:
                    outputs={"corpus": out, "prompts": prompts_path}):
         corpus = generate_synthetic(cfg)
         save_corpus(corpus, out)
-        save_prompts(default_prompts(cfg), prompts_path)
+        save_prompts(prompts, prompts_path)
     for level, count in corpus.pair_counts().items():
         print(f"{level} pairs: {count}")
     print(f"wrote {out}")
@@ -192,6 +181,7 @@ def cmd_train(args) -> int:
     holdout = _holdout_fraction(doc, args)
     corpus = load_corpus(args.corpus)
     train_split, _ = corpus.split(holdout)
+    check_capacity(cfg, train_split)
     out_dir = args.out
     log_path = os.path.join(out_dir, "train_log.jsonl")
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
@@ -322,6 +312,8 @@ def cmd_ablate(args) -> int:
     holdout = _holdout_fraction(doc, args)
     corpus = load_corpus(args.corpus)
     train_split, hold_split = corpus.split(holdout)
+    for _, mode in ABLATION_VARIANTS:
+        check_capacity(replace(base_cfg, mode=mode), train_split)
     prompts = default_prompts(corpus.config)
     out_dir = args.out
     manifest_path = os.path.join(out_dir, "manifest.json")

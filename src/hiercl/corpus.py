@@ -541,17 +541,19 @@ class ClipBatch(_Batch):
 
 
 @dataclass(frozen=True)
-class PhaseBatch(_Batch):
-    narrations: tuple[tuple[tuple[int, ...], ...], ...]  # every in-segment narration
-    concept: tuple[tuple[int, ...], ...]
-    level = "phase"
+class CoarseBatch(_Batch):
+    """A phase or video batch: each item's narrations and its summary text."""
+
+    narrations: tuple[tuple[tuple[int, ...], ...], ...]
+    summary: tuple[tuple[int, ...], ...]  # a phase's concept or a video's abstract
 
 
-@dataclass(frozen=True)
-class VideoBatch(_Batch):
-    narrations: tuple[tuple[tuple[int, ...], ...], ...]  # evenly spread clip narrations
-    abstract: tuple[tuple[int, ...], ...]
-    level = "video"
+class PhaseBatch(CoarseBatch):
+    level = "phase"  # narrations: every in-segment narration
+
+
+class VideoBatch(CoarseBatch):
+    level = "video"  # narrations: at most k evenly spread clip narrations
 
 
 def _draw(rng: np.random.Generator, n: int, b: int, level: str) -> np.ndarray:
@@ -592,7 +594,7 @@ def sample_phase_batch(corpus: Corpus, b: int, rng: np.random.Generator,
         source_ids=tuple(f"{video.video_id}p{pi}" for video, pi, _ in phases),
         frames=_frames(corpus, corpus.phase_rows, drawn, k),
         narrations=tuple(tuple(c.narration_a for c in clips) for clips in members),
-        concept=tuple(seg.concept for _, _, seg in phases),
+        summary=tuple(seg.concept for _, _, seg in phases),
     )
 
 
@@ -610,5 +612,5 @@ def sample_video_batch(corpus: Corpus, b: int, rng: np.random.Generator,
         source_ids=tuple(v.video_id for v in videos),
         frames=_frames(corpus, corpus.video_rows, drawn, k),
         narrations=tuple(_spread_narrations(v.clips, k) for v in videos),
-        abstract=tuple(v.abstract for v in videos),
+        summary=tuple(v.abstract for v in videos),
     )

@@ -7,12 +7,13 @@ negative mean log is taken over the batch,
     loss = -(1/B) * sum_i log(p1(i) + p2(i)).
 
 At clip level the two probabilities come from the two transcript variants
-of one narration; at phase and video level they come from the visual and
-the aggregated-text query against the same text targets (concepts or
-abstracts). The single-space variant pools positive pairs from all levels
-into one plain InfoNCE instead, with one route. Every loss encodes its
-batch and ends in one `Tape.info_nce` call over its (queries, targets)
-routes.
+of one narration. The phase and video levels share one coarse loss,
+`loss_phase` (`loss_video` is the same function): the visual and the
+aggregated-text query are both matched against the batch's `summary` texts,
+a phase's concept or a video's abstract. The single-space variant pools
+the positive pairs of all three levels into one plain InfoNCE instead,
+with one route. Every loss encodes its batch and ends in one
+`Tape.info_nce` call over its (queries, targets) routes.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ClipBatch, PhaseBatch, VideoBatch
+from .corpus import ClipBatch, CoarseBatch, PhaseBatch, VideoBatch
 from .encoders import (
     ModelParams,
     Node,
@@ -30,7 +31,7 @@ from .encoders import (
     text_embedding_rows,
     visual_embedding_rows,
 )
-from .errors import EmptyInputError, NumericError
+from .errors import NumericError
 from .numerics import Tape
 
 
@@ -73,24 +74,17 @@ def loss_clip(batch: ClipBatch, params: ModelParams, tau: float = 0.07) -> LossV
     return _finalize(tape, pn, *tape.info_nce([(visual, text_a), (visual, text_b)], tau))
 
 
-def loss_phase(batch: PhaseBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
-    """Visual and aggregated-narration queries against concept targets."""
+def loss_phase(batch: CoarseBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
+    """Visual and aggregated-narration queries against the summary targets."""
     tape = Tape()
     pn = param_nodes(tape, params)
     visual = visual_embedding_rows(tape, pn, batch.frames)
     agg_text = aggregated_text_rows(tape, pn, batch.narrations)
-    concepts = text_embedding_rows(tape, pn, batch.concept)
-    return _finalize(tape, pn, *tape.info_nce([(visual, concepts), (agg_text, concepts)], tau))
+    summaries = text_embedding_rows(tape, pn, batch.summary)
+    return _finalize(tape, pn, *tape.info_nce([(visual, summaries), (agg_text, summaries)], tau))
 
 
-def loss_video(batch: VideoBatch, params: ModelParams, tau: float = 0.07) -> LossValue:
-    """Visual and aggregated-narration queries against abstract targets."""
-    tape = Tape()
-    pn = param_nodes(tape, params)
-    visual = visual_embedding_rows(tape, pn, batch.frames)
-    agg_text = aggregated_text_rows(tape, pn, batch.narrations)
-    abstracts = text_embedding_rows(tape, pn, batch.abstract)
-    return _finalize(tape, pn, *tape.info_nce([(visual, abstracts), (agg_text, abstracts)], tau))
+loss_video = loss_phase  # one coarse loss; the video level keeps its own name
 
 
 def loss_single(clip: ClipBatch, phase: PhaseBatch, video: VideoBatch,
@@ -98,22 +92,12 @@ def loss_single(clip: ClipBatch, phase: PhaseBatch, video: VideoBatch,
     """One InfoNCE over the pooled positive pairs of all three levels.
 
     Every item contributes one (visual, text) pair: clip frames with the
-    first transcript variant, phase frames with the concept, video frames
-    with the abstract. The softmax for each visual query runs over the
-    whole pooled target set.
+    first transcript variant, phase and video frames with their summary.
+    The softmax for each visual query runs over the whole pooled target set.
     """
     tape = Tape()
     pn = param_nodes(tape, params)
-    visual_parts = []
-    texts = []
-    for frames, level_texts in ((clip.frames, clip.narration_a),
-                                (phase.frames, phase.concept),
-                                (video.frames, video.abstract)):
-        if frames:  # a level may sit the pool out entirely
-            visual_parts.append(visual_embedding_rows(tape, pn, frames))
-            texts.extend(level_texts)
-    if not visual_parts:
-        raise EmptyInputError("pooled batch has no items at any level")
-    queries = visual_parts[0] if len(visual_parts) == 1 else tape.concat_rows(visual_parts)
-    targets = text_embedding_rows(tape, pn, texts)
+    queries = tape.concat_rows([visual_embedding_rows(tape, pn, level.frames)
+                                for level in (clip, phase, video)])
+    targets = text_embedding_rows(tape, pn, clip.narration_a + phase.summary + video.summary)
     return _finalize(tape, pn, *tape.info_nce([(queries, targets)], tau))

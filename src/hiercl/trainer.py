@@ -192,7 +192,8 @@ def _loss_at_level(level: str, corpus: Corpus, cfg: TrainConfig, params: ModelPa
     return loss_single(clip, phase, video, params, cfg.tau)
 
 
-def _check_capacity(cfg: TrainConfig, corpus: Corpus) -> None:
+def check_capacity(cfg: TrainConfig, corpus: Corpus) -> None:
+    """Raise InsufficientDataError unless each level the mode samples fills its batch."""
     counts = corpus.pair_counts()
     needs = {"clip": cfg.b_clip, "phase": cfg.b_phase, "video": cfg.b_video}
     for level, run in zip(needs, _RUNS[cfg.mode](cfg)):
@@ -228,7 +229,7 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
     and resumed leaves the same log as an uninterrupted one. A resume first
     checks the checkpoint against the corpus (`check_compatible`).
     """
-    _check_capacity(cfg, corpus)
+    check_capacity(cfg, corpus)
     rng = substream(cfg.seed, "train")
     if resume is not None:
         if resume.config != cfg:
@@ -352,6 +353,10 @@ def _checkpoint_from(header: dict, body: bytes, off: int, path) -> Checkpoint:
     cfg = TrainConfig(**header["config"])
     if cfg.digest() != header["config_digest"]:
         raise CheckpointIntegrityError(f"{path}: config digest mismatch")
+    for name in ("d_tok", "hidden", "d_emb"):
+        if getattr(dims, name) != getattr(cfg, name):
+            raise CheckpointIntegrityError(f"{path}: dims.{name} {getattr(dims, name)} "
+                                           f"!= config.{name} {getattr(cfg, name)}")
     return Checkpoint(
         config=cfg,
         global_batch=header["global_batch"],

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import hiercl.cli
 from hiercl import errors
 from hiercl.cli import main
 from hiercl.errors import CorpusFormatError, HierclError
+from hiercl.trainer import load_checkpoint, save_checkpoint
 from hiercl.zeroshot import load_prompts
 
 GEN_SECTION = {"num_videos": 8, "num_classes": 3, "clips_per_phase": 2,
@@ -144,7 +146,75 @@ def test_paper_scale_needs_more_data_than_tiny_corpus(workspace, tmp_path, capsy
     rc = main(["train", "--corpus", str(workspace["corpus"]),
                "--out", str(out), "--paper-scale"])
     assert rc == 4
-    assert "clip" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: clip level: corpus has 36 pairs, batch size 120 requested\n"
+    assert list(out.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# settings resolution: section keys, then the top-level "seed", then flags
+# ---------------------------------------------------------------------------
+
+
+def _manifest_config(path) -> dict:
+    return json.loads(Path(path).read_text())["config"]
+
+
+@pytest.mark.parametrize("top, flags, seed", [(None, [], 5), (9, [], 9), (9, ["--seed", "7"], 7)])
+def test_generate_seed_precedence(tmp_path, capsys, top, flags, seed):
+    config = _write_config(tmp_path, generator=GEN_SECTION,
+                           **({} if top is None else {"seed": top}))
+    out = tmp_path / "c.jsonl"
+    assert main(["generate", "--config", config, "--out", str(out), *flags]) == 0
+    assert _manifest_config(f"{out}.manifest.json")["seed"] == seed
+
+
+@pytest.mark.parametrize("top, flags, want", [
+    (None, [], {"seed": 3, "mode": "single", "cycles": 1}),
+    (9, [], {"seed": 9, "mode": "single", "cycles": 1}),
+    (9, ["--seed", "7"], {"seed": 7, "mode": "single", "cycles": 1}),
+    (None, ["--mode", "clip", "--cycles", "2"], {"seed": 3, "mode": "clip", "cycles": 2}),
+])
+def test_train_settings_precedence(workspace, tmp_path, capsys, top, flags, want):
+    config = _write_config(tmp_path, train={**TRAIN_SECTION, "mode": "single"},
+                           **({} if top is None else {"seed": top}))
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["train", "--config", config, "--corpus", str(workspace["corpus"]),
+                 "--out", str(out), *flags]) == 0
+    train = _manifest_config(out / "manifest.json")["train"]
+    assert {key: train[key] for key in want} == want
+
+
+@pytest.fixture(scope="module")
+def paper_corpus(tmp_path_factory):
+    """21 videos: with one held out, exactly the published 120/60/10 pairs."""
+    root = tmp_path_factory.mktemp("paper")
+    config = _write_config(root, generator={**GEN_SECTION, "num_videos": 21,
+                                            "frames_per_clip": 2})
+    corpus = root / "corpus.jsonl"
+    assert main(["generate", "--config", config, "--out", str(corpus)]) == 0
+    return corpus
+
+
+@pytest.mark.parametrize("switch, explicit, sizes", [
+    ("section", {}, (120, 60, 10)),
+    ("section", {"b_clip": 7, "b_video": 5}, (7, 60, 5)),
+    ("flag", {"b_phase": 4}, (120, 4, 10)),
+])
+def test_paper_scale_batch_sizes_yield_to_explicit_keys(paper_corpus, tmp_path, capsys,
+                                                        switch, explicit, sizes):
+    # hidden 10 leaves some of these 120 clips with an all-zero ReLU layer at initialization
+    section = {k: v for k, v in TRAIN_SECTION.items() if not k.startswith("b_")}
+    section.update(explicit, hidden=32, **({"paper_scale": True} if switch == "section" else {}))
+    config = _write_config(tmp_path, train=section)
+    out = tmp_path / "run"
+    out.mkdir()
+    flags = ["--paper-scale"] if switch == "flag" else []
+    assert main(["train", "--config", config, "--corpus", str(paper_corpus),
+                 "--out", str(out), "--holdout", "0.05", *flags]) == 0
+    train = _manifest_config(out / "manifest.json")["train"]
+    assert (train["b_clip"], train["b_phase"], train["b_video"]) == sizes
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +351,15 @@ def test_exit_2_on_non_utf8_config(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_exit_2_on_one_class_generator_writes_nothing(tmp_path, capsys):
+    config = _write_config(tmp_path, generator={**GEN_SECTION, "num_classes": 1})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["generate", "--config", config, "--out", str(out / "c.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: need at least 2 classes, got 1\n"
+    assert list(out.iterdir()) == []
+
+
 def test_exit_2_on_unknown_config_key(tmp_path, capsys):
     config = _write_config(tmp_path, generator={**GEN_SECTION, "sides": 3})
     assert main(["generate", "--config", config, "--out", str(tmp_path / "c.jsonl")]) == 2
@@ -406,7 +485,22 @@ def test_exit_4_on_insufficient_data(workspace, tmp_path, capsys):
     rc = main(["train", "--config", config,
                "--corpus", str(workspace["corpus"]), "--out", str(out)])
     assert rc == 4
-    assert "video" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: video level: corpus has 6 pairs, batch size 500 requested\n"
+    assert list(out.iterdir()) == []
+
+
+def test_exit_4_before_any_ablation_variant_when_one_lacks_data(workspace, tmp_path, capsys):
+    # clip-only needs no phases; clip+phase is the first variant that cannot fill a batch
+    config = _write_config(tmp_path, train={**TRAIN_SECTION, "b_phase": 200})
+    out = tmp_path / "run"
+    out.mkdir()
+    rc = main(["ablate", "--config", config,
+               "--corpus", str(workspace["corpus"]), "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr() == \
+        ("", "error: phase level: corpus has 18 pairs, batch size 200 requested\n")
+    assert list(out.iterdir()) == []
 
 
 def test_exit_4_on_non_utf8_corpus_line(workspace, tmp_path, capsys):
@@ -488,6 +582,19 @@ def test_exit_5_on_dimension_mismatch(workspace, tmp_path, capsys):
                "--corpus", str(wide), "--out", str(out)])
     assert rc == 5
     assert "dim" in capsys.readouterr().err
+
+
+def test_exit_5_on_checkpoint_dims_disagreeing_with_config(workspace, tmp_path, capsys):
+    ckpt = load_checkpoint(workspace["run"] / "checkpoint.bin")
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(replace(ckpt, config=replace(ckpt.config, hidden=64)), bad)
+    out = tmp_path / "ev"
+    out.mkdir()
+    rc = main(["eval", "--checkpoint", str(bad),
+               "--corpus", str(workspace["corpus"]), "--out", str(out)])
+    assert rc == 5
+    assert capsys.readouterr().err == f"error: {bad}: dims.hidden 10 != config.hidden 64\n"
+    assert list(out.iterdir()) == []
 
 
 def test_exit_5_on_bad_prompts_schema(workspace, tmp_path, capsys):

@@ -2,7 +2,7 @@
 import base64
 import json
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import count
 from pathlib import Path
 
@@ -17,6 +17,7 @@ from hiercl.cli import main
 from hiercl.corpus import (
     Corpus,
     ClipBatch,
+    CoarseBatch,
     GeneratorConfig,
     LectureVideo,
     PhaseBatch,
@@ -543,7 +544,7 @@ def test_phase_batch_has_every_segment_narration(corpus):
     rng = substream(1, "train")
     batch = sample_phase_batch(corpus, 3, rng, k=5)
     assert len(batch) == 3
-    for frames, narrations, concept in zip(batch.frames, batch.narrations, batch.concept):
+    for frames, narrations, concept in zip(batch.frames, batch.narrations, batch.summary):
         # clips_per_phase=2, so each phase contributes exactly 2 narrations
         assert len(narrations) == 2
         assert frames.shape == (5, 8)
@@ -596,6 +597,14 @@ def test_batch_rejects_repeated_sources():
     for cls in (ClipBatch, PhaseBatch, VideoBatch):
         with pytest.raises(InsufficientDataError, match=f"{cls.level} batch repeats"):
             cls(("x", "x"), (frames, frames), ((1,), (1,)), ((1,), (1,)))
+
+
+def test_phase_and_video_batches_share_one_shape():
+    names = ("source_ids", "frames", "narrations", "summary")
+    for cls, level in ((PhaseBatch, "phase"), (VideoBatch, "video")):
+        assert issubclass(cls, CoarseBatch)
+        assert tuple(f.name for f in fields(cls)) == names
+        assert cls.level == level
 
 
 def test_batch_rejects_columns_of_different_lengths():
@@ -675,7 +684,7 @@ def test_sampling_ragged_clips_matches_oracle(built, k, seed):
         batch = sample_phase_batch(corpus, len(phases), rng, k=k)
         assert sorted(batch.source_ids) == sorted(phases)
         for source_id, frames, narrations, concept in zip(
-                batch.source_ids, batch.frames, batch.narrations, batch.concept, strict=True):
+                batch.source_ids, batch.frames, batch.narrations, batch.summary, strict=True):
             members, seg = phases[source_id]
             assert _same_bits(frames, _oracle_frames(members, k))
             assert narrations == tuple(c.narration_a for c in members)
@@ -685,7 +694,7 @@ def test_sampling_ragged_clips_matches_oracle(built, k, seed):
         batch = sample_video_batch(corpus, len(videos), rng, k=k)
         assert sorted(batch.source_ids) == sorted(videos)
         for source_id, frames, narrations, abstract in zip(
-                batch.source_ids, batch.frames, batch.narrations, batch.abstract, strict=True):
+                batch.source_ids, batch.frames, batch.narrations, batch.summary, strict=True):
             video = videos[source_id]
             n = len(video.clips)
             assert _same_bits(frames, _oracle_frames(video.clips, k))

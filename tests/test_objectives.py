@@ -63,14 +63,14 @@ def clip_batch(frames: list[Matrix], toks: list[int]) -> ClipBatch:
 
 
 def phase_batch(frames: list[Matrix], toks: list[int]) -> PhaseBatch:
-    """Item i: frames[i], one narration and the concept the one token toks[i]."""
+    """Item i: frames[i], one narration and the summary (concept) the one token toks[i]."""
     texts = tuple((t,) for t in toks)
     return PhaseBatch(tuple(f"p{i}" for i in range(len(frames))), tuple(frames),
                       tuple((t,) for t in texts), texts)
 
 
 def video_batch(frames: list[Matrix], toks: list[int]) -> VideoBatch:
-    """Item i: frames[i], one narration and the abstract the one token toks[i]."""
+    """Item i: frames[i], one narration and the summary (abstract) the one token toks[i]."""
     texts = tuple((t,) for t in toks)
     return VideoBatch(tuple(f"v{i}" for i in range(len(frames))), tuple(frames),
                       tuple((t,) for t in texts), texts)
@@ -141,13 +141,6 @@ def test_equal_transcripts_double_the_probability():
     assert abs(lv.loss - (-math.log(2.0 * p_a))) < 1e-12
 
 
-def test_single_pool_of_one_is_zero():
-    p = identity_params(4)
-    clip = clip_batch([basis_frames(4, 0)], [0])
-    lv = loss_single(clip, empty(PhaseBatch), empty(VideoBatch), p, 0.07)
-    assert abs(lv.loss) < 1e-12
-
-
 def test_single_identical_pool_is_log_m():
     p = identity_params(4)
     frames = basis_frames(4, 0)
@@ -162,6 +155,10 @@ def test_single_rejects_all_empty():
     p = identity_params(4)
     with pytest.raises(EmptyInputError):
         loss_single(empty(ClipBatch), empty(PhaseBatch), empty(VideoBatch), p, 0.07)
+
+
+def test_phase_and_video_share_one_loss():
+    assert loss_video is loss_phase
 
 
 def test_tau_must_be_positive():
@@ -216,23 +213,17 @@ def oracle_clip(batch, params, tau):
     return -np.mean(np.log(_softmax_diag(v, ta, tau) + _softmax_diag(v, tb, tau)))
 
 
-def oracle_phase(batch, params, tau):
+def oracle_coarse(batch, params, tau):
+    """Phase or video level: visual and aggregated-narration queries against the summaries."""
     v = np.vstack(_segments(batch.frames, params))
     a = _aggregates(batch.narrations, params)
-    c = np.vstack(_texts(batch.concept, params))
-    return -np.mean(np.log(_softmax_diag(v, c, tau) + _softmax_diag(a, c, tau)))
-
-
-def oracle_video(batch, params, tau):
-    v = np.vstack(_segments(batch.frames, params))
-    a = _aggregates(batch.narrations, params)
-    t = np.vstack(_texts(batch.abstract, params))
+    t = np.vstack(_texts(batch.summary, params))
     return -np.mean(np.log(_softmax_diag(v, t, tau) + _softmax_diag(a, t, tau)))
 
 
 def oracle_single(clip, phase, video, params, tau):
     v = np.vstack(_segments([*clip.frames, *phase.frames, *video.frames], params))
-    t = np.vstack(_texts(clip.narration_a + phase.concept + video.abstract, params))
+    t = np.vstack(_texts(clip.narration_a + phase.summary + video.summary, params))
     return -np.mean(np.log(_softmax_diag(v, t, tau)))
 
 
@@ -246,8 +237,8 @@ def test_losses_match_straight_line_oracles(corpus):
         video = sample_video_batch(corpus, b, rng, k=6)
         tau = (0.07, 0.5, 1.0)[seed % 3]
         assert abs(loss_clip(clip, params, tau).loss - oracle_clip(clip, params, tau)) < 1e-12
-        assert abs(loss_phase(phase, params, tau).loss - oracle_phase(phase, params, tau)) < 1e-12
-        assert abs(loss_video(video, params, tau).loss - oracle_video(video, params, tau)) < 1e-12
+        assert abs(loss_phase(phase, params, tau).loss - oracle_coarse(phase, params, tau)) < 1e-12
+        assert abs(loss_video(video, params, tau).loss - oracle_coarse(video, params, tau)) < 1e-12
         got = loss_single(clip, phase, video, params, tau).loss
         assert abs(got - oracle_single(clip, phase, video, params, tau)) < 1e-12
 

@@ -28,7 +28,7 @@ from hiercl.trainer import (
     Checkpoint,
     OptimizerState,
     TrainConfig,
-    _check_capacity,
+    check_capacity,
     _level_at,
     adamw_step,
     load_checkpoint,
@@ -405,9 +405,9 @@ def test_capacity_check_names_exactly_the_sampled_levels(corpus, mode):
                                 **{**TINY, f"b_{level}": counts[level] + 1})
         if level in levels:
             with pytest.raises(InsufficientDataError, match=f"^{level} level"):
-                _check_capacity(oversized, corpus)
+                check_capacity(oversized, corpus)
         else:
-            _check_capacity(oversized, corpus)  # e.g. clip_phase ignores b_video
+            check_capacity(oversized, corpus)  # e.g. clip_phase ignores b_video
 
 
 def test_clip_loss_trends_down(corpus):
@@ -507,6 +507,18 @@ def test_checkpoint_rejects_version_1(corpus, tmp_path):
     body = bytes(blob[:-32])
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(SchemaVersionError, match="version 1, this build reads 2"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["d_tok", "hidden", "d_emb"])
+def test_checkpoint_rejects_dims_that_disagree_with_its_config(corpus, tmp_path, field):
+    # Checksum and config digest hold; only the header's two descriptions of the model differ.
+    cfg = TrainConfig(cycles=1, seed=7, **TINY)
+    ckpt = train(cfg, corpus).checkpoint
+    path = tmp_path / "ck.bin"
+    save_checkpoint(replace(ckpt, config=replace(cfg, **{field: 64})), path)
+    want = f"dims.{field} {TINY[field]} != config.{field} 64"
+    with pytest.raises(CheckpointIntegrityError, match=re.escape(want)):
         load_checkpoint(path)
 
 
