@@ -99,13 +99,12 @@ class EncoderDims:
         return self.layout[-1].stop
 
 
-def nonfinite_block(dims: EncoderDims, vector: np.ndarray) -> str | None:
-    """Name of the block holding the first non-finite entry of a flat vector."""
+def check_finite(dims: EncoderDims, vector: np.ndarray, error: type, message: str) -> None:
+    """Raise `error(message)`, with `{}` the first bad block, unless a flat vector is finite."""
     finite = np.isfinite(vector)
-    if finite.all():
-        return None
-    first = int(finite.argmin())
-    return next(b.name for b in dims.layout if first < b.stop)
+    if not finite.all():
+        first = int(finite.argmin())
+        raise error(message.format(next(b.name for b in dims.layout if first < b.stop)))
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:
@@ -129,15 +128,24 @@ class ModelParams:
         if vector.shape != (self.dims.size,):
             raise ShapeError(f"parameter vector has shape {vector.shape}, "
                              f"layout needs ({self.dims.size},)")
-        bad = nonfinite_block(self.dims, vector)
-        if bad is not None:
-            raise ContractError(f"{bad} contains non-finite values")
+        check_finite(self.dims, vector, ContractError, "{} contains non-finite values")
+        self._bind(vector)
+
+    @classmethod
+    def _viewing(cls, dims: EncoderDims, vector: np.ndarray) -> "ModelParams":
+        """Params over a read-only view of a vector its owner keeps writing: no copy, no check."""
+        params = cls.__new__(cls)
+        object.__setattr__(params, "dims", dims)
+        return params._bind(vector.view())
+
+    def _bind(self, vector: np.ndarray) -> "ModelParams":
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "_leaves", tuple(
             (b.name, Matrix._wrap(vector[b.offset:b.stop].reshape(b.rows, b.cols)))
             for b in self.dims.layout
         ))
+        return self
 
     @classmethod
     def from_blocks(cls, dims: EncoderDims, blocks: dict[str, Matrix]) -> "ModelParams":

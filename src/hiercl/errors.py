@@ -33,9 +33,8 @@ class NumericError(HierclError):
     exit_code = 6
 
 
-class DegenerateEmbeddingError(HierclError):
+class DegenerateEmbeddingError(NumericError):
     """A row had (near-)zero norm and cannot be normalized."""
-    exit_code = 6
 
 
 class EmptyInputError(HierclError):

@@ -47,11 +47,11 @@ class LossValue:
 
 def _sim_diagnostics(sims: list[np.ndarray]) -> tuple[float, float]:
     """Mean matched-pair and mean unmatched-pair cosine similarity."""
-    pos = np.concatenate([np.diag(s) for s in sims])
+    pos = np.concatenate([s.diagonal() for s in sims])
     # Row-major, a BxB matrix's off-diagonal entries are the first B of each B+1 after entry 0.
     neg = np.concatenate([s.ravel()[1:].reshape(len(s) - 1, len(s) + 1)[:, :-1] for s in sims],
                          axis=None)
-    return float(np.mean(pos)), float(np.mean(neg)) if neg.size else 0.0
+    return float(pos.sum() / pos.size), float(neg.sum() / neg.size) if neg.size else 0.0
 
 
 def _finalize(tape: Tape, pn: dict[str, Node], loss_node: Node,

@@ -10,6 +10,10 @@ into one loss per step. Every mode runs the same total batch budget.
 Everything is a pure function of (config, corpus): the same seed gives
 bit-identical parameters, logs, and checkpoints, and a saved checkpoint
 carries the sampler state needed to resume mid-run bit-exactly.
+
+`train` copies the parameters and Adam moments into a `TrainState`, which
+`adamw_step` updates in place; the losses read one read-only view of its
+parameters for the whole run, and only frozen copies leave `train`.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import Corpus, atomic_file, sample_clip_batch, sample_phase_batch, sample_video_batch
-from .encoders import EncoderDims, ModelParams, nonfinite_block
+from .encoders import EncoderDims, ModelParams, check_finite
 from .errors import (
     CheckpointIntegrityError,
     ConfigError,
@@ -136,28 +140,44 @@ class OptimizerState:
         return cls(first=zeros, second=zeros, step=0)
 
 
-def adamw_step(params: ModelParams, g: np.ndarray,
-               state: OptimizerState, cfg: TrainConfig) -> tuple[ModelParams, OptimizerState]:
-    """One bias-corrected Adam update with decoupled weight decay.
+class TrainState:
+    """The loop's writable parameters, moments and scratch; `params` views `theta` read-only."""
 
-    `g` is the flat gradient, laid out like `params.vector`.
+    def __init__(self, params: ModelParams, opt: OptimizerState) -> None:
+        self.theta, self.first, self.second = map(np.array, (params.vector, opt.first, opt.second))
+        self.scratch, self.step = np.empty((2, params.dims.size)), opt.step
+        self.params = ModelParams._viewing(params.dims, self.theta)
+
+    def frozen(self) -> tuple[ModelParams, OptimizerState]:
+        """Read-only copies that share no memory with the loop's vectors."""
+        first, second = self.first.copy(), self.second.copy()
+        first.flags.writeable = second.flags.writeable = False
+        return ModelParams(self.params.dims, self.theta), OptimizerState(first, second, self.step)
+
+
+def adamw_step(state: TrainState, g: np.ndarray, cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update with decoupled weight decay, in place on `state`.
+
+    `g` is the flat gradient, laid out like `state.theta`; the float temporaries are
+    the two scratch vectors. A non-finite gradient or result raises NumericError naming its block.
     """
-    t = state.step + 1
-    bad = nonfinite_block(params.dims, g)
-    if bad is not None:
-        raise NumericError(f"non-finite gradient for parameter block {bad}")
-    m1 = cfg.beta1 * state.first + (1.0 - cfg.beta1) * g
-    m2 = cfg.beta2 * state.second + (1.0 - cfg.beta2) * (g * g)
-    m1_hat = m1 / (1.0 - cfg.beta1 ** t)
-    m2_hat = m2 / (1.0 - cfg.beta2 ** t)
-    step = cfg.lr * (m1_hat / (np.sqrt(m2_hat) + cfg.eps))
-    decay = cfg.lr * cfg.weight_decay * params.vector
-    m1.setflags(write=False)
-    m2.setflags(write=False)
-    return (
-        ModelParams(params.dims, params.vector - step - decay),
-        OptimizerState(first=m1, second=m2, step=t),
-    )
+    check_finite(state.params.dims, g, NumericError, "non-finite gradient for parameter block {}")
+    state.step += 1
+    s1, s2 = state.scratch
+    state.first *= cfg.beta1
+    state.first += np.multiply(g, 1.0 - cfg.beta1, out=s1)
+    state.second *= cfg.beta2
+    state.second += np.multiply(np.multiply(g, g, out=s1), 1.0 - cfg.beta2, out=s1)
+    np.divide(state.first, 1.0 - cfg.beta1 ** state.step, out=s1)
+    np.sqrt(np.divide(state.second, 1.0 - cfg.beta2 ** state.step, out=s2), out=s2)
+    s2 += cfg.eps
+    s1 /= s2
+    s1 *= cfg.lr
+    np.multiply(state.theta, cfg.lr * cfg.weight_decay, out=s2)  # the decay, from the old theta
+    state.theta -= s1
+    state.theta -= s2
+    check_finite(state.params.dims, state.theta, NumericError,
+                 "parameter block {} is not finite after the update")
 
 
 @dataclass(frozen=True)
@@ -235,13 +255,13 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
         if resume.config != cfg:
             raise ConfigError("checkpoint was written under a different config")
         check_compatible(resume.params, corpus)
-        params, opt, start = resume.params, resume.opt_state, resume.global_batch
+        state, start = TrainState(resume.params, resume.opt_state), resume.global_batch
         rng.bit_generator.state = resume.rng_state
     else:
         dims = EncoderDims(d_in=corpus.config.d_in, d_tok=cfg.d_tok, hidden=cfg.hidden,
                            d_emb=cfg.d_emb, vocab_size=corpus.config.vocab_size)
         params = ModelParams.initialize(dims, rng)
-        opt, start = OptimizerState.initialize(params), 0
+        state, start = TrainState(params, OptimizerState.initialize(params)), 0
     stop = cfg.total_batches if stop_at is None else stop_at
     if not start <= stop <= cfg.total_batches:
         raise ConfigError(f"stop_at must lie in [{start}, {cfg.total_batches}], got {stop_at}")
@@ -253,8 +273,8 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
         for i in range(start, stop):
             level = _level_at(cfg, i)
             try:
-                lv = _loss_at_level(level, corpus, cfg, params, rng)
-                params, opt = adamw_step(params, lv.grads, opt, cfg)
+                lv = _loss_at_level(level, corpus, cfg, state.params, rng)
+                adamw_step(state, lv.grads, cfg)
             except NumericError as e:
                 raise NumericError(f"batch {i} ({level} level): {e}") from e
             entry = {"batch": i, "level": level, "loss": lv.loss,
@@ -267,13 +287,9 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
     finally:
         if log_file:
             log_file.close()
-    ckpt = Checkpoint(
-        config=cfg,
-        global_batch=stop,
-        params=params,
-        opt_state=opt,
-        rng_state=rng.bit_generator.state,
-    )
+    params, opt = state.frozen()
+    ckpt = Checkpoint(config=cfg, global_batch=stop, params=params, opt_state=opt,
+                      rng_state=rng.bit_generator.state)
     return TrainResult(checkpoint=ckpt, log=log)
 
 

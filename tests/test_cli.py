@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from blas_threads import openblas_threads
 
@@ -681,6 +682,27 @@ def test_exit_5_on_split_class_without_prompts(workspace, tmp_path, capsys):
     assert _run_eval(workspace, out, "--prompts", str(prompts)) == 5
     assert "classes [2] appear in the split but have no prompts" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()  # rejected before the run
+
+
+def test_exit_6_on_update_that_overflows(workspace, tmp_path, capsys):
+    config = _write_config(tmp_path, train={**TRAIN_SECTION, "lr": 1e300, "weight_decay": 1e10})
+    with np.errstate(invalid="ignore"):
+        rc = main(["train", "--config", config, "--corpus", str(workspace["corpus"]),
+                   "--out", str(tmp_path)])
+    assert rc == 6
+    assert capsys.readouterr().err == ("error: batch 0 (clip level): parameter block "
+                                       "visual.w1 is not finite after the update\n")
+
+
+def test_exit_6_on_degenerate_initial_embedding_names_its_batch(paper_corpus, tmp_path, capsys):
+    # With hidden 10, some of the 120 clips leave every first-layer unit at zero.
+    section = {k: v for k, v in TRAIN_SECTION.items() if not k.startswith("b_")}
+    config = _write_config(tmp_path, train=section)
+    rc = main(["train", "--config", config, "--corpus", str(paper_corpus),
+               "--out", str(tmp_path), "--holdout", "0.05", "--paper-scale"])
+    assert rc == 6
+    assert capsys.readouterr().err == (
+        "error: batch 0 (clip level): row 113 has near-zero norm 0.000e+00\n")
 
 
 def test_cli_requires_subcommand(capsys):

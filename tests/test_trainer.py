@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from hiercl.trainer import (
     Checkpoint,
     OptimizerState,
     TrainConfig,
+    TrainState,
     check_capacity,
     _level_at,
     adamw_step,
@@ -216,53 +218,60 @@ def _scalar_setup(theta: float, grad: float):
     return params, grads
 
 
+def _fresh(params):
+    """The loop's state at batch 0: its own copies of params and zero moments."""
+    return TrainState(params, OptimizerState.initialize(params))
+
+
 def test_adamw_zero_gradient_without_decay_is_fixed_point():
     params, zero_grads = _scalar_setup(1.0, 0.0)
-    cfg = TrainConfig(lr=0.1, weight_decay=0.0)
-    updated, state = adamw_step(params, zero_grads, OptimizerState.initialize(params), cfg)
+    state = _fresh(params)
+    adamw_step(state, zero_grads, TrainConfig(lr=0.1, weight_decay=0.0))
+    updated, opt = state.frozen()
     assert updated.digest() == params.digest()
-    assert state.step == 1
+    assert opt.step == 1
 
 
 def test_adamw_first_step_hand_value():
     # theta=1, g=1, lr=0.1: m_hat=1, v_hat=1, theta' = 1 - 0.1/(1 + eps)
     params, grads = _scalar_setup(1.0, 1.0)
-    cfg = TrainConfig(lr=0.1, weight_decay=0.0)
-    updated, _ = adamw_step(params, grads, OptimizerState.initialize(params), cfg)
-    theta = dict(updated.leaves())["visual.w1"].array[0, 0]
+    state = _fresh(params)
+    adamw_step(state, grads, TrainConfig(lr=0.1, weight_decay=0.0))
+    theta = dict(state.params.leaves())["visual.w1"].array[0, 0]
     assert abs(theta - 0.9) < 1e-8
 
 
 def test_adamw_decay_only_shrinks_exactly():
     params, zero_grads = _scalar_setup(2.0, 0.0)
-    cfg = TrainConfig(lr=0.1, weight_decay=0.01)
-    updated, _ = adamw_step(params, zero_grads, OptimizerState.initialize(params), cfg)
-    theta = dict(updated.leaves())["visual.w1"].array[0, 0]
+    state = _fresh(params)
+    adamw_step(state, zero_grads, TrainConfig(lr=0.1, weight_decay=0.01))
+    theta = dict(state.params.leaves())["visual.w1"].array[0, 0]
     assert theta == 2.0 - 0.1 * 0.01 * 2.0  # decoupled decay, exact
 
 
 def test_adamw_rejects_nonfinite_gradient():
     params, grads = _scalar_setup(1.0, float("nan"))
     with pytest.raises(NumericError, match="visual.w1"):
-        adamw_step(params, grads, OptimizerState.initialize(params), TrainConfig())
+        adamw_step(_fresh(params), grads, TrainConfig())
     # the message names the first bad block in layout order
     names = [b.name for b in params.dims.layout]
     grads[0] = 1.0
     grads[names.index("text.w1")] = float("inf")
     grads[names.index("text.b2")] = float("nan")
     with pytest.raises(NumericError, match="block text.w1$"):
-        adamw_step(params, grads, OptimizerState.initialize(params), TrainConfig())
+        adamw_step(_fresh(params), grads, TrainConfig())
 
 
 def test_adamw_moment_shapes_and_step_counter():
     dims = EncoderDims(d_in=3, d_tok=3, hidden=4, d_emb=2, vocab_size=5)
-    params = ModelParams.initialize(dims, substream(1, "train"))
+    state = _fresh(ModelParams.initialize(dims, substream(1, "train")))
     grads = np.ones(dims.size)
-    state = OptimizerState.initialize(params)
     for want_step in (1, 2, 3):
-        params, state = adamw_step(params, grads, state, TrainConfig())
+        adamw_step(state, grads, TrainConfig())
         assert state.step == want_step
-    assert state.first.shape == state.second.shape == params.vector.shape == (dims.size,)
+    params, opt = state.frozen()
+    assert opt.step == 3
+    assert opt.first.shape == opt.second.shape == params.vector.shape == (dims.size,)
 
 
 def _adamw_reference(blocks, grads, first, second, t, cfg):
@@ -282,7 +291,7 @@ def test_adamw_flat_update_equals_per_block_loop():
     dims = EncoderDims(d_in=3, d_tok=5, hidden=7, d_emb=2, vocab_size=11)
     params = ModelParams.initialize(dims, substream(4, "train"))
     cfg = TrainConfig(lr=1e-2, weight_decay=0.1)
-    state = OptimizerState.initialize(params)
+    state = _fresh(params)
     blocks = {name: m.array for name, m in params.leaves()}
     first = {name: np.zeros(m.shape) for name, m in params.leaves()}
     second = {name: np.zeros(m.shape) for name, m in params.leaves()}
@@ -291,13 +300,35 @@ def test_adamw_flat_update_equals_per_block_loop():
         grads = {name: rng.standard_normal(m.shape) * 10.0 ** rng.integers(-3, 3)
                  for name, m in params.leaves()}
         flat = np.concatenate([grads[b.name].ravel() for b in dims.layout])
-        params, state = adamw_step(params, flat, state, cfg)
+        adamw_step(state, flat, cfg)
         _adamw_reference(blocks, grads, first, second, t, cfg)
-        for b, (name, m) in zip(dims.layout, params.leaves()):
+        for b, (name, m) in zip(dims.layout, state.params.leaves()):
             assert np.array_equal(m.array, blocks[name])
             assert np.array_equal(state.first[b.offset:b.stop], first[name].ravel())
             assert np.array_equal(state.second[b.offset:b.stop], second[name].ravel())
     assert state.step == 4
+
+
+def test_adamw_updates_in_place_without_vector_temporaries():
+    dims = EncoderDims()  # desk scale: 14,496 parameters
+    state = _fresh(ModelParams.initialize(dims, substream(2, "train")))
+    buffers = (state.theta, state.first, state.second, state.params.vector)
+    grads = [np.random.default_rng(t).standard_normal(dims.size) for t in range(100)]
+    cfg = TrainConfig(lr=1e-2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for g in grads:
+            adamw_step(state, g, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < state.theta.nbytes / 4, peak
+    assert all(now is then for now, then in zip(
+        (state.theta, state.first, state.second, state.params.vector), buffers))
+    assert np.shares_memory(state.params.vector, state.theta)
+    assert not state.params.vector.flags.writeable
+    assert state.step == 100
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +563,34 @@ def test_resume_equals_uninterrupted(corpus):
     assert resumed.checkpoint.params.digest() == full.checkpoint.params.digest()
     assert resumed.checkpoint.rng_state == full.checkpoint.rng_state
     assert resumed.log == full.log[3:]
+
+
+def test_resume_twice_from_one_checkpoint(corpus):
+    cfg = TrainConfig(cycles=2, seed=8, **TINY)
+    mid = train(cfg, corpus, stop_at=3).checkpoint
+    vectors = (mid.params.vector, mid.opt_state.first, mid.opt_state.second)
+    before = [v.copy() for v in vectors]
+    a, b = (train(cfg, corpus, resume=mid).checkpoint for _ in range(2))
+    for v, was in zip(vectors, before):
+        assert np.array_equal(v, was) and not v.flags.writeable
+    assert a.params.digest() == b.params.digest()
+    assert np.array_equal(a.opt_state.first, b.opt_state.first)
+    assert np.array_equal(a.opt_state.second, b.opt_state.second)
+    assert (a.global_batch, a.opt_state.step) == (b.global_batch, b.opt_state.step) == (6, 6)
+    held = [v for ck in (a, b) for v in (ck.params.vector, ck.opt_state.first,
+                                          ck.opt_state.second)]
+    for i, v in enumerate(held):
+        assert not v.flags.writeable
+        for w in held[i + 1:] + list(vectors):
+            assert not np.shares_memory(v, w)
+
+
+def test_nonfinite_update_names_its_batch(corpus):
+    # lr * weight_decay overflows to inf, so the first update leaves visual.w1 non-finite.
+    cfg = TrainConfig(cycles=1, lr=1e300, weight_decay=1e10, **TINY)
+    want = r"^batch 0 \(clip level\): parameter block visual.w1 is not finite after the update$"
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=want):
+        train(cfg, corpus)
 
 
 def test_resume_through_file_roundtrip(corpus, tmp_path):
