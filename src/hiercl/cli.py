@@ -403,7 +403,10 @@ def main(argv=None) -> int:
     single_thread_blas()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The typed finiteness checks report a numeric failure; numpy's raw
+        # warnings would repeat it with a source path before the error line.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except HierclError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -39,7 +39,7 @@ from .errors import (
     check_ints,
 )
 from .numerics import Matrix
-from .encoders import FrameStack, pick_frames
+from .encoders import FrameStack, TokenSets, TokenStack, pick_frames
 from .seeding import substream
 
 SCHEMA = "hiercorpus/2"
@@ -50,6 +50,8 @@ ABSTRACT_LEN = 24
 # Concept texts are cleaner than narrations: fraction of the narration
 # token-noise rate applied to them.
 CONCEPT_NOISE_FACTOR = 0.25
+# The kinds of text in a corpus, in token_table order.
+TEXT_KINDS = ("narration_a", "narration_b", "concept", "abstract")
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class LectureVideo:
 
 
 class RowRanges(NamedTuple):
-    """Segments of a frame table: each one's first row and row count."""
+    """Runs of a table (frames, tokens or clips): each one's first row and row count."""
 
     starts: np.ndarray
     lengths: np.ndarray
@@ -179,6 +181,48 @@ class Corpus:
         return tuple((v, pi, seg) for v in self.videos for pi, seg in enumerate(v.phases))
 
     @cached_property
+    def source_ids(self) -> dict[str, tuple[str, ...]]:
+        """The id of every clip, phase segment and video, by level, in table order."""
+        return {"clip": tuple(c.clip_id for c in self.clip_table),
+                "phase": tuple(f"{v.video_id}p{pi}" for v, pi, _ in self.phase_table),
+                "video": tuple(v.video_id for v in self.videos)}
+
+    def _texts_of(self, kind: str) -> list[tuple[int, ...]]:
+        if kind == "concept":
+            return [seg.concept for _, _, seg in self.phase_table]
+        if kind == "abstract":
+            return [v.abstract for v in self.videos]
+        return [getattr(c, kind) for c in self.clip_table]
+
+    @cached_property
+    def token_runs(self) -> dict[str, RowRanges]:
+        """Each kind's texts as runs of token_table, in source order."""
+        texts = [self._texts_of(kind) for kind in TEXT_KINDS]
+        lengths = np.fromiter(map(len, chain.from_iterable(texts)), dtype=np.intp,
+                              count=sum(map(len, texts)))
+        starts = np.cumsum(lengths) - lengths
+        cuts = list(accumulate(map(len, texts)))[:-1]
+        return {kind: RowRanges(s, n) for kind, s, n in
+                zip(TEXT_KINDS, np.split(starts, cuts), np.split(lengths, cuts))}
+
+    @cached_property
+    def token_table(self) -> np.ndarray:
+        """Every text's token ids, kind after kind of TEXT_KINDS: one read-only intp array.
+
+        Built on first use, so generating, loading and splitting never pay for it.
+        """
+        texts = chain.from_iterable(map(self._texts_of, TEXT_KINDS))
+        size = sum(int(runs.lengths.sum()) for runs in self.token_runs.values())
+        table = np.fromiter(chain.from_iterable(texts), dtype=np.intp, count=size)
+        table.setflags(write=False)
+        return table
+
+    def texts(self, kind: str, index=slice(None)) -> TokenStack:
+        """The `kind` texts of the indexed sources, as runs of token_table; nothing gathered."""
+        runs = self.token_runs[kind]
+        return TokenStack(self.token_table, runs.starts[index], runs.lengths[index])
+
+    @cached_property
     def clip_offsets(self) -> list[int]:
         """Index in clip_table of each video's first clip, then the clip count."""
         return list(accumulate((len(v.clips) for v in self.videos), initial=0))
@@ -188,10 +232,10 @@ class Corpus:
         """First row in frame_table of each clip, then the row count."""
         return np.cumsum([0, *(c.frames.rows for c in self.clip_table)], dtype=np.intp)
 
-    def _rows(self, first: Sequence[int], stop: Sequence[int]) -> RowRanges:
-        """Rows of the clip spans [first, stop) of clip_table."""
-        starts = self._row_bounds[first]
-        return RowRanges(starts, self._row_bounds[stop] - starts)
+    def _rows(self, clips: RowRanges) -> RowRanges:
+        """Rows of runs of clip_table."""
+        starts = self._row_bounds[clips.starts]
+        return RowRanges(starts, self._row_bounds[clips.starts + clips.lengths] - starts)
 
     @cached_property
     def clip_rows(self) -> RowRanges:
@@ -199,17 +243,28 @@ class Corpus:
         return RowRanges(self._row_bounds[:-1], np.diff(self._row_bounds))
 
     @cached_property
+    def phase_clips(self) -> RowRanges:
+        """Clips of each phase segment in clip_table, in phase_table order."""
+        firsts = [first + seg.start for first, v in zip(self.clip_offsets, self.videos)
+                  for seg in v.phases]
+        counts = [seg.end - seg.start for _, _, seg in self.phase_table]
+        return RowRanges(np.array(firsts, dtype=np.intp), np.array(counts, dtype=np.intp))
+
+    @cached_property
+    def video_clips(self) -> RowRanges:
+        """Clips of each video in clip_table, in corpus order."""
+        offsets = np.array(self.clip_offsets, dtype=np.intp)
+        return RowRanges(offsets[:-1], np.diff(offsets))
+
+    @cached_property
     def phase_rows(self) -> RowRanges:
         """Rows of each phase segment, in phase_table order."""
-        segments = [(first, seg) for first, v in zip(self.clip_offsets, self.videos)
-                    for seg in v.phases]
-        return self._rows([first + seg.start for first, seg in segments],
-                          [first + seg.end for first, seg in segments])
+        return self._rows(self.phase_clips)
 
     @cached_property
     def video_rows(self) -> RowRanges:
         """Rows of each video, in corpus order."""
-        return self._rows(self.clip_offsets[:-1], self.clip_offsets[1:])
+        return self._rows(self.video_clips)
 
     def pair_counts(self) -> dict[str, int]:
         return {
@@ -533,10 +588,14 @@ class _Batch:
         return len(self.source_ids)
 
 
+# Sampled batches hold their texts as runs of the corpus token table (a
+# TokenStack, or TokenSets for narration sets); hand-built ones may hold tuples.
+
+
 @dataclass(frozen=True)
 class ClipBatch(_Batch):
-    narration_a: tuple[tuple[int, ...], ...]
-    narration_b: tuple[tuple[int, ...], ...]
+    narration_a: Sequence[tuple[int, ...]]
+    narration_b: Sequence[tuple[int, ...]]
     level = "clip"
 
 
@@ -544,8 +603,8 @@ class ClipBatch(_Batch):
 class CoarseBatch(_Batch):
     """A phase or video batch: each item's narrations and its summary text."""
 
-    narrations: tuple[tuple[tuple[int, ...], ...], ...]
-    summary: tuple[tuple[int, ...], ...]  # a phase's concept or a video's abstract
+    narrations: Sequence[tuple[tuple[int, ...], ...]]
+    summary: Sequence[tuple[int, ...]]  # a phase's concept or a video's abstract
 
 
 class PhaseBatch(CoarseBatch):
@@ -556,14 +615,18 @@ class VideoBatch(CoarseBatch):
     level = "video"  # narrations: at most k evenly spread clip narrations
 
 
-def _draw(rng: np.random.Generator, n: int, b: int, level: str) -> np.ndarray:
+def _draw(corpus: Corpus, level: str, b: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Indices of b distinct sources of a level, and their ids."""
+    ids = corpus.source_ids[level]
     if b < 1:
         raise ConfigError(f"batch size must be >= 1, got {b}")
-    if b > n:
+    if b > len(ids):
         raise InsufficientDataError(
-            f"{level} level: requested batch of {b} but only {n} sources available"
+            f"{level} level: requested batch of {b} but only {len(ids)} sources available"
         )
-    return rng.choice(n, size=b, replace=False)
+    drawn = rng.choice(len(ids), size=b, replace=False)
+    return drawn, tuple(map(ids.__getitem__, drawn.tolist()))
 
 
 def _frames(corpus: Corpus, ranges: RowRanges, drawn: np.ndarray, k: int) -> FrameStack:
@@ -571,46 +634,47 @@ def _frames(corpus: Corpus, ranges: RowRanges, drawn: np.ndarray, k: int) -> Fra
     return pick_frames(corpus.frame_table, ranges.starts[drawn], ranges.lengths[drawn], k)
 
 
+def _narrations(corpus: Corpus, clips: RowRanges, counts: np.ndarray) -> TokenSets:
+    """narration_a of `counts[i]` clips of each clip run i: of its n, those at floor(j*n/count)."""
+    firsts = np.cumsum(counts) - counts
+    j = np.arange(int(firsts[-1] + counts[-1])) - np.repeat(firsts, counts)
+    members = (np.repeat(clips.starts, counts)
+               + j * np.repeat(clips.lengths, counts) // np.repeat(counts, counts))
+    return TokenSets(corpus.texts("narration_a", members), counts)
+
+
 def sample_clip_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                       k: int = 4) -> ClipBatch:
-    table = corpus.clip_table
-    drawn = _draw(rng, len(table), b, "clip")
-    clips = [table[i] for i in drawn.tolist()]
+    drawn, ids = _draw(corpus, "clip", b, rng)
     return ClipBatch(
-        source_ids=tuple(c.clip_id for c in clips),
+        source_ids=ids,
         frames=_frames(corpus, corpus.clip_rows, drawn, k),
-        narration_a=tuple(c.narration_a for c in clips),
-        narration_b=tuple(c.narration_b for c in clips),
+        narration_a=corpus.texts("narration_a", drawn),
+        narration_b=corpus.texts("narration_b", drawn),
     )
 
 
 def sample_phase_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 8) -> PhaseBatch:
-    table = corpus.phase_table
-    drawn = _draw(rng, len(table), b, "phase")
-    phases = [table[i] for i in drawn.tolist()]
-    members = [video.clips[seg.start:seg.end] for video, _, seg in phases]
+    """Every member narration of each drawn phase segment."""
+    drawn, ids = _draw(corpus, "phase", b, rng)
+    clips = RowRanges(*(column[drawn] for column in corpus.phase_clips))
     return PhaseBatch(
-        source_ids=tuple(f"{video.video_id}p{pi}" for video, pi, _ in phases),
+        source_ids=ids,
         frames=_frames(corpus, corpus.phase_rows, drawn, k),
-        narrations=tuple(tuple(c.narration_a for c in clips) for clips in members),
-        summary=tuple(seg.concept for _, _, seg in phases),
+        narrations=_narrations(corpus, clips, clips.lengths),
+        summary=corpus.texts("concept", drawn),
     )
-
-
-def _spread_narrations(clips: Sequence[VideoClip], k: int) -> tuple[tuple[int, ...], ...]:
-    """At most k narrations, at clip indices floor(j*n/min(n, k))."""
-    n = min(len(clips), k)
-    return tuple(clips[j * len(clips) // n].narration_a for j in range(n))
 
 
 def sample_video_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 32) -> VideoBatch:
-    drawn = _draw(rng, len(corpus.videos), b, "video")
-    videos = [corpus.videos[i] for i in drawn.tolist()]
+    """At most k narrations of each drawn video, at clip indices floor(j*n/min(n, k))."""
+    drawn, ids = _draw(corpus, "video", b, rng)
+    clips = RowRanges(*(column[drawn] for column in corpus.video_clips))
     return VideoBatch(
-        source_ids=tuple(v.video_id for v in videos),
+        source_ids=ids,
         frames=_frames(corpus, corpus.video_rows, drawn, k),
-        narrations=tuple(_spread_narrations(v.clips, k) for v in videos),
-        summary=tuple(v.abstract for v in videos),
+        narrations=_narrations(corpus, clips, np.minimum(clips.lengths, k)),
+        summary=corpus.texts("abstract", drawn),
     )

@@ -9,7 +9,9 @@ are cosine similarities.
 
 Frames are precomputed feature vectors, not images; a segment of frames is
 a Matrix with one frame per row. Texts are sequences of integer token ids,
-mean-pooled order-invariantly by `Tape.embed_mean` before the network.
+mean-pooled order-invariantly by `Tape.embed_mean` before the network. A
+batch column of texts is a `TokenStack`, runs of one token table; a column
+of text sets is a `TokenSets`.
 
 Every weight of both encoders lives in one flat vector; `EncoderDims.layout`
 is the one table of where each named block sits in it.
@@ -246,18 +248,87 @@ def pick_frames(table: np.ndarray, starts: Sequence[int], lengths: Sequence[int]
     return FrameStack(table[rows.ravel()], np.full(starts.size, k, dtype=np.intp))
 
 
+class TokenStack(Sequence[tuple[int, ...]]):
+    """Texts as runs of one read-only intp token table: each run's start and length.
+
+    It reads as a sequence of int tuples. `ids`, every run's tokens in order,
+    is gathered from the table once, on first read. `+` on one table
+    concatenates runs; across tables it copies.
+    """
+
+    def __init__(self, table: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
+        self.table = table
+        self.starts = starts
+        self.lengths = lengths
+
+    @classmethod
+    def of(cls, texts: Sequence[TokenSeq]) -> "TokenStack":
+        """A TokenStack as it is; other texts flattened into a table of their own."""
+        if isinstance(texts, TokenStack):
+            return texts
+        lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+        table = np.fromiter(chain.from_iterable(texts), dtype=np.intp, count=int(lengths.sum()))
+        table.setflags(write=False)
+        stack = cls(table, np.cumsum(lengths) - lengths, lengths)
+        vars(stack)["ids"] = table  # the runs are the whole table, in order
+        return stack
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """Every run's token ids, run after run: one gather from the table."""
+        firsts = np.cumsum(self.lengths) - self.lengths
+        shift = np.repeat(self.starts - firsts, self.lengths)
+        ids = self.table[shift + np.arange(shift.size)]
+        ids.setflags(write=False)
+        return ids
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        i = range(len(self))[i]
+        start = self.starts[i]
+        return tuple(self.table[start:start + self.lengths[i]].tolist())
+
+    def __add__(self, other: Sequence[TokenSeq]) -> "TokenStack":
+        if isinstance(other, TokenStack) and other.table is self.table:
+            return TokenStack(self.table, np.concatenate([self.starts, other.starts]),
+                              np.concatenate([self.lengths, other.lengths]))
+        return TokenStack.of([*self, *other])
+
+    def __radd__(self, other: Sequence[TokenSeq]) -> "TokenStack":
+        return TokenStack.of([*other, *self])
+
+
+class TokenSets(Sequence[tuple[tuple[int, ...], ...]]):
+    """Sets of texts: every member, set after set, as one TokenStack, and each set's size."""
+
+    __slots__ = ("members", "sizes")
+
+    def __init__(self, members: TokenStack, sizes: np.ndarray) -> None:
+        self.members = members
+        self.sizes = sizes
+
+    @classmethod
+    def of(cls, text_sets: Sequence[Sequence[TokenSeq]]) -> "TokenSets":
+        """TokenSets as they are; other sets' members flattened by `TokenStack.of`."""
+        if isinstance(text_sets, TokenSets):
+            return text_sets
+        sizes = np.fromiter(map(len, text_sets), dtype=np.intp, count=len(text_sets))
+        return cls(TokenStack.of([t for ts in text_sets for t in ts]), sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, i: int) -> tuple[tuple[int, ...], ...]:
+        i = range(len(self))[i]
+        first = int(self.sizes[:i].sum())
+        return tuple(self.members[j] for j in range(first, first + self.sizes[i]))
+
+
 def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
     """Register every parameter block as a trainable leaf on the tape."""
     return {name: tape.leaf(m) for name, m in params.leaves()}
-
-
-def _token_index(texts: Sequence[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
-    """Every text's token ids as one flat intp array, and each text's length."""
-    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-    if not lengths.all():
-        raise EmptyInputError("text has no tokens")
-    return np.fromiter(chain.from_iterable(texts), dtype=np.intp,
-                       count=int(lengths.sum())), lengths
 
 
 def _mlp(tape: Tape, x: Node, pn: dict[str, Node], prefix: str) -> Node:
@@ -285,10 +356,14 @@ def text_embedding_rows(tape: Tape, pn: dict[str, Node],
     All tokens of all texts are gathered from the embedding table at once;
     each text's token embeddings are mean-pooled (order-invariant) before
     one pass through the two-layer network. Texts may have different lengths.
+    A TokenStack is read as it is; other texts are flattened into one first.
     """
     if not texts:
         raise EmptyInputError("no texts to encode")
-    pooled = tape.embed_mean(pn["text.embed"], *_token_index(texts))
+    stack = TokenStack.of(texts)
+    if not stack.lengths.all():
+        raise EmptyInputError("text has no tokens")
+    pooled = tape.embed_mean(pn["text.embed"], stack.ids, stack.lengths)
     return tape.l2_normalize_rows(_mlp(tape, pooled, pn, "text"))
 
 
@@ -298,13 +373,14 @@ def aggregated_text_rows(tape: Tape, pn: dict[str, Node],
 
     This is the textual side of the aggregator that lifts clip-level
     embeddings to the phase or video level. All members of all sets are
-    embedded in one pass; sets may differ in size.
+    embedded in one pass; sets may differ in size. TokenSets are read as
+    they are; other sets are flattened into one first.
     """
     if not text_sets:
         raise EmptyInputError("no text sets to aggregate")
-    sizes = [len(ts) for ts in text_sets]
-    if not all(sizes):
+    sets = TokenSets.of(text_sets)
+    if not sets.sizes.all():
         raise EmptyInputError("text set has no members")
-    members = text_embedding_rows(tape, pn, [t for ts in text_sets for t in ts])
-    return tape.l2_normalize_rows(tape.segment_mean(members, sizes))
+    members = text_embedding_rows(tape, pn, sets.members)
+    return tape.l2_normalize_rows(tape.segment_mean(members, sets.sizes))
 

@@ -18,6 +18,7 @@ parameters for the whole run, and only frozen copies leave `train`.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from hashlib import sha256
@@ -88,6 +89,9 @@ class TrainConfig:
         check_ints(self, ("seed",), minimum=0)
         if not (self.beta1 < 1.0 and self.beta2 < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
+        if not math.isfinite(self.lr * self.weight_decay):
+            raise ConfigError(f"lr * weight_decay must be finite, got "
+                              f"{self.lr} * {self.weight_decay}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
 

@@ -277,15 +277,13 @@ def clip_retrieval_recall(checkpoint: Checkpoint, split: Corpus, top_k: int = 1)
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     params = checkpoint.params
-    clips = split.clip_table
-    if not clips:
+    if not split.clip_table:
         raise ContractError("split has no clips")
     segments = pick_frames(split.frame_table, *split.clip_rows, checkpoint.config.k_clip)
-    texts = [c.narration_a for c in clips]
     tape = Tape()
     pn = param_nodes(tape, params)
     visual = visual_embedding_rows(tape, pn, segments).value
-    text = text_embedding_rows(tape, pn, texts).value
+    text = text_embedding_rows(tape, pn, split.texts("narration_a")).value
     sims = visual @ text.T
     hits = 0
     for i in range(sims.shape[0]):

@@ -685,13 +685,24 @@ def test_exit_5_on_split_class_without_prompts(workspace, tmp_path, capsys):
 
 
 def test_exit_6_on_update_that_overflows(workspace, tmp_path, capsys):
-    config = _write_config(tmp_path, train={**TRAIN_SECTION, "lr": 1e300, "weight_decay": 1e10})
-    with np.errstate(invalid="ignore"):
-        rc = main(["train", "--config", config, "--corpus", str(workspace["corpus"]),
-                   "--out", str(tmp_path)])
+    # lr * weight_decay is finite, but the first update overflows: numpy must not warn.
+    config = _write_config(tmp_path, train={**TRAIN_SECTION, "lr": 1.7e308, "weight_decay": 1.0})
+    rc = main(["train", "--config", config, "--corpus", str(workspace["corpus"]),
+               "--out", str(tmp_path)])
     assert rc == 6
     assert capsys.readouterr().err == ("error: batch 0 (clip level): parameter block "
                                        "visual.w1 is not finite after the update\n")
+
+
+def test_exit_2_on_decay_that_overflows(workspace, tmp_path, capsys):
+    config = _write_config(tmp_path, train={**TRAIN_SECTION, "lr": 1e300, "weight_decay": 1e10})
+    out = tmp_path / "run"
+    rc = main(["train", "--config", config, "--corpus", str(workspace["corpus"]),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: lr * weight_decay must be finite, got 1e+300 * 10000000000.0\n")
+    assert not out.exists()
 
 
 def test_exit_6_on_degenerate_initial_embedding_names_its_batch(paper_corpus, tmp_path, capsys):

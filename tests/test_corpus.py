@@ -618,24 +618,28 @@ def ragged_corpora(draw):
     """1-3 videos of 1-5 clips of 1-7 frames each, cut into contiguous phases.
 
     Every frame value is distinct, so a wrong row is never bit-equal to the
-    right one; every text is distinct too.
+    right one. Texts hold 1-4 tokens, and every token is distinct too.
     """
     frame_ids = count()
     text_ids = count()
+
+    def text():
+        return tuple(next(text_ids) for _ in range(draw(st.integers(1, 4))))
+
     videos = []
     for vi in range(draw(st.integers(1, 3))):
         clips = tuple(
             VideoClip(f"v{vi}c{ci}",
                       Matrix([[next(frame_ids), 0.5] for _ in range(rows)]),
-                      (next(text_ids),), (next(text_ids),))
+                      text(), text())
             for ci, rows in enumerate(draw(st.lists(st.integers(1, 7), min_size=1,
                                                     max_size=5)))
         )
         cuts = sorted(draw(st.sets(st.integers(1, len(clips) - 1)))) if len(clips) > 1 else []
         bounds = [0, *cuts, len(clips)]
-        phases = tuple(PhaseSegment(lo, hi, (next(text_ids),), pi % 2)
+        phases = tuple(PhaseSegment(lo, hi, text(), pi % 2)
                        for pi, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
-        videos.append(LectureVideo(f"v{vi}", clips, phases, (next(text_ids),)))
+        videos.append(LectureVideo(f"v{vi}", clips, phases, text()))
     cfg = GeneratorConfig(num_videos=len(videos), num_classes=2, d_in=2,
                           vocab_size=next(text_ids))
     return Corpus(cfg, tuple(videos))
@@ -701,3 +705,73 @@ def test_sampling_ragged_clips_matches_oracle(built, k, seed):
             assert narrations == tuple(video.clips[j * n // min(n, k)].narration_a
                                        for j in range(min(n, k)))
             assert abstract == video.abstract
+
+
+def _spread_narrations(clips, k: int) -> tuple[tuple[int, ...], ...]:
+    """The nested-tuple rule: at most k narrations, at clip indices floor(j*n/min(n, k))."""
+    n = min(len(clips), k)
+    return tuple(clips[j * len(clips) // n].narration_a for j in range(n))
+
+
+def _flat(texts) -> list[int]:
+    return [t for text in texts for t in text]
+
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_corpora(), st.integers(0, 2**32 - 1))
+def test_text_columns_match_nested_tuple_oracle(built, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        save_corpus(built, path)
+        corpus = load_corpus(path)
+    clips = {c.clip_id: c for v in corpus.videos for c in v.clips}
+    phases = {f"{v.video_id}p{pi}": (v.clips[seg.start:seg.end], seg)
+              for v in corpus.videos for pi, seg in enumerate(v.phases)}
+    videos = {v.video_id: v for v in corpus.videos}
+    most = max(len(v.clips) for v in corpus.videos)
+    rng = np.random.default_rng(seed)
+    # k from below the fewest clips of a video to above the most
+    for k in range(1, most + 2):
+        clip = sample_clip_batch(corpus, len(clips), rng, k=k)
+        phase = sample_phase_batch(corpus, len(phases), rng, k=k)
+        video = sample_video_batch(corpus, len(videos), rng, k=k)
+        want = {
+            (clip, "narration_a"): [clips[i].narration_a for i in clip.source_ids],
+            (clip, "narration_b"): [clips[i].narration_b for i in clip.source_ids],
+            (phase, "summary"): [phases[i][1].concept for i in phase.source_ids],
+            (video, "summary"): [videos[i].abstract for i in video.source_ids],
+        }
+        for (batch, name), texts in want.items():
+            column = getattr(batch, name)
+            assert column.table is corpus.token_table
+            assert list(column) == texts
+            assert column.lengths.tolist() == [len(t) for t in texts]
+            assert column.ids.tolist() == _flat(texts)
+        sets = {
+            phase: [tuple(c.narration_a for c in phases[i][0]) for i in phase.source_ids],
+            video: [_spread_narrations(videos[i].clips, k) for i in video.source_ids],
+        }
+        for batch, text_sets in sets.items():
+            assert list(batch.narrations) == text_sets
+            assert batch.narrations.sizes.tolist() == [len(ts) for ts in text_sets]
+            assert batch.narrations.members.ids.tolist() == _flat(_flat(text_sets))
+        pooled = clip.narration_a + phase.summary + video.summary
+        assert pooled.table is corpus.token_table
+        assert pooled.ids.tolist() == _flat(want[clip, "narration_a"] + want[phase, "summary"]
+                                            + want[video, "summary"])
+
+
+def test_token_table_is_built_on_first_sampling(corpus, tmp_path):
+    save_corpus(corpus, tmp_path / "c.jsonl")
+    for whole in (corpus, load_corpus(tmp_path / "c.jsonl")):
+        halves = whole.split(0.4)
+        for c in (whole, *halves):
+            assert "token_table" not in vars(c)
+        sample_clip_batch(halves[0], 2, substream(0, "train"))
+        assert [("token_table" in vars(c)) for c in (whole, *halves)] == [False, True, False]
+    table = corpus.token_table
+    assert not table.flags.writeable and table.dtype == np.intp
+    texts = ([c.narration_a for c in corpus.clip_table] + [c.narration_b for c in corpus.clip_table]
+             + [seg.concept for _, _, seg in corpus.phase_table]
+             + [v.abstract for v in corpus.videos])
+    assert table.tolist() == _flat(texts)

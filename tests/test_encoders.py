@@ -5,6 +5,8 @@ import pytest
 from hiercl.encoders import (
     EncoderDims,
     ModelParams,
+    TokenSets,
+    TokenStack,
     aggregated_text_rows,
     param_nodes,
     pick_frames,
@@ -311,6 +313,81 @@ def test_fused_and_ragged_text_paths_agree(params):
     assert np.allclose(fused_sets, mixed[:3], atol=1e-12)
     for i, ts in enumerate(mixed_sets):
         assert np.allclose(mixed[i], aggregate_texts(ts, params).array[0], atol=1e-12)
+
+
+def _stack(table, starts, lengths) -> TokenStack:
+    table = np.array(table, dtype=np.intp)
+    table.setflags(write=False)
+    return TokenStack(table, np.array(starts, dtype=np.intp), np.array(lengths, dtype=np.intp))
+
+
+def test_token_stack_reads_as_a_sequence_of_its_runs():
+    stack = _stack([7, 8, 9, 10, 11, 12], [4, 0, 1], [2, 3, 1])
+    assert len(stack) == 3
+    assert list(stack) == [(11, 12), (7, 8, 9), (8,)]
+    assert stack[-1] == (8,) and stack[-3] == (11, 12)
+    assert all(type(t) is int for t in stack[0])
+    for bad in (3, -4):
+        with pytest.raises(IndexError):
+            stack[bad]
+    assert "ids" not in vars(stack)  # nothing gathered until read
+    assert stack.ids.tolist() == [11, 12, 7, 8, 9, 8]
+    assert not stack.ids.flags.writeable
+    assert stack.ids is stack.ids  # gathered once
+
+
+def test_token_stack_of_flattens_nested_texts_once():
+    stack = TokenStack.of([(3, 1), [4], (1, 5, 9)])
+    assert TokenStack.of(stack) is stack
+    assert list(stack) == [(3, 1), (4,), (1, 5, 9)]
+    assert stack.ids is stack.table and stack.table.tolist() == [3, 1, 4, 1, 5, 9]
+    assert stack.lengths.tolist() == [2, 1, 3] and stack.starts.tolist() == [0, 2, 3]
+    assert not stack.table.flags.writeable
+    empty = TokenStack.of([])
+    assert len(empty) == 0 and empty.ids.size == 0
+
+
+def test_token_stack_plus_concatenates_runs_of_one_table():
+    a = _stack([7, 8, 9, 10, 11, 12], [4, 0], [2, 3])
+    b = TokenStack(a.table, np.array([3], dtype=np.intp), np.array([1], dtype=np.intp))
+    joined = a + b
+    assert joined.table is a.table
+    assert list(joined) == [(11, 12), (7, 8, 9), (10,)]
+    assert joined.ids.tolist() == [11, 12, 7, 8, 9, 10]
+    # another table, or plain tuples on either side: one copy of the texts
+    other = _stack([7, 8, 9, 10, 11, 12], [3], [1])
+    for mixed in (a + other, a + ((10,),), ((11, 12), (7, 8, 9)) + TokenStack.of([(10,)])):
+        assert isinstance(mixed, TokenStack)
+        assert mixed.table is not a.table
+        assert list(mixed) == list(joined)
+        assert mixed.ids.tolist() == joined.ids.tolist()
+
+
+def test_token_sets_read_as_sequences_of_their_members():
+    members = _stack([1, 2, 3, 4, 5], [0, 2, 3, 1], [2, 1, 2, 1])
+    sets = TokenSets(members, np.array([1, 3], dtype=np.intp))
+    assert len(sets) == 2
+    assert list(sets) == [((1, 2),), ((3,), (4, 5), (2,))]
+    assert sets[-2] == ((1, 2),)
+    for bad in (2, -3):
+        with pytest.raises(IndexError):
+            sets[bad]
+    assert TokenSets.of(sets) is sets
+    nested = TokenSets.of([[(1, 2)], [(3,), (4, 5), (2,)]])
+    assert list(nested) == list(sets)
+    assert nested.sizes.tolist() == [1, 3]
+    assert nested.members.ids.tolist() == members.ids.tolist()
+
+
+def test_token_columns_encode_as_their_nested_texts(params):
+    stack = _stack(np.arange(40)[::-1], [3, 10, 0, 22], [4, 1, 7, 2])
+    sets = TokenSets(stack, np.array([3, 1], dtype=np.intp))
+    tape = Tape()
+    pn = param_nodes(tape, params)
+    for encode, column in ((text_embedding_rows, stack), (aggregated_text_rows, sets)):
+        got = encode(tape, pn, column).value
+        want = encode(tape, pn, [list(item) for item in column]).value
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tape_length_does_not_grow_with_item_count(params):

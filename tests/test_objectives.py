@@ -21,12 +21,12 @@ from hiercl.corpus import (
     sample_phase_batch,
     sample_video_batch,
 )
-from hiercl.encoders import EncoderDims, ModelParams
+from hiercl.encoders import EncoderDims, ModelParams, TokenStack
 from hiercl.errors import ConfigError, EmptyInputError
 from hiercl.numerics import Matrix, Tape, finite_diff_check
 from hiercl.objectives import _sim_diagnostics, loss_clip, loss_phase, loss_single, loss_video
 from hiercl.seeding import substream
-from hiercl.trainer import TrainConfig
+from hiercl.trainer import TrainConfig, train
 
 from eager import aggregate_texts, encode_segment, encode_text
 
@@ -456,3 +456,45 @@ def test_tape_nodes_per_loss(monkeypatch, scale):
     loss_video(video, params)
     loss_single(clip, phase, video, params)
     assert counts == [20, 22, 22, 26]
+
+
+# ---------------------------------------------------------------------------
+# Text columns: token ids are gathered only where a loss reads them
+# ---------------------------------------------------------------------------
+
+
+def _gathered(column) -> bool:
+    stack = getattr(column, "members", column)
+    return "ids" in vars(stack)
+
+
+def test_single_step_gathers_only_the_texts_it_reads(corpus):
+    params = ModelParams.initialize(DIMS, substream(0, "train"))
+    rng = substream(0, "eval")
+    clip = sample_clip_batch(corpus, 4, rng, k=3)
+    phase = sample_phase_batch(corpus, 3, rng, k=4)
+    video = sample_video_batch(corpus, 2, rng, k=6)
+    columns = (clip.narration_a, clip.narration_b, phase.narrations, phase.summary,
+               video.narrations, video.summary)
+    assert not any(map(_gathered, columns))
+    loss_single(clip, phase, video, params)
+    # The pooled targets are one concatenation of runs, gathered once as a whole.
+    assert not any(map(_gathered, columns))
+    loss_clip(clip, params)
+    loss_phase(phase, params)
+    assert [_gathered(c) for c in columns] == [True, True, True, True, False, False]
+
+
+def test_sampled_batches_reach_no_flatten(corpus, monkeypatch):
+    flatten = TokenStack.of.__func__
+
+    def only_stacks(cls, texts):
+        assert isinstance(texts, TokenStack), "a sampled text column was flattened"
+        return flatten(cls, texts)
+
+    monkeypatch.setattr(TokenStack, "of", classmethod(only_stacks))
+    for mode in ("hecvl", "single"):
+        train(TrainConfig(cycles=1, m=1, n=1, l=1, b_clip=3, b_phase=2, b_video=2, mode=mode,
+                          d_tok=6, hidden=10, d_emb=5), corpus)
+    with pytest.raises(AssertionError, match="flattened"):
+        loss_clip(clip_batch([basis_frames(4, 0)], [0]), identity_params(4))

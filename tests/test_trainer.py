@@ -586,10 +586,10 @@ def test_resume_twice_from_one_checkpoint(corpus):
 
 
 def test_nonfinite_update_names_its_batch(corpus):
-    # lr * weight_decay overflows to inf, so the first update leaves visual.w1 non-finite.
-    cfg = TrainConfig(cycles=1, lr=1e300, weight_decay=1e10, **TINY)
+    # A step of size lr plus the decay overflows, so the first update leaves visual.w1 non-finite.
+    cfg = TrainConfig(cycles=1, lr=1.7e308, weight_decay=1.0, **TINY)
     want = r"^batch 0 \(clip level\): parameter block visual.w1 is not finite after the update$"
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=want):
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=want):
         train(cfg, corpus)
 
 
