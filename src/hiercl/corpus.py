@@ -21,7 +21,7 @@ import os
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from hashlib import sha256
 from itertools import accumulate, chain, islice
 from typing import IO, ClassVar, Iterator, NamedTuple, Sequence
@@ -39,7 +39,7 @@ from .errors import (
     check_ints,
 )
 from .numerics import Matrix
-from .encoders import FrameStack, TokenSets, TokenStack, pick_frames
+from .encoders import FrameStack, TokenSets, TokenStack, frame_rows
 from .seeding import substream
 
 SCHEMA = "hiercorpus/2"
@@ -265,6 +265,17 @@ class Corpus:
     def video_rows(self) -> RowRanges:
         """Rows of each video, in corpus order."""
         return self._rows(self.video_clips)
+
+    def pick_frames(self, level: str, sources: np.ndarray, k: int) -> FrameStack:
+        """k frames of each given source of a level: one index into the read-only
+        `frame_rows` of all its sources (`<level>_rows`), built once per k, and one gather."""
+        picks = vars(self).setdefault("_frame_picks", {})
+        if (level, k) not in picks:
+            rows = frame_rows(*getattr(self, f"{level}_rows"), k)
+            picks[level, k] = rows, np.full(len(rows), k, dtype=np.intp)
+            rows.flags.writeable = picks[level, k][1].flags.writeable = False
+        rows, lengths = picks[level, k]
+        return FrameStack(self.frame_table[rows[sources].ravel()], lengths[:sources.size])
 
     def pair_counts(self) -> dict[str, int]:
         return {
@@ -570,6 +581,7 @@ def corpus_digest(path) -> str:
 # Batches: one column per field, one item per source. All items within a
 # batch come from distinct sources.
 # ---------------------------------------------------------------------------
+_fields = cache(fields)  # a batch class's columns, looked up once per class
 
 
 @dataclass(frozen=True)
@@ -581,7 +593,7 @@ class _Batch:
     def __post_init__(self) -> None:
         if len(set(self.source_ids)) != len(self.source_ids):
             raise InsufficientDataError(f"{self.level} batch repeats a source")
-        if any(len(getattr(self, f.name)) != len(self.source_ids) for f in fields(self)):
+        if len({len(getattr(self, f.name)) for f in _fields(type(self))}) > 1:
             raise ContractError(f"{self.level} batch columns differ in length")
 
     def __len__(self) -> int:
@@ -629,26 +641,12 @@ def _draw(corpus: Corpus, level: str, b: int,
     return drawn, tuple(map(ids.__getitem__, drawn.tolist()))
 
 
-def _frames(corpus: Corpus, ranges: RowRanges, drawn: np.ndarray, k: int) -> FrameStack:
-    """k frames of each drawn source, picked from the corpus frame table."""
-    return pick_frames(corpus.frame_table, ranges.starts[drawn], ranges.lengths[drawn], k)
-
-
-def _narrations(corpus: Corpus, clips: RowRanges, counts: np.ndarray) -> TokenSets:
-    """narration_a of `counts[i]` clips of each clip run i: of its n, those at floor(j*n/count)."""
-    firsts = np.cumsum(counts) - counts
-    j = np.arange(int(firsts[-1] + counts[-1])) - np.repeat(firsts, counts)
-    members = (np.repeat(clips.starts, counts)
-               + j * np.repeat(clips.lengths, counts) // np.repeat(counts, counts))
-    return TokenSets(corpus.texts("narration_a", members), counts)
-
-
 def sample_clip_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                       k: int = 4) -> ClipBatch:
     drawn, ids = _draw(corpus, "clip", b, rng)
     return ClipBatch(
         source_ids=ids,
-        frames=_frames(corpus, corpus.clip_rows, drawn, k),
+        frames=corpus.pick_frames("clip", drawn, k),
         narration_a=corpus.texts("narration_a", drawn),
         narration_b=corpus.texts("narration_b", drawn),
     )
@@ -661,8 +659,8 @@ def sample_phase_batch(corpus: Corpus, b: int, rng: np.random.Generator,
     clips = RowRanges(*(column[drawn] for column in corpus.phase_clips))
     return PhaseBatch(
         source_ids=ids,
-        frames=_frames(corpus, corpus.phase_rows, drawn, k),
-        narrations=_narrations(corpus, clips, clips.lengths),
+        frames=corpus.pick_frames("phase", drawn, k),
+        narrations=TokenSets.spread(corpus.texts("narration_a"), *clips, clips.lengths),
         summary=corpus.texts("concept", drawn),
     )
 
@@ -674,7 +672,8 @@ def sample_video_batch(corpus: Corpus, b: int, rng: np.random.Generator,
     clips = RowRanges(*(column[drawn] for column in corpus.video_clips))
     return VideoBatch(
         source_ids=ids,
-        frames=_frames(corpus, corpus.video_rows, drawn, k),
-        narrations=_narrations(corpus, clips, np.minimum(clips.lengths, k)),
+        frames=corpus.pick_frames("video", drawn, k),
+        narrations=TokenSets.spread(corpus.texts("narration_a"), *clips,
+                                    np.minimum(clips.lengths, k)),
         summary=corpus.texts("abstract", drawn),
     )

@@ -197,17 +197,18 @@ class ModelParams:
 class FrameStack(Sequence[Matrix]):
     """Frame segments stacked row-wise: one read-only array and each segment's row count.
 
-    It reads as a sequence of per-segment Matrix views; the visual encoder
-    reads the array as it is.
+    It reads as a sequence of per-segment Matrix views, whose starts are
+    worked out on the first read; the visual encoder reads the array as it is.
     """
-
-    __slots__ = ("array", "lengths", "_starts")
 
     def __init__(self, array: np.ndarray, lengths: np.ndarray) -> None:
         array.setflags(write=False)
         self.array = array
         self.lengths = lengths
-        self._starts = np.cumsum(lengths) - lengths
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        return self.lengths.cumsum() - self.lengths
 
     @classmethod
     def of(cls, segments: Sequence[Matrix]) -> "FrameStack":
@@ -229,12 +230,10 @@ class FrameStack(Sequence[Matrix]):
         return Matrix._wrap(self.array[start:start + self.lengths[i]])
 
 
-def pick_frames(table: np.ndarray, starts: Sequence[int], lengths: Sequence[int],
-                k: int) -> FrameStack:
-    """k frames per segment of a frame table, at rows start + floor(j*L/k) for j < k.
+def frame_rows(starts: Sequence[int], lengths: Sequence[int], k: int) -> np.ndarray:
+    """Table rows of k frames per segment, start + floor(j*L/k) for j < k: one row each.
 
     A segment is the L table rows from its start; rows repeat when L < k.
-    Every pick is made by one fancy index into the table.
     """
     if k < 1:
         raise ConfigError(f"frame count must be >= 1, got {k}")
@@ -244,8 +243,14 @@ def pick_frames(table: np.ndarray, starts: Sequence[int], lengths: Sequence[int]
         raise EmptyInputError("no segments to sample")
     if not lengths.all():
         raise EmptyInputError("cannot sample frames from an empty segment")
-    rows = starts[:, None] + np.arange(k, dtype=np.intp) * lengths[:, None] // k
-    return FrameStack(table[rows.ravel()], np.full(starts.size, k, dtype=np.intp))
+    return starts[:, None] + np.arange(k, dtype=np.intp) * lengths[:, None] // k
+
+
+def pick_frames(table: np.ndarray, starts: Sequence[int], lengths: Sequence[int],
+                k: int) -> FrameStack:
+    """k frames per segment of a frame table, at its `frame_rows`, by one fancy index."""
+    rows = frame_rows(starts, lengths, k)
+    return FrameStack(table[rows.ravel()], np.full(len(rows), k, dtype=np.intp))
 
 
 class TokenStack(Sequence[tuple[int, ...]]):
@@ -276,8 +281,8 @@ class TokenStack(Sequence[tuple[int, ...]]):
     @cached_property
     def ids(self) -> np.ndarray:
         """Every run's token ids, run after run: one gather from the table."""
-        firsts = np.cumsum(self.lengths) - self.lengths
-        shift = np.repeat(self.starts - firsts, self.lengths)
+        firsts = self.lengths.cumsum() - self.lengths
+        shift = (self.starts - firsts).repeat(self.lengths)
         ids = self.table[shift + np.arange(shift.size)]
         ids.setflags(write=False)
         return ids
@@ -303,11 +308,24 @@ class TokenStack(Sequence[tuple[int, ...]]):
 class TokenSets(Sequence[tuple[tuple[int, ...], ...]]):
     """Sets of texts: every member, set after set, as one TokenStack, and each set's size."""
 
-    __slots__ = ("members", "sizes")
-
     def __init__(self, members: TokenStack, sizes: np.ndarray) -> None:
         self.members = members
         self.sizes = sizes
+
+    @classmethod
+    def spread(cls, texts: TokenStack, firsts: np.ndarray, counts: np.ndarray,
+               sizes: np.ndarray) -> "TokenSets":
+        """Set i: sizes[i] of the counts[i] texts from firsts[i], at floor(j*n/size); lazy."""
+        sets = cls.__new__(cls)
+        sets.sizes, sets._spread = sizes, (texts, firsts, counts, sizes)
+        return sets
+
+    @cached_property
+    def members(self) -> TokenStack:
+        texts, firsts, counts, sizes = self._spread
+        j = np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes)
+        picks = firsts.repeat(sizes) + j * counts.repeat(sizes) // sizes.repeat(sizes)
+        return TokenStack(texts.table, texts.starts[picks], texts.lengths[picks])
 
     @classmethod
     def of(cls, text_sets: Sequence[Sequence[TokenSeq]]) -> "TokenSets":
@@ -328,11 +346,14 @@ class TokenSets(Sequence[tuple[tuple[int, ...], ...]]):
 
 def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
     """Register every parameter block as a trainable leaf on the tape."""
-    return {name: tape.leaf(m) for name, m in params.leaves()}
+    return {name: tape.leaf(m) for name, m in params._leaves}
+
+
+_MLP_KEYS = {p: (f"{p}.w1", f"{p}.b1", f"{p}.w2", f"{p}.b2") for p in ("visual", "text")}
 
 
 def _mlp(tape: Tape, x: Node, pn: dict[str, Node], prefix: str) -> Node:
-    return tape.mlp(x, *(pn[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
+    return tape.mlp(x, *map(pn.__getitem__, _MLP_KEYS[prefix]))
 
 
 def visual_embedding_rows(tape: Tape, pn: dict[str, Node],
@@ -361,7 +382,7 @@ def text_embedding_rows(tape: Tape, pn: dict[str, Node],
     if not texts:
         raise EmptyInputError("no texts to encode")
     stack = TokenStack.of(texts)
-    if not stack.lengths.all():
+    if 0 in stack.lengths:
         raise EmptyInputError("text has no tokens")
     pooled = tape.embed_mean(pn["text.embed"], stack.ids, stack.lengths)
     return tape.l2_normalize_rows(_mlp(tape, pooled, pn, "text"))
@@ -379,7 +400,7 @@ def aggregated_text_rows(tape: Tape, pn: dict[str, Node],
     if not text_sets:
         raise EmptyInputError("no text sets to aggregate")
     sets = TokenSets.of(text_sets)
-    if not sets.sizes.all():
+    if 0 in sets.sizes:
         raise EmptyInputError("text set has no members")
     members = text_embedding_rows(tape, pn, sets.members)
     return tape.l2_normalize_rows(tape.segment_mean(members, sets.sizes))

@@ -13,11 +13,14 @@ closed-form gradient; it holds the only softmax. `Tape.mlp` and
 `Tape.embed_mean` are the encoders' layers, each one node.
 
 Everything is float64 and single-threaded (`single_thread_blas`); identical
-inputs produce bit-identical outputs.
+inputs produce bit-identical outputs. Hot paths call ufunc reductions such as
+`np.add.reduce` directly: `ndarray.sum`, `.min` and `.max` run the same C loop
+through a Python wrapper call.
 """
 from __future__ import annotations
 
 import ctypes
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,7 +37,7 @@ from .errors import (
 )
 
 NORM_GUARD = 1e-12  # rows with smaller L2 norm are considered degenerate
-_BLOCK_BYTES = 1 << 16  # bound on each temporary of embed_mean's gradient
+_BLOCK_BYTES = 1 << 17  # bound on each temporary of embed_mean's gradient
 
 
 def single_thread_blas() -> None:
@@ -110,10 +113,10 @@ def _dims(a: np.ndarray) -> str:
 
 def _segment_lengths(op: str, lengths: Sequence[int], total: int, unit: str) -> np.ndarray:
     """Segment lengths as intp, checked to split `total` units into non-empty runs."""
-    n = np.array(lengths, dtype=np.intp)
-    if n.ndim != 1 or n.size == 0 or n.min() < 1:
+    n = np.asarray(lengths, dtype=np.intp)
+    if n.ndim != 1 or n.size == 0 or np.minimum.reduce(n) < 1:
         raise EmptyInputError(f"{op}: needs one or more segments, none of them empty")
-    if n.sum() != total:
+    if np.add.reduce(n) != total:
         raise ShapeError(f"{op}: lengths sum to {int(n.sum())}, not {total} {unit}")
     return n
 
@@ -121,16 +124,17 @@ def _segment_lengths(op: str, lengths: Sequence[int], total: int, unit: str) -> 
 class Node:
     """One recorded value on a tape, with its inputs and its backward rule.
 
-    `value` is a read-only 2-D float64 ndarray.
+    `value` is a read-only 2-D float64 ndarray; `needs` lists its inputs' `needs_grad`.
     """
 
-    __slots__ = ("nid", "value", "inputs", "needs_grad", "vjp")
+    __slots__ = ("nid", "value", "inputs", "needs", "needs_grad", "vjp")
 
     def __init__(self, nid: int, value: np.ndarray, inputs: tuple["Node", ...],
-                 needs_grad: bool, vjp: VJP | None) -> None:
+                 needs: list[bool], needs_grad: bool, vjp: VJP | None) -> None:
         self.nid = nid
         self.value = value
         self.inputs = inputs
+        self.needs = needs
         self.needs_grad = needs_grad
         self.vjp = vjp
 
@@ -154,10 +158,11 @@ class Tape:
 
     def _push(self, value: np.ndarray, inputs: tuple[Node, ...] = (), vjp: VJP | None = None,
               needs_grad: bool | None = None) -> Node:
+        needs = list(map(attrgetter("needs_grad"), inputs))
         if needs_grad is None:
-            needs_grad = any(i.needs_grad for i in inputs)
+            needs_grad = True in needs
         value.setflags(write=False)
-        node = Node(len(self._nodes), value, inputs, needs_grad, vjp)
+        node = Node(len(self._nodes), value, inputs, needs, needs_grad, vjp)
         self._nodes.append(node)
         return node
 
@@ -165,17 +170,17 @@ class Tape:
 
     def leaf(self, m: Matrix) -> Node:
         """Trainable input; backward() reports a gradient for it."""
-        return self._push(m.array, needs_grad=True)
+        return self._push(m._a, needs_grad=True)
 
     def constant(self, m: Matrix) -> Node:
         """Non-trainable input; gradients are not propagated into it."""
-        return self._push(m.array, needs_grad=False)
+        return self._push(m._a, needs_grad=False)
 
     # -- recorded primitives -------------------------------------------------
 
     def mlp(self, x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
         """Two-layer perceptron relu(x w1 + b1) w2 + b2, whose biases are 1xC rows."""
-        xa, wa, ba, wb, bb = (n.value for n in (x, w1, b1, w2, b2))
+        xa, wa, ba, wb, bb = x.value, w1.value, b1.value, w2.value, b2.value
         for inner, w, b in ((xa.shape[1], wa, ba), (wa.shape[1], wb, bb)):
             if w.shape[0] != inner or b.shape != (1, w.shape[1]):
                 raise ShapeError(f"mlp: shapes do not chain: x {_dims(xa)}, w1 {_dims(wa)}, "
@@ -190,29 +195,29 @@ class Tape:
         def vjp(g, needs):
             gh = g @ wb.T
             gh *= mask
-            return (gh @ wa.T if needs[0] else None, xa.T @ gh, gh.sum(axis=0, keepdims=True),
-                    h.T @ g, g.sum(axis=0, keepdims=True))
+            return (gh @ wa.T if needs[0] else None, xa.T @ gh,
+                    np.add.reduce(gh, axis=0, keepdims=True), h.T @ g,
+                    np.add.reduce(g, axis=0, keepdims=True))
         return self._push(out, (x, w1, b1, w2, b2), vjp)
 
     def l2_normalize_rows(self, a: Node) -> Node:
         """Scale each row to unit Euclidean norm."""
         x = a.value
-        norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-        bad = np.nonzero(norms[:, 0] <= NORM_GUARD)[0]
-        if bad.size:
-            raise DegenerateEmbeddingError(
-                f"row {int(bad[0])} has near-zero norm {float(norms[bad[0], 0]):.3e}"
-            )
+        norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+        low = norms[:, 0] <= NORM_GUARD
+        if True in low:  # ndarray.__contains__: one C call, where .any() is a Python wrapper
+            bad = int(low.argmax())
+            raise DegenerateEmbeddingError(f"row {bad} has near-zero norm {norms[bad, 0]:.3e}")
         y = x / norms
         return self._push(y, (a,), lambda g, needs: (
-            (g - y * (g * y).sum(axis=1, keepdims=True)) / norms,))
+            (g - y * np.add.reduce(g * y, axis=1, keepdims=True)) / norms,))
 
     def segment_mean(self, a: Node, lengths: Sequence[int]) -> Node:
         """Mean over consecutive row segments of the given lengths, one row each."""
         x = a.value
         n = _segment_lengths("segment_mean", lengths, x.shape[0], "rows")
-        return self._push(np.add.reduceat(x, np.cumsum(n) - n, axis=0) / n[:, None], (a,),
-                          lambda g, needs: (np.repeat(g / n[:, None], n, axis=0),))
+        return self._push(np.add.reduceat(x, n.cumsum() - n, axis=0) / n[:, None], (a,),
+                          lambda g, needs: ((g / n[:, None]).repeat(n, axis=0),))
 
     def embed_mean(self, table: Node, ids: Sequence[int], lengths: Sequence[int]) -> Node:
         """segment_mean of the table rows of each bag of consecutive ids: an embedding bag."""
@@ -221,25 +226,26 @@ class Tape:
         if idx.ndim != 1:
             raise ShapeError(f"embed_mean: ids must be one flat run, got {idx.ndim}-D")
         n = _segment_lengths("embed_mean", lengths, idx.size, "ids")
-        if idx.min() < 0 or idx.max() >= rows:
+        if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= rows:
             bad = idx[(idx < 0) | (idx >= rows)][0]
             raise VocabularyError(f"token id {int(bad)} outside vocabulary of size {rows}")
 
         def vjp(g, needs):
-            # A bincount over (id, column) cells adds each cell's token shares
-            # in token order: the bits of np.add.at. Blocks of equal width,
-            # as wide as _BLOCK_BYTES allows, share one cells array.
+            # A bincount over (id, column) cells adds each cell's token shares in
+            # token order: the bits of np.add.at. Blocks of equal width, as wide as
+            # _BLOCK_BYTES allows, share one cells array; a block's weights die with it.
             share = g / n[:, None]
-            fit = _BLOCK_BYTES // (8 * idx.size)
-            width = max(w for w in range(1, cols + 1) if cols % w == 0 and (w <= fit or w == 1))
+            width = min(cols, max(1, _BLOCK_BYTES // (8 * idx.size)))
+            while cols % width:
+                width -= 1
             cells = (idx[:, None] * width + np.arange(width)).ravel()
             gx = np.empty((rows, cols))
             for lo in range(0, cols, width):
-                weights = np.repeat(share[:, lo:lo + width], n, axis=0).ravel()
-                gx[:, lo:lo + width] = np.bincount(cells, weights=weights,
-                                                   minlength=rows * width).reshape(rows, width)
+                gx[:, lo:lo + width] = np.bincount(
+                    cells, weights=share[:, lo:lo + width].repeat(n, axis=0).ravel(),
+                    minlength=rows * width).reshape(rows, width)
             return (gx,)
-        return self._push(np.add.reduceat(table.value[idx], np.cumsum(n) - n, axis=0)
+        return self._push(np.add.reduceat(table.value[idx], n.cumsum() - n, axis=0)
                           / n[:, None], (table,), vjp)
 
     def concat_rows(self, parts: Sequence[Node]) -> Node:
@@ -282,28 +288,28 @@ class Tape:
             t_cols = np.ascontiguousarray(targets.value.T)
             sims.append(q @ t_cols)
             probs = sims[-1] / tau  # the softmax is taken in place
-            probs -= probs.max(axis=1, keepdims=True)
+            probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
             np.exp(probs, out=probs)
-            probs /= probs.sum(axis=1, keepdims=True)
-            diag = np.diagonal(probs).copy()
+            probs /= np.add.reduce(probs, axis=1, keepdims=True)
+            diag = probs.diagonal().copy()
             total = diag if total is None else total + diag
             saved.append((q, t_cols, probs, diag))
 
         def vjp(g, needs):
-            gp = np.full(total.shape, (g * c)[0, 0]) / total
+            gp = (g * c)[0, 0] / total
             grads = []
             for (q, t_cols, probs, diag), need_q, need_t in zip(saved, needs[::2], needs[1::2]):
                 # d p_ii / d z_ij = p_ii (delta_ij - p_ij), so row i of the
                 # softmax gradient is -g_i p_ii p_ij, plus g_i p_ii on the diagonal.
                 inner = gp * diag
                 gs = probs * -inner[:, None]
-                np.fill_diagonal(gs, diag * (gp - inner))
+                gs.flat[::len(gs) + 1] = diag * (gp - inner)
                 gs /= tau
                 grads += (gs @ t_cols.T if need_q else None,
                           np.ascontiguousarray((q.T @ gs).T) if need_t else None)
             return grads
         loss = np.array([[np.log(total).sum()]]) * c
-        return self._push(loss, tuple(n for route in routes for n in route), vjp), sims
+        return self._push(loss, tuple([n for route in routes for n in route]), vjp), sims
 
     # -- reverse pass --------------------------------------------------------
 
@@ -318,15 +324,14 @@ class Tape:
         """
         if loss.value.shape != (1, 1):
             raise ContractError(f"backward requires a scalar (1x1) loss, got {_dims(loss.value)}")
-        grads: dict[int, np.ndarray] = {loss.nid: np.ones((1, 1))}
+        grads: dict[int, np.ndarray] = {loss.nid: np.array([[1.0]])}
         for node in reversed(self._nodes[:loss.nid + 1]):
-            if not node.inputs or node.nid not in grads:
+            g = grads.pop(node.nid, None) if node.inputs else None
+            if g is None:
                 continue
-            needs = [i.needs_grad for i in node.inputs]
-            for i, need, ig in zip(node.inputs, needs, node.vjp(grads.pop(node.nid), needs)):
-                if ig is None or not need:
-                    continue
-                grads[i.nid] = grads[i.nid] + ig if i.nid in grads else ig
+            for i, need, ig in zip(node.inputs, node.needs, node.vjp(g, node.needs)):
+                if need and ig is not None:
+                    grads[i.nid] = grads[i.nid] + ig if i.nid in grads else ig
         return np.concatenate([grads[n.nid].ravel() if n.nid in grads
                                else np.zeros(n.value.size) for n in wrt])
 

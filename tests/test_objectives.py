@@ -5,6 +5,7 @@ nonnegative inputs (identity weights, zero biases, one-hot token table), so
 tests can place embeddings at chosen positions and know every cosine.
 """
 import math
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -459,12 +460,69 @@ def test_tape_nodes_per_loss(monkeypatch, scale):
 
 
 # ---------------------------------------------------------------------------
+# Call budget: Python-level calls per loss and per sample
+# ---------------------------------------------------------------------------
+
+
+def python_calls(fn) -> int:
+    """Python-level function calls (profile "call" events) made by one call of fn."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_python_calls_per_step():
+    # One seed-0 desk loss_clip, desk loss_video, paper-scale loss_single and
+    # desk sample_video_batch, each counted on a fresh batch (sampled outside
+    # the count) after a first call has filled the corpus's caches, so a
+    # loss's count includes the token gathers its batch makes on first read.
+    # The counts include the calls inside numpy's Python wrappers (np.repeat,
+    # ndarray.sum, np.full, ...) and, on Python 3.11, each comprehension's own
+    # call, so they are tied to this environment's numpy (2.4) and Python.
+    # Measured there: 111, 128, 153 and 27; each bound is a few calls above.
+    corpus = generate_synthetic(GeneratorConfig(seed=0))
+    params = ModelParams.initialize(EncoderDims(), np.random.default_rng(0))
+    desk, paper = TrainConfig(), TrainConfig.paper_scale()
+    rng = np.random.default_rng(0)
+
+    def pools(cfg):
+        return (sample_clip_batch(corpus, cfg.b_clip, rng, k=cfg.k_clip),
+                sample_phase_batch(corpus, cfg.b_phase, rng, k=cfg.k_phase),
+                sample_video_batch(corpus, cfg.b_video, rng, k=cfg.k_video))
+
+    def on_a_fresh_batch(sample, step) -> int:
+        step(sample())
+        batch = sample()
+        return python_calls(lambda: step(batch))
+
+    counts = [
+        on_a_fresh_batch(lambda: pools(desk)[0], lambda b: loss_clip(b, params)),
+        on_a_fresh_batch(lambda: pools(desk)[2], lambda b: loss_video(b, params)),
+        on_a_fresh_batch(lambda: pools(paper), lambda b: loss_single(*b, params)),
+        on_a_fresh_batch(lambda: None, lambda _: sample_video_batch(
+            corpus, desk.b_video, rng, k=desk.k_video)),
+    ]
+    assert all(c <= bound for c, bound in zip(counts, (115, 132, 158, 30))), counts
+
+
+# ---------------------------------------------------------------------------
 # Text columns: token ids are gathered only where a loss reads them
 # ---------------------------------------------------------------------------
 
 
 def _gathered(column) -> bool:
-    stack = getattr(column, "members", column)
+    # A TokenSets column works out its member runs on first read; vars()
+    # looks without reading.
+    stack = vars(column).get("members", column)
     return "ids" in vars(stack)
 
 
@@ -478,11 +536,14 @@ def test_single_step_gathers_only_the_texts_it_reads(corpus):
                video.narrations, video.summary)
     assert not any(map(_gathered, columns))
     loss_single(clip, phase, video, params)
-    # The pooled targets are one concatenation of runs, gathered once as a whole.
+    # The pooled targets are one concatenation of runs, gathered once as a whole,
+    # and the narration sets' member runs are never worked out.
     assert not any(map(_gathered, columns))
+    assert not any("members" in vars(batch.narrations) for batch in (phase, video))
     loss_clip(clip, params)
     loss_phase(phase, params)
     assert [_gathered(c) for c in columns] == [True, True, True, True, False, False]
+    assert ["members" in vars(batch.narrations) for batch in (phase, video)] == [True, False]
 
 
 def test_sampled_batches_reach_no_flatten(corpus, monkeypatch):

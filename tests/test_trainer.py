@@ -355,6 +355,19 @@ def test_trained_digest_is_pinned(default_train_split, cfg, digest):
     assert train(cfg, default_train_split).checkpoint.params.digest() == digest
 
 
+@pytest.mark.parametrize("cfg, digest", [
+    (TrainConfig(cycles=1),
+     "902cc4328058576c4c868d7f537b594b4e8ef82215f9b611799f85a482f24a6a"),
+    (TrainConfig.paper_scale(cycles=1, mode="single"),
+     "23ac0e1d1ad49b7cbba9c7f3b40aaee75a6e26be83c43c40d008e26fd9f3ac88"),
+], ids=["hecvl", "paper-single"])
+def test_trained_log_is_pinned(default_train_split, tmp_path, cfg, digest):
+    # The parameter digest does not cover the logged loss, pos_sim and
+    # neg_sim; this pins the bytes of train_log.jsonl for the same runs.
+    train(cfg, default_train_split, log_path=tmp_path / "train_log.jsonl")
+    assert hashlib.sha256((tmp_path / "train_log.jsonl").read_bytes()).hexdigest() == digest
+
+
 def test_train_is_deterministic(corpus):
     cfg = TrainConfig(cycles=2, seed=3, **TINY)
     a = train(cfg, corpus)
