@@ -266,16 +266,17 @@ class Corpus:
         """Rows of each video, in corpus order."""
         return self._rows(self.video_clips)
 
-    def pick_frames(self, level: str, sources: np.ndarray, k: int) -> FrameStack:
-        """k frames of each given source of a level: one index into the read-only
-        `frame_rows` of all its sources (`<level>_rows`), built once per k, and one gather."""
-        picks = vars(self).setdefault("_frame_picks", {})
-        if (level, k) not in picks:
-            rows = frame_rows(*getattr(self, f"{level}_rows"), k)
-            picks[level, k] = rows, np.full(len(rows), k, dtype=np.intp)
-            rows.flags.writeable = picks[level, k][1].flags.writeable = False
-        rows, lengths = picks[level, k]
-        return FrameStack(self.frame_table[rows[sources].ravel()], lengths[:sources.size])
+    @cached_property
+    def _frame_rows(self) -> dict[tuple[str, int], np.ndarray]:
+        return {}  # (level, k): read-only `frame_rows` of all the level's sources
+
+    def frames_of(self, level: str, sources: np.ndarray, k: int) -> FrameStack:
+        """k frames of each given source of a level, at rows built once per k: one gather."""
+        rows = self._frame_rows.get((level, k))
+        if rows is None:
+            rows = self._frame_rows[level, k] = frame_rows(*getattr(self, f"{level}_rows"), k)
+            rows.flags.writeable = False
+        return FrameStack.at(self.frame_table, rows[sources])
 
     def pair_counts(self) -> dict[str, int]:
         return {
@@ -646,7 +647,7 @@ def sample_clip_batch(corpus: Corpus, b: int, rng: np.random.Generator,
     drawn, ids = _draw(corpus, "clip", b, rng)
     return ClipBatch(
         source_ids=ids,
-        frames=corpus.pick_frames("clip", drawn, k),
+        frames=corpus.frames_of("clip", drawn, k),
         narration_a=corpus.texts("narration_a", drawn),
         narration_b=corpus.texts("narration_b", drawn),
     )
@@ -659,7 +660,7 @@ def sample_phase_batch(corpus: Corpus, b: int, rng: np.random.Generator,
     clips = RowRanges(*(column[drawn] for column in corpus.phase_clips))
     return PhaseBatch(
         source_ids=ids,
-        frames=corpus.pick_frames("phase", drawn, k),
+        frames=corpus.frames_of("phase", drawn, k),
         narrations=TokenSets.spread(corpus.texts("narration_a"), *clips, clips.lengths),
         summary=corpus.texts("concept", drawn),
     )
@@ -672,7 +673,7 @@ def sample_video_batch(corpus: Corpus, b: int, rng: np.random.Generator,
     clips = RowRanges(*(column[drawn] for column in corpus.video_clips))
     return VideoBatch(
         source_ids=ids,
-        frames=corpus.pick_frames("video", drawn, k),
+        frames=corpus.frames_of("video", drawn, k),
         narrations=TokenSets.spread(corpus.texts("narration_a"), *clips,
                                     np.minimum(clips.lengths, k)),
         summary=corpus.texts("abstract", drawn),

@@ -197,18 +197,14 @@ class ModelParams:
 class FrameStack(Sequence[Matrix]):
     """Frame segments stacked row-wise: one read-only array and each segment's row count.
 
-    It reads as a sequence of per-segment Matrix views, whose starts are
-    worked out on the first read; the visual encoder reads the array as it is.
+    It reads as a sequence of per-segment Matrix views, each found when it is
+    read; the visual encoder reads the array as it is.
     """
 
     def __init__(self, array: np.ndarray, lengths: np.ndarray) -> None:
         array.setflags(write=False)
         self.array = array
         self.lengths = lengths
-
-    @cached_property
-    def _starts(self) -> np.ndarray:
-        return self.lengths.cumsum() - self.lengths
 
     @classmethod
     def of(cls, segments: Sequence[Matrix]) -> "FrameStack":
@@ -221,12 +217,17 @@ class FrameStack(Sequence[Matrix]):
         return cls(np.concatenate([s.array for s in segments]),
                    np.array([s.rows for s in segments], dtype=np.intp))
 
+    @classmethod
+    def at(cls, table: np.ndarray, rows: np.ndarray) -> "FrameStack":
+        """The table rows of each segment, one row of `rows` each, by one fancy index."""
+        return cls(table[rows.ravel()], np.full(len(rows), rows.shape[1], dtype=np.intp))
+
     def __len__(self) -> int:
         return len(self.lengths)
 
     def __getitem__(self, i: int) -> Matrix:
         i = range(len(self))[i]
-        start = self._starts[i]
+        start = int(self.lengths[:i].sum())
         return Matrix._wrap(self.array[start:start + self.lengths[i]])
 
 
@@ -248,9 +249,8 @@ def frame_rows(starts: Sequence[int], lengths: Sequence[int], k: int) -> np.ndar
 
 def pick_frames(table: np.ndarray, starts: Sequence[int], lengths: Sequence[int],
                 k: int) -> FrameStack:
-    """k frames per segment of a frame table, at its `frame_rows`, by one fancy index."""
-    rows = frame_rows(starts, lengths, k)
-    return FrameStack(table[rows.ravel()], np.full(len(rows), k, dtype=np.intp))
+    """k frames per segment of a frame table, at its `frame_rows`."""
+    return FrameStack.at(table, frame_rows(starts, lengths, k))
 
 
 class TokenStack(Sequence[tuple[int, ...]]):
@@ -317,12 +317,12 @@ class TokenSets(Sequence[tuple[tuple[int, ...], ...]]):
                sizes: np.ndarray) -> "TokenSets":
         """Set i: sizes[i] of the counts[i] texts from firsts[i], at floor(j*n/size); lazy."""
         sets = cls.__new__(cls)
-        sets.sizes, sets._spread = sizes, (texts, firsts, counts, sizes)
+        sets.sizes, sets._spread = sizes, (texts, firsts, counts)
         return sets
 
     @cached_property
     def members(self) -> TokenStack:
-        texts, firsts, counts, sizes = self._spread
+        (texts, firsts, counts), sizes = self._spread, self.sizes
         j = np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes)
         picks = firsts.repeat(sizes) + j * counts.repeat(sizes) // sizes.repeat(sizes)
         return TokenStack(texts.table, texts.starts[picks], texts.lengths[picks])

@@ -14,8 +14,7 @@ closed-form gradient; it holds the only softmax. `Tape.mlp` and
 
 Everything is float64 and single-threaded (`single_thread_blas`); identical
 inputs produce bit-identical outputs. Hot paths call ufunc reductions such as
-`np.add.reduce` directly: `ndarray.sum`, `.min` and `.max` run the same C loop
-through a Python wrapper call.
+`np.add.reduce`: `ndarray.sum`, `.min` and `.max` reach them through Python.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ from .errors import (
 )
 
 NORM_GUARD = 1e-12  # rows with smaller L2 norm are considered degenerate
-_BLOCK_BYTES = 1 << 17  # bound on each temporary of embed_mean's gradient
+_BLOCK_BYTES = 1 << 16  # bound on each temporary of embed_mean's gradient
 
 
 def single_thread_blas() -> None:
@@ -231,9 +230,9 @@ class Tape:
             raise VocabularyError(f"token id {int(bad)} outside vocabulary of size {rows}")
 
         def vjp(g, needs):
-            # A bincount over (id, column) cells adds each cell's token shares in
-            # token order: the bits of np.add.at. Blocks of equal width, as wide as
-            # _BLOCK_BYTES allows, share one cells array; a block's weights die with it.
+            # A bincount over (id, column) cells adds each cell's token shares
+            # in token order: the bits of np.add.at. Blocks of equal width,
+            # as wide as _BLOCK_BYTES allows, share one cells array.
             share = g / n[:, None]
             width = min(cols, max(1, _BLOCK_BYTES // (8 * idx.size)))
             while cols % width:
@@ -241,9 +240,9 @@ class Tape:
             cells = (idx[:, None] * width + np.arange(width)).ravel()
             gx = np.empty((rows, cols))
             for lo in range(0, cols, width):
-                gx[:, lo:lo + width] = np.bincount(
-                    cells, weights=share[:, lo:lo + width].repeat(n, axis=0).ravel(),
-                    minlength=rows * width).reshape(rows, width)
+                weights = share[:, lo:lo + width].repeat(n, axis=0).ravel()
+                gx[:, lo:lo + width] = np.bincount(cells, weights=weights,
+                                                   minlength=rows * width).reshape(rows, width)
             return (gx,)
         return self._push(np.add.reduceat(table.value[idx], n.cumsum() - n, axis=0)
                           / n[:, None], (table,), vjp)

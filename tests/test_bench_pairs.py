@@ -14,7 +14,8 @@ HOST = ("host: nproc=2 affinity=2 python=3.11.7 numpy=2.4.6 blas=scipy-openblas 
         "blas_threads=1")
 
 
-def run_output(step_ms: float, pairs_per_s: float, top1: float = 0.75) -> str:
+def run_output(step_ms: float, pairs_per_s: float, top1: float = 0.75, failed: int = 0,
+               correct: bool = True) -> str:
     """What perfbench/run.py prints: a header, the host, figures, then one JSON line."""
     metrics = {"train_pairs_per_s": {"value": pairs_per_s, "unit": "pairs/s"},
                "step_ms_p50": {"value": step_ms, "unit": "ms"},
@@ -23,7 +24,7 @@ def run_output(step_ms: float, pairs_per_s: float, top1: float = 0.75) -> str:
         "workload: desk-hecvl seed=7 seconds=30 trace=0",
         HOST,
         f"  step_ms_p50                  {step_ms:>14.6g} ms            1234",
-        json.dumps({"correct": True, "attempted": 40, "failed": 0, "metrics": metrics}),
+        json.dumps({"correct": correct, "attempted": 40, "failed": failed, "metrics": metrics}),
     ]) + "\n"
 
 
@@ -47,11 +48,12 @@ def test_parse_output_reads_the_host_and_closing_json():
 
 
 def test_summary_medians_iqr_and_better_pairs():
-    # (step_ms, pairs_per_s) of parent, change per seed; the change is faster
-    # in every pair but seed 3, and the zero-shot figures tie throughout.
+    # (step_ms, pairs_per_s[, top1, failed, correct]) of parent, change per seed;
+    # the change is faster in every pair but seed 3, and the zero-shot figures
+    # tie throughout. Seed 2's change run failed 3 operations and was not correct.
     runs = canned_runs({
         1: ((2.0, 3000.0), (1.8, 3300.0)),
-        2: ((2.2, 2900.0), (1.9, 3200.0)),
+        2: ((2.2, 2900.0, 0.75, 1), (1.9, 3200.0, 0.75, 3, False)),
         3: ((1.9, 3100.0), (2.0, 3000.0)),
         4: ((2.1, 2950.0), (1.7, 3400.0)),
         5: ((2.4, 2800.0), (2.3, 2850.0)),
@@ -60,6 +62,8 @@ def test_summary_medians_iqr_and_better_pairs():
     summary = bench_pairs.summarize(runs, better)
     assert list(summary) == ["desk-hecvl"]
     assert summary["desk-hecvl"]["seeds"] == [1, 2, 3, 4, 5]
+    assert summary["desk-hecvl"]["failed"] == {"parent": 1, "change": 3}
+    assert summary["desk-hecvl"]["not_correct"] == {"parent": 0, "change": 1}
     metrics = summary["desk-hecvl"]["metrics"]
     step = metrics["step_ms_p50"]
     assert step["unit"] == "ms"
@@ -80,8 +84,13 @@ def test_summary_skips_unpaired_runs():
 
 
 def test_summary_reproduces_a_committed_bench_file():
+    # That file predates the per-side failure counts; every one of its runs read 0.
     doc = json.loads((ROOT / "BENCH_token_runs.json").read_text())
-    assert bench_pairs.summarize(doc["runs"], bench_pairs.directions(ROOT)) == doc["summary"]
+    summary = bench_pairs.summarize(doc["runs"], bench_pairs.directions(ROOT))
+    for workload, figures in summary.items():
+        assert figures.pop("failed") == {"parent": 0, "change": 0}
+        assert figures.pop("not_correct") == {"parent": 0, "change": 0}
+    assert summary == doc["summary"]
 
 
 def test_seeds_plans_and_run_order():

@@ -488,7 +488,7 @@ def test_python_calls_per_step():
     # The counts include the calls inside numpy's Python wrappers (np.repeat,
     # ndarray.sum, np.full, ...) and, on Python 3.11, each comprehension's own
     # call, so they are tied to this environment's numpy (2.4) and Python.
-    # Measured there: 111, 128, 153 and 27; each bound is a few calls above.
+    # Measured there: 111, 130, 157 and 30; each bound is a few calls above.
     corpus = generate_synthetic(GeneratorConfig(seed=0))
     params = ModelParams.initialize(EncoderDims(), np.random.default_rng(0))
     desk, paper = TrainConfig(), TrainConfig.paper_scale()
@@ -511,7 +511,7 @@ def test_python_calls_per_step():
         on_a_fresh_batch(lambda: None, lambda _: sample_video_batch(
             corpus, desk.b_video, rng, k=desk.k_video)),
     ]
-    assert all(c <= bound for c, bound in zip(counts, (115, 132, 158, 30))), counts
+    assert all(c <= bound for c, bound in zip(counts, (115, 134, 161, 33))), counts
 
 
 # ---------------------------------------------------------------------------

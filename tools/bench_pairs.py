@@ -3,8 +3,8 @@
     python3 tools/bench_pairs.py --parent ../parent --change . --label fast_step \\
         --what "what the change does" desk-hecvl=1001-1010 paper-single=1011-1015
 
-Each WORKLOAD=SEEDS plan runs ``perfbench/run.py`` once per side and seed, each
-run in a fresh process inside its own checkout. Per seed the two sides run
+Each WORKLOAD=SEEDS plan runs ``perfbench/run.py`` for 30 s once per side and
+seed, each run in a fresh process inside its own checkout. Per seed the two sides run
 back to back, and the side that runs first alternates from seed to seed
 (the change first on the first seed). SEEDS is a comma-separated list of
 seeds and ``first-last`` ranges.
@@ -12,7 +12,8 @@ seeds and ``first-last`` ranges.
 The summary gives, per workload and end-to-end metric, both sides' medians,
 the parent's interquartile range (inclusive quartiles) and the number of
 pairs in which the change is strictly better, in the direction that the
-change checkout's ``BENCHMARK.json`` declares. Standard library only.
+change checkout's ``BENCHMARK.json`` declares; and per workload, each side's
+failed operations and runs that were not correct. Standard library only.
 """
 from __future__ import annotations
 
@@ -23,7 +24,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-COMMAND = "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {:g} --trace 0"
+SECONDS = 30  # the run length BENCHMARK.json sets
+COMMAND = ("python3 perfbench/run.py --workload <workload> --seed <seed> "
+           f"--seconds {SECONDS} --trace 0")
 METHOD = ("one fresh process per run; per seed, parent and change run back to back, the side "
           "that runs first alternating by seed; metrics are perfbench's scaled end-to-end figures")
 
@@ -62,16 +65,18 @@ def orders(seeds: list[int]) -> list[tuple[int, tuple[str, str]]]:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload: its seeds, and per metric the medians, parent IQR and better pairs."""
+    """Per workload: its seeds, per side the failed operations and the runs that were not
+    correct, and per metric the medians, parent IQR and better pairs."""
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        by_side: dict[str, dict[int, dict]] = {"parent": {}, "change": {}}
+        results: dict[str, dict[int, dict]] = {"parent": {}, "change": {}}
         for r in runs:
             if r["workload"] == workload:
-                by_side[r["side"]][r["seed"]] = r["result"]["metrics"]
-        seeds = [s for s in by_side["parent"] if s in by_side["change"]]
+                results[r["side"]][r["seed"]] = r["result"]
+        seeds = [s for s in results["parent"] if s in results["change"]]
         if not seeds:
             continue
+        by_side = {side: {s: results[side][s]["metrics"] for s in seeds} for side in results}
         metrics = {}
         for name, first in by_side["parent"][seeds[0]].items():
             parent = [by_side["parent"][s][name]["value"] for s in seeds]
@@ -88,7 +93,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                                            for p, c in zip(parent, change)),
                 "pairs": len(seeds),
             }
-        summary[workload] = {"seeds": seeds, "metrics": metrics}
+        summary[workload] = {
+            "seeds": seeds,
+            "failed": {side: sum(results[side][s]["failed"] for s in seeds) for side in results},
+            "not_correct": {side: sum(not results[side][s]["correct"] for s in seeds)
+                            for side in results},
+            "metrics": metrics,
+        }
     return summary
 
 
@@ -98,9 +109,9 @@ def directions(checkout: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[str, dict]:
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[str, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {done.returncode}:\n"
@@ -114,7 +125,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="the change checkout")
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--what", required=True, help="one line on what the change does")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, default=Path("."), help="directory of the output")
     parser.add_argument("plans", nargs="+", metavar="WORKLOAD=SEEDS")
     args = parser.parse_args(argv)
@@ -130,7 +140,7 @@ def main(argv=None) -> int:
     for workload, seeds in plans:
         for seed, sides in orders(seeds):
             for side in sides:
-                host, result = run_once(checkouts[side], workload, seed, args.seconds)
+                host, result = run_once(checkouts[side], workload, seed)
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "ran_first": side == sides[0], "host": host, "result": result})
                 print(f"{workload} seed={seed} {side}: "
@@ -138,7 +148,7 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
             # Rewritten after every pair, so an interrupted session keeps what it measured.
             path.write_text(json.dumps({
-                "label": args.label, "what": args.what, "command": COMMAND.format(args.seconds),
+                "label": args.label, "what": args.what, "command": COMMAND,
                 "method": METHOD, "summary": summarize(runs, better), "runs": runs,
             }, indent=1) + "\n")
     print(path)
