@@ -145,6 +145,14 @@ class RowRanges(NamedTuple):
     lengths: np.ndarray
 
 
+class Level(NamedTuple):
+    """The sources of one level (clip, phase or video), in table order."""
+
+    ids: tuple[str, ...]
+    clips: RowRanges  # runs of clip_table
+    rows: RowRanges  # runs of frame_table
+
+
 @dataclass(frozen=True)
 class Corpus:
     config: GeneratorConfig
@@ -179,13 +187,6 @@ class Corpus:
     def phase_table(self) -> tuple[tuple[LectureVideo, int, PhaseSegment], ...]:
         """(video, index, segment) of every phase segment: the phase-level sources."""
         return tuple((v, pi, seg) for v in self.videos for pi, seg in enumerate(v.phases))
-
-    @cached_property
-    def source_ids(self) -> dict[str, tuple[str, ...]]:
-        """The id of every clip, phase segment and video, by level, in table order."""
-        return {"clip": tuple(c.clip_id for c in self.clip_table),
-                "phase": tuple(f"{v.video_id}p{pi}" for v, pi, _ in self.phase_table),
-                "video": tuple(v.video_id for v in self.videos)}
 
     def _texts_of(self, kind: str) -> list[tuple[int, ...]]:
         if kind == "concept":
@@ -223,48 +224,31 @@ class Corpus:
         return TokenStack(self.token_table, runs.starts[index], runs.lengths[index])
 
     @cached_property
-    def clip_offsets(self) -> list[int]:
-        """Index in clip_table of each video's first clip, then the clip count."""
-        return list(accumulate((len(v.clips) for v in self.videos), initial=0))
+    def levels(self) -> dict[str, Level]:
+        """The sources of each level, as runs of clip_table and of frame_table.
 
-    @cached_property
-    def _row_bounds(self) -> np.ndarray:
-        """First row in frame_table of each clip, then the row count."""
-        return np.cumsum([0, *(c.frames.rows for c in self.clip_table)], dtype=np.intp)
-
-    def _rows(self, clips: RowRanges) -> RowRanges:
-        """Rows of runs of clip_table."""
-        starts = self._row_bounds[clips.starts]
-        return RowRanges(starts, self._row_bounds[clips.starts + clips.lengths] - starts)
-
-    @cached_property
-    def clip_rows(self) -> RowRanges:
-        """Rows of each clip, in clip_table order."""
-        return RowRanges(self._row_bounds[:-1], np.diff(self._row_bounds))
-
-    @cached_property
-    def phase_clips(self) -> RowRanges:
-        """Clips of each phase segment in clip_table, in phase_table order."""
-        firsts = [first + seg.start for first, v in zip(self.clip_offsets, self.videos)
-                  for seg in v.phases]
-        counts = [seg.end - seg.start for _, _, seg in self.phase_table]
-        return RowRanges(np.array(firsts, dtype=np.intp), np.array(counts, dtype=np.intp))
-
-    @cached_property
-    def video_clips(self) -> RowRanges:
-        """Clips of each video in clip_table, in corpus order."""
-        offsets = np.array(self.clip_offsets, dtype=np.intp)
-        return RowRanges(offsets[:-1], np.diff(offsets))
-
-    @cached_property
-    def phase_rows(self) -> RowRanges:
-        """Rows of each phase segment, in phase_table order."""
-        return self._rows(self.phase_clips)
-
-    @cached_property
-    def video_rows(self) -> RowRanges:
-        """Rows of each video, in corpus order."""
-        return self._rows(self.video_clips)
+        A clip is a run of one clip; a phase segment or a video, the run of its clips.
+        """
+        firsts = np.cumsum([0, *(len(v.clips) for v in self.videos)], dtype=np.intp)
+        clips = {
+            "clip": RowRanges(np.arange(firsts[-1], dtype=np.intp),
+                              np.ones(firsts[-1], dtype=np.intp)),
+            "phase": RowRanges(
+                np.array([first + seg.start for first, v in zip(firsts.tolist(), self.videos)
+                          for seg in v.phases], dtype=np.intp),
+                np.array([seg.end - seg.start for _, _, seg in self.phase_table], dtype=np.intp)),
+            "video": RowRanges(firsts[:-1], np.diff(firsts)),
+        }
+        ids = {"clip": tuple(c.clip_id for c in self.clip_table),
+               "phase": tuple(f"{v.video_id}p{pi}" for v, pi, _ in self.phase_table),
+               "video": tuple(v.video_id for v in self.videos)}
+        bounds = np.cumsum([0, *(c.frames.rows for c in self.clip_table)], dtype=np.intp)
+        levels = {}
+        for level, runs in clips.items():
+            rows = bounds[runs.starts]
+            levels[level] = Level(ids[level], runs,
+                                  RowRanges(rows, bounds[runs.starts + runs.lengths] - rows))
+        return levels
 
     @cached_property
     def _frame_rows(self) -> dict[tuple[str, int], np.ndarray]:
@@ -274,11 +258,12 @@ class Corpus:
         """k frames of each given source of a level, at rows built once per k: one gather."""
         rows = self._frame_rows.get((level, k))
         if rows is None:
-            rows = self._frame_rows[level, k] = frame_rows(*getattr(self, f"{level}_rows"), k)
+            rows = self._frame_rows[level, k] = frame_rows(*self.levels[level].rows, k)
             rows.flags.writeable = False
         return FrameStack.at(self.frame_table, rows[sources])
 
     def pair_counts(self) -> dict[str, int]:
+        # Table lengths, so `generate` and the capacity check build no level index.
         return {
             "clip": len(self.clip_table),
             "phase": len(self.phase_table),
@@ -299,7 +284,7 @@ class Corpus:
                 f"cannot hold out {n_hold} of {len(self.videos)} videos"
             )
         cut = len(self.videos) - n_hold
-        row = self._row_bounds[self.clip_offsets[cut]]
+        row = self.levels["video"].rows.starts[cut]
         return (
             _on_table(self.config, self.videos[:cut], self.frame_table[:row]),
             _on_table(self.config, self.videos[cut:], self.frame_table[row:]),
@@ -631,7 +616,7 @@ class VideoBatch(CoarseBatch):
 def _draw(corpus: Corpus, level: str, b: int,
           rng: np.random.Generator) -> tuple[np.ndarray, tuple[str, ...]]:
     """Indices of b distinct sources of a level, and their ids."""
-    ids = corpus.source_ids[level]
+    ids = corpus.levels[level].ids
     if b < 1:
         raise ConfigError(f"batch size must be >= 1, got {b}")
     if b > len(ids):
@@ -657,7 +642,7 @@ def sample_phase_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 8) -> PhaseBatch:
     """Every member narration of each drawn phase segment."""
     drawn, ids = _draw(corpus, "phase", b, rng)
-    clips = RowRanges(*(column[drawn] for column in corpus.phase_clips))
+    clips = RowRanges(*(column[drawn] for column in corpus.levels["phase"].clips))
     return PhaseBatch(
         source_ids=ids,
         frames=corpus.frames_of("phase", drawn, k),
@@ -670,7 +655,7 @@ def sample_video_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 32) -> VideoBatch:
     """At most k narrations of each drawn video, at clip indices floor(j*n/min(n, k))."""
     drawn, ids = _draw(corpus, "video", b, rng)
-    clips = RowRanges(*(column[drawn] for column in corpus.video_clips))
+    clips = RowRanges(*(column[drawn] for column in corpus.levels["video"].clips))
     return VideoBatch(
         source_ids=ids,
         frames=corpus.frames_of("video", drawn, k),

@@ -247,12 +247,6 @@ def frame_rows(starts: Sequence[int], lengths: Sequence[int], k: int) -> np.ndar
     return starts[:, None] + np.arange(k, dtype=np.intp) * lengths[:, None] // k
 
 
-def pick_frames(table: np.ndarray, starts: Sequence[int], lengths: Sequence[int],
-                k: int) -> FrameStack:
-    """k frames per segment of a frame table, at its `frame_rows`."""
-    return FrameStack.at(table, frame_rows(starts, lengths, k))
-
-
 class TokenStack(Sequence[tuple[int, ...]]):
     """Texts as runs of one read-only intp token table: each run's start and length.
 
@@ -300,9 +294,6 @@ class TokenStack(Sequence[tuple[int, ...]]):
             return TokenStack(self.table, np.concatenate([self.starts, other.starts]),
                               np.concatenate([self.lengths, other.lengths]))
         return TokenStack.of([*self, *other])
-
-    def __radd__(self, other: Sequence[TokenSeq]) -> "TokenStack":
-        return TokenStack.of([*other, *self])
 
 
 class TokenSets(Sequence[tuple[tuple[int, ...], ...]]):

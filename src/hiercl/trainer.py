@@ -377,11 +377,17 @@ def _checkpoint_from(header: dict, body: bytes, off: int, path) -> Checkpoint:
         if getattr(dims, name) != getattr(cfg, name):
             raise CheckpointIntegrityError(f"{path}: dims.{name} {getattr(dims, name)} "
                                            f"!= config.{name} {getattr(cfg, name)}")
+    # The loop takes one optimizer step per batch, so the two counts agree.
+    batch, step = header["global_batch"], header["opt_step"]
+    if type(batch) is not int or not 0 <= batch <= cfg.total_batches:
+        raise ValueError(f"global_batch {batch!r} is not an integer in [0, {cfg.total_batches}]")
+    if type(step) is not int or step != batch:
+        raise ValueError(f"opt_step {step!r} is not global_batch {batch}")
     return Checkpoint(
         config=cfg,
-        global_batch=header["global_batch"],
+        global_batch=batch,
         params=ModelParams(dims, params),
-        opt_state=OptimizerState(first=first, second=second, step=header["opt_step"]),
+        opt_state=OptimizerState(first=first, second=second, step=step),
         rng_state=_restore_rng_state(header["rng_state"]),
     )
 

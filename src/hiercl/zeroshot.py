@@ -19,7 +19,6 @@ from .encoders import (
     ModelParams,
     aggregated_text_rows,
     param_nodes,
-    pick_frames,
     text_embedding_rows,
     visual_embedding_rows,
 )
@@ -229,15 +228,13 @@ def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:
     )
 
 
-def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[FrameStack, list[int]]:
+def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[FrameStack, np.ndarray]:
     """Every labeled clip in the split: sampled frames plus its phase class."""
-    clips, gt = [], []
-    for first, video in zip(corpus.clip_offsets, corpus.videos):
-        for seg in video.phases:
-            clips.extend(range(first + seg.start, first + seg.end))
-            gt.extend([seg.phase_class] * (seg.end - seg.start))
-    rows = corpus.clip_rows
-    return pick_frames(corpus.frame_table, rows.starts[clips], rows.lengths[clips], k_clip), gt
+    starts, lengths = corpus.levels["phase"].clips
+    firsts = lengths.cumsum() - lengths
+    clips = (starts - firsts).repeat(lengths) + np.arange(lengths.sum())
+    gt = np.repeat([seg.phase_class for _, _, seg in corpus.phase_table], lengths)
+    return corpus.frames_of("clip", clips, k_clip), gt
 
 
 def check_prompts(prompts: PromptSet, split: Corpus, vocab_size: int) -> None:
@@ -279,15 +276,11 @@ def clip_retrieval_recall(checkpoint: Checkpoint, split: Corpus, top_k: int = 1)
     params = checkpoint.params
     if not split.clip_table:
         raise ContractError("split has no clips")
-    segments = pick_frames(split.frame_table, *split.clip_rows, checkpoint.config.k_clip)
+    segments = split.frames_of("clip", np.arange(len(split.clip_table)), checkpoint.config.k_clip)
     tape = Tape()
     pn = param_nodes(tape, params)
     visual = visual_embedding_rows(tape, pn, segments).value
     text = text_embedding_rows(tape, pn, split.texts("narration_a")).value
     sims = visual @ text.T
-    hits = 0
-    for i in range(sims.shape[0]):
-        order = np.argsort(-sims[i], kind="stable")
-        if i in order[:top_k]:
-            hits += 1
-    return hits / sims.shape[0]
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :top_k]
+    return float((top == np.arange(len(sims))[:, None]).any(axis=1).mean())

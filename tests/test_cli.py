@@ -534,12 +534,16 @@ def _break_header(header: dict, key: str) -> None:
         del header["dims"]["hidden"]
     elif key == "non-integer dims field":
         header["dims"]["hidden"] = float(header["dims"]["hidden"])
+    elif "=" in key:  # name=JSON value
+        name, value = key.split("=")
+        header[name] = json.loads(value)
     else:
         del header[key]
 
 
 @pytest.mark.parametrize("key", ["dims", "config", "config_digest", "dims field",
-                                 "non-integer dims field"])
+                                 "non-integer dims field", 'global_batch="x"', "global_batch=-3",
+                                 "global_batch=99", "global_batch=true", "opt_step=-1"])
 def test_exit_5_on_malformed_checkpoint_header(workspace, tmp_path, capsys, key):
     """A header that passes the checksum but lacks or mistypes a key is still an integrity error."""
     blob = (workspace["run"] / "checkpoint.bin").read_bytes()

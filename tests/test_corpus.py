@@ -460,6 +460,23 @@ def test_pair_counts(corpus):
     assert corpus.pair_counts() == {"clip": 30, "phase": 15, "video": 5}
 
 
+def test_levels_are_runs_of_clips_and_of_their_rows(corpus):
+    clip = corpus.levels["clip"]
+    assert clip.ids == tuple(c.clip_id for c in corpus.clip_table)
+    assert clip.clips.starts.tolist() == list(range(30)) and set(clip.clips.lengths) == {1}
+    assert clip.rows.lengths.tolist() == [c.frames.rows for c in corpus.clip_table]
+    expected = {"phase": [(v.clips[seg.start:seg.end], f"{v.video_id}p{pi}")
+                          for v, pi, seg in corpus.phase_table],
+                "video": [(v.clips, v.video_id) for v in corpus.videos]}
+    for level, sources in expected.items():
+        got = corpus.levels[level]
+        assert got.ids == tuple(source_id for _, source_id in sources)
+        for (clips, _), first, count, row, rows in zip(sources, *got.clips, *got.rows,
+                                                       strict=True):
+            assert corpus.clip_table[first:first + count] == clips
+            assert row == clip.rows.starts[first] and rows == sum(c.frames.rows for c in clips)
+
+
 def test_split_takes_trailing_videos(corpus):
     train, hold = corpus.split(0.4)
     assert len(train.videos) == 3 and len(hold.videos) == 2
@@ -486,7 +503,7 @@ def assert_frames_are_table_rows(corpus: Corpus) -> None:
     table = corpus.frame_table
     assert not table.flags.writeable
     assert table.nbytes == sum(c.frames.array.nbytes for c in corpus.clip_table)
-    for clip, start in zip(corpus.clip_table, corpus.clip_rows.starts, strict=True):
+    for clip, start in zip(corpus.clip_table, corpus.levels["clip"].rows.starts, strict=True):
         assert np.shares_memory(clip.frames.array, table)
         assert clip.frames.array.ctypes.data == table[start:].ctypes.data
 
@@ -512,7 +529,7 @@ def test_split_shares_the_frame_table(corpus, tmp_path):
             assert np.shares_memory(half.frame_table, whole.frame_table)
         assert (sum(h.frame_table.nbytes for h in halves) == whole.frame_table.nbytes)
         assert halves[1].frame_table.ctypes.data == whole.frame_table[
-            whole.clip_rows.starts[len(halves[0].clip_table)]:].ctypes.data
+            whole.levels["clip"].rows.starts[len(halves[0].clip_table)]:].ctypes.data
 
 
 def test_hand_built_corpus_stacks_its_frames_once(corpus):

@@ -1,4 +1,5 @@
 """Prompt embedding, cosine classification, metrics, and evaluation."""
+import hashlib
 import math
 import random
 
@@ -297,6 +298,18 @@ def test_evaluate_is_deterministic(corpus, trained):
     assert a.to_json() == b.to_json()
     assert a.checkpoint_id == trained.params.digest()[:16]
     assert a.config_digest == trained.config.digest()
+
+
+def test_eval_report_is_pinned():
+    # One seed-0 hecvl cycle on the default corpus's train split, scored on
+    # its holdout with the default prompts. Any change to the clips or frames
+    # evaluation reads must update this value on purpose.
+    gen = GeneratorConfig()
+    train_split, holdout = generate_synthetic(gen).split(0.25)
+    report = evaluate(train(TrainConfig(cycles=1), train_split).checkpoint, holdout,
+                      default_prompts(gen))
+    assert (hashlib.sha256(report.to_json().encode()).hexdigest()
+            == "c40eb343e9734ac6c198b8db4fdf14a79ea2dddeffb49082980501ced4c3f8d7")
 
 
 def test_evaluate_scores_every_clip(corpus, trained):
