@@ -284,7 +284,7 @@ class Corpus:
                 f"cannot hold out {n_hold} of {len(self.videos)} videos"
             )
         cut = len(self.videos) - n_hold
-        row = self.levels["video"].rows.starts[cut]
+        row = sum(c.frames.rows for v in self.videos[:cut] for c in v.clips)
         return (
             _on_table(self.config, self.videos[:cut], self.frame_table[:row]),
             _on_table(self.config, self.videos[cut:], self.frame_table[row:]),
@@ -306,52 +306,187 @@ def _noisy_tokens(rng: np.random.Generator, base: np.ndarray, rate: float,
     return tuple(np.where(corrupt, noise, base).tolist())
 
 
+def _replay_video(rng: np.random.Generator, cfg: GeneratorConfig, vi: int,
+                  frames: np.ndarray) -> LectureVideo:
+    """Video `vi` drawn one rng call per draw; its N(0, 1) frames go to `frames`.
+
+    The draws and their order are those that `_decoded_video` decodes from raw words.
+    """
+    order = rng.permutation(cfg.num_classes)
+    width = cfg.vocab_size // cfg.num_classes
+    clip_frames = iter(frames)
+    clips: list[VideoClip] = []
+    phases: list[PhaseSegment] = []
+    for cls in order:
+        lo, hi = cfg.class_block(int(cls))
+        start = len(clips)
+        for rows in islice(clip_frames, cfg.clips_per_phase):
+            rng.standard_normal(out=rows)
+            base = rng.integers(lo, hi, NARRATION_LEN)
+            clips.append(VideoClip(
+                clip_id=f"v{vi:03d}c{len(clips):02d}",
+                frames=Matrix._wrap(rows),
+                narration_a=_noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size),
+                narration_b=_noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size),
+            ))
+        concept_base = rng.integers(lo, hi, CONCEPT_LEN)
+        phases.append(PhaseSegment(
+            start=start,
+            end=len(clips),
+            concept=_noisy_tokens(rng, concept_base,
+                                  cfg.token_noise * CONCEPT_NOISE_FACTOR,
+                                  cfg.vocab_size),
+            phase_class=int(cls),
+        ))
+    abstract_classes = rng.integers(0, cfg.num_classes, ABSTRACT_LEN)
+    abstract = tuple((abstract_classes * width
+                      + rng.integers(0, width, ABSTRACT_LEN)).tolist())
+    return LectureVideo(video_id=f"v{vi:03d}", clips=tuple(clips), phases=tuple(phases),
+                        abstract=abstract)
+
+
+# A video's text draws, decoded from raw PCG64 words. On PCG64, `random()` is
+# (w >> 11) * 2**-53 of one word w, and `integers(lo, lo + r)` with 2 <= r <= 2**32
+# is Lemire's lo + ((u * r) >> 32) of one 32-bit half-word u: the words' halves,
+# low half first, carried from call to call by the generator's half-word buffer.
+# Lemire redraws u when (u * r) mod 2**32 < (2**32 - r) mod r.
+_HALF = 0xFFFFFFFF
+
+
+class _RawTexts(NamedTuple):
+    """Where one config's text draws fall in a video's raw words."""
+
+    width: int  # of a class block
+    counts: tuple[int, ...]  # raw words drawn after each clip's frames
+    is_id: np.ndarray  # per word: two id half-words (else one uniform)
+    ranges: np.ndarray  # per id half-word: its integers() range, uint64
+    thresholds: np.ndarray  # per id half-word: Lemire's rejection bound
+    rates: np.ndarray  # per uniform: the token-noise rate it is compared with
+
+    @classmethod
+    def of(cls, cfg: GeneratorConfig) -> "_RawTexts | None":
+        """The layout, or None if a range is 1 (no draw) or above 2**32 (64-bit Lemire)."""
+        width, vocab, rate = cfg.vocab_size // cfg.num_classes, cfg.vocab_size, cfg.token_noise
+        if not all(2 <= r <= 1 << 32 for r in (width, vocab, cfg.num_classes)):
+            return None
+        # Each draw as (integers() range, or None for random(); count; random()'s rate).
+        n = NARRATION_LEN
+        clip = [(width, n, None), (None, n, rate), (vocab, n, None), (None, n, rate),
+                (vocab, n, None)]
+        phase = [(width, CONCEPT_LEN, None), (None, CONCEPT_LEN, rate * CONCEPT_NOISE_FACTOR),
+                 (vocab, CONCEPT_LEN, None)]
+        video = [(cfg.num_classes, ABSTRACT_LEN, None), (width, ABSTRACT_LEN, None)]
+
+        def words(draws):  # every count is even, so an id draw leaves the buffer as it was
+            return [count if r is None else count // 2 for r, count, _ in draws]
+
+        # The last clip of a segment also draws its concept; the video's last, its abstract.
+        counts = [sum(words(clip))] * cfg.clips_per_phase
+        counts[-1] += sum(words(phase))
+        counts *= cfg.num_classes
+        counts[-1] += sum(words(video))
+        draws = [*clip * cfg.clips_per_phase, *phase] * cfg.num_classes + video
+        ids = [(r, count) for r, count, _ in draws if r is not None]
+        uniforms = [(p, count) for r, count, p in draws if r is None]
+        ranges = np.repeat(np.array([r for r, _ in ids], dtype=np.uint64),
+                           [count for _, count in ids])
+        return cls(
+            width=width,
+            counts=tuple(counts),
+            is_id=np.repeat([r is not None for r, _, _ in draws], words(draws)),
+            ranges=ranges,
+            thresholds=((1 << 32) - ranges) % ranges,
+            rates=np.repeat([p for p, _ in uniforms], [count for _, count in uniforms]),
+        )
+
+
+def _decoded_video(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawTexts, vi: int,
+                   frames: np.ndarray) -> LectureVideo | None:
+    """Video `vi` from one standard_normal and one random_raw per clip.
+
+    Draws what `_replay_video` draws, in the same order, and leaves the
+    generator in the same state. Returns None, with the generator back where
+    it started, if an id draw meets a Lemire rejection.
+    """
+    bits = rng.bit_generator
+    start = bits.state
+    order = rng.permutation(cfg.num_classes)
+    carry = bits.state  # permutation draws half-words, so the buffer varies
+    chunks = []
+    for rows, n in zip(frames, raw.counts):
+        rng.standard_normal(out=rows)
+        chunks.append(bits.random_raw(n))
+    words = np.concatenate(chunks)
+    id_words = words[raw.is_id]
+    halves = np.empty(2 * id_words.size + 1, dtype=np.uint64)
+    halves[0] = carry["uinteger"]
+    halves[1::2] = id_words & _HALF
+    halves[2::2] = id_words >> 32
+    buffered = carry["has_uint32"]
+    scaled = halves[1 - buffered:halves.size - buffered] * raw.ranges
+    if ((scaled & _HALF) < raw.thresholds).any():
+        bits.state = start
+        return None
+    # random_raw bypasses the half-word buffer: leave it as the draws would.
+    end = bits.state
+    end["has_uint32"], end["uinteger"] = buffered, int(halves[-1])
+    bits.state = end
+
+    ids = (scaled >> 32).astype(np.int64)
+    corrupt = (words[~raw.is_id] >> 11) * 2.0 ** -53 < raw.rates
+    # A segment's ids are each clip's base, noise-a and noise-b ids, then its concept's
+    # base and noise ids; its uniforms are each clip's a and b ones, then its concept's.
+    num_classes, per_phase, width = cfg.num_classes, cfg.clips_per_phase, raw.width
+    segment_ids = ids[:-2 * ABSTRACT_LEN].reshape(num_classes, -1)
+    segment_corrupt = corrupt.reshape(num_classes, -1)
+    clip_ids, concept_ids = np.split(segment_ids, [3 * per_phase * NARRATION_LEN], axis=1)
+    clip_corrupt, concept_corrupt = np.split(segment_corrupt, [2 * per_phase * NARRATION_LEN],
+                                             axis=1)
+    clip_ids = clip_ids.reshape(num_classes, per_phase, 3, NARRATION_LEN)
+    concept_ids = concept_ids.reshape(num_classes, 2, CONCEPT_LEN)
+    low = order * width  # where each segment's class block starts
+    narrations = np.where(clip_corrupt.reshape(num_classes, per_phase, 2, NARRATION_LEN),
+                          clip_ids[:, :, 1:], clip_ids[:, :, :1] + low[:, None, None, None])
+    concepts = np.where(concept_corrupt, concept_ids[:, 1], concept_ids[:, 0] + low[:, None])
+    abstract_classes, abstract_ids = ids[-2 * ABSTRACT_LEN:].reshape(2, ABSTRACT_LEN)
+    abstract = abstract_classes * width + abstract_ids
+
+    video_id = f"v{vi:03d}"
+    clips = tuple(
+        VideoClip(clip_id=f"{video_id}c{ci:02d}", frames=Matrix._wrap(rows),
+                  narration_a=tuple(a), narration_b=tuple(b))
+        for ci, (rows, (a, b)) in enumerate(zip(frames, narrations.reshape(
+            -1, 2, NARRATION_LEN).tolist())))
+    phases = tuple(
+        PhaseSegment(start=p * per_phase, end=(p + 1) * per_phase, concept=tuple(concept),
+                     phase_class=cls)
+        for p, (concept, cls) in enumerate(zip(concepts.tolist(), order.tolist())))
+    return LectureVideo(video_id=video_id, clips=clips, phases=phases,
+                        abstract=tuple(abstract.tolist()))
+
+
 def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
-    """Build a corpus with known latent phase structure, fully seed-determined."""
+    """Build a corpus with known latent phase structure, fully seed-determined.
+
+    Each video is decoded from raw generator words (`_decoded_video`); one
+    that meets a rejection, or a config with a range the decode does not
+    cover, is drawn call by call (`_replay_video`). Both yield the same bytes.
+    """
     rng = substream(cfg.seed, "generate")
     prototypes = rng.standard_normal((cfg.num_classes, cfg.d_in))
-    table = np.empty((cfg.num_videos * cfg.num_classes * cfg.clips_per_phase
-                      * cfg.frames_per_clip, cfg.d_in))
-    clip_frames = iter(table.reshape(-1, cfg.frames_per_clip, cfg.d_in))  # in corpus order
-    width = cfg.vocab_size // cfg.num_classes
+    clips_per_video = cfg.num_classes * cfg.clips_per_phase
+    table = np.empty((cfg.num_videos * clips_per_video * cfg.frames_per_clip, cfg.d_in))
+    clip_frames = table.reshape(-1, cfg.frames_per_clip, cfg.d_in)  # in corpus order
+    raw = _RawTexts.of(cfg)
     videos = []
     for vi in range(cfg.num_videos):
-        order = rng.permutation(cfg.num_classes)
-        clips: list[VideoClip] = []
-        phases: list[PhaseSegment] = []
-        for cls in order:
-            lo, hi = cfg.class_block(int(cls))
-            start = len(clips)
-            for frames in islice(clip_frames, cfg.clips_per_phase):
-                # prototype + noise_scale * N(0, 1), computed in place
-                rng.standard_normal(out=frames)
-                frames *= cfg.noise_scale
-                frames += prototypes[cls]
-                base = rng.integers(lo, hi, NARRATION_LEN)
-                clips.append(VideoClip(
-                    clip_id=f"v{vi:03d}c{len(clips):02d}",
-                    frames=Matrix._wrap(frames),
-                    narration_a=_noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size),
-                    narration_b=_noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size),
-                ))
-            concept_base = rng.integers(lo, hi, CONCEPT_LEN)
-            phases.append(PhaseSegment(
-                start=start,
-                end=len(clips),
-                concept=_noisy_tokens(rng, concept_base,
-                                      cfg.token_noise * CONCEPT_NOISE_FACTOR,
-                                      cfg.vocab_size),
-                phase_class=int(cls),
-            ))
-        abstract_classes = rng.integers(0, cfg.num_classes, ABSTRACT_LEN)
-        abstract = tuple((abstract_classes * width
-                          + rng.integers(0, width, ABSTRACT_LEN)).tolist())
-        videos.append(LectureVideo(
-            video_id=f"v{vi:03d}",
-            clips=tuple(clips),
-            phases=tuple(phases),
-            abstract=abstract,
-        ))
+        frames = clip_frames[vi * clips_per_video:(vi + 1) * clips_per_video]
+        video = raw and _decoded_video(rng, cfg, raw, vi, frames)
+        videos.append(video or _replay_video(rng, cfg, vi, frames))
+    # prototype + noise_scale * N(0, 1), in place over the whole table
+    table *= cfg.noise_scale
+    classes = [seg.phase_class for v in videos for seg in v.phases]
+    table.reshape(len(classes), -1, cfg.d_in)[...] += prototypes[classes][:, None]
     table.setflags(write=False)
     return _on_table(cfg, tuple(videos), table)
 

@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     CorpusFormatError,
     CoverageError,
+    EmptyInputError,
     SchemaVersionError,
     ShapeError,
     VocabularyError,
@@ -238,7 +239,14 @@ def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[FrameStack, np.ndarray]
 
 
 def check_prompts(prompts: PromptSet, split: Corpus, vocab_size: int) -> None:
-    """Reject a prompt token outside the vocabulary, and a split class without prompts."""
+    """Reject a split without labeled clips, a prompt token outside the vocabulary,
+    and a split class without prompts."""
+    if not split.phase_table:
+        ids = [v.video_id for v in split.videos]
+        raise EmptyInputError(
+            f"evaluation split of {len(ids)} videos"
+            + (f" ({ids[0]} to {ids[-1]})" if ids else "")
+            + " has no labeled clips to score: none of its videos has a phase segment")
     for label, plist in prompts.classes:
         for token in (t for p in plist for t in p):
             if not 0 <= token < vocab_size:

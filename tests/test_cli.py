@@ -14,6 +14,7 @@ from blas_threads import openblas_threads
 
 import hiercl.cli
 from hiercl import errors
+from hiercl.corpus import load_corpus, save_corpus
 from hiercl.cli import main
 from hiercl.errors import CorpusFormatError, HierclError
 from hiercl.trainer import load_checkpoint, save_checkpoint
@@ -90,6 +91,27 @@ def test_generate_seed_flag_wins(tmp_path, capsys):
     assert _sha(tmp_path / "a.jsonl") != _sha(tmp_path / "b.jsonl")
     manifest = json.loads((tmp_path / "b.jsonl.manifest.json").read_text())
     assert manifest["seed"] == 7
+
+
+# The files `generate` writes, byte for byte. The second config has a vocabulary of
+# 45,000,000 ids, so some of its videos meet a rejection in the raw-word decode and are
+# drawn call by call (videos 0, 2 and 4), and the others are decoded.
+GENERATED_SHA256 = {
+    "default": ({}, "3e5899e887106ff0b873d441377c84358ffa24fac451780813f66f7e17ebece1",
+                "cee334709e6c9a2f55f52bf456bf3861e2afb4e8209ce5add4af6f82ea1092cd"),
+    "mixed": ({"generator": {**GEN_SECTION, "vocab_size": 45_000_000}},
+              "af9a28f823d96df24548bdbb50f9881fc8d3852185d9accb42cd78ef0c1e6cec",
+              "0b59028d494a312bc2f734be02182bb75568d94cd29daaef7f6aafcf9a003fee"),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED_SHA256)
+def test_generated_files_are_pinned(tmp_path, capsys, name):
+    sections, corpus_sha, prompts_sha = GENERATED_SHA256[name]
+    config = ["--config", _write_config(tmp_path, **sections)] if sections else []
+    assert main(["generate", *config, "--out", str(tmp_path / "corpus.jsonl")]) == 0
+    assert _sha(tmp_path / "corpus.jsonl") == corpus_sha
+    assert _sha(tmp_path / "corpus.prompts.json") == prompts_sha
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +707,23 @@ def test_exit_5_on_split_class_without_prompts(workspace, tmp_path, capsys):
     out = tmp_path / "ev"
     assert _run_eval(workspace, out, "--prompts", str(prompts)) == 5
     assert "classes [2] appear in the split but have no prompts" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()  # rejected before the run
+
+
+def test_exit_4_on_split_without_labeled_clips(workspace, tmp_path, capsys):
+    corpus = load_corpus(workspace["corpus"])
+    bare = replace(corpus, videos=tuple(replace(v, phases=()) for v in corpus.videos))
+    path = tmp_path / "bare.jsonl"
+    save_corpus(bare, path)
+    out = tmp_path / "ev"
+    out.mkdir()
+    for split in ("holdout", "all"):
+        assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.bin"),
+                     "--corpus", str(path), "--out", str(out), "--split", split]) == 4
+        first, last = ("v006", "v007") if split == "holdout" else ("v000", "v007")
+        assert capsys.readouterr().err == (
+            f"error: evaluation split of {8 if split == 'all' else 2} videos ({first} to "
+            f"{last}) has no labeled clips to score: none of its videos has a phase segment\n")
     assert not (out / "manifest.json").exists()  # rejected before the run
 
 

@@ -192,6 +192,97 @@ def test_frames_carry_class_signal():
     assert between > within
 
 
+def _reference_noisy(rng, base, rate, vocab_size):
+    corrupt = rng.random(base.size) < rate
+    return tuple(np.where(corrupt, rng.integers(0, vocab_size, base.size), base).tolist())
+
+
+def _reference_corpus(cfg):
+    """The generator as one rng call per draw: frames, ids, texts and classes, in corpus order."""
+    rng = substream(cfg.seed, "generate")
+    prototypes = rng.standard_normal((cfg.num_classes, cfg.d_in))
+    width = cfg.vocab_size // cfg.num_classes
+    frames, videos = [], []
+    for vi in range(cfg.num_videos):
+        clips, phases = [], []
+        for cls in rng.permutation(cfg.num_classes):
+            lo, hi = cfg.class_block(int(cls))
+            start = len(clips)
+            for _ in range(cfg.clips_per_phase):
+                rows = rng.standard_normal((cfg.frames_per_clip, cfg.d_in))
+                rows *= cfg.noise_scale
+                rows += prototypes[cls]
+                frames.append(rows)
+                base = rng.integers(lo, hi, corpus_module.NARRATION_LEN)
+                clips.append((f"v{vi:03d}c{len(clips):02d}",
+                              _reference_noisy(rng, base, cfg.token_noise, cfg.vocab_size),
+                              _reference_noisy(rng, base, cfg.token_noise, cfg.vocab_size)))
+            concept_base = rng.integers(lo, hi, corpus_module.CONCEPT_LEN)
+            phases.append((start, len(clips), _reference_noisy(
+                rng, concept_base, cfg.token_noise * corpus_module.CONCEPT_NOISE_FACTOR,
+                cfg.vocab_size), int(cls)))
+        abstract_classes = rng.integers(0, cfg.num_classes, corpus_module.ABSTRACT_LEN)
+        abstract = tuple((abstract_classes * width
+                          + rng.integers(0, width, corpus_module.ABSTRACT_LEN)).tolist())
+        videos.append((f"v{vi:03d}", clips, phases, abstract))
+    return np.concatenate(frames).tobytes(), videos
+
+
+def _as_reference(corpus):
+    return corpus.frame_table.tobytes(), [
+        (v.video_id, [(c.clip_id, c.narration_a, c.narration_b) for c in v.clips],
+         [(p.start, p.end, p.concept, p.phase_class) for p in v.phases], v.abstract)
+        for v in corpus.videos]
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The indices of the videos that `generate_synthetic` draws call by call."""
+    seen = []
+    replay = corpus_module._replay_video
+
+    def spy(rng, cfg, vi, frames):
+        seen.append(vi)
+        return replay(rng, cfg, vi, frames)
+
+    monkeypatch.setattr(corpus_module, "_replay_video", spy)
+    return seen
+
+
+GRADCHECK_GENERATOR = GeneratorConfig(num_videos=6, num_classes=3, clips_per_phase=2,
+                                      frames_per_clip=4, d_in=8, vocab_size=48)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generator_matches_the_per_call_reference(seed, replays):
+    cfg = GeneratorConfig(seed=seed)
+    assert _as_reference(generate_synthetic(cfg)) == _reference_corpus(cfg)
+    assert replays == []  # every video decoded from raw words
+
+
+@pytest.mark.parametrize("cfg, replayed", [
+    (GRADCHECK_GENERATOR, "none"),
+    (GeneratorConfig(num_videos=10, vocab_size=1000), "none"),
+    # A noise id rejects with probability 1/4, so nearly every video is redrawn.
+    (GeneratorConfig(num_videos=10, vocab_size=3 * 2**30), "most"),
+    # Width-1 class blocks draw nothing; a range above 2**32 draws 64-bit words.
+    (GeneratorConfig(num_videos=5, vocab_size=6), "all"),
+    (GeneratorConfig(num_videos=5, vocab_size=2**33), "all"),
+    (GeneratorConfig(num_videos=5, num_classes=1, vocab_size=5), "all"),
+], ids=["gradcheck", "vocab-1000", "vocab-3x2^30", "width-1", "vocab-over-2^32", "one-class"])
+def test_generator_matches_the_reference_on_every_path(cfg, replayed, replays):
+    for seed in (0, 1, 2):
+        replays.clear()
+        cfg_seed = replace(cfg, seed=seed)
+        assert _as_reference(generate_synthetic(cfg_seed)) == _reference_corpus(cfg_seed)
+        if replayed == "none":
+            assert replays == []
+        elif replayed == "all":
+            assert replays == list(range(cfg.num_videos))
+        else:
+            assert len(replays) > cfg.num_videos // 2
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -530,6 +621,20 @@ def test_split_shares_the_frame_table(corpus, tmp_path):
         assert (sum(h.frame_table.nbytes for h in halves) == whole.frame_table.nbytes)
         assert halves[1].frame_table.ctypes.data == whole.frame_table[
             whole.levels["clip"].rows.starts[len(halves[0].clip_table)]:].ctypes.data
+
+
+def test_split_builds_no_level_index(corpus, tmp_path):
+    save_corpus(corpus, tmp_path / "c.jsonl")
+    for whole in (corpus, load_corpus(tmp_path / "c.jsonl")):
+        train, hold = whole.split(0.4)
+        assert "levels" not in vars(whole)
+        table = whole.frame_table
+        assert train.frame_table.ctypes.data == table.ctypes.data
+        assert hold.frame_table.ctypes.data == table[len(train.frame_table):].ctypes.data
+        assert len(train.frame_table) + len(hold.frame_table) == len(table)
+        assert train.frame_table.base is not None and hold.frame_table.base is not None
+        assert_frames_are_table_rows(train)
+        assert_frames_are_table_rows(hold)
 
 
 def test_hand_built_corpus_stacks_its_frames_once(corpus):

@@ -2,6 +2,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hiercl.errors import (
     ContractError,
     CorpusFormatError,
     CoverageError,
+    EmptyInputError,
     SchemaVersionError,
     ShapeError,
     VocabularyError,
@@ -339,6 +341,13 @@ def test_evaluate_rejects_prompt_token_outside_vocabulary(corpus, trained, token
     with pytest.raises(VocabularyError, match=f"class 1 has prompt token id {token} "
                                               f"outside vocabulary of size {GEN.vocab_size}"):
         evaluate(trained, corpus, PromptSet(classes=tuple(classes)))
+
+
+def test_evaluate_rejects_a_split_without_labeled_clips(corpus, trained):
+    bare = replace(corpus, videos=tuple(replace(v, phases=()) for v in corpus.videos[:3]))
+    with pytest.raises(EmptyInputError, match=r"^evaluation split of 3 videos \(v000 to v002\) "
+                                              "has no labeled clips to score"):
+        evaluate(trained, bare, default_prompts(GEN))
 
 
 def test_evaluate_invariant_to_class_order(corpus, trained):
