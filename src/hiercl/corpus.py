@@ -1,4 +1,4 @@
-"""Hierarchical video-text corpus: data model, synthetic generator, I/O.
+"""Hierarchical video-text corpus: its tables, synthetic generator, I/O, batches.
 
 A lecture video is an ordered sequence of clips. Each clip carries frame
 features plus two transcript variants of the same narration (as if two
@@ -6,6 +6,12 @@ speech recognizers transcribed the same audio). Contiguous clip ranges are
 grouped into phase segments, each paired with a concept text and a latent
 class label used only for evaluation. Every video also has one abstract
 text.
+
+A `Corpus` is tables: one of frames, one of token ids, and the counts,
+segments and ids that cut them into clips, phases and videos. Generating,
+loading and splitting fill or slice the tables and build no per-clip
+object. `VideoClip`, `PhaseSegment` and `LectureVideo` are one video's
+records: `Corpus.of` checks and flattens them, `Corpus.videos` reads them.
 
 The synthetic generator gives each phase class a frame-prototype vector
 and a private block of the token vocabulary; frames are noisy copies of
@@ -34,7 +40,6 @@ from .errors import (
     CorpusFormatError,
     InsufficientDataError,
     SchemaVersionError,
-    ShapeError,
     check_floats,
     check_ints,
 )
@@ -85,6 +90,9 @@ class GeneratorConfig:
         return cls * width, (cls + 1) * width
 
 
+# The records of one video. `Corpus.of` checks them; they check nothing themselves.
+
+
 @dataclass(frozen=True)
 class VideoClip:
     clip_id: str
@@ -92,25 +100,13 @@ class VideoClip:
     narration_a: tuple[int, ...]
     narration_b: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.frames.rows < 1:
-            raise CorpusFormatError(f"clip {self.clip_id} has no frames")
-        if not self.narration_a or not self.narration_b:
-            raise CorpusFormatError(f"clip {self.clip_id} has an empty narration")
-
 
 @dataclass(frozen=True)
 class PhaseSegment:
-    start: int
+    start: int  # first clip, counted within the video
     end: int
     concept: tuple[int, ...]
     phase_class: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end:
-            raise CorpusFormatError(f"bad segment range [{self.start}, {self.end})")
-        if not self.concept:
-            raise CorpusFormatError("segment has an empty concept text")
 
 
 @dataclass(frozen=True)
@@ -119,23 +115,6 @@ class LectureVideo:
     clips: tuple[VideoClip, ...]
     phases: tuple[PhaseSegment, ...]
     abstract: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.clips:
-            raise CorpusFormatError(f"video {self.video_id} has no clips")
-        if not self.abstract:
-            raise CorpusFormatError(f"video {self.video_id} has an empty abstract")
-        prev_end = 0
-        for seg in self.phases:
-            if seg.start < prev_end:
-                raise CorpusFormatError(
-                    f"video {self.video_id}: segment ranges overlap or are unordered"
-                )
-            if seg.end > len(self.clips):
-                raise CorpusFormatError(
-                    f"video {self.video_id}: segment end {seg.end} exceeds {len(self.clips)} clips"
-                )
-            prev_end = seg.end
 
 
 class RowRanges(NamedTuple):
@@ -149,74 +128,96 @@ class Level(NamedTuple):
     """The sources of one level (clip, phase or video), in table order."""
 
     ids: tuple[str, ...]
-    clips: RowRanges  # runs of clip_table
+    clips: RowRanges  # runs of the corpus's clips
     rows: RowRanges  # runs of frame_table
 
 
-@dataclass(frozen=True)
+def _token_runs(lengths: Sequence[np.ndarray]) -> dict[str, RowRanges]:
+    """Runs of texts laid out kind after kind of TEXT_KINDS, from each kind's text lengths."""
+    flat = np.concatenate(lengths)
+    starts = np.cumsum(flat) - flat
+    cuts = np.cumsum([len(n) for n in lengths[:-1]])
+    return {kind: RowRanges(s, n) for kind, s, n in
+            zip(TEXT_KINDS, np.split(starts, cuts), lengths)}
+
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
+    """A corpus as tables, every row in corpus order; arrays are read-only intp or float64.
+
+    `generate_synthetic`, `load_corpus` and `split` fill or slice them; `Corpus.of` checks records.
+    """
+
     config: GeneratorConfig
-    videos: tuple[LectureVideo, ...]
+    video_ids: tuple[str, ...]
+    clip_ids: tuple[str, ...]
+    video_clips: np.ndarray  # per video: its clip count
+    clip_rows: np.ndarray  # per clip: its frame_table row count
+    segments: np.ndarray  # per phase segment: first clip, end clip (corpus clip indices), class
+    frame_table: np.ndarray  # every clip's frames: rows x d_in
+    token_table: np.ndarray  # every text's token ids, kind after kind of TEXT_KINDS
+    token_runs: dict[str, RowRanges]  # each kind's texts as runs of token_table, in source order
 
     def __post_init__(self) -> None:
-        for clip in self.clip_table:
-            if clip.frames.cols != self.config.d_in:
-                raise ShapeError(f"clip {clip.clip_id} has frames {clip.frames.cols} wide, "
-                                 f"not the config's d_in={self.config.d_in}")
+        for array in (self.video_clips, self.clip_rows, self.segments, self.frame_table,
+                      self.token_table, *chain.from_iterable(self.token_runs.values())):
+            array.setflags(write=False)
 
-    @cached_property
-    def frame_table(self) -> np.ndarray:
-        """Every clip's frames in corpus order: one read-only rows x d_in array.
+    @classmethod
+    def of(cls, config: GeneratorConfig, records: Sequence[LectureVideo]) -> "Corpus":
+        """A corpus of video records, flattened into tables once.
 
-        Generated, loaded and split corpora are built on their table, and each
-        clip's frames are a row view of it. A corpus built by hand from
-        separate arrays stacks them here, once.
+        Each record gets the checks that `load_corpus` gives a line, and its
+        frames must be `config.d_in` wide: a fault raises CorpusFormatError.
         """
-        clips = self.clip_table
-        table = (np.concatenate([c.frames.array for c in clips]) if clips
-                 else np.empty((0, self.config.d_in)))
-        table.setflags(write=False)
-        return table
+        tables, blocks, d_in = _Tables(config), [], config.d_in
+        for i, video in enumerate(records):
+            with _naming(f"record {i}"):
+                # What the loader's frame bytes checks guarantee.
+                bad = next((c for c in video.clips if not c.frames.rows or c.frames.cols != d_in),
+                           None)
+                if bad:
+                    raise CorpusFormatError(f"clip {bad.clip_id} has {bad.frames.shape} frames, "
+                                            f"not one or more rows of the config's d_in={d_in}")
+                frames = np.concatenate([c.frames.array for c in video.clips]
+                                        or [np.empty((0, d_in))])
+                tables.add(video.video_id, [c.clip_id for c in video.clips],
+                           [c.frames.rows for c in video.clips], frames,
+                           [c.narration_a for c in video.clips],
+                           [c.narration_b for c in video.clips],
+                           [(p.start, p.end, p.concept, p.phase_class) for p in video.phases],
+                           video.abstract)
+            blocks.append(frames)
+        return tables.corpus(np.concatenate(blocks or [np.empty((0, d_in))]))
 
-    @cached_property
-    def clip_table(self) -> tuple[VideoClip, ...]:
-        """Every clip of every video, in corpus order: the clip-level sources."""
-        return tuple(chain.from_iterable(v.clips for v in self.videos))
+    def _parts(self) -> Iterator[tuple]:
+        """Each video as the parts `_Tables.add` takes, read from the tables."""
+        tokens = self.token_table.tolist()
+        texts = {kind: [tuple(tokens[s:s + n]) for s, n in zip(*map(np.ndarray.tolist, runs))]
+                 for kind, runs in self.token_runs.items()}
+        rows, segments = self.clip_rows.tolist(), self.segments.tolist()
+        row_bounds = list(accumulate(rows, initial=0))
+        clip_bounds = list(accumulate(self.video_clips.tolist(), initial=0))
+        segment_bounds = np.searchsorted(self.segments[:, 0], clip_bounds).tolist()
+        for vi, video_id in enumerate(self.video_ids):
+            clip, segment = slice(*clip_bounds[vi:vi + 2]), slice(*segment_bounds[vi:vi + 2])
+            yield (video_id, self.clip_ids[clip], rows[clip],
+                   self.frame_table[row_bounds[clip.start]:row_bounds[clip.stop]],
+                   texts["narration_a"][clip], texts["narration_b"][clip],
+                   [(start - clip.start, end - clip.start, concept, cls) for (start, end, cls),
+                    concept in zip(segments[segment], texts["concept"][segment])],
+                   texts["abstract"][vi])
 
-    @cached_property
-    def phase_table(self) -> tuple[tuple[LectureVideo, int, PhaseSegment], ...]:
-        """(video, index, segment) of every phase segment: the phase-level sources."""
-        return tuple((v, pi, seg) for v in self.videos for pi, seg in enumerate(v.phases))
-
-    def _texts_of(self, kind: str) -> list[tuple[int, ...]]:
-        if kind == "concept":
-            return [seg.concept for _, _, seg in self.phase_table]
-        if kind == "abstract":
-            return [v.abstract for v in self.videos]
-        return [getattr(c, kind) for c in self.clip_table]
-
-    @cached_property
-    def token_runs(self) -> dict[str, RowRanges]:
-        """Each kind's texts as runs of token_table, in source order."""
-        texts = [self._texts_of(kind) for kind in TEXT_KINDS]
-        lengths = np.fromiter(map(len, chain.from_iterable(texts)), dtype=np.intp,
-                              count=sum(map(len, texts)))
-        starts = np.cumsum(lengths) - lengths
-        cuts = list(accumulate(map(len, texts)))[:-1]
-        return {kind: RowRanges(s, n) for kind, s, n in
-                zip(TEXT_KINDS, np.split(starts, cuts), np.split(lengths, cuts))}
-
-    @cached_property
-    def token_table(self) -> np.ndarray:
-        """Every text's token ids, kind after kind of TEXT_KINDS: one read-only intp array.
-
-        Built on first use, so generating, loading and splitting never pay for it.
-        """
-        texts = chain.from_iterable(map(self._texts_of, TEXT_KINDS))
-        size = sum(int(runs.lengths.sum()) for runs in self.token_runs.values())
-        table = np.fromiter(chain.from_iterable(texts), dtype=np.intp, count=size)
-        table.setflags(write=False)
-        return table
+    @property
+    def videos(self) -> tuple[LectureVideo, ...]:
+        """Every video as records, built from the tables on each read; frames are table rows."""
+        return tuple(
+            LectureVideo(video_id,
+                         tuple(map(VideoClip, clip_ids, map(Matrix._wrap, np.split(
+                             frames, np.cumsum(rows[:-1]))), narrations_a, narrations_b)),
+                         tuple(PhaseSegment(*phase) for phase in phases), abstract)
+            for video_id, clip_ids, rows, frames, narrations_a, narrations_b, phases, abstract
+            in self._parts())
 
     def texts(self, kind: str, index=slice(None)) -> TokenStack:
         """The `kind` texts of the indexed sources, as runs of token_table; nothing gathered."""
@@ -225,30 +226,25 @@ class Corpus:
 
     @cached_property
     def levels(self) -> dict[str, Level]:
-        """The sources of each level, as runs of clip_table and of frame_table.
+        """The sources of each level, as runs of clips and of frame_table.
 
         A clip is a run of one clip; a phase segment or a video, the run of its clips.
         """
-        firsts = np.cumsum([0, *(len(v.clips) for v in self.videos)], dtype=np.intp)
-        clips = {
-            "clip": RowRanges(np.arange(firsts[-1], dtype=np.intp),
-                              np.ones(firsts[-1], dtype=np.intp)),
-            "phase": RowRanges(
-                np.array([first + seg.start for first, v in zip(firsts.tolist(), self.videos)
-                          for seg in v.phases], dtype=np.intp),
-                np.array([seg.end - seg.start for _, _, seg in self.phase_table], dtype=np.intp)),
-            "video": RowRanges(firsts[:-1], np.diff(firsts)),
-        }
-        ids = {"clip": tuple(c.clip_id for c in self.clip_table),
-               "phase": tuple(f"{v.video_id}p{pi}" for v, pi, _ in self.phase_table),
-               "video": tuple(v.video_id for v in self.videos)}
-        bounds = np.cumsum([0, *(c.frames.rows for c in self.clip_table)], dtype=np.intp)
-        levels = {}
-        for level, runs in clips.items():
-            rows = bounds[runs.starts]
-            levels[level] = Level(ids[level], runs,
-                                  RowRanges(rows, bounds[runs.starts + runs.lengths] - rows))
-        return levels
+        count = len(self.clip_ids)
+        firsts = np.cumsum(self.video_clips) - self.video_clips
+        starts, ends, _ = self.segments.T
+        clips = {"clip": RowRanges(np.arange(count, dtype=np.intp), np.ones_like(self.clip_rows)),
+                 "phase": RowRanges(starts, ends - starts),
+                 "video": RowRanges(firsts, self.video_clips)}
+        segment_counts = np.diff(np.searchsorted(starts, np.append(firsts, count)))
+        ids = {"clip": self.clip_ids,
+               "phase": tuple(f"{video_id}p{pi}" for video_id, n
+                              in zip(self.video_ids, segment_counts.tolist()) for pi in range(n)),
+               "video": self.video_ids}
+        bounds = np.append(0, np.cumsum(self.clip_rows))  # each clip's first row, then the end
+        return {level: Level(ids[level], runs, RowRanges(
+                    bounds[runs.starts], bounds[runs.starts + runs.lengths] - bounds[runs.starts]))
+                for level, runs in clips.items()}
 
     @cached_property
     def _frame_rows(self) -> dict[tuple[str, int], np.ndarray]:
@@ -264,85 +260,80 @@ class Corpus:
 
     def pair_counts(self) -> dict[str, int]:
         # Table lengths, so `generate` and the capacity check build no level index.
-        return {
-            "clip": len(self.clip_table),
-            "phase": len(self.phase_table),
-            "video": len(self.videos),
-        }
+        return {"clip": len(self.clip_ids), "phase": len(self.segments),
+                "video": len(self.video_ids)}
 
     def split(self, holdout_fraction: float) -> tuple["Corpus", "Corpus"]:
         """Deterministic train/holdout split: the last fraction of videos.
 
         Videos are generated i.i.d., so position carries no information and
-        no extra randomness is needed.
+        no extra randomness is needed. Both halves slice this corpus's tables
+        and share its token table.
         """
         if not 0.0 < holdout_fraction < 1.0:
             raise ConfigError(f"holdout_fraction must lie in (0, 1), got {holdout_fraction}")
-        n_hold = max(1, int(round(len(self.videos) * holdout_fraction)))
-        if n_hold >= len(self.videos):
-            raise InsufficientDataError(
-                f"cannot hold out {n_hold} of {len(self.videos)} videos"
-            )
-        cut = len(self.videos) - n_hold
-        row = sum(c.frames.rows for v in self.videos[:cut] for c in v.clips)
-        return (
-            _on_table(self.config, self.videos[:cut], self.frame_table[:row]),
-            _on_table(self.config, self.videos[cut:], self.frame_table[row:]),
-        )
+        count = len(self.video_ids)
+        n_hold = max(1, int(round(count * holdout_fraction)))
+        if n_hold >= count:
+            raise InsufficientDataError(f"cannot hold out {n_hold} of {count} videos")
+        video = count - n_hold
+        clip = int(self.video_clips[:video].sum())
+        cuts = (video, clip, np.searchsorted(self.segments[:, 0], clip),
+                self.clip_rows[:clip].sum())  # in videos, clips, segments and frame rows
+        return (self._slice(*(slice(cut) for cut in cuts)),
+                self._slice(*(slice(cut, None) for cut in cuts)))
 
-
-def _on_table(config: GeneratorConfig, videos: tuple[LectureVideo, ...],
-              table: np.ndarray) -> Corpus:
-    """A corpus whose clips' frames are consecutive row views of `table`."""
-    corpus = Corpus(config, videos)
-    vars(corpus)["frame_table"] = table  # fills the cached property
-    return corpus
+    def _slice(self, videos: slice, clips: slice, segments: slice, rows: slice) -> "Corpus":
+        """The corpus of a run of whole videos, given as slices of each table."""
+        first = clips.start or 0
+        cuts = dict(zip(TEXT_KINDS, (clips, clips, segments, videos)))  # each kind's sources
+        return Corpus(self.config, self.video_ids[videos], self.clip_ids[clips],
+                      self.video_clips[videos], self.clip_rows[clips],
+                      self.segments[segments] - np.array([first, first, 0], dtype=np.intp),
+                      self.frame_table[rows], self.token_table,
+                      {kind: RowRanges(runs.starts[cuts[kind]], runs.lengths[cuts[kind]])
+                       for kind, runs in self.token_runs.items()})
 
 
 def _noisy_tokens(rng: np.random.Generator, base: np.ndarray, rate: float,
-                  vocab_size: int) -> tuple[int, ...]:
+                  vocab_size: int) -> np.ndarray:
     corrupt = rng.random(base.size) < rate
     noise = rng.integers(0, vocab_size, base.size)
-    return tuple(np.where(corrupt, noise, base).tolist())
+    return np.where(corrupt, noise, base)
+
+
+class _Drawn(NamedTuple):
+    """A synthetic corpus's tables by video: what each video's draws fill."""
+
+    frames: np.ndarray  # videos x clips x frames_per_clip x d_in: the N(0, 1) draws
+    narrations: np.ndarray  # videos x clips x 2 (a, b) x NARRATION_LEN
+    concepts: np.ndarray  # videos x classes x CONCEPT_LEN
+    classes: np.ndarray  # videos x classes: each segment's phase class
+    abstracts: np.ndarray  # videos x ABSTRACT_LEN
 
 
 def _replay_video(rng: np.random.Generator, cfg: GeneratorConfig, vi: int,
-                  frames: np.ndarray) -> LectureVideo:
-    """Video `vi` drawn one rng call per draw; its N(0, 1) frames go to `frames`.
+                  drawn: _Drawn) -> None:
+    """Video `vi` drawn one rng call per draw, into its rows of the tables.
 
     The draws and their order are those that `_decoded_video` decodes from raw words.
     """
     order = rng.permutation(cfg.num_classes)
+    drawn.classes[vi] = order
     width = cfg.vocab_size // cfg.num_classes
-    clip_frames = iter(frames)
-    clips: list[VideoClip] = []
-    phases: list[PhaseSegment] = []
-    for cls in order:
-        lo, hi = cfg.class_block(int(cls))
-        start = len(clips)
-        for rows in islice(clip_frames, cfg.clips_per_phase):
+    clips = zip(drawn.frames[vi], drawn.narrations[vi])
+    for cls, concept in zip(order.tolist(), drawn.concepts[vi]):
+        lo, hi = cfg.class_block(cls)
+        for rows, (narration_a, narration_b) in islice(clips, cfg.clips_per_phase):
             rng.standard_normal(out=rows)
             base = rng.integers(lo, hi, NARRATION_LEN)
-            clips.append(VideoClip(
-                clip_id=f"v{vi:03d}c{len(clips):02d}",
-                frames=Matrix._wrap(rows),
-                narration_a=_noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size),
-                narration_b=_noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size),
-            ))
+            narration_a[...] = _noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size)
+            narration_b[...] = _noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size)
         concept_base = rng.integers(lo, hi, CONCEPT_LEN)
-        phases.append(PhaseSegment(
-            start=start,
-            end=len(clips),
-            concept=_noisy_tokens(rng, concept_base,
-                                  cfg.token_noise * CONCEPT_NOISE_FACTOR,
-                                  cfg.vocab_size),
-            phase_class=int(cls),
-        ))
+        concept[...] = _noisy_tokens(rng, concept_base, cfg.token_noise * CONCEPT_NOISE_FACTOR,
+                                     cfg.vocab_size)
     abstract_classes = rng.integers(0, cfg.num_classes, ABSTRACT_LEN)
-    abstract = tuple((abstract_classes * width
-                      + rng.integers(0, width, ABSTRACT_LEN)).tolist())
-    return LectureVideo(video_id=f"v{vi:03d}", clips=tuple(clips), phases=tuple(phases),
-                        abstract=abstract)
+    drawn.abstracts[vi] = abstract_classes * width + rng.integers(0, width, ABSTRACT_LEN)
 
 
 # A video's text draws, decoded from raw PCG64 words. On PCG64, `random()` is
@@ -401,11 +392,11 @@ class _RawTexts(NamedTuple):
 
 
 def _decoded_video(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawTexts, vi: int,
-                   frames: np.ndarray) -> LectureVideo | None:
-    """Video `vi` from one standard_normal and one random_raw per clip.
+                   drawn: _Drawn) -> bool:
+    """Video `vi` from one standard_normal and one random_raw per clip, into its table rows.
 
     Draws what `_replay_video` draws, in the same order, and leaves the
-    generator in the same state. Returns None, with the generator back where
+    generator in the same state. Returns False, with the generator back where
     it started, if an id draw meets a Lemire rejection.
     """
     bits = rng.bit_generator
@@ -413,7 +404,7 @@ def _decoded_video(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawText
     order = rng.permutation(cfg.num_classes)
     carry = bits.state  # permutation draws half-words, so the buffer varies
     chunks = []
-    for rows, n in zip(frames, raw.counts):
+    for rows, n in zip(drawn.frames[vi], raw.counts):
         rng.standard_normal(out=rows)
         chunks.append(bits.random_raw(n))
     words = np.concatenate(chunks)
@@ -426,7 +417,7 @@ def _decoded_video(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawText
     scaled = halves[1 - buffered:halves.size - buffered] * raw.ranges
     if ((scaled & _HALF) < raw.thresholds).any():
         bits.state = start
-        return None
+        return False
     # random_raw bypasses the half-word buffer: leave it as the draws would.
     end = bits.state
     end["has_uint32"], end["uinteger"] = buffered, int(halves[-1])
@@ -447,22 +438,13 @@ def _decoded_video(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawText
     low = order * width  # where each segment's class block starts
     narrations = np.where(clip_corrupt.reshape(num_classes, per_phase, 2, NARRATION_LEN),
                           clip_ids[:, :, 1:], clip_ids[:, :, :1] + low[:, None, None, None])
-    concepts = np.where(concept_corrupt, concept_ids[:, 1], concept_ids[:, 0] + low[:, None])
     abstract_classes, abstract_ids = ids[-2 * ABSTRACT_LEN:].reshape(2, ABSTRACT_LEN)
-    abstract = abstract_classes * width + abstract_ids
-
-    video_id = f"v{vi:03d}"
-    clips = tuple(
-        VideoClip(clip_id=f"{video_id}c{ci:02d}", frames=Matrix._wrap(rows),
-                  narration_a=tuple(a), narration_b=tuple(b))
-        for ci, (rows, (a, b)) in enumerate(zip(frames, narrations.reshape(
-            -1, 2, NARRATION_LEN).tolist())))
-    phases = tuple(
-        PhaseSegment(start=p * per_phase, end=(p + 1) * per_phase, concept=tuple(concept),
-                     phase_class=cls)
-        for p, (concept, cls) in enumerate(zip(concepts.tolist(), order.tolist())))
-    return LectureVideo(video_id=video_id, clips=clips, phases=phases,
-                        abstract=tuple(abstract.tolist()))
+    drawn.classes[vi] = order
+    drawn.narrations[vi] = narrations.reshape(-1, 2, NARRATION_LEN)
+    drawn.concepts[vi] = np.where(concept_corrupt, concept_ids[:, 1],
+                                  concept_ids[:, 0] + low[:, None])
+    drawn.abstracts[vi] = abstract_classes * width + abstract_ids
+    return True
 
 
 def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
@@ -470,25 +452,38 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
 
     Each video is decoded from raw generator words (`_decoded_video`); one
     that meets a rejection, or a config with a range the decode does not
-    cover, is drawn call by call (`_replay_video`). Both yield the same bytes.
+    cover, is drawn call by call (`_replay_video`). Both yield the same bytes,
+    written straight into the corpus's tables.
     """
     rng = substream(cfg.seed, "generate")
     prototypes = rng.standard_normal((cfg.num_classes, cfg.d_in))
-    clips_per_video = cfg.num_classes * cfg.clips_per_phase
-    table = np.empty((cfg.num_videos * clips_per_video * cfg.frames_per_clip, cfg.d_in))
-    clip_frames = table.reshape(-1, cfg.frames_per_clip, cfg.d_in)  # in corpus order
+    videos, per_video = cfg.num_videos, cfg.num_classes * cfg.clips_per_phase
+    table = np.empty((videos * per_video * cfg.frames_per_clip, cfg.d_in))
+    drawn = _Drawn(table.reshape(videos, per_video, cfg.frames_per_clip, cfg.d_in),
+                   np.empty((videos, per_video, 2, NARRATION_LEN), dtype=np.intp),
+                   np.empty((videos, cfg.num_classes, CONCEPT_LEN), dtype=np.intp),
+                   np.empty((videos, cfg.num_classes), dtype=np.intp),
+                   np.empty((videos, ABSTRACT_LEN), dtype=np.intp))
     raw = _RawTexts.of(cfg)
-    videos = []
-    for vi in range(cfg.num_videos):
-        frames = clip_frames[vi * clips_per_video:(vi + 1) * clips_per_video]
-        video = raw and _decoded_video(rng, cfg, raw, vi, frames)
-        videos.append(video or _replay_video(rng, cfg, vi, frames))
+    for vi in range(videos):
+        if not (raw and _decoded_video(rng, cfg, raw, vi, drawn)):
+            _replay_video(rng, cfg, vi, drawn)
     # prototype + noise_scale * N(0, 1), in place over the whole table
     table *= cfg.noise_scale
-    classes = [seg.phase_class for v in videos for seg in v.phases]
+    classes = drawn.classes.ravel()
     table.reshape(len(classes), -1, cfg.d_in)[...] += prototypes[classes][:, None]
-    table.setflags(write=False)
-    return _on_table(cfg, tuple(videos), table)
+    texts = (drawn.narrations[:, :, 0], drawn.narrations[:, :, 1], drawn.concepts,
+             drawn.abstracts)
+    starts = np.arange(len(classes), dtype=np.intp) * cfg.clips_per_phase
+    video_ids = tuple(f"v{vi:03d}" for vi in range(videos))
+    return Corpus(
+        cfg, video_ids,
+        tuple(f"{video_id}c{ci:02d}" for video_id in video_ids for ci in range(per_video)),
+        np.full(videos, per_video, dtype=np.intp),
+        np.full(videos * per_video, cfg.frames_per_clip, dtype=np.intp),
+        np.column_stack([starts, starts + cfg.clips_per_phase, classes]),
+        table, np.concatenate([t.ravel() for t in texts]),
+        _token_runs([np.full(t[..., 0].size, t.shape[-1], dtype=np.intp) for t in texts]))
 
 
 # ---------------------------------------------------------------------------
@@ -498,47 +493,85 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _video_to_record(v: LectureVideo) -> dict:
-    return {
-        "video_id": v.video_id,
-        "clips": [
-            {
-                "id": c.clip_id,
-                "frames": base64.b64encode(c.frames.array.astype("<f8", copy=False)
-                                           .tobytes()).decode("ascii"),
-                "narration_a": list(c.narration_a),
-                "narration_b": list(c.narration_b),
-            }
-            for c in v.clips
-        ],
-        "phases": [
-            {"start": p.start, "end": p.end, "concept": list(p.concept),
-             "class": p.phase_class}
-            for p in v.phases
-        ],
-        "abstract": list(v.abstract),
-    }
+@contextmanager
+def _naming(where: str) -> Iterator[None]:
+    """Report a malformed video as a CorpusFormatError that starts with `where`."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
+        raise CorpusFormatError(f"{where}: bad video record: {e}") from e
 
 
-def _check_tokens(texts: list[tuple], vocab_size: int) -> None:
-    """Every token of every text must be an int (not a bool) in [0, vocab_size)."""
-    flat = list(chain.from_iterable(texts))
-    # One pass per video, not per text; min/max only run on all-int tokens.
-    if flat and (set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= vocab_size):
-        bad = next(t for t in flat if type(t) is not int or not 0 <= t < vocab_size)
-        raise CorpusFormatError(f"token {bad!r} is not an integer id in [0, {vocab_size})")
+class _Tables:
+    """A corpus's tables, filled one checked video at a time by `load_corpus` and `Corpus.of`."""
 
+    def __init__(self, config: GeneratorConfig) -> None:
+        self.config = config
+        # Lists of the Corpus fields of the same names.
+        self.video_ids, self.clip_ids, self.video_clips, self.clip_rows, self.segments = (
+            [], [], [], [], [])
+        self.texts = {kind: ([], []) for kind in TEXT_KINDS}  # each kind's tokens and lengths
+        # Ids name batch sources, and a batch must not repeat a source.
+        self.seen_videos, self.seen_clips = set(), set()
 
-def _index(value, limit: int, what: str) -> int:
-    if type(value) is not int or not 0 <= value < limit:
-        raise CorpusFormatError(f"{what} must be an integer in [0, {limit}), got {value!r}")
-    return value
+    def add(self, video_id, clip_ids: list, rows: list, frames: np.ndarray,
+            narrations_a: list, narrations_b: list, phases: list, abstract) -> None:
+        """Check one video and append it: the one entry of every loaded or hand-built video.
 
+        `frames` holds its clips' rows, `rows[i]` of clip i; `phases` holds each
+        segment's (start, end, concept, class), start and end counted in its clips.
+        """
+        for source_id, level, seen in [(video_id, "video", self.seen_videos),
+                                       *((c, "clip", self.seen_clips) for c in clip_ids)]:
+            if type(source_id) is not str:
+                raise CorpusFormatError(f"{level} id must be a JSON string, got {source_id!r}")
+            if source_id in seen:
+                raise CorpusFormatError(f"duplicate {level} id {source_id!r}")
+            seen.add(source_id)
+        if not clip_ids:
+            raise CorpusFormatError(f"video {video_id} has no clips")
+        finite = np.isfinite(frames).all(axis=1)
+        if not finite.all():
+            clip_id = clip_ids[bisect_right(list(accumulate(rows)), int(np.argmin(finite)))]
+            raise CorpusFormatError(f"clip {clip_id}: non-finite frame value")
+        first, prev_end, segments = len(self.clip_ids), 0, []
+        for start, end, _, cls in phases:
+            if not (type(start) is type(end) is int and prev_end <= start < end <= len(clip_ids)):
+                raise CorpusFormatError(f"video {video_id}: segment [{start!r}, {end!r}) is not "
+                                        "a run of its clips after the one before")
+            if type(cls) is not int or not 0 <= cls < self.config.num_classes:
+                raise CorpusFormatError(f"phase class must be an integer in "
+                                        f"[0, {self.config.num_classes}), got {cls!r}")
+            segments.append((first + start, first + end, cls))
+            prev_end = end
+        texts = {"narration_a": narrations_a, "narration_b": narrations_b,
+                 "concept": [phase[2] for phase in phases], "abstract": [abstract]}
+        for kind, kind_texts in texts.items():
+            lengths = [len(text) for text in kind_texts]
+            if 0 in lengths:
+                raise CorpusFormatError(f"video {video_id} has an empty {kind} text")
+            # Every token must be an int (not a bool) in [0, vocab); min/max need all ints.
+            tokens, vocab = list(chain.from_iterable(kind_texts)), self.config.vocab_size
+            if tokens and (set(map(type, tokens)) != {int} or min(tokens) < 0
+                           or max(tokens) >= vocab):
+                bad = next(t for t in tokens if type(t) is not int or not 0 <= t < vocab)
+                raise CorpusFormatError(f"token {bad!r} is not an integer id in [0, {vocab})")
+            self.texts[kind][0].extend(tokens)
+            self.texts[kind][1].extend(lengths)
+        self.video_ids.append(video_id)
+        self.clip_ids += clip_ids
+        self.video_clips.append(len(clip_ids))
+        self.clip_rows += rows
+        self.segments += segments
 
-def _string(value, what: str) -> str:
-    if type(value) is not str:
-        raise CorpusFormatError(f"{what} must be a JSON string, got {value!r}")
-    return value
+    def corpus(self, frame_table: np.ndarray) -> Corpus:
+        """The corpus of every video added, whose frames are the rows of `frame_table`."""
+        return Corpus(
+            self.config, tuple(self.video_ids), tuple(self.clip_ids),
+            np.array(self.video_clips, dtype=np.intp), np.array(self.clip_rows, dtype=np.intp),
+            np.array(self.segments, dtype=np.intp).reshape(-1, 3), frame_table,
+            np.concatenate([np.array(tokens, dtype=np.intp) for tokens, _ in self.texts.values()]),
+            _token_runs([np.array(lengths, dtype=np.intp) for _, lengths in self.texts.values()]))
 
 
 def _frame_bytes(clip: dict, d_in: int) -> bytes:
@@ -547,70 +580,38 @@ def _frame_bytes(clip: dict, d_in: int) -> bytes:
     except binascii.Error as e:
         raise CorpusFormatError(f"clip {clip['id']}: frames are not base64: {e}") from e
     if not raw or len(raw) % (8 * d_in):
-        raise CorpusFormatError(
-            f"clip {clip['id']}: {len(raw)} frame bytes is not a positive multiple "
-            f"of {8 * d_in} (d_in={d_in})"
-        )
+        raise CorpusFormatError(f"clip {clip['id']}: {len(raw)} frame bytes is not a positive "
+                                f"multiple of {8 * d_in} (d_in={d_in})")
     return raw
-
-
-def _video_from_record(rec: dict, config: GeneratorConfig, rows: np.ndarray) -> LectureVideo:
-    """The video on one line; its frames are written to the first of `rows`."""
-    raws = [_frame_bytes(c, config.d_in) for c in rec["clips"]]
-    # One decode and one finiteness check per video; clips get row views.
-    raw = b"".join(raws)
-    values = rows[:len(raw) // (8 * config.d_in)]
-    values[...] = np.frombuffer(raw, dtype="<f8").reshape(-1, config.d_in)
-    ends = list(accumulate(len(r) // (8 * config.d_in) for r in raws))
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        clip = rec["clips"][bisect_right(ends, bad)]
-        raise CorpusFormatError(f"clip {clip['id']}: non-finite frame value")
-    clips = tuple(
-        VideoClip(
-            clip_id=_string(c["id"], "clip id"),
-            frames=Matrix._wrap(values[start:end]),
-            narration_a=tuple(c["narration_a"]),
-            narration_b=tuple(c["narration_b"]),
-        )
-        for c, start, end in zip(rec["clips"], [0, *ends], ends)
-    )
-    limit = len(clips) + 1
-    phases = tuple(
-        PhaseSegment(start=_index(p["start"], limit, "segment start"),
-                     end=_index(p["end"], limit, "segment end"),
-                     concept=tuple(p["concept"]),
-                     phase_class=_index(p["class"], config.num_classes, "phase class"))
-        for p in rec["phases"]
-    )
-    abstract = tuple(rec["abstract"])
-    _check_tokens([abstract, *(p.concept for p in phases),
-                   *(t for c in clips for t in (c.narration_a, c.narration_b))],
-                  config.vocab_size)
-    return LectureVideo(
-        video_id=_string(rec["video_id"], "video id"),
-        clips=clips,
-        phases=phases,
-        abstract=abstract,
-    )
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     with atomic_file(path) as f:
         header = {"schema": SCHEMA, "config": asdict(corpus.config)}
         f.write(json.dumps(header) + "\n")
-        for v in corpus.videos:
-            f.write(json.dumps(_video_to_record(v)) + "\n")
+        for video_id, clip_ids, rows, frames, narrations_a, narrations_b, phases, abstract \
+                in corpus._parts():
+            raw = frames.astype("<f8", copy=False).tobytes()
+            bounds = list(accumulate((8 * corpus.config.d_in * n for n in rows), initial=0))
+            record = {"video_id": video_id,
+                      "clips": [{"id": clip_id,
+                                 "frames": base64.b64encode(raw[lo:hi]).decode("ascii"),
+                                 "narration_a": a, "narration_b": b}
+                                for clip_id, lo, hi, a, b in zip(clip_ids, bounds, bounds[1:],
+                                                                 narrations_a, narrations_b)],
+                      "phases": [dict(zip(("start", "end", "concept", "class"), phase))
+                                 for phase in phases],
+                      "abstract": abstract}
+            f.write(json.dumps(record) + "\n")
 
 
 def load_corpus(path) -> Corpus:
-    """Read a corpus file; every clip's frames become a row view of one table.
+    """Read a corpus file, every line checked and decoded straight into the tables.
 
     Frames are base64 text in the file, so their bytes fill at most three
-    quarters of it. The table is the start of one buffer of that size: it
-    never moves, so each line's clips view their rows as soon as the line
-    is checked, and pages past the last frame are never written.
+    quarters of it. The frame table is the start of one buffer of that size:
+    each line's frames are decoded into the rows after the last line's, and
+    pages past the last frame are never written.
     """
     # Bytes, decoded line by line, so a bad UTF-8 byte is reported by line.
     # Video lines run to tens of KB, and readline on the default 8 KiB
@@ -631,31 +632,24 @@ def load_corpus(path) -> Corpus:
             config = GeneratorConfig(**header["config"])
         except (TypeError, KeyError, ConfigError) as e:
             raise CorpusFormatError(f"line 1: bad generator config: {e}") from e
-        videos = []
-        frames = np.empty((os.fstat(f.fileno()).st_size * 3 // 4 // (8 * config.d_in),
-                           config.d_in))
+        tables, d_in = _Tables(config), config.d_in
+        frames = np.empty((os.fstat(f.fileno()).st_size * 3 // 4 // (8 * d_in), d_in))
         row = 0
-        # Ids name batch sources, and a batch must not repeat a source.
-        seen_videos: set[str] = set()
-        seen_clips: set[str] = set()
         for i, line in enumerate(f, start=2):
             rec = _parse_line(line, i)
-            try:
-                video = _video_from_record(rec, config, frames[row:])
-                if video.video_id in seen_videos:
-                    raise CorpusFormatError(f"duplicate video id {video.video_id!r}")
-                seen_videos.add(video.video_id)
-                for clip in video.clips:
-                    if clip.clip_id in seen_clips:
-                        raise CorpusFormatError(f"duplicate clip id {clip.clip_id!r}")
-                    seen_clips.add(clip.clip_id)
-            except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
-                raise CorpusFormatError(f"line {i}: bad video record: {e}") from e
-            videos.append(video)
-            row += sum(c.frames.rows for c in video.clips)
-    table = frames[:row]
-    table.setflags(write=False)
-    return _on_table(config, tuple(videos), table)
+            with _naming(f"line {i}"):
+                clips = rec["clips"]
+                raws = [_frame_bytes(c, d_in) for c in clips]
+                counts = [len(r) // (8 * d_in) for r in raws]
+                # One decode and one finiteness check per video.
+                values = frames[row:row + sum(counts)]
+                values[...] = np.frombuffer(b"".join(raws), dtype="<f8").reshape(-1, d_in)
+                tables.add(rec["video_id"], [c["id"] for c in clips], counts, values,
+                           [c["narration_a"] for c in clips], [c["narration_b"] for c in clips],
+                           [(p["start"], p["end"], p["concept"], p["class"])
+                            for p in rec["phases"]], rec["abstract"])
+            row += len(values)
+    return tables.corpus(frames[:row])
 
 
 def _parse_line(line: bytes, lineno: int) -> dict:

@@ -234,15 +234,15 @@ def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[FrameStack, np.ndarray]
     starts, lengths = corpus.levels["phase"].clips
     firsts = lengths.cumsum() - lengths
     clips = (starts - firsts).repeat(lengths) + np.arange(lengths.sum())
-    gt = np.repeat([seg.phase_class for _, _, seg in corpus.phase_table], lengths)
+    gt = corpus.segments[:, 2].repeat(lengths)
     return corpus.frames_of("clip", clips, k_clip), gt
 
 
 def check_prompts(prompts: PromptSet, split: Corpus, vocab_size: int) -> None:
     """Reject a split without labeled clips, a prompt token outside the vocabulary,
     and a split class without prompts."""
-    if not split.phase_table:
-        ids = [v.video_id for v in split.videos]
+    if not len(split.segments):
+        ids = split.video_ids
         raise EmptyInputError(
             f"evaluation split of {len(ids)} videos"
             + (f" ({ids[0]} to {ids[-1]})" if ids else "")
@@ -252,7 +252,7 @@ def check_prompts(prompts: PromptSet, split: Corpus, vocab_size: int) -> None:
             if not 0 <= token < vocab_size:
                 raise VocabularyError(f"class {label} has prompt token id {token} "
                                       f"outside vocabulary of size {vocab_size}")
-    split_classes = {seg.phase_class for v in split.videos for seg in v.phases}
+    split_classes = set(split.segments[:, 2].tolist())
     missing = sorted(split_classes - set(prompts.labels))
     if missing:
         raise CoverageError(f"classes {missing} appear in the split but have no prompts")
@@ -260,7 +260,7 @@ def check_prompts(prompts: PromptSet, split: Corpus, vocab_size: int) -> None:
 
 def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> MetricsReport:
     """Zero-shot phase recognition over every clip of a corpus split."""
-    if not split.videos:
+    if not split.video_ids:
         raise ContractError("evaluation split has no videos")
     check_prompts(prompts, split, checkpoint.params.vocab_size)
     params = checkpoint.params
@@ -282,9 +282,9 @@ def clip_retrieval_recall(checkpoint: Checkpoint, split: Corpus, top_k: int = 1)
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     params = checkpoint.params
-    if not split.clip_table:
+    if not split.clip_ids:
         raise ContractError("split has no clips")
-    segments = split.frames_of("clip", np.arange(len(split.clip_table)), checkpoint.config.k_clip)
+    segments = split.frames_of("clip", np.arange(len(split.clip_ids)), checkpoint.config.k_clip)
     tape = Tape()
     pn = param_nodes(tape, params)
     visual = visual_embedding_rows(tape, pn, segments).value

@@ -14,7 +14,7 @@ from blas_threads import openblas_threads
 
 import hiercl.cli
 from hiercl import errors
-from hiercl.corpus import load_corpus, save_corpus
+from hiercl.corpus import Corpus, load_corpus, save_corpus
 from hiercl.cli import main
 from hiercl.errors import CorpusFormatError, HierclError
 from hiercl.trainer import load_checkpoint, save_checkpoint
@@ -712,7 +712,7 @@ def test_exit_5_on_split_class_without_prompts(workspace, tmp_path, capsys):
 
 def test_exit_4_on_split_without_labeled_clips(workspace, tmp_path, capsys):
     corpus = load_corpus(workspace["corpus"])
-    bare = replace(corpus, videos=tuple(replace(v, phases=()) for v in corpus.videos))
+    bare = Corpus.of(corpus.config, [replace(v, phases=()) for v in corpus.videos])
     path = tmp_path / "bare.jsonl"
     save_corpus(bare, path)
     out = tmp_path / "ev"

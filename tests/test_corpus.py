@@ -38,11 +38,11 @@ from hiercl.errors import (
     CorpusFormatError,
     InsufficientDataError,
     SchemaVersionError,
-    ShapeError,
 )
 from hiercl.numerics import Matrix
 from hiercl.seeding import substream
 from hiercl.trainer import TrainConfig, save_checkpoint, untrained_checkpoint
+from hiercl.zeroshot import default_prompts, evaluate
 
 SMALL = GeneratorConfig(num_videos=5, num_classes=3, clips_per_phase=2,
                         frames_per_clip=4, d_in=8, vocab_size=30, seed=9)
@@ -316,16 +316,15 @@ def test_failed_save_keeps_the_previous_file(corpus, tmp_path, monkeypatch):
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)
     before = path.read_bytes()
-    calls = []
 
-    def fail_on_second(video):
-        calls.append(video)
-        if len(calls) == 2:
-            raise RuntimeError("interrupted")
-        return to_record(video)
+    def fail_on_second(corpus):
+        for i, video in enumerate(parts(corpus)):
+            if i == 1:
+                raise RuntimeError("interrupted")
+            yield video
 
-    to_record = corpus_module._video_to_record
-    monkeypatch.setattr(corpus_module, "_video_to_record", fail_on_second)
+    parts = Corpus._parts
+    monkeypatch.setattr(Corpus, "_parts", fail_on_second)
     with pytest.raises(RuntimeError, match="interrupted"):
         save_corpus(generate_synthetic(replace(SMALL, seed=10)), path)
     assert path.read_bytes() == before
@@ -447,8 +446,10 @@ def test_hand_built_corpus_rejects_frames_of_another_width():
     clips = tuple(VideoClip(f"c{i}", Matrix(np.ones((2, width))), (0, 3), (1,))
                   for i, width in enumerate((3, 4)))
     video = LectureVideo("v0", clips, (PhaseSegment(0, 2, (2,), 0),), (3, 0))
-    with pytest.raises(ShapeError, match="clip c1 has frames 4 wide, not the config's d_in=3"):
-        Corpus(cfg, (video,))
+    with pytest.raises(CorpusFormatError,
+                       match=r"^record 0: .*clip c1 has \(2, 4\) frames, not one or more rows "
+                             "of the config's d_in=3"):
+        Corpus.of(cfg, (video,))
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,7 +465,7 @@ def test_roundtrip_preserves_frame_bits(frames):
     video = LectureVideo("v0", clips, (PhaseSegment(0, len(clips), (2,), 0),), (3, 0))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
-        save_corpus(Corpus(cfg, (video,)), path)
+        save_corpus(Corpus.of(cfg, (video,)), path)
         loaded = load_corpus(path)
     assert len(loaded.videos[0].clips) == len(clips)
     for before, after in zip(clips, loaded.videos[0].clips):
@@ -507,19 +508,37 @@ RECORD_FAULTS = {
 }
 
 
+def _record(video) -> str:
+    """A video's line as save_corpus writes it, from its records."""
+    return json.dumps({
+        "video_id": video.video_id,
+        "clips": [{"id": c.clip_id,
+                   "frames": base64.b64encode(c.frames.array.astype("<f8").tobytes()).decode(),
+                   "narration_a": c.narration_a, "narration_b": c.narration_b}
+                  for c in video.clips],
+        "phases": [{"start": p.start, "end": p.end, "concept": p.concept, "class": p.phase_class}
+                   for p in video.phases],
+        "abstract": video.abstract,
+    }) + "\n"
+
+
 @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
 def test_load_rejects_bad_record_with_exit_4(fault, corpus, tmp_path, capsys):
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)
-    # Only the file holds the faulty video: a Corpus rejects some faults itself.
     lines = path.read_text().splitlines(keepends=True)
-    bad = corpus_module._video_to_record(RECORD_FAULTS[fault](corpus.videos[1]))
-    lines[2] = json.dumps(bad) + "\n"
+    assert lines[2] == _record(corpus.videos[1])
+    videos = list(corpus.videos)
+    videos[1] = RECORD_FAULTS[fault](videos[1])
+    lines[2] = _record(videos[1])
     path.write_text("".join(lines))
     with pytest.raises(CorpusFormatError, match="line 3"):
         load_corpus(path)
     assert _eval_exit_code(path, tmp_path) == 4
     assert "line 3" in capsys.readouterr().err
+    # A hand-built corpus gets the same checks.
+    with pytest.raises(CorpusFormatError, match="^record 1: bad video record: "):
+        Corpus.of(corpus.config, videos)
 
 
 ENCODING_FAULTS = {
@@ -551,21 +570,26 @@ def test_pair_counts(corpus):
     assert corpus.pair_counts() == {"clip": 30, "phase": 15, "video": 5}
 
 
+def _clips(corpus):
+    return [c for v in corpus.videos for c in v.clips]
+
+
 def test_levels_are_runs_of_clips_and_of_their_rows(corpus):
     clip = corpus.levels["clip"]
-    assert clip.ids == tuple(c.clip_id for c in corpus.clip_table)
+    clips = _clips(corpus)
+    assert clip.ids == tuple(c.clip_id for c in clips)
     assert clip.clips.starts.tolist() == list(range(30)) and set(clip.clips.lengths) == {1}
-    assert clip.rows.lengths.tolist() == [c.frames.rows for c in corpus.clip_table]
+    assert clip.rows.lengths.tolist() == [c.frames.rows for c in clips]
     expected = {"phase": [(v.clips[seg.start:seg.end], f"{v.video_id}p{pi}")
-                          for v, pi, seg in corpus.phase_table],
+                          for v in corpus.videos for pi, seg in enumerate(v.phases)],
                 "video": [(v.clips, v.video_id) for v in corpus.videos]}
     for level, sources in expected.items():
         got = corpus.levels[level]
         assert got.ids == tuple(source_id for _, source_id in sources)
-        for (clips, _), first, count, row, rows in zip(sources, *got.clips, *got.rows,
-                                                       strict=True):
-            assert corpus.clip_table[first:first + count] == clips
-            assert row == clip.rows.starts[first] and rows == sum(c.frames.rows for c in clips)
+        for (members, _), first, count, row, rows in zip(sources, *got.clips, *got.rows,
+                                                         strict=True):
+            assert [c.clip_id for c in clips[first:first + count]] == [c.clip_id for c in members]
+            assert row == clip.rows.starts[first] and rows == sum(c.frames.rows for c in members)
 
 
 def test_split_takes_trailing_videos(corpus):
@@ -593,8 +617,8 @@ def assert_frames_are_table_rows(corpus: Corpus) -> None:
     """Each clip's frames are its own rows of the read-only table, which holds nothing else."""
     table = corpus.frame_table
     assert not table.flags.writeable
-    assert table.nbytes == sum(c.frames.array.nbytes for c in corpus.clip_table)
-    for clip, start in zip(corpus.clip_table, corpus.levels["clip"].rows.starts, strict=True):
+    assert table.nbytes == sum(c.frames.array.nbytes for c in _clips(corpus))
+    for clip, start in zip(_clips(corpus), corpus.levels["clip"].rows.starts, strict=True):
         assert np.shares_memory(clip.frames.array, table)
         assert clip.frames.array.ctypes.data == table[start:].ctypes.data
 
@@ -620,7 +644,7 @@ def test_split_shares_the_frame_table(corpus, tmp_path):
             assert np.shares_memory(half.frame_table, whole.frame_table)
         assert (sum(h.frame_table.nbytes for h in halves) == whole.frame_table.nbytes)
         assert halves[1].frame_table.ctypes.data == whole.frame_table[
-            whole.levels["clip"].rows.starts[len(halves[0].clip_table)]:].ctypes.data
+            whole.levels["clip"].rows.starts[len(halves[0].clip_ids)]:].ctypes.data
 
 
 def test_split_builds_no_level_index(corpus, tmp_path):
@@ -638,11 +662,11 @@ def test_split_builds_no_level_index(corpus, tmp_path):
 
 
 def test_hand_built_corpus_stacks_its_frames_once(corpus):
-    built = Corpus(corpus.config, corpus.videos)
+    built = Corpus.of(corpus.config, corpus.videos)
     table = built.frame_table
     assert built.frame_table is table
     assert not table.flags.writeable
-    assert table.tobytes() == np.vstack([c.frames.array for c in built.clip_table]).tobytes()
+    assert table.tobytes() == np.vstack([c.frames.array for c in _clips(built)]).tobytes()
     assert not np.shares_memory(table, corpus.frame_table)
 
 
@@ -778,7 +802,7 @@ def ragged_corpora(draw):
         videos.append(LectureVideo(f"v{vi}", clips, phases, text()))
     cfg = GeneratorConfig(num_videos=len(videos), num_classes=2, d_in=2,
                           vocab_size=next(text_ids))
-    return Corpus(cfg, tuple(videos))
+    return Corpus.of(cfg, videos)
 
 
 def _oracle_frames(clips, k: int) -> np.ndarray:
@@ -897,17 +921,64 @@ def test_text_columns_match_nested_tuple_oracle(built, seed):
                                             + want[video, "summary"])
 
 
-def test_token_table_is_built_on_first_sampling(corpus, tmp_path):
+def test_token_table_is_built_with_the_corpus(corpus, tmp_path):
     save_corpus(corpus, tmp_path / "c.jsonl")
     for whole in (corpus, load_corpus(tmp_path / "c.jsonl")):
-        halves = whole.split(0.4)
-        for c in (whole, *halves):
-            assert "token_table" not in vars(c)
-        sample_clip_batch(halves[0], 2, substream(0, "train"))
-        assert [("token_table" in vars(c)) for c in (whole, *halves)] == [False, True, False]
-    table = corpus.token_table
-    assert not table.flags.writeable and table.dtype == np.intp
-    texts = ([c.narration_a for c in corpus.clip_table] + [c.narration_b for c in corpus.clip_table]
-             + [seg.concept for _, _, seg in corpus.phase_table]
-             + [v.abstract for v in corpus.videos])
-    assert table.tolist() == _flat(texts)
+        table = whole.token_table
+        assert not table.flags.writeable and table.dtype == np.intp
+        videos = whole.videos
+        texts = ([c.narration_a for c in _clips(whole)] + [c.narration_b for c in _clips(whole)]
+                 + [seg.concept for v in videos for seg in v.phases]
+                 + [v.abstract for v in videos])
+        assert table.tolist() == _flat(texts)
+        assert all(half.token_table is table for half in whole.split(0.4))
+
+
+# ---------------------------------------------------------------------------
+# Records: Corpus.of builds a corpus from them, Corpus.videos reads them back
+# ---------------------------------------------------------------------------
+
+
+def test_no_records_are_built_on_the_hot_path(tmp_path, monkeypatch):
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (VideoClip, PhaseSegment, LectureVideo):
+        monkeypatch.setattr(cls, "__init__", forbidden)
+    rng = substream(0, "train")
+    # Decoded from raw words, and (width-1 class blocks) replayed call by call.
+    for cfg in (SMALL, replace(SMALL, vocab_size=SMALL.num_classes)):
+        save_corpus(generate_synthetic(cfg), tmp_path / "c.jsonl")
+        corpus = load_corpus(tmp_path / "c.jsonl")
+        train, hold = corpus.split(0.4)
+        sample_clip_batch(train, 4, rng)
+        sample_phase_batch(train, 4, rng)
+        sample_video_batch(train, 2, rng)
+        evaluate(untrained_checkpoint(TrainConfig(d_tok=4, hidden=6, d_emb=3), corpus), hold,
+                 default_prompts(cfg))
+    with pytest.raises(AssertionError, match="built a"):
+        corpus.videos
+
+
+def _tables(corpus):
+    """What a corpus holds, as plain values, and its level index."""
+    return (corpus.config, corpus.video_ids, corpus.clip_ids, corpus.video_clips.tolist(),
+            corpus.clip_rows.tolist(), corpus.segments.tolist(), corpus.frame_table.tobytes(),
+            [(corpus.texts(kind).ids.tolist(), corpus.texts(kind).lengths.tolist())
+             for kind in corpus_module.TEXT_KINDS],
+            [(level.ids, *(a.tolist() for a in (*level.clips, *level.rows)))
+             for level in corpus.levels.values()])
+
+
+def test_records_round_trip_through_corpus_of(corpus, tmp_path):
+    save_corpus(corpus, tmp_path / "c.jsonl")
+    loaded = load_corpus(tmp_path / "c.jsonl")
+    for c in (corpus, loaded, *corpus.split(0.4), *loaded.split(0.4)):
+        assert _tables(Corpus.of(c.config, c.videos)) == _tables(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_corpora())
+def test_ragged_records_round_trip_through_corpus_of(built):
+    for c in (built, *(built.split(0.5) if len(built.video_ids) > 1 else ())):
+        assert _tables(Corpus.of(c.config, c.videos)) == _tables(c)

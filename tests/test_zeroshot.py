@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hiercl.corpus import GeneratorConfig, generate_synthetic
+from hiercl.corpus import Corpus, GeneratorConfig, generate_synthetic
 from hiercl.encoders import EncoderDims, ModelParams
 from hiercl.errors import (
     ConfigError,
@@ -344,7 +344,7 @@ def test_evaluate_rejects_prompt_token_outside_vocabulary(corpus, trained, token
 
 
 def test_evaluate_rejects_a_split_without_labeled_clips(corpus, trained):
-    bare = replace(corpus, videos=tuple(replace(v, phases=()) for v in corpus.videos[:3]))
+    bare = Corpus.of(corpus.config, [replace(v, phases=()) for v in corpus.videos[:3]])
     with pytest.raises(EmptyInputError, match=r"^evaluation split of 3 videos \(v000 to v002\) "
                                               "has no labeled clips to score"):
         evaluate(trained, bare, default_prompts(GEN))
