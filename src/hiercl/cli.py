@@ -277,14 +277,9 @@ def cmd_gradcheck(args) -> int:
         err = finite_diff_check(fn, params.vector, params.dims.layout,
                                 max_coords_per_block=8, seed=args.seed + case)
         worst[name] = max(worst.get(name, 0.0), err)
-    failed = []
-    lines = []
-    for name, err in worst.items():
-        status = "PASS" if err < GRADCHECK_TOL else "FAIL"
-        if status == "FAIL":
-            failed.append(name)
-        lines.append(f"{name}: max rel err {err:.3e} {status}")
-    text = "\n".join(lines) + "\n"
+    failed = [name for name, err in worst.items() if not err < GRADCHECK_TOL]
+    text = "".join(f"{name}: max rel err {err:.3e} {'FAIL' if name in failed else 'PASS'}\n"
+                   for name, err in worst.items())
     print(text, end="")
     if args.out:
         report_path = os.path.join(args.out, "gradcheck.txt")

@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
 from hashlib import sha256
 from itertools import accumulate, chain, islice
+from json.encoder import encode_basestring_ascii
 from typing import IO, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -190,34 +191,23 @@ class Corpus:
             blocks.append(frames)
         return tables.corpus(np.concatenate(blocks or [np.empty((0, d_in))]))
 
-    def _parts(self) -> Iterator[tuple]:
-        """Each video as the parts `_Tables.add` takes, read from the tables."""
-        tokens = self.token_table.tolist()
-        texts = {kind: [tuple(tokens[s:s + n]) for s, n in zip(*map(np.ndarray.tolist, runs))]
-                 for kind, runs in self.token_runs.items()}
-        rows, segments = self.clip_rows.tolist(), self.segments.tolist()
-        row_bounds = list(accumulate(rows, initial=0))
-        clip_bounds = list(accumulate(self.video_clips.tolist(), initial=0))
-        segment_bounds = np.searchsorted(self.segments[:, 0], clip_bounds).tolist()
-        for vi, video_id in enumerate(self.video_ids):
-            clip, segment = slice(*clip_bounds[vi:vi + 2]), slice(*segment_bounds[vi:vi + 2])
-            yield (video_id, self.clip_ids[clip], rows[clip],
-                   self.frame_table[row_bounds[clip.start]:row_bounds[clip.stop]],
-                   texts["narration_a"][clip], texts["narration_b"][clip],
-                   [(start - clip.start, end - clip.start, concept, cls) for (start, end, cls),
-                    concept in zip(segments[segment], texts["concept"][segment])],
-                   texts["abstract"][vi])
-
     @property
     def videos(self) -> tuple[LectureVideo, ...]:
         """Every video as records, built from the tables on each read; frames are table rows."""
+        tokens = self.token_table.tolist()
+        a, b, concepts, abstracts = ([tuple(tokens[s:s + n]) for s, n in zip(
+            *map(np.ndarray.tolist, runs))] for runs in map(self.token_runs.get, TEXT_KINDS))
+        frames = np.split(self.frame_table, np.cumsum(self.clip_rows)[:-1])
+        clips = list(map(VideoClip, self.clip_ids, map(Matrix._wrap, frames), a, b))
+        firsts = list(accumulate(self.video_clips.tolist(), initial=0))
+        cuts = np.searchsorted(self.segments[:, 0], firsts).tolist()
+        phases = list(zip(self.segments.tolist(), concepts))
         return tuple(
-            LectureVideo(video_id,
-                         tuple(map(VideoClip, clip_ids, map(Matrix._wrap, np.split(
-                             frames, np.cumsum(rows[:-1]))), narrations_a, narrations_b)),
-                         tuple(PhaseSegment(*phase) for phase in phases), abstract)
-            for video_id, clip_ids, rows, frames, narrations_a, narrations_b, phases, abstract
-            in self._parts())
+            LectureVideo(video_id, tuple(clips[lo:hi]),
+                         tuple(PhaseSegment(start - lo, end - lo, concept, cls)
+                               for (start, end, cls), concept in phases[s0:s1]), abstract)
+            for video_id, lo, hi, s0, s1, abstract in zip(
+                self.video_ids, firsts, firsts[1:], cuts, cuts[1:], abstracts))
 
     def texts(self, kind: str, index=slice(None)) -> TokenStack:
         """The `kind` texts of the indexed sources, as runs of token_table; nothing gathered."""
@@ -585,24 +575,39 @@ def _frame_bytes(clip: dict, d_in: int) -> bytes:
     return raw
 
 
+def _video_lines(corpus: Corpus) -> Iterator[str]:
+    """Each video's line in the bytes `json.dumps` gives its record, formatted from the tables.
+
+    Ids take the escaper `json.dumps` uses, a token list is the `str` of its int
+    list, and base64 needs no escape. Each clip is encoded from its table rows.
+    """
+    tokens = corpus.token_table.tolist()
+    frames = np.ascontiguousarray(corpus.frame_table, "<f8")  # no copy on a little-endian host
+    (sa, ea), (sb, eb), (sc, ec), (sv, ev) = ((r.starts.tolist(), (r.starts + r.lengths).tolist())
+                                              for r in map(corpus.token_runs.get, TEXT_KINDS))
+    # Each clip's first frame row and each video's first clip, then the ends.
+    rows, firsts = (list(accumulate(n.tolist(), initial=0))
+                    for n in (corpus.clip_rows, corpus.video_clips))
+    cuts = np.searchsorted(corpus.segments[:, 0], firsts).tolist()
+    segments = corpus.segments.tolist()
+    for vi, (video_id, lo, hi, s0, s1) in enumerate(
+            zip(corpus.video_ids, firsts, firsts[1:], cuts, cuts[1:])):
+        clips = ", ".join(
+            f'{{"id": {encode_basestring_ascii(corpus.clip_ids[j])}, "frames": "'
+            f'{binascii.b2a_base64(frames[rows[j]:rows[j + 1]], newline=False).decode()}", '
+            f'"narration_a": {tokens[sa[j]:ea[j]]}, "narration_b": {tokens[sb[j]:eb[j]]}}}'
+            for j in range(lo, hi))
+        phases = ", ".join(
+            f'{{"start": {start - lo}, "end": {end - lo}, "concept": {tokens[sc[k]:ec[k]]}, '
+            f'"class": {cls}}}' for k, (start, end, cls) in enumerate(segments[s0:s1], s0))
+        yield (f'{{"video_id": {encode_basestring_ascii(video_id)}, "clips": [{clips}], '
+               f'"phases": [{phases}], "abstract": {tokens[sv[vi]:ev[vi]]}}}\n')
+
+
 def save_corpus(corpus: Corpus, path) -> None:
     with atomic_file(path) as f:
-        header = {"schema": SCHEMA, "config": asdict(corpus.config)}
-        f.write(json.dumps(header) + "\n")
-        for video_id, clip_ids, rows, frames, narrations_a, narrations_b, phases, abstract \
-                in corpus._parts():
-            raw = frames.astype("<f8", copy=False).tobytes()
-            bounds = list(accumulate((8 * corpus.config.d_in * n for n in rows), initial=0))
-            record = {"video_id": video_id,
-                      "clips": [{"id": clip_id,
-                                 "frames": base64.b64encode(raw[lo:hi]).decode("ascii"),
-                                 "narration_a": a, "narration_b": b}
-                                for clip_id, lo, hi, a, b in zip(clip_ids, bounds, bounds[1:],
-                                                                 narrations_a, narrations_b)],
-                      "phases": [dict(zip(("start", "end", "concept", "class"), phase))
-                                 for phase in phases],
-                      "abstract": abstract}
-            f.write(json.dumps(record) + "\n")
+        f.write(json.dumps({"schema": SCHEMA, "config": asdict(corpus.config)}) + "\n")
+        f.writelines(_video_lines(corpus))
 
 
 def load_corpus(path) -> Corpus:

@@ -2,7 +2,8 @@
 import base64
 import json
 import tempfile
-from dataclasses import fields, replace
+import tracemalloc
+from dataclasses import asdict, fields, replace
 from itertools import count
 from pathlib import Path
 
@@ -318,13 +319,13 @@ def test_failed_save_keeps_the_previous_file(corpus, tmp_path, monkeypatch):
     before = path.read_bytes()
 
     def fail_on_second(corpus):
-        for i, video in enumerate(parts(corpus)):
+        for i, line in enumerate(video_lines(corpus)):
             if i == 1:
                 raise RuntimeError("interrupted")
-            yield video
+            yield line
 
-    parts = Corpus._parts
-    monkeypatch.setattr(Corpus, "_parts", fail_on_second)
+    video_lines = corpus_module._video_lines
+    monkeypatch.setattr(corpus_module, "_video_lines", fail_on_second)
     with pytest.raises(RuntimeError, match="interrupted"):
         save_corpus(generate_synthetic(replace(SMALL, seed=10)), path)
     assert path.read_bytes() == before
@@ -982,3 +983,71 @@ def test_records_round_trip_through_corpus_of(corpus, tmp_path):
 def test_ragged_records_round_trip_through_corpus_of(built):
     for c in (built, *(built.split(0.5) if len(built.video_ids) > 1 else ())):
         assert _tables(Corpus.of(c.config, c.videos)) == _tables(c)
+
+
+# ---------------------------------------------------------------------------
+# The writer: every line is the bytes json.dumps gives the video's record
+# ---------------------------------------------------------------------------
+
+
+def assert_saved_as_records(corpus, path):
+    """`save_corpus` writes the header and each video's `_record`, and the file loads back."""
+    save_corpus(corpus, path)
+    header = json.dumps({"schema": "hiercorpus/2", "config": asdict(corpus.config)}) + "\n"
+    lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
+    assert lines[0] == header
+    assert len(lines) == 1 + len(corpus.video_ids)
+    for line, video in zip(lines[1:], corpus.videos):
+        assert line == _record(video)
+    assert _tables(load_corpus(path)) == _tables(corpus)
+
+
+@pytest.mark.parametrize("cfg", [GeneratorConfig(), GeneratorConfig(vocab_size=45_000_000)],
+                         ids=["default", "vocab 45M"])
+def test_saved_lines_are_json_dumps_of_the_records(cfg, tmp_path):
+    corpus = generate_synthetic(cfg)
+    for name, c in zip(("whole", "train", "holdout"), (corpus, *corpus.split(0.25))):
+        assert_saved_as_records(c, tmp_path / f"{name}.jsonl")
+
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_corpora())
+def test_saved_ragged_lines_are_json_dumps_of_the_records(built):
+    # d_in=2: a clip's 16 bytes per row leave base64 padding.
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, c in enumerate((built, *(built.split(0.5) if len(built.video_ids) > 1 else ()))):
+            assert_saved_as_records(c, Path(tmp) / f"{i}.jsonl")
+
+
+def test_saved_lines_escape_ids_and_allow_no_phases(tmp_path):
+    cfg = GeneratorConfig(num_videos=2, num_classes=1, d_in=3, vocab_size=4)
+    odd = 'q"\\é\x01\ud800'  # quote, backslash, non-ASCII, control, lone surrogate
+
+    def clip(clip_id, rows):
+        return VideoClip(clip_id, Matrix(np.arange(3.0 * rows).reshape(rows, 3)), (0, 3), (1,))
+
+    videos = (LectureVideo(odd, (clip(odd + "c0", 1), clip("c1", 2)),
+                           (PhaseSegment(0, 2, (2,), 0),), (3, 0)),
+              LectureVideo("plain", (clip("\t", 3),), (), (1,)))
+    corpus = Corpus.of(cfg, videos)
+    assert_saved_as_records(corpus, tmp_path / "c.jsonl")
+    assert load_corpus(tmp_path / "c.jsonl").video_ids == (odd, "plain")
+
+
+# The tracemalloc peak of this save when each line was a record written by
+# json.dumps (Python 3.11, numpy 2.4; the table writer reads 2.32 MB). A
+# whole-table tobytes() copy alone would add 7.4 MB.
+SAVE_PEAK_BYTES = 2_958_369
+
+
+def test_save_peak_memory_is_bounded(tmp_path):
+    corpus = generate_synthetic(GeneratorConfig(num_videos=200, seed=1))
+    save_corpus(generate_synthetic(SMALL), tmp_path / "warm.jsonl")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_corpus(corpus, tmp_path / "c.jsonl")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= SAVE_PEAK_BYTES, peak
