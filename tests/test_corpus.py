@@ -1029,9 +1029,7 @@ def test_saved_lines_escape_ids_and_allow_no_phases(tmp_path):
     videos = (LectureVideo(odd, (clip(odd + "c0", 1), clip("c1", 2)),
                            (PhaseSegment(0, 2, (2,), 0),), (3, 0)),
               LectureVideo("plain", (clip("\t", 3),), (), (1,)))
-    corpus = Corpus.of(cfg, videos)
-    assert_saved_as_records(corpus, tmp_path / "c.jsonl")
-    assert load_corpus(tmp_path / "c.jsonl").video_ids == (odd, "plain")
+    assert_saved_as_records(Corpus.of(cfg, videos), tmp_path / "c.jsonl")
 
 
 # The tracemalloc peak of this save when each line was a record written by
