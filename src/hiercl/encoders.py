@@ -7,11 +7,11 @@ prompt) passes through the same embedding-table-plus-two-layer textual
 network. Both encoders emit unit-norm vectors, so dot products downstream
 are cosine similarities.
 
-Frames are precomputed feature vectors, not images; a segment of frames is
-a Matrix with one frame per row. Texts are sequences of integer token ids,
-mean-pooled order-invariantly by `Tape.embed_mean` before the network. A
-batch column of texts is a `TokenStack`, runs of one token table; a column
-of text sets is a `TokenSets`.
+Frames are precomputed feature vectors, not images; a segment of frames has
+one frame per row. Texts are sequences of integer token ids, mean-pooled
+order-invariantly by `Tape.embed_mean` before the network. A batch column
+of texts is a `TokenStack`, runs of one token table; a column of text sets
+is a `TokenSets`.
 
 Every weight of both encoders lives in one flat vector; `EncoderDims.layout`
 is the one table of where each named block sits in it.
@@ -109,9 +109,9 @@ def check_finite(dims: EncoderDims, vector: np.ndarray, error: type, message: st
         raise error(message.format(next(b.name for b in dims.layout if first < b.stop)))
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    return Matrix._wrap(rng.uniform(-a, a, size=(fan_in, fan_out)))
+    return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +119,7 @@ class ModelParams:
     """All trainable weights; one shared set across every hierarchy level.
 
     The weights are one read-only float64 vector laid out by `dims.layout`;
-    `leaves()` shows each block as a read-only Matrix view into it.
+    `leaves()` shows each block as a read-only 2-D ndarray view into it.
     """
 
     dims: EncoderDims
@@ -144,13 +144,12 @@ class ModelParams:
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "_leaves", tuple(
-            (b.name, Matrix._wrap(vector[b.offset:b.stop].reshape(b.rows, b.cols)))
-            for b in self.dims.layout
+            (b.name, vector[b.offset:b.stop].reshape(b.rows, b.cols)) for b in self.dims.layout
         ))
         return self
 
     @classmethod
-    def from_blocks(cls, dims: EncoderDims, blocks: dict[str, Matrix]) -> "ModelParams":
+    def from_blocks(cls, dims: EncoderDims, blocks: dict[str, np.ndarray]) -> "ModelParams":
         """Params from every named block, each with the shape the layout gives it."""
         names = [b.name for b in dims.layout]
         for name in blocks:
@@ -160,16 +159,14 @@ class ModelParams:
             if b.name not in blocks:
                 raise ConfigError(f"missing parameter block {b.name!r}")
             if blocks[b.name].shape != (b.rows, b.cols):
-                raise ShapeError(
-                    f"{b.name}: shape {blocks[b.name].shape} != {(b.rows, b.cols)}"
-                )
-        return cls(dims, np.concatenate([blocks[b.name].data for b in dims.layout]))
+                raise ShapeError(f"{b.name}: shape {blocks[b.name].shape} != {(b.rows, b.cols)}")
+        return cls(dims, np.concatenate([blocks[b.name].ravel() for b in dims.layout]))
 
     @classmethod
     def initialize(cls, dims: EncoderDims, rng: np.random.Generator) -> "ModelParams":
         """Seeded uniform Glorot weights, zero biases."""
         return cls.from_blocks(dims, {
-            b.name: Matrix.zeros(1, b.cols) if rows == 1 else _glorot(rng, b.rows, b.cols)
+            b.name: np.zeros((1, b.cols)) if rows == 1 else _glorot(rng, b.rows, b.cols)
             for (_, rows, _), b in zip(_BLOCKS, dims.layout)
         })
 
@@ -181,16 +178,16 @@ class ModelParams:
     def vocab_size(self) -> int:
         return self.dims.vocab_size
 
-    def leaves(self) -> list[tuple[str, Matrix]]:
+    def leaves(self) -> list[tuple[str, np.ndarray]]:
         """Named parameter blocks in layout order, as read-only views."""
         return list(self._leaves)
 
     def digest(self) -> str:
         """SHA-256 over all parameter bytes; stable across processes."""
         h = sha256()
-        for name, m in self.leaves():
+        for name, a in self._leaves:
             h.update(name.encode())
-            h.update(m.array.astype("<f8").tobytes())
+            h.update(a.astype("<f8").tobytes())
         return h.hexdigest()
 
 
@@ -337,7 +334,7 @@ class TokenSets(Sequence[tuple[tuple[int, ...], ...]]):
 
 def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
     """Register every parameter block as a trainable leaf on the tape."""
-    return {name: tape.leaf(m) for name, m in params._leaves}
+    return {name: tape.leaf(a) for name, a in params._leaves}
 
 
 _MLP_KEYS = {p: (f"{p}.w1", f"{p}.b1", f"{p}.w2", f"{p}.b2") for p in ("visual", "text")}
@@ -357,7 +354,7 @@ def visual_embedding_rows(tape: Tape, pn: dict[str, Node],
     is; other segments are stacked into one first.
     """
     stack = segments if isinstance(segments, FrameStack) else FrameStack.of(segments)
-    encoded = _mlp(tape, tape.constant(Matrix._wrap(stack.array)), pn, "visual")
+    encoded = _mlp(tape, tape.constant(stack.array), pn, "visual")
     return tape.l2_normalize_rows(tape.segment_mean(encoded, stack.lengths))
 
 

@@ -1,16 +1,16 @@
 """Deterministic dense linear algebra with reverse-mode differentiation.
 
-`Matrix`, an immutable 2-D float64 array, is the value type at the package
-boundary; vectors are 1xN matrices. Each differentiable op is defined once,
-as a `Tape` method over its input nodes' read-only ndarrays: it checks its
-inputs, computes its value and records, in the same place, its own
-vector-Jacobian product as a closure on the node. `Tape.backward` walks the
-nodes in reverse, calls those closures and skips inputs that need no
-gradient, pushing a scalar loss gradient back to the leaves as one flat
-vector. `Tape.info_nce` is the whole contrastive loss, -(1/B) sum_i log of
-the sum over routes of diag(softmax(q t^T / tau))_i, in one node with a
-closed-form gradient; it holds the only softmax. `Tape.mlp` and
-`Tape.embed_mean` are the encoders' layers, each one node.
+Values are read-only 2-D float64 ndarrays; vectors are 1xN rows. A tape's
+sources, `Tape.leaf` and `Tape.constant`, take such arrays as they are. Each
+differentiable op is defined once, as a `Tape` method over its input nodes'
+values: it checks its inputs, computes its value and records, in the same
+place, its own vector-Jacobian product as a closure on the node.
+`Tape.backward` walks the nodes in reverse, calls those closures and skips
+inputs that need no gradient, pushing a scalar loss gradient back to the
+leaves as one flat vector. `Tape.info_nce` is the whole contrastive loss,
+-(1/B) sum_i log of the sum over routes of diag(softmax(q t^T / tau))_i, in
+one node with a closed-form gradient; it holds the only softmax. `Tape.mlp`
+and `Tape.embed_mean` are the encoders' layers, each one node.
 
 Everything is float64 and single-threaded (`single_thread_blas`); identical
 inputs produce bit-identical outputs. Hot paths call ufunc reductions such as
@@ -52,7 +52,12 @@ def single_thread_blas() -> None:
 
 
 class Matrix:
-    """Immutable 2-D array of float64 values, row-major."""
+    """Immutable 2-D float64 array, row-major: the frame-segment record only.
+
+    `FrameStack` items and `VideoClip.frames` are Matrix views; every other value is a
+    plain ndarray. It stays while the benchmark harness reads `.rows` from each
+    `FrameStack` item and `clip.frames.array` from `Corpus.videos`.
+    """
 
     __slots__ = ("_a",)
 
@@ -71,10 +76,6 @@ class Matrix:
         m._a = a
         return m
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._wrap(np.zeros((rows, cols)))
-
     @property
     def array(self) -> np.ndarray:
         """Read-only ndarray view of the values."""
@@ -92,11 +93,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self._a.shape
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the values."""
-        return self._a.reshape(-1)
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
@@ -108,6 +104,10 @@ VJP = Callable[[np.ndarray, Sequence[bool]], Sequence["np.ndarray | None"]]
 
 def _dims(a: np.ndarray) -> str:
     return f"{a.shape[0]}x{a.shape[1]}"
+
+
+def _kind(a) -> str:
+    return f"a {a.ndim}-D {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
 
 
 def _segment_lengths(op: str, lengths: Sequence[int], total: int, unit: str) -> np.ndarray:
@@ -165,15 +165,19 @@ class Tape:
         self._nodes.append(node)
         return node
 
-    # -- graph sources ------------------------------------------------------
+    # -- graph sources: each checks its array inline, as a helper is a call per leaf --
 
-    def leaf(self, m: Matrix) -> Node:
-        """Trainable input; backward() reports a gradient for it."""
-        return self._push(m._a, needs_grad=True)
+    def leaf(self, a: np.ndarray) -> Node:
+        """Trainable 2-D float64 input, made read-only; backward() reports its gradient."""
+        if type(a) is not np.ndarray or a.ndim != 2 or a.dtype != np.float64:
+            raise ShapeError(f"leaf: needs a 2-D float64 ndarray, got {_kind(a)}")
+        return self._push(a, needs_grad=True)
 
-    def constant(self, m: Matrix) -> Node:
-        """Non-trainable input; gradients are not propagated into it."""
-        return self._push(m._a, needs_grad=False)
+    def constant(self, a: np.ndarray) -> Node:
+        """Non-trainable 2-D float64 input, made read-only; no gradient flows into it."""
+        if type(a) is not np.ndarray or a.ndim != 2 or a.dtype != np.float64:
+            raise ShapeError(f"constant: needs a 2-D float64 ndarray, got {_kind(a)}")
+        return self._push(a, needs_grad=False)
 
     # -- recorded primitives -------------------------------------------------
 

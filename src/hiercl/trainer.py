@@ -129,34 +129,23 @@ def _level_at(cfg: TrainConfig, index: int) -> str:
     return schedule_level(index, *_RUNS[cfg.mode](cfg))
 
 
-@dataclass(frozen=True, eq=False)
-class OptimizerState:
-    """Adam's first and second moments, flat vectors in the parameter layout."""
-
-    first: np.ndarray
-    second: np.ndarray
-    step: int
-
-    @classmethod
-    def initialize(cls, params: ModelParams) -> "OptimizerState":
-        zeros = np.zeros(params.dims.size)
-        zeros.setflags(write=False)
-        return cls(first=zeros, second=zeros, step=0)
-
-
 class TrainState:
-    """The loop's writable parameters, moments and scratch; `params` views `theta` read-only."""
+    """The loop's writable parameters, moments and scratch; `params` views `theta` read-only.
 
-    def __init__(self, params: ModelParams, opt: OptimizerState) -> None:
-        self.theta, self.first, self.second = map(np.array, (params.vector, opt.first, opt.second))
-        self.scratch, self.step = np.empty((2, params.dims.size)), opt.step
+    `first` and `second` are the rows of `moments`, Adam's 2 x size moment array.
+    """
+
+    def __init__(self, params: ModelParams, moments: np.ndarray, step: int) -> None:
+        self.theta, self.moments = np.array(params.vector), np.array(moments)
+        self.first, self.second = self.moments
+        self.scratch, self.step = np.empty((2, params.dims.size)), step
         self.params = ModelParams._viewing(params.dims, self.theta)
 
-    def frozen(self) -> tuple[ModelParams, OptimizerState]:
-        """Read-only copies that share no memory with the loop's vectors."""
-        first, second = self.first.copy(), self.second.copy()
-        first.flags.writeable = second.flags.writeable = False
-        return ModelParams(self.params.dims, self.theta), OptimizerState(first, second, self.step)
+    def frozen(self) -> tuple[ModelParams, np.ndarray]:
+        """Read-only copies that share no memory with the loop's arrays."""
+        moments = self.moments.copy()
+        moments.flags.writeable = False
+        return ModelParams(self.params.dims, self.theta), moments
 
 
 def adamw_step(state: TrainState, g: np.ndarray, cfg: TrainConfig) -> None:
@@ -189,7 +178,7 @@ class Checkpoint:
     config: TrainConfig
     global_batch: int
     params: ModelParams
-    opt_state: OptimizerState
+    moments: np.ndarray  # Adam's first and second moments, read-only, 2 x params.dims.size
     rng_state: dict
 
 
@@ -222,24 +211,18 @@ def check_capacity(cfg: TrainConfig, corpus: Corpus) -> None:
     needs = {"clip": cfg.b_clip, "phase": cfg.b_phase, "video": cfg.b_video}
     for level, run in zip(needs, _RUNS[cfg.mode](cfg)):
         if run and counts[level] < needs[level]:
-            raise InsufficientDataError(
-                f"{level} level: corpus has {counts[level]} pairs, "
-                f"batch size {needs[level]} requested"
-            )
+            raise InsufficientDataError(f"{level} level: corpus has {counts[level]} pairs, "
+                                        f"batch size {needs[level]} requested")
 
 
 def check_compatible(params: ModelParams, corpus: Corpus) -> None:
     """Raise ShapeError unless the model reads the corpus's frames and tokens."""
     if params.d_in != corpus.config.d_in:
-        raise ShapeError(
-            f"checkpoint expects {params.d_in}-dim frames, "
-            f"corpus has {corpus.config.d_in}"
-        )
+        raise ShapeError(f"checkpoint expects {params.d_in}-dim frames, "
+                         f"corpus has {corpus.config.d_in}")
     if params.vocab_size != corpus.config.vocab_size:
-        raise ShapeError(
-            f"checkpoint vocabulary {params.vocab_size} != "
-            f"corpus vocabulary {corpus.config.vocab_size}"
-        )
+        raise ShapeError(f"checkpoint vocabulary {params.vocab_size} != "
+                         f"corpus vocabulary {corpus.config.vocab_size}")
 
 
 def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
@@ -259,13 +242,13 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
         if resume.config != cfg:
             raise ConfigError("checkpoint was written under a different config")
         check_compatible(resume.params, corpus)
-        state, start = TrainState(resume.params, resume.opt_state), resume.global_batch
+        params, moments, start = resume.params, resume.moments, resume.global_batch
         rng.bit_generator.state = resume.rng_state
     else:
         dims = EncoderDims(d_in=corpus.config.d_in, d_tok=cfg.d_tok, hidden=cfg.hidden,
                            d_emb=cfg.d_emb, vocab_size=corpus.config.vocab_size)
-        params = ModelParams.initialize(dims, rng)
-        state, start = TrainState(params, OptimizerState.initialize(params)), 0
+        params, moments, start = ModelParams.initialize(dims, rng), np.zeros((2, dims.size)), 0
+    state = TrainState(params, moments, start)
     stop = cfg.total_batches if stop_at is None else stop_at
     if not start <= stop <= cfg.total_batches:
         raise ConfigError(f"stop_at must lie in [{start}, {cfg.total_batches}], got {stop_at}")
@@ -291,8 +274,8 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
     finally:
         if log_file:
             log_file.close()
-    params, opt = state.frozen()
-    ckpt = Checkpoint(config=cfg, global_batch=stop, params=params, opt_state=opt,
+    params, moments = state.frozen()
+    ckpt = Checkpoint(config=cfg, global_batch=stop, params=params, moments=moments,
                       rng_state=rng.bit_generator.state)
     return TrainResult(checkpoint=ckpt, log=log)
 
@@ -314,7 +297,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "config_digest": ckpt.config.digest(),
         "dims": asdict(ckpt.params.dims),
         "global_batch": ckpt.global_batch,
-        "opt_step": ckpt.opt_state.step,
+        "opt_step": ckpt.global_batch,
         "rng_state": ckpt.rng_state,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -323,8 +306,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blob += struct.pack("<I", CKPT_VERSION)
     blob += struct.pack("<I", len(header_bytes))
     blob += header_bytes
-    for vector in (ckpt.params.vector, ckpt.opt_state.first, ckpt.opt_state.second):
-        blob += vector.astype("<f8").tobytes()
+    for values in (ckpt.params.vector, ckpt.moments):
+        blob += values.astype("<f8").tobytes()
     blob += sha256(bytes(blob)).digest()
     with atomic_file(path, "wb") as f:
         f.write(bytes(blob))
@@ -336,17 +319,14 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) < len(CKPT_MAGIC) + 8 + 32:
         raise CheckpointIntegrityError(f"{path}: file too short to be a checkpoint")
     if blob[:4] != CKPT_MAGIC:
-        raise CheckpointIntegrityError(
-            f"{path}: bad magic {blob[:4]!r}, expected {CKPT_MAGIC!r}"
-        )
+        raise CheckpointIntegrityError(f"{path}: bad magic {blob[:4]!r}, expected {CKPT_MAGIC!r}")
     body, checksum = blob[:-32], blob[-32:]
     if sha256(body).digest() != checksum:
         raise CheckpointIntegrityError(f"{path}: checksum mismatch, payload corrupted")
     version = struct.unpack_from("<I", blob, 4)[0]
     if version != CKPT_VERSION:
-        raise SchemaVersionError(
-            f"{path}: checkpoint version {version}, this build reads {CKPT_VERSION}"
-        )
+        raise SchemaVersionError(f"{path}: checkpoint version {version}, "
+                                 f"this build reads {CKPT_VERSION}")
     header_len = struct.unpack_from("<I", blob, 8)[0]
     off = 12
     try:
@@ -366,10 +346,9 @@ def _checkpoint_from(header: dict, body: bytes, off: int, path) -> Checkpoint:
     dims = EncoderDims(**{f.name: header["dims"][f.name] for f in fields(EncoderDims)})
     expected = 3 * dims.size * 8
     if len(body) - off != expected:
-        raise CheckpointIntegrityError(
-            f"{path}: {len(body) - off} bytes of vectors, dims need {expected}"
-        )
-    params, first, second = np.frombuffer(body, dtype="<f8", offset=off).reshape(3, -1)
+        raise CheckpointIntegrityError(f"{path}: {len(body) - off} bytes of vectors, "
+                                       f"dims need {expected}")
+    vectors = np.frombuffer(body, dtype="<f8", offset=off).reshape(3, -1)
     cfg = TrainConfig(**header["config"])
     if cfg.digest() != header["config_digest"]:
         raise CheckpointIntegrityError(f"{path}: config digest mismatch")
@@ -386,8 +365,8 @@ def _checkpoint_from(header: dict, body: bytes, off: int, path) -> Checkpoint:
     return Checkpoint(
         config=cfg,
         global_batch=batch,
-        params=ModelParams(dims, params),
-        opt_state=OptimizerState(first=first, second=second, step=step),
+        params=ModelParams(dims, vectors[0]),
+        moments=vectors[1:],
         rng_state=_restore_rng_state(header["rng_state"]),
     )
 

@@ -27,12 +27,13 @@ from .errors import (
     ConfigError,
     CorpusFormatError,
     CoverageError,
+    DegenerateEmbeddingError,
     EmptyInputError,
     SchemaVersionError,
     ShapeError,
     VocabularyError,
 )
-from .numerics import Matrix, Tape
+from .numerics import NORM_GUARD, Tape
 from .seeding import substream
 from .trainer import Checkpoint
 
@@ -110,9 +111,8 @@ def load_prompts(path) -> PromptSet:
             raise CorpusFormatError(f"{path}: not valid UTF-8 JSON: {e}") from e
     tag = doc.get("schema") if isinstance(doc, dict) else None
     if tag != PROMPTS_SCHEMA:
-        raise SchemaVersionError(
-            f"unsupported prompts schema {tag!r}, expected {PROMPTS_SCHEMA!r}"
-        )
+        raise SchemaVersionError(f"unsupported prompts schema {tag!r}, "
+                                 f"expected {PROMPTS_SCHEMA!r}")
     try:
         classes = tuple(
             (_integer(c["label"], "label"),
@@ -127,26 +127,33 @@ def load_prompts(path) -> PromptSet:
         raise CorpusFormatError(f"{path}: {e}") from e
 
 
-def embed_prompts(prompts: PromptSet, params: ModelParams) -> Matrix:
-    """One unit-norm row per class: mean of its prompt embeddings, renormalized."""
+def embed_prompts(prompts: PromptSet, params: ModelParams) -> np.ndarray:
+    """One unit-norm row per class, read-only: mean of its prompt embeddings, renormalized."""
     tape = Tape()
     pn = param_nodes(tape, params)
-    return Matrix._wrap(
-        aggregated_text_rows(tape, pn, [plist for _, plist in prompts.classes]).value)
+    return aggregated_text_rows(tape, pn, [plist for _, plist in prompts.classes]).value
 
 
-def classify(visual: Matrix, class_embeddings: Matrix) -> list[int]:
-    """Cosine-argmax class index per visual row; ties go to the lowest index."""
-    if visual.cols != class_embeddings.cols:
-        raise ShapeError(
-            f"visual width {visual.cols} != class-embedding width {class_embeddings.cols}"
-        )
-    v = visual.array
-    c = class_embeddings.array
-    v_norm = np.linalg.norm(v, axis=1, keepdims=True)
-    c_norm = np.linalg.norm(c, axis=1, keepdims=True)
-    sims = (v / v_norm) @ (c / c_norm).T
-    return [int(i) for i in np.argmax(sims, axis=1)]
+def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> list[int]:
+    """Cosine-argmax class index per visual row; ties go to the lowest index.
+
+    Both are 2-D arrays of one width. A row whose L2 norm is at most NORM_GUARD
+    has no direction to compare: it raises DegenerateEmbeddingError.
+    """
+    if visual.ndim != 2 or class_embeddings.ndim != 2 or \
+            visual.shape[1] != class_embeddings.shape[1]:
+        raise ShapeError(f"visual {visual.shape} and class embeddings "
+                         f"{class_embeddings.shape} are not 2-D arrays of one width")
+    unit = []
+    for what, a in (("visual", visual), ("class-embedding", class_embeddings)):
+        norms = np.linalg.norm(a, axis=1, keepdims=True)
+        low = norms[:, 0] <= NORM_GUARD
+        if low.any():
+            bad = int(low.argmax())
+            raise DegenerateEmbeddingError(
+                f"{what} row {bad} has near-zero norm {norms[bad, 0]:.3e}")
+        unit.append(a / norms)
+    return [int(i) for i in np.argmax(unit[0] @ unit[1].T, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -185,9 +192,7 @@ def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:
     pred = [int(p) for p in predictions]
     gt = [int(g) for g in ground_truth]
     if len(pred) != len(gt):
-        raise ContractError(
-            f"{len(pred)} predictions vs {len(gt)} ground-truth labels"
-        )
+        raise ContractError(f"{len(pred)} predictions vs {len(gt)} ground-truth labels")
     if not pred:
         raise ContractError("cannot compute metrics on an empty sample")
     if labels is None:
@@ -268,7 +273,7 @@ def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> Metri
     class_rows = embed_prompts(prompts, params)
     segments, gt = _clip_examples(split, checkpoint.config.k_clip)
     tape = Tape()
-    visual = Matrix._wrap(visual_embedding_rows(tape, param_nodes(tape, params), segments).value)
+    visual = visual_embedding_rows(tape, param_nodes(tape, params), segments).value
     pred_idx = classify(visual, class_rows)
     predictions = [prompts.labels[i] for i in pred_idx]
     report = compute_metrics(predictions, gt, labels=prompts.labels)

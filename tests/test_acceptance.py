@@ -88,8 +88,8 @@ def test_criterion_1_gradient_correctness(capsys):
 
 
 def _identity_params(d: int) -> ModelParams:
-    eye = Matrix(np.eye(d))
-    zero = Matrix.zeros(1, d)
+    eye = np.eye(d)
+    zero = np.zeros((1, d))
     return ModelParams.from_blocks(
         EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
         {"visual.w1": eye, "visual.b1": zero, "visual.w2": eye, "visual.b2": zero,
@@ -296,8 +296,7 @@ def _scale_invariance_cases(rng) -> int:
         visual = rng.standard_normal((n, d))
         classes = rng.standard_normal((k, d))
         scale = float(rng.uniform(0.01, 100.0))
-        if classify(Matrix(scale * visual), Matrix(classes)) != \
-                classify(Matrix(visual), Matrix(classes)):
+        if classify(scale * visual, classes) != classify(visual, classes):
             bad += 1
     return bad
 

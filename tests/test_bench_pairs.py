@@ -104,3 +104,27 @@ def test_seeds_plans_and_run_order():
     assert bench_pairs.orders([4, 5, 6]) == [(4, ("change", "parent")),
                                              (5, ("parent", "change")),
                                              (6, ("change", "parent"))]
+
+
+@pytest.mark.parametrize("plans", [
+    ["desk-hecvl=5-3"],  # a descending range is empty
+    ["desk-hecvl=5-"],
+    ["desk-hecvl="],
+    ["desk-hecvl=1,1"],
+    ["desk-hecvl=1-3,3"],
+    ["desk-hecvl=1-3", "desk-hecvl=3-4"],  # one workload's seed in two plans
+])
+def test_plans_that_would_lose_runs_are_usage_errors(plans, tmp_path, capsys):
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--label", "x",
+            "--what", "y", "--out", str(tmp_path), *plans]
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(argv)
+    assert exit_.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_plans_keep_each_seed_once_per_workload():
+    assert bench_pairs.parse_plans(["desk-hecvl=1-2", "corpus-io=1-2", "desk-hecvl=3"]) == [
+        ("desk-hecvl", [1, 2]), ("corpus-io", [1, 2]), ("desk-hecvl", [3])]
+    assert bench_pairs.parse_seeds("4-4,6") == [4, 6]

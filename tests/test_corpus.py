@@ -499,7 +499,7 @@ RECORD_FAULTS = {
     "float token": lambda v: replace(v, abstract=(3.7,) + v.abstract[1:]),
     "bool token": lambda v: _with_clip(v, 2, narration_b=(True,) + v.clips[2].narration_b[1:]),
     "phase class 99": lambda v: _with_phase(v, 1, phase_class=99),
-    "frame row too wide": lambda v: _with_clip(v, 0, frames=Matrix.zeros(1, SMALL.d_in + 1)),
+    "frame row too wide": lambda v: _with_clip(v, 0, frames=Matrix(np.zeros((1, SMALL.d_in + 1)))),
     "NaN frame value": _nan_frames,
     "duplicate video id": lambda v: replace(v, video_id="v000"),
     "clip id of an earlier video": lambda v: _with_clip(v, 2, clip_id="v000c01"),
@@ -754,7 +754,7 @@ def test_oversized_batch_names_level(corpus):
 
 
 def test_batch_rejects_repeated_sources():
-    frames = Matrix.zeros(2, 3)
+    frames = Matrix(np.zeros((2, 3)))
     for cls in (ClipBatch, PhaseBatch, VideoBatch):
         with pytest.raises(InsufficientDataError, match=f"{cls.level} batch repeats"):
             cls(("x", "x"), (frames, frames), ((1,), (1,)), ((1,), (1,)))
@@ -769,7 +769,7 @@ def test_phase_and_video_batches_share_one_shape():
 
 
 def test_batch_rejects_columns_of_different_lengths():
-    frames = Matrix.zeros(2, 3)
+    frames = Matrix(np.zeros((2, 3)))
     with pytest.raises(ContractError, match="clip batch columns"):
         ClipBatch(("x", "y"), (frames, frames), ((1,), (1,)), ((1,),))
 

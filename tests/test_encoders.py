@@ -54,8 +54,8 @@ def test_initialize_shapes_and_zero_biases(params):
     assert blocks["visual.w2"].shape == (9, 4)
     assert blocks["text.embed"].shape == (40, 5)
     assert blocks["text.w1"].shape == (5, 9)
-    assert np.all(blocks["visual.b1"].array == 0.0)
-    assert np.all(blocks["text.b2"].array == 0.0)
+    assert np.all(blocks["visual.b1"] == 0.0)
+    assert np.all(blocks["text.b2"] == 0.0)
     assert params.d_in == 6 and params.dims.d_emb == 4 and params.vocab_size == 40
 
 
@@ -70,7 +70,7 @@ def test_initialize_digest_is_pinned():
 
 def test_glorot_bound(params):
     limit = np.sqrt(6.0 / (6 + 9))
-    w = dict(params.leaves())["visual.w1"].array
+    w = dict(params.leaves())["visual.w1"]
     assert np.all(np.abs(w) <= limit)
     assert w.std() > 0.1 * limit  # actually spread out, not degenerate
 
@@ -86,26 +86,26 @@ def test_initialize_is_deterministic():
 def test_params_reject_nonfinite(params):
     blocks = dict(params.leaves())
     for name, value in (("visual.w1", np.nan), ("text.embed", np.inf), ("text.b2", -np.inf)):
-        bad = blocks[name].array.copy()
+        bad = blocks[name].copy()
         bad[-1, -1] = value
         with pytest.raises(ContractError, match=name):
-            ModelParams.from_blocks(DIMS, {**blocks, name: Matrix(bad)})
+            ModelParams.from_blocks(DIMS, {**blocks, name: bad})
 
 
 def test_params_reject_inconsistent_shapes(params):
     blocks = dict(params.leaves())
     with pytest.raises(ShapeError, match="visual.w2"):
-        ModelParams.from_blocks(DIMS, {**blocks, "visual.w2": Matrix.zeros(8, 4)})
+        ModelParams.from_blocks(DIMS, {**blocks, "visual.w2": np.zeros((8, 4))})
     with pytest.raises(ShapeError):
         ModelParams(DIMS, params.vector[:-1])
 
 
 def test_from_blocks_replaces_and_validates(params):
     blocks = dict(params.leaves())
-    new_w1 = Matrix(np.ones((6, 9)))
+    new_w1 = np.ones((6, 9))
     updated = dict(ModelParams.from_blocks(DIMS, {**blocks, "visual.w1": new_w1}).leaves())
-    assert np.array_equal(updated["visual.w1"].array, new_w1.array)
-    assert np.array_equal(updated["text.embed"].array, blocks["text.embed"].array)
+    assert np.array_equal(updated["visual.w1"], new_w1)
+    assert np.array_equal(updated["text.embed"], blocks["text.embed"])
     with pytest.raises(ConfigError, match="unknown"):
         ModelParams.from_blocks(DIMS, {**blocks, "nonsense": new_w1})
     missing = dict(blocks)
@@ -113,14 +113,14 @@ def test_from_blocks_replaces_and_validates(params):
     with pytest.raises(ConfigError, match="missing"):
         ModelParams.from_blocks(DIMS, missing)
     with pytest.raises(ShapeError):
-        ModelParams.from_blocks(DIMS, {**blocks, "visual.w1": Matrix.zeros(2, 2)})
+        ModelParams.from_blocks(DIMS, {**blocks, "visual.w1": np.zeros((2, 2))})
 
 
 def test_layout_tiles_the_vector(params):
     offset = 0
     for (name, m), block in zip(params.leaves(), DIMS.layout):
         assert (block.name, block.offset, (block.rows, block.cols)) == (name, offset, m.shape)
-        assert np.shares_memory(m.array, params.vector)
+        assert np.shares_memory(m, params.vector)
         offset = block.stop
     assert offset == DIMS.size == params.vector.size
 
@@ -128,11 +128,27 @@ def test_layout_tiles_the_vector(params):
 def test_leaves_and_vector_are_read_only(params):
     w1 = dict(params.leaves())["visual.w1"]
     with pytest.raises(ValueError):
-        w1.array[0, 0] = 1.0
+        w1[0, 0] = 1.0
     with pytest.raises(ValueError):
-        w1.data[0] = 1.0
+        w1.reshape(-1)[0] = 1.0
     with pytest.raises(ValueError):
         params.vector[0] = 1.0
+
+
+def test_every_leaf_is_a_read_only_view_of_the_vector(params):
+    for name, a in params.leaves():
+        assert type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 2, name
+        assert not a.flags.writeable, name
+        assert np.shares_memory(a, params.vector), name
+
+
+def test_param_nodes_put_the_leaf_arrays_on_the_tape_uncopied(params):
+    tape = Tape()
+    nodes = param_nodes(tape, params)
+    assert list(nodes) == [name for name, _ in params.leaves()]
+    for name, a in params.leaves():
+        assert nodes[name].value is a and nodes[name].needs_grad, name
+        assert np.shares_memory(nodes[name].value, params.vector), name
 
 
 def test_leaf_order_is_stable(params):
@@ -196,7 +212,7 @@ def test_sample_frames_errors():
 
 
 def _manual_visual(frames: np.ndarray, p: ModelParams) -> np.ndarray:
-    b = {name: m.array for name, m in p.leaves()}
+    b = dict(p.leaves())
     h = np.maximum(frames @ b["visual.w1"] + b["visual.b1"], 0.0)
     enc = h @ b["visual.w2"] + b["visual.b2"]
     pooled = enc.mean(axis=0)
@@ -260,11 +276,11 @@ def test_encode_text_vocabulary_error_names_token(params):
 
 def test_encode_segment_width_mismatch(params):
     with pytest.raises(ShapeError):
-        encode_segment(Matrix.zeros(3, 5), params)
+        encode_segment(Matrix(np.zeros((3, 5))), params)
     tape = Tape()
     with pytest.raises(ShapeError, match="different widths"):
         visual_embedding_rows(tape, param_nodes(tape, params),
-                              [Matrix.zeros(3, 6), Matrix.zeros(2, 5)])
+                              [Matrix(np.zeros((3, 6))), Matrix(np.zeros((2, 5)))])
 
 
 def test_aggregate_texts_matches_mean_of_embeddings(params):
@@ -414,7 +430,7 @@ def test_digest_reflects_values(params):
     d0 = params.digest()
     blocks = dict(params.leaves())
     bumped = ModelParams.from_blocks(
-        DIMS, {**blocks, "visual.b2": Matrix(blocks["visual.b2"].array + 1e-9)}
+        DIMS, {**blocks, "visual.b2": blocks["visual.b2"] + 1e-9}
     )
     assert bumped.digest() != d0
     assert params.digest() == d0  # unchanged original

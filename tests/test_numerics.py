@@ -21,29 +21,29 @@ from hiercl.numerics import Matrix, Tape, finite_diff_check
 
 
 def rand(rng, r, c):
-    return Matrix(rng.standard_normal((r, c)))
+    return rng.standard_normal((r, c))
 
 
-def flatten(leaves: dict[str, Matrix]):
+def flatten(leaves: dict[str, np.ndarray]):
     """The leaves as one flat vector, and the (name, offset, rows, cols) blocks tiling it."""
     blocks, offset = [], 0
     for name, m in leaves.items():
-        blocks.append((name, offset, m.rows, m.cols))
-        offset += m.rows * m.cols
-    return np.concatenate([m.data for m in leaves.values()]), blocks
+        blocks.append((name, offset, *m.shape))
+        offset += m.size
+    return np.concatenate([m.ravel() for m in leaves.values()]), blocks
 
 
 def tape_fn(build, blocks):
     """loss_and_grad over a flat vector: each block becomes a leaf, build(tape, nodes) the loss."""
     def f(x):
         t = Tape()
-        nodes = {name: t.leaf(Matrix(x[o:o + r * c].reshape(r, c))) for name, o, r, c in blocks}
+        nodes = {name: t.leaf(x[o:o + r * c].reshape(r, c)) for name, o, r, c in blocks}
         loss = build(t, nodes)
         return float(loss.value[0, 0]), t.backward(loss, list(nodes.values()))
     return f
 
 
-def tape_check(build, leaves: dict[str, Matrix], **kwargs) -> float:
+def tape_check(build, leaves: dict[str, np.ndarray], **kwargs) -> float:
     """finite_diff_check of the tape loss build(tape, nodes) at the given leaves."""
     x, blocks = flatten(leaves)
     return finite_diff_check(tape_fn(build, blocks), x, blocks, **kwargs)
@@ -87,7 +87,7 @@ def test_matrix_rejects_non_2d():
 
 
 def test_constructors():
-    assert Matrix.zeros(2, 4).shape == (2, 4)
+    assert Matrix(np.zeros((2, 4))).shape == (2, 4)
     assert Matrix(np.array([[1, 2, 3]])).shape == (1, 3)
     assert Matrix([[1, 2], [3, 4]]).array[1].tolist() == [3.0, 4.0]
 
@@ -98,7 +98,7 @@ def test_constructors():
 
 
 def value(op, *inputs, **kwargs):
-    """The output array of one tape op applied to constant Matrix inputs."""
+    """The output array of one tape op applied to constant array inputs."""
     t = Tape()
     return op(t, *(t.constant(m) for m in inputs), **kwargs).value
 
@@ -111,15 +111,15 @@ def mlp_leaves(rng, rows=5, d_in=3, hidden=6, d_out=4):
 def test_mlp_matches_matmul_add_relu_matmul_add():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        x, w1, b1, w2, b2 = (m.array for m in mlp_leaves(rng).values())
-        got = value(Tape.mlp, *(Matrix(a) for a in (x, w1, b1, w2, b2)))
+        x, w1, b1, w2, b2 = mlp_leaves(rng).values()
+        got = value(Tape.mlp, x, w1, b1, w2, b2)
         assert np.array_equal(got, np.maximum(x @ w1 + b1, 0.0) @ w2 + b2)
 
 
 def test_mlp_shape_error_names_every_shape():
     leaves = mlp_leaves(np.random.default_rng(0))
-    for name, bad in (("x", Matrix.zeros(5, 2)), ("b1", Matrix.zeros(5, 6)),
-                      ("w2", Matrix.zeros(5, 4)), ("b2", Matrix.zeros(1, 3))):
+    for name, bad in (("x", np.zeros((5, 2))), ("b1", np.zeros((5, 6))),
+                      ("w2", np.zeros((5, 4))), ("b2", np.zeros((1, 3)))):
         with pytest.raises(ShapeError, match="mlp: shapes do not chain") as err:
             value(Tape.mlp, *{**leaves, name: bad}.values())
         dims = {n: "x".join(map(str, (bad if n == name else m).shape)) for n, m in leaves.items()}
@@ -127,31 +127,31 @@ def test_mlp_shape_error_names_every_shape():
 
 
 def test_l2_normalize_unit_norms():
-    m = value(Tape.l2_normalize_rows, Matrix([[1.0, 1.0, 1.0]]))
+    m = value(Tape.l2_normalize_rows, np.array([[1.0, 1.0, 1.0]]))
     assert np.allclose(m, 1.0 / np.sqrt(3.0))
     assert abs(m[0, 0] - 0.5773502691896258) < 1e-15
 
 
 def test_l2_normalize_degenerate_row_names_index():
-    m = Matrix([[1.0, 0.0], [0.0, 0.0]])
+    m = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DegenerateEmbeddingError, match="row 1"):
         value(Tape.l2_normalize_rows, m)
 
 
 def test_segment_mean_equal_lengths():
-    m = Matrix([[1.0, 2.0], [3.0, 4.0]])
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert value(Tape.segment_mean, m, lengths=[2]).tolist() == [[2.0, 3.0]]
     rng = np.random.default_rng(4)
     m = rand(rng, 12, 5)
     got = value(Tape.segment_mean, m, lengths=[4, 4, 4])
     for g in range(3):
-        assert np.allclose(got[g], m.array[4 * g:4 * (g + 1)].mean(axis=0))
+        assert np.allclose(got[g], m[4 * g:4 * (g + 1)].mean(axis=0))
     with pytest.raises(EmptyInputError):
-        value(Tape.segment_mean, Matrix(np.zeros((0, 2))), lengths=[])
+        value(Tape.segment_mean, np.zeros((0, 2)), lengths=[])
 
 
 def test_segment_mean_mixed_lengths():
-    m = Matrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
+    m = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
     got = value(Tape.segment_mean, m, lengths=[1, 3, 2])
     assert got.tolist() == [[1.0, 2.0], [5.0, 6.0], [10.0, 11.0]]
 
@@ -159,9 +159,9 @@ def test_segment_mean_mixed_lengths():
 def test_segment_mean_rejects_lengths_that_do_not_partition_rows():
     for lengths in ([4, 4], [4, 4, 4], [3, 3, 3, 3], [12, 1]):
         with pytest.raises(ShapeError, match="sum to"):
-            value(Tape.segment_mean, Matrix.zeros(10, 2), lengths=lengths)
+            value(Tape.segment_mean, np.zeros((10, 2)), lengths=lengths)
     with pytest.raises(EmptyInputError):
-        value(Tape.segment_mean, Matrix.zeros(10, 2), lengths=[5, 0, 5])
+        value(Tape.segment_mean, np.zeros((10, 2)), lengths=[5, 0, 5])
 
 
 _segments = st.lists(st.integers(1, 40), min_size=1, max_size=6).flatmap(
@@ -177,12 +177,12 @@ _segments = st.lists(st.integers(1, 40), min_size=1, max_size=6).flatmap(
 @given(_segments)
 def test_segment_mean_matches_per_segment_loop(case):
     lengths, rows = case
-    got = value(Tape.segment_mean, Matrix(rows), lengths=lengths)
+    got = value(Tape.segment_mean, rows, lengths=lengths)
     starts = np.cumsum(lengths) - lengths
     for i, (a, n) in enumerate(zip(starts, lengths)):
         seg = rows[a:a + n]
         # A segment's mean does not depend on the other segments beside it.
-        assert np.array_equal(got[i], value(Tape.segment_mean, Matrix(seg), lengths=[n])[0])
+        assert np.array_equal(got[i], value(Tape.segment_mean, seg, lengths=[n])[0])
         # reduceat adds the first row to a pairwise sum of the rest, while
         # sum(axis=0) adds the rows one by one: the two agree to within the
         # float64 error bound of an n-term sum, and exactly for n <= 2.
@@ -217,7 +217,7 @@ def test_segment_mean_gradient_matches_finite_differences(lengths, seed):
         pooled = t.segment_mean(t.l2_normalize_rows(n["x"]), lengths)
         return total(t, matmul(t, matmul(t, t.constant(left), pooled), t.constant(right)))
 
-    leaves = {"x": Matrix(np.random.default_rng(seed + 1).standard_normal((sum(lengths), 3)))}
+    leaves = {"x": np.random.default_rng(seed + 1).standard_normal((sum(lengths), 3))}
     x, blocks = flatten(leaves)
     f = tape_fn(build, blocks)
     loss, grad = f(x)
@@ -230,8 +230,8 @@ def test_segment_mean_gradient_matches_finite_differences(lengths, seed):
 
 
 def test_concat_and_gather():
-    a = Matrix([[1.0, 2.0]])
-    b = Matrix([[3.0, 4.0], [5.0, 6.0]])
+    a = np.array([[1.0, 2.0]])
+    b = np.array([[3.0, 4.0], [5.0, 6.0]])
     t = Tape()
     cat = t.concat_rows([t.constant(a), t.constant(b)])
     assert cat.value.shape == (3, 2)
@@ -250,7 +250,7 @@ def test_concat_and_gather():
         with pytest.raises(EmptyInputError):
             t.embed_mean(cat, [0, 1], lengths)
     with pytest.raises(ShapeError, match="column counts differ"):
-        t.concat_rows([cat, t.constant(Matrix.zeros(1, 3))])
+        t.concat_rows([cat, t.constant(np.zeros((1, 3)))])
     with pytest.raises(EmptyInputError):
         t.concat_rows([])
 
@@ -266,17 +266,17 @@ def test_tape_forward_equals_eager():
     a, b = rand(rng, 3, 4), rand(rng, 4, 2)
     t = Tape()
     na, nb = t.leaf(a), t.leaf(b)
-    out = t.mlp(t.embed_mean(na, [1, 0, 1], [1, 2]), nb, t.constant(Matrix.zeros(1, 2)),
-                t.constant(Matrix([[1.0], [-1.0]])), t.constant(Matrix([[0.5]])))
-    pooled = np.add.reduceat(a.array[[1, 0, 1]], [0, 1], axis=0) / np.array([[1.0], [2.0]])
-    want = np.maximum(pooled @ b.array + 0.0, 0.0) @ np.array([[1.0], [-1.0]]) + 0.5
+    out = t.mlp(t.embed_mean(na, [1, 0, 1], [1, 2]), nb, t.constant(np.zeros((1, 2))),
+                t.constant(np.array([[1.0], [-1.0]])), t.constant(np.array([[0.5]])))
+    pooled = np.add.reduceat(a[[1, 0, 1]], [0, 1], axis=0) / np.array([[1.0], [2.0]])
+    want = np.maximum(pooled @ b + 0.0, 0.0) @ np.array([[1.0], [-1.0]]) + 0.5
     assert np.array_equal(out.value, want)
 
 
 def test_node_values_are_read_only():
     t = Tape()
-    x = t.leaf(Matrix([[1.0, -2.0]]))
-    one, w = t.constant(Matrix([[1.0]])), t.leaf(Matrix([[1.0], [1.0]]))
+    x = t.leaf(np.array([[1.0, -2.0]]))
+    one, w = t.constant(np.array([[1.0]])), t.leaf(np.array([[1.0], [1.0]]))
     for node in (x, t.info_nce([(x, x)], 0.5)[0], t.l2_normalize_rows(x),
                  t.embed_mean(x, [0], [1]), t.mlp(x, w, one, one, one)):
         assert node.value.dtype == np.float64
@@ -284,18 +284,44 @@ def test_node_values_are_read_only():
             node.value[0, 0] = 5.0
 
 
+_NOT_2D_FLOAT64 = {
+    "1-D": np.zeros(3),
+    "3-D": np.zeros((2, 2, 2)),
+    "int64": np.zeros((2, 2), dtype=np.int64),
+    "float32": np.zeros((2, 2), dtype=np.float32),
+    "list": [[1.0, 2.0]],
+    "Matrix": Matrix([[1.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("source", ["leaf", "constant"])
+@pytest.mark.parametrize("bad", list(_NOT_2D_FLOAT64))
+def test_sources_take_only_2d_float64_arrays(source, bad):
+    with pytest.raises(ShapeError, match=f"^{source}: needs a 2-D float64 ndarray"):
+        getattr(Tape(), source)(_NOT_2D_FLOAT64[bad])
+
+
+def test_sources_hold_their_array_uncopied_and_read_only():
+    a = np.arange(6.0).reshape(2, 3)
+    t = Tape()
+    for node in (t.leaf(a), t.constant(a[:, 1:])):
+        assert np.shares_memory(node.value, a)
+        assert not node.value.flags.writeable
+    assert t.leaf(a).value is a
+
+
 def test_backward_requires_scalar():
     t = Tape()
-    x = t.leaf(Matrix.zeros(2, 2))
+    x = t.leaf(np.zeros((2, 2)))
     with pytest.raises(ContractError):
         t.backward(x, [x])
 
 
 def test_backward_zero_for_untouched_leaf():
     t = Tape()
-    x = t.leaf(Matrix([[1.0, 2.0]]))
-    unused = t.leaf(Matrix([[3.0, 4.0], [5.0, 6.0]]))
-    loss = total(t, matmul(t, x, t.constant(Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
+    x = t.leaf(np.array([[1.0, 2.0]]))
+    unused = t.leaf(np.array([[3.0, 4.0], [5.0, 6.0]]))
+    loss = total(t, matmul(t, x, t.constant(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
     # one flat vector, each leaf's gradient row-major in the order asked for
     assert t.backward(loss, [x, unused]).tolist() == [6.0, 15.0, 0.0, 0.0, 0.0, 0.0]
     assert t.backward(loss, [unused, x]).tolist() == [0.0, 0.0, 0.0, 0.0, 6.0, 15.0]
@@ -309,7 +335,7 @@ def _tape_loss(t, n):
     pooled = t.segment_mean(n["x"], [2, 2])
     bags = t.embed_mean(n["x"], [3, 0, 0, 1, 3], [2, 3])
     second, _ = t.info_nce([(pooled, bags), (bags, pooled)], 1.0)
-    return matmul(t, t.constant(Matrix([[0.5, -0.01]])), t.concat_rows([first, second]))
+    return matmul(t, t.constant(np.array([[0.5, -0.01]])), t.concat_rows([first, second]))
 
 
 def test_composite_gradient_matches_finite_differences():
@@ -317,9 +343,9 @@ def test_composite_gradient_matches_finite_differences():
     leaves = {
         "x": rand(rng, 4, 3),
         "w": rand(rng, 3, 5),
-        "b": Matrix(rng.standard_normal((1, 5))),
+        "b": rng.standard_normal((1, 5)),
         "v": rand(rng, 5, 4),
-        "c": Matrix(rng.standard_normal((1, 4))),
+        "c": rng.standard_normal((1, 4)),
         "t": rand(rng, 2, 4),
     }
     assert tape_check(_tape_loss, leaves, max_coords_per_block=20, seed=0) < 1e-6
@@ -338,7 +364,7 @@ def test_embed_mean_gradient_accumulates_duplicates():
     # row 0 is twice a third of the first bag and all of the second
     x, blocks = flatten(leaves)
     grad = tape_fn(build, blocks)(x)[1].reshape(3, 4)
-    row = weights.array.sum(axis=1)
+    row = weights.sum(axis=1)
     assert np.allclose(grad, [(2.0 / 3.0 + 1.0) * row, row / 3.0, np.zeros(4)])
 
 
@@ -365,7 +391,7 @@ def test_readme_lists_every_recording_op():
 
 def test_tape_records_are_in_creation_order():
     t = Tape()
-    x = t.leaf(Matrix([[1.0]]))
+    x = t.leaf(np.array([[1.0]]))
     y = t.l2_normalize_rows(x)
     z, _ = t.info_nce([(x, y)], 1.0)
     assert x.nid < y.nid < z.nid
@@ -379,7 +405,7 @@ def test_tape_records_are_in_creation_order():
 def test_mlp_gradient_is_bit_equal_to_the_composed_ops():
     rng = np.random.default_rng(11)
     leaves = mlp_leaves(rng, rows=40, d_in=8, hidden=16, d_out=6)
-    x, w1, b1, w2, b2 = (m.array for m in leaves.values())
+    x, w1, b1, w2, b2 = leaves.values()
     g = rng.standard_normal((40, 6))
     # matmul -> add -> relu -> matmul -> add, each with its own gradient rule
     pre = x @ w1 + b1
@@ -414,7 +440,7 @@ def assert_embed_mean_matches_oracle(rows, cols, lengths, seed):
     ids = rng.integers(0, rows, n.sum())
     g = rng.standard_normal((n.size, cols))
     t = Tape()
-    node = t.embed_mean(t.leaf(Matrix(table)), ids, lengths)
+    node = t.embed_mean(t.leaf(table), ids, lengths)
     want = np.add.reduceat(table[ids], np.cumsum(n) - n, axis=0) / n[:, None]
     assert np.array_equal(node.value, want)
     # each token adds its bag's gradient share to its row, in token order
@@ -488,7 +514,7 @@ def chain(routes, tau, g=1.0):
 def nce_tape(arrays, routes, tau, constants=()):
     """A tape holding each named array as a leaf (or a constant) and info_nce over routes."""
     t = Tape()
-    nodes = {name: (t.constant if name in constants else t.leaf)(Matrix(a))
+    nodes = {name: (t.constant if name in constants else t.leaf)(a)
              for name, a in arrays.items()}
     loss, sims = t.info_nce([(nodes[q], nodes[tg]) for q, tg in routes], tau)
     return t, nodes, loss, sims
@@ -557,7 +583,7 @@ def test_matched_prob_gradient_matches_finite_differences(b):
     rng = np.random.default_rng(20 + b)
 
     def small(rows):
-        return Matrix(0.5 * rng.standard_normal((rows, 4)))
+        return 0.5 * rng.standard_normal((rows, 4))
 
     def separate(t, n):
         return t.info_nce([(n["q"], n["t"])], 0.3)[0]
@@ -573,8 +599,8 @@ def test_matched_prob_gradient_matches_finite_differences(b):
 @pytest.mark.parametrize("fixed_side", ["targets", "queries"])
 def test_matched_prob_gradient_with_a_constant_input(b, fixed_side):
     rng = np.random.default_rng(40 + b)
-    x = Matrix(0.5 * rng.standard_normal((b, 4)))
-    fixed = Matrix(0.5 * rng.standard_normal((b, 4)))
+    x = 0.5 * rng.standard_normal((b, 4))
+    fixed = 0.5 * rng.standard_normal((b, 4))
 
     def pair(free, other):
         return (free, other) if fixed_side == "targets" else (other, free)
@@ -615,12 +641,12 @@ def test_matched_prob_gradient_is_bit_equal_to_the_dense_form(b, fixed_side):
 
 def test_matched_prob_rejects_bad_tau_and_shapes():
     t = Tape()
-    q = t.leaf(Matrix(np.eye(2)))
+    q = t.leaf(np.eye(2))
     for bad in (0.0, -0.5, float("nan")):
         with pytest.raises(ConfigError, match="temperature must be positive"):
             t.info_nce([(q, q)], bad)
     with pytest.raises(ShapeError, match=r"info_nce: .* got shapes \[\(2, 2\), \(3, 2\)\]"):
-        t.info_nce([(q, t.leaf(Matrix.zeros(3, 2)))], 0.1)
+        t.info_nce([(q, t.leaf(np.zeros((3, 2))))], 0.1)
     with pytest.raises(EmptyInputError, match="no routes"):
         t.info_nce([], 0.1)
 
@@ -664,13 +690,13 @@ def test_info_nce_gradient_matches_finite_differences(case):
     routes, constants = ROUTES[case]
     rng = np.random.default_rng(80)
     names = dict.fromkeys(n for route in routes for n in route)
-    fixed = {n: Matrix(0.5 * rng.standard_normal((3, 4))) for n in names if n in constants}
+    fixed = {n: 0.5 * rng.standard_normal((3, 4)) for n in names if n in constants}
 
     def build(t, n):
         node = {**n, **{name: t.constant(m) for name, m in fixed.items()}}
         return t.info_nce([(node[q], node[tg]) for q, tg in routes], 0.3)[0]
 
-    leaves = {n: Matrix(0.5 * rng.standard_normal((3, 4))) for n in names if n not in constants}
+    leaves = {n: 0.5 * rng.standard_normal((3, 4)) for n in names if n not in constants}
     assert tape_check(build, leaves, seed=4) < 1e-6
 
 

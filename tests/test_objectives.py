@@ -41,8 +41,8 @@ LEAF_NAMES = ["visual.w1", "visual.b1", "visual.w2", "visual.b2",
 
 
 def identity_params(d: int) -> ModelParams:
-    eye = Matrix(np.eye(d))
-    zero_bias = Matrix.zeros(1, d)
+    eye = np.eye(d)
+    zero_bias = np.zeros((1, d))
     return ModelParams.from_blocks(
         EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
         {"visual.w1": eye, "visual.b1": zero_bias, "visual.w2": eye, "visual.b2": zero_bias,

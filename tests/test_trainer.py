@@ -22,12 +22,10 @@ from hiercl.errors import (
     SchemaVersionError,
     ShapeError,
 )
-from hiercl.numerics import Matrix
 from hiercl.seeding import substream
 from hiercl.trainer import (
     MODES,
     Checkpoint,
-    OptimizerState,
     TrainConfig,
     TrainState,
     check_capacity,
@@ -210,7 +208,7 @@ def _scalar_setup(theta: float, grad: float):
     base = ModelParams.initialize(dims, substream(0, "train"))
     params = ModelParams.from_blocks(
         dims,
-        {name: Matrix([[theta]]) if name == "visual.w1" else Matrix.zeros(m.rows, m.cols)
+        {name: np.array([[theta]]) if name == "visual.w1" else np.zeros(m.shape)
          for name, m in base.leaves()},
     )
     grads = np.zeros(dims.size)
@@ -220,16 +218,16 @@ def _scalar_setup(theta: float, grad: float):
 
 def _fresh(params):
     """The loop's state at batch 0: its own copies of params and zero moments."""
-    return TrainState(params, OptimizerState.initialize(params))
+    return TrainState(params, np.zeros((2, params.dims.size)), 0)
 
 
 def test_adamw_zero_gradient_without_decay_is_fixed_point():
     params, zero_grads = _scalar_setup(1.0, 0.0)
     state = _fresh(params)
     adamw_step(state, zero_grads, TrainConfig(lr=0.1, weight_decay=0.0))
-    updated, opt = state.frozen()
+    updated, _ = state.frozen()
     assert updated.digest() == params.digest()
-    assert opt.step == 1
+    assert state.step == 1
 
 
 def test_adamw_first_step_hand_value():
@@ -237,7 +235,7 @@ def test_adamw_first_step_hand_value():
     params, grads = _scalar_setup(1.0, 1.0)
     state = _fresh(params)
     adamw_step(state, grads, TrainConfig(lr=0.1, weight_decay=0.0))
-    theta = dict(state.params.leaves())["visual.w1"].array[0, 0]
+    theta = dict(state.params.leaves())["visual.w1"][0, 0]
     assert abs(theta - 0.9) < 1e-8
 
 
@@ -245,7 +243,7 @@ def test_adamw_decay_only_shrinks_exactly():
     params, zero_grads = _scalar_setup(2.0, 0.0)
     state = _fresh(params)
     adamw_step(state, zero_grads, TrainConfig(lr=0.1, weight_decay=0.01))
-    theta = dict(state.params.leaves())["visual.w1"].array[0, 0]
+    theta = dict(state.params.leaves())["visual.w1"][0, 0]
     assert theta == 2.0 - 0.1 * 0.01 * 2.0  # decoupled decay, exact
 
 
@@ -269,9 +267,8 @@ def test_adamw_moment_shapes_and_step_counter():
     for want_step in (1, 2, 3):
         adamw_step(state, grads, TrainConfig())
         assert state.step == want_step
-    params, opt = state.frozen()
-    assert opt.step == 3
-    assert opt.first.shape == opt.second.shape == params.vector.shape == (dims.size,)
+    params, moments = state.frozen()
+    assert moments.shape == (2, dims.size) and params.vector.shape == (dims.size,)
 
 
 def _adamw_reference(blocks, grads, first, second, t, cfg):
@@ -292,7 +289,7 @@ def test_adamw_flat_update_equals_per_block_loop():
     params = ModelParams.initialize(dims, substream(4, "train"))
     cfg = TrainConfig(lr=1e-2, weight_decay=0.1)
     state = _fresh(params)
-    blocks = {name: m.array for name, m in params.leaves()}
+    blocks = dict(params.leaves())
     first = {name: np.zeros(m.shape) for name, m in params.leaves()}
     second = {name: np.zeros(m.shape) for name, m in params.leaves()}
     rng = np.random.default_rng(5)
@@ -303,7 +300,7 @@ def test_adamw_flat_update_equals_per_block_loop():
         adamw_step(state, flat, cfg)
         _adamw_reference(blocks, grads, first, second, t, cfg)
         for b, (name, m) in zip(dims.layout, state.params.leaves()):
-            assert np.array_equal(m.array, blocks[name])
+            assert np.array_equal(m, blocks[name])
             assert np.array_equal(state.first[b.offset:b.stop], first[name].ravel())
             assert np.array_equal(state.second[b.offset:b.stop], second[name].ravel())
     assert state.step == 4
@@ -485,11 +482,9 @@ def test_checkpoint_roundtrip(corpus, tmp_path):
     assert loaded.params.digest() == ckpt.params.digest()
     assert loaded.config == cfg
     assert loaded.global_batch == ckpt.global_batch
-    assert loaded.opt_state.step == ckpt.opt_state.step
     assert loaded.rng_state == ckpt.rng_state
     assert np.array_equal(loaded.params.vector, ckpt.params.vector)
-    assert np.array_equal(loaded.opt_state.first, ckpt.opt_state.first)
-    assert np.array_equal(loaded.opt_state.second, ckpt.opt_state.second)
+    assert np.array_equal(loaded.moments, ckpt.moments)
     assert loaded.params.dims == ckpt.params.dims
     assert not (tmp_path / "ck.bin.tmp").exists()
 
@@ -570,7 +565,7 @@ def test_resume_equals_uninterrupted(corpus):
     cfg = TrainConfig(cycles=2, seed=8, **TINY)
     full = train(cfg, corpus)
     mid = train(cfg, corpus, stop_at=3).checkpoint
-    assert (mid.global_batch, mid.opt_state.step) == (3, 3)
+    assert mid.global_batch == 3
     resumed = train(cfg, corpus, resume=mid)
     assert resumed.checkpoint.global_batch == cfg.total_batches
     assert resumed.checkpoint.params.digest() == full.checkpoint.params.digest()
@@ -581,17 +576,15 @@ def test_resume_equals_uninterrupted(corpus):
 def test_resume_twice_from_one_checkpoint(corpus):
     cfg = TrainConfig(cycles=2, seed=8, **TINY)
     mid = train(cfg, corpus, stop_at=3).checkpoint
-    vectors = (mid.params.vector, mid.opt_state.first, mid.opt_state.second)
+    vectors = (mid.params.vector, mid.moments)
     before = [v.copy() for v in vectors]
     a, b = (train(cfg, corpus, resume=mid).checkpoint for _ in range(2))
     for v, was in zip(vectors, before):
         assert np.array_equal(v, was) and not v.flags.writeable
     assert a.params.digest() == b.params.digest()
-    assert np.array_equal(a.opt_state.first, b.opt_state.first)
-    assert np.array_equal(a.opt_state.second, b.opt_state.second)
-    assert (a.global_batch, a.opt_state.step) == (b.global_batch, b.opt_state.step) == (6, 6)
-    held = [v for ck in (a, b) for v in (ck.params.vector, ck.opt_state.first,
-                                          ck.opt_state.second)]
+    assert np.array_equal(a.moments, b.moments)
+    assert a.global_batch == b.global_batch == 6
+    held = [v for ck in (a, b) for v in (ck.params.vector, ck.moments)]
     for i, v in enumerate(held):
         assert not v.flags.writeable
         for w in held[i + 1:] + list(vectors):
@@ -644,7 +637,6 @@ def test_untrained_checkpoint(corpus):
     a = untrained_checkpoint(cfg, corpus)
     b = untrained_checkpoint(cfg, corpus)
     assert a.global_batch == 0
-    assert a.opt_state.step == 0
     assert a.params.digest() == b.params.digest()
 
 
@@ -655,7 +647,6 @@ def test_stop_at_zero_is_the_untrained_checkpoint(corpus):
     assert stopped.log == []
     assert stopped.checkpoint.params.digest() == untrained.params.digest()
     assert stopped.checkpoint.global_batch == 0
-    assert stopped.checkpoint.opt_state.step == 0
     assert stopped.checkpoint.rng_state == untrained.rng_state
 
 

@@ -14,12 +14,12 @@ from hiercl.errors import (
     ContractError,
     CorpusFormatError,
     CoverageError,
+    DegenerateEmbeddingError,
     EmptyInputError,
     SchemaVersionError,
     ShapeError,
     VocabularyError,
 )
-from hiercl.numerics import Matrix
 from hiercl.trainer import TrainConfig, train, untrained_checkpoint
 from hiercl.zeroshot import (
     MetricsReport,
@@ -42,8 +42,8 @@ TINY = dict(m=1, n=1, l=1, b_clip=3, b_phase=2, b_video=2,
 
 
 def identity_params(d: int) -> ModelParams:
-    eye = Matrix(np.eye(d))
-    zero_bias = Matrix.zeros(1, d)
+    eye = np.eye(d)
+    zero_bias = np.zeros((1, d))
     return ModelParams.from_blocks(
         EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
         {"visual.w1": eye, "visual.b1": zero_bias, "visual.w2": eye, "visual.b2": zero_bias,
@@ -121,7 +121,7 @@ def test_embed_prompts_identity_oracle():
     # identity text encoder: prompt [t]*L embeds to basis vector e_t
     params = identity_params(4)
     prompts = PromptSet(classes=((0, ((0, 0),)), (1, ((1, 1), (2, 2)))))
-    rows = embed_prompts(prompts, params).array
+    rows = embed_prompts(prompts, params)
     assert np.allclose(rows[0], np.eye(4)[0], atol=1e-12)
     want = (np.eye(4)[1] + np.eye(4)[2]) / math.sqrt(2.0)
     assert np.allclose(rows[1], want, atol=1e-12)
@@ -133,19 +133,18 @@ def test_embed_prompts_duplication_invariant():
     base = PromptSet(classes=((0, ((0,), (1,))), (1, ((2,), (3,)))))
     doubled = PromptSet(classes=((0, ((0,), (1,), (0,), (1,))),
                                  (1, ((2,), (3,), (2,), (3,)))))
-    assert np.allclose(embed_prompts(base, params).array,
-                       embed_prompts(doubled, params).array, atol=1e-12)
+    assert np.allclose(embed_prompts(base, params), embed_prompts(doubled, params), atol=1e-12)
 
 
 def test_classify_picks_nearest_basis():
-    classes = Matrix(np.eye(3))
-    visual = Matrix(np.array([[0.1, 0.9, 0.0], [2.0, 0.1, 0.0], [0.0, 0.0, 5.0]]))
+    classes = np.eye(3)
+    visual = np.array([[0.1, 0.9, 0.0], [2.0, 0.1, 0.0], [0.0, 0.0, 5.0]])
     assert classify(visual, classes) == [1, 0, 2]
 
 
 def test_classify_tie_goes_to_lowest_index():
-    classes = Matrix(np.eye(2))
-    visual = Matrix(np.array([[0.5, 0.5]]))
+    classes = np.eye(2)
+    visual = np.array([[0.5, 0.5]])
     assert classify(visual, classes) == [0]
 
 
@@ -155,7 +154,7 @@ def test_classify_matches_exhaustive_scan():
         n, k, d = rng.integers(1, 9), rng.integers(2, 6), rng.integers(2, 7)
         visual = rng.standard_normal((n, d))
         classes = rng.standard_normal((k, d))
-        got = classify(Matrix(visual), Matrix(classes))
+        got = classify(visual, classes)
         for i in range(n):
             best, best_sim = 0, -np.inf
             for j in range(k):
@@ -170,15 +169,27 @@ def test_classify_is_scale_invariant():
     rng = np.random.default_rng(23)
     visual = rng.standard_normal((40, 6))
     classes = rng.standard_normal((4, 6))
-    base = classify(Matrix(visual), Matrix(classes))
+    base = classify(visual, classes)
     for c in (0.5, 3.0, 100.0):
-        assert classify(Matrix(c * visual), Matrix(classes)) == base
-        assert classify(Matrix(visual), Matrix(c * classes)) == base
+        assert classify(c * visual, classes) == base
+        assert classify(visual, c * classes) == base
 
 
 def test_classify_rejects_width_mismatch():
     with pytest.raises(ShapeError):
-        classify(Matrix.zeros(2, 3), Matrix.zeros(2, 4))
+        classify(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def test_classify_rejects_zero_norm_rows():
+    # A zero row has no direction: it used to come out as a NaN row, argmax 0.
+    visual = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateEmbeddingError, match="^visual row 1 has near-zero norm"):
+        classify(visual, np.eye(2))
+    classes = np.array([[1.0, 0.0], [1e-13, 0.0]])
+    with pytest.raises(DegenerateEmbeddingError, match="^class-embedding row 1 has near-zero"):
+        classify(np.eye(2), classes)
+    # just above NORM_GUARD still classifies
+    assert classify(np.array([[0.0, 2e-12]]), np.eye(2)) == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ Each WORKLOAD=SEEDS plan runs ``perfbench/run.py`` for 30 s once per side and
 seed, each run in a fresh process inside its own checkout. Per seed the two sides run
 back to back, and the side that runs first alternates from seed to seed
 (the change first on the first seed). SEEDS is a comma-separated list of
-seeds and ``first-last`` ranges.
+seeds and ``first-last`` ranges; a range must not be empty, and a seed may appear
+only once per workload, since the pairs are keyed by seed.
 
 The summary gives, per workload and end-to-end metric, both sides' medians,
 the parent's interquartile range (inclusive quartiles) and the number of
@@ -32,11 +33,14 @@ METHOD = ("one fresh process per run; per seed, parent and change run back to ba
 
 
 def parse_seeds(text: str) -> list[int]:
-    """`1,3,5-7` -> [1, 3, 5, 6, 7]."""
+    """`1,3,5-7` -> [1, 3, 5, 6, 7]; an empty range such as `5-3` raises ValueError."""
     seeds = []
     for part in text.split(","):
-        first, _, last = part.partition("-")
-        seeds.extend(range(int(first), int(last or first) + 1))
+        first, dash, last = part.partition("-")
+        first, last = int(first), int(last) if dash else int(first)
+        if last < first:
+            raise ValueError(f"seed range {part!r} is empty")
+        seeds.extend(range(first, last + 1))
     return seeds
 
 
@@ -45,6 +49,18 @@ def parse_plan(spec: str) -> tuple[str, list[int]]:
     if not sep or not workload:
         raise ValueError(f"expected WORKLOAD=SEEDS, got {spec!r}")
     return workload, parse_seeds(seeds)
+
+
+def parse_plans(specs: list[str]) -> list[tuple[str, list[int]]]:
+    """Every plan, each seed once per workload: `summarize` pairs the runs by seed."""
+    plans, seen = [], set()
+    for workload, seeds in map(parse_plan, specs):
+        for seed in seeds:
+            if (workload, seed) in seen:
+                raise ValueError(f"{workload}: seed {seed} is planned twice")
+            seen.add((workload, seed))
+        plans.append((workload, seeds))
+    return plans
 
 
 def parse_output(stdout: str) -> tuple[str, dict]:
@@ -129,7 +145,7 @@ def main(argv=None) -> int:
     parser.add_argument("plans", nargs="+", metavar="WORKLOAD=SEEDS")
     args = parser.parse_args(argv)
     try:
-        plans = [parse_plan(spec) for spec in args.plans]
+        plans = parse_plans(args.plans)
     except ValueError as e:
         parser.error(str(e))
 
