@@ -19,7 +19,7 @@ class ConfigError(HierclError):
 
 
 class ShapeError(HierclError):
-    """Matrix dimensions are inconsistent for the requested operation."""
+    """Array dimensions or dtypes do not fit the requested operation."""
     exit_code = 5
 
 

@@ -52,12 +52,9 @@ def single_thread_blas() -> None:
 
 
 class Matrix:
-    """Immutable 2-D float64 array, row-major: the frame-segment record only.
-
-    `FrameStack` items and `VideoClip.frames` are Matrix views; every other value is a
-    plain ndarray. It stays while the benchmark harness reads `.rows` from each
-    `FrameStack` item and `clip.frames.array` from `Corpus.videos`.
-    """
+    """Immutable 2-D float64 array, row-major: only the frame-segment record, `FrameStack`
+    items and `VideoClip.frames`. It stays while the benchmark harness reads `.rows`
+    from each `FrameStack` item and `clip.frames.array` from `Corpus.videos`."""
 
     __slots__ = ("_a",)
 
@@ -104,10 +101,6 @@ VJP = Callable[[np.ndarray, Sequence[bool]], Sequence["np.ndarray | None"]]
 
 def _dims(a: np.ndarray) -> str:
     return f"{a.shape[0]}x{a.shape[1]}"
-
-
-def _kind(a) -> str:
-    return f"a {a.ndim}-D {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
 
 
 def _segment_lengths(op: str, lengths: Sequence[int], total: int, unit: str) -> np.ndarray:
@@ -160,23 +153,23 @@ class Tape:
         needs = list(map(attrgetter("needs_grad"), inputs))
         if needs_grad is None:
             needs_grad = True in needs
+        elif type(value) is not np.ndarray or value.ndim != 2 or value.dtype != np.float64:
+            raise ShapeError(f"{'leaf' if needs_grad else 'constant'}: needs a 2-D float64 "
+                             f"ndarray, got {type(value).__name__} "
+                             f"{getattr(value, 'shape', '')} {getattr(value, 'dtype', '')}")
         value.setflags(write=False)
         node = Node(len(self._nodes), value, inputs, needs, needs_grad, vjp)
         self._nodes.append(node)
         return node
 
-    # -- graph sources: each checks its array inline, as a helper is a call per leaf --
+    # -- graph sources, checked in _push: a helper would add a call per leaf --
 
     def leaf(self, a: np.ndarray) -> Node:
         """Trainable 2-D float64 input, made read-only; backward() reports its gradient."""
-        if type(a) is not np.ndarray or a.ndim != 2 or a.dtype != np.float64:
-            raise ShapeError(f"leaf: needs a 2-D float64 ndarray, got {_kind(a)}")
         return self._push(a, needs_grad=True)
 
     def constant(self, a: np.ndarray) -> Node:
         """Non-trainable 2-D float64 input, made read-only; no gradient flows into it."""
-        if type(a) is not np.ndarray or a.ndim != 2 or a.dtype != np.float64:
-            raise ShapeError(f"constant: needs a 2-D float64 ndarray, got {_kind(a)}")
         return self._push(a, needs_grad=False)
 
     # -- recorded primitives -------------------------------------------------

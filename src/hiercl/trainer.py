@@ -130,10 +130,7 @@ def _level_at(cfg: TrainConfig, index: int) -> str:
 
 
 class TrainState:
-    """The loop's writable parameters, moments and scratch; `params` views `theta` read-only.
-
-    `first` and `second` are the rows of `moments`, Adam's 2 x size moment array.
-    """
+    """The loop's writable parameters, 2 x size Adam moments and scratch; `params` views `theta`."""
 
     def __init__(self, params: ModelParams, moments: np.ndarray, step: int) -> None:
         self.theta, self.moments = np.array(params.vector), np.array(moments)
@@ -211,18 +208,24 @@ def check_capacity(cfg: TrainConfig, corpus: Corpus) -> None:
     needs = {"clip": cfg.b_clip, "phase": cfg.b_phase, "video": cfg.b_video}
     for level, run in zip(needs, _RUNS[cfg.mode](cfg)):
         if run and counts[level] < needs[level]:
-            raise InsufficientDataError(f"{level} level: corpus has {counts[level]} pairs, "
-                                        f"batch size {needs[level]} requested")
+            raise InsufficientDataError(
+                f"{level} level: corpus has {counts[level]} pairs, "
+                f"batch size {needs[level]} requested"
+            )
 
 
 def check_compatible(params: ModelParams, corpus: Corpus) -> None:
     """Raise ShapeError unless the model reads the corpus's frames and tokens."""
     if params.d_in != corpus.config.d_in:
-        raise ShapeError(f"checkpoint expects {params.d_in}-dim frames, "
-                         f"corpus has {corpus.config.d_in}")
+        raise ShapeError(
+            f"checkpoint expects {params.d_in}-dim frames, "
+            f"corpus has {corpus.config.d_in}"
+        )
     if params.vocab_size != corpus.config.vocab_size:
-        raise ShapeError(f"checkpoint vocabulary {params.vocab_size} != "
-                         f"corpus vocabulary {corpus.config.vocab_size}")
+        raise ShapeError(
+            f"checkpoint vocabulary {params.vocab_size} != "
+            f"corpus vocabulary {corpus.config.vocab_size}"
+        )
 
 
 def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
@@ -319,14 +322,17 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) < len(CKPT_MAGIC) + 8 + 32:
         raise CheckpointIntegrityError(f"{path}: file too short to be a checkpoint")
     if blob[:4] != CKPT_MAGIC:
-        raise CheckpointIntegrityError(f"{path}: bad magic {blob[:4]!r}, expected {CKPT_MAGIC!r}")
+        raise CheckpointIntegrityError(
+            f"{path}: bad magic {blob[:4]!r}, expected {CKPT_MAGIC!r}"
+        )
     body, checksum = blob[:-32], blob[-32:]
     if sha256(body).digest() != checksum:
         raise CheckpointIntegrityError(f"{path}: checksum mismatch, payload corrupted")
     version = struct.unpack_from("<I", blob, 4)[0]
     if version != CKPT_VERSION:
-        raise SchemaVersionError(f"{path}: checkpoint version {version}, "
-                                 f"this build reads {CKPT_VERSION}")
+        raise SchemaVersionError(
+            f"{path}: checkpoint version {version}, this build reads {CKPT_VERSION}"
+        )
     header_len = struct.unpack_from("<I", blob, 8)[0]
     off = 12
     try:
@@ -346,8 +352,9 @@ def _checkpoint_from(header: dict, body: bytes, off: int, path) -> Checkpoint:
     dims = EncoderDims(**{f.name: header["dims"][f.name] for f in fields(EncoderDims)})
     expected = 3 * dims.size * 8
     if len(body) - off != expected:
-        raise CheckpointIntegrityError(f"{path}: {len(body) - off} bytes of vectors, "
-                                       f"dims need {expected}")
+        raise CheckpointIntegrityError(
+            f"{path}: {len(body) - off} bytes of vectors, dims need {expected}"
+        )
     vectors = np.frombuffer(body, dtype="<f8", offset=off).reshape(3, -1)
     cfg = TrainConfig(**header["config"])
     if cfg.digest() != header["config_digest"]:

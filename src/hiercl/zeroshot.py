@@ -111,8 +111,9 @@ def load_prompts(path) -> PromptSet:
             raise CorpusFormatError(f"{path}: not valid UTF-8 JSON: {e}") from e
     tag = doc.get("schema") if isinstance(doc, dict) else None
     if tag != PROMPTS_SCHEMA:
-        raise SchemaVersionError(f"unsupported prompts schema {tag!r}, "
-                                 f"expected {PROMPTS_SCHEMA!r}")
+        raise SchemaVersionError(
+            f"unsupported prompts schema {tag!r}, expected {PROMPTS_SCHEMA!r}"
+        )
     try:
         classes = tuple(
             (_integer(c["label"], "label"),
@@ -135,11 +136,8 @@ def embed_prompts(prompts: PromptSet, params: ModelParams) -> np.ndarray:
 
 
 def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> list[int]:
-    """Cosine-argmax class index per visual row; ties go to the lowest index.
-
-    Both are 2-D arrays of one width. A row whose L2 norm is at most NORM_GUARD
-    has no direction to compare: it raises DegenerateEmbeddingError.
-    """
+    """Cosine-argmax class index per visual row, ties to the lowest index; a row of
+    either 2-D array with norm <= NORM_GUARD raises DegenerateEmbeddingError."""
     if visual.ndim != 2 or class_embeddings.ndim != 2 or \
             visual.shape[1] != class_embeddings.shape[1]:
         raise ShapeError(f"visual {visual.shape} and class embeddings "
@@ -147,11 +145,10 @@ def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> list[int]:
     unit = []
     for what, a in (("visual", visual), ("class-embedding", class_embeddings)):
         norms = np.linalg.norm(a, axis=1, keepdims=True)
-        low = norms[:, 0] <= NORM_GUARD
-        if low.any():
-            bad = int(low.argmax())
-            raise DegenerateEmbeddingError(
-                f"{what} row {bad} has near-zero norm {norms[bad, 0]:.3e}")
+        bad = np.flatnonzero(norms[:, 0] <= NORM_GUARD)
+        if bad.size:
+            raise DegenerateEmbeddingError(f"{what} row {bad[0]} has near-zero norm "
+                                           f"{norms[bad[0], 0]:.3e}")
         unit.append(a / norms)
     return [int(i) for i in np.argmax(unit[0] @ unit[1].T, axis=1)]
 
@@ -192,7 +189,9 @@ def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:
     pred = [int(p) for p in predictions]
     gt = [int(g) for g in ground_truth]
     if len(pred) != len(gt):
-        raise ContractError(f"{len(pred)} predictions vs {len(gt)} ground-truth labels")
+        raise ContractError(
+            f"{len(pred)} predictions vs {len(gt)} ground-truth labels"
+        )
     if not pred:
         raise ContractError("cannot compute metrics on an empty sample")
     if labels is None:
