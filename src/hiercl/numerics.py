@@ -200,9 +200,9 @@ class Tape:
         """Scale each row to unit Euclidean norm."""
         x = a.value
         norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
-        low = norms[:, 0] <= NORM_GUARD
-        if True in low:  # ndarray.__contains__: one C call, where .any() is a Python wrapper
-            bad = int(low.argmax())
+        ok = norms[:, 0] > NORM_GUARD  # False for a NaN norm too
+        if False in ok:  # ndarray.__contains__: one C call, where .all() is a Python wrapper
+            bad = int(ok.argmin())
             raise DegenerateEmbeddingError(f"row {bad} has near-zero norm {norms[bad, 0]:.3e}")
         y = x / norms
         return self._push(y, (a,), lambda g, needs: (

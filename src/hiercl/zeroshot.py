@@ -137,7 +137,7 @@ def embed_prompts(prompts: PromptSet, params: ModelParams) -> np.ndarray:
 
 def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> list[int]:
     """Cosine-argmax class index per visual row, ties to the lowest index; a row of
-    either 2-D array with norm <= NORM_GUARD raises DegenerateEmbeddingError."""
+    either 2-D array whose norm is not above NORM_GUARD raises DegenerateEmbeddingError."""
     if visual.ndim != 2 or class_embeddings.ndim != 2 or \
             visual.shape[1] != class_embeddings.shape[1]:
         raise ShapeError(f"visual {visual.shape} and class embeddings "
@@ -145,7 +145,7 @@ def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> list[int]:
     unit = []
     for what, a in (("visual", visual), ("class-embedding", class_embeddings)):
         norms = np.linalg.norm(a, axis=1, keepdims=True)
-        bad = np.flatnonzero(norms[:, 0] <= NORM_GUARD)
+        bad = np.flatnonzero(~(norms[:, 0] > NORM_GUARD))  # NaN norms too
         if bad.size:
             raise DegenerateEmbeddingError(f"{what} row {bad[0]} has near-zero norm "
                                            f"{norms[bad[0], 0]:.3e}")
@@ -274,7 +274,7 @@ def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> Metri
     tape = Tape()
     visual = visual_embedding_rows(tape, param_nodes(tape, params), segments).value
     pred_idx = classify(visual, class_rows)
-    predictions = [prompts.labels[i] for i in pred_idx]
+    predictions = list(map(prompts.labels.__getitem__, pred_idx))  # labels read once
     report = compute_metrics(predictions, gt, labels=prompts.labels)
     if params.digest() != before:
         raise ContractError("evaluation mutated model parameters")

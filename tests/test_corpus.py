@@ -1,6 +1,7 @@
 """Synthetic corpus: generation, persistence, batch sampling."""
 import base64
 import json
+import re
 import tempfile
 import tracemalloc
 from dataclasses import asdict, fields, replace
@@ -506,6 +507,7 @@ RECORD_FAULTS = {
     "clip id repeated in the video": lambda v: _with_clip(v, 2, clip_id=v.clips[0].clip_id),
     "int video id": lambda v: replace(v, video_id=7),
     "float clip id": lambda v: _with_clip(v, 1, clip_id=3.5),
+    "token 2**70": lambda v: _with_clip(v, 1, narration_b=v.clips[1].narration_b[:-1] + (2**70,)),
 }
 
 
@@ -560,6 +562,44 @@ def test_load_rejects_bad_frame_encoding(fault, corpus, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusFormatError, match="line 3"):
         load_corpus(path)
+
+
+def _bad_base64(line: str) -> str:
+    rec = json.loads(line)
+    rec["clips"][0]["frames"] = "not base64!"
+    return json.dumps(rec) + "\n"
+
+
+# Two faults, the first a token on line 3 (record 1) above the vocabulary: the
+# token is named, as it was when each text's tokens were checked in turn. Each
+# later fault is one of the file's lines and, where it has one, of the records.
+LATER_FAULTS = {
+    "bad base64 on line 5": ({3: _nan_frames}, {4: _bad_base64}),
+    "empty concept later on line 3": ({1: lambda v: _with_phase(v, 2, concept=())}, {}),
+}
+
+
+@pytest.mark.parametrize("later", sorted(LATER_FAULTS))
+def test_load_names_the_first_fault_in_file_order(later, corpus, tmp_path, capsys):
+    vocab, (records, lines) = corpus.config.vocab_size, LATER_FAULTS[later]
+    videos = list(corpus.videos)
+    videos[1] = _with_clip(videos[1], 0, narration_a=(vocab,) + videos[1].clips[0].narration_a[1:])
+    for vi, fault in records.items():
+        videos[vi] = fault(videos[vi])
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    text = path.read_text().splitlines(keepends=True)[:1] + [_record(v) for v in videos]
+    for li, fault in lines.items():
+        text[li] = fault(text[li])
+    path.write_text("".join(text))
+    token = f"bad video record: token {vocab} is not an integer id in [0, {vocab})"
+    with pytest.raises(CorpusFormatError, match=rf"^line 3: {re.escape(token)}$"):
+        load_corpus(path)
+    assert _eval_exit_code(path, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert f"line 3: {token}" in err and "Traceback" not in err
+    with pytest.raises(CorpusFormatError, match=rf"^record 1: {re.escape(token)}$"):
+        Corpus.of(corpus.config, videos)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,13 @@ def test_l2_normalize_degenerate_row_names_index():
         value(Tape.l2_normalize_rows, m)
 
 
+def test_l2_normalize_nan_row_names_index():
+    # A NaN norm is not above NORM_GUARD; the row used to come out all NaN.
+    m = np.array([[1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(DegenerateEmbeddingError, match="row 1 has .*norm nan"):
+        value(Tape.l2_normalize_rows, m)
+
+
 def test_segment_mean_equal_lengths():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert value(Tape.segment_mean, m, lengths=[2]).tolist() == [[2.0, 3.0]]

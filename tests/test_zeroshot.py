@@ -192,6 +192,15 @@ def test_classify_rejects_zero_norm_rows():
     assert classify(np.array([[0.0, 2e-12]]), np.eye(2)) == [1]
 
 
+def test_classify_rejects_nan_rows():
+    # A NaN norm is not above NORM_GUARD; NaN rows used to get class 0.
+    rows = np.array([[np.nan, 1.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateEmbeddingError, match="^visual row 0 has .*norm nan"):
+        classify(rows, np.eye(2))
+    with pytest.raises(DegenerateEmbeddingError, match="^class-embedding row 0 has .*norm nan"):
+        classify(np.eye(2), rows)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
