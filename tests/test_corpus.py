@@ -571,8 +571,9 @@ def _bad_base64(line: str) -> str:
 
 
 # Two faults, the first a token on line 3 (record 1) above the vocabulary: the
-# token is named, as it was when each text's tokens were checked in turn. Each
-# later fault is one of the file's lines and, where it has one, of the records.
+# token is named, as when each text's tokens were checked in turn. A later fault
+# is made in the records the file is written from, or, where records cannot hold
+# it (bad base64), in the written line; `Corpus.of` meets NaN frames there instead.
 LATER_FAULTS = {
     "bad base64 on line 5": ({3: _nan_frames}, {4: _bad_base64}),
     "empty concept later on line 3": ({1: lambda v: _with_phase(v, 2, concept=())}, {}),
