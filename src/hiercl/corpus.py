@@ -173,7 +173,7 @@ class Corpus:
         """
         tables, blocks, d_in = _Tables(config), [], config.d_in
         for i, video in enumerate(records):
-            with tables.naming(f"record {i}"):
+            with _naming(f"record {i}"):
                 # What the loader's frame bytes checks guarantee.
                 bad = next((c for c in video.clips if not c.frames.rows or c.frames.cols != d_in),
                            None)
@@ -483,30 +483,27 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _naming(where: str) -> Iterator[None]:
+    """Report a malformed video as a CorpusFormatError that starts with `where`."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
+        raise CorpusFormatError(f"{where}: bad video record: {e}") from e
+
+
 class _Tables:
     """A corpus's tables, filled one checked video at a time by `load_corpus` and `Corpus.of`:
-    `add` checks all of a video but its token ids, which `token_ids` checks once per kind,
-    in `corpus` and before any other fault is raised, so that the first fault is named."""
+    `add` runs every check of a video but the loader's frame-byte checks, token ids last."""
 
     def __init__(self, config: GeneratorConfig) -> None:
         self.config = config
         # Lists of the Corpus fields of the same names.
         self.video_ids, self.clip_ids, self.video_clips, self.clip_rows, self.segments = (
             [], [], [], [], [])
-        self.texts = {kind: ([], [], []) for kind in TEXT_KINDS}  # tokens, lengths, video ends
-        self.labels = []  # each video's name in a fault: "line N" or "record i"
+        self.texts = {kind: ([], []) for kind in TEXT_KINDS}  # each kind's id arrays and lengths
         # Ids name batch sources, and a batch must not repeat a source.
         self.seen_videos, self.seen_clips = set(), set()
-
-    @contextmanager
-    def naming(self, where: str) -> Iterator[None]:
-        """Label the next video `where`; a bad token added before it is named before its fault."""
-        self.labels.append(where)
-        try:
-            yield
-        except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
-            self.token_ids()
-            raise CorpusFormatError(f"{where}: bad video record: {e}") from e
 
     def add(self, video_id, clip_ids: list, rows: list, frames: np.ndarray,
             narrations_a: list, narrations_b: list, phases: list, abstract) -> None:
@@ -538,39 +535,43 @@ class _Tables:
                                         f"[0, {self.config.num_classes}), got {cls!r}")
             segments.append((first + start, first + end, cls))
             prev_end = end
+        # Kind by kind, each text must have a length and none may be empty. Token
+        # ids are checked last, all at once, or on a fault those of the kinds before.
         texts = (narrations_a, narrations_b, [phase[2] for phase in phases], [abstract])
-        for (kind, (tokens, lengths, ends)), kind_texts in zip(self.texts.items(), texts):
-            n = [len(text) for text in kind_texts]
-            if 0 in n:
-                raise CorpusFormatError(f"video {video_id} has an empty {kind} text")
-            tokens.extend(chain.from_iterable(kind_texts))  # checked by token_ids
-            lengths.extend(n)
+        tokens, lengths, ends = [], [], [0]
+        for kind, kind_texts in zip(TEXT_KINDS, texts):
+            try:
+                n = [len(text) for text in kind_texts]
+                if 0 in n:
+                    raise CorpusFormatError(f"video {video_id} has an empty {kind} text")
+            except (TypeError, CorpusFormatError):
+                self._token_ids(tokens)
+                raise
+            tokens += chain.from_iterable(kind_texts)
+            lengths.append(n)
             ends.append(len(tokens))
+        ids = self._token_ids(tokens)
+        for k, (kind_ids, kind_lengths) in enumerate(self.texts.values()):
+            kind_ids.append(ids[ends[k]:ends[k + 1]])
+            kind_lengths += lengths[k]
         self.video_ids.append(video_id)
         self.clip_ids += clip_ids
         self.video_clips.append(len(clip_ids))
         self.clip_rows += rows
         self.segments += segments
 
-    def token_ids(self) -> list[np.ndarray]:
-        """Each kind's tokens as intp ids; a token that is not an int (nor a bool) in
-        [0, vocab) raises, the first by video, then kind in TEXT_KINDS order, then position."""
-        vocab, tables, faults = self.config.vocab_size, [], []
-        for k, (tokens, _, ends) in enumerate(self.texts.values()):
-            try:
-                ids = np.array(tokens, dtype=np.intp) if set(map(type, tokens)) <= {int} else None
-            except OverflowError:  # an int beyond intp, such as 2**70
-                ids = None
-            if ids is None or ids.size and (ids.min() < 0 or ids.max() >= vocab):
-                i = next(i for i, t in enumerate(tokens)
-                         if type(t) is not int or not 0 <= t < vocab)
-                faults.append((bisect_right(ends, i), k, tokens[i]))
-            tables.append(ids)
-        if faults:
-            video, _, bad = min(faults)  # (video, kind) pairs differ, so no token is compared
-            raise CorpusFormatError(f"{self.labels[video]}: bad video record: token {bad!r} "
-                                    f"is not an integer id in [0, {vocab})")
-        return tables
+    def _token_ids(self, tokens: list) -> np.ndarray:
+        """`tokens` as intp ids; one that is not an int (nor a bool) in [0, vocab) raises."""
+        vocab = self.config.vocab_size
+        try:  # fromiter, told the length, converts in one pass where np.array takes two
+            ids = (np.fromiter(tokens, np.intp, len(tokens))
+                   if set(map(type, tokens)) <= {int} else None)
+        except OverflowError:  # an int beyond intp, such as 2**70
+            ids = None
+        if ids is None or ids.size and (ids.min() < 0 or ids.max() >= vocab):
+            bad = next(t for t in tokens if type(t) is not int or not 0 <= t < vocab)
+            raise CorpusFormatError(f"token {bad!r} is not an integer id in [0, {vocab})")
+        return ids
 
     def corpus(self, frame_table: np.ndarray) -> Corpus:
         """The corpus of every video added, whose frames are the rows of `frame_table`."""
@@ -578,8 +579,9 @@ class _Tables:
             self.config, tuple(self.video_ids), tuple(self.clip_ids),
             np.array(self.video_clips, dtype=np.intp), np.array(self.clip_rows, dtype=np.intp),
             np.array(self.segments, dtype=np.intp).reshape(-1, 3), frame_table,
-            np.concatenate(self.token_ids()),
-            _token_runs([np.array(n, dtype=np.intp) for _, n, _ in self.texts.values()]))
+            np.concatenate([ids for kind_ids, _ in self.texts.values() for ids in kind_ids]
+                           or [np.empty(0, np.intp)]),
+            _token_runs([np.array(lengths, dtype=np.intp) for _, lengths in self.texts.values()]))
 
 
 def _video_lines(corpus: Corpus) -> Iterator[str]:
@@ -620,11 +622,11 @@ def save_corpus(corpus: Corpus, path) -> None:
 def load_corpus(path) -> Corpus:
     """Read a corpus file, every line checked and decoded straight into the tables.
 
-    Token ids are checked once per kind after the last line, or before any
-    other fault is raised. Frames are base64 text, so their bytes fill at most
-    three quarters of the file: the frame table is the start of one buffer of
-    that size, each line's frames decoded into the rows after the last line's;
-    pages past the last frame are never written.
+    Each line is checked in full before the next is read: its frame bytes
+    here, then the rest in `_Tables.add`. Frames are base64 text, so their
+    bytes fill at most three quarters of the file: the frame table is the start
+    of one buffer of that size, each line's frames decoded into the rows after
+    the last line's; pages past the last frame are never written.
     """
     # Bytes, decoded line by line, so a bad UTF-8 byte is reported by line.
     # Video lines run to tens of KB, and readline on the default 8 KiB
@@ -649,33 +651,25 @@ def load_corpus(path) -> Corpus:
         frames = np.empty((os.fstat(f.fileno()).st_size * 3 // 4 // row_bytes, d_in))
         row = 0
         for i, line in enumerate(f, start=2):
-            try:
-                rec = _parse_line(line, i)
-            except CorpusFormatError:
-                tables.token_ids()  # a bad token on an earlier line comes first
-                raise
-            with tables.naming(f"line {i}"):
-                # One pass over the clips; one decode and one finiteness check per video.
-                clips, raws = [], []
-                for c in rec["clips"]:
-                    try:  # what b64decode(..., validate=True) runs
-                        raw = binascii.a2b_base64(c["frames"], strict_mode=True)
+            rec = _parse_line(line, i)
+            with _naming(f"line {i}"):
+                clips, raws = rec["clips"], []
+                for c in clips:
+                    try:
+                        raw = base64.b64decode(c["frames"], validate=True)
                     except binascii.Error as e:
                         raise CorpusFormatError(
                             f"clip {c['id']}: frames are not base64: {e}") from e
-                    except TypeError:  # not a string: raise b64decode's message for it
-                        base64.b64decode(c["frames"])
-                        raise
                     if not raw or len(raw) % row_bytes:
                         raise CorpusFormatError(f"clip {c['id']}: {len(raw)} frame bytes is not "
                                                 f"a positive multiple of {row_bytes} (d_in={d_in})")
                     raws.append(raw)
-                    clips.append((c["id"], len(raw) // row_bytes, c["narration_a"],
-                                  c["narration_b"]))
-                clip_ids, counts, narrations_a, narrations_b = zip(*clips) if clips else [()] * 4
+                counts = [len(r) // row_bytes for r in raws]
+                # One decode and one finiteness check per video.
                 values = frames[row:row + sum(counts)]
                 values[...] = np.frombuffer(b"".join(raws), dtype="<f8").reshape(-1, d_in)
-                tables.add(rec["video_id"], clip_ids, counts, values, narrations_a, narrations_b,
+                tables.add(rec["video_id"], [c["id"] for c in clips], counts, values,
+                           [c["narration_a"] for c in clips], [c["narration_b"] for c in clips],
                            [(p["start"], p["end"], p["concept"], p["class"])
                             for p in rec["phases"]], rec["abstract"])
             row += len(values)

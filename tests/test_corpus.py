@@ -603,6 +603,43 @@ def test_load_names_the_first_fault_in_file_order(later, corpus, tmp_path, capsy
         Corpus.of(corpus.config, videos)
 
 
+# Two faults on line 3, and the one named. The loader reads every clip's frames,
+# then the video id, then each clip key over all clips in turn, then the phases;
+# texts are checked kind by kind for their lengths, and the tokens come last.
+LINE_FAULTS = {
+    "no narration_a in clip 0, bad base64 in clip 1": (
+        lambda r: (r["clips"][0].pop("narration_a"), r["clips"][1].update(frames="!!")),
+        "clip v001c01: frames are not base64"),
+    "no narration_a in clip 0, 5 frame bytes in clip 1": (
+        lambda r: (r["clips"][0].pop("narration_a"), r["clips"][1].update(frames="AAAAAAA=")),
+        "clip v001c01: 5 frame bytes is not a positive multiple of 64"),
+    "no id in clip 1, no video_id": (
+        lambda r: (r["clips"][1].pop("id"), r.pop("video_id")), "'video_id'"),
+    "no narration_a in clip 0, no id in clip 1": (
+        lambda r: (r["clips"][0].pop("narration_a"), r["clips"][1].pop("id")), "'id'"),
+    "narration_a an int, token 99 in narration_b": (
+        lambda r: (r["clips"][0].update(narration_a=5), r["clips"][0]["narration_b"].append(99)),
+        "object of type 'int' has no len()"),
+    "token 99 in narration_a, concept an int": (
+        lambda r: (r["clips"][0]["narration_a"].append(99), r["phases"][0].update(concept=5)),
+        "token 99 is not an integer id in [0, 30)"),
+}
+
+
+@pytest.mark.parametrize("faults", sorted(LINE_FAULTS))
+def test_load_names_the_first_fault_in_a_line(faults, corpus, tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    make, named = LINE_FAULTS[faults]
+    make(rec)
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=rf"^line 3: bad video record: {re.escape(named)}"):
+        load_corpus(path)
+
+
 # ---------------------------------------------------------------------------
 # Splitting and counting
 # ---------------------------------------------------------------------------
