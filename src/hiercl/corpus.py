@@ -25,7 +25,7 @@ import binascii
 import json
 import os
 from bisect import bisect_right
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
 from hashlib import sha256
@@ -171,7 +171,14 @@ class Corpus:
         Each record gets the checks that `load_corpus` gives a line, and its
         frames must be `config.d_in` wide: a fault raises CorpusFormatError.
         """
-        tables, blocks, d_in = _Tables(config), [], config.d_in
+        tables, d_in = _Tables(config), config.d_in
+        # Each record's first frame row, then the end, so the table is sized before any
+        # row is copied. A record whose rows cannot be read ends this; its checks raise.
+        bounds = [0]
+        with suppress(AttributeError, TypeError):
+            for video in records:
+                bounds.append(bounds[-1] + sum(c.frames.rows for c in video.clips))
+        table = np.empty((bounds[-1], d_in))
         for i, video in enumerate(records):
             with _naming(f"record {i}"):
                 # What the loader's frame bytes checks guarantee.
@@ -180,16 +187,16 @@ class Corpus:
                 if bad:
                     raise CorpusFormatError(f"clip {bad.clip_id} has {bad.frames.shape} frames, "
                                             f"not one or more rows of the config's d_in={d_in}")
-                frames = np.concatenate([c.frames.array for c in video.clips]
-                                        or [np.empty((0, d_in))])
+                frames = table[bounds[i]:bounds[i + 1]]
+                np.concatenate([c.frames.array for c in video.clips] or [np.empty((0, d_in))],
+                               out=frames)
                 tables.add(video.video_id, [c.clip_id for c in video.clips],
                            [c.frames.rows for c in video.clips], frames,
                            [c.narration_a for c in video.clips],
                            [c.narration_b for c in video.clips],
                            [(p.start, p.end, p.concept, p.phase_class) for p in video.phases],
                            video.abstract)
-            blocks.append(frames)
-        return tables.corpus(np.concatenate(blocks or [np.empty((0, d_in))]))
+        return tables.corpus(table)
 
     @property
     def videos(self) -> tuple[LectureVideo, ...]:
@@ -306,7 +313,7 @@ def _replay_video(rng: np.random.Generator, cfg: GeneratorConfig, vi: int,
                   drawn: _Drawn) -> None:
     """Video `vi` drawn one rng call per draw, into its rows of the tables.
 
-    The draws and their order are those that `_decoded_video` decodes from raw words.
+    The draws and their order are those that `_drawn_words` takes as raw words.
     """
     order = rng.permutation(cfg.num_classes)
     drawn.classes[vi] = order
@@ -332,6 +339,7 @@ def _replay_video(rng: np.random.Generator, cfg: GeneratorConfig, vi: int,
 # low half first, carried from call to call by the generator's half-word buffer.
 # Lemire redraws u when (u * r) mod 2**32 < (2**32 - r) mod r.
 _HALF = 0xFFFFFFFF
+_DECODE_BYTES = 1 << 17  # bound on the raw words and scaled id half-words of a decoded block
 
 
 class _RawTexts(NamedTuple):
@@ -381,13 +389,14 @@ class _RawTexts(NamedTuple):
         )
 
 
-def _decoded_video(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawTexts, vi: int,
-                   drawn: _Drawn) -> bool:
-    """Video `vi` from one standard_normal and one random_raw per clip, into its table rows.
+def _drawn_words(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawTexts, vi: int,
+                 drawn: _Drawn, words: np.ndarray, scaled: np.ndarray) -> bool:
+    """Video `vi` from one standard_normal and one random_raw per clip: the per-video step.
 
-    Draws what `_replay_video` draws, in the same order, and leaves the
-    generator in the same state. Returns False, with the generator back where
-    it started, if an id draw meets a Lemire rejection.
+    Draws what `_replay_video` draws, in the same order, and leaves the generator
+    in the same state: frames into the video's table rows, raw text words into
+    `words`, each id half-word times its range into `scaled`. Returns False, with
+    the generator back where it started, if an id draw meets a Lemire rejection.
     """
     bits = rng.bit_generator
     start = bits.state
@@ -397,14 +406,14 @@ def _decoded_video(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawText
     for rows, n in zip(drawn.frames[vi], raw.counts):
         rng.standard_normal(out=rows)
         chunks.append(bits.random_raw(n))
-    words = np.concatenate(chunks)
+    np.concatenate(chunks, out=words)
     id_words = words[raw.is_id]
     halves = np.empty(2 * id_words.size + 1, dtype=np.uint64)
     halves[0] = carry["uinteger"]
     halves[1::2] = id_words & _HALF
     halves[2::2] = id_words >> 32
     buffered = carry["has_uint32"]
-    scaled = halves[1 - buffered:halves.size - buffered] * raw.ranges
+    np.multiply(halves[1 - buffered:halves.size - buffered], raw.ranges, out=scaled)
     if ((scaled & _HALF) < raw.thresholds).any():
         bits.state = start
         return False
@@ -412,38 +421,43 @@ def _decoded_video(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawText
     end = bits.state
     end["has_uint32"], end["uinteger"] = buffered, int(halves[-1])
     bits.state = end
+    drawn.classes[vi] = order
+    return True
 
-    ids = (scaled >> 32).astype(np.int64)
-    corrupt = (words[~raw.is_id] >> 11) * 2.0 ** -53 < raw.rates
+
+def _decode_block(cfg: GeneratorConfig, raw: _RawTexts, videos: list[int], words: np.ndarray,
+                  scaled: np.ndarray, drawn: _Drawn) -> None:
+    """The texts of `videos`, the j-th's from row j of `words` and `scaled`: the per-block step."""
+    m, num_classes, per_phase, width = len(videos), cfg.num_classes, cfg.clips_per_phase, raw.width
+    ids = (scaled[:m] >> 32).astype(np.int64)
+    corrupt = (words[:m, ~raw.is_id] >> 11) * 2.0 ** -53 < raw.rates
     # A segment's ids are each clip's base, noise-a and noise-b ids, then its concept's
     # base and noise ids; its uniforms are each clip's a and b ones, then its concept's.
-    num_classes, per_phase, width = cfg.num_classes, cfg.clips_per_phase, raw.width
-    segment_ids = ids[:-2 * ABSTRACT_LEN].reshape(num_classes, -1)
-    segment_corrupt = corrupt.reshape(num_classes, -1)
-    clip_ids, concept_ids = np.split(segment_ids, [3 * per_phase * NARRATION_LEN], axis=1)
+    segment_ids = ids[:, :-2 * ABSTRACT_LEN].reshape(m, num_classes, -1)
+    segment_corrupt = corrupt.reshape(m, num_classes, -1)
+    clip_ids, concept_ids = np.split(segment_ids, [3 * per_phase * NARRATION_LEN], axis=2)
     clip_corrupt, concept_corrupt = np.split(segment_corrupt, [2 * per_phase * NARRATION_LEN],
-                                             axis=1)
-    clip_ids = clip_ids.reshape(num_classes, per_phase, 3, NARRATION_LEN)
-    concept_ids = concept_ids.reshape(num_classes, 2, CONCEPT_LEN)
-    low = order * width  # where each segment's class block starts
-    narrations = np.where(clip_corrupt.reshape(num_classes, per_phase, 2, NARRATION_LEN),
-                          clip_ids[:, :, 1:], clip_ids[:, :, :1] + low[:, None, None, None])
-    abstract_classes, abstract_ids = ids[-2 * ABSTRACT_LEN:].reshape(2, ABSTRACT_LEN)
-    drawn.classes[vi] = order
-    drawn.narrations[vi] = narrations.reshape(-1, 2, NARRATION_LEN)
-    drawn.concepts[vi] = np.where(concept_corrupt, concept_ids[:, 1],
-                                  concept_ids[:, 0] + low[:, None])
-    drawn.abstracts[vi] = abstract_classes * width + abstract_ids
-    return True
+                                             axis=2)
+    clip_ids = clip_ids.reshape(m, num_classes, per_phase, 3, NARRATION_LEN)
+    concept_ids = concept_ids.reshape(m, num_classes, 2, CONCEPT_LEN)
+    low = drawn.classes[videos] * width  # where each segment's class block starts
+    narrations = np.where(clip_corrupt.reshape(m, num_classes, per_phase, 2, NARRATION_LEN),
+                          clip_ids[..., 1:, :], clip_ids[..., :1, :] + low[..., None, None, None])
+    abstracts = ids[:, -2 * ABSTRACT_LEN:].reshape(m, 2, ABSTRACT_LEN)  # classes, then ids
+    drawn.narrations[videos] = narrations.reshape(m, -1, 2, NARRATION_LEN)
+    drawn.concepts[videos] = np.where(concept_corrupt, concept_ids[..., 1, :],
+                                      concept_ids[..., 0, :] + low[..., None])
+    drawn.abstracts[videos] = abstracts[:, 0] * width + abstracts[:, 1]
 
 
 def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
     """Build a corpus with known latent phase structure, fully seed-determined.
 
-    Each video is decoded from raw generator words (`_decoded_video`); one
-    that meets a rejection, or a config with a range the decode does not
-    cover, is drawn call by call (`_replay_video`). Both yield the same bytes,
-    written straight into the corpus's tables.
+    Each video is drawn as raw generator words (`_drawn_words`), and its texts
+    are decoded with those of its block of videos (`_decode_block`). A video
+    that meets a rejection, or every video of a config with a range the decode
+    does not cover, is drawn call by call (`_replay_video`) before the next.
+    Both yield the same bytes, written straight into the corpus's tables.
     """
     rng = substream(cfg.seed, "generate")
     prototypes = rng.standard_normal((cfg.num_classes, cfg.d_in))
@@ -455,9 +469,21 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
                    np.empty((videos, cfg.num_classes), dtype=np.intp),
                    np.empty((videos, ABSTRACT_LEN), dtype=np.intp))
     raw = _RawTexts.of(cfg)
-    for vi in range(videos):
-        if not (raw and _decoded_video(rng, cfg, raw, vi, drawn)):
-            _replay_video(rng, cfg, vi, drawn)
+    # Rows 0, 1, ... of `words` and `scaled` hold a block's decoded videos in turn.
+    sizes = (raw.is_id.size, raw.ranges.size) if raw else (0, 0)
+    block = min(videos, max(1, _DECODE_BYTES // (8 * sum(sizes) or 1)))  # videos per block
+    words, scaled = (np.empty((block, n), dtype=np.uint64) for n in sizes)
+    for first in range(0, videos, block):
+        decoded = []
+        for vi in range(first, min(first + block, videos)):
+            j = len(decoded)
+            if raw and _drawn_words(rng, cfg, raw, vi, drawn, words[j], scaled[j]):
+                decoded.append(vi)
+            else:
+                _replay_video(rng, cfg, vi, drawn)
+        if decoded:
+            _decode_block(cfg, raw, decoded, words, scaled, drawn)
+    del words, scaled  # not held through the whole-table passes, which set the peak
     # prototype + noise_scale * N(0, 1), in place over the whole table
     table *= cfg.noise_scale
     classes = drawn.classes.ravel()

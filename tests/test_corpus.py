@@ -271,8 +271,14 @@ def test_generator_matches_the_per_call_reference(seed, replays):
     (GeneratorConfig(num_videos=5, vocab_size=6), "all"),
     (GeneratorConfig(num_videos=5, vocab_size=2**33), "all"),
     (GeneratorConfig(num_videos=5, num_classes=1, vocab_size=5), "all"),
-], ids=["gradcheck", "vocab-1000", "vocab-3x2^30", "width-1", "vocab-over-2^32", "one-class"])
+    # About half the videos meet a rejection, over five blocks of decoded videos.
+    (GeneratorConfig(num_videos=40, vocab_size=10_000_000), "mixed"),
+    (GeneratorConfig(num_videos=1), "none"),
+    (GeneratorConfig(num_videos=1, vocab_size=3 * 2**30), "all"),
+], ids=["gradcheck", "vocab-1000", "vocab-3x2^30", "width-1", "vocab-over-2^32", "one-class",
+        "mixed-blocks", "one-video", "one-video-replayed"])
 def test_generator_matches_the_reference_on_every_path(cfg, replayed, replays):
+    blocks = set()  # per block of a mixed config: (first replayed, last replayed, none decoded)
     for seed in (0, 1, 2):
         replays.clear()
         cfg_seed = replace(cfg, seed=seed)
@@ -281,8 +287,40 @@ def test_generator_matches_the_reference_on_every_path(cfg, replayed, replays):
             assert replays == []
         elif replayed == "all":
             assert replays == list(range(cfg.num_videos))
-        else:
+        elif replayed == "most":
             assert len(replays) > cfg.num_videos // 2
+        else:
+            # Videos per block, as generate_synthetic sizes a block of raw words.
+            raw = corpus_module._RawTexts.of(cfg)
+            size = corpus_module._DECODE_BYTES // (8 * (raw.is_id.size + raw.ranges.size))
+            assert cfg.num_videos > 2 * size
+            for first in range(0, cfg.num_videos, size):
+                redrawn = [vi in replays for vi in range(first, min(first + size, cfg.num_videos))]
+                blocks.add((redrawn[0], redrawn[-1], all(redrawn)))
+    if replayed == "mixed":
+        # A replayed first video before a decoded one, a replayed last video after
+        # one, and a block that decodes no video at all.
+        assert any(first and not none for first, _, none in blocks)
+        assert any(last and not none for _, last, none in blocks)
+        assert any(none for _, _, none in blocks)
+
+
+# The tracemalloc peak of this generate_synthetic when each video's texts were
+# decoded on their own (Python 3.11, numpy 2.4). A block of decoded videos may
+# hold its raw words and id half-words on top, _DECODE_BYTES at most.
+GENERATE_PEAK_BYTES = 10_349_104
+
+
+def test_generate_peak_memory_is_bounded():
+    generate_synthetic(SMALL)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        generate_synthetic(GeneratorConfig(num_videos=200, seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= GENERATE_PEAK_BYTES + corpus_module._DECODE_BYTES, peak
 
 
 # ---------------------------------------------------------------------------
@@ -1061,6 +1099,39 @@ def test_records_round_trip_through_corpus_of(corpus, tmp_path):
 def test_ragged_records_round_trip_through_corpus_of(built):
     for c in (built, *(built.split(0.5) if len(built.video_ids) > 1 else ())):
         assert _tables(Corpus.of(c.config, c.videos)) == _tables(c)
+
+
+def test_corpus_of_checks_each_record_before_the_next_is_read(corpus):
+    # Corpus.of reads every record's row count first; one it cannot read must not
+    # hide an earlier record's fault, and gets the typed error in its turn.
+    videos = list(corpus.videos)
+    videos[0] = _with_phase(videos[0], 1, phase_class=99)
+    videos[1] = replace(videos[1], clips=None)
+    with pytest.raises(CorpusFormatError, match="^record 0: bad video record: phase class"):
+        Corpus.of(corpus.config, videos)
+    with pytest.raises(CorpusFormatError, match="^record 1: bad video record: .* not iterable"):
+        Corpus.of(corpus.config, [videos[2], videos[1]])
+
+
+# The tracemalloc peak of this Corpus.of was 17,602,659 bytes when it kept each
+# record's frames until one concatenation at the end (Python 3.11, numpy 2.4),
+# and is 10,205,299 with each clip's rows copied once into a table sized first.
+# The frame table is 7.4 MB, and the corpus it returns 8.6 MB.
+OF_PEAK_BYTES = 10_500_000
+
+
+def test_corpus_of_peak_memory_is_bounded():
+    corpus = generate_synthetic(GeneratorConfig(num_videos=200, seed=1))
+    videos = corpus.videos
+    Corpus.of(SMALL, generate_synthetic(SMALL).videos)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        Corpus.of(corpus.config, videos)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= OF_PEAK_BYTES, peak
 
 
 # ---------------------------------------------------------------------------
