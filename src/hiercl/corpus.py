@@ -172,8 +172,8 @@ class Corpus:
         frames must be `config.d_in` wide: a fault raises CorpusFormatError.
         """
         tables, d_in = _Tables(config), config.d_in
-        # Each record's first frame row, then the end, so the table is sized before any
-        # row is copied. A record whose rows cannot be read ends this; its checks raise.
+        # Each record's first frame row, then the end, to size the table before any row is
+        # copied. A record whose rows cannot be read ends the count, and its checks raise.
         bounds = [0]
         with suppress(AttributeError, TypeError):
             for video in records:
@@ -393,10 +393,10 @@ def _drawn_words(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawTexts,
                  drawn: _Drawn, words: np.ndarray, scaled: np.ndarray) -> bool:
     """Video `vi` from one standard_normal and one random_raw per clip: the per-video step.
 
-    Draws what `_replay_video` draws, in the same order, and leaves the generator
-    in the same state: frames into the video's table rows, raw text words into
-    `words`, each id half-word times its range into `scaled`. Returns False, with
-    the generator back where it started, if an id draw meets a Lemire rejection.
+    Draws what `_replay_video` draws, in the same order, and leaves the generator in
+    the same state: frames into their table rows, raw text words into `words`, id
+    half-words times their ranges into `scaled`. Returns False, with the generator
+    back where it started, if an id draw meets a Lemire rejection.
     """
     bits = rng.bit_generator
     start = bits.state
@@ -453,11 +453,10 @@ def _decode_block(cfg: GeneratorConfig, raw: _RawTexts, videos: list[int], words
 def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
     """Build a corpus with known latent phase structure, fully seed-determined.
 
-    Each video is drawn as raw generator words (`_drawn_words`), and its texts
-    are decoded with those of its block of videos (`_decode_block`). A video
-    that meets a rejection, or every video of a config with a range the decode
-    does not cover, is drawn call by call (`_replay_video`) before the next.
-    Both yield the same bytes, written straight into the corpus's tables.
+    Each video is drawn as raw words (`_drawn_words`), its texts decoded with its
+    block's (`_decode_block`); one that meets a rejection, or a config with a range
+    the decode does not cover, is drawn call by call (`_replay_video`) before the
+    next. Both yield the same bytes, written straight into the corpus's tables.
     """
     rng = substream(cfg.seed, "generate")
     prototypes = rng.standard_normal((cfg.num_classes, cfg.d_in))

@@ -307,7 +307,8 @@ def test_generator_matches_the_reference_on_every_path(cfg, replayed, replays):
 
 # The tracemalloc peak of this generate_synthetic when each video's texts were
 # decoded on their own (Python 3.11, numpy 2.4). A block of decoded videos may
-# hold its raw words and id half-words on top, _DECODE_BYTES at most.
+# hold its raw words and id half-words on top, _DECODE_BYTES at most; freed
+# before the whole-table passes, they add nothing here (10,348,792 bytes).
 GENERATE_PEAK_BYTES = 10_349_104
 
 
@@ -1101,7 +1102,7 @@ def test_ragged_records_round_trip_through_corpus_of(built):
         assert _tables(Corpus.of(c.config, c.videos)) == _tables(c)
 
 
-def test_corpus_of_checks_each_record_before_the_next_is_read(corpus):
+def test_corpus_of_names_an_earlier_fault_before_an_unreadable_record(corpus):
     # Corpus.of reads every record's row count first; one it cannot read must not
     # hide an earlier record's fault, and gets the typed error in its turn.
     videos = list(corpus.videos)
