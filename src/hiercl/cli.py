@@ -2,7 +2,7 @@
 
 Every command resolves its settings from an optional JSON config file plus
 flags (flags win), writes a run manifest before doing real work, and exits
-with the failing error's `exit_code` (3 for OS errors):
+with the failing error's `exit_code` (3 for OS errors, 2 when memory runs out):
 
     0 success, 2 config, 3 I/O, 4 data, 5 artifact compatibility,
     6 numeric-check failure.
@@ -310,6 +310,7 @@ def cmd_ablate(args) -> int:
     for _, mode in ABLATION_VARIANTS:
         check_capacity(replace(base_cfg, mode=mode), train_split)
     prompts = default_prompts(corpus.config)
+    check_prompts(prompts, hold_split, corpus.config.vocab_size)
     out_dir = args.out
     manifest_path = os.path.join(out_dir, "manifest.json")
     json_path = os.path.join(out_dir, "ablation.json")
@@ -408,6 +409,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # settings too large for this host, such as a huge vocabulary
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ A `Corpus` is tables: one of frames, one of token ids, and the counts,
 segments and ids that cut them into clips, phases and videos. Generating,
 loading and splitting fill or slice the tables and build no per-clip
 object. `VideoClip`, `PhaseSegment` and `LectureVideo` are one video's
-records: `Corpus.of` checks and flattens them, `Corpus.videos` reads them.
+records, which `Corpus.videos` reads from the tables.
 
 The synthetic generator gives each phase class a frame-prototype vector
 and a private block of the token vocabulary; frames are noisy copies of
@@ -25,7 +25,7 @@ import binascii
 import json
 import os
 from bisect import bisect_right
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
 from hashlib import sha256
@@ -91,7 +91,7 @@ class GeneratorConfig:
         return cls * width, (cls + 1) * width
 
 
-# The records of one video. `Corpus.of` checks them; they check nothing themselves.
+# The records of one video, as `Corpus.videos` reads them; they check nothing themselves.
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def _token_runs(lengths: Sequence[np.ndarray]) -> dict[str, RowRanges]:
 class Corpus:
     """A corpus as tables, every row in corpus order; arrays are read-only intp or float64.
 
-    `generate_synthetic`, `load_corpus` and `split` fill or slice them; `Corpus.of` checks records.
+    `generate_synthetic`, `load_corpus` and `split` fill or slice them.
     """
 
     config: GeneratorConfig
@@ -163,40 +163,6 @@ class Corpus:
         for array in (self.video_clips, self.clip_rows, self.segments, self.frame_table,
                       self.token_table, *chain.from_iterable(self.token_runs.values())):
             array.setflags(write=False)
-
-    @classmethod
-    def of(cls, config: GeneratorConfig, records: Sequence[LectureVideo]) -> "Corpus":
-        """A corpus of video records, flattened into tables once.
-
-        Each record gets the checks that `load_corpus` gives a line, and its
-        frames must be `config.d_in` wide: a fault raises CorpusFormatError.
-        """
-        tables, d_in = _Tables(config), config.d_in
-        # Each record's first frame row, then the end, to size the table before any row is
-        # copied. A record whose rows cannot be read ends the count, and its checks raise.
-        bounds = [0]
-        with suppress(AttributeError, TypeError):
-            for video in records:
-                bounds.append(bounds[-1] + sum(c.frames.rows for c in video.clips))
-        table = np.empty((bounds[-1], d_in))
-        for i, video in enumerate(records):
-            with _naming(f"record {i}"):
-                # What the loader's frame bytes checks guarantee.
-                bad = next((c for c in video.clips if not c.frames.rows or c.frames.cols != d_in),
-                           None)
-                if bad:
-                    raise CorpusFormatError(f"clip {bad.clip_id} has {bad.frames.shape} frames, "
-                                            f"not one or more rows of the config's d_in={d_in}")
-                frames = table[bounds[i]:bounds[i + 1]]
-                np.concatenate([c.frames.array for c in video.clips] or [np.empty((0, d_in))],
-                               out=frames)
-                tables.add(video.video_id, [c.clip_id for c in video.clips],
-                           [c.frames.rows for c in video.clips], frames,
-                           [c.narration_a for c in video.clips],
-                           [c.narration_b for c in video.clips],
-                           [(p.start, p.end, p.concept, p.phase_class) for p in video.phases],
-                           video.abstract)
-        return tables.corpus(table)
 
     @property
     def videos(self) -> tuple[LectureVideo, ...]:
@@ -518,8 +484,8 @@ def _naming(where: str) -> Iterator[None]:
 
 
 class _Tables:
-    """A corpus's tables, filled one checked video at a time by `load_corpus` and `Corpus.of`:
-    `add` runs every check of a video but the loader's frame-byte checks, token ids last."""
+    """A corpus's tables, filled one checked video at a time by `load_corpus`:
+    `add` runs every check of a video but the frame-byte checks, token ids last."""
 
     def __init__(self, config: GeneratorConfig) -> None:
         self.config = config
@@ -532,7 +498,7 @@ class _Tables:
 
     def add(self, video_id, clip_ids: list, rows: list, frames: np.ndarray,
             narrations_a: list, narrations_b: list, phases: list, abstract) -> None:
-        """Check one video and append it: the one entry of every loaded or hand-built video.
+        """Check one video and append it: the one entry of every loaded video.
 
         `frames` holds its clips' rows, `rows[i]` of clip i; `phases` holds each
         segment's (start, end, concept, class), start and end counted in its clips.

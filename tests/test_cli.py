@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from blas_threads import openblas_threads
+from records import load_records
 
 import hiercl.cli
+import hiercl.encoders
 from hiercl import errors
-from hiercl.corpus import Corpus, load_corpus, save_corpus
+from hiercl.corpus import load_corpus
 from hiercl.cli import main
 from hiercl.errors import CorpusFormatError, HierclError
 from hiercl.trainer import load_checkpoint, save_checkpoint
@@ -526,6 +528,44 @@ def test_exit_4_before_any_ablation_variant_when_one_lacks_data(workspace, tmp_p
     assert list(out.iterdir()) == []
 
 
+def test_exit_4_before_ablation_when_held_out_videos_have_no_phases(workspace, tmp_path,
+                                                                     capsys):
+    # The training split fills every level's batches; only the evaluation split is bare.
+    corpus = load_corpus(workspace["corpus"])
+    path = tmp_path / "bare.jsonl"
+    load_records(corpus.config, [replace(v, phases=()) if v.video_id in ("v006", "v007") else v
+                                 for v in corpus.videos], path)
+    out = tmp_path / "ab"
+    out.mkdir()
+    rc = main(["ablate", "--config", workspace["config"], "--corpus", str(path),
+               "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr() == ("", "error: evaluation split of 2 videos (v006 to v007) has "
+                                       "no labeled clips to score: none of its videos has a "
+                                       "phase segment\n")
+    assert list(out.iterdir()) == []
+
+
+def test_exit_2_on_out_of_memory_leaves_the_manifest(workspace, tmp_path, capsys, monkeypatch):
+    # A vocabulary of 45M asks for a 10.7 GiB token embedding; no test allocates that.
+    message = ("Unable to allocate 10.7 GiB for an array with shape (45000000, 32) "
+               "and data type float64")
+
+    def too_large(rng, fan_in, fan_out):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(hiercl.encoders, "_glorot", too_large)
+    out = tmp_path / "run"
+    out.mkdir()
+    rc = main(["train", "--config", workspace["config"], "--corpus", str(workspace["corpus"]),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "sha256" not in manifest["outputs"]["checkpoint"]
+
+
 def test_exit_4_on_non_utf8_corpus_line(workspace, tmp_path, capsys):
     lines = workspace["corpus"].read_bytes().splitlines(keepends=True)
     lines[2] = lines[2].replace(b'"video_id": "', b'"video_id": "\xff', 1)
@@ -712,9 +752,8 @@ def test_exit_5_on_split_class_without_prompts(workspace, tmp_path, capsys):
 
 def test_exit_4_on_split_without_labeled_clips(workspace, tmp_path, capsys):
     corpus = load_corpus(workspace["corpus"])
-    bare = Corpus.of(corpus.config, [replace(v, phases=()) for v in corpus.videos])
     path = tmp_path / "bare.jsonl"
-    save_corpus(bare, path)
+    load_records(corpus.config, [replace(v, phases=()) for v in corpus.videos], path)
     out = tmp_path / "ev"
     out.mkdir()
     for split in ("holdout", "all"):
@@ -725,6 +764,19 @@ def test_exit_4_on_split_without_labeled_clips(workspace, tmp_path, capsys):
             f"error: evaluation split of {8 if split == 'all' else 2} videos ({first} to "
             f"{last}) has no labeled clips to score: none of its videos has a phase segment\n")
     assert not (out / "manifest.json").exists()  # rejected before the run
+
+
+def test_exit_4_on_corpus_without_videos(workspace, tmp_path, capsys):
+    path = tmp_path / "empty.jsonl"
+    load_records(load_corpus(workspace["corpus"]).config, [], path)
+    out = tmp_path / "ev"
+    out.mkdir()
+    assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.bin"),
+                 "--corpus", str(path), "--out", str(out), "--split", "all"]) == 4
+    assert capsys.readouterr().err == (
+        "error: evaluation split of 0 videos has no labeled clips to score: "
+        "none of its videos has a phase segment\n")
+    assert list(out.iterdir()) == []
 
 
 def test_exit_6_on_update_that_overflows(workspace, tmp_path, capsys):

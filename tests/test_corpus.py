@@ -4,7 +4,7 @@ import json
 import re
 import tempfile
 import tracemalloc
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from itertools import count
 from pathlib import Path
 
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from records import header_line, load_records, record_line
 
 from hiercl import corpus as corpus_module
 from hiercl.cli import main
@@ -482,17 +483,6 @@ EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
             1.7976931348623157e308, -1.7976931348623157e308]
 
 
-def test_hand_built_corpus_rejects_frames_of_another_width():
-    cfg = GeneratorConfig(num_videos=1, num_classes=1, d_in=3, vocab_size=4)
-    clips = tuple(VideoClip(f"c{i}", Matrix(np.ones((2, width))), (0, 3), (1,))
-                  for i, width in enumerate((3, 4)))
-    video = LectureVideo("v0", clips, (PhaseSegment(0, 2, (2,), 0),), (3, 0))
-    with pytest.raises(CorpusFormatError,
-                       match=r"^record 0: .*clip c1 has \(2, 4\) frames, not one or more rows "
-                             "of the config's d_in=3"):
-        Corpus.of(cfg, (video,))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(
     arrays(np.float64, st.tuples(st.integers(1, 3), st.just(3)),
@@ -506,7 +496,7 @@ def test_roundtrip_preserves_frame_bits(frames):
     video = LectureVideo("v0", clips, (PhaseSegment(0, len(clips), (2,), 0),), (3, 0))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
-        save_corpus(Corpus.of(cfg, (video,)), path)
+        save_corpus(load_records(cfg, (video,)), path)
         loaded = load_corpus(path)
     assert len(loaded.videos[0].clips) == len(clips)
     for before, after in zip(clips, loaded.videos[0].clips):
@@ -550,37 +540,18 @@ RECORD_FAULTS = {
 }
 
 
-def _record(video) -> str:
-    """A video's line as save_corpus writes it, from its records."""
-    return json.dumps({
-        "video_id": video.video_id,
-        "clips": [{"id": c.clip_id,
-                   "frames": base64.b64encode(c.frames.array.astype("<f8").tobytes()).decode(),
-                   "narration_a": c.narration_a, "narration_b": c.narration_b}
-                  for c in video.clips],
-        "phases": [{"start": p.start, "end": p.end, "concept": p.concept, "class": p.phase_class}
-                   for p in video.phases],
-        "abstract": video.abstract,
-    }) + "\n"
-
-
 @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
 def test_load_rejects_bad_record_with_exit_4(fault, corpus, tmp_path, capsys):
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)
     lines = path.read_text().splitlines(keepends=True)
-    assert lines[2] == _record(corpus.videos[1])
-    videos = list(corpus.videos)
-    videos[1] = RECORD_FAULTS[fault](videos[1])
-    lines[2] = _record(videos[1])
+    assert lines[2] == record_line(corpus.videos[1])
+    lines[2] = record_line(RECORD_FAULTS[fault](corpus.videos[1]))
     path.write_text("".join(lines))
     with pytest.raises(CorpusFormatError, match="line 3"):
         load_corpus(path)
     assert _eval_exit_code(path, tmp_path) == 4
     assert "line 3" in capsys.readouterr().err
-    # A hand-built corpus gets the same checks.
-    with pytest.raises(CorpusFormatError, match="^record 1: bad video record: "):
-        Corpus.of(corpus.config, videos)
 
 
 ENCODING_FAULTS = {
@@ -609,12 +580,12 @@ def _bad_base64(line: str) -> str:
     return json.dumps(rec) + "\n"
 
 
-# Two faults, the first a token on line 3 (record 1) above the vocabulary: the
-# token is named, as when each text's tokens were checked in turn. A later fault
-# is made in the records the file is written from, or, where records cannot hold
-# it (bad base64), in the written line; `Corpus.of` meets NaN frames there instead.
+# Two faults, the first a token on line 3 above the vocabulary: the token is
+# named, as when each text's tokens were checked in turn. A later fault is made
+# in the records the file is written from, or, where records cannot hold it (bad
+# base64), in the written line.
 LATER_FAULTS = {
-    "bad base64 on line 5": ({3: _nan_frames}, {4: _bad_base64}),
+    "bad base64 on line 5": ({}, {4: _bad_base64}),
     "empty concept later on line 3": ({1: lambda v: _with_phase(v, 2, concept=())}, {}),
 }
 
@@ -627,8 +598,7 @@ def test_load_names_the_first_fault_in_file_order(later, corpus, tmp_path, capsy
     for vi, fault in records.items():
         videos[vi] = fault(videos[vi])
     path = tmp_path / "c.jsonl"
-    save_corpus(corpus, path)
-    text = path.read_text().splitlines(keepends=True)[:1] + [_record(v) for v in videos]
+    text = [header_line(corpus.config), *map(record_line, videos)]
     for li, fault in lines.items():
         text[li] = fault(text[li])
     path.write_text("".join(text))
@@ -638,8 +608,6 @@ def test_load_names_the_first_fault_in_file_order(later, corpus, tmp_path, capsy
     assert _eval_exit_code(path, tmp_path) == 4
     err = capsys.readouterr().err
     assert f"line 3: {token}" in err and "Traceback" not in err
-    with pytest.raises(CorpusFormatError, match=rf"^record 1: {re.escape(token)}$"):
-        Corpus.of(corpus.config, videos)
 
 
 # Two faults on line 3, and the one named. The loader reads every clip's frames,
@@ -779,15 +747,6 @@ def test_split_builds_no_level_index(corpus, tmp_path):
         assert_frames_are_table_rows(hold)
 
 
-def test_hand_built_corpus_stacks_its_frames_once(corpus):
-    built = Corpus.of(corpus.config, corpus.videos)
-    table = built.frame_table
-    assert built.frame_table is table
-    assert not table.flags.writeable
-    assert table.tobytes() == np.vstack([c.frames.array for c in _clips(built)]).tobytes()
-    assert not np.shares_memory(table, corpus.frame_table)
-
-
 # ---------------------------------------------------------------------------
 # Batch sampling
 # ---------------------------------------------------------------------------
@@ -920,7 +879,7 @@ def ragged_corpora(draw):
         videos.append(LectureVideo(f"v{vi}", clips, phases, text()))
     cfg = GeneratorConfig(num_videos=len(videos), num_classes=2, d_in=2,
                           vocab_size=next(text_ids))
-    return Corpus.of(cfg, videos)
+    return load_records(cfg, videos)
 
 
 def _oracle_frames(clips, k: int) -> np.ndarray:
@@ -942,9 +901,9 @@ def test_sampling_ragged_clips_matches_oracle(built, k, seed):
     generated = generate_synthetic(GeneratorConfig(
         num_videos=3, num_classes=2, clips_per_phase=1 + seed % 3,
         frames_per_clip=1 + seed % 5, d_in=2, vocab_size=8, seed=seed))
-    # The loaded and generated corpora view one frame table; the built corpus
-    # keeps one array per clip and stacks them. All must sample the same bits,
-    # and so must the halves of a split, which slice the table.
+    # The built corpus is read from its records' lines, the loaded one from the
+    # lines save_corpus writes. All must sample the same bits, and so must the
+    # halves of a split, which slice the table.
     corpora = [built, loaded, generated]
     for whole in (built, loaded):
         if len(whole.videos) > 1:
@@ -1053,7 +1012,7 @@ def test_token_table_is_built_with_the_corpus(corpus, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Records: Corpus.of builds a corpus from them, Corpus.videos reads them back
+# Records: Corpus.videos reads them from the tables; the hot path builds none
 # ---------------------------------------------------------------------------
 
 
@@ -1078,6 +1037,11 @@ def test_no_records_are_built_on_the_hot_path(tmp_path, monkeypatch):
         corpus.videos
 
 
+# ---------------------------------------------------------------------------
+# The writer: every line is the bytes json.dumps gives the video's record
+# ---------------------------------------------------------------------------
+
+
 def _tables(corpus):
     """What a corpus holds, as plain values, and its level index."""
     return (corpus.config, corpus.video_ids, corpus.clip_ids, corpus.video_clips.tolist(),
@@ -1088,67 +1052,14 @@ def _tables(corpus):
              for level in corpus.levels.values()])
 
 
-def test_records_round_trip_through_corpus_of(corpus, tmp_path):
-    save_corpus(corpus, tmp_path / "c.jsonl")
-    loaded = load_corpus(tmp_path / "c.jsonl")
-    for c in (corpus, loaded, *corpus.split(0.4), *loaded.split(0.4)):
-        assert _tables(Corpus.of(c.config, c.videos)) == _tables(c)
-
-
-@settings(max_examples=30, deadline=None)
-@given(ragged_corpora())
-def test_ragged_records_round_trip_through_corpus_of(built):
-    for c in (built, *(built.split(0.5) if len(built.video_ids) > 1 else ())):
-        assert _tables(Corpus.of(c.config, c.videos)) == _tables(c)
-
-
-def test_corpus_of_names_an_earlier_fault_before_an_unreadable_record(corpus):
-    # Corpus.of reads every record's row count first; one it cannot read must not
-    # hide an earlier record's fault, and gets the typed error in its turn.
-    videos = list(corpus.videos)
-    videos[0] = _with_phase(videos[0], 1, phase_class=99)
-    videos[1] = replace(videos[1], clips=None)
-    with pytest.raises(CorpusFormatError, match="^record 0: bad video record: phase class"):
-        Corpus.of(corpus.config, videos)
-    with pytest.raises(CorpusFormatError, match="^record 1: bad video record: .* not iterable"):
-        Corpus.of(corpus.config, [videos[2], videos[1]])
-
-
-# The tracemalloc peak of this Corpus.of was 17,602,659 bytes when it kept each
-# record's frames until one concatenation at the end (Python 3.11, numpy 2.4),
-# and is 10,205,299 with each clip's rows copied once into a table sized first.
-# The frame table is 7.4 MB, and the corpus it returns 8.6 MB.
-OF_PEAK_BYTES = 10_500_000
-
-
-def test_corpus_of_peak_memory_is_bounded():
-    corpus = generate_synthetic(GeneratorConfig(num_videos=200, seed=1))
-    videos = corpus.videos
-    Corpus.of(SMALL, generate_synthetic(SMALL).videos)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        Corpus.of(corpus.config, videos)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= OF_PEAK_BYTES, peak
-
-
-# ---------------------------------------------------------------------------
-# The writer: every line is the bytes json.dumps gives the video's record
-# ---------------------------------------------------------------------------
-
-
 def assert_saved_as_records(corpus, path):
-    """`save_corpus` writes the header and each video's `_record`, and the file loads back."""
+    """`save_corpus` writes the header and each video's `record_line`, and the file loads back."""
     save_corpus(corpus, path)
-    header = json.dumps({"schema": "hiercorpus/2", "config": asdict(corpus.config)}) + "\n"
     lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
-    assert lines[0] == header
+    assert lines[0] == header_line(corpus.config)
     assert len(lines) == 1 + len(corpus.video_ids)
     for line, video in zip(lines[1:], corpus.videos):
-        assert line == _record(video)
+        assert line == record_line(video)
     assert _tables(load_corpus(path)) == _tables(corpus)
 
 
@@ -1179,7 +1090,7 @@ def test_saved_lines_escape_ids_and_allow_no_phases(tmp_path):
     videos = (LectureVideo(odd, (clip(odd + "c0", 1), clip("c1", 2)),
                            (PhaseSegment(0, 2, (2,), 0),), (3, 0)),
               LectureVideo("plain", (clip("\t", 3),), (), (1,)))
-    assert_saved_as_records(Corpus.of(cfg, videos), tmp_path / "c.jsonl")
+    assert_saved_as_records(load_records(cfg, videos), tmp_path / "c.jsonl")
 
 
 # The tracemalloc peak of this save when each line was a record written by

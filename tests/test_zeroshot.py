@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from records import load_records
 
-from hiercl.corpus import Corpus, GeneratorConfig, generate_synthetic
+from hiercl.corpus import GeneratorConfig, generate_synthetic
 from hiercl.encoders import EncoderDims, ModelParams
 from hiercl.errors import (
     ConfigError,
@@ -364,10 +365,18 @@ def test_evaluate_rejects_prompt_token_outside_vocabulary(corpus, trained, token
 
 
 def test_evaluate_rejects_a_split_without_labeled_clips(corpus, trained):
-    bare = Corpus.of(corpus.config, [replace(v, phases=()) for v in corpus.videos[:3]])
+    bare = load_records(corpus.config, [replace(v, phases=()) for v in corpus.videos[:3]])
     with pytest.raises(EmptyInputError, match=r"^evaluation split of 3 videos \(v000 to v002\) "
                                               "has no labeled clips to score"):
         evaluate(trained, bare, default_prompts(GEN))
+
+
+def test_evaluate_rejects_a_corpus_without_videos(trained):
+    # The same check, error and exit code (4) as `hiercl eval` on such a corpus.
+    with pytest.raises(EmptyInputError, match=r"^evaluation split of 0 videos has no labeled "
+                                              r"clips to score: none of its videos has a phase "
+                                              r"segment$"):
+        evaluate(trained, load_records(GEN, []), default_prompts(GEN))
 
 
 def test_evaluate_invariant_to_class_order(corpus, trained):
