@@ -107,12 +107,14 @@ def _resolve_train(doc: dict, args) -> TrainConfig:
 
 
 def _holdout_fraction(doc: dict, args) -> float:
-    """The flag, else the config value; Corpus.split checks the range."""
-    if getattr(args, "holdout", None) is not None:
-        return args.holdout
-    value = doc.get("holdout_fraction", DEFAULT_HOLDOUT)
-    if type(value) not in (int, float):
-        raise ConfigError(f"holdout_fraction must be a JSON number, got {value!r}")
+    """The flag, else the config value, in the range Corpus.split takes, for every split."""
+    value = getattr(args, "holdout", None)
+    if value is None:
+        value = doc.get("holdout_fraction", DEFAULT_HOLDOUT)
+        if type(value) not in (int, float):
+            raise ConfigError(f"holdout_fraction must be a JSON number, got {value!r}")
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"holdout_fraction must lie in (0, 1), got {float(value)}")
     return float(value)
 
 

@@ -58,6 +58,9 @@ ABSTRACT_LEN = 24
 CONCEPT_NOISE_FACTOR = 0.25
 # The kinds of text in a corpus, in token_table order.
 TEXT_KINDS = ("narration_a", "narration_b", "concept", "abstract")
+# A frame is noise_scale * z + p, z and p drawn by standard_normal, whose ziggurat tail
+# (from r = 3.654, 53-bit doubles) stays below r + sqrt(106 ln 2) = 12.23: none overflows.
+_NOISE_MAX = float(np.finfo(np.float64).max) / 16
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,8 @@ class GeneratorConfig:
                           "d_in", "vocab_size"), minimum=1)
         check_ints(self, ("seed",), minimum=0)
         check_floats(self, ("noise_scale", "token_noise"), minimum=0.0, strict=False)
+        if self.noise_scale > _NOISE_MAX:
+            raise ConfigError(f"noise_scale must be <= {_NOISE_MAX}, got {self.noise_scale}")
         if not self.token_noise < 1.0:
             raise ConfigError(f"token_noise must lie in [0, 1), got {self.token_noise}")
         if self.num_classes > self.vocab_size:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .corpus import Corpus, GeneratorConfig, atomic_file
 from .encoders import (
-    FrameStack,
     ModelParams,
     aggregated_text_rows,
     param_nodes,
@@ -128,11 +127,15 @@ def load_prompts(path) -> PromptSet:
         raise CorpusFormatError(f"{path}: {e}") from e
 
 
+def _rows(encode, params: ModelParams, items) -> np.ndarray:
+    """The read-only rows `encode` gives for `items`, on a throwaway tape."""
+    tape = Tape()
+    return encode(tape, param_nodes(tape, params), items).value
+
+
 def embed_prompts(prompts: PromptSet, params: ModelParams) -> np.ndarray:
     """One unit-norm row per class, read-only: mean of its prompt embeddings, renormalized."""
-    tape = Tape()
-    pn = param_nodes(tape, params)
-    return aggregated_text_rows(tape, pn, [plist for _, plist in prompts.classes]).value
+    return _rows(aggregated_text_rows, params, [plist for _, plist in prompts.classes])
 
 
 def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> list[int]:
@@ -233,15 +236,6 @@ def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:
     )
 
 
-def _clip_examples(corpus: Corpus, k_clip: int) -> tuple[FrameStack, np.ndarray]:
-    """Every labeled clip in the split: sampled frames plus its phase class."""
-    starts, lengths = corpus.levels["phase"].clips
-    firsts = lengths.cumsum() - lengths
-    clips = (starts - firsts).repeat(lengths) + np.arange(lengths.sum())
-    gt = corpus.segments[:, 2].repeat(lengths)
-    return corpus.frames_of("clip", clips, k_clip), gt
-
-
 def check_prompts(prompts: PromptSet, split: Corpus, vocab_size: int) -> None:
     """Reject a split without labeled clips, a prompt token outside the vocabulary,
     and a split class without prompts."""
@@ -263,17 +257,20 @@ def check_prompts(prompts: PromptSet, split: Corpus, vocab_size: int) -> None:
 
 
 def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> MetricsReport:
-    """Zero-shot phase recognition over every clip of a corpus split."""
+    """Zero-shot phase recognition over every labeled clip of a corpus split."""
     check_prompts(prompts, split, checkpoint.params.vocab_size)
     params = checkpoint.params
     before = params.digest()
     class_rows = embed_prompts(prompts, params)
-    segments, gt = _clip_examples(split, checkpoint.config.k_clip)
-    tape = Tape()
-    visual = visual_embedding_rows(tape, param_nodes(tape, params), segments).value
+    # The clips of each phase segment, in corpus order: its start plus 0, 1, ...
+    starts, lengths = split.levels["phase"].clips
+    clips = (starts - lengths.cumsum() + lengths).repeat(lengths) + np.arange(lengths.sum())
+    visual = _rows(visual_embedding_rows, params,
+                   split.frames_of("clip", clips, checkpoint.config.k_clip))
     pred_idx = classify(visual, class_rows)
     predictions = list(map(prompts.labels.__getitem__, pred_idx))  # labels read once
-    report = compute_metrics(predictions, gt, labels=prompts.labels)
+    report = compute_metrics(predictions, split.segments[:, 2].repeat(lengths),
+                             labels=prompts.labels)
     if params.digest() != before:
         raise ContractError("evaluation mutated model parameters")
     return replace(report, config_digest=checkpoint.config.digest(), checkpoint_id=before[:16])
@@ -284,13 +281,9 @@ def clip_retrieval_recall(checkpoint: Checkpoint, split: Corpus, top_k: int = 1)
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     params = checkpoint.params
-    if not split.clip_ids:
-        raise ContractError("split has no clips")
-    segments = split.frames_of("clip", np.arange(len(split.clip_ids)), checkpoint.config.k_clip)
-    tape = Tape()
-    pn = param_nodes(tape, params)
-    visual = visual_embedding_rows(tape, pn, segments).value
-    text = text_embedding_rows(tape, pn, split.texts("narration_a")).value
-    sims = visual @ text.T
+    clips = np.arange(len(split.clip_ids))
+    visual = _rows(visual_embedding_rows, params,
+                   split.frames_of("clip", clips, checkpoint.config.k_clip))
+    sims = visual @ _rows(text_embedding_rows, params, split.texts("narration_a")).T
     top = np.argsort(-sims, axis=1, kind="stable")[:, :top_k]
     return float((top == np.arange(len(sims))[:, None]).any(axis=1).mean())

@@ -390,6 +390,22 @@ def test_exit_2_on_unknown_config_key(tmp_path, capsys):
     assert main(["generate", "--config", config, "--out", str(tmp_path / "c.jsonl")]) == 2
 
 
+def test_exit_2_on_noise_scale_whose_frames_would_overflow(workspace, tmp_path, capsys):
+    # 1e308 * N(0, 1) overflows to inf, which the loader then refuses.
+    config = _write_config(tmp_path, generator={**GEN_SECTION, "noise_scale": 1e308})
+    out = tmp_path / "c.jsonl"
+    assert main(["generate", "--config", config, "--out", str(out)]) == 2
+    assert "noise_scale must be <= " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+    # A corpus file whose header holds such a value is refused at load.
+    header = json.loads(workspace["corpus"].read_text().partition("\n")[0])
+    header["config"]["noise_scale"] = 1e308
+    out.write_text(json.dumps(header) + "\n")
+    assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.bin"),
+                 "--corpus", str(out), "--out", str(tmp_path)]) == 4
+    assert "line 1: bad generator config: noise_scale must be <= " in capsys.readouterr().err
+
+
 def test_exit_2_on_float_generator_field(tmp_path, capsys):
     config = _write_config(tmp_path, generator={**GEN_SECTION, "d_in": 8.5})
     assert main(["generate", "--config", config, "--out", str(tmp_path / "c.jsonl")]) == 2
@@ -486,6 +502,24 @@ def test_exit_2_on_holdout_fraction_out_of_range(workspace, tmp_path, capsys):
     assert main(["train", "--config", config, "--corpus", str(workspace["corpus"]),
                  "--out", str(out)]) == 2
     assert "holdout_fraction must lie in (0, 1), got 1.0" in capsys.readouterr().err
+    # `--split all` takes no split, yet its holdout is checked too, from the flag or the config.
+    config = _write_config(tmp_path, name="eval.json", holdout_fraction=5)
+    for extra in (["--holdout", "5"], ["--config", config]):
+        assert _run_eval(workspace, out, "--split", "all", *extra) == 2
+        assert "holdout_fraction must lie in (0, 1), got 5.0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_eval_split_all_scores_a_one_video_corpus(workspace, tmp_path, capsys):
+    # One video has no train/holdout split, but `--split all` does not take one.
+    config = _write_config(tmp_path, generator={**GEN_SECTION, "num_videos": 1})
+    corpus = tmp_path / "one.jsonl"
+    assert main(["generate", "--config", config, "--out", str(corpus)]) == 0
+    out = tmp_path / "ev"
+    out.mkdir()
+    assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.bin"),
+                 "--corpus", str(corpus), "--out", str(out), "--split", "all"]) == 0
+    assert json.loads((out / "report.json").read_text())["samples"] == 6
 
 
 def test_exit_3_on_missing_corpus(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_config_rejects_negative_seed_and_accepts_zero():
     assert GeneratorConfig(seed=0).seed == 0
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "2.0", -0.5])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "2.0", -0.5, 1e308])
 def test_config_rejects_bad_noise_scale(value):
     with pytest.raises(ConfigError, match="^noise_scale must be"):
         GeneratorConfig(noise_scale=value)

@@ -2,14 +2,16 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from eager import encode_segment
 from records import load_records
 
 from hiercl.corpus import GeneratorConfig, generate_synthetic
-from hiercl.encoders import EncoderDims, ModelParams
+from hiercl.encoders import EncoderDims, ModelParams, frame_rows
 from hiercl.errors import (
     ConfigError,
     ContractError,
@@ -21,6 +23,7 @@ from hiercl.errors import (
     ShapeError,
     VocabularyError,
 )
+from hiercl.numerics import Matrix
 from hiercl.trainer import TrainConfig, train, untrained_checkpoint
 from hiercl.zeroshot import (
     MetricsReport,
@@ -342,6 +345,30 @@ def test_evaluate_scores_every_clip(corpus, trained):
     assert 0.0 <= report.macro_f1 <= 1.0
 
 
+def test_evaluate_skips_clips_outside_every_segment(corpus, trained):
+    whole, cut, bare = corpus.videos[:3]
+    split = load_records(GEN, [whole, replace(cut, phases=cut.phases[1:]),
+                               replace(bare, phases=())])
+    prompts = default_prompts(GEN)
+    report = evaluate(trained, split, prompts)
+    # Each labeled clip once, with its segment's class, read from the records.
+    labeled = [(clip, p.phase_class) for v in split.videos for p in v.phases
+               for clip in v.clips[p.start:p.end]]
+    assert report.samples == len(labeled) == 10 < len(split.clip_ids)
+    support = Counter(cls for _, cls in labeled)
+    assert {c["label"]: c["support"] for c in report.per_class} == \
+        {label: support[label] for label in prompts.labels}
+    k = trained.config.k_clip
+    visual = np.vstack([
+        encode_segment(Matrix(clip.frames.array[frame_rows([0], [clip.frames.rows], k)[0]]),
+                       trained.params).array
+        for clip, _ in labeled])
+    pred = classify(visual, embed_prompts(prompts, trained.params))
+    oracle = compute_metrics([prompts.labels[i] for i in pred], [cls for _, cls in labeled],
+                             labels=prompts.labels)
+    assert report.confusion == oracle.confusion
+
+
 def test_evaluate_does_not_mutate_params(corpus, trained):
     before = trained.params.digest()
     evaluate(trained, corpus, default_prompts(GEN))
@@ -424,3 +451,19 @@ def test_retrieval_recall_bounds_and_saturation(corpus, trained):
 def test_retrieval_recall_monotone_in_k(corpus, trained):
     vals = [clip_retrieval_recall(trained, corpus, top_k=k) for k in (1, 3, 10)]
     assert vals == sorted(vals)
+
+
+def test_retrieval_recall_is_pinned():
+    # The setup of test_eval_report_is_pinned; R@1, R@5 and R@10 as counts of clips.
+    train_split, holdout = generate_synthetic(GeneratorConfig()).split(0.25)
+    ckpt = train(TrainConfig(cycles=1), train_split).checkpoint
+    for split, n, hits in ((train_split, 720, (1, 5, 11)), (holdout, 240, (0, 6, 7))):
+        assert len(split.clip_ids) == n
+        assert [clip_retrieval_recall(ckpt, split, k) for k in (1, 5, 10)] == \
+            [h / n for h in hits]
+
+
+def test_retrieval_recall_rejects_a_corpus_without_clips(trained):
+    # The error class, and so the exit code (4), that evaluate gives such a split.
+    with pytest.raises(EmptyInputError, match="^no segments to sample$"):
+        clip_retrieval_recall(trained, load_records(GEN, []))
