@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import HierclError
-from .numerics import Matrix, Tape, finite_diff_check
+from .numerics import Tape, finite_diff_check
 from .encoders import EncoderDims, ModelParams
 from .corpus import Corpus, GeneratorConfig, generate_synthetic, load_corpus, save_corpus
 from .objectives import loss_clip, loss_phase, loss_single, loss_video
@@ -27,7 +27,6 @@ from .zeroshot import (
 
 __all__ = [
     "HierclError",
-    "Matrix",
     "Tape",
     "finite_diff_check",
     "EncoderDims",

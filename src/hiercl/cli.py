@@ -219,7 +219,7 @@ def cmd_eval(args) -> int:
     check_compatible(ckpt.params, corpus)
     prompts = load_prompts(args.prompts) if args.prompts else default_prompts(corpus.config)
     split = _eval_split(corpus, args.split, holdout)
-    check_prompts(prompts, split, ckpt.params.vocab_size)
+    check_prompts(prompts, split, ckpt.params.dims.vocab_size)
     out_dir = args.out
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")

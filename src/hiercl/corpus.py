@@ -44,7 +44,6 @@ from .errors import (
     check_floats,
     check_ints,
 )
-from .numerics import Matrix
 from .encoders import FrameStack, TokenSets, TokenStack, frame_rows
 from .seeding import substream
 
@@ -102,7 +101,7 @@ class GeneratorConfig:
 @dataclass(frozen=True)
 class VideoClip:
     clip_id: str
-    frames: Matrix
+    frames: FrameStack  # one segment: the clip's rows of frame_table
     narration_a: tuple[int, ...]
     narration_b: tuple[int, ...]
 
@@ -175,8 +174,9 @@ class Corpus:
         tokens = self.token_table.tolist()
         a, b, concepts, abstracts = ([tuple(tokens[s:s + n]) for s, n in zip(
             *map(np.ndarray.tolist, runs))] for runs in map(self.token_runs.get, TEXT_KINDS))
-        frames = np.split(self.frame_table, np.cumsum(self.clip_rows)[:-1])
-        clips = list(map(VideoClip, self.clip_ids, map(Matrix._wrap, frames), a, b))
+        frames = map(FrameStack, np.split(self.frame_table, np.cumsum(self.clip_rows)[:-1]),
+                     self.clip_rows.reshape(-1, 1))
+        clips = list(map(VideoClip, self.clip_ids, frames, a, b))
         firsts = list(accumulate(self.video_clips.tolist(), initial=0))
         cuts = np.searchsorted(self.segments[:, 0], firsts).tolist()
         phases = list(zip(self.segments.tolist(), concepts))
@@ -723,7 +723,8 @@ _fields = cache(fields)  # a batch class's columns, looked up once per class
 class _Batch:
     level: ClassVar[str]
     source_ids: tuple[str, ...]
-    frames: Sequence[Matrix]  # k sampled frames per item; sampled batches hold a FrameStack
+    # k sampled frames per item: sampled batches hold a FrameStack, hand-built ones 2-D arrays
+    frames: Sequence[np.ndarray | FrameStack]
 
     def __post_init__(self) -> None:
         if len(set(self.source_ids)) != len(self.source_ids):

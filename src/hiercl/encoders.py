@@ -38,7 +38,7 @@ from .errors import (
     ShapeError,
     check_ints,
 )
-from .numerics import Matrix, Node, Tape
+from .numerics import Node, Tape
 
 TokenSeq = Sequence[int]
 
@@ -170,14 +170,6 @@ class ModelParams:
             for (_, rows, _), b in zip(_BLOCKS, dims.layout)
         })
 
-    @property
-    def d_in(self) -> int:
-        return self.dims.d_in
-
-    @property
-    def vocab_size(self) -> int:
-        return self.dims.vocab_size
-
     def leaves(self) -> list[tuple[str, np.ndarray]]:
         """Named parameter blocks in layout order, as read-only views."""
         return list(self._leaves)
@@ -191,12 +183,14 @@ class ModelParams:
         return h.hexdigest()
 
 
-class FrameStack(Sequence[Matrix]):
-    """Frame segments stacked row-wise: one read-only array and each segment's row count.
+class FrameStack(Sequence["FrameStack"]):
+    """Frame segments stacked row-wise: one read-only float64 array and each segment's row count.
 
-    It reads as a sequence of per-segment Matrix views, each found when it is
+    It reads as a sequence of one-segment FrameStacks, each found when it is
     read; the visual encoder reads the array as it is.
     """
+
+    __slots__ = ("array", "lengths")
 
     def __init__(self, array: np.ndarray, lengths: np.ndarray) -> None:
         array.setflags(write=False)
@@ -204,28 +198,45 @@ class FrameStack(Sequence[Matrix]):
         self.lengths = lengths
 
     @classmethod
-    def of(cls, segments: Sequence[Matrix]) -> "FrameStack":
-        """Separate segments of one width, stacked by one concatenate."""
-        if not segments:
+    def of(cls, segments: Sequence[np.ndarray | FrameStack]) -> "FrameStack":
+        """A FrameStack as it is; other segments, 2-D arrays or FrameStacks of one width,
+        copied into one float64 array by one concatenate."""
+        if isinstance(segments, FrameStack):
+            return segments
+        if not len(segments):
             raise EmptyInputError("no segments to encode")
-        widths = {s.cols for s in segments}
+        arrays, lengths = [], []
+        for s in segments:
+            if isinstance(s, FrameStack):
+                arrays.append(s.array)
+                lengths.extend(s.lengths.tolist())
+                continue
+            a = np.asarray(s, dtype=np.float64)
+            if a.ndim != 2:
+                raise ShapeError(f"a frame segment must be 2-D, got {a.ndim}-D")
+            arrays.append(a)
+            lengths.append(len(a))
+        widths = {a.shape[1] for a in arrays}
         if len(widths) > 1:
             raise ShapeError(f"segments have different widths: {sorted(widths)}")
-        return cls(np.concatenate([s.array for s in segments]),
-                   np.array([s.rows for s in segments], dtype=np.intp))
+        return cls(np.concatenate(arrays), np.array(lengths, dtype=np.intp))
 
     @classmethod
     def at(cls, table: np.ndarray, rows: np.ndarray) -> "FrameStack":
         """The table rows of each segment, one row of `rows` each, by one fancy index."""
         return cls(table[rows.ravel()], np.full(len(rows), rows.shape[1], dtype=np.intp))
 
+    @property
+    def rows(self) -> int:
+        return len(self.array)
+
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, i: int) -> Matrix:
+    def __getitem__(self, i: int) -> "FrameStack":
         i = range(len(self))[i]
         start = int(self.lengths[:i].sum())
-        return Matrix._wrap(self.array[start:start + self.lengths[i]])
+        return FrameStack(self.array[start:start + self.lengths[i]], self.lengths[i:i + 1])
 
 
 def frame_rows(starts: Sequence[int], lengths: Sequence[int], k: int) -> np.ndarray:
@@ -345,7 +356,7 @@ def _mlp(tape: Tape, x: Node, pn: dict[str, Node], prefix: str) -> Node:
 
 
 def visual_embedding_rows(tape: Tape, pn: dict[str, Node],
-                          segments: Sequence[Matrix]) -> Node:
+                          segments: Sequence[np.ndarray | FrameStack]) -> Node:
     """Unit-norm embedding per frame segment, stacked into one matrix.
 
     Every frame of every segment goes through the network in one pass; each
@@ -353,7 +364,7 @@ def visual_embedding_rows(tape: Tape, pn: dict[str, Node],
     Segments may have different frame counts. A FrameStack is encoded as it
     is; other segments are stacked into one first.
     """
-    stack = segments if isinstance(segments, FrameStack) else FrameStack.of(segments)
+    stack = FrameStack.of(segments)
     encoded = _mlp(tape, tape.constant(stack.array), pn, "visual")
     return tape.l2_normalize_rows(tape.segment_mean(encoded, stack.lengths))
 

@@ -51,49 +51,6 @@ def single_thread_blas() -> None:
                 return
 
 
-class Matrix:
-    """Immutable 2-D float64 array, row-major: only the frame-segment record, `FrameStack`
-    items and `VideoClip.frames`. It stays while the benchmark harness reads `.rows`
-    from each `FrameStack` item and `clip.frames.array` from `Corpus.videos`."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, values) -> None:
-        a = np.array(values, dtype=np.float64, order="C")
-        if a.ndim != 2:
-            raise ShapeError(f"Matrix requires 2-D data, got {a.ndim}-D")
-        a.setflags(write=False)
-        self._a = a
-
-    @classmethod
-    def _wrap(cls, a: np.ndarray) -> "Matrix":
-        # Internal fast path: a must be a 2-D float64 C-order array nothing writes to.
-        m = cls.__new__(cls)
-        a.setflags(write=False)
-        m._a = a
-        return m
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only ndarray view of the values."""
-        return self._a
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-
 # A vector-Jacobian product: (gradient of the node's value, which inputs need
 # a gradient) -> one gradient or None per input.
 VJP = Callable[[np.ndarray, Sequence[bool]], Sequence["np.ndarray | None"]]

@@ -216,14 +216,14 @@ def check_capacity(cfg: TrainConfig, corpus: Corpus) -> None:
 
 def check_compatible(params: ModelParams, corpus: Corpus) -> None:
     """Raise ShapeError unless the model reads the corpus's frames and tokens."""
-    if params.d_in != corpus.config.d_in:
+    if params.dims.d_in != corpus.config.d_in:
         raise ShapeError(
-            f"checkpoint expects {params.d_in}-dim frames, "
+            f"checkpoint expects {params.dims.d_in}-dim frames, "
             f"corpus has {corpus.config.d_in}"
         )
-    if params.vocab_size != corpus.config.vocab_size:
+    if params.dims.vocab_size != corpus.config.vocab_size:
         raise ShapeError(
-            f"checkpoint vocabulary {params.vocab_size} != "
+            f"checkpoint vocabulary {params.dims.vocab_size} != "
             f"corpus vocabulary {corpus.config.vocab_size}"
         )
 

@@ -50,14 +50,24 @@ class PromptSet:
     def __post_init__(self) -> None:
         if len(self.classes) < 2:
             raise ConfigError(f"need at least 2 classes, got {len(self.classes)}")
-        labels = [label for label, _ in self.classes]
-        if len(set(labels)) != len(labels):
-            raise ConfigError("class labels must be unique")
         for label, prompts in self.classes:
+            # Only a Python int is an id: a float token would be truncated, a bool read as 0 or 1.
+            if type(label) is not int:
+                raise ConfigError(f"label {label!r} is not an integer")
+            if not isinstance(prompts, Sequence):
+                raise ConfigError(f"class {label} prompts {prompts!r} are not a sequence")
             if not prompts:
                 raise ConfigError(f"class {label} has no prompts")
-            if not all(prompts):
-                raise ConfigError(f"class {label} has an empty prompt")
+            for prompt in prompts:
+                if not isinstance(prompt, Sequence):
+                    raise ConfigError(f"class {label} prompt {prompt!r} is not a sequence")
+                if not prompt:
+                    raise ConfigError(f"class {label} has an empty prompt")
+                for token in prompt:
+                    if type(token) is not int:
+                        raise ConfigError(f"token {token!r} is not an integer")
+        if len(set(self.labels)) != len(self.classes):
+            raise ConfigError("class labels must be unique")
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -95,13 +105,6 @@ def save_prompts(prompts: PromptSet, path) -> None:
         f.write("\n")
 
 
-def _integer(value, what: str) -> int:
-    # int() would silently turn 2.9 into 2 and true into 1.
-    if type(value) is not int:
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return value
-
-
 def load_prompts(path) -> PromptSet:
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -115,9 +118,7 @@ def load_prompts(path) -> PromptSet:
         )
     try:
         classes = tuple(
-            (_integer(c["label"], "label"),
-             tuple(tuple(_integer(t, "token") for t in p) for p in c["prompts"]))
-            for c in doc["classes"]
+            (c["label"], tuple(map(tuple, c["prompts"]))) for c in doc["classes"]
         )
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusFormatError(f"{path}: bad prompt record: {e}") from e
@@ -201,6 +202,8 @@ def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:
         labels = sorted(set(gt) | set(pred))
     labels = tuple(int(c) for c in labels)
     index = {c: i for i, c in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ContractError(f"class set {list(labels)} repeats a label")
     for value in pred + gt:
         if value not in index:
             raise ContractError(f"label {value} not in class set {list(labels)}")
@@ -258,7 +261,7 @@ def check_prompts(prompts: PromptSet, split: Corpus, vocab_size: int) -> None:
 
 def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> MetricsReport:
     """Zero-shot phase recognition over every labeled clip of a corpus split."""
-    check_prompts(prompts, split, checkpoint.params.vocab_size)
+    check_prompts(prompts, split, checkpoint.params.dims.vocab_size)
     params = checkpoint.params
     before = params.digest()
     class_rows = embed_prompts(prompts, params)

@@ -35,6 +35,7 @@ from hiercl.corpus import (
     sample_video_batch,
     save_corpus,
 )
+from hiercl.encoders import FrameStack
 from hiercl.errors import (
     ConfigError,
     ContractError,
@@ -42,7 +43,6 @@ from hiercl.errors import (
     InsufficientDataError,
     SchemaVersionError,
 )
-from hiercl.numerics import Matrix
 from hiercl.seeding import substream
 from hiercl.trainer import TrainConfig, save_checkpoint, untrained_checkpoint
 from hiercl.zeroshot import default_prompts, evaluate
@@ -129,7 +129,7 @@ def test_structure(corpus):
             covered.extend(range(p.start, p.end))
         assert covered == list(range(6))
         for c in v.clips:
-            assert c.frames.shape == (4, 8)
+            assert c.frames.array.shape == (4, 8)
             assert len(c.narration_a) == len(c.narration_b)
         assert len(v.abstract) > 0
 
@@ -492,7 +492,8 @@ EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 @example([np.array([EXTREMES[:3], EXTREMES[3:6], EXTREMES[4:]])])
 def test_roundtrip_preserves_frame_bits(frames):
     cfg = GeneratorConfig(num_videos=1, num_classes=1, d_in=3, vocab_size=4)
-    clips = tuple(VideoClip(f"c{i}", Matrix(f), (0, 3), (1,)) for i, f in enumerate(frames))
+    clips = tuple(VideoClip(f"c{i}", FrameStack.of([f]), (0, 3), (1,))
+                  for i, f in enumerate(frames))
     video = LectureVideo("v0", clips, (PhaseSegment(0, len(clips), (2,), 0),), (3, 0))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
@@ -519,7 +520,7 @@ def _with_phase(video, pi, **changes):
 def _nan_frames(video):
     frames = video.clips[1].frames.array.copy()
     frames[1, 3] = np.nan
-    return _with_clip(video, 1, frames=Matrix(frames))
+    return _with_clip(video, 1, frames=FrameStack.of([frames]))
 
 
 # Each fault is one a loader must refuse, written by save_corpus itself.
@@ -529,7 +530,8 @@ RECORD_FAULTS = {
     "float token": lambda v: replace(v, abstract=(3.7,) + v.abstract[1:]),
     "bool token": lambda v: _with_clip(v, 2, narration_b=(True,) + v.clips[2].narration_b[1:]),
     "phase class 99": lambda v: _with_phase(v, 1, phase_class=99),
-    "frame row too wide": lambda v: _with_clip(v, 0, frames=Matrix(np.zeros((1, SMALL.d_in + 1)))),
+    "frame row too wide": lambda v: _with_clip(
+        v, 0, frames=FrameStack.of([np.zeros((1, SMALL.d_in + 1))])),
     "NaN frame value": _nan_frames,
     "duplicate video id": lambda v: replace(v, video_id="v000"),
     "clip id of an earlier video": lambda v: _with_clip(v, 2, clip_id="v000c01"),
@@ -759,7 +761,7 @@ def test_clip_batch_contents(corpus):
     assert len(set(batch.source_ids)) == 4
     for frames, narration_a, narration_b in zip(batch.frames, batch.narration_a,
                                                 batch.narration_b):
-        assert frames.shape == (3, 8)
+        assert frames.array.shape == (3, 8)
         assert len(narration_a) == len(narration_b)
 
 
@@ -770,7 +772,7 @@ def test_phase_batch_has_every_segment_narration(corpus):
     for frames, narrations, concept in zip(batch.frames, batch.narrations, batch.summary):
         # clips_per_phase=2, so each phase contributes exactly 2 narrations
         assert len(narrations) == 2
-        assert frames.shape == (5, 8)
+        assert frames.array.shape == (5, 8)
         assert len(concept) > 0
 
 
@@ -789,12 +791,12 @@ def test_video_batch_narration_subsample(corpus):
     batch = sample_video_batch(corpus, 2, rng, k=4)
     for frames, narrations in zip(batch.frames, batch.narrations, strict=True):
         assert len(narrations) == 4
-        assert frames.shape == (4, 8)
+        assert frames.array.shape == (4, 8)
     # k larger than the clip count -> one narration per clip, no repeats
     batch = sample_video_batch(corpus, 2, rng, k=32)
     for frames, narrations in zip(batch.frames, batch.narrations, strict=True):
         assert len(narrations) == 6
-        assert frames.shape == (32, 8)
+        assert frames.array.shape == (32, 8)
 
 
 def test_sampling_is_stream_deterministic(corpus):
@@ -830,7 +832,7 @@ def test_oversized_batch_names_level(corpus):
 
 
 def test_batch_rejects_repeated_sources():
-    frames = Matrix(np.zeros((2, 3)))
+    frames = np.zeros((2, 3))
     for cls in (ClipBatch, PhaseBatch, VideoBatch):
         with pytest.raises(InsufficientDataError, match=f"{cls.level} batch repeats"):
             cls(("x", "x"), (frames, frames), ((1,), (1,)), ((1,), (1,)))
@@ -845,7 +847,7 @@ def test_phase_and_video_batches_share_one_shape():
 
 
 def test_batch_rejects_columns_of_different_lengths():
-    frames = Matrix(np.zeros((2, 3)))
+    frames = np.zeros((2, 3))
     with pytest.raises(ContractError, match="clip batch columns"):
         ClipBatch(("x", "y"), (frames, frames), ((1,), (1,)), ((1,),))
 
@@ -867,7 +869,7 @@ def ragged_corpora(draw):
     for vi in range(draw(st.integers(1, 3))):
         clips = tuple(
             VideoClip(f"v{vi}c{ci}",
-                      Matrix([[next(frame_ids), 0.5] for _ in range(rows)]),
+                      FrameStack.of([[[next(frame_ids), 0.5] for _ in range(rows)]]),
                       text(), text())
             for ci, rows in enumerate(draw(st.lists(st.integers(1, 7), min_size=1,
                                                     max_size=5)))
@@ -887,8 +889,8 @@ def _oracle_frames(clips, k: int) -> np.ndarray:
     return stacked[np.arange(k) * len(stacked) // k]
 
 
-def _same_bits(got: Matrix, want: np.ndarray) -> bool:
-    return got.shape == want.shape and got.array.tobytes() == want.tobytes()
+def _same_bits(got: FrameStack, want: np.ndarray) -> bool:
+    return got.array.shape == want.shape and got.array.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1085,7 +1087,8 @@ def test_saved_lines_escape_ids_and_allow_no_phases(tmp_path):
     odd = 'q"\\é\x01\ud800'  # quote, backslash, non-ASCII, control, lone surrogate
 
     def clip(clip_id, rows):
-        return VideoClip(clip_id, Matrix(np.arange(3.0 * rows).reshape(rows, 3)), (0, 3), (1,))
+        frames = FrameStack.of([np.arange(3.0 * rows).reshape(rows, 3)])
+        return VideoClip(clip_id, frames, (0, 3), (1,))
 
     videos = (LectureVideo(odd, (clip(odd + "c0", 1), clip("c1", 2)),
                            (PhaseSegment(0, 2, (2,), 0),), (3, 0)),

@@ -21,7 +21,7 @@ from hiercl.errors import (
     ShapeError,
     VocabularyError,
 )
-from hiercl.numerics import Matrix, Tape
+from hiercl.numerics import Tape
 from hiercl.seeding import substream
 
 from eager import aggregate_texts, encode_segment, encode_text
@@ -56,7 +56,7 @@ def test_initialize_shapes_and_zero_biases(params):
     assert blocks["text.w1"].shape == (5, 9)
     assert np.all(blocks["visual.b1"] == 0.0)
     assert np.all(blocks["text.b2"] == 0.0)
-    assert params.d_in == 6 and params.dims.d_emb == 4 and params.vocab_size == 40
+    assert params.dims.d_in == 6 and params.dims.d_emb == 4 and params.dims.vocab_size == 40
 
 
 def test_initialize_digest_is_pinned():
@@ -207,6 +207,56 @@ def test_sample_frames_errors():
 
 
 # ---------------------------------------------------------------------------
+# Hand-built frame stacks
+# ---------------------------------------------------------------------------
+
+
+def test_frame_stack_array_is_read_only():
+    stack = FrameStack.of([[[1.0, 2.0]], np.zeros((2, 2))])
+    for frames in (stack, stack[0], stack[1]):
+        with pytest.raises(ValueError):
+            frames.array[0, 0] = 5.0
+
+
+def test_frame_stack_of_copies_its_input():
+    src = np.ones((2, 2))
+    stack = FrameStack.of([src])
+    src[0, 0] = 7.0
+    assert stack.array[0, 0] == 1.0
+    assert src.flags.writeable
+
+
+def test_frame_stack_of_rejects_a_segment_not_2d():
+    with pytest.raises(EmptyInputError):
+        FrameStack.of([])
+    with pytest.raises(ShapeError, match="must be 2-D, got 1-D"):
+        FrameStack.of([np.zeros(3)])
+    with pytest.raises(ShapeError, match="must be 2-D, got 3-D"):
+        FrameStack.of([np.zeros((2, 2)), np.zeros((2, 2, 2))])
+    with pytest.raises(ShapeError, match=r"different widths: \[2, 3\]"):
+        FrameStack.of([np.zeros((2, 3)), np.zeros((1, 2))])
+
+
+def test_frame_stack_of_makes_float64():
+    stack = FrameStack.of([np.array([[1, 2, 3]]), [[4, 5, 6], [7, 8, 9]]])
+    assert stack.array.dtype == np.float64 and stack.array.shape == (3, 3)
+    assert stack.lengths.tolist() == [1, 2] and stack.rows == 3
+    assert stack[1].array.tolist() == [[4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+
+
+def test_frame_stack_items_pass_back_through_of():
+    stack = FrameStack.at(column(9), frame_rows([2, 0, 5], [5, 2, 4], 3))
+    assert FrameStack.of(stack) is stack
+    item = stack[1]
+    assert len(item) == 1 and item.rows == 3 and item.lengths.tolist() == [3]
+    again = FrameStack.of([item])
+    assert again.array.tolist() == item.array.tolist() and again.lengths.tolist() == [3]
+    mixed = FrameStack.of([stack[2], column(2), stack])
+    assert mixed.lengths.tolist() == [3, 2, 3, 3, 3]
+    assert np.array_equal(mixed.array, np.vstack([stack[2].array, column(2), stack.array]))
+
+
+# ---------------------------------------------------------------------------
 # Encoding semantics
 # ---------------------------------------------------------------------------
 
@@ -223,7 +273,7 @@ def test_encode_segment_matches_manual_forward(params):
     rng = np.random.default_rng(0)
     for _ in range(20):
         frames = rng.standard_normal((rng.integers(1, 7), 6))
-        got = encode_segment(Matrix(frames), params).array[0]
+        got = encode_segment(frames, params)[0]
         assert np.allclose(got, _manual_visual(frames, params), atol=1e-12)
 
 
@@ -232,7 +282,7 @@ def test_pooling_happens_before_normalization(params):
     # normalizing differs from normalizing each frame embedding first
     rng = np.random.default_rng(1)
     frames = rng.standard_normal((2, 6))
-    got = encode_segment(Matrix(frames), params).array[0]
+    got = encode_segment(frames, params)[0]
     per_frame = [_manual_visual(frames[i:i + 1], params) for i in range(2)]
     wrong = np.mean(per_frame, axis=0)
     wrong /= np.linalg.norm(wrong)
@@ -243,10 +293,10 @@ def test_embeddings_are_unit_norm(params):
     rng = np.random.default_rng(2)
     for _ in range(100):
         frames = rng.standard_normal((rng.integers(1, 10), 6))
-        v = encode_segment(Matrix(frames), params).array
+        v = encode_segment(frames, params)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         tokens = rng.integers(0, 40, rng.integers(1, 12)).tolist()
-        t = encode_text(tokens, params).array
+        t = encode_text(tokens, params)
         assert abs(np.linalg.norm(t) - 1.0) < 1e-12
 
 
@@ -258,13 +308,13 @@ def test_encode_text_is_order_invariant(params):
         rng.shuffle(shuffled)
         a = encode_text(tokens, params)
         b = encode_text(shuffled, params)
-        assert np.allclose(a.array, b.array, rtol=0.0, atol=1e-12)
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def test_encode_text_depends_on_multiset(params):
     a = encode_text([1, 2, 3], params)
     b = encode_text([1, 2, 4], params)
-    assert not np.allclose(a.array, b.array, rtol=0.0, atol=1e-6)
+    assert not np.allclose(a, b, rtol=0.0, atol=1e-6)
 
 
 def test_encode_text_vocabulary_error_names_token(params):
@@ -276,11 +326,11 @@ def test_encode_text_vocabulary_error_names_token(params):
 
 def test_encode_segment_width_mismatch(params):
     with pytest.raises(ShapeError):
-        encode_segment(Matrix(np.zeros((3, 5))), params)
+        encode_segment(np.zeros((3, 5)), params)
     tape = Tape()
     with pytest.raises(ShapeError, match="different widths"):
         visual_embedding_rows(tape, param_nodes(tape, params),
-                              [Matrix(np.zeros((3, 6))), Matrix(np.zeros((2, 5)))])
+                              [np.zeros((3, 6)), np.zeros((2, 5))])
 
 
 def test_aggregate_texts_matches_mean_of_embeddings(params):
@@ -288,8 +338,8 @@ def test_aggregate_texts_matches_mean_of_embeddings(params):
     for _ in range(20):
         texts = [rng.integers(0, 40, rng.integers(2, 8)).tolist()
                  for _ in range(rng.integers(1, 5))]
-        got = aggregate_texts(texts, params).array[0]
-        members = np.vstack([encode_text(t, params).array for t in texts])
+        got = aggregate_texts(texts, params)[0]
+        members = np.vstack([encode_text(t, params) for t in texts])
         want = members.mean(axis=0)
         want /= np.linalg.norm(want)
         assert np.allclose(got, want, atol=1e-12)
@@ -297,14 +347,14 @@ def test_aggregate_texts_matches_mean_of_embeddings(params):
 
 def test_aggregate_single_text_is_identity(params):
     text = [5, 6, 7]
-    assert np.allclose(aggregate_texts([text], params).array, encode_text(text, params).array,
+    assert np.allclose(aggregate_texts([text], params), encode_text(text, params),
                        rtol=0.0, atol=1e-12)
 
 
 def test_aggregate_duplicate_text_is_identity(params):
     text = [5, 6, 7]
     got = aggregate_texts([text, text, text], params)
-    assert np.allclose(got.array, encode_text(text, params).array, rtol=0.0, atol=1e-12)
+    assert np.allclose(got, encode_text(text, params), rtol=0.0, atol=1e-12)
 
 
 def test_fused_and_ragged_text_paths_agree(params):
@@ -329,7 +379,7 @@ def test_fused_and_ragged_text_paths_agree(params):
     mixed = aggregated_text_rows(tape4, param_nodes(tape4, params), mixed_sets).value
     assert np.allclose(fused_sets, mixed[:3], atol=1e-12)
     for i, ts in enumerate(mixed_sets):
-        assert np.allclose(mixed[i], aggregate_texts(ts, params).array[0], atol=1e-12)
+        assert np.allclose(mixed[i], aggregate_texts(ts, params)[0], atol=1e-12)
 
 
 def _stack(table, starts, lengths) -> TokenStack:
@@ -420,7 +470,7 @@ def test_tape_length_does_not_grow_with_item_count(params):
         return [rng.integers(0, 40, rng.integers(1, 12)).tolist() for _ in range(n)]
 
     def segments(n):
-        return [Matrix(rng.standard_normal((rng.integers(1, 9), 6))) for _ in range(n)]
+        return [rng.standard_normal((rng.integers(1, 9), 6)) for _ in range(n)]
 
     assert nodes(text_embedding_rows, texts(3)) == nodes(text_embedding_rows, texts(300))
     assert nodes(visual_embedding_rows, segments(3)) == nodes(visual_embedding_rows, segments(300))

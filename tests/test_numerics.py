@@ -1,4 +1,4 @@
-"""Matrix ops, the gradient tape, and the finite-difference harness."""
+"""Tape op values and gradients, and the finite-difference harness."""
 import re
 from pathlib import Path
 
@@ -17,7 +17,8 @@ from hiercl.errors import (
     ShapeError,
     VocabularyError,
 )
-from hiercl.numerics import Matrix, Tape, finite_diff_check
+from hiercl.encoders import FrameStack
+from hiercl.numerics import Tape, finite_diff_check
 
 
 def rand(rng, r, c):
@@ -59,37 +60,6 @@ def total(t, a):
     """The 1x1 node summing every entry of a, with its textbook gradient: a scalar readout."""
     x = a.value
     return t._push(np.array([[x.sum()]]), (a,), lambda g, needs: (np.full(x.shape, g[0, 0]),))
-
-
-# ---------------------------------------------------------------------------
-# Matrix basics
-# ---------------------------------------------------------------------------
-
-
-def test_matrix_is_immutable():
-    m = Matrix([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        m.array[0, 0] = 5.0
-
-
-def test_matrix_copies_its_input():
-    src = np.ones((2, 2))
-    m = Matrix(src)
-    src[0, 0] = 7.0
-    assert m.array[0, 0] == 1.0
-
-
-def test_matrix_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        Matrix(np.zeros(3))
-    with pytest.raises(ShapeError):
-        Matrix(np.zeros((2, 2, 2)))
-
-
-def test_constructors():
-    assert Matrix(np.zeros((2, 4))).shape == (2, 4)
-    assert Matrix(np.array([[1, 2, 3]])).shape == (1, 3)
-    assert Matrix([[1, 2], [3, 4]]).array[1].tolist() == [3.0, 4.0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +267,7 @@ _NOT_2D_FLOAT64 = {
     "int64": np.zeros((2, 2), dtype=np.int64),
     "float32": np.zeros((2, 2), dtype=np.float32),
     "list": [[1.0, 2.0]],
-    "Matrix": Matrix([[1.0, 2.0]]),
+    "FrameStack": FrameStack.of([[[1.0, 2.0]]]),
 }
 
 

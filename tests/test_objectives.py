@@ -24,7 +24,7 @@ from hiercl.corpus import (
 )
 from hiercl.encoders import EncoderDims, ModelParams, TokenStack
 from hiercl.errors import ConfigError, EmptyInputError
-from hiercl.numerics import Matrix, Tape, finite_diff_check
+from hiercl.numerics import Tape, finite_diff_check
 from hiercl.objectives import _sim_diagnostics, loss_clip, loss_phase, loss_single, loss_video
 from hiercl.seeding import substream
 from hiercl.trainer import TrainConfig, train
@@ -51,26 +51,26 @@ def identity_params(d: int) -> ModelParams:
     )
 
 
-def basis_frames(d: int, axis: int, k: int = 2) -> Matrix:
+def basis_frames(d: int, axis: int, k: int = 2) -> np.ndarray:
     row = np.zeros(d)
     row[axis] = 1.0
-    return Matrix(np.tile(row, (k, 1)))
+    return np.tile(row, (k, 1))
 
 
-def clip_batch(frames: list[Matrix], toks: list[int]) -> ClipBatch:
+def clip_batch(frames: list[np.ndarray], toks: list[int]) -> ClipBatch:
     """Item i: frames[i], both narrations the one token toks[i]."""
     texts = tuple((t,) for t in toks)
     return ClipBatch(tuple(f"c{i}" for i in range(len(frames))), tuple(frames), texts, texts)
 
 
-def phase_batch(frames: list[Matrix], toks: list[int]) -> PhaseBatch:
+def phase_batch(frames: list[np.ndarray], toks: list[int]) -> PhaseBatch:
     """Item i: frames[i], one narration and the summary (concept) the one token toks[i]."""
     texts = tuple((t,) for t in toks)
     return PhaseBatch(tuple(f"p{i}" for i in range(len(frames))), tuple(frames),
                       tuple((t,) for t in texts), texts)
 
 
-def video_batch(frames: list[Matrix], toks: list[int]) -> VideoBatch:
+def video_batch(frames: list[np.ndarray], toks: list[int]) -> VideoBatch:
     """Item i: frames[i], one narration and the summary (abstract) the one token toks[i]."""
     texts = tuple((t,) for t in toks)
     return VideoBatch(tuple(f"v{i}" for i in range(len(frames))), tuple(frames),
@@ -83,8 +83,8 @@ def empty(batch_cls):
 
 def test_identity_params_sanity():
     p = identity_params(4)
-    assert np.allclose(encode_text([2], p).array, np.eye(4)[2])
-    assert np.allclose(encode_segment(basis_frames(4, 1), p).array, np.eye(4)[1])
+    assert np.allclose(encode_text([2], p), np.eye(4)[2])
+    assert np.allclose(encode_segment(basis_frames(4, 1), p), np.eye(4)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +196,15 @@ def _softmax_diag(q: np.ndarray, t: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _segments(frames, params):
-    return [encode_segment(f, params).array for f in frames]
+    return [encode_segment(f, params) for f in frames]
 
 
 def _texts(texts, params):
-    return [encode_text(t, params).array for t in texts]
+    return [encode_text(t, params) for t in texts]
 
 
 def _aggregates(text_sets, params):
-    return np.vstack([aggregate_texts(list(ts), params).array for ts in text_sets])
+    return np.vstack([aggregate_texts(list(ts), params) for ts in text_sets])
 
 
 def oracle_clip(batch, params, tau):
@@ -309,7 +309,7 @@ def test_raising_matched_similarity_never_raises_loss():
             row = np.zeros(d)
             row[i] = math.cos(theta)
             row[shared] = math.sin(theta)
-            frames.append(Matrix(np.tile(row, (2, 1))))
+            frames.append(np.tile(row, (2, 1)))
         return phase_batch(frames, [0, 1, 2])
 
     thetas = np.linspace(0.0, 1.5, 12)  # matched cosine decreasing
@@ -358,7 +358,7 @@ def test_unused_token_rows_get_zero_gradient():
         substream(11, "train"),
     )
     rng = np.random.default_rng(12)
-    clip = clip_batch([Matrix(rng.standard_normal((2, 4))) for _ in range(2)], [0, 1])
+    clip = clip_batch([rng.standard_normal((2, 4)) for _ in range(2)], [0, 1])
     lv = loss_clip(clip, params, 0.07)
     embed = next(b for b in params.dims.layout if b.name == "text.embed")
     g = lv.grads[embed.offset:embed.stop].reshape(embed.rows, embed.cols)

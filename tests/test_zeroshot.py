@@ -23,7 +23,6 @@ from hiercl.errors import (
     ShapeError,
     VocabularyError,
 )
-from hiercl.numerics import Matrix
 from hiercl.trainer import TrainConfig, train, untrained_checkpoint
 from hiercl.zeroshot import (
     MetricsReport,
@@ -81,6 +80,23 @@ def test_prompt_set_validation():
         PromptSet(classes=((0, ((1,),)), (1, ())))  # empty prompt list
     with pytest.raises(ConfigError, match="class 1 has an empty prompt"):
         PromptSet(classes=((0, ((1,),)), (1, ((2,), ()))))
+
+
+@pytest.mark.parametrize("classes, message", [
+    (((0, (5,)), (1, ((7,),))), "class 0 prompt 5 is not a sequence"),
+    (((0, 5), (1, ((7,),))), "class 0 prompts 5 are not a sequence"),
+    (((0, ((1, 2.5),)), (1, ((7,),))), "token 2.5 is not an integer"),
+    (((0, ((1,),)), (1, ((True,),))), "token True is not an integer"),
+    (((0, ((1,),)), (1, ((np.int64(7),),))), r"token (np\.int64\()?7\)? is not an integer"),
+    (((0.0, ((1,),)), (1, ((7,),))), "label 0.0 is not an integer"),
+    (((False, ((1,),)), (1, ((7,),))), "label False is not an integer"),
+], ids=["int-prompt", "int-prompts", "float-token", "bool-token", "numpy-token",
+        "float-label", "bool-label"])
+def test_prompt_set_takes_only_int_ids_in_token_sequences(classes, message):
+    # each was once accepted: a float token truncated, a bool read as 0 or 1,
+    # an int prompt a raw TypeError when checked against the vocabulary
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        PromptSet(classes=classes)
 
 
 def test_default_prompts_stay_in_class_blocks():
@@ -282,6 +298,12 @@ def test_metrics_input_errors():
         compute_metrics([7], [0], labels=[0, 1])
 
 
+def test_metrics_reject_a_repeated_label():
+    # a repeated label once gave class 0 two rows, one never counted
+    with pytest.raises(ContractError, match=r"class set \[0, 0, 1\] repeats a label"):
+        compute_metrics([0, 1, 1], [0, 1, 0], labels=[0, 0, 1])
+
+
 def test_report_json_and_table():
     report = compute_metrics([0, 1, 1, 2], [0, 1, 2, 2])
     doc = report.to_json()
@@ -360,8 +382,8 @@ def test_evaluate_skips_clips_outside_every_segment(corpus, trained):
         {label: support[label] for label in prompts.labels}
     k = trained.config.k_clip
     visual = np.vstack([
-        encode_segment(Matrix(clip.frames.array[frame_rows([0], [clip.frames.rows], k)[0]]),
-                       trained.params).array
+        encode_segment(clip.frames.array[frame_rows([0], [clip.frames.rows], k)[0]],
+                       trained.params)
         for clip, _ in labeled])
     pred = classify(visual, embed_prompts(prompts, trained.params))
     oracle = compute_metrics([prompts.labels[i] for i in pred], [cls for _, cls in labeled],
