@@ -174,8 +174,11 @@ class Corpus:
         tokens = self.token_table.tolist()
         a, b, concepts, abstracts = ([tuple(tokens[s:s + n]) for s, n in zip(
             *map(np.ndarray.tolist, runs))] for runs in map(self.token_runs.get, TEXT_KINDS))
+        rows = self.clip_rows.tolist()
+        # One lengths array per row count, shared: a view per clip would cost 0.1 KB each.
+        lengths = {n: np.full(1, n, dtype=np.intp) for n in set(rows)}
         frames = map(FrameStack, np.split(self.frame_table, np.cumsum(self.clip_rows)[:-1]),
-                     self.clip_rows.reshape(-1, 1))
+                     map(lengths.get, rows))
         clips = list(map(VideoClip, self.clip_ids, frames, a, b))
         firsts = list(accumulate(self.video_clips.tolist(), initial=0))
         cuts = np.searchsorted(self.segments[:, 0], firsts).tolist()
