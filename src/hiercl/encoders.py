@@ -233,7 +233,10 @@ class FrameStack(Sequence["FrameStack"]):
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, i: int) -> "FrameStack":
+    def __getitem__(self, i: int | slice) -> "FrameStack":
+        if isinstance(i, slice):
+            parts = np.split(self.array, self.lengths.cumsum()[:-1])[i]
+            return FrameStack(np.concatenate([self.array[:0], *parts]), self.lengths[i])
         i = range(len(self))[i]
         start = int(self.lengths[:i].sum())
         return FrameStack(self.array[start:start + self.lengths[i]], self.lengths[i:i + 1])
@@ -292,7 +295,9 @@ class TokenStack(Sequence[tuple[int, ...]]):
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
+    def __getitem__(self, i: int | slice) -> tuple[int, ...] | "TokenStack":
+        if isinstance(i, slice):
+            return TokenStack(self.table, self.starts[i], self.lengths[i])
         i = range(len(self))[i]
         start = self.starts[i]
         return tuple(self.table[start:start + self.lengths[i]].tolist())
@@ -337,7 +342,9 @@ class TokenSets(Sequence[tuple[tuple[int, ...], ...]]):
     def __len__(self) -> int:
         return len(self.sizes)
 
-    def __getitem__(self, i: int) -> tuple[tuple[int, ...], ...]:
+    def __getitem__(self, i: int | slice) -> tuple[tuple[int, ...], ...] | "TokenSets":
+        if isinstance(i, slice):
+            return TokenSets.of([self[j] for j in range(len(self))[i]])
         i = range(len(self))[i]
         first = int(self.sizes[:i].sum())
         return tuple(self.members[j] for j in range(first, first + self.sizes[i]))

@@ -48,6 +48,9 @@ class PromptSet:
     classes: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.classes, Sequence)
+                and all(isinstance(c, Sequence) and len(c) == 2 for c in self.classes)):
+            raise ConfigError(f"classes must be (label, prompts) pairs, got {self.classes!r}")
         if len(self.classes) < 2:
             raise ConfigError(f"need at least 2 classes, got {len(self.classes)}")
         for label, prompts in self.classes:

@@ -1,5 +1,6 @@
 """Synthetic corpus: generation, persistence, batch sampling."""
 import base64
+import binascii
 import json
 import re
 import tempfile
@@ -7,6 +8,7 @@ import tracemalloc
 from dataclasses import fields, replace
 from itertools import count
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -649,6 +651,108 @@ def test_load_names_the_first_fault_in_a_line(faults, corpus, tmp_path):
         load_corpus(path)
 
 
+
+def _per_clip_frames(clips, out, row_bytes):
+    """A line's frames decoded clip by clip by the strict decoder, with the loader's
+    messages: the reference the loader's one-pass decode must agree with."""
+    raws = []
+    for c in clips:
+        try:
+            raw = base64.b64decode(c["frames"], validate=True)
+        except binascii.Error as e:
+            raise CorpusFormatError(f"clip {c['id']}: frames are not base64: {e}") from e
+        if not raw or len(raw) % row_bytes:
+            raise CorpusFormatError(f"clip {c['id']}: {len(raw)} frame bytes is not a positive "
+                                    f"multiple of {row_bytes} (d_in={row_bytes // 8})")
+        raws.append(raw)
+    counts = [len(r) // row_bytes for r in raws]
+    out[:sum(counts)] = np.frombuffer(b"".join(raws), "<f8").reshape(-1, out.shape[1])
+    return counts
+
+
+def _load_outcome(path):
+    """Every table of the corpus at `path` as bytes, or the message it is refused with."""
+    try:
+        corpus = load_corpus(path)
+    except CorpusFormatError as e:
+        return str(e)
+    runs = [a for r in corpus.token_runs.values() for a in r]
+    return (corpus.video_ids, corpus.clip_ids, corpus.frame_table.shape,
+            *(a.tobytes() for a in (corpus.video_clips, corpus.clip_rows, corpus.segments,
+                                    corpus.frame_table, corpus.token_table, *runs)))
+
+
+# How a clip's frames text is spoiled: each takes the text and a draw in [0, 1).
+TEXT_FAULTS = {
+    "none": lambda t, u: t,
+    "= in the middle": lambda t, u: _put(t, u, "="),
+    "bad ASCII character": lambda t, u: _put(t, u, "!"),
+    "newline": lambda t, u: _put(t, u, "\n"),
+    "non-ASCII character": lambda t, u: _put(t, u, "\u00e9"),
+    "length not divisible by 4": lambda t, u: t[:-1],
+    "one more character": lambda t, u: t + "A",
+    "one group fewer": lambda t, u: t[4:],
+    "one group more": lambda t, u: t + "AAAA",
+    "empty": lambda t, u: "",
+    "int": lambda t, u: 5,
+    "null": lambda t, u: None,
+    "list": lambda t, u: [t],
+}
+
+
+def _put(text: str, u: float, char: str) -> str:
+    at = int(u * len(text))
+    return text[:at] + char + text[at + 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(d_in=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+       rows=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       fault=st.sampled_from(sorted(TEXT_FAULTS) + ["missing frames key"]),
+       where=st.floats(0, 1, exclude_max=True), clip=st.integers(0, 4))
+@example(d_in=3, seed=0, rows=[1, 2], fault="none", where=0.0, clip=0)
+@example(d_in=2, seed=0, rows=[1, 2], fault="none", where=0.0, clip=0)
+@example(d_in=3, seed=0, rows=[2, 4], fault="= in the middle", where=0.5, clip=1)
+def test_one_pass_decode_agrees_with_the_per_clip_decode(d_in, seed, rows, fault, where, clip):
+    # d_in=3 rows are whole base64 groups; d_in=2 texts are padded unless their
+    # row count is a multiple of 3. Frames are normals, or any bytes (NaN too).
+    cfg = GeneratorConfig(num_videos=2, num_classes=1, clips_per_phase=len(rows),
+                          frames_per_clip=1, d_in=d_in, vocab_size=4, seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    lines = [header_line(cfg), *map(record_line, generate_synthetic(cfg).videos)]
+    rec = json.loads(lines[1])
+    for c, n in zip(rec["clips"], rows):
+        frames = (rng.standard_normal((n, d_in)).astype("<f8").tobytes() if seed % 5
+                  else rng.bytes(8 * d_in * n))
+        c["frames"] = base64.b64encode(frames).decode()
+    target = rec["clips"][clip % len(rows)]
+    if fault == "missing frames key":
+        del target["frames"]
+    else:
+        target["frames"] = TEXT_FAULTS[fault](target["frames"], where)
+    lines[1] = json.dumps(rec) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_text("".join(lines))
+        got = _load_outcome(path)
+        with patch.object(corpus_module, "_decode_frames", _per_clip_frames):
+            want = _load_outcome(path)
+    assert got == want
+
+
+def test_whole_row_lines_are_decoded_in_one_pass(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(base64, "b64decode", lambda *a, **k: calls.append(a) or b"")
+    whole = GeneratorConfig(num_videos=3, d_in=3, frames_per_clip=2)  # 48 bytes: 64 characters
+    save_corpus(generate_synthetic(whole), tmp_path / "whole.jsonl")
+    assert load_corpus(tmp_path / "whole.jsonl").frame_table.tobytes() == (
+        generate_synthetic(whole).frame_table.tobytes())
+    assert not calls
+    save_corpus(generate_synthetic(SMALL), tmp_path / "padded.jsonl")  # 256 bytes: padded
+    with pytest.raises(CorpusFormatError, match="0 frame bytes"):
+        load_corpus(tmp_path / "padded.jsonl")
+    assert len(calls) == 1
+
 # ---------------------------------------------------------------------------
 # Splitting and counting
 # ---------------------------------------------------------------------------
@@ -1113,3 +1217,27 @@ def test_save_peak_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= SAVE_PEAK_BYTES, peak
+
+
+# Above its frame buffer (three quarters of the file) and the token table, the
+# tracemalloc peak of this load holds the file's 1 MiB read buffer, the id lists,
+# sets and row counts of the tables, and one line's decode scratch: 2.35 MB
+# (Python 3.11, numpy 2.4; 2.38 MB when each clip was decoded on its own). A
+# decode scratch as large as the file would add 10.7 MB.
+LOAD_SCRATCH_BYTES = 2_600_000
+
+
+def test_load_peak_memory_is_bounded(tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(generate_synthetic(GeneratorConfig(num_videos=200, seed=9021)), path)
+    save_corpus(generate_synthetic(GeneratorConfig(num_videos=2)), tmp_path / "warm.jsonl")
+    load_corpus(tmp_path / "warm.jsonl")  # builds the decode's pair table once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        corpus = load_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    frame_buffer = path.stat().st_size * 3 // 4
+    assert peak <= frame_buffer + corpus.token_table.nbytes + LOAD_SCRATCH_BYTES, peak

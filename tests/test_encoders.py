@@ -256,6 +256,23 @@ def test_frame_stack_items_pass_back_through_of():
     assert np.array_equal(mixed.array, np.vstack([stack[2].array, column(2), stack.array]))
 
 
+
+SLICES = [slice(0, 1), slice(1, None), slice(None, None, -1), slice(None, None, 2),
+          slice(-2, None), slice(5, 9), slice(2, 0)]
+
+
+@pytest.mark.parametrize("sl", SLICES, ids=str)
+def test_frame_stack_slice_is_a_frame_stack_of_the_sliced_segments(sl):
+    # a slice once raised a raw TypeError, though FrameStack is a Sequence
+    stack = FrameStack.at(column(9), frame_rows([2, 0, 5, 1], [5, 2, 4, 3], 3))
+    stack = FrameStack.of([stack[0], column(2), stack[2], stack[3]])
+    got, want = stack[sl], list(stack)[sl]
+    assert type(got) is FrameStack and len(got) == len(want)
+    assert got.lengths.tolist() == [item.rows for item in want]
+    assert [item.array.tolist() for item in got] == [item.array.tolist() for item in want]
+    assert got.array.shape == (sum(item.rows for item in want), 1)
+    assert not got.array.flags.writeable
+
 # ---------------------------------------------------------------------------
 # Encoding semantics
 # ---------------------------------------------------------------------------
@@ -444,6 +461,23 @@ def test_token_sets_read_as_sequences_of_their_members():
     assert list(nested) == list(sets)
     assert nested.sizes.tolist() == [1, 3]
     assert nested.members.ids.tolist() == members.ids.tolist()
+
+
+@pytest.mark.parametrize("sl", SLICES, ids=str)
+def test_token_stack_and_sets_slices_hold_the_sliced_items(sl):
+    # a slice once raised a raw TypeError, though both are Sequences
+    stack = _stack([7, 8, 9, 10, 11, 12], [4, 0, 1, 3, 2], [2, 3, 1, 2, 1])
+    got = stack[sl]
+    assert type(got) is TokenStack and got.table is stack.table
+    assert list(got) == list(stack)[sl]
+    assert got.ids.tolist() == [t for text in list(stack)[sl] for t in text]
+    members = _stack([1, 2, 3, 4, 5], [0, 2, 3, 1, 4, 0], [2, 1, 2, 1, 1, 1])
+    lazy = TokenSets.spread(members, np.array([0, 1, 4], dtype=np.intp),
+                            np.array([1, 3, 2], dtype=np.intp), np.array([1, 3, 2], dtype=np.intp))
+    for sets in (TokenSets(members, np.array([1, 3, 2], dtype=np.intp)), lazy):
+        got = sets[sl]
+        assert type(got) is TokenSets and list(got) == list(sets)[sl]
+        assert got.sizes.tolist() == [len(ts) for ts in list(sets)[sl]]
 
 
 def test_token_columns_encode_as_their_nested_texts(params):

@@ -99,6 +99,16 @@ def test_prompt_set_takes_only_int_ids_in_token_sequences(classes, message):
         PromptSet(classes=classes)
 
 
+@pytest.mark.parametrize("classes", [
+    ((0, ((1,),)), (1,)), ((0, ((1,),)), (1, ((2,),), 3)), ((0, ((1,),)), 7),
+    5, None, {0: ((1,),), 1: ((2,),)}, iter([(0, ((1,),)), (1, ((2,),))]),
+], ids=["short-entry", "long-entry", "int-entry", "int", "none", "dict", "iterator"])
+def test_prompt_set_rejects_classes_not_label_prompt_pairs(classes):
+    # each once raised a raw ValueError or TypeError from unpacking or len
+    with pytest.raises(ConfigError, match=r"^classes must be \(label, prompts\) pairs, got "):
+        PromptSet(classes=classes)
+
+
 def test_default_prompts_stay_in_class_blocks():
     prompts = default_prompts(GEN)
     assert prompts.labels == (0, 1, 2)
