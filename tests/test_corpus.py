@@ -651,7 +651,6 @@ def test_load_names_the_first_fault_in_a_line(faults, corpus, tmp_path):
         load_corpus(path)
 
 
-
 def _per_clip_frames(clips, out, row_bytes):
     """A line's frames decoded clip by clip by the strict decoder, with the loader's
     messages: the reference the loader's one-pass decode must agree with."""
@@ -752,6 +751,7 @@ def test_whole_row_lines_are_decoded_in_one_pass(tmp_path, monkeypatch):
     with pytest.raises(CorpusFormatError, match="0 frame bytes"):
         load_corpus(tmp_path / "padded.jsonl")
     assert len(calls) == 1
+
 
 # ---------------------------------------------------------------------------
 # Splitting and counting
