@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from hashlib import sha256
 
 import numpy as np
 
@@ -128,29 +129,36 @@ def _atomic_write(path, text: str) -> None:
         f.write(text)
 
 
-def _digest_entry(path) -> dict:
-    return {"path": str(path), "sha256": corpus_digest(path)}
+def _digest_entry(path, hasher) -> dict:
+    digest = corpus_digest(path) if hasher is None else hasher.hexdigest()
+    return {"path": str(path), "sha256": digest}
 
 
 @contextmanager
 def _manifest(path, command: str, config: dict, seed: int, inputs: dict, outputs: dict):
     """Record a command's run around its work.
 
-    `inputs` and `outputs` map names to file paths. Inputs are hashed once,
-    before the work. The manifest is written first with the planned output
-    paths and, once the body returns, again with each output's digest.
+    `inputs` and `outputs` map names to entries. An entry is a file path,
+    which is read and hashed here, or a `(path, hasher)` pair whose `hashlib`
+    object the pass that read or wrote the file has fed with its bytes, so
+    that file is not read again. Inputs are digested before the work, so a
+    `(path, hasher)` input must already be loaded. The manifest is written
+    first with the planned output paths and, once the body returns, again
+    with each output's digest.
     """
+    inputs, outputs = ({name: e if isinstance(e, tuple) else (e, None) for name, e in d.items()}
+                       for d in (inputs, outputs))
     doc = {
         "command": command,
         "tool_version": __version__,
         "seed": seed,
         "config": config,
-        "inputs": {name: _digest_entry(p) for name, p in inputs.items()},
-        "outputs": {name: {"path": str(p)} for name, p in outputs.items()},
+        "inputs": {name: _digest_entry(*e) for name, e in inputs.items()},
+        "outputs": {name: {"path": str(p)} for name, (p, _) in outputs.items()},
     }
     _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     yield
-    doc["outputs"] = {name: _digest_entry(p) for name, p in outputs.items()}
+    doc["outputs"] = {name: _digest_entry(*e) for name, e in outputs.items()}
     _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -166,10 +174,11 @@ def cmd_generate(args) -> int:
     out = args.out
     manifest_path = f"{out}.manifest.json"
     prompts_path = f"{os.path.splitext(out)[0]}.prompts.json"
+    corpus_hash = sha256()
     with _manifest(manifest_path, "generate", asdict(cfg), cfg.seed, inputs={},
-                   outputs={"corpus": out, "prompts": prompts_path}):
+                   outputs={"corpus": (out, corpus_hash), "prompts": prompts_path}):
         corpus = generate_synthetic(cfg)
-        save_corpus(corpus, out)
+        save_corpus(corpus, out, corpus_hash)
         save_prompts(prompts, prompts_path)
     for level, count in corpus.pair_counts().items():
         print(f"{level} pairs: {count}")
@@ -181,7 +190,8 @@ def cmd_train(args) -> int:
     doc = _load_config_file(args.config)
     cfg = _resolve_train(doc, args)
     holdout = _holdout_fraction(doc, args)
-    corpus = load_corpus(args.corpus)
+    corpus_hash = sha256()
+    corpus = load_corpus(args.corpus, corpus_hash)
     train_split, _ = corpus.split(holdout)
     check_capacity(cfg, train_split)
     out_dir = args.out
@@ -190,7 +200,7 @@ def cmd_train(args) -> int:
     manifest_path = os.path.join(out_dir, "manifest.json")
     config_doc = {"train": asdict(cfg), "holdout_fraction": holdout}
     with _manifest(manifest_path, "train", config_doc, cfg.seed,
-                   inputs={"corpus": args.corpus},
+                   inputs={"corpus": (args.corpus, corpus_hash)},
                    outputs={"checkpoint": ckpt_path, "log": log_path}):
         t0 = time.time()
         result = train(cfg, train_split, log_path=log_path)
@@ -214,8 +224,9 @@ def _eval_split(corpus: Corpus, which: str, holdout: float) -> Corpus:
 def cmd_eval(args) -> int:
     doc = _load_config_file(args.config)
     holdout = _holdout_fraction(doc, args)
-    ckpt = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus)
+    ckpt_hash, corpus_hash = sha256(), sha256()
+    ckpt = load_checkpoint(args.checkpoint, ckpt_hash)
+    corpus = load_corpus(args.corpus, corpus_hash)
     check_compatible(ckpt.params, corpus)
     prompts = load_prompts(args.prompts) if args.prompts else default_prompts(corpus.config)
     split = _eval_split(corpus, args.split, holdout)
@@ -224,7 +235,7 @@ def cmd_eval(args) -> int:
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")
     manifest_path = os.path.join(out_dir, "manifest.json")
-    inputs = {"checkpoint": args.checkpoint, "corpus": args.corpus}
+    inputs = {"checkpoint": (args.checkpoint, ckpt_hash), "corpus": (args.corpus, corpus_hash)}
     if args.prompts:
         inputs["prompts"] = args.prompts
     config_doc = {"split": args.split, "holdout_fraction": holdout}
@@ -307,7 +318,8 @@ def cmd_ablate(args) -> int:
     doc = _load_config_file(args.config)
     base_cfg = _resolve_train(doc, args)
     holdout = _holdout_fraction(doc, args)
-    corpus = load_corpus(args.corpus)
+    corpus_hash = sha256()
+    corpus = load_corpus(args.corpus, corpus_hash)
     train_split, hold_split = corpus.split(holdout)
     for _, mode in ABLATION_VARIANTS:
         check_capacity(replace(base_cfg, mode=mode), train_split)
@@ -319,7 +331,7 @@ def cmd_ablate(args) -> int:
     txt_path = os.path.join(out_dir, "ablation.txt")
     config_doc = {"train": asdict(base_cfg), "holdout_fraction": holdout}
     with _manifest(manifest_path, "ablate", config_doc, base_cfg.seed,
-                   inputs={"corpus": args.corpus},
+                   inputs={"corpus": (args.corpus, corpus_hash)},
                    outputs={"table": txt_path, "report": json_path}):
         rows = []
         for label, mode in ABLATION_VARIANTS:

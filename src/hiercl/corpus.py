@@ -24,6 +24,7 @@ import base64
 import binascii
 import json
 import os
+import stat
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -612,26 +613,41 @@ def _video_lines(corpus: Corpus) -> Iterator[str]:
                f'"phases": [{phases}], "abstract": {tokens[sv[vi]:ev[vi]]}}}\n')
 
 
-def save_corpus(corpus: Corpus, path) -> None:
-    with atomic_file(path) as f:
-        f.write(json.dumps({"schema": SCHEMA, "config": asdict(corpus.config)}) + "\n")
-        f.writelines(_video_lines(corpus))
+def save_corpus(corpus: Corpus, path, hasher=None) -> None:
+    """Write `corpus` as UTF-8 bytes, so lines end in `\\n` on every platform.
+
+    `hasher`, a `hashlib` object, is fed each line as it is written, so it
+    ends as the digest of the file without reading it back.
+    """
+    header = json.dumps({"schema": SCHEMA, "config": asdict(corpus.config)}) + "\n"
+    with atomic_file(path, "wb") as f:
+        for line in chain([header], _video_lines(corpus)):
+            data = line.encode()
+            f.write(data)
+            if hasher is not None:
+                hasher.update(data)
 
 
-def load_corpus(path) -> Corpus:
+def load_corpus(path, hasher=None) -> Corpus:
     """Read a corpus file, every line checked and decoded straight into the tables.
 
     Each line is checked in full before the next is read: its frame bytes by
     `_decode_frames`, then the rest in `_Tables.add`. Frames are base64 text,
-    so their bytes fill at most three quarters of the file: the frame table is
-    the start of one buffer of that size, each line's frames decoded into the
-    rows after the last line's; pages past the last frame are never written.
+    so their bytes fill at most three quarters of the file: for a regular file
+    the frame table is the start of one buffer of that size, each line's
+    frames decoded into the rows after the last line's; pages past the last
+    frame are never written. A pipe has no size, so its buffer starts empty
+    and doubles whenever a line could overflow it. `hasher`, a `hashlib`
+    object, is fed every line as it is read, header first, so it ends as the
+    digest of exactly the bytes loaded.
     """
     # Bytes, decoded line by line, so a bad UTF-8 byte is reported by line.
     # Video lines run to tens of KB, and readline on the default 8 KiB
     # buffer joins many reads per line.
     with open(path, "rb", buffering=1 << 20) as f:
         first = f.readline()
+        if hasher is not None:
+            hasher.update(first)
         if not first:
             raise CorpusFormatError("line 1: file is empty")
         header = _parse_line(first, 1)
@@ -647,9 +663,20 @@ def load_corpus(path) -> Corpus:
         except (TypeError, KeyError, ConfigError) as e:
             raise CorpusFormatError(f"line 1: bad generator config: {e}") from e
         tables, d_in, row_bytes = _Tables(config), config.d_in, 8 * config.d_in
-        frames = np.empty((os.fstat(f.fileno()).st_size * 3 // 4 // row_bytes, d_in))
+        st = os.fstat(f.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else 0
+        frames = np.empty((size * 3 // 4 // row_bytes, d_in))
         row = 0
         for i, line in enumerate(f, start=2):
+            if hasher is not None:
+                hasher.update(line)
+            # A line's frames fill at most three quarters of it, so the buffer of a
+            # regular file never grows.
+            need = row + len(line) * 3 // 4 // row_bytes
+            if need > len(frames):
+                grown = np.empty((max(need, 2 * len(frames)), d_in))
+                grown[:row] = frames[:row]
+                frames = grown
             rec = _parse_line(line, i)
             with _naming(f"line {i}"):
                 clips = rec["clips"]

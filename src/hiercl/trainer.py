@@ -316,7 +316,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         f.write(bytes(blob))
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, hasher=None) -> Checkpoint:
+    """Read and check a checkpoint file.
+
+    `hasher`, if given, must be a new `hashlib.sha256()`: the checksum check
+    hashes the body into it, and the checksum is then added, so it ends as
+    the digest of the whole file without a second pass over the bytes.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < len(CKPT_MAGIC) + 8 + 32:
@@ -325,9 +331,12 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointIntegrityError(
             f"{path}: bad magic {blob[:4]!r}, expected {CKPT_MAGIC!r}"
         )
-    body, checksum = blob[:-32], blob[-32:]
-    if sha256(body).digest() != checksum:
+    body, checksum = memoryview(blob)[:-32], blob[-32:]  # the body is a view, not a copy
+    digest = sha256() if hasher is None else hasher
+    digest.update(body)
+    if digest.digest() != checksum:
         raise CheckpointIntegrityError(f"{path}: checksum mismatch, payload corrupted")
+    digest.update(checksum)
     version = struct.unpack_from("<I", blob, 4)[0]
     if version != CKPT_VERSION:
         raise SchemaVersionError(
@@ -347,7 +356,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointIntegrityError(f"{path}: malformed header: {e!r}") from e
 
 
-def _checkpoint_from(header: dict, body: bytes, off: int, path) -> Checkpoint:
+def _checkpoint_from(header: dict, body: memoryview, off: int, path) -> Checkpoint:
     # Every field is required: a default would silently change the layout.
     dims = EncoderDims(**{f.name: header["dims"][f.name] for f in fields(EncoderDims)})
     expected = 3 * dims.size * 8

@@ -332,6 +332,77 @@ def test_ablate_reports_four_variants(workspace, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Manifests: each input and the corpus output are hashed in the pass that reads
+# or writes them, so no command opens them a second time
+# ---------------------------------------------------------------------------
+
+
+def _command_argv(workspace, tmp_path, command):
+    """`command`'s argv on the shared workspace, and the manifest it writes."""
+    ws, out = workspace, tmp_path / command
+    if command == "generate":
+        corpus = tmp_path / "corpus.jsonl"
+        return (["generate", "--config", ws["config"], "--out", str(corpus)],
+                tmp_path / "corpus.jsonl.manifest.json")
+    out.mkdir()
+    argv = {"train": ["train", "--config", ws["config"]],
+            "eval": ["eval", "--checkpoint", str(ws["run"] / "checkpoint.bin"),
+                     "--prompts", str(ws["root"] / "corpus.prompts.json")],
+            "ablate": ["ablate", "--config", ws["config"]]}[command]
+    return [*argv, "--corpus", str(ws["corpus"]), "--out", str(out)], out / "manifest.json"
+
+
+# How often each command opens the corpus (the one it reads, or for generate the one it
+# writes) and the checkpoint it reads.
+OPENS = {"generate": (0, 0), "train": (1, 0), "eval": (1, 1), "ablate": (1, 0)}
+
+
+@pytest.mark.parametrize("command", OPENS)
+def test_commands_read_each_input_once_and_record_what_they_read(workspace, tmp_path,
+                                                                 capsys, monkeypatch, command):
+    argv, manifest_path = _command_argv(workspace, tmp_path, command)
+    corpus = Path(argv[argv.index("--out" if command == "generate" else "--corpus") + 1])
+    checkpoint = workspace["run"] / "checkpoint.bin"
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert (opened.count(corpus), opened.count(checkpoint)) == OPENS[command]
+    manifest = json.loads(manifest_path.read_text())
+    entries = [*manifest["inputs"].values(), *manifest["outputs"].values()]
+    assert entries and all(e["sha256"] == _sha(Path(e["path"])) for e in entries)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
+@pytest.mark.parametrize("piped", ["checkpoint", "corpus"])
+def test_eval_reads_an_input_from_a_pipe_and_records_its_digest(workspace, tmp_path, capsys,
+                                                                piped):
+    files = {"checkpoint": workspace["run"] / "checkpoint.bin", "corpus": workspace["corpus"]}
+    argv = [a for name, path in files.items()
+            for a in (f"--{name}", "/dev/stdin" if name == piped else str(path))]
+    out = tmp_path / "ev"
+    out.mkdir()
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-m", "hiercl.cli", "eval", *argv, "--out", str(out)],
+                          input=files[piped].read_bytes(), env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {name: e["sha256"] for name, e in manifest["inputs"].items()} == {
+        name: _sha(path) for name, path in files.items()}
+    assert _run_eval(workspace, tmp_path / "files") == 0
+    assert (out / "report.json").read_bytes() == (tmp_path / "files" / "report.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
 

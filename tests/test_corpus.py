@@ -1,9 +1,12 @@
 """Synthetic corpus: generation, persistence, batch sampling."""
 import base64
 import binascii
+import hashlib
 import json
+import os
 import re
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from itertools import count
@@ -347,6 +350,40 @@ def test_roundtrip_is_bit_exact(corpus, tmp_path):
         for p1, p2 in zip(v1.phases, v2.phases):
             assert (p1.start, p1.end, p1.concept, p1.phase_class) == \
                    (p2.start, p2.end, p2.concept, p2.phase_class)
+
+
+def test_save_and_load_hash_the_bytes_they_pass(corpus, tmp_path):
+    path = tmp_path / "c.jsonl"
+    saved, loaded = hashlib.sha256(), hashlib.sha256()
+    save_corpus(corpus, path, saved)
+    load_corpus(path, loaded)
+    assert saved.hexdigest() == loaded.hexdigest() == corpus_digest(path)
+    assert corpus_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_load_reads_a_corpus_through_a_pipe(tmp_path):
+    # A pipe has no size, so the frame buffer grows as its lines arrive.
+    path, pipe = tmp_path / "c.jsonl", tmp_path / "pipe"
+    save_corpus(generate_synthetic(GeneratorConfig(num_videos=40, seed=3)), path)
+    data = path.read_bytes()
+    os.mkfifo(pipe)
+
+    def write():
+        try:
+            pipe.write_bytes(data)
+        except BrokenPipeError:  # the load stopped reading; its error fails the test
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    hasher = hashlib.sha256()
+    try:
+        piped = load_corpus(pipe, hasher)
+    finally:
+        writer.join(timeout=60)
+    assert _tables(piped) == _tables(load_corpus(path))
+    assert hasher.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_save_is_byte_deterministic(corpus, tmp_path):

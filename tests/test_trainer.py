@@ -489,6 +489,14 @@ def test_checkpoint_roundtrip(corpus, tmp_path):
     assert not (tmp_path / "ck.bin.tmp").exists()
 
 
+def test_load_checkpoint_hashes_the_whole_file_in_its_checksum_pass(corpus, tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(train(TrainConfig(cycles=1, seed=7, **TINY), corpus).checkpoint, path)
+    hasher = hashlib.sha256()
+    load_checkpoint(path, hasher)
+    assert hasher.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_checkpoint_file_starts_with_magic(corpus, tmp_path):
     cfg = TrainConfig(cycles=1, seed=7, **TINY)
     path = tmp_path / "ck.bin"
