@@ -224,11 +224,12 @@ def _eval_split(corpus: Corpus, which: str, holdout: float) -> Corpus:
 def cmd_eval(args) -> int:
     doc = _load_config_file(args.config)
     holdout = _holdout_fraction(doc, args)
-    ckpt_hash, corpus_hash = sha256(), sha256()
+    ckpt_hash, corpus_hash, prompts_hash = sha256(), sha256(), sha256()
     ckpt = load_checkpoint(args.checkpoint, ckpt_hash)
     corpus = load_corpus(args.corpus, corpus_hash)
     check_compatible(ckpt.params, corpus)
-    prompts = load_prompts(args.prompts) if args.prompts else default_prompts(corpus.config)
+    prompts = (load_prompts(args.prompts, prompts_hash) if args.prompts
+               else default_prompts(corpus.config))
     split = _eval_split(corpus, args.split, holdout)
     check_prompts(prompts, split, ckpt.params.dims.vocab_size)
     out_dir = args.out
@@ -237,7 +238,7 @@ def cmd_eval(args) -> int:
     manifest_path = os.path.join(out_dir, "manifest.json")
     inputs = {"checkpoint": (args.checkpoint, ckpt_hash), "corpus": (args.corpus, corpus_hash)}
     if args.prompts:
-        inputs["prompts"] = args.prompts
+        inputs["prompts"] = (args.prompts, prompts_hash)
     config_doc = {"split": args.split, "holdout_fraction": holdout}
     with _manifest(manifest_path, "eval", config_doc, ckpt.config.seed, inputs=inputs,
                    outputs={"report_json": report_json, "report_txt": report_txt}):

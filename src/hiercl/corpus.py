@@ -614,11 +614,8 @@ def _video_lines(corpus: Corpus) -> Iterator[str]:
 
 
 def save_corpus(corpus: Corpus, path, hasher=None) -> None:
-    """Write `corpus` as UTF-8 bytes, so lines end in `\\n` on every platform.
-
-    `hasher`, a `hashlib` object, is fed each line as it is written, so it
-    ends as the digest of the file without reading it back.
-    """
+    """Write `corpus` as UTF-8 bytes (lines end in `\\n` on every platform), feeding each
+    line to `hasher`, a `hashlib` object, as it is written."""
     header = json.dumps({"schema": SCHEMA, "config": asdict(corpus.config)}) + "\n"
     with atomic_file(path, "wb") as f:
         for line in chain([header], _video_lines(corpus)):

@@ -317,12 +317,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path, hasher=None) -> Checkpoint:
-    """Read and check a checkpoint file.
-
-    `hasher`, if given, must be a new `hashlib.sha256()`: the checksum check
-    hashes the body into it, and the checksum is then added, so it ends as
-    the digest of the whole file without a second pass over the bytes.
-    """
+    """Read and check a checkpoint file. `hasher`, a new `hashlib.sha256()` if given, ends as
+    the file's digest: the checksum check hashes the body into it, then the checksum."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < len(CKPT_MAGIC) + 8 + 32:

@@ -108,12 +108,16 @@ def save_prompts(prompts: PromptSet, path) -> None:
         f.write("\n")
 
 
-def load_prompts(path) -> PromptSet:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise CorpusFormatError(f"{path}: not valid UTF-8 JSON: {e}") from e
+def load_prompts(path, hasher=None) -> PromptSet:
+    """Read a prompts file; `hasher`, a `hashlib` object, is fed the bytes read."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if hasher is not None:
+        hasher.update(data)
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise CorpusFormatError(f"{path}: not valid UTF-8 JSON: {e}") from e
     tag = doc.get("schema") if isinstance(doc, dict) else None
     if tag != PROMPTS_SCHEMA:
         raise SchemaVersionError(

@@ -343,7 +343,7 @@ def _command_argv(workspace, tmp_path, command):
     if command == "generate":
         corpus = tmp_path / "corpus.jsonl"
         return (["generate", "--config", ws["config"], "--out", str(corpus)],
-                tmp_path / "corpus.jsonl.manifest.json")
+                Path(f"{corpus}.manifest.json"))
     out.mkdir()
     argv = {"train": ["train", "--config", ws["config"]],
             "eval": ["eval", "--checkpoint", str(ws["run"] / "checkpoint.bin"),
@@ -381,10 +381,11 @@ def test_commands_read_each_input_once_and_record_what_they_read(workspace, tmp_
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
-@pytest.mark.parametrize("piped", ["checkpoint", "corpus"])
+@pytest.mark.parametrize("piped", ["checkpoint", "corpus", "prompts"])
 def test_eval_reads_an_input_from_a_pipe_and_records_its_digest(workspace, tmp_path, capsys,
                                                                 piped):
-    files = {"checkpoint": workspace["run"] / "checkpoint.bin", "corpus": workspace["corpus"]}
+    files = {"checkpoint": workspace["run"] / "checkpoint.bin", "corpus": workspace["corpus"],
+             "prompts": workspace["root"] / "corpus.prompts.json"}
     argv = [a for name, path in files.items()
             for a in (f"--{name}", "/dev/stdin" if name == piped else str(path))]
     out = tmp_path / "ev"
@@ -398,7 +399,7 @@ def test_eval_reads_an_input_from_a_pipe_and_records_its_digest(workspace, tmp_p
     manifest = json.loads((out / "manifest.json").read_text())
     assert {name: e["sha256"] for name, e in manifest["inputs"].items()} == {
         name: _sha(path) for name, path in files.items()}
-    assert _run_eval(workspace, tmp_path / "files") == 0
+    assert _run_eval(workspace, tmp_path / "files", "--prompts", str(files["prompts"])) == 0
     assert (out / "report.json").read_bytes() == (tmp_path / "files" / "report.json").read_bytes()
 
 

@@ -357,8 +357,7 @@ def test_save_and_load_hash_the_bytes_they_pass(corpus, tmp_path):
     saved, loaded = hashlib.sha256(), hashlib.sha256()
     save_corpus(corpus, path, saved)
     load_corpus(path, loaded)
-    assert saved.hexdigest() == loaded.hexdigest() == corpus_digest(path)
-    assert corpus_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert saved.hexdigest() == loaded.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
