@@ -199,12 +199,19 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
     manifest_path = os.path.join(out_dir, "manifest.json")
     config_doc = {"train": asdict(cfg), "holdout_fraction": holdout}
+    ckpt_hash, log_hash = sha256(), sha256()
     with _manifest(manifest_path, "train", config_doc, cfg.seed,
                    inputs={"corpus": (args.corpus, corpus_hash)},
-                   outputs={"checkpoint": ckpt_path, "log": log_path}):
+                   outputs={"checkpoint": (ckpt_path, ckpt_hash), "log": (log_path, log_hash)}):
         t0 = time.time()
-        result = train(cfg, train_split, log_path=log_path)
-        save_checkpoint(result.checkpoint, ckpt_path)
+        with atomic_file(log_path, "wb") as log_file:
+            def write_entry(entry: dict) -> None:
+                line = (json.dumps(entry) + "\n").encode()
+                log_file.write(line)
+                log_hash.update(line)
+
+            result = train(cfg, train_split, on_batch=write_entry)
+        save_checkpoint(result.checkpoint, ckpt_path, ckpt_hash)
     by_level: dict[str, list[float]] = {}
     for e in result.log:
         by_level.setdefault(e["level"], []).append(e["loss"])

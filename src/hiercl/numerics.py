@@ -19,6 +19,7 @@ inputs produce bit-identical outputs. Hot paths call ufunc reductions such as
 from __future__ import annotations
 
 import ctypes
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -39,16 +40,22 @@ NORM_GUARD = 1e-12  # rows with smaller L2 norm are considered degenerate
 _BLOCK_BYTES = 1 << 16  # bound on each temporary of embed_mean's gradient
 
 
-def single_thread_blas() -> None:
-    """Run the OpenBLAS that numpy ships on one thread from now on; no-op without one."""
+@cache
+def _openblas_thread_setter() -> Callable[[int], None]:
+    """numpy's OpenBLAS thread-count setter, looked up once per process; a no-op without one."""
     for path in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
         lib = ctypes.CDLL(str(path))  # already loaded by numpy: the same library
         for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
             if hasattr(lib, symbol):
                 setter = getattr(lib, symbol)
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
+                return setter
+    return lambda threads: None
+
+
+def single_thread_blas() -> None:
+    """Run the OpenBLAS that numpy ships on one thread from now on; no-op without one."""
+    _openblas_thread_setter()(1)
 
 
 # A vector-Jacobian product: (gradient of the node's value, which inputs need

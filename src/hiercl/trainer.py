@@ -228,16 +228,16 @@ def check_compatible(params: ModelParams, corpus: Corpus) -> None:
         )
 
 
-def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
-          resume: Checkpoint | None = None,
+def train(cfg: TrainConfig, corpus: Corpus, resume: Checkpoint | None = None,
           on_batch: Callable[[dict], None] | None = None,
           stop_at: int | None = None) -> TrainResult:
     """Run the schedule from batch 0, or from a checkpoint, up to `stop_at`.
 
     `stop_at` defaults to the end of the schedule; the returned checkpoint
-    resumes from there. A resumed run appends to `log_path`, so a run stopped
-    and resumed leaves the same log as an uninterrupted one. A resume first
-    checks the checkpoint against the corpus (`check_compatible`).
+    resumes from there. Each batch's log entry goes to `on_batch` as it
+    finishes and into the returned log, so the entries of a run stopped and
+    resumed are those of an uninterrupted one. A resume first checks the
+    checkpoint against the corpus (`check_compatible`).
     """
     check_capacity(cfg, corpus)
     rng = substream(cfg.seed, "train")
@@ -257,26 +257,18 @@ def train(cfg: TrainConfig, corpus: Corpus, log_path=None,
         raise ConfigError(f"stop_at must lie in [{start}, {cfg.total_batches}], got {stop_at}")
 
     log: list[dict] = []
-    log_file = open(log_path, "a" if resume is not None else "w",
-                    encoding="utf-8") if log_path else None
-    try:
-        for i in range(start, stop):
-            level = _level_at(cfg, i)
-            try:
-                lv = _loss_at_level(level, corpus, cfg, state.params, rng)
-                adamw_step(state, lv.grads, cfg)
-            except NumericError as e:
-                raise NumericError(f"batch {i} ({level} level): {e}") from e
-            entry = {"batch": i, "level": level, "loss": lv.loss,
-                     "pos_sim": lv.pos_sim, "neg_sim": lv.neg_sim}
-            log.append(entry)
-            if log_file:
-                log_file.write(json.dumps(entry) + "\n")
-            if on_batch:
-                on_batch(entry)
-    finally:
-        if log_file:
-            log_file.close()
+    for i in range(start, stop):
+        level = _level_at(cfg, i)
+        try:
+            lv = _loss_at_level(level, corpus, cfg, state.params, rng)
+            adamw_step(state, lv.grads, cfg)
+        except NumericError as e:
+            raise NumericError(f"batch {i} ({level} level): {e}") from e
+        entry = {"batch": i, "level": level, "loss": lv.loss,
+                 "pos_sim": lv.pos_sim, "neg_sim": lv.neg_sim}
+        log.append(entry)
+        if on_batch:
+            on_batch(entry)
     params, moments = state.frozen()
     ckpt = Checkpoint(config=cfg, global_batch=stop, params=params, moments=moments,
                       rng_state=rng.bit_generator.state)
@@ -294,7 +286,9 @@ def untrained_checkpoint(cfg: TrainConfig, corpus: Corpus) -> Checkpoint:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
+def save_checkpoint(ckpt: Checkpoint, path, hasher=None) -> None:
+    """Write a checkpoint part by part, copying no vector. `hasher`, as in `load_checkpoint`,
+    ends as the file's digest: the checksum pass feeds it each part, then the checksum."""
     header = {
         "config": asdict(ckpt.config),
         "config_digest": ckpt.config.digest(),
@@ -304,16 +298,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "rng_state": ckpt.rng_state,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = bytearray()
-    blob += CKPT_MAGIC
-    blob += struct.pack("<I", CKPT_VERSION)
-    blob += struct.pack("<I", len(header_bytes))
-    blob += header_bytes
-    for values in (ckpt.params.vector, ckpt.moments):
-        blob += values.astype("<f8").tobytes()
-    blob += sha256(bytes(blob)).digest()
+    digest = sha256() if hasher is None else hasher
     with atomic_file(path, "wb") as f:
-        f.write(bytes(blob))
+        for part in (CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(header_bytes)),
+                     header_bytes,
+                     *(memoryview(np.ascontiguousarray(values, "<f8")).cast("B")
+                       for values in (ckpt.params.vector, ckpt.moments))):
+            f.write(part)
+            digest.update(part)
+        checksum = digest.digest()
+        f.write(checksum)
+    digest.update(checksum)
 
 
 def load_checkpoint(path, hasher=None) -> Checkpoint:

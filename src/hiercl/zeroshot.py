@@ -146,9 +146,10 @@ def embed_prompts(prompts: PromptSet, params: ModelParams) -> np.ndarray:
     return _rows(aggregated_text_rows, params, [plist for _, plist in prompts.classes])
 
 
-def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> list[int]:
-    """Cosine-argmax class index per visual row, ties to the lowest index; a row of
-    either 2-D array whose norm is not above NORM_GUARD raises DegenerateEmbeddingError."""
+def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> np.ndarray:
+    """Cosine-argmax class indices, an intp array with one per visual row, ties to the lowest
+    index; a row of either 2-D array whose norm is not above NORM_GUARD raises
+    DegenerateEmbeddingError."""
     if visual.ndim != 2 or class_embeddings.ndim != 2 or \
             visual.shape[1] != class_embeddings.shape[1]:
         raise ShapeError(f"visual {visual.shape} and class embeddings "
@@ -161,7 +162,7 @@ def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> list[int]:
             raise DegenerateEmbeddingError(f"{what} row {bad[0]} has near-zero norm "
                                            f"{norms[bad[0], 0]:.3e}")
         unit.append(a / norms)
-    return [int(i) for i in np.argmax(unit[0] @ unit[1].T, axis=1)]
+    return np.argmax(unit[0] @ unit[1].T, axis=1)
 
 
 @dataclass(frozen=True)
@@ -208,39 +209,30 @@ def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:
     if labels is None:
         labels = sorted(set(gt) | set(pred))
     labels = tuple(int(c) for c in labels)
-    index = {c: i for i, c in enumerate(labels)}
-    if len(index) != len(labels):
+    if len(set(labels)) != len(labels):
         raise ContractError(f"class set {list(labels)} repeats a label")
-    for value in pred + gt:
-        if value not in index:
-            raise ContractError(f"label {value} not in class set {list(labels)}")
-    k = len(labels)
-    conf = np.zeros((k, k), dtype=int)
-    for g, p in zip(gt, pred):
-        conf[index[g], index[p]] += 1
-    tp = np.diag(conf).astype(float)
-    pred_count = conf.sum(axis=0).astype(float)
-    gt_count = conf.sum(axis=1).astype(float)
+    k, n, values = len(labels), len(pred), np.asarray(pred + gt)
+    order = np.argsort(labels)
+    # Each value's index in `labels`, by binary search; a value found nowhere is unknown.
+    index = order[np.searchsorted(labels, values, sorter=order).clip(max=k - 1)]
+    unknown = np.flatnonzero(np.asarray(labels)[index] != values)
+    if unknown.size:
+        raise ContractError(f"label {values[unknown[0]]} not in class set {list(labels)}")
+    conf = np.bincount(index[n:] * k + index[:n], minlength=k * k).reshape(k, k)  # rows: truth
+    tp, pred_count, gt_count = np.diag(conf), conf.sum(axis=0), conf.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(pred_count > 0, tp / pred_count, 0.0)
         recall = np.where(gt_count > 0, tp / gt_count, 0.0)
         denom = precision + recall
         f1 = np.where(denom > 0, 2.0 * precision * recall / denom, 0.0)
-    per_class = tuple(
-        {
-            "label": labels[i],
-            "precision": float(precision[i]),
-            "recall": float(recall[i]),
-            "f1": float(f1[i]),
-            "support": int(gt_count[i]),
-        }
-        for i in range(k)
-    )
+    per_class = tuple({"label": c, "precision": p, "recall": r, "f1": f, "support": s}
+                      for c, p, r, f, s in zip(labels, precision.tolist(), recall.tolist(),
+                                               f1.tolist(), gt_count.tolist()))
     return MetricsReport(
         accuracy=float(tp.sum() / len(gt)),
         macro_f1=float(f1.mean()),
         per_class=per_class,
-        confusion=tuple(tuple(int(x) for x in row) for row in conf),
+        confusion=tuple(map(tuple, conf.tolist())),
         samples=len(gt),
         labels=labels,
     )
@@ -277,8 +269,7 @@ def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> Metri
     clips = (starts - lengths.cumsum() + lengths).repeat(lengths) + np.arange(lengths.sum())
     visual = _rows(visual_embedding_rows, params,
                    split.frames_of("clip", clips, checkpoint.config.k_clip))
-    pred_idx = classify(visual, class_rows)
-    predictions = list(map(prompts.labels.__getitem__, pred_idx))  # labels read once
+    predictions = np.asarray(prompts.labels)[classify(visual, class_rows)]
     report = compute_metrics(predictions, split.segments[:, 2].repeat(lengths),
                              labels=prompts.labels)
     if params.digest() != before:

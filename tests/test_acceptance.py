@@ -295,7 +295,7 @@ def _scale_invariance_cases(rng) -> int:
         visual = rng.standard_normal((n, d))
         classes = rng.standard_normal((k, d))
         scale = float(rng.uniform(0.01, 100.0))
-        if classify(scale * visual, classes) != classify(visual, classes):
+        if not np.array_equal(classify(scale * visual, classes), classify(visual, classes)):
             bad += 1
     return bad
 

@@ -1,4 +1,5 @@
 """End-to-end command-line runs: wiring, artifacts, and exit codes."""
+import ctypes
 import hashlib
 import json
 import os
@@ -15,11 +16,12 @@ from records import load_records
 
 import hiercl.cli
 import hiercl.encoders
+import hiercl.numerics
 from hiercl import errors
 from hiercl.corpus import load_corpus
 from hiercl.cli import main
 from hiercl.errors import CorpusFormatError, HierclError
-from hiercl.trainer import load_checkpoint, save_checkpoint
+from hiercl.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 from hiercl.zeroshot import load_prompts
 
 GEN_SECTION = {"num_videos": 8, "num_classes": 3, "clips_per_phase": 2,
@@ -126,6 +128,10 @@ def test_train_writes_checkpoint_log_manifest(workspace):
     assert (run / "checkpoint.bin").read_bytes()[:4] == b"HECV"
     log = [json.loads(s) for s in (run / "train_log.jsonl").read_text().splitlines()]
     assert [e["level"] for e in log] == ["clip", "phase", "video"]
+    # one line per entry of the library's log, the format its pinned digests cover
+    train_split, _ = load_corpus(workspace["corpus"]).split(0.25)
+    expected = train(TrainConfig(**TRAIN_SECTION), train_split).log
+    assert (run / "train_log.jsonl").read_text() == "".join(json.dumps(e) + "\n" for e in expected)
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["config"]["train"]["cycles"] == 1
@@ -332,8 +338,8 @@ def test_ablate_reports_four_variants(workspace, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Manifests: each input and the corpus output are hashed in the pass that reads
-# or writes them, so no command opens them a second time
+# Manifests: each input, the corpus output and train's outputs are hashed in the
+# pass that reads or writes them, so no command opens them a second time
 # ---------------------------------------------------------------------------
 
 
@@ -353,8 +359,9 @@ def _command_argv(workspace, tmp_path, command):
 
 
 # How often each command opens the corpus (the one it reads, or for generate the one it
-# writes) and the checkpoint it reads.
-OPENS = {"generate": (0, 0), "train": (1, 0), "eval": (1, 1), "ablate": (1, 0)}
+# writes) and the checkpoint it reads, and how many outputs it reads back to hash them:
+# generate's prompts, eval's and ablate's two reports.
+OPENS = {"generate": (0, 0, 1), "train": (1, 0, 0), "eval": (1, 1, 2), "ablate": (1, 0, 2)}
 
 
 @pytest.mark.parametrize("command", OPENS)
@@ -371,10 +378,18 @@ def test_commands_read_each_input_once_and_record_what_they_read(workspace, tmp_
             opened.append(Path(file))
         return real_open(file, *args, **kwargs)
 
+    read_back = []
+    real_digest = hiercl.cli.corpus_digest
+
+    def counting_digest(path):
+        read_back.append(path)
+        return real_digest(path)
+
     monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(hiercl.cli, "corpus_digest", counting_digest)
     assert main(argv) == 0
     monkeypatch.undo()
-    assert (opened.count(corpus), opened.count(checkpoint)) == OPENS[command]
+    assert (opened.count(corpus), opened.count(checkpoint), len(read_back)) == OPENS[command]
     manifest = json.loads(manifest_path.read_text())
     entries = [*manifest["inputs"].values(), *manifest["outputs"].values()]
     assert entries and all(e["sha256"] == _sha(Path(e["path"])) for e in entries)
@@ -948,3 +963,19 @@ def test_blas_runs_on_one_thread():
     out = subprocess.run([sys.executable, str(probe)], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == ["1"]
+
+
+def test_each_main_call_sets_one_thread_without_loading_a_library(capsys, monkeypatch):
+    if openblas_threads() is None:
+        pytest.skip("numpy ships no OpenBLAS")
+    hiercl.numerics.single_thread_blas()  # the process's one lookup, if none ran yet
+    hiercl.numerics._openblas_thread_setter()(2)
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("single_thread_blas loaded a library again")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_load)
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    monkeypatch.undo()
+    assert openblas_threads() == 1

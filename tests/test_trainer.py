@@ -338,6 +338,11 @@ def default_train_split():
     return generate_synthetic(GeneratorConfig()).split(0.25)[0]
 
 
+def _log_line(entry: dict) -> bytes:
+    """An entry's line of train_log.jsonl, as `hiercl train` writes it from `on_batch`."""
+    return (json.dumps(entry) + "\n").encode()
+
+
 @pytest.mark.parametrize("cfg, digest", [
     (TrainConfig(cycles=1),
      "4dee3b1ee981873bfa4f0080062ef5ed6976934b017954a729644903f9fd2190"),
@@ -358,11 +363,12 @@ def test_trained_digest_is_pinned(default_train_split, cfg, digest):
     (TrainConfig.paper_scale(cycles=1, mode="single"),
      "23ac0e1d1ad49b7cbba9c7f3b40aaee75a6e26be83c43c40d008e26fd9f3ac88"),
 ], ids=["hecvl", "paper-single"])
-def test_trained_log_is_pinned(default_train_split, tmp_path, cfg, digest):
+def test_trained_log_is_pinned(default_train_split, cfg, digest):
     # The parameter digest does not cover the logged loss, pos_sim and
     # neg_sim; this pins the bytes of train_log.jsonl for the same runs.
-    train(cfg, default_train_split, log_path=tmp_path / "train_log.jsonl")
-    assert hashlib.sha256((tmp_path / "train_log.jsonl").read_bytes()).hexdigest() == digest
+    hasher = hashlib.sha256()
+    train(cfg, default_train_split, on_batch=lambda entry: hasher.update(_log_line(entry)))
+    assert hasher.hexdigest() == digest
 
 
 def test_train_is_deterministic(corpus):
@@ -407,7 +413,8 @@ def test_sequential_matches_hecvl_level_budget(corpus):
 def test_log_file_matches_returned_log(corpus, tmp_path):
     cfg = TrainConfig(cycles=1, seed=4, **TINY)
     path = tmp_path / "log.jsonl"
-    result = train(cfg, corpus, log_path=path)
+    with open(path, "wb") as f:
+        result = train(cfg, corpus, on_batch=lambda entry: f.write(_log_line(entry)))
     lines = path.read_text().splitlines()
     assert [json.loads(s) for s in lines] == result.log
 
@@ -495,6 +502,22 @@ def test_load_checkpoint_hashes_the_whole_file_in_its_checksum_pass(corpus, tmp_
     hasher = hashlib.sha256()
     load_checkpoint(path, hasher)
     assert hasher.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_save_checkpoint_hashes_what_it_writes_and_copies_no_vector(default_train_split,
+                                                                   tmp_path):
+    ckpt = untrained_checkpoint(TrainConfig(), default_train_split)
+    path, hasher = tmp_path / "ck.bin", hashlib.sha256()
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, path, hasher)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert len(data) == 348_628
+    assert hasher.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert peak < 32 * 1024  # the file's parts are written and hashed where they are
 
 
 def test_checkpoint_file_starts_with_magic(corpus, tmp_path):
@@ -629,15 +652,14 @@ def test_resume_rejects_config_mismatch(corpus):
     ("d_in", "checkpoint expects 8-dim frames, corpus has 16"),
     ("vocab_size", "checkpoint vocabulary 30 != corpus vocabulary 60"),
 ])
-def test_resume_rejects_corpus_the_checkpoint_cannot_read(corpus, tmp_path, field, message):
+def test_resume_rejects_corpus_the_checkpoint_cannot_read(corpus, field, message):
     cfg = TrainConfig(cycles=2, seed=8, **TINY)
-    path = tmp_path / "log.jsonl"
-    mid = train(cfg, corpus, log_path=path, stop_at=3).checkpoint
-    before = path.read_bytes()
+    mid = train(cfg, corpus, stop_at=3).checkpoint
     other = generate_synthetic(replace(GEN, **{field: 2 * getattr(GEN, field)}))
+    entries = []
     with pytest.raises(ShapeError, match=f"^{message}$"):
-        train(cfg, other, log_path=path, resume=mid)
-    assert path.read_bytes() == before
+        train(cfg, other, resume=mid, on_batch=entries.append)
+    assert entries == []
 
 
 def test_untrained_checkpoint(corpus):
@@ -676,9 +698,12 @@ def test_stop_at_below_resume_point(corpus):
 def test_stopped_and_resumed_log_file_equals_uninterrupted(corpus, tmp_path):
     cfg = TrainConfig(cycles=2, seed=8, **TINY)
     full_path = tmp_path / "full.jsonl"
-    train(cfg, corpus, log_path=full_path)
+    with open(full_path, "wb") as f:
+        train(cfg, corpus, on_batch=lambda entry: f.write(_log_line(entry)))
     path = tmp_path / "log.jsonl"
-    mid = train(cfg, corpus, log_path=path, stop_at=2).checkpoint
-    mid = train(cfg, corpus, log_path=path, resume=mid, stop_at=4).checkpoint
-    train(cfg, corpus, log_path=path, resume=mid)
+    mid = None
+    for mode, stop_at in (("wb", 2), ("ab", 4), ("ab", None)):  # a resumed run appends
+        with open(path, mode) as f:
+            mid = train(cfg, corpus, resume=mid, stop_at=stop_at,
+                        on_batch=lambda entry: f.write(_log_line(entry))).checkpoint
     assert path.read_bytes() == full_path.read_bytes()

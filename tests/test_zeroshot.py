@@ -169,13 +169,14 @@ def test_embed_prompts_duplication_invariant():
 def test_classify_picks_nearest_basis():
     classes = np.eye(3)
     visual = np.array([[0.1, 0.9, 0.0], [2.0, 0.1, 0.0], [0.0, 0.0, 5.0]])
-    assert classify(visual, classes) == [1, 0, 2]
+    got = classify(visual, classes)
+    assert got.dtype == np.intp and got.tolist() == [1, 0, 2]
 
 
 def test_classify_tie_goes_to_lowest_index():
     classes = np.eye(2)
     visual = np.array([[0.5, 0.5]])
-    assert classify(visual, classes) == [0]
+    assert classify(visual, classes).tolist() == [0]
 
 
 def test_classify_matches_exhaustive_scan():
@@ -201,8 +202,8 @@ def test_classify_is_scale_invariant():
     classes = rng.standard_normal((4, 6))
     base = classify(visual, classes)
     for c in (0.5, 3.0, 100.0):
-        assert classify(c * visual, classes) == base
-        assert classify(visual, c * classes) == base
+        assert np.array_equal(classify(c * visual, classes), base)
+        assert np.array_equal(classify(visual, c * classes), base)
 
 
 def test_classify_rejects_width_mismatch():
@@ -219,7 +220,7 @@ def test_classify_rejects_zero_norm_rows():
     with pytest.raises(DegenerateEmbeddingError, match="^class-embedding row 1 has near-zero"):
         classify(np.eye(2), classes)
     # just above NORM_GUARD still classifies
-    assert classify(np.array([[0.0, 2e-12]]), np.eye(2)) == [1]
+    assert classify(np.array([[0.0, 2e-12]]), np.eye(2)).tolist() == [1]
 
 
 def test_classify_rejects_nan_rows():
@@ -268,13 +269,16 @@ def test_metrics_equal_oracle_on_random_cases():
     for _ in range(100):
         k = rng.randint(2, 6)
         n = rng.randint(1, 50)
-        labels = list(range(k))
-        gt = [rng.randrange(k) for _ in range(n)]
-        pred = [rng.randrange(k) for _ in range(n)]
+        labels = rng.sample(range(-5, 20), k)  # unsorted, some negative
+        gt = [rng.choice(labels) for _ in range(n)]
+        pred = [rng.choice(labels) for _ in range(n)]
         report = compute_metrics(pred, gt, labels=labels)
         acc, macro = _oracle_metrics(pred, gt, labels)
         assert report.accuracy == acc
         assert report.macro_f1 == macro
+        assert report.confusion == tuple(
+            tuple(sum(1 for p, g in zip(pred, gt) if (g, p) == (row, col)) for col in labels)
+            for row in labels)
 
 
 def test_metrics_perfect_and_all_wrong():
@@ -306,6 +310,11 @@ def test_metrics_input_errors():
         compute_metrics([], [])
     with pytest.raises(ContractError, match="label 7"):
         compute_metrics([7], [0], labels=[0, 1])
+    # the first unknown value, predictions before ground truth
+    with pytest.raises(ContractError, match=r"^label 9 not in class set \[0, 1\]$"):
+        compute_metrics([0, 9], [8, 0], labels=[0, 1])
+    with pytest.raises(ContractError, match=r"^label 8 not in class set \[0, 1\]$"):
+        compute_metrics([0, 1], [1, 8], labels=[0, 1])
 
 
 def test_metrics_reject_a_repeated_label():
