@@ -965,17 +965,21 @@ def test_blas_runs_on_one_thread():
     assert out.stdout.split() == ["1"]
 
 
-def test_each_main_call_sets_one_thread_without_loading_a_library(capsys, monkeypatch):
+def test_each_main_call_sets_one_thread_without_loading_a_library(monkeypatch):
     if openblas_threads() is None:
         pytest.skip("numpy ships no OpenBLAS")
-    hiercl.numerics.single_thread_blas()  # the process's one lookup, if none ran yet
-    hiercl.numerics._openblas_thread_setter()(2)
+    setter = hiercl.numerics._openblas_thread_setter()  # the process's one lookup
+    setter(2)
 
     def no_load(*args, **kwargs):
         raise AssertionError("single_thread_blas loaded a library again")
 
     monkeypatch.setattr(ctypes, "CDLL", no_load)
-    with pytest.raises(SystemExit):
-        main(["--version"])
-    monkeypatch.undo()
-    assert openblas_threads() == 1
+    try:
+        with pytest.raises(SystemExit):
+            main(["--version"])
+    finally:
+        monkeypatch.undo()
+        threads = openblas_threads()
+        setter(1)  # the session's setting, whatever main did
+    assert threads == 1
