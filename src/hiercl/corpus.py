@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
 from hashlib import sha256
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from typing import IO, ClassVar, Iterator, NamedTuple, Sequence
 
@@ -61,6 +61,7 @@ TEXT_KINDS = ("narration_a", "narration_b", "concept", "abstract")
 # A frame is noise_scale * z + p, z and p drawn by standard_normal, whose ziggurat tail
 # (from r = 3.654, 53-bit doubles) stays below r + sqrt(106 ln 2) = 12.23: none overflows.
 _NOISE_MAX = float(np.finfo(np.float64).max) / 16
+_VOCAB_MAX = 1 << 63  # token ids are int64, so there are at most 2**63 of them
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,8 @@ class GeneratorConfig:
         check_floats(self, ("noise_scale", "token_noise"), minimum=0.0, strict=False)
         if self.noise_scale > _NOISE_MAX:
             raise ConfigError(f"noise_scale must be <= {_NOISE_MAX}, got {self.noise_scale}")
+        if self.vocab_size > _VOCAB_MAX:
+            raise ConfigError(f"vocab_size must be <= 2**63, got {self.vocab_size}")
         if not self.token_noise < 1.0:
             raise ConfigError(f"token_noise must lie in [0, 1), got {self.token_noise}")
         if self.num_classes > self.vocab_size:
@@ -267,13 +270,6 @@ class Corpus:
                        for kind, runs in self.token_runs.items()})
 
 
-def _noisy_tokens(rng: np.random.Generator, base: np.ndarray, rate: float,
-                  vocab_size: int) -> np.ndarray:
-    corrupt = rng.random(base.size) < rate
-    noise = rng.integers(0, vocab_size, base.size)
-    return np.where(corrupt, noise, base)
-
-
 class _Drawn(NamedTuple):
     """A synthetic corpus's tables by video: what each video's draws fill."""
 
@@ -284,128 +280,124 @@ class _Drawn(NamedTuple):
     abstracts: np.ndarray  # videos x ABSTRACT_LEN
 
 
-def _replay_video(rng: np.random.Generator, cfg: GeneratorConfig, vi: int,
-                  drawn: _Drawn) -> None:
-    """Video `vi` drawn one rng call per draw, into its rows of the tables.
-
-    The draws and their order are those that `_drawn_words` takes as raw words.
-    """
-    order = rng.permutation(cfg.num_classes)
-    drawn.classes[vi] = order
-    width = cfg.vocab_size // cfg.num_classes
-    clips = zip(drawn.frames[vi], drawn.narrations[vi])
-    for cls, concept in zip(order.tolist(), drawn.concepts[vi]):
-        lo, hi = cfg.class_block(cls)
-        for rows, (narration_a, narration_b) in islice(clips, cfg.clips_per_phase):
-            rng.standard_normal(out=rows)
-            base = rng.integers(lo, hi, NARRATION_LEN)
-            narration_a[...] = _noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size)
-            narration_b[...] = _noisy_tokens(rng, base, cfg.token_noise, cfg.vocab_size)
-        concept_base = rng.integers(lo, hi, CONCEPT_LEN)
-        concept[...] = _noisy_tokens(rng, concept_base, cfg.token_noise * CONCEPT_NOISE_FACTOR,
-                                     cfg.vocab_size)
-    abstract_classes = rng.integers(0, cfg.num_classes, ABSTRACT_LEN)
-    drawn.abstracts[vi] = abstract_classes * width + rng.integers(0, width, ABSTRACT_LEN)
-
-
-# A video's text draws, decoded from raw PCG64 words. On PCG64, `random()` is
-# (w >> 11) * 2**-53 of one word w, and `integers(lo, lo + r)` with 2 <= r <= 2**32
-# is Lemire's lo + ((u * r) >> 32) of one 32-bit half-word u: the words' halves,
-# low half first, carried from call to call by the generator's half-word buffer.
+# On PCG64, `random()` is (w >> 11) * 2**-53 of one raw word w, and `integers(0, r)`
+# with 2 <= r <= 2**32 is Lemire's (u * r) >> 32 of one 32-bit half-word u: the words'
+# halves, low half first, carried from call to call by the generator's half-word buffer.
 # Lemire redraws u when (u * r) mod 2**32 < (2**32 - r) mod r.
 _HALF = 0xFFFFFFFF
-_DECODE_BYTES = 1 << 17  # bound on the raw words and scaled id half-words of a decoded block
+_DECODE_BYTES = 1 << 17  # bound on the ids and uniforms of a block of videos
 
 
-class _RawTexts(NamedTuple):
-    """Where one config's text draws fall in a video's raw words."""
+class _Layout(NamedTuple):
+    """One config's text draws, in the order a video makes them after its class order.
+
+    A video's id draws, each an offset in [0, range), and its uniforms fill one
+    row each of a block, in this order, whichever path draws them.
+    """
 
     width: int  # of a class block
-    counts: tuple[int, ...]  # raw words drawn after each clip's frames
-    is_id: np.ndarray  # per word: two id half-words (else one uniform)
-    ranges: np.ndarray  # per id half-word: its integers() range, uint64
-    thresholds: np.ndarray  # per id half-word: Lemire's rejection bound
+    draws: tuple  # per clip: its (integers() range or None, count, rate) draws after its frames
+    ranges: np.ndarray  # per id: its integers() range, uint64
+    thresholds: np.ndarray  # per id: Lemire's rejection bound
     rates: np.ndarray  # per uniform: the token-noise rate it is compared with
+    counts: tuple[int, ...] | None  # raw words drawn after each clip's frames, or None
+    is_id: np.ndarray | None  # per raw word: two id half-words (else one uniform)
 
     @classmethod
-    def of(cls, cfg: GeneratorConfig) -> "_RawTexts | None":
-        """The layout, or None if a range is 1 (no draw) or above 2**32 (64-bit Lemire)."""
+    def of(cls, cfg: GeneratorConfig) -> "_Layout":
+        """The layout; raw words only if every range lies in [2, 2**32]: a range of 1
+        draws nothing, and one above 2**32 draws 64-bit Lemire words."""
         width, vocab, rate = cfg.vocab_size // cfg.num_classes, cfg.vocab_size, cfg.token_noise
-        if not all(2 <= r <= 1 << 32 for r in (width, vocab, cfg.num_classes)):
-            return None
         # Each draw as (integers() range, or None for random(); count; random()'s rate).
         n = NARRATION_LEN
-        clip = [(width, n, None), (None, n, rate), (vocab, n, None), (None, n, rate),
-                (vocab, n, None)]
-        phase = [(width, CONCEPT_LEN, None), (None, CONCEPT_LEN, rate * CONCEPT_NOISE_FACTOR),
-                 (vocab, CONCEPT_LEN, None)]
-        video = [(cfg.num_classes, ABSTRACT_LEN, None), (width, ABSTRACT_LEN, None)]
-
-        def words(draws):  # every count is even, so an id draw leaves the buffer as it was
-            return [count if r is None else count // 2 for r, count, _ in draws]
-
+        clip = ((width, n, None), (None, n, rate), (vocab, n, None), (None, n, rate),
+                (vocab, n, None))
+        concept = ((width, CONCEPT_LEN, None), (None, CONCEPT_LEN, rate * CONCEPT_NOISE_FACTOR),
+                   (vocab, CONCEPT_LEN, None))
         # The last clip of a segment also draws its concept; the video's last, its abstract.
-        counts = [sum(words(clip))] * cfg.clips_per_phase
-        counts[-1] += sum(words(phase))
-        counts *= cfg.num_classes
-        counts[-1] += sum(words(video))
-        draws = [*clip * cfg.clips_per_phase, *phase] * cfg.num_classes + video
-        ids = [(r, count) for r, count, _ in draws if r is not None]
-        uniforms = [(p, count) for r, count, p in draws if r is None]
+        draws = ([clip] * (cfg.clips_per_phase - 1) + [clip + concept]) * cfg.num_classes
+        draws[-1] += ((cfg.num_classes, ABSTRACT_LEN, None), (width, ABSTRACT_LEN, None))
+        flat = list(chain.from_iterable(draws))
+        ids = [(r, count) for r, count, _ in flat if r is not None]
+        uniforms = [(p, count) for r, count, p in flat if r is None]
         ranges = np.repeat(np.array([r for r, _ in ids], dtype=np.uint64),
                            [count for _, count in ids])
+        counts = is_id = None
+        if all(2 <= r <= 1 << 32 for r in (width, vocab, cfg.num_classes)):
+            # Every count is even, so an id draw leaves the half-word buffer as it was.
+            words = [[count if r is None else count // 2 for r, count, _ in d] for d in draws]
+            counts = tuple(map(sum, words))
+            is_id = np.repeat([r is not None for r, _, _ in flat], list(chain(*words)))
         return cls(
             width=width,
-            counts=tuple(counts),
-            is_id=np.repeat([r is not None for r, _, _ in draws], words(draws)),
+            draws=tuple(draws),
             ranges=ranges,
             thresholds=((1 << 32) - ranges) % ranges,
             rates=np.repeat([p for p, _ in uniforms], [count for _, count in uniforms]),
+            counts=counts,
+            is_id=is_id,
         )
 
 
-def _drawn_words(rng: np.random.Generator, cfg: GeneratorConfig, raw: _RawTexts, vi: int,
-                 drawn: _Drawn, words: np.ndarray, scaled: np.ndarray) -> bool:
-    """Video `vi` from one standard_normal and one random_raw per clip: the per-video step.
+def _replay_video(rng: np.random.Generator, layout: _Layout, vi: int, drawn: _Drawn,
+                  ids: np.ndarray, uniforms: np.ndarray) -> None:
+    """Video `vi` drawn one rng call per draw: frames into its table rows, ids and
+    uniforms into its rows of a block.
 
-    Draws what `_replay_video` draws, in the same order, and leaves the generator in
-    the same state: frames into their table rows, raw text words into `words`, id
-    half-words times their ranges into `scaled`. Returns False, with the generator
-    back where it started, if an id draw meets a Lemire rejection.
+    `integers(lo, lo + r)` is lo + `integers(0, r)` and consumes the same words, so
+    these are the draws that `_drawn_words` takes as raw words.
+    """
+    i = u = 0
+    for rows, draws in zip(drawn.frames[vi], layout.draws):
+        rng.standard_normal(out=rows)
+        for r, count, _ in draws:
+            if r is None:
+                rng.random(out=uniforms[u:u + count])
+                u += count
+            else:
+                ids[i:i + count] = rng.integers(0, r, count)
+                i += count
+
+
+def _drawn_words(rng: np.random.Generator, layout: _Layout, vi: int, drawn: _Drawn,
+                 ids: np.ndarray, uniforms: np.ndarray) -> bool:
+    """Video `vi` from one standard_normal and one random_raw per clip: the fast path.
+
+    Draws what `_replay_video` draws, in the same order, writes the same ids and
+    uniforms, and leaves the generator in the same state. Returns False, with the
+    generator back where it started, if an id draw meets a Lemire rejection.
     """
     bits = rng.bit_generator
-    start = bits.state
-    order = rng.permutation(cfg.num_classes)
-    carry = bits.state  # permutation draws half-words, so the buffer varies
+    start = bits.state  # the class order draws half-words, so the buffer varies
     chunks = []
-    for rows, n in zip(drawn.frames[vi], raw.counts):
+    for rows, n in zip(drawn.frames[vi], layout.counts):
         rng.standard_normal(out=rows)
         chunks.append(bits.random_raw(n))
-    np.concatenate(chunks, out=words)
-    id_words = words[raw.is_id]
+    words = np.concatenate(chunks)
+    id_words = words[layout.is_id]
     halves = np.empty(2 * id_words.size + 1, dtype=np.uint64)
-    halves[0] = carry["uinteger"]
+    halves[0] = start["uinteger"]
     halves[1::2] = id_words & _HALF
     halves[2::2] = id_words >> 32
-    buffered = carry["has_uint32"]
-    np.multiply(halves[1 - buffered:halves.size - buffered], raw.ranges, out=scaled)
-    if ((scaled & _HALF) < raw.thresholds).any():
+    buffered = start["has_uint32"]
+    scaled = halves[1 - buffered:halves.size - buffered] * layout.ranges
+    if ((scaled & _HALF) < layout.thresholds).any():
         bits.state = start
         return False
     # random_raw bypasses the half-word buffer: leave it as the draws would.
     end = bits.state
     end["has_uint32"], end["uinteger"] = buffered, int(halves[-1])
     bits.state = end
-    drawn.classes[vi] = order
+    ids[:] = scaled >> 32
+    uniforms[:] = (words[~layout.is_id] >> 11) * 2.0 ** -53
     return True
 
 
-def _decode_block(cfg: GeneratorConfig, raw: _RawTexts, videos: list[int], words: np.ndarray,
-                  scaled: np.ndarray, drawn: _Drawn) -> None:
-    """The texts of `videos`, the j-th's from row j of `words` and `scaled`: the per-block step."""
-    m, num_classes, per_phase, width = len(videos), cfg.num_classes, cfg.clips_per_phase, raw.width
-    ids = (scaled[:m] >> 32).astype(np.int64)
-    corrupt = (words[:m, ~raw.is_id] >> 11) * 2.0 ** -53 < raw.rates
+def _decode_block(cfg: GeneratorConfig, layout: _Layout, block: slice, ids: np.ndarray,
+                  uniforms: np.ndarray, drawn: _Drawn) -> None:
+    """The texts of the videos of `block`, the j-th's from row j of `ids` and `uniforms`."""
+    m, num_classes, per_phase, width = len(ids), cfg.num_classes, cfg.clips_per_phase, layout.width
+    corrupt = uniforms < layout.rates
     # A segment's ids are each clip's base, noise-a and noise-b ids, then its concept's
     # base and noise ids; its uniforms are each clip's a and b ones, then its concept's.
     segment_ids = ids[:, :-2 * ABSTRACT_LEN].reshape(m, num_classes, -1)
@@ -415,23 +407,24 @@ def _decode_block(cfg: GeneratorConfig, raw: _RawTexts, videos: list[int], words
                                              axis=2)
     clip_ids = clip_ids.reshape(m, num_classes, per_phase, 3, NARRATION_LEN)
     concept_ids = concept_ids.reshape(m, num_classes, 2, CONCEPT_LEN)
-    low = drawn.classes[videos] * width  # where each segment's class block starts
+    low = drawn.classes[block] * width  # where each segment's class block starts
     narrations = np.where(clip_corrupt.reshape(m, num_classes, per_phase, 2, NARRATION_LEN),
                           clip_ids[..., 1:, :], clip_ids[..., :1, :] + low[..., None, None, None])
     abstracts = ids[:, -2 * ABSTRACT_LEN:].reshape(m, 2, ABSTRACT_LEN)  # classes, then ids
-    drawn.narrations[videos] = narrations.reshape(m, -1, 2, NARRATION_LEN)
-    drawn.concepts[videos] = np.where(concept_corrupt, concept_ids[..., 1, :],
-                                      concept_ids[..., 0, :] + low[..., None])
-    drawn.abstracts[videos] = abstracts[:, 0] * width + abstracts[:, 1]
+    drawn.narrations[block] = narrations.reshape(m, -1, 2, NARRATION_LEN)
+    drawn.concepts[block] = np.where(concept_corrupt, concept_ids[..., 1, :],
+                                     concept_ids[..., 0, :] + low[..., None])
+    drawn.abstracts[block] = abstracts[:, 0] * width + abstracts[:, 1]
 
 
 def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
     """Build a corpus with known latent phase structure, fully seed-determined.
 
-    Each video is drawn as raw words (`_drawn_words`), its texts decoded with its
-    block's (`_decode_block`); one that meets a rejection, or a config with a range
-    the decode does not cover, is drawn call by call (`_replay_video`) before the
-    next. Both yield the same bytes, written straight into the corpus's tables.
+    Each video's class order is drawn, then its frames and text draws as raw words
+    (`_drawn_words`); one that meets a rejection, or any of a config without raw
+    words, is drawn call by call (`_replay_video`) before the next. Both write the
+    same ids and uniforms into the video's row of a block, whose texts one mapping
+    builds (`_decode_block`). Every value lands straight in the corpus's tables.
     """
     rng = substream(cfg.seed, "generate")
     prototypes = rng.standard_normal((cfg.num_classes, cfg.d_in))
@@ -442,22 +435,18 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
                    np.empty((videos, cfg.num_classes, CONCEPT_LEN), dtype=np.intp),
                    np.empty((videos, cfg.num_classes), dtype=np.intp),
                    np.empty((videos, ABSTRACT_LEN), dtype=np.intp))
-    raw = _RawTexts.of(cfg)
-    # Rows 0, 1, ... of `words` and `scaled` hold a block's decoded videos in turn.
-    sizes = (raw.is_id.size, raw.ranges.size) if raw else (0, 0)
-    block = min(videos, max(1, _DECODE_BYTES // (8 * sum(sizes) or 1)))  # videos per block
-    words, scaled = (np.empty((block, n), dtype=np.uint64) for n in sizes)
-    for first in range(0, videos, block):
-        decoded = []
-        for vi in range(first, min(first + block, videos)):
-            j = len(decoded)
-            if raw and _drawn_words(rng, cfg, raw, vi, drawn, words[j], scaled[j]):
-                decoded.append(vi)
-            else:
-                _replay_video(rng, cfg, vi, drawn)
-        if decoded:
-            _decode_block(cfg, raw, decoded, words, scaled, drawn)
-    del words, scaled  # not held through the whole-table passes, which set the peak
+    layout = _Layout.of(cfg)
+    size = max(1, _DECODE_BYTES // (8 * (layout.ranges.size + layout.rates.size)))
+    ids = np.empty((min(videos, size), layout.ranges.size), dtype=np.int64)
+    uniforms = np.empty((len(ids), layout.rates.size))
+    for first in range(0, videos, len(ids)):
+        m = min(len(ids), videos - first)  # videos in this block
+        for j, vi in enumerate(range(first, first + m)):
+            drawn.classes[vi] = rng.permutation(cfg.num_classes)
+            if not (layout.counts and _drawn_words(rng, layout, vi, drawn, ids[j], uniforms[j])):
+                _replay_video(rng, layout, vi, drawn, ids[j], uniforms[j])
+        _decode_block(cfg, layout, slice(first, first + m), ids[:m], uniforms[:m], drawn)
+    del ids, uniforms  # not held through the whole-table passes, which set the peak
     # prototype + noise_scale * N(0, 1), in place over the whole table
     table *= cfg.noise_scale
     classes = drawn.classes.ravel()

@@ -493,6 +493,25 @@ def test_exit_2_on_noise_scale_whose_frames_would_overflow(workspace, tmp_path, 
     assert "line 1: bad generator config: noise_scale must be <= " in capsys.readouterr().err
 
 
+def test_vocab_size_is_bounded_by_int64_ids(workspace, tmp_path, capsys):
+    config = _write_config(tmp_path, generator={**GEN_SECTION, "vocab_size": 2**70})
+    out = tmp_path / "c.jsonl"
+    assert main(["generate", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: vocab_size must be <= 2**63, got {2**70}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+    # A corpus file whose header holds such a value is refused at load.
+    header = json.loads(workspace["corpus"].read_text().partition("\n")[0])
+    header["config"]["vocab_size"] = 2**70
+    out.write_text(json.dumps(header) + "\n")
+    assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.bin"),
+                 "--corpus", str(out), "--out", str(tmp_path)]) == 4
+    assert "line 1: bad generator config: vocab_size must be <= 2**63" in capsys.readouterr().err
+    # The largest vocabulary generates, saves and loads end to end.
+    config = _write_config(tmp_path, generator={**GEN_SECTION, "vocab_size": 2**63})
+    assert main(["generate", "--config", config, "--out", str(out)]) == 0
+    assert load_corpus(out).config.vocab_size == 2**63
+
+
 def test_exit_2_on_float_generator_field(tmp_path, capsys):
     config = _write_config(tmp_path, generator={**GEN_SECTION, "d_in": 8.5})
     assert main(["generate", "--config", config, "--out", str(tmp_path / "c.jsonl")]) == 2

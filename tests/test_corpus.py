@@ -70,6 +70,8 @@ def test_config_validation():
         GeneratorConfig(noise_scale=-1.0)
     with pytest.raises(ConfigError):
         GeneratorConfig(num_classes=10, vocab_size=5)
+    with pytest.raises(ConfigError, match=rf"^vocab_size must be <= 2\*\*63, got {2**63 + 1}$"):
+        GeneratorConfig(vocab_size=2**63 + 1)  # token ids are int64
 
 
 INT_FIELDS = ("num_videos", "num_classes", "clips_per_phase", "frames_per_clip",
@@ -249,9 +251,9 @@ def replays(monkeypatch):
     seen = []
     replay = corpus_module._replay_video
 
-    def spy(rng, cfg, vi, frames):
+    def spy(rng, layout, vi, *rows):
         seen.append(vi)
-        return replay(rng, cfg, vi, frames)
+        return replay(rng, layout, vi, *rows)
 
     monkeypatch.setattr(corpus_module, "_replay_video", spy)
     return seen
@@ -276,14 +278,20 @@ def test_generator_matches_the_per_call_reference(seed, replays):
     # Width-1 class blocks draw nothing; a range above 2**32 draws 64-bit words.
     (GeneratorConfig(num_videos=5, vocab_size=6), "all"),
     (GeneratorConfig(num_videos=5, vocab_size=2**33), "all"),
+    (GeneratorConfig(num_videos=2, vocab_size=2**63), "all"),  # the largest: int64 ids
     (GeneratorConfig(num_videos=5, num_classes=1, vocab_size=5), "all"),
-    # About half the videos meet a rejection, over five blocks of decoded videos.
+    # About half the videos meet a rejection, over four blocks of videos.
     (GeneratorConfig(num_videos=40, vocab_size=10_000_000), "mixed"),
     (GeneratorConfig(num_videos=1), "none"),
     (GeneratorConfig(num_videos=1, vocab_size=3 * 2**30), "all"),
-], ids=["gradcheck", "vocab-1000", "vocab-3x2^30", "width-1", "vocab-over-2^32", "one-class",
-        "mixed-blocks", "one-video", "one-video-replayed"])
-def test_generator_matches_the_reference_on_every_path(cfg, replayed, replays):
+    # Raw words that cover the config, every video rejected: all replayed, one mapping.
+    (GeneratorConfig(), "rejected"),
+], ids=["gradcheck", "vocab-1000", "vocab-3x2^30", "width-1", "vocab-over-2^32", "vocab-2^63",
+        "one-class", "mixed-blocks", "one-video", "one-video-replayed", "all-rejected"])
+def test_generator_matches_the_reference_on_every_path(cfg, replayed, replays, monkeypatch):
+    if replayed == "rejected":
+        monkeypatch.setattr(corpus_module, "_drawn_words", lambda *args: False)
+        replayed = "all"
     blocks = set()  # per block of a mixed config: (first replayed, last replayed, none decoded)
     for seed in (0, 1, 2):
         replays.clear()
@@ -296,9 +304,9 @@ def test_generator_matches_the_reference_on_every_path(cfg, replayed, replays):
         elif replayed == "most":
             assert len(replays) > cfg.num_videos // 2
         else:
-            # Videos per block, as generate_synthetic sizes a block of raw words.
-            raw = corpus_module._RawTexts.of(cfg)
-            size = corpus_module._DECODE_BYTES // (8 * (raw.is_id.size + raw.ranges.size))
+            # Videos per block, as generate_synthetic sizes a block of ids and uniforms.
+            layout = corpus_module._Layout.of(cfg)
+            size = corpus_module._DECODE_BYTES // (8 * (layout.ranges.size + layout.rates.size))
             assert cfg.num_videos > 2 * size
             for first in range(0, cfg.num_videos, size):
                 redrawn = [vi in replays for vi in range(first, min(first + size, cfg.num_videos))]
@@ -312,9 +320,9 @@ def test_generator_matches_the_reference_on_every_path(cfg, replayed, replays):
 
 
 # The tracemalloc peak of this generate_synthetic when each video's texts were
-# decoded on their own (Python 3.11, numpy 2.4). A block of decoded videos may
-# hold its raw words and id half-words on top, _DECODE_BYTES at most; freed
-# before the whole-table passes, they add nothing here (10,348,792 bytes).
+# decoded on their own (Python 3.11, numpy 2.4). The block buffers, one row of
+# ids and one of uniforms per video of a block, may add _DECODE_BYTES at most;
+# freed before the whole-table passes, they add nothing here (10,341,384 bytes).
 GENERATE_PEAK_BYTES = 10_349_104
 
 
