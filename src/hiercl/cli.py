@@ -250,7 +250,7 @@ def cmd_eval(args) -> int:
     with _manifest(manifest_path, "eval", config_doc, ckpt.config.seed, inputs=inputs,
                    outputs={"report_json": report_json, "report_txt": report_txt}):
         report = evaluate(ckpt, split, prompts)
-        table = report.table(model=ckpt.config.mode, dataset="synthetic")
+        table = report.table(model=ckpt.config.mode)
         _atomic_write(report_json, report.to_json())
         _atomic_write(report_txt, table)
     print(table, end="")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from hashlib import sha256
 from typing import Callable
 
@@ -42,7 +42,7 @@ from .objectives import LossValue, loss_clip, loss_phase, loss_single, loss_vide
 from .seeding import substream
 
 CKPT_MAGIC = b"HECV"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 # Each mode's (clip, phase, video) run lengths: the level of batch i is
 # schedule_level(i, *runs). A level with run 0 is never sampled.
@@ -105,6 +105,11 @@ class TrainConfig:
     @property
     def total_batches(self) -> int:
         return self.cycles * (self.m + self.n + self.l)
+
+    def dims(self, d_in: int, vocab_size: int) -> EncoderDims:
+        """The model's widths: the corpus's frame and vocabulary widths, the rest configured."""
+        return EncoderDims(d_in=d_in, d_tok=self.d_tok, hidden=self.hidden, d_emb=self.d_emb,
+                           vocab_size=vocab_size)
 
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()
@@ -248,8 +253,7 @@ def train(cfg: TrainConfig, corpus: Corpus, resume: Checkpoint | None = None,
         params, moments, start = resume.params, resume.moments, resume.global_batch
         rng.bit_generator.state = resume.rng_state
     else:
-        dims = EncoderDims(d_in=corpus.config.d_in, d_tok=cfg.d_tok, hidden=cfg.hidden,
-                           d_emb=cfg.d_emb, vocab_size=corpus.config.vocab_size)
+        dims = cfg.dims(corpus.config.d_in, corpus.config.vocab_size)
         params, moments, start = ModelParams.initialize(dims, rng), np.zeros((2, dims.size)), 0
     state = TrainState(params, moments, start)
     stop = cfg.total_batches if stop_at is None else stop_at
@@ -291,10 +295,9 @@ def save_checkpoint(ckpt: Checkpoint, path, hasher=None) -> None:
     ends as the file's digest: the checksum pass feeds it each part, then the checksum."""
     header = {
         "config": asdict(ckpt.config),
-        "config_digest": ckpt.config.digest(),
-        "dims": asdict(ckpt.params.dims),
+        "d_in": ckpt.params.dims.d_in,
+        "vocab_size": ckpt.params.dims.vocab_size,
         "global_batch": ckpt.global_batch,
-        "opt_step": ckpt.global_batch,
         "rng_state": ckpt.rng_state,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -342,48 +345,34 @@ def load_checkpoint(path, hasher=None) -> Checkpoint:
     off += header_len
     try:
         return _checkpoint_from(header, body, off, path)
-    except (KeyError, TypeError, ValueError, ConfigError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as e:
         # The checksum held, so the writer produced a header this build cannot read.
         raise CheckpointIntegrityError(f"{path}: malformed header: {e!r}") from e
 
 
 def _checkpoint_from(header: dict, body: memoryview, off: int, path) -> Checkpoint:
-    # Every field is required: a default would silently change the layout.
-    dims = EncoderDims(**{f.name: header["dims"][f.name] for f in fields(EncoderDims)})
+    # Every key is required; the config gives the model's widths beside the corpus's two.
+    cfg = TrainConfig(**header["config"])
+    dims = cfg.dims(header["d_in"], header["vocab_size"])
     expected = 3 * dims.size * 8
     if len(body) - off != expected:
         raise CheckpointIntegrityError(
             f"{path}: {len(body) - off} bytes of vectors, dims need {expected}"
         )
     vectors = np.frombuffer(body, dtype="<f8", offset=off).reshape(3, -1)
-    cfg = TrainConfig(**header["config"])
-    if cfg.digest() != header["config_digest"]:
-        raise CheckpointIntegrityError(f"{path}: config digest mismatch")
-    for name in ("d_tok", "hidden", "d_emb"):
-        if getattr(dims, name) != getattr(cfg, name):
-            raise CheckpointIntegrityError(f"{path}: dims.{name} {getattr(dims, name)} "
-                                           f"!= config.{name} {getattr(cfg, name)}")
-    # The loop takes one optimizer step per batch, so the two counts agree.
-    batch, step = header["global_batch"], header["opt_step"]
+    batch, rng_state = header["global_batch"], header["rng_state"]
     if type(batch) is not int or not 0 <= batch <= cfg.total_batches:
         raise ValueError(f"global_batch {batch!r} is not an integer in [0, {cfg.total_batches}]")
-    if type(step) is not int or step != batch:
-        raise ValueError(f"opt_step {step!r} is not global_batch {batch}")
+    # The setter checks the generator's name and each word's range. Reading the state back
+    # catches what it converts or ignores, such as a float word or an extra key.
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = rng_state
+    if bit_generator.state != rng_state:
+        raise ValueError(f"rng_state {rng_state!r} does not read back as set")
     return Checkpoint(
         config=cfg,
         global_batch=batch,
         params=ModelParams(dims, vectors[0]),
         moments=vectors[1:],
-        rng_state=_restore_rng_state(header["rng_state"]),
+        rng_state=bit_generator.state,
     )
-
-
-def _restore_rng_state(state: dict) -> dict:
-    # JSON round-trips Python's big ints exactly; only the nesting needs care.
-    inner = dict(state["state"])
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {k: int(v) for k, v in inner.items()},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }

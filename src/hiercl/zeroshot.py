@@ -8,6 +8,7 @@ matrix — no parameter ever changes during evaluation.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -154,6 +155,8 @@ def classify(visual: np.ndarray, class_embeddings: np.ndarray) -> np.ndarray:
             visual.shape[1] != class_embeddings.shape[1]:
         raise ShapeError(f"visual {visual.shape} and class embeddings "
                          f"{class_embeddings.shape} are not 2-D arrays of one width")
+    if not len(class_embeddings):
+        raise EmptyInputError("no class embeddings to classify against")
     unit = []
     for what, a in (("visual", visual), ("class-embedding", class_embeddings)):
         norms = np.linalg.norm(a, axis=1, keepdims=True)
@@ -181,11 +184,12 @@ class MetricsReport:
         doc["f1_averaging"] = "macro"
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    def table(self, model: str = "hecvl", dataset: str = "synthetic") -> str:
+    def table(self, model: str = "hecvl") -> str:
         """Aligned four-column summary: model, data, accuracy, macro F1."""
         return format_table(
             ("Model", "Pretraining dataset", "Top-1 Acc.", "F1 Score"),
-            [(model, dataset, f"{100.0 * self.accuracy:.1f}", f"{100.0 * self.macro_f1:.1f}")],
+            [(model, "synthetic", f"{100.0 * self.accuracy:.1f}",
+              f"{100.0 * self.macro_f1:.1f}")],
         )
 
 
@@ -198,19 +202,22 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def compute_metrics(predictions, ground_truth, labels=None) -> MetricsReport:
     """Top-1 accuracy and macro F1 (empty-class F1 counted as 0)."""
-    pred = [int(p) for p in predictions]
-    gt = [int(g) for g in ground_truth]
+    try:  # operator.index refuses what int() would truncate, such as 1.7
+        pred, gt = (list(map(operator.index, v)) for v in (predictions, ground_truth))
+        labels = tuple(sorted(set(gt) | set(pred)) if labels is None
+                       else map(operator.index, labels))
+    except TypeError as e:
+        raise ContractError(f"labels must be integers: {e}") from e
     if len(pred) != len(gt):
         raise ContractError(
             f"{len(pred)} predictions vs {len(gt)} ground-truth labels"
         )
     if not pred:
         raise ContractError("cannot compute metrics on an empty sample")
-    if labels is None:
-        labels = sorted(set(gt) | set(pred))
-    labels = tuple(int(c) for c in labels)
     if len(set(labels)) != len(labels):
         raise ContractError(f"class set {list(labels)} repeats a label")
+    if not labels:
+        raise ContractError(f"label {pred[0]} not in class set []")
     k, n, values = len(labels), len(pred), np.asarray(pred + gt)
     order = np.argsort(labels)
     # Each value's index in `labels`, by binary search; a value found nowhere is unknown.

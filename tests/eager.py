@@ -1,7 +1,9 @@
-"""One-item encoders for tests: a batch encoder on a throwaway tape, for one item."""
+"""One-item encoders for tests, each a batch encoder on a throwaway tape, and an identity model."""
 import numpy as np
 
 from hiercl.encoders import (
+    EncoderDims,
+    ModelParams,
     aggregated_text_rows,
     param_nodes,
     text_embedding_rows,
@@ -28,3 +30,16 @@ def encode_text(tokens, params) -> np.ndarray:
 def aggregate_texts(texts, params) -> np.ndarray:
     """Unit-norm mean of the individual text embeddings (1 x d_emb)."""
     return _one(aggregated_text_rows, list(texts), params)
+
+
+def identity_params(d: int) -> ModelParams:
+    """Both encoders as identity maps over nonnegative inputs: identity weights, zero biases,
+    one-hot token table."""
+    eye = np.eye(d)
+    zero_bias = np.zeros((1, d))
+    return ModelParams.from_blocks(
+        EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
+        {"visual.w1": eye, "visual.b1": zero_bias, "visual.w2": eye, "visual.b2": zero_bias,
+         "text.embed": eye, "text.w1": eye, "text.b1": zero_bias, "text.w2": eye,
+         "text.b2": zero_bias},
+    )

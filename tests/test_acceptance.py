@@ -38,7 +38,7 @@ from hiercl.trainer import (
 )
 from hiercl.zeroshot import classify, compute_metrics, default_prompts, evaluate
 
-from eager import encode_segment, encode_text
+from eager import encode_segment, encode_text, identity_params
 
 
 def _verdict(capsys, num: int, name: str, ok: bool, detail: str) -> None:
@@ -86,16 +86,6 @@ def test_criterion_1_gradient_correctness(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _identity_params(d: int) -> ModelParams:
-    eye = np.eye(d)
-    zero = np.zeros((1, d))
-    return ModelParams.from_blocks(
-        EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
-        {"visual.w1": eye, "visual.b1": zero, "visual.w2": eye, "visual.b2": zero,
-         "text.embed": eye, "text.w1": eye, "text.b1": zero, "text.w2": eye, "text.b2": zero},
-    )
-
-
 def _same_embedding_entries(b: int, d: int):
     frames = np.tile(np.eye(d)[0], (2, 1))
     texts = ((0,),) * b
@@ -106,7 +96,7 @@ def _same_embedding_entries(b: int, d: int):
 
 
 def test_criterion_2_loss_identities(capsys):
-    params = _identity_params(4)
+    params = identity_params(4)
     clip1, phase1, video1 = _same_embedding_entries(1, 4)
     worst = 0.0
     for loss in (loss_phase(phase1, params, 0.07), loss_video(video1, params, 0.07)):

@@ -732,20 +732,22 @@ def test_exit_5_on_corrupt_checkpoint(workspace, tmp_path, capsys):
 
 
 def _break_header(header: dict, key: str) -> None:
-    if key == "dims field":
-        del header["dims"]["hidden"]
-    elif key == "non-integer dims field":
-        header["dims"]["hidden"] = float(header["dims"]["hidden"])
-    elif "=" in key:  # name=JSON value
-        name, value = key.split("=")
+    """Delete the entry at a dotted path, or set it with `path=JSON value`."""
+    path, _, value = key.partition("=")
+    *parents, name = path.split(".")
+    for parent in parents:
+        header = header[parent]
+    if value:
         header[name] = json.loads(value)
     else:
-        del header[key]
+        del header[name]
 
 
-@pytest.mark.parametrize("key", ["dims", "config", "config_digest", "dims field",
-                                 "non-integer dims field", 'global_batch="x"', "global_batch=-3",
-                                 "global_batch=99", "global_batch=true", "opt_step=-1"])
+@pytest.mark.parametrize("key", [
+    "d_in", "config", "vocab_size", "d_in=10.0", 'global_batch="x"', "global_batch=-3",
+    "global_batch=99", "global_batch=true", "rng_state", "rng_state=[]",
+    'rng_state.bit_generator="MT19937"', "rng_state.state.state=-5",
+    f"rng_state.state.state={2 ** 200}", "rng_state.state.inc=1.5", "rng_state.extra=0"])
 def test_exit_5_on_malformed_checkpoint_header(workspace, tmp_path, capsys, key):
     """A header that passes the checksum but lacks or mistypes a key is still an integrity error."""
     blob = (workspace["run"] / "checkpoint.bin").read_bytes()
@@ -767,16 +769,17 @@ def test_exit_5_on_malformed_checkpoint_header(workspace, tmp_path, capsys, key)
 
 def test_exit_5_on_version_1_checkpoint(workspace, tmp_path, capsys):
     blob = bytearray((workspace["run"] / "checkpoint.bin").read_bytes())
-    struct.pack_into("<I", blob, 4, 1)
-    body = bytes(blob[:-32])
-    bad = tmp_path / "v1.bin"
-    bad.write_bytes(body + hashlib.sha256(body).digest())
-    out = tmp_path / "ev"
-    out.mkdir()
-    rc = main(["eval", "--checkpoint", str(bad),
-               "--corpus", str(workspace["corpus"]), "--out", str(out)])
-    assert rc == 5
-    assert "checkpoint version 1" in capsys.readouterr().err
+    for version in (1, 2):
+        struct.pack_into("<I", blob, 4, version)
+        body = bytes(blob[:-32])
+        bad = tmp_path / f"v{version}.bin"
+        bad.write_bytes(body + hashlib.sha256(body).digest())
+        out = tmp_path / f"ev{version}"
+        out.mkdir()
+        rc = main(["eval", "--checkpoint", str(bad),
+                   "--corpus", str(workspace["corpus"]), "--out", str(out)])
+        assert rc == 5
+        assert f"checkpoint version {version}" in capsys.readouterr().err
 
 
 def test_exit_5_on_dimension_mismatch(workspace, tmp_path, capsys):
@@ -800,7 +803,9 @@ def test_exit_5_on_checkpoint_dims_disagreeing_with_config(workspace, tmp_path, 
     rc = main(["eval", "--checkpoint", str(bad),
                "--corpus", str(workspace["corpus"]), "--out", str(out)])
     assert rc == 5
-    assert capsys.readouterr().err == f"error: {bad}: dims.hidden 10 != config.hidden 64\n"
+    need = 3 * 8 * replace(ckpt.params.dims, hidden=64).size
+    assert capsys.readouterr().err == (f"error: {bad}: {3 * 8 * ckpt.params.dims.size} "
+                                       f"bytes of vectors, dims need {need}\n")
     assert list(out.iterdir()) == []
 
 

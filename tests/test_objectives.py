@@ -29,7 +29,7 @@ from hiercl.objectives import _sim_diagnostics, loss_clip, loss_phase, loss_sing
 from hiercl.seeding import substream
 from hiercl.trainer import TrainConfig, train
 
-from eager import aggregate_texts, encode_segment, encode_text
+from eager import aggregate_texts, encode_segment, encode_text, identity_params
 
 LEAF_NAMES = ["visual.w1", "visual.b1", "visual.w2", "visual.b2",
               "text.embed", "text.w1", "text.b1", "text.w2", "text.b2"]
@@ -38,17 +38,6 @@ LEAF_NAMES = ["visual.w1", "visual.b1", "visual.w2", "visual.b2",
 # ---------------------------------------------------------------------------
 # Crafted identity encoders
 # ---------------------------------------------------------------------------
-
-
-def identity_params(d: int) -> ModelParams:
-    eye = np.eye(d)
-    zero_bias = np.zeros((1, d))
-    return ModelParams.from_blocks(
-        EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
-        {"visual.w1": eye, "visual.b1": zero_bias, "visual.w2": eye, "visual.b2": zero_bias,
-         "text.embed": eye, "text.w1": eye, "text.b1": zero_bias, "text.w2": eye,
-         "text.b2": zero_bias},
-    )
 
 
 def basis_frames(d: int, axis: int, k: int = 2) -> np.ndarray:

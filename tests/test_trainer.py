@@ -515,7 +515,7 @@ def test_save_checkpoint_hashes_what_it_writes_and_copies_no_vector(default_trai
     finally:
         tracemalloc.stop()
     data = path.read_bytes()
-    assert len(data) == 348_628
+    assert len(data) == 348_478
     assert hasher.hexdigest() == hashlib.sha256(data).hexdigest()
     assert peak < 32 * 1024  # the file's parts are written and hashed where they are
 
@@ -568,26 +568,29 @@ def test_checkpoint_rejects_future_version(corpus, tmp_path):
 
 
 def test_checkpoint_rejects_version_1(corpus, tmp_path):
-    # Version 1 stored 27 per-block arrays; it is not read, only rejected.
+    # Version 1 stored 27 per-block arrays, and version 2 wrote the model's widths, the config
+    # digest and the step count beside the config; neither is read, only rejected.
     cfg = TrainConfig(cycles=1, seed=7, **TINY)
     path = tmp_path / "ck.bin"
     save_checkpoint(train(cfg, corpus).checkpoint, path)
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<I", blob, 4, 1)
-    body = bytes(blob[:-32])
-    path.write_bytes(body + hashlib.sha256(body).digest())
-    with pytest.raises(SchemaVersionError, match="version 1, this build reads 2"):
-        load_checkpoint(path)
+    for version in (1, 2):
+        struct.pack_into("<I", blob, 4, version)
+        body = bytes(blob[:-32])
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(SchemaVersionError, match=f"version {version}, this build reads 3"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("field", ["d_tok", "hidden", "d_emb"])
 def test_checkpoint_rejects_dims_that_disagree_with_its_config(corpus, tmp_path, field):
-    # Checksum and config digest hold; only the header's two descriptions of the model differ.
+    # The checksum holds, but the config's widths do not fit the vectors written under it.
     cfg = TrainConfig(cycles=1, seed=7, **TINY)
     ckpt = train(cfg, corpus).checkpoint
     path = tmp_path / "ck.bin"
     save_checkpoint(replace(ckpt, config=replace(cfg, **{field: 64})), path)
-    want = f"dims.{field} {TINY[field]} != config.{field} 64"
+    need = 3 * 8 * replace(ckpt.params.dims, **{field: 64}).size
+    want = f"{3 * 8 * ckpt.params.dims.size} bytes of vectors, dims need {need}"
     with pytest.raises(CheckpointIntegrityError, match=re.escape(want)):
         load_checkpoint(path)
 

@@ -7,11 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from eager import encode_segment
+from eager import encode_segment, identity_params
 from records import load_records
 
 from hiercl.corpus import GeneratorConfig, generate_synthetic
-from hiercl.encoders import EncoderDims, ModelParams, frame_rows
+from hiercl.encoders import frame_rows
 from hiercl.errors import (
     ConfigError,
     ContractError,
@@ -42,17 +42,6 @@ GEN = GeneratorConfig(num_videos=8, num_classes=3, clips_per_phase=2,
                       frames_per_clip=4, d_in=8, vocab_size=30, seed=21)
 TINY = dict(m=1, n=1, l=1, b_clip=3, b_phase=2, b_video=2,
             k_clip=2, k_phase=3, k_video=4, d_tok=6, hidden=10, d_emb=5)
-
-
-def identity_params(d: int) -> ModelParams:
-    eye = np.eye(d)
-    zero_bias = np.zeros((1, d))
-    return ModelParams.from_blocks(
-        EncoderDims(d_in=d, d_tok=d, hidden=d, d_emb=d, vocab_size=d),
-        {"visual.w1": eye, "visual.b1": zero_bias, "visual.w2": eye, "visual.b2": zero_bias,
-         "text.embed": eye, "text.w1": eye, "text.b1": zero_bias, "text.w2": eye,
-         "text.b2": zero_bias},
-    )
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +200,11 @@ def test_classify_rejects_width_mismatch():
         classify(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
+def test_classify_rejects_no_class_rows():
+    with pytest.raises(EmptyInputError, match="no class embeddings"):
+        classify(np.ones((3, 4)), np.empty((0, 4)))
+
+
 def test_classify_rejects_zero_norm_rows():
     # A zero row has no direction: it used to come out as a NaN row, argmax 0.
     visual = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
@@ -315,6 +309,11 @@ def test_metrics_input_errors():
         compute_metrics([0, 9], [8, 0], labels=[0, 1])
     with pytest.raises(ContractError, match=r"^label 8 not in class set \[0, 1\]$"):
         compute_metrics([0, 1], [1, 8], labels=[0, 1])
+    with pytest.raises(ContractError, match=r"^label 1 not in class set \[\]$"):
+        compute_metrics([1, 2], [1, 2], labels=[])
+    # a float label is refused, not truncated to a match
+    with pytest.raises(ContractError, match="integer"):
+        compute_metrics([1.7], [1], labels=[1])
 
 
 def test_metrics_reject_a_repeated_label():
@@ -328,7 +327,7 @@ def test_report_json_and_table():
     doc = report.to_json()
     assert doc.endswith("\n")
     assert '"f1_averaging": "macro"' in doc
-    table = report.table(model="hecvl", dataset="synthetic")
+    table = report.table(model="hecvl")
     lines = table.splitlines()
     assert len(lines) == 2
     assert lines[0].split() == ["Model", "Pretraining", "dataset", "Top-1", "Acc.", "F1", "Score"]
@@ -346,7 +345,7 @@ def test_tables_keep_their_literal_layout():
     # Columns are padded to their widest cell, the last one too, so lines
     # carry trailing spaces; report.txt and ablation.txt depend on this.
     report = MetricsReport(accuracy=0.5, macro_f1=0.3333, per_class=(), confusion=(), samples=4)
-    assert report.table(model="clip_phase", dataset="synthetic") == (
+    assert report.table(model="clip_phase") == (
         "Model       Pretraining dataset  Top-1 Acc.  F1 Score\n"
         "clip_phase  synthetic            50.0        33.3    \n"
     )
