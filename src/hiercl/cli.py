@@ -33,7 +33,7 @@ from .corpus import (
     sample_video_batch,
     save_corpus,
 )
-from .encoders import EncoderDims, ModelParams
+from .encoders import ModelParams
 from .errors import ConfigError, HierclError
 from .numerics import finite_diff_check, single_thread_blas
 from .objectives import loss_clip, loss_phase, loss_single, loss_video
@@ -267,7 +267,8 @@ def _gradcheck_losses(seed: int):
                           seed=seed)
     rng = substream(seed, "gradcheck")
     corpus = generate_synthetic(gen)
-    dims = EncoderDims(d_in=8, d_tok=8, hidden=12, d_emb=8, vocab_size=48)
+    cfg = TrainConfig(d_tok=8, hidden=12, d_emb=8)
+    dims = cfg.dims(gen.d_in, gen.vocab_size)
     params = ModelParams.initialize(dims, rng)
     sizes = [2, 3, 4, 2, 3]
     checks = []
@@ -284,7 +285,7 @@ def _gradcheck_losses(seed: int):
             batches = tuple(drawn[level] for level in levels)
 
             def fn_of_vector(vector, _fn=fn, _batches=batches):
-                lv = _fn(*_batches, ModelParams(dims, vector), 0.07)
+                lv = _fn(*_batches, ModelParams(dims, vector), cfg.tau)
                 return lv.loss, lv.grads
 
             checks.append((name, case, fn_of_vector))

@@ -29,7 +29,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
-from hashlib import sha256
+from hashlib import file_digest
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from typing import IO, ClassVar, Iterator, NamedTuple, Sequence
@@ -42,6 +42,7 @@ from .errors import (
     CorpusFormatError,
     InsufficientDataError,
     SchemaVersionError,
+    check_array_bytes,
     check_floats,
     check_ints,
 )
@@ -92,6 +93,16 @@ class GeneratorConfig:
                 f"{self.num_classes} classes need {self.num_classes} vocabulary blocks, "
                 f"but vocab_size is only {self.vocab_size}"
             )
+        # The tables `generate_synthetic` shapes, of 8-byte values: frames, every text's
+        # token ids, and one video's id draws (3 runs per clip, 2 per concept and abstract).
+        clips = self.num_classes * self.clips_per_phase  # per video
+        for what, values in (
+                ("the frame table", self.num_videos * clips * self.frames_per_clip * self.d_in),
+                ("the token table", self.num_videos * (
+                    clips * 2 * NARRATION_LEN + self.num_classes * CONCEPT_LEN + ABSTRACT_LEN)),
+                ("a video's id draws", clips * 3 * NARRATION_LEN
+                 + self.num_classes * 2 * CONCEPT_LEN + 2 * ABSTRACT_LEN)):
+            check_array_bytes(f"{what} of this config", 8 * values)
 
     def class_block(self, cls: int) -> tuple[int, int]:
         """Half-open token id range owned by a class."""
@@ -131,14 +142,6 @@ class RowRanges(NamedTuple):
 
     starts: np.ndarray
     lengths: np.ndarray
-
-
-class Level(NamedTuple):
-    """The sources of one level (clip, phase or video), in table order."""
-
-    ids: tuple[str, ...]
-    clips: RowRanges  # runs of the corpus's clips
-    rows: RowRanges  # runs of frame_table
 
 
 def _token_runs(lengths: Sequence[np.ndarray]) -> dict[str, RowRanges]:
@@ -200,26 +203,15 @@ class Corpus:
         return TokenStack(self.token_table, runs.starts[index], runs.lengths[index])
 
     @cached_property
-    def levels(self) -> dict[str, Level]:
-        """The sources of each level, as runs of clips and of frame_table.
-
-        A clip is a run of one clip; a phase segment or a video, the run of its clips.
-        """
-        count = len(self.clip_ids)
-        firsts = np.cumsum(self.video_clips) - self.video_clips
+    def levels(self) -> dict[str, RowRanges]:
+        """Each level's sources as runs of clips, in table order: a clip is a run of one
+        clip; a phase segment or a video, the run of its clips."""
         starts, ends, _ = self.segments.T
-        clips = {"clip": RowRanges(np.arange(count, dtype=np.intp), np.ones_like(self.clip_rows)),
-                 "phase": RowRanges(starts, ends - starts),
-                 "video": RowRanges(firsts, self.video_clips)}
-        segment_counts = np.diff(np.searchsorted(starts, np.append(firsts, count)))
-        ids = {"clip": self.clip_ids,
-               "phase": tuple(f"{video_id}p{pi}" for video_id, n
-                              in zip(self.video_ids, segment_counts.tolist()) for pi in range(n)),
-               "video": self.video_ids}
-        bounds = np.append(0, np.cumsum(self.clip_rows))  # each clip's first row, then the end
-        return {level: Level(ids[level], runs, RowRanges(
-                    bounds[runs.starts], bounds[runs.starts + runs.lengths] - bounds[runs.starts]))
-                for level, runs in clips.items()}
+        return {"clip": RowRanges(np.arange(len(self.clip_ids), dtype=np.intp),
+                                  np.ones_like(self.clip_rows)),
+                "phase": RowRanges(starts, ends - starts),
+                "video": RowRanges(np.cumsum(self.video_clips) - self.video_clips,
+                                   self.video_clips)}
 
     @cached_property
     def _frame_rows(self) -> dict[tuple[str, int], np.ndarray]:
@@ -228,8 +220,11 @@ class Corpus:
     def frames_of(self, level: str, sources: np.ndarray, k: int) -> FrameStack:
         """k frames of each given source of a level, at rows built once per k: one gather."""
         rows = self._frame_rows.get((level, k))
-        if rows is None:
-            rows = self._frame_rows[level, k] = frame_rows(*self.levels[level].rows, k)
+        if rows is None:  # the frame rows of the level's clip runs
+            first, count = self.levels[level]
+            bounds = np.append(0, np.cumsum(self.clip_rows))  # each clip's first row, then the end
+            rows = self._frame_rows[level, k] = frame_rows(
+                bounds[first], bounds[first + count] - bounds[first], k)
             rows.flags.writeable = False
         return FrameStack.at(self.frame_table, rows[sources])
 
@@ -472,15 +467,6 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _naming(where: str) -> Iterator[None]:
-    """Report a malformed video as a CorpusFormatError that starts with `where`."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
-        raise CorpusFormatError(f"{where}: bad video record: {e}") from e
-
-
 class _Tables:
     """A corpus's tables, filled one checked video at a time by `load_corpus`:
     `add` runs every check of a video but the frame-byte checks, token ids last."""
@@ -491,7 +477,7 @@ class _Tables:
         self.video_ids, self.clip_ids, self.video_clips, self.clip_rows, self.segments = (
             [], [], [], [], [])
         self.texts = {kind: ([], []) for kind in TEXT_KINDS}  # each kind's id arrays and lengths
-        # Ids name batch sources, and a batch must not repeat a source.
+        # Each id names one video or clip, in the file and in `Corpus.videos`.
         self.seen_videos, self.seen_clips = set(), set()
 
     def add(self, video_id, clip_ids: list, rows: list, frames: np.ndarray,
@@ -664,7 +650,7 @@ def load_corpus(path, hasher=None) -> Corpus:
                 grown[:row] = frames[:row]
                 frames = grown
             rec = _parse_line(line, i)
-            with _naming(f"line {i}"):
+            try:
                 clips = rec["clips"]
                 counts = _decode_frames(clips, frames[row:], row_bytes)
                 values = frames[row:row + sum(counts)]  # one finiteness check per video
@@ -672,6 +658,8 @@ def load_corpus(path, hasher=None) -> Corpus:
                            [c["narration_a"] for c in clips], [c["narration_b"] for c in clips],
                            [(p["start"], p["end"], p["concept"], p["class"])
                             for p in rec["phases"]], rec["abstract"])
+            except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
+                raise CorpusFormatError(f"line {i}: bad video record: {e}") from e
             row += len(values)
     return tables.corpus(frames[:row])
 
@@ -751,11 +739,8 @@ def atomic_file(path, mode: str = "w") -> Iterator[IO]:
 
 
 def corpus_digest(path) -> str:
-    h = sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return file_digest(f, "sha256").hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +753,7 @@ _fields = cache(fields)  # a batch class's columns, looked up once per class
 @dataclass(frozen=True)
 class _Batch:
     level: ClassVar[str]
-    source_ids: tuple[str, ...]
+    source_ids: tuple  # sampled batches: indices into `Corpus.levels[level]`; hand-built, any ids
     # k sampled frames per item: sampled batches hold a FrameStack, hand-built ones 2-D arrays
     frames: Sequence[np.ndarray | FrameStack]
 
@@ -809,25 +794,23 @@ class VideoBatch(CoarseBatch):
     level = "video"  # narrations: at most k evenly spread clip narrations
 
 
-def _draw(corpus: Corpus, level: str, b: int,
-          rng: np.random.Generator) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Indices of b distinct sources of a level, and their ids."""
-    ids = corpus.levels[level].ids
+def _draw(corpus: Corpus, level: str, b: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of b distinct sources of a level, into `corpus.levels[level]`."""
+    count = len(corpus.levels[level].starts)
     if b < 1:
         raise ConfigError(f"batch size must be >= 1, got {b}")
-    if b > len(ids):
+    if b > count:
         raise InsufficientDataError(
-            f"{level} level: requested batch of {b} but only {len(ids)} sources available"
+            f"{level} level: requested batch of {b} but only {count} sources available"
         )
-    drawn = rng.choice(len(ids), size=b, replace=False)
-    return drawn, tuple(map(ids.__getitem__, drawn.tolist()))
+    return rng.choice(count, size=b, replace=False)
 
 
 def sample_clip_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                       k: int = 4) -> ClipBatch:
-    drawn, ids = _draw(corpus, "clip", b, rng)
+    drawn = _draw(corpus, "clip", b, rng)
     return ClipBatch(
-        source_ids=ids,
+        source_ids=tuple(drawn.tolist()),
         frames=corpus.frames_of("clip", drawn, k),
         narration_a=corpus.texts("narration_a", drawn),
         narration_b=corpus.texts("narration_b", drawn),
@@ -837,10 +820,10 @@ def sample_clip_batch(corpus: Corpus, b: int, rng: np.random.Generator,
 def sample_phase_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 8) -> PhaseBatch:
     """Every member narration of each drawn phase segment."""
-    drawn, ids = _draw(corpus, "phase", b, rng)
-    clips = RowRanges(*(column[drawn] for column in corpus.levels["phase"].clips))
+    drawn = _draw(corpus, "phase", b, rng)
+    clips = RowRanges(*(column[drawn] for column in corpus.levels["phase"]))
     return PhaseBatch(
-        source_ids=ids,
+        source_ids=tuple(drawn.tolist()),
         frames=corpus.frames_of("phase", drawn, k),
         narrations=TokenSets.spread(corpus.texts("narration_a"), *clips, clips.lengths),
         summary=corpus.texts("concept", drawn),
@@ -850,10 +833,10 @@ def sample_phase_batch(corpus: Corpus, b: int, rng: np.random.Generator,
 def sample_video_batch(corpus: Corpus, b: int, rng: np.random.Generator,
                        k: int = 32) -> VideoBatch:
     """At most k narrations of each drawn video, at clip indices floor(j*n/min(n, k))."""
-    drawn, ids = _draw(corpus, "video", b, rng)
-    clips = RowRanges(*(column[drawn] for column in corpus.levels["video"].clips))
+    drawn = _draw(corpus, "video", b, rng)
+    clips = RowRanges(*(column[drawn] for column in corpus.levels["video"]))
     return VideoBatch(
-        source_ids=ids,
+        source_ids=tuple(drawn.tolist()),
         frames=corpus.frames_of("video", drawn, k),
         narrations=TokenSets.spread(corpus.texts("narration_a"), *clips,
                                     np.minimum(clips.lengths, k)),

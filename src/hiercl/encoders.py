@@ -36,6 +36,7 @@ from .errors import (
     ContractError,
     EmptyInputError,
     ShapeError,
+    check_array_bytes,
     check_ints,
 )
 from .numerics import Node, Tape
@@ -83,6 +84,7 @@ class EncoderDims:
 
     def __post_init__(self) -> None:
         check_ints(self, ("d_in", "d_tok", "hidden", "d_emb", "vocab_size"), minimum=1)
+        check_array_bytes("the 2 Adam moments of these widths", 2 * 8 * self.size)
 
     @cached_property
     def layout(self) -> tuple[Block, ...]:

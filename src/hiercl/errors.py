@@ -7,6 +7,8 @@ or contract, 6 numeric.
 """
 import math
 
+import numpy as np
+
 
 class HierclError(Exception):
     """Base class for all errors raised by this package."""
@@ -100,3 +102,10 @@ def check_floats(owner, fields, minimum: float, strict: bool) -> None:
         if value < minimum or (strict and value == minimum):
             raise ConfigError(f"{field} must be {'>' if strict else '>='} {minimum}, "
                               f"got {value}")
+
+
+def check_array_bytes(what: str, nbytes: int) -> None:
+    """Raise ConfigError if an array of `nbytes` bytes is more than numpy's index type counts."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} would take {nbytes} bytes; numpy arrays hold at most "
+                          f"{np.iinfo(np.intp).max}")

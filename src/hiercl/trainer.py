@@ -22,6 +22,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass
 from hashlib import sha256
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -118,8 +119,9 @@ class TrainConfig:
 
 def schedule_level(index: int, m: int, n: int, l: int) -> str:
     """Level of the batch at a global index under the alternating schedule."""
-    if index < 0:
-        raise ConfigError(f"batch index must be >= 0, got {index}")
+    check_ints(SimpleNamespace(index=index, m=m, n=n, l=l), ("index", "m", "n", "l"), minimum=0)
+    if m + n + l == 0:
+        raise ConfigError("run lengths m, n, l must not all be 0")
     r = index % (m + n + l)
     if r < m:
         return "clip"

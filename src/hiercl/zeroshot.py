@@ -272,7 +272,7 @@ def evaluate(checkpoint: Checkpoint, split: Corpus, prompts: PromptSet) -> Metri
     before = params.digest()
     class_rows = embed_prompts(prompts, params)
     # The clips of each phase segment, in corpus order: its start plus 0, 1, ...
-    starts, lengths = split.levels["phase"].clips
+    starts, lengths = split.levels["phase"]
     clips = (starts - lengths.cumsum() + lengths).repeat(lengths) + np.arange(lengths.sum())
     visual = _rows(visual_embedding_rows, params,
                    split.frames_of("clip", clips, checkpoint.config.k_clip))

@@ -506,6 +506,20 @@ def test_vocab_size_is_bounded_by_int64_ids(workspace, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.bin"),
                  "--corpus", str(out), "--out", str(tmp_path)]) == 4
     assert "line 1: bad generator config: vocab_size must be <= 2**63" in capsys.readouterr().err
+    # So are tables larger than numpy can shape, which raised a raw ValueError.
+    for field in ("num_videos", "clips_per_phase", "frames_per_clip", "d_in"):
+        config = _write_config(tmp_path, generator={**GEN_SECTION, field: 2**70})
+        assert main(["generate", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the frame table of this config would take ")
+        assert err.count("\n") == 1
+    header["config"].update(vocab_size=30, d_in=2**70)
+    out.write_text(json.dumps(header) + "\n")
+    assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.bin"),
+                 "--corpus", str(out), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: bad generator config: the frame table ")
+    assert err.count("\n") == 1
     # The largest vocabulary generates, saves and loads end to end.
     config = _write_config(tmp_path, generator={**GEN_SECTION, "vocab_size": 2**63})
     assert main(["generate", "--config", config, "--out", str(out)]) == 0
@@ -704,6 +718,17 @@ def test_exit_2_on_out_of_memory_leaves_the_manifest(workspace, tmp_path, capsys
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert "sha256" not in manifest["outputs"]["checkpoint"]
+    # Widths whose moments numpy cannot shape end the same way, as a ConfigError.
+    monkeypatch.undo()
+    for field, value in (("hidden", 2**70), ("hidden", 2**62), ("d_emb", 2**62)):
+        config = _write_config(tmp_path, train={**TRAIN_SECTION, field: value})
+        rc = main(["train", "--config", config, "--corpus", str(workspace["corpus"]),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the 2 Adam moments of these widths would take ")
+        assert err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_exit_4_on_non_utf8_corpus_line(workspace, tmp_path, capsys):

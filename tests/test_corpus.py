@@ -30,6 +30,7 @@ from hiercl.corpus import (
     LectureVideo,
     PhaseBatch,
     PhaseSegment,
+    RowRanges,
     VideoBatch,
     VideoClip,
     corpus_digest,
@@ -72,6 +73,19 @@ def test_config_validation():
         GeneratorConfig(num_classes=10, vocab_size=5)
     with pytest.raises(ConfigError, match=rf"^vocab_size must be <= 2\*\*63, got {2**63 + 1}$"):
         GeneratorConfig(vocab_size=2**63 + 1)  # token ids are int64
+    # No table may pass the bytes numpy can shape, 2**63 - 1.
+    for field in ("num_videos", "clips_per_phase", "frames_per_clip", "d_in"):
+        with pytest.raises(ConfigError, match="^the frame table of this config would take"):
+            GeneratorConfig(**{field: 2**70})
+    one = dict(num_videos=1, num_classes=1, clips_per_phase=1, frames_per_clip=1, vocab_size=1)
+    assert GeneratorConfig(**one, d_in=2**59).d_in == 2**59  # 2**62 bytes of frames
+    with pytest.raises(ConfigError, match=f"^the frame table .* take {2**63} bytes"):
+        GeneratorConfig(**one, d_in=2**60)
+    with pytest.raises(ConfigError, match=f"^the token table .* take {2**55 * 52 * 8} bytes"):
+        GeneratorConfig(**{**one, "num_videos": 2**55}, d_in=1)  # 52 token ids a video
+    clips = 2**63 // 200  # 160 bytes of narration ids a clip, 240 of id draws
+    with pytest.raises(ConfigError, match="^a video's id draws of this config would take"):
+        GeneratorConfig(**{**one, "clips_per_phase": clips}, d_in=1)
 
 
 INT_FIELDS = ("num_videos", "num_classes", "clips_per_phase", "frames_per_clip",
@@ -813,19 +827,18 @@ def _clips(corpus):
 def test_levels_are_runs_of_clips_and_of_their_rows(corpus):
     clip = corpus.levels["clip"]
     clips = _clips(corpus)
-    assert clip.ids == tuple(c.clip_id for c in clips)
-    assert clip.clips.starts.tolist() == list(range(30)) and set(clip.clips.lengths) == {1}
-    assert clip.rows.lengths.tolist() == [c.frames.rows for c in clips]
-    expected = {"phase": [(v.clips[seg.start:seg.end], f"{v.video_id}p{pi}")
-                          for v in corpus.videos for pi, seg in enumerate(v.phases)],
-                "video": [(v.clips, v.video_id) for v in corpus.videos]}
+    assert clip.starts.tolist() == list(range(30)) and set(clip.lengths) == {1}
+    expected = {"clip": [[c] for c in clips],
+                "phase": [v.clips[seg.start:seg.end] for v in corpus.videos for seg in v.phases],
+                "video": [v.clips for v in corpus.videos]}
     for level, sources in expected.items():
         got = corpus.levels[level]
-        assert got.ids == tuple(source_id for _, source_id in sources)
-        for (members, _), first, count, row, rows in zip(sources, *got.clips, *got.rows,
-                                                         strict=True):
+        assert type(got) is RowRanges and {a.dtype for a in got} == {np.dtype(np.intp)}
+        for source, (members, first, count) in enumerate(zip(sources, *got, strict=True)):
             assert [c.clip_id for c in clips[first:first + count]] == [c.clip_id for c in members]
-            assert row == clip.rows.starts[first] and rows == sum(c.frames.rows for c in members)
+            # As many frames as the run has rows are every row of its clips, in order.
+            rows = np.vstack([c.frames.array for c in members])
+            assert _same_bits(corpus.frames_of(level, [source], len(rows)), rows)
 
 
 def test_split_takes_trailing_videos(corpus):
@@ -854,7 +867,8 @@ def assert_frames_are_table_rows(corpus: Corpus) -> None:
     table = corpus.frame_table
     assert not table.flags.writeable
     assert table.nbytes == sum(c.frames.array.nbytes for c in _clips(corpus))
-    for clip, start in zip(_clips(corpus), corpus.levels["clip"].rows.starts, strict=True):
+    for clip, start in zip(_clips(corpus), np.cumsum(corpus.clip_rows) - corpus.clip_rows,
+                           strict=True):
         assert np.shares_memory(clip.frames.array, table)
         assert clip.frames.array.ctypes.data == table[start:].ctypes.data
 
@@ -880,7 +894,7 @@ def test_split_shares_the_frame_table(corpus, tmp_path):
             assert np.shares_memory(half.frame_table, whole.frame_table)
         assert (sum(h.frame_table.nbytes for h in halves) == whole.frame_table.nbytes)
         assert halves[1].frame_table.ctypes.data == whole.frame_table[
-            whole.levels["clip"].rows.starts[len(halves[0].clip_ids)]:].ctypes.data
+            whole.clip_rows[:len(halves[0].clip_ids)].sum():].ctypes.data
 
 
 def test_split_builds_no_level_index(corpus, tmp_path):
@@ -927,10 +941,9 @@ def test_phase_batch_has_every_segment_narration(corpus):
 def test_phase_narrations_match_member_clips(corpus):
     rng = substream(2, "train")
     batch = sample_phase_batch(corpus, 3, rng)
-    members = {f"{v.video_id}p{pi}": v.clips[seg.start:seg.end]
-               for v in corpus.videos for pi, seg in enumerate(v.phases)}
-    for source_id, narrations in zip(batch.source_ids, batch.narrations):
-        assert narrations == tuple(c.narration_a for c in members[source_id])
+    members = [v.clips[seg.start:seg.end] for v in corpus.videos for seg in v.phases]
+    for source, narrations in zip(batch.source_ids, batch.narrations):
+        assert narrations == tuple(c.narration_a for c in members[source])
 
 
 def test_video_batch_narration_subsample(corpus):
@@ -1060,33 +1073,32 @@ def test_sampling_ragged_clips_matches_oracle(built, k, seed):
             corpora.extend(whole.split(0.5))
     for corpus in corpora:
         rng = np.random.default_rng(seed)
-        clips = {c.clip_id: c for v in corpus.videos for c in v.clips}
+        clips = _clips(corpus)
         batch = sample_clip_batch(corpus, len(clips), rng, k=k)
-        assert sorted(batch.source_ids) == sorted(clips)
-        for source_id, frames, narration_a, narration_b in zip(
+        assert sorted(batch.source_ids) == list(range(len(clips)))
+        for source, frames, narration_a, narration_b in zip(
                 batch.source_ids, batch.frames, batch.narration_a, batch.narration_b,
                 strict=True):
-            clip = clips[source_id]
+            clip = clips[source]
             assert _same_bits(frames, _oracle_frames([clip], k))
             assert (narration_a, narration_b) == (clip.narration_a, clip.narration_b)
 
-        phases = {f"{v.video_id}p{pi}": (v.clips[seg.start:seg.end], seg)
-                  for v in corpus.videos for pi, seg in enumerate(v.phases)}
+        phases = [(v.clips[seg.start:seg.end], seg) for v in corpus.videos for seg in v.phases]
         batch = sample_phase_batch(corpus, len(phases), rng, k=k)
-        assert sorted(batch.source_ids) == sorted(phases)
-        for source_id, frames, narrations, concept in zip(
+        assert sorted(batch.source_ids) == list(range(len(phases)))
+        for source, frames, narrations, concept in zip(
                 batch.source_ids, batch.frames, batch.narrations, batch.summary, strict=True):
-            members, seg = phases[source_id]
+            members, seg = phases[source]
             assert _same_bits(frames, _oracle_frames(members, k))
             assert narrations == tuple(c.narration_a for c in members)
             assert concept == seg.concept
 
-        videos = {v.video_id: v for v in corpus.videos}
+        videos = corpus.videos
         batch = sample_video_batch(corpus, len(videos), rng, k=k)
-        assert sorted(batch.source_ids) == sorted(videos)
-        for source_id, frames, narrations, abstract in zip(
+        assert sorted(batch.source_ids) == list(range(len(videos)))
+        for source, frames, narrations, abstract in zip(
                 batch.source_ids, batch.frames, batch.narrations, batch.summary, strict=True):
-            video = videos[source_id]
+            video = videos[source]
             n = len(video.clips)
             assert _same_bits(frames, _oracle_frames(video.clips, k))
             assert narrations == tuple(video.clips[j * n // min(n, k)].narration_a
@@ -1111,11 +1123,10 @@ def test_text_columns_match_nested_tuple_oracle(built, seed):
         path = Path(tmp) / "c.jsonl"
         save_corpus(built, path)
         corpus = load_corpus(path)
-    clips = {c.clip_id: c for v in corpus.videos for c in v.clips}
-    phases = {f"{v.video_id}p{pi}": (v.clips[seg.start:seg.end], seg)
-              for v in corpus.videos for pi, seg in enumerate(v.phases)}
-    videos = {v.video_id: v for v in corpus.videos}
-    most = max(len(v.clips) for v in corpus.videos)
+    videos = corpus.videos
+    clips = _clips(corpus)
+    phases = [(v.clips[seg.start:seg.end], seg) for v in videos for seg in v.phases]
+    most = max(len(v.clips) for v in videos)
     rng = np.random.default_rng(seed)
     # k from below the fewest clips of a video to above the most
     for k in range(1, most + 2):
@@ -1198,8 +1209,7 @@ def _tables(corpus):
             corpus.clip_rows.tolist(), corpus.segments.tolist(), corpus.frame_table.tobytes(),
             [(corpus.texts(kind).ids.tolist(), corpus.texts(kind).lengths.tolist())
              for kind in corpus_module.TEXT_KINDS],
-            [(level.ids, *(a.tolist() for a in (*level.clips, *level.rows)))
-             for level in corpus.levels.values()])
+            [tuple(a.tolist() for a in runs) for runs in corpus.levels.values()])
 
 
 def assert_saved_as_records(corpus, path):

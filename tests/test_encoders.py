@@ -39,6 +39,14 @@ def test_dims_validation():
         EncoderDims(d_in=0)
     with pytest.raises(ConfigError):
         EncoderDims(vocab_size=0)
+    # The parameter vector's two Adam moments must fit the bytes numpy can shape.
+    for field, value in (("hidden", 2**70), ("hidden", 2**62), ("d_emb", 2**62)):
+        with pytest.raises(ConfigError, match="^the 2 Adam moments of these widths would take"):
+            EncoderDims(**{field: value})
+    ones = dict(d_in=1, d_tok=1, hidden=1, d_emb=1)
+    assert EncoderDims(**ones, vocab_size=2**58).size == 2**58 + 8
+    with pytest.raises(ConfigError, match=f"would take {16 * (2**59 + 8)} bytes"):
+        EncoderDims(**ones, vocab_size=2**59)
 
 
 @pytest.mark.parametrize("field", ["d_in", "d_tok", "hidden", "d_emb", "vocab_size"])

@@ -156,6 +156,16 @@ def test_schedule_is_periodic():
 def test_schedule_rejects_negative_index():
     with pytest.raises(ConfigError):
         schedule_level(-1, 1, 1, 1)
+    # The index and run lengths are non-negative ints, and the runs have a positive sum.
+    for args, message in (((0, 0, 0, 0), "^run lengths m, n, l must not all be 0$"),
+                          ((3, -1, 2, 3), "^m must be >= 0, got -1$"),
+                          ((0, 1.5, 1, 1), "^m must be an integer, got 1.5$"),
+                          ((0, 1, True, 1), "^n must be an integer, got True$"),
+                          ((0, 1, 1, "1"), "^l must be an integer"),
+                          ((True, 1, 1, 1), "^index must be an integer, got True$")):
+        with pytest.raises(ConfigError, match=message):
+            schedule_level(*args)
+    assert schedule_level(3, 0, 1, 0) == "phase"
 
 
 def _level_oracle(cfg: TrainConfig, index: int) -> str:
