@@ -94,20 +94,34 @@ class GeneratorConfig:
                 f"but vocab_size is only {self.vocab_size}"
             )
         # The tables `generate_synthetic` shapes, of 8-byte values: frames, every text's
-        # token ids, and one video's id draws (3 runs per clip, 2 per concept and abstract).
+        # token ids, and one video's id draws (those of each clip, each segment and the video).
         clips = self.num_classes * self.clips_per_phase  # per video
         for what, values in (
                 ("the frame table", self.num_videos * clips * self.frames_per_clip * self.d_in),
                 ("the token table", self.num_videos * (
                     clips * 2 * NARRATION_LEN + self.num_classes * CONCEPT_LEN + ABSTRACT_LEN)),
-                ("a video's id draws", clips * 3 * NARRATION_LEN
-                 + self.num_classes * 2 * CONCEPT_LEN + 2 * ABSTRACT_LEN)):
+                ("a video's id draws", sum(
+                    times * sum(count for r, count, _ in draws if r is not None)
+                    for times, draws in zip((clips, self.num_classes, 1), _text_draws(self))))):
             check_array_bytes(f"{what} of this config", 8 * values)
 
     def class_block(self, cls: int) -> tuple[int, int]:
-        """Half-open token id range owned by a class."""
+        """Half-open token id range owned by a class (or by each of an array of classes)."""
         width = self.vocab_size // self.num_classes
         return cls * width, (cls + 1) * width
+
+
+def _text_draws(cfg: GeneratorConfig) -> tuple[tuple, tuple, tuple]:
+    """A video's text draws, each as (integers() range, or None for random(); count;
+    random()'s rate): a clip's, after its frames; a segment's concept, after its last
+    clip's; the video's abstract, its classes then their offsets, after its last clip's."""
+    width, vocab, rate, n = (cfg.vocab_size // cfg.num_classes, cfg.vocab_size,
+                             cfg.token_noise, NARRATION_LEN)
+    return (((width, n, None), (None, n, rate), (vocab, n, None), (None, n, rate),
+             (vocab, n, None)),
+            ((width, CONCEPT_LEN, None), (None, CONCEPT_LEN, rate * CONCEPT_NOISE_FACTOR),
+             (vocab, CONCEPT_LEN, None)),
+            ((cfg.num_classes, ABSTRACT_LEN, None), (width, ABSTRACT_LEN, None)))
 
 
 # The records of one video, as `Corpus.videos` reads them; they check nothing themselves.
@@ -229,9 +243,7 @@ class Corpus:
         return FrameStack.at(self.frame_table, rows[sources])
 
     def pair_counts(self) -> dict[str, int]:
-        # Table lengths, so `generate` and the capacity check build no level index.
-        return {"clip": len(self.clip_ids), "phase": len(self.segments),
-                "video": len(self.video_ids)}
+        return {level: len(runs.starts) for level, runs in self.levels.items()}
 
     def split(self, holdout_fraction: float) -> tuple["Corpus", "Corpus"]:
         """Deterministic train/holdout split: the last fraction of videos.
@@ -265,16 +277,6 @@ class Corpus:
                        for kind, runs in self.token_runs.items()})
 
 
-class _Drawn(NamedTuple):
-    """A synthetic corpus's tables by video: what each video's draws fill."""
-
-    frames: np.ndarray  # videos x clips x frames_per_clip x d_in: the N(0, 1) draws
-    narrations: np.ndarray  # videos x clips x 2 (a, b) x NARRATION_LEN
-    concepts: np.ndarray  # videos x classes x CONCEPT_LEN
-    classes: np.ndarray  # videos x classes: each segment's phase class
-    abstracts: np.ndarray  # videos x ABSTRACT_LEN
-
-
 # On PCG64, `random()` is (w >> 11) * 2**-53 of one raw word w, and `integers(0, r)`
 # with 2 <= r <= 2**32 is Lemire's (u * r) >> 32 of one 32-bit half-word u: the words'
 # halves, low half first, carried from call to call by the generator's half-word buffer.
@@ -290,8 +292,7 @@ class _Layout(NamedTuple):
     row each of a block, in this order, whichever path draws them.
     """
 
-    width: int  # of a class block
-    draws: tuple  # per clip: its (integers() range or None, count, rate) draws after its frames
+    draws: tuple  # per clip: its `_text_draws` after its frames
     ranges: np.ndarray  # per id: its integers() range, uint64
     thresholds: np.ndarray  # per id: Lemire's rejection bound
     rates: np.ndarray  # per uniform: the token-noise rate it is compared with
@@ -300,31 +301,24 @@ class _Layout(NamedTuple):
 
     @classmethod
     def of(cls, cfg: GeneratorConfig) -> "_Layout":
-        """The layout; raw words only if every range lies in [2, 2**32]: a range of 1
+        """The layout; raw words only if every range drawn lies in [2, 2**32]: a range of 1
         draws nothing, and one above 2**32 draws 64-bit Lemire words."""
-        width, vocab, rate = cfg.vocab_size // cfg.num_classes, cfg.vocab_size, cfg.token_noise
-        # Each draw as (integers() range, or None for random(); count; random()'s rate).
-        n = NARRATION_LEN
-        clip = ((width, n, None), (None, n, rate), (vocab, n, None), (None, n, rate),
-                (vocab, n, None))
-        concept = ((width, CONCEPT_LEN, None), (None, CONCEPT_LEN, rate * CONCEPT_NOISE_FACTOR),
-                   (vocab, CONCEPT_LEN, None))
+        clip, concept, abstract = _text_draws(cfg)
         # The last clip of a segment also draws its concept; the video's last, its abstract.
         draws = ([clip] * (cfg.clips_per_phase - 1) + [clip + concept]) * cfg.num_classes
-        draws[-1] += ((cfg.num_classes, ABSTRACT_LEN, None), (width, ABSTRACT_LEN, None))
+        draws[-1] += abstract
         flat = list(chain.from_iterable(draws))
         ids = [(r, count) for r, count, _ in flat if r is not None]
         uniforms = [(p, count) for r, count, p in flat if r is None]
         ranges = np.repeat(np.array([r for r, _ in ids], dtype=np.uint64),
                            [count for _, count in ids])
         counts = is_id = None
-        if all(2 <= r <= 1 << 32 for r in (width, vocab, cfg.num_classes)):
+        if all(2 <= r <= 1 << 32 for r, _ in ids):
             # Every count is even, so an id draw leaves the half-word buffer as it was.
             words = [[count if r is None else count // 2 for r, count, _ in d] for d in draws]
             counts = tuple(map(sum, words))
             is_id = np.repeat([r is not None for r, _, _ in flat], list(chain(*words)))
         return cls(
-            width=width,
             draws=tuple(draws),
             ranges=ranges,
             thresholds=((1 << 32) - ranges) % ranges,
@@ -334,16 +328,16 @@ class _Layout(NamedTuple):
         )
 
 
-def _replay_video(rng: np.random.Generator, layout: _Layout, vi: int, drawn: _Drawn,
+def _replay_video(rng: np.random.Generator, layout: _Layout, vi: int, frames: np.ndarray,
                   ids: np.ndarray, uniforms: np.ndarray) -> None:
-    """Video `vi` drawn one rng call per draw: frames into its table rows, ids and
-    uniforms into its rows of a block.
+    """Video `vi` drawn one rng call per draw: frames into its rows of `frames` (the frame
+    table by video, clip and frame), ids and uniforms into its rows of a block.
 
     `integers(lo, lo + r)` is lo + `integers(0, r)` and consumes the same words, so
     these are the draws that `_drawn_words` takes as raw words.
     """
     i = u = 0
-    for rows, draws in zip(drawn.frames[vi], layout.draws):
+    for rows, draws in zip(frames[vi], layout.draws):
         rng.standard_normal(out=rows)
         for r, count, _ in draws:
             if r is None:
@@ -354,7 +348,7 @@ def _replay_video(rng: np.random.Generator, layout: _Layout, vi: int, drawn: _Dr
                 i += count
 
 
-def _drawn_words(rng: np.random.Generator, layout: _Layout, vi: int, drawn: _Drawn,
+def _drawn_words(rng: np.random.Generator, layout: _Layout, vi: int, frames: np.ndarray,
                  ids: np.ndarray, uniforms: np.ndarray) -> bool:
     """Video `vi` from one standard_normal and one random_raw per clip: the fast path.
 
@@ -365,7 +359,7 @@ def _drawn_words(rng: np.random.Generator, layout: _Layout, vi: int, drawn: _Dra
     bits = rng.bit_generator
     start = bits.state  # the class order draws half-words, so the buffer varies
     chunks = []
-    for rows, n in zip(drawn.frames[vi], layout.counts):
+    for rows, n in zip(frames[vi], layout.counts):
         rng.standard_normal(out=rows)
         chunks.append(bits.random_raw(n))
     words = np.concatenate(chunks)
@@ -388,28 +382,28 @@ def _drawn_words(rng: np.random.Generator, layout: _Layout, vi: int, drawn: _Dra
     return True
 
 
-def _decode_block(cfg: GeneratorConfig, layout: _Layout, block: slice, ids: np.ndarray,
-                  uniforms: np.ndarray, drawn: _Drawn) -> None:
-    """The texts of the videos of `block`, the j-th's from row j of `ids` and `uniforms`."""
-    m, num_classes, per_phase, width = len(ids), cfg.num_classes, cfg.clips_per_phase, layout.width
+def _decode_block(cfg: GeneratorConfig, layout: _Layout, classes: np.ndarray, ids: np.ndarray,
+                  uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The narrations, concepts and abstracts of a block of videos, the j-th's from its
+    class order `classes[j]` and row j of `ids` and `uniforms`."""
+    m, num_classes = classes.shape
     corrupt = uniforms < layout.rates
     # A segment's ids are each clip's base, noise-a and noise-b ids, then its concept's
     # base and noise ids; its uniforms are each clip's a and b ones, then its concept's.
     segment_ids = ids[:, :-2 * ABSTRACT_LEN].reshape(m, num_classes, -1)
     segment_corrupt = corrupt.reshape(m, num_classes, -1)
-    clip_ids, concept_ids = np.split(segment_ids, [3 * per_phase * NARRATION_LEN], axis=2)
-    clip_corrupt, concept_corrupt = np.split(segment_corrupt, [2 * per_phase * NARRATION_LEN],
-                                             axis=2)
-    clip_ids = clip_ids.reshape(m, num_classes, per_phase, 3, NARRATION_LEN)
-    concept_ids = concept_ids.reshape(m, num_classes, 2, CONCEPT_LEN)
-    low = drawn.classes[block] * width  # where each segment's class block starts
-    narrations = np.where(clip_corrupt.reshape(m, num_classes, per_phase, 2, NARRATION_LEN),
-                          clip_ids[..., 1:, :], clip_ids[..., :1, :] + low[..., None, None, None])
-    abstracts = ids[:, -2 * ABSTRACT_LEN:].reshape(m, 2, ABSTRACT_LEN)  # classes, then ids
-    drawn.narrations[block] = narrations.reshape(m, -1, 2, NARRATION_LEN)
-    drawn.concepts[block] = np.where(concept_corrupt, concept_ids[..., 1, :],
-                                     concept_ids[..., 0, :] + low[..., None])
-    drawn.abstracts[block] = abstracts[:, 0] * width + abstracts[:, 1]
+    clip_ids = segment_ids[..., :-2 * CONCEPT_LEN].reshape(m, num_classes, -1, 3, NARRATION_LEN)
+    concept_ids = segment_ids[..., -2 * CONCEPT_LEN:].reshape(m, num_classes, 2, CONCEPT_LEN)
+    clip_corrupt = segment_corrupt[..., :-CONCEPT_LEN].reshape(
+        m, num_classes, -1, 2, NARRATION_LEN)
+    low, _ = cfg.class_block(classes)  # where each segment's class block starts
+    narrations = np.where(clip_corrupt, clip_ids[..., 1:, :],
+                          clip_ids[..., :1, :] + low[..., None, None, None])
+    concepts = np.where(segment_corrupt[..., -CONCEPT_LEN:], concept_ids[..., 1, :],
+                        concept_ids[..., 0, :] + low[..., None])
+    abstracts = ids[:, -2 * ABSTRACT_LEN:]  # classes, then offsets in their blocks
+    return (narrations.reshape(m, -1, 2, NARRATION_LEN), concepts,
+            cfg.class_block(abstracts[:, :ABSTRACT_LEN])[0] + abstracts[:, ABSTRACT_LEN:])
 
 
 def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
@@ -425,11 +419,11 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
     prototypes = rng.standard_normal((cfg.num_classes, cfg.d_in))
     videos, per_video = cfg.num_videos, cfg.num_classes * cfg.clips_per_phase
     table = np.empty((videos * per_video * cfg.frames_per_clip, cfg.d_in))
-    drawn = _Drawn(table.reshape(videos, per_video, cfg.frames_per_clip, cfg.d_in),
-                   np.empty((videos, per_video, 2, NARRATION_LEN), dtype=np.intp),
-                   np.empty((videos, cfg.num_classes, CONCEPT_LEN), dtype=np.intp),
-                   np.empty((videos, cfg.num_classes), dtype=np.intp),
-                   np.empty((videos, ABSTRACT_LEN), dtype=np.intp))
+    frames = table.reshape(videos, per_video, cfg.frames_per_clip, cfg.d_in)
+    classes = np.empty((videos, cfg.num_classes), dtype=np.intp)  # each video's class order
+    narrations = np.empty((videos, per_video, 2, NARRATION_LEN), dtype=np.intp)
+    concepts = np.empty((videos, cfg.num_classes, CONCEPT_LEN), dtype=np.intp)
+    abstracts = np.empty((videos, ABSTRACT_LEN), dtype=np.intp)
     layout = _Layout.of(cfg)
     size = max(1, _DECODE_BYTES // (8 * (layout.ranges.size + layout.rates.size)))
     ids = np.empty((min(videos, size), layout.ranges.size), dtype=np.int64)
@@ -437,17 +431,18 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
     for first in range(0, videos, len(ids)):
         m = min(len(ids), videos - first)  # videos in this block
         for j, vi in enumerate(range(first, first + m)):
-            drawn.classes[vi] = rng.permutation(cfg.num_classes)
-            if not (layout.counts and _drawn_words(rng, layout, vi, drawn, ids[j], uniforms[j])):
-                _replay_video(rng, layout, vi, drawn, ids[j], uniforms[j])
-        _decode_block(cfg, layout, slice(first, first + m), ids[:m], uniforms[:m], drawn)
+            classes[vi] = rng.permutation(cfg.num_classes)
+            if not (layout.counts and _drawn_words(rng, layout, vi, frames, ids[j], uniforms[j])):
+                _replay_video(rng, layout, vi, frames, ids[j], uniforms[j])
+        block = slice(first, first + m)
+        narrations[block], concepts[block], abstracts[block] = _decode_block(
+            cfg, layout, classes[block], ids[:m], uniforms[:m])
     del ids, uniforms  # not held through the whole-table passes, which set the peak
     # prototype + noise_scale * N(0, 1), in place over the whole table
     table *= cfg.noise_scale
-    classes = drawn.classes.ravel()
+    classes = classes.ravel()
     table.reshape(len(classes), -1, cfg.d_in)[...] += prototypes[classes][:, None]
-    texts = (drawn.narrations[:, :, 0], drawn.narrations[:, :, 1], drawn.concepts,
-             drawn.abstracts)
+    texts = (narrations[:, :, 0], narrations[:, :, 1], concepts, abstracts)
     starts = np.arange(len(classes), dtype=np.intp) * cfg.clips_per_phase
     video_ids = tuple(f"v{vi:03d}" for vi in range(videos))
     return Corpus(

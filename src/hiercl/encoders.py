@@ -257,6 +257,7 @@ def frame_rows(starts: Sequence[int], lengths: Sequence[int], k: int) -> np.ndar
         raise EmptyInputError("no segments to sample")
     if not lengths.all():
         raise EmptyInputError("cannot sample frames from an empty segment")
+    check_array_bytes(f"the frame rows of {starts.size} segments at k={k}", 8 * starts.size * k)
     return starts[:, None] + np.arange(k, dtype=np.intp) * lengths[:, None] // k
 
 

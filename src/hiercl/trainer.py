@@ -210,7 +210,9 @@ def _loss_at_level(level: str, corpus: Corpus, cfg: TrainConfig, params: ModelPa
 
 
 def check_capacity(cfg: TrainConfig, corpus: Corpus) -> None:
-    """Raise InsufficientDataError unless each level the mode samples fills its batch."""
+    """Raise InsufficientDataError unless each level the mode samples fills its batch, and
+    ConfigError unless numpy can shape the model's widths on this corpus."""
+    cfg.dims(corpus.config.d_in, corpus.config.vocab_size)
     counts = corpus.pair_counts()
     needs = {"clip": cfg.b_clip, "phase": cfg.b_phase, "video": cfg.b_video}
     for level, run in zip(needs, _RUNS[cfg.mode](cfg)):

@@ -718,17 +718,29 @@ def test_exit_2_on_out_of_memory_leaves_the_manifest(workspace, tmp_path, capsys
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert "sha256" not in manifest["outputs"]["checkpoint"]
-    # Widths whose moments numpy cannot shape end the same way, as a ConfigError.
-    monkeypatch.undo()
-    for field, value in (("hidden", 2**70), ("hidden", 2**62), ("d_emb", 2**62)):
-        config = _write_config(tmp_path, train={**TRAIN_SECTION, field: value})
-        rc = main(["train", "--config", config, "--corpus", str(workspace["corpus"]),
-                   "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: the 2 Adam moments of these widths would take ")
-        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("train", "hidden", 2**70), ("ablate", "hidden", 2**70), ("train", "hidden", 2**62),
+    ("train", "d_emb", 2**62), ("train", "k_clip", 2**70), ("ablate", "k_video", 2**62)])
+def test_exit_2_on_arrays_numpy_cannot_shape(workspace, tmp_path, capsys, command, field, value):
+    # Widths are checked before any file is written. A level's k frame rows per source
+    # depend on its source count, so, as running out of memory, they leave the manifest.
+    config = _write_config(tmp_path, train={**TRAIN_SECTION, field: value})
+    out = tmp_path / "run"
+    out.mkdir()
+    rc = main([command, "--config", config, "--corpus", str(workspace["corpus"]),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if field.startswith("k_"):
+        assert err.startswith("error: the frame rows of ")
+        assert f"segments at k={value} would take " in err
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    else:
+        assert err.startswith("error: the 2 Adam moments of these widths would take ")
+        assert list(out.iterdir()) == []
 
 
 def test_exit_4_on_non_utf8_corpus_line(workspace, tmp_path, capsys):

@@ -292,6 +292,9 @@ def test_generator_matches_the_per_call_reference(seed, replays):
     # Width-1 class blocks draw nothing; a range above 2**32 draws 64-bit words.
     (GeneratorConfig(num_videos=5, vocab_size=6), "all"),
     (GeneratorConfig(num_videos=5, vocab_size=2**33), "all"),
+    # The raw-word bound's edge: every range drawn lies in [2, 2**32], then one does not.
+    (GeneratorConfig(num_videos=5, vocab_size=2**32), "none"),
+    (GeneratorConfig(num_videos=5, vocab_size=2**32 + 1), "all"),
     (GeneratorConfig(num_videos=2, vocab_size=2**63), "all"),  # the largest: int64 ids
     (GeneratorConfig(num_videos=5, num_classes=1, vocab_size=5), "all"),
     # About half the videos meet a rejection, over four blocks of videos.
@@ -300,8 +303,9 @@ def test_generator_matches_the_per_call_reference(seed, replays):
     (GeneratorConfig(num_videos=1, vocab_size=3 * 2**30), "all"),
     # Raw words that cover the config, every video rejected: all replayed, one mapping.
     (GeneratorConfig(), "rejected"),
-], ids=["gradcheck", "vocab-1000", "vocab-3x2^30", "width-1", "vocab-over-2^32", "vocab-2^63",
-        "one-class", "mixed-blocks", "one-video", "one-video-replayed", "all-rejected"])
+], ids=["gradcheck", "vocab-1000", "vocab-3x2^30", "width-1", "vocab-over-2^32", "vocab-2^32",
+        "vocab-2^32+1", "vocab-2^63", "one-class", "mixed-blocks", "one-video",
+        "one-video-replayed", "all-rejected"])
 def test_generator_matches_the_reference_on_every_path(cfg, replayed, replays, monkeypatch):
     if replayed == "rejected":
         monkeypatch.setattr(corpus_module, "_drawn_words", lambda *args: False)

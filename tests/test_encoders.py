@@ -212,6 +212,11 @@ def test_sample_frames_errors():
         frame_rows([], [], 2)
     with pytest.raises(ConfigError):
         frame_rows([0], [3], 0)
+    # Rows that numpy cannot shape: 2**70 of one segment, and 2**63 bytes, one past its bound.
+    with pytest.raises(ConfigError, match="the frame rows of 1 segments at k="):
+        frame_rows([0], [1], 2**70)
+    with pytest.raises(ConfigError, match=f"would take {2**63} bytes"):
+        frame_rows([0, 0], [1, 1], 2**59)
 
 
 # ---------------------------------------------------------------------------
