@@ -292,7 +292,7 @@ class _Layout(NamedTuple):
     row each of a block, in this order, whichever path draws them.
     """
 
-    draws: tuple  # per clip: its `_text_draws` after its frames
+    draws: tuple  # per clip: the `_text_draws` it makes after its frames
     ranges: np.ndarray  # per id: its integers() range, uint64
     thresholds: np.ndarray  # per id: Lemire's rejection bound
     rates: np.ndarray  # per uniform: the token-noise rate it is compared with
