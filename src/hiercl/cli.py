@@ -35,7 +35,7 @@ from .corpus import (
 )
 from .encoders import ModelParams
 from .errors import ConfigError, HierclError
-from .numerics import finite_diff_check, single_thread_blas
+from .numerics import finite_diff_check, numerics_host, single_thread_blas
 from .objectives import loss_clip, loss_phase, loss_single, loss_video
 from .seeding import substream
 from .trainer import (
@@ -153,6 +153,7 @@ def _manifest(path, command: str, config: dict, seed: int, inputs: dict, outputs
         "tool_version": __version__,
         "seed": seed,
         "config": config,
+        "numerics_host": numerics_host(),
         "inputs": {name: _digest_entry(*e) for name, e in inputs.items()},
         "outputs": {name: {"path": str(p)} for name, (p, _) in outputs.items()},
     }

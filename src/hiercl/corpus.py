@@ -20,7 +20,6 @@ a known latent structure that zero-shot evaluation can measure against.
 """
 from __future__ import annotations
 
-import base64
 import binascii
 import json
 import os
@@ -49,7 +48,7 @@ from .errors import (
 from .encoders import FrameStack, TokenSets, TokenStack, frame_rows
 from .seeding import substream
 
-SCHEMA = "hiercorpus/2"
+SCHEMA = "hiercorpus/3"
 
 NARRATION_LEN = 10
 CONCEPT_LEN = 8
@@ -93,6 +92,9 @@ class GeneratorConfig:
                 f"{self.num_classes} classes need {self.num_classes} vocabulary blocks, "
                 f"but vocab_size is only {self.vocab_size}"
             )
+        if (end := self.class_block(self.num_classes - 1)[1]) >= _VOCAB_MAX:
+            raise ConfigError(f"{self.num_classes} class blocks of vocab_size {self.vocab_size} "
+                              f"would end at {end}, past the largest int64 token id")
         # The tables `generate_synthetic` shapes, of 8-byte values: frames, every text's
         # token ids, and one video's id draws (those of each clip, each segment and the video).
         clips = self.num_classes * self.clips_per_phase  # per video
@@ -182,7 +184,7 @@ class Corpus:
     segments: np.ndarray  # per phase segment: first clip, end clip (corpus clip indices), class
     frame_table: np.ndarray  # every clip's frames: rows x d_in
     token_table: np.ndarray  # every text's token ids, kind after kind of TEXT_KINDS
-    token_runs: dict[str, RowRanges]  # each kind's texts as runs of token_table, in source order
+    token_runs: dict[str, RowRanges]  # each kind's texts as consecutive runs of token_table
 
     def __post_init__(self) -> None:
         for array in (self.video_clips, self.clip_rows, self.segments, self.frame_table,
@@ -456,15 +458,24 @@ def generate_synthetic(cfg: GeneratorConfig) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: JSON Lines, one header record then one video per line. A
-# clip's frames are the base64 text of their row-major little-endian float64
-# bytes; the row count follows from the header's d_in.
+# Persistence: JSON Lines, one header record then one video per line. A clip
+# record gives its frame row count and a text its token count; one base64
+# payload per video holds what they count: its frame rows, row-major
+# little-endian float64, clip after clip, then its token ids, little-endian
+# int64, kind after kind of TEXT_KINDS, each kind in source order.
 # ---------------------------------------------------------------------------
 
 
+def _counts(what: str, counts: list) -> int:
+    """The sum of `counts`, each of which must be an int (not a bool) of at least 1."""
+    if not (set(map(type, counts)) <= {int} and min(counts, default=1) >= 1):
+        bad = next(n for n in counts if type(n) is not int or n < 1)
+        raise CorpusFormatError(f"{what} must be a positive integer, got {bad!r}")
+    return sum(counts)
+
+
 class _Tables:
-    """A corpus's tables, filled one checked video at a time by `load_corpus`:
-    `add` runs every check of a video but the frame-byte checks, token ids last."""
+    """A corpus's tables, filled one checked video line at a time by `load_corpus`."""
 
     def __init__(self, config: GeneratorConfig) -> None:
         self.config = config
@@ -475,13 +486,29 @@ class _Tables:
         # Each id names one video or clip, in the file and in `Corpus.videos`.
         self.seen_videos, self.seen_clips = set(), set()
 
-    def add(self, video_id, clip_ids: list, rows: list, frames: np.ndarray,
-            narrations_a: list, narrations_b: list, phases: list, abstract) -> None:
-        """Check one video and append it: the one entry of every loaded video.
+    def add(self, rec: dict, out: np.ndarray) -> int:
+        """Check one video's record and append it; the bytes of frame rows it keeps.
 
-        `frames` holds its clips' rows, `rows[i]` of clip i; `phases` holds each
-        segment's (start, end, concept, class), start and end counted in its clips.
+        Its payload is decoded into the start of `out`, a uint8 buffer, where its
+        frame rows stay. Checked in order: the keys, the row counts, the token
+        counts kind by kind, the payload's base64 and byte count, the ids, the
+        frame values, the segments and classes, and last the token ids, in one pass.
         """
+        d_in, vocab = self.config.d_in, self.config.vocab_size
+        video_id, clips, phases = rec["video_id"], rec["clips"], rec["phases"]
+        clip_ids = [c["id"] for c in clips]
+        rows = [c["rows"] for c in clips]
+        lengths = ([c["narration_a"] for c in clips], [c["narration_b"] for c in clips],
+                   [p["concept"] for p in phases], [rec["abstract"]])
+        bounds = [(p["start"], p["end"], p["class"]) for p in phases]
+        frame_bytes = 8 * d_in * _counts(f"video {video_id}: a clip's frame row count", rows)
+        totals = [_counts(f"video {video_id}: a {kind} text's token count", n)
+                  for kind, n in zip(TEXT_KINDS, lengths)]
+        size = _decode_payload(rec["payload"], out)
+        if size != frame_bytes + 8 * sum(totals):
+            raise CorpusFormatError(
+                f"payload holds {size} bytes, not {frame_bytes} frame bytes ({sum(rows)} rows "
+                f"at d_in={d_in}) and {8 * sum(totals)} of {sum(totals)} token ids")
         for source_id, level, seen in [(video_id, "video", self.seen_videos),
                                        *((c, "clip", self.seen_clips) for c in clip_ids)]:
             if type(source_id) is not str:
@@ -491,12 +518,13 @@ class _Tables:
             seen.add(source_id)
         if not clip_ids:
             raise CorpusFormatError(f"video {video_id} has no clips")
-        if not np.isfinite(frames).all():
+        frames = out[:frame_bytes].view("<f8").reshape(-1, d_in)
+        if not np.logical_and.reduce(np.isfinite(frames), axis=None):
             finite = np.isfinite(frames).all(axis=1)
             clip_id = clip_ids[bisect_right(list(accumulate(rows)), int(np.argmin(finite)))]
             raise CorpusFormatError(f"clip {clip_id}: non-finite frame value")
         first, prev_end, segments = len(self.clip_ids), 0, []
-        for start, end, _, cls in phases:
+        for start, end, cls in bounds:
             if not (type(start) is type(end) is int and prev_end <= start < end <= len(clip_ids)):
                 raise CorpusFormatError(f"video {video_id}: segment [{start!r}, {end!r}) is not "
                                         "a run of its clips after the one before")
@@ -505,22 +533,12 @@ class _Tables:
                                         f"[0, {self.config.num_classes}), got {cls!r}")
             segments.append((first + start, first + end, cls))
             prev_end = end
-        # Kind by kind, each text must have a length and none may be empty. Token
-        # ids are checked last, all at once, or on a fault those of the kinds before.
-        texts = (narrations_a, narrations_b, [phase[2] for phase in phases], [abstract])
-        tokens, lengths, ends = [], [], [0]
-        for kind, kind_texts in zip(TEXT_KINDS, texts):
-            try:
-                n = [len(text) for text in kind_texts]
-                if 0 in n:
-                    raise CorpusFormatError(f"video {video_id} has an empty {kind} text")
-            except (TypeError, CorpusFormatError):
-                self._token_ids(tokens)
-                raise
-            tokens += chain.from_iterable(kind_texts)
-            lengths.append(n)
-            ends.append(len(tokens))
-        ids = self._token_ids(tokens)
+        ids = out[frame_bytes:size].view("<i8").astype(np.intp)
+        above = ids.view(np.uint64)  # a negative id reads as one above 2**63 - 1
+        if np.maximum.reduce(above) >= vocab:
+            bad = ids[np.argmax(above >= vocab)]
+            raise CorpusFormatError(f"token {bad} is not an integer id in [0, {vocab})")
+        ends = list(accumulate(totals, initial=0))
         for k, (kind_ids, kind_lengths) in enumerate(self.texts.values()):
             kind_ids.append(ids[ends[k]:ends[k + 1]])
             kind_lengths += lengths[k]
@@ -529,26 +547,15 @@ class _Tables:
         self.video_clips.append(len(clip_ids))
         self.clip_rows += rows
         self.segments += segments
-
-    def _token_ids(self, tokens: list) -> np.ndarray:
-        """`tokens` as intp ids; one that is not an int (nor a bool) in [0, vocab) raises."""
-        vocab = self.config.vocab_size
-        try:  # fromiter, told the length, converts in one pass where np.array takes two
-            ids = (np.fromiter(tokens, np.intp, len(tokens))
-                   if set(map(type, tokens)) <= {int} else None)
-        except OverflowError:  # an int beyond intp, such as 2**70
-            ids = None
-        if ids is None or ids.size and (ids.min() < 0 or ids.max() >= vocab):
-            bad = next(t for t in tokens if type(t) is not int or not 0 <= t < vocab)
-            raise CorpusFormatError(f"token {bad!r} is not an integer id in [0, {vocab})")
-        return ids
+        return frame_bytes
 
     def corpus(self, frame_table: np.ndarray) -> Corpus:
         """The corpus of every video added, whose frames are the rows of `frame_table`."""
         return Corpus(
             self.config, tuple(self.video_ids), tuple(self.clip_ids),
             np.array(self.video_clips, dtype=np.intp), np.array(self.clip_rows, dtype=np.intp),
-            np.array(self.segments, dtype=np.intp).reshape(-1, 3), frame_table,
+            np.array(self.segments, dtype=np.intp).reshape(-1, 3),
+            frame_table.astype(np.float64, copy=False),  # a copy only on a big-endian host
             np.concatenate([ids for kind_ids, _ in self.texts.values() for ids in kind_ids]
                            or [np.empty(0, np.intp)]),
             _token_runs([np.array(lengths, dtype=np.intp) for _, lengths in self.texts.values()]))
@@ -557,30 +564,37 @@ class _Tables:
 def _video_lines(corpus: Corpus) -> Iterator[str]:
     """Each video's line in the bytes `json.dumps` gives its record, formatted from the tables.
 
-    Ids take the escaper `json.dumps` uses, a token list is the `str` of its int
-    list, and base64 needs no escape. Each clip is encoded from its table rows.
+    Ids take the escaper `json.dumps` uses, counts are ints, and the payload,
+    base64 of one join of table slices, needs no escape. Each kind's runs are
+    consecutive in the token table, so a video's texts of a kind are one slice.
     """
-    tokens = corpus.token_table.tolist()
     frames = np.ascontiguousarray(corpus.frame_table, "<f8")  # no copy on a little-endian host
-    (sa, ea), (sb, eb), (sc, ec), (sv, ev) = ((r.starts.tolist(), (r.starts + r.lengths).tolist())
-                                              for r in map(corpus.token_runs.get, TEXT_KINDS))
+    tokens = np.ascontiguousarray(corpus.token_table, "<i8")  # nor where intp is int64
+    lengths = [corpus.token_runs[kind].lengths.tolist() for kind in TEXT_KINDS]
+    # Each text's first token, and after the last, the kind's end.
+    bounds = [list(accumulate(n, initial=int(corpus.token_runs[kind].starts[:1].sum())))
+              for kind, n in zip(TEXT_KINDS, lengths)]
     # Each clip's first frame row and each video's first clip, then the ends.
     rows, firsts = (list(accumulate(n.tolist(), initial=0))
                     for n in (corpus.clip_rows, corpus.video_clips))
     cuts = np.searchsorted(corpus.segments[:, 0], firsts).tolist()
     segments = corpus.segments.tolist()
+    la, lb, lc, lv = lengths
     for vi, (video_id, lo, hi, s0, s1) in enumerate(
             zip(corpus.video_ids, firsts, firsts[1:], cuts, cuts[1:])):
         clips = ", ".join(
-            f'{{"id": {encode_basestring_ascii(corpus.clip_ids[j])}, "frames": "'
-            f'{binascii.b2a_base64(frames[rows[j]:rows[j + 1]], newline=False).decode()}", '
-            f'"narration_a": {tokens[sa[j]:ea[j]]}, "narration_b": {tokens[sb[j]:eb[j]]}}}'
+            f'{{"id": {encode_basestring_ascii(corpus.clip_ids[j])}, "rows": '
+            f'{rows[j + 1] - rows[j]}, "narration_a": {la[j]}, "narration_b": {lb[j]}}}'
             for j in range(lo, hi))
         phases = ", ".join(
-            f'{{"start": {start - lo}, "end": {end - lo}, "concept": {tokens[sc[k]:ec[k]]}, '
-            f'"class": {cls}}}' for k, (start, end, cls) in enumerate(segments[s0:s1], s0))
+            f'{{"start": {start - lo}, "end": {end - lo}, "concept": {lc[k]}, "class": {cls}}}'
+            for k, (start, end, cls) in enumerate(segments[s0:s1], s0))
+        sources = ((lo, hi), (lo, hi), (s0, s1), (vi, vi + 1))  # of each kind, in TEXT_KINDS
+        payload = b"".join([frames[rows[lo]:rows[hi]], *(
+            tokens[b[first]:b[end]] for b, (first, end) in zip(bounds, sources))])
         yield (f'{{"video_id": {encode_basestring_ascii(video_id)}, "clips": [{clips}], '
-               f'"phases": [{phases}], "abstract": {tokens[sv[vi]:ev[vi]]}}}\n')
+               f'"phases": [{phases}], "abstract": {lv[vi]}, "payload": '
+               f'"{binascii.b2a_base64(payload, newline=False).decode()}"}}\n')
 
 
 def save_corpus(corpus: Corpus, path, hasher=None) -> None:
@@ -598,15 +612,15 @@ def save_corpus(corpus: Corpus, path, hasher=None) -> None:
 def load_corpus(path, hasher=None) -> Corpus:
     """Read a corpus file, every line checked and decoded straight into the tables.
 
-    Each line is checked in full before the next is read: its frame bytes by
-    `_decode_frames`, then the rest in `_Tables.add`. Frames are base64 text,
-    so their bytes fill at most three quarters of the file: for a regular file
-    the frame table is the start of one buffer of that size, each line's
-    frames decoded into the rows after the last line's; pages past the last
-    frame are never written. A pipe has no size, so its buffer starts empty
-    and doubles whenever a line could overflow it. `hasher`, a `hashlib`
-    object, is fed every line as it is read, header first, so it ends as the
-    digest of exactly the bytes loaded.
+    Each line is checked in full (`_Tables.add`) before the next is read. A
+    payload's bytes are at most three quarters of its line, so for a regular
+    file the frame table is the start of one byte buffer of three quarters of
+    its size, each line's payload decoded into the bytes after the last line's
+    frame rows; its token ids are copied out, and pages past the last frame
+    are never written. A pipe has no size, so its buffer starts empty and
+    doubles whenever a line could overflow it. `hasher`, a `hashlib` object,
+    is fed every line as it is read, header first, so it ends as the digest of
+    exactly the bytes loaded.
     """
     # Bytes, decoded line by line, so a bad UTF-8 byte is reported by line.
     # Video lines run to tens of KB, and readline on the default 8 KiB
@@ -629,34 +643,24 @@ def load_corpus(path, hasher=None) -> Corpus:
             config = GeneratorConfig(**header["config"])
         except (TypeError, KeyError, ConfigError) as e:
             raise CorpusFormatError(f"line 1: bad generator config: {e}") from e
-        tables, d_in, row_bytes = _Tables(config), config.d_in, 8 * config.d_in
+        tables = _Tables(config)
         st = os.fstat(f.fileno())
-        size = st.st_size if stat.S_ISREG(st.st_mode) else 0
-        frames = np.empty((size * 3 // 4 // row_bytes, d_in))
-        row = 0
+        buffer = np.empty(st.st_size * 3 // 4 if stat.S_ISREG(st.st_mode) else 0, np.uint8)
+        used = 0  # bytes of frame rows
         for i, line in enumerate(f, start=2):
             if hasher is not None:
                 hasher.update(line)
-            # A line's frames fill at most three quarters of it, so the buffer of a
-            # regular file never grows.
-            need = row + len(line) * 3 // 4 // row_bytes
-            if need > len(frames):
-                grown = np.empty((max(need, 2 * len(frames)), d_in))
-                grown[:row] = frames[:row]
-                frames = grown
+            need = used + len(line) * 3 // 4
+            if need > len(buffer):
+                grown = np.empty(max(need, 2 * len(buffer)), np.uint8)
+                grown[:used] = buffer[:used]
+                buffer = grown
             rec = _parse_line(line, i)
             try:
-                clips = rec["clips"]
-                counts = _decode_frames(clips, frames[row:], row_bytes)
-                values = frames[row:row + sum(counts)]  # one finiteness check per video
-                tables.add(rec["video_id"], [c["id"] for c in clips], counts, values,
-                           [c["narration_a"] for c in clips], [c["narration_b"] for c in clips],
-                           [(p["start"], p["end"], p["concept"], p["class"])
-                            for p in rec["phases"]], rec["abstract"])
+                used += tables.add(rec, buffer[used:])
             except (KeyError, TypeError, ValueError, CorpusFormatError) as e:
                 raise CorpusFormatError(f"line {i}: bad video record: {e}") from e
-            row += len(values)
-    return tables.corpus(frames[:row])
+    return tables.corpus(buffer[:used].view("<f8").reshape(-1, config.d_in))
 
 
 @cache
@@ -670,35 +674,24 @@ def _base64_pairs() -> np.ndarray:
     return pairs
 
 
-def _decode_frames(clips, out: np.ndarray, row_bytes: int) -> list[int]:
-    """Decode a line's clip frames into the first rows of `out`; each clip's row count. One pass
-    takes a line whose texts are all non-empty base64 of 4/3 whole rows (so no padding) on a
-    little-endian host; the strict per-clip decode, which agrees there, judges every other line."""
-    try:
-        texts = [c["frames"] for c in clips]
-        data = "".join(texts).encode("ascii")
-    except (KeyError, TypeError, UnicodeEncodeError):
-        texts = None
-    if np.little_endian and texts and all(t and len(t) * 3 % (4 * row_bytes) == 0 for t in texts):
-        pairs = np.take(_base64_pairs(), np.frombuffer(data, "<u2"))
-        if pairs.max() <= 0xFFF:
+def _decode_payload(text, out: np.ndarray) -> int:
+    """Decode a base64 payload into the start of `out`, a uint8 buffer with room for it; the
+    byte count. One numpy pass takes non-empty base64 with no padding; the strict decoder,
+    which agrees there, judges every other text."""
+    data = text.encode("ascii") if type(text) is str and text.isascii() else b""
+    if data and len(data) % 4 == 0:
+        pairs = _base64_pairs().take(np.frombuffer(data, "<u2"))
+        if np.maximum.reduce(pairs) <= 0xFFF:
             words = pairs[0::2].astype(np.uint32) << 12 | pairs[1::2]  # 3 bytes, high first
-            dest = out[:len(words) * 3 // row_bytes].view(np.uint8).reshape(-1, 3)
+            dest = out[:3 * len(words)].reshape(-1, 3)
             dest[:, 0], dest[:, 1], dest[:, 2] = words >> 16, words >> 8, words
-            return [len(t) * 3 // 4 // row_bytes for t in texts]
-    raws = []
-    for c in clips:
-        try:
-            raw = base64.b64decode(c["frames"], validate=True)
-        except binascii.Error as e:
-            raise CorpusFormatError(f"clip {c['id']}: frames are not base64: {e}") from e
-        if not raw or len(raw) % row_bytes:
-            raise CorpusFormatError(f"clip {c['id']}: {len(raw)} frame bytes is not "
-                                    f"a positive multiple of {row_bytes} (d_in={row_bytes // 8})")
-        raws.append(raw)
-    counts = [len(r) // row_bytes for r in raws]
-    out[:sum(counts)] = np.frombuffer(b"".join(raws), "<f8").reshape(-1, out.shape[1])
-    return counts
+            return dest.size
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise CorpusFormatError(f"payload is not base64: {e}") from e
+    out[:len(raw)] = np.frombuffer(raw, np.uint8)
+    return len(raw)
 
 
 def _parse_line(line: bytes, lineno: int) -> dict:

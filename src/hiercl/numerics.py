@@ -26,6 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
 from .errors import (
     ConfigError,
     ContractError,
@@ -41,21 +46,42 @@ _BLOCK_BYTES = 1 << 16  # bound on each temporary of embed_mean's gradient
 
 
 @cache
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that numpy ships, opened once per process; None without one."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    path = next(libs.glob("*openblas*"), None)
+    return path and ctypes.CDLL(str(path))  # already loaded by numpy: the same library
+
+
+def _openblas_function(name: str, argtypes: list, restype):
+    """OpenBLAS's `name` function, under either of its symbols; None without one."""
+    lib = _openblas()
+    for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_"):
+        if hasattr(lib, symbol):
+            function = getattr(lib, symbol)
+            function.argtypes, function.restype = argtypes, restype
+            return function
+    return None
+
+
+@cache
 def _openblas_thread_setter() -> Callable[[int], None]:
     """numpy's OpenBLAS thread-count setter, looked up once per process; a no-op without one."""
-    for path in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
-        lib = ctypes.CDLL(str(path))  # already loaded by numpy: the same library
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
-            if hasattr(lib, symbol):
-                setter = getattr(lib, symbol)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return setter
-    return lambda threads: None
+    return _openblas_function("set_num_threads", [ctypes.c_int], None) or (lambda threads: None)
 
 
 def single_thread_blas() -> None:
     """Run the OpenBLAS that numpy ships on one thread from now on; no-op without one."""
     _openblas_thread_setter()(1)
+
+
+def numerics_host() -> dict:
+    """What the bits of a run's floating point depend on, beyond its inputs: the core whose
+    kernels OpenBLAS picked (None without OpenBLAS) and numpy's SIMD dispatch targets that
+    this CPU enables."""
+    corename = _openblas_function("get_corename", [], ctypes.c_char_p)
+    return {"openblas_core": corename().decode() if corename else None,
+            "numpy_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
 
 
 # A vector-Jacobian product: (gradient of the node's value, which inputs need

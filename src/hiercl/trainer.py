@@ -36,6 +36,7 @@ from .errors import (
     NumericError,
     SchemaVersionError,
     ShapeError,
+    check_array_bytes,
     check_floats,
     check_ints,
 )
@@ -211,16 +212,21 @@ def _loss_at_level(level: str, corpus: Corpus, cfg: TrainConfig, params: ModelPa
 
 def check_capacity(cfg: TrainConfig, corpus: Corpus) -> None:
     """Raise InsufficientDataError unless each level the mode samples fills its batch, and
-    ConfigError unless numpy can shape the model's widths on this corpus."""
+    ConfigError unless numpy can shape the model's widths and each such level's k frame
+    rows per source on this corpus."""
     cfg.dims(corpus.config.d_in, corpus.config.vocab_size)
     counts = corpus.pair_counts()
-    needs = {"clip": cfg.b_clip, "phase": cfg.b_phase, "video": cfg.b_video}
-    for level, run in zip(needs, _RUNS[cfg.mode](cfg)):
-        if run and counts[level] < needs[level]:
+    needs = {"clip": (cfg.b_clip, cfg.k_clip), "phase": (cfg.b_phase, cfg.k_phase),
+             "video": (cfg.b_video, cfg.k_video)}
+    for (level, (b, k)), run in zip(needs.items(), _RUNS[cfg.mode](cfg)):
+        if not run:
+            continue
+        if counts[level] < b:
             raise InsufficientDataError(
-                f"{level} level: corpus has {counts[level]} pairs, "
-                f"batch size {needs[level]} requested"
-            )
+                f"{level} level: corpus has {counts[level]} pairs, batch size {b} requested")
+        # The rows `Corpus.frames_of` builds for all the level's sources.
+        check_array_bytes(f"the frame rows of {counts[level]} segments at k={k}",
+                          8 * counts[level] * k)
 
 
 def check_compatible(params: ModelParams, corpus: Corpus) -> None:

@@ -6,7 +6,8 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+import shlex
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,11 @@ import hiercl.cli
 import hiercl.encoders
 import hiercl.numerics
 from hiercl import errors
-from hiercl.corpus import load_corpus
+from hiercl.corpus import GeneratorConfig, generate_synthetic, load_corpus, save_corpus
 from hiercl.cli import main
-from hiercl.errors import CorpusFormatError, HierclError
-from hiercl.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
+from hiercl.errors import ConfigError, CorpusFormatError, HierclError
+from hiercl.numerics import numerics_host
+from hiercl.trainer import TrainConfig, check_capacity, load_checkpoint, save_checkpoint, train
 from hiercl.zeroshot import load_prompts
 
 GEN_SECTION = {"num_videos": 8, "num_classes": 3, "clips_per_phase": 2,
@@ -101,10 +103,10 @@ def test_generate_seed_flag_wins(tmp_path, capsys):
 # 45,000,000 ids, so some of its videos meet a rejection in the raw-word decode and are
 # drawn call by call (videos 0, 2 and 4), and the others are decoded.
 GENERATED_SHA256 = {
-    "default": ({}, "3e5899e887106ff0b873d441377c84358ffa24fac451780813f66f7e17ebece1",
+    "default": ({}, "a167f02c4e0fea410b496322a9c5a3f3475095c80d2432c46d721a3b70f89b7b",
                 "cee334709e6c9a2f55f52bf456bf3861e2afb4e8209ce5add4af6f82ea1092cd"),
     "mixed": ({"generator": {**GEN_SECTION, "vocab_size": 45_000_000}},
-              "af9a28f823d96df24548bdbb50f9881fc8d3852185d9accb42cd78ef0c1e6cec",
+              "2b6e6e5b1b19bce4fc05a28f89554d1228f0bbd85327ff97580c9ea216fcc202",
               "0b59028d494a312bc2f734be02182bb75568d94cd29daaef7f6aafcf9a003fee"),
 }
 
@@ -116,6 +118,28 @@ def test_generated_files_are_pinned(tmp_path, capsys, name):
     assert main(["generate", *config, "--out", str(tmp_path / "corpus.jsonl")]) == 0
     assert _sha(tmp_path / "corpus.jsonl") == corpus_sha
     assert _sha(tmp_path / "corpus.prompts.json") == prompts_sha
+
+
+def _readme_recipe() -> list[str]:
+    """The commands of README's recipe that rebuilds a corpus of an older schema."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Corpus file format", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.replace("\\\n", " ").splitlines()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the recipe is a POSIX shell script")
+def test_readme_recipe_rebuilds_a_v2_corpus(tmp_path, capsys, monkeypatch):
+    cfg = GeneratorConfig(**{**GEN_SECTION, "seed": 11})
+    header = {"schema": "hiercorpus/2", "config": asdict(cfg)}
+    (tmp_path / "old.jsonl").write_text(json.dumps(header) + "\n")
+    extract, generate = _readme_recipe()
+    assert extract.startswith("python3 ") and generate.startswith("hiercl ")
+    subprocess.run(shlex.quote(sys.executable) + extract.removeprefix("python3"), shell=True,
+                   cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(generate)[1:]) == 0
+    save_corpus(generate_synthetic(cfg), tmp_path / "fresh.jsonl")
+    assert (tmp_path / "corpus.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +417,18 @@ def test_commands_read_each_input_once_and_record_what_they_read(workspace, tmp_
     manifest = json.loads(manifest_path.read_text())
     entries = [*manifest["inputs"].values(), *manifest["outputs"].values()]
     assert entries and all(e["sha256"] == _sha(Path(e["path"])) for e in entries)
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval"])
+def test_manifests_record_the_numerics_host(workspace, tmp_path, capsys, command):
+    argv, manifest_path = _command_argv(workspace, tmp_path, command)
+    assert main(argv) == 0
+    host = json.loads(manifest_path.read_text())["numerics_host"]
+    assert host == numerics_host()
+    assert set(host) == {"openblas_core", "numpy_dispatch"}
+    assert all(type(target) is str for target in host["numpy_dispatch"])
+    if openblas_threads() is not None:
+        assert type(host["openblas_core"]) is str and host["openblas_core"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
@@ -724,8 +760,8 @@ def test_exit_2_on_out_of_memory_leaves_the_manifest(workspace, tmp_path, capsys
     ("train", "hidden", 2**70), ("ablate", "hidden", 2**70), ("train", "hidden", 2**62),
     ("train", "d_emb", 2**62), ("train", "k_clip", 2**70), ("ablate", "k_video", 2**62)])
 def test_exit_2_on_arrays_numpy_cannot_shape(workspace, tmp_path, capsys, command, field, value):
-    # Widths are checked before any file is written. A level's k frame rows per source
-    # depend on its source count, so, as running out of memory, they leave the manifest.
+    # Widths, and each sampled level's k frame rows per source of the train split, are
+    # checked before any file is written.
     config = _write_config(tmp_path, train={**TRAIN_SECTION, field: value})
     out = tmp_path / "run"
     out.mkdir()
@@ -737,10 +773,19 @@ def test_exit_2_on_arrays_numpy_cannot_shape(workspace, tmp_path, capsys, comman
     if field.startswith("k_"):
         assert err.startswith("error: the frame rows of ")
         assert f"segments at k={value} would take " in err
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
     else:
         assert err.startswith("error: the 2 Adam moments of these widths would take ")
-        assert list(out.iterdir()) == []
+    assert list(out.iterdir()) == []
+
+
+def test_check_capacity_bounds_each_sampled_levels_frame_rows(workspace):
+    train_split, _ = load_corpus(workspace["corpus"]).split(0.25)
+    cfg = TrainConfig(**TRAIN_SECTION)
+    for field in ("k_clip", "k_phase", "k_video"):
+        with pytest.raises(ConfigError, match=r"^the frame rows of \d+ segments at k=2305"):
+            check_capacity(replace(cfg, **{field: 2**61}), train_split)
+    # A level the mode does not sample is not bounded.
+    check_capacity(replace(cfg, mode="clip", k_video=2**61), train_split)
 
 
 def test_exit_4_on_non_utf8_corpus_line(workspace, tmp_path, capsys):

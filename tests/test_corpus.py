@@ -8,7 +8,7 @@ import re
 import tempfile
 import threading
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from itertools import count
 from pathlib import Path
 from unittest.mock import patch
@@ -86,6 +86,15 @@ def test_config_validation():
     clips = 2**63 // 200  # 160 bytes of narration ids a clip, 240 of id draws
     with pytest.raises(ConfigError, match="^a video's id draws of this config would take"):
         GeneratorConfig(**{**one, "clips_per_phase": clips}, d_in=1)
+
+
+@pytest.mark.parametrize("num_classes", [1, 2, 4, 2**20])
+def test_config_rejects_a_class_block_that_ends_past_int64(num_classes):
+    # The last block would end at 2**63: a class block's start and end are int64.
+    with pytest.raises(ConfigError, match=f"^{num_classes} class blocks of vocab_size "
+                                          rf"{2**63} would end at {2**63}, past the largest"):
+        GeneratorConfig(num_videos=1, num_classes=num_classes, vocab_size=2**63)
+    assert GeneratorConfig(num_classes=num_classes, vocab_size=2**63 - 1).vocab_size == 2**63 - 1
 
 
 INT_FIELDS = ("num_videos", "num_classes", "clips_per_phase", "frames_per_clip",
@@ -441,7 +450,7 @@ def test_header_schema_tag(corpus, tmp_path):
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)
     header = json.loads(path.read_text().splitlines()[0])
-    assert header["schema"] == "hiercorpus/2"
+    assert header["schema"] == "hiercorpus/3"
 
 
 def test_load_rejects_unknown_schema(tmp_path):
@@ -505,29 +514,60 @@ def _eval_exit_code(path, tmp_path) -> int:
 
 
 def test_frames_are_base64_little_endian_float64(corpus, tmp_path):
+    # A video's payload is its frame rows, clip after clip, then its token ids as
+    # little-endian int64, kind after kind; each clip record gives its row count
+    # and each text its token count.
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)
     rec = json.loads(path.read_text().splitlines()[1])
-    clip = corpus.videos[0].clips[0]
-    raw = base64.b64decode(rec["clips"][0]["frames"])
-    assert len(raw) == 8 * clip.frames.rows * SMALL.d_in
-    assert raw == clip.frames.array.astype("<f8").tobytes()
+    video = corpus.videos[0]
+    raw = base64.b64decode(rec["payload"])
+    frame_bytes = 8 * SMALL.d_in * sum(c.frames.rows for c in video.clips)
+    assert [c["rows"] for c in rec["clips"]] == [c.frames.rows for c in video.clips]
+    assert raw[:frame_bytes] == b"".join(c.frames.array.astype("<f8").tobytes()
+                                         for c in video.clips)
+    texts = ([c.narration_a for c in video.clips] + [c.narration_b for c in video.clips]
+             + [p.concept for p in video.phases] + [video.abstract])
+    assert np.frombuffer(raw[frame_bytes:], "<i8").tolist() == _flat(texts)
+    assert ([c["narration_a"] for c in rec["clips"]] + [c["narration_b"] for c in rec["clips"]]
+            + [p["concept"] for p in rec["phases"]] + [rec["abstract"]]) == list(map(len, texts))
+
+
+def _old_line(video, frames) -> str:
+    """A video's line in schemas 1 and 2: texts as JSON id lists, each clip's frames as
+    `frames(array)` and no payload."""
+    return json.dumps({
+        "video_id": video.video_id,
+        "clips": [{"id": c.clip_id, "frames": frames(c.frames.array),
+                   "narration_a": c.narration_a, "narration_b": c.narration_b}
+                  for c in video.clips],
+        "phases": [{"start": p.start, "end": p.end, "concept": p.concept, "class": p.phase_class}
+                   for p in video.phases],
+        "abstract": video.abstract}) + "\n"
+
+
+def _write_old_corpus(corpus, path, version: int) -> None:
+    """`corpus` as schema `hiercorpus/<version>` wrote it: frames as number lists (1) or
+    base64 per clip (2)."""
+    frames = {1: np.ndarray.tolist,
+              2: lambda a: base64.b64encode(a.astype("<f8").tobytes()).decode()}[version]
+    header = json.dumps({"schema": f"hiercorpus/{version}", "config": asdict(corpus.config)})
+    path.write_text(header + "\n" + "".join(_old_line(v, frames) for v in corpus.videos))
 
 
 def test_load_rejects_v1_corpus(corpus, tmp_path, capsys):
     path = tmp_path / "c.jsonl"
-    save_corpus(corpus, path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["schema"] = "hiercorpus/1"
-    v1 = [json.dumps(header)]
-    for line, video in zip(lines[1:], corpus.videos):
-        rec = json.loads(line)
-        for c, clip in zip(rec["clips"], video.clips):
-            c["frames"] = clip.frames.array.tolist()
-        v1.append(json.dumps(rec))
-    path.write_text("\n".join(v1) + "\n")
-    with pytest.raises(SchemaVersionError, match="hiercorpus/1.*hiercorpus/2"):
+    _write_old_corpus(corpus, path, 1)
+    with pytest.raises(SchemaVersionError, match="hiercorpus/1.*hiercorpus/3"):
+        load_corpus(path)
+    assert _eval_exit_code(path, tmp_path) == 5
+    assert "regenerate" in capsys.readouterr().err
+
+
+def test_load_rejects_v2_corpus(corpus, tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    _write_old_corpus(corpus, path, 2)
+    with pytest.raises(SchemaVersionError, match="hiercorpus/2.*hiercorpus/3"):
         load_corpus(path)
     assert _eval_exit_code(path, tmp_path) == 5
     assert "regenerate" in capsys.readouterr().err
@@ -587,12 +627,22 @@ def _nan_frames(video):
     return _with_clip(video, 1, frames=FrameStack.of([frames]))
 
 
-# Each fault is one a loader must refuse, written by save_corpus itself.
+# Each fault is one a loader must refuse: a video record, written by save_corpus
+# itself, or a line whose JSON record is edited after.
+def _line(video, edit) -> str:
+    """The video's record line, with its JSON record edited in place by `edit`."""
+    rec = json.loads(record_line(video))
+    edit(rec)
+    return json.dumps(rec) + "\n"
+
+
 RECORD_FAULTS = {
     "token 9999": lambda v: _with_clip(v, 0, narration_a=(9999,) + v.clips[0].narration_a[1:]),
     "token -3": lambda v: _with_phase(v, 0, concept=(-3,) + v.phases[0].concept[1:]),
-    "float token": lambda v: replace(v, abstract=(3.7,) + v.abstract[1:]),
-    "bool token": lambda v: _with_clip(v, 2, narration_b=(True,) + v.clips[2].narration_b[1:]),
+    # A token id is an int64 of the payload, so a float, bool or 2**70 one has no
+    # line; its counterpart is such a token count.
+    "float token": lambda v: _line(v, lambda r: r.update(abstract=3.7)),
+    "bool token": lambda v: _line(v, lambda r: r["clips"][2].update(narration_b=True)),
     "phase class 99": lambda v: _with_phase(v, 1, phase_class=99),
     "frame row too wide": lambda v: _with_clip(
         v, 0, frames=FrameStack.of([np.zeros((1, SMALL.d_in + 1))])),
@@ -602,7 +652,7 @@ RECORD_FAULTS = {
     "clip id repeated in the video": lambda v: _with_clip(v, 2, clip_id=v.clips[0].clip_id),
     "int video id": lambda v: replace(v, video_id=7),
     "float clip id": lambda v: _with_clip(v, 1, clip_id=3.5),
-    "token 2**70": lambda v: _with_clip(v, 1, narration_b=v.clips[1].narration_b[:-1] + (2**70,)),
+    "token 2**70": lambda v: _line(v, lambda r: r["clips"][1].update(narration_b=2**70)),
 }
 
 
@@ -612,7 +662,8 @@ def test_load_rejects_bad_record_with_exit_4(fault, corpus, tmp_path, capsys):
     save_corpus(corpus, path)
     lines = path.read_text().splitlines(keepends=True)
     assert lines[2] == record_line(corpus.videos[1])
-    lines[2] = record_line(RECORD_FAULTS[fault](corpus.videos[1]))
+    bad = RECORD_FAULTS[fault](corpus.videos[1])
+    lines[2] = bad if isinstance(bad, str) else record_line(bad)
     path.write_text("".join(lines))
     with pytest.raises(CorpusFormatError, match="line 3"):
         load_corpus(path)
@@ -620,10 +671,12 @@ def test_load_rejects_bad_record_with_exit_4(fault, corpus, tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+# Each takes a line's payload bytes and gives its spoiled base64 text, and the fault named.
 ENCODING_FAULTS = {
-    "not base64": "not base64!",
-    "no frame bytes": "",
-    "bytes not whole floats": base64.b64encode(bytes(8 * SMALL.d_in + 3)).decode(),
+    "not base64": (lambda raw: "not base64!", "payload is not base64"),
+    "no frame bytes": (lambda raw: "", "payload holds 0 bytes, not 1536 frame bytes"),
+    "bytes not whole floats": (lambda raw: base64.b64encode(raw + bytes(3)).decode(),
+                               "payload holds 2883 bytes, not 1536 frame bytes"),
 }
 
 
@@ -633,26 +686,27 @@ def test_load_rejects_bad_frame_encoding(fault, corpus, tmp_path):
     save_corpus(corpus, path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
-    rec["clips"][0]["frames"] = ENCODING_FAULTS[fault]
+    spoil, named = ENCODING_FAULTS[fault]
+    rec["payload"] = spoil(base64.b64decode(rec["payload"]))
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorpusFormatError, match="line 3"):
+    with pytest.raises(CorpusFormatError, match=rf"^line 3: bad video record: {named}"):
         load_corpus(path)
 
 
 def _bad_base64(line: str) -> str:
     rec = json.loads(line)
-    rec["clips"][0]["frames"] = "not base64!"
+    rec["payload"] = "not base64!"
     return json.dumps(rec) + "\n"
 
 
 # Two faults, the first a token on line 3 above the vocabulary: the token is
-# named, as when each text's tokens were checked in turn. A later fault is made
-# in the records the file is written from, or, where records cannot hold it (bad
+# named, as it is the first fault in the file. A later fault is made in the
+# records the file is written from, or, where records cannot hold it (bad
 # base64), in the written line.
 LATER_FAULTS = {
     "bad base64 on line 5": ({}, {4: _bad_base64}),
-    "empty concept later on line 3": ({1: lambda v: _with_phase(v, 2, concept=())}, {}),
+    "token -1 later on line 3": ({1: lambda v: replace(v, abstract=v.abstract[:-1] + (-1,))}, {}),
 }
 
 
@@ -676,26 +730,50 @@ def test_load_names_the_first_fault_in_file_order(later, corpus, tmp_path, capsy
     assert f"line 3: {token}" in err and "Traceback" not in err
 
 
-# Two faults on line 3, and the one named. The loader reads every clip's frames,
-# then the video id, then each clip key over all clips in turn, then the phases;
-# texts are checked kind by kind for their lengths, and the tokens come last.
+def _payload_edit(rec, edit) -> None:
+    """Rewrite the record's payload as `edit(raw, frame_bytes)` gives it, bytes or base64 text."""
+    raw = bytearray(base64.b64decode(rec["payload"]))
+    got = edit(raw, 8 * SMALL.d_in * sum(c["rows"] for c in rec["clips"]))
+    rec["payload"] = base64.b64encode(raw).decode() if got is None else got
+
+
+def _set_token(rec, index: int, value: int) -> None:
+    """Put token id `value` at `index` of the record's payload ids."""
+    def put(raw, frame_bytes):
+        at = frame_bytes + 8 * index
+        raw[at:at + 8] = value.to_bytes(8, "little", signed=True)
+    _payload_edit(rec, put)
+
+
+# Two faults on line 3, and the one named. The loader reads the video id, then each
+# clip key over all clips in turn, then the phases and the abstract; it checks the
+# row counts, the token counts kind by kind, the payload's base64 and byte count,
+# and the token ids last. Clip 1's frames start at payload byte 256, and
+# narration_b's ids after the 60 of narration_a.
 LINE_FAULTS = {
     "no narration_a in clip 0, bad base64 in clip 1": (
-        lambda r: (r["clips"][0].pop("narration_a"), r["clips"][1].update(frames="!!")),
-        "clip v001c01: frames are not base64"),
+        lambda r: (r["clips"][0].pop("narration_a"), r.update(
+            payload=r["payload"][:352] + "!" + r["payload"][353:])), "'narration_a'"),
     "no narration_a in clip 0, 5 frame bytes in clip 1": (
-        lambda r: (r["clips"][0].pop("narration_a"), r["clips"][1].update(frames="AAAAAAA=")),
-        "clip v001c01: 5 frame bytes is not a positive multiple of 64"),
+        lambda r: (r["clips"][0].pop("narration_a"), _payload_edit(
+            r, lambda raw, _: base64.b64encode(raw[:256 + 5]).decode())), "'narration_a'"),
     "no id in clip 1, no video_id": (
         lambda r: (r["clips"][1].pop("id"), r.pop("video_id")), "'video_id'"),
     "no narration_a in clip 0, no id in clip 1": (
         lambda r: (r["clips"][0].pop("narration_a"), r["clips"][1].pop("id")), "'id'"),
     "narration_a an int, token 99 in narration_b": (
-        lambda r: (r["clips"][0].update(narration_a=5), r["clips"][0]["narration_b"].append(99)),
-        "object of type 'int' has no len()"),
+        lambda r: (r["clips"][0].update(narration_a=5), _set_token(r, 60, 99)),
+        "payload holds 2880 bytes, not 1536 frame bytes (24 rows at d_in=8) and 1304 of 163 "
+        "token ids"),
     "token 99 in narration_a, concept an int": (
-        lambda r: (r["clips"][0]["narration_a"].append(99), r["phases"][0].update(concept=5)),
-        "token 99 is not an integer id in [0, 30)"),
+        lambda r: (_set_token(r, 0, 99), r["phases"][0].update(concept=5)),
+        "payload holds 2880 bytes, not 1536 frame bytes"),
+    "token 99 in narration_a, an empty concept": (
+        lambda r: (_set_token(r, 0, 99), r["phases"][2].update(concept=0)),
+        "video v001: a concept text's token count must be a positive integer, got 0"),
+    "no rows in clip 3, a list for narration_a": (
+        lambda r: (r["clips"][3].update(rows=0), r["clips"][0].update(narration_a=[1, 2])),
+        "video v001: a clip's frame row count must be a positive integer, got 0"),
 }
 
 
@@ -713,22 +791,15 @@ def test_load_names_the_first_fault_in_a_line(faults, corpus, tmp_path):
         load_corpus(path)
 
 
-def _per_clip_frames(clips, out, row_bytes):
-    """A line's frames decoded clip by clip by the strict decoder, with the loader's
-    messages: the reference the loader's one-pass decode must agree with."""
-    raws = []
-    for c in clips:
-        try:
-            raw = base64.b64decode(c["frames"], validate=True)
-        except binascii.Error as e:
-            raise CorpusFormatError(f"clip {c['id']}: frames are not base64: {e}") from e
-        if not raw or len(raw) % row_bytes:
-            raise CorpusFormatError(f"clip {c['id']}: {len(raw)} frame bytes is not a positive "
-                                    f"multiple of {row_bytes} (d_in={row_bytes // 8})")
-        raws.append(raw)
-    counts = [len(r) // row_bytes for r in raws]
-    out[:sum(counts)] = np.frombuffer(b"".join(raws), "<f8").reshape(-1, out.shape[1])
-    return counts
+def _strict_payload(text, out):
+    """A payload decoded by the strict decoder alone, with the loader's message: the
+    reference the loader's one-pass decode must agree with."""
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except (TypeError, ValueError) as e:
+        raise CorpusFormatError(f"payload is not base64: {e}") from e
+    out[:len(raw)] = np.frombuffer(raw, np.uint8)
+    return len(raw)
 
 
 def _load_outcome(path):
@@ -743,13 +814,13 @@ def _load_outcome(path):
                                     corpus.frame_table, corpus.token_table, *runs)))
 
 
-# How a clip's frames text is spoiled: each takes the text and a draw in [0, 1).
+# How a payload text is spoiled: each takes the text and a draw in [0, 1).
 TEXT_FAULTS = {
     "none": lambda t, u: t,
     "= in the middle": lambda t, u: _put(t, u, "="),
     "bad ASCII character": lambda t, u: _put(t, u, "!"),
     "newline": lambda t, u: _put(t, u, "\n"),
-    "non-ASCII character": lambda t, u: _put(t, u, "\u00e9"),
+    "non-ASCII character": lambda t, u: _put(t, u, "é"),
     "length not divisible by 4": lambda t, u: t[:-1],
     "one more character": lambda t, u: t + "A",
     "one group fewer": lambda t, u: t[4:],
@@ -769,50 +840,53 @@ def _put(text: str, u: float, char: str) -> str:
 @settings(max_examples=150, deadline=None)
 @given(d_in=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
        rows=st.lists(st.integers(1, 4), min_size=1, max_size=5),
-       fault=st.sampled_from(sorted(TEXT_FAULTS) + ["missing frames key"]),
-       where=st.floats(0, 1, exclude_max=True), clip=st.integers(0, 4))
-@example(d_in=3, seed=0, rows=[1, 2], fault="none", where=0.0, clip=0)
-@example(d_in=2, seed=0, rows=[1, 2], fault="none", where=0.0, clip=0)
-@example(d_in=3, seed=0, rows=[2, 4], fault="= in the middle", where=0.5, clip=1)
-def test_one_pass_decode_agrees_with_the_per_clip_decode(d_in, seed, rows, fault, where, clip):
-    # d_in=3 rows are whole base64 groups; d_in=2 texts are padded unless their
-    # row count is a multiple of 3. Frames are normals, or any bytes (NaN too).
+       fault=st.sampled_from(sorted(TEXT_FAULTS) + ["missing payload key"]),
+       where=st.floats(0, 1, exclude_max=True))
+@example(d_in=3, seed=0, rows=[1, 2], fault="none", where=0.0)
+@example(d_in=2, seed=0, rows=[1, 2], fault="none", where=0.0)
+@example(d_in=3, seed=0, rows=[2, 4], fault="= in the middle", where=0.5)
+def test_one_pass_decode_agrees_with_the_strict_decode(d_in, seed, rows, fault, where):
+    # A payload of 8 * (d_in * rows + 20 * clips + 32) bytes: padded unless that
+    # count is a multiple of 3. Frames are normals, or any bytes (NaN too).
     cfg = GeneratorConfig(num_videos=2, num_classes=1, clips_per_phase=len(rows),
                           frames_per_clip=1, d_in=d_in, vocab_size=4, seed=seed % 7)
     rng = np.random.default_rng(seed)
     lines = [header_line(cfg), *map(record_line, generate_synthetic(cfg).videos)]
     rec = json.loads(lines[1])
+    frames = (rng.standard_normal((sum(rows), d_in)).astype("<f8").tobytes() if seed % 5
+              else rng.bytes(8 * d_in * sum(rows)))
+    ids = base64.b64decode(rec["payload"])[8 * d_in * len(rows):]
     for c, n in zip(rec["clips"], rows):
-        frames = (rng.standard_normal((n, d_in)).astype("<f8").tobytes() if seed % 5
-                  else rng.bytes(8 * d_in * n))
-        c["frames"] = base64.b64encode(frames).decode()
-    target = rec["clips"][clip % len(rows)]
-    if fault == "missing frames key":
-        del target["frames"]
+        c["rows"] = n
+    rec["payload"] = base64.b64encode(frames + ids).decode()
+    if fault == "missing payload key":
+        del rec["payload"]
     else:
-        target["frames"] = TEXT_FAULTS[fault](target["frames"], where)
+        rec["payload"] = TEXT_FAULTS[fault](rec["payload"], where)
     lines[1] = json.dumps(rec) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
         path.write_text("".join(lines))
         got = _load_outcome(path)
-        with patch.object(corpus_module, "_decode_frames", _per_clip_frames):
+        with patch.object(corpus_module, "_decode_payload", _strict_payload):
             want = _load_outcome(path)
     assert got == want
 
 
 def test_whole_row_lines_are_decoded_in_one_pass(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(base64, "b64decode", lambda *a, **k: calls.append(a) or b"")
-    whole = GeneratorConfig(num_videos=3, d_in=3, frames_per_clip=2)  # 48 bytes: 64 characters
+    # A payload of a multiple of 3 bytes has no padding and takes the one pass;
+    # a padded one takes the strict decoder.
+    calls, strict = [], binascii.a2b_base64
+    monkeypatch.setattr(binascii, "a2b_base64", lambda *a, **k: calls.append(a) or strict(*a, **k))
+    whole = GeneratorConfig(num_videos=3, d_in=3, frames_per_clip=2)  # 8 * 696 bytes a video
     save_corpus(generate_synthetic(whole), tmp_path / "whole.jsonl")
-    assert load_corpus(tmp_path / "whole.jsonl").frame_table.tobytes() == (
-        generate_synthetic(whole).frame_table.tobytes())
+    assert _tables(load_corpus(tmp_path / "whole.jsonl")) == _tables(generate_synthetic(whole))
     assert not calls
-    save_corpus(generate_synthetic(SMALL), tmp_path / "padded.jsonl")  # 256 bytes: padded
-    with pytest.raises(CorpusFormatError, match="0 frame bytes"):
-        load_corpus(tmp_path / "padded.jsonl")
-    assert len(calls) == 1
+    padded = GeneratorConfig(num_videos=3, num_classes=1, clips_per_phase=1,
+                             frames_per_clip=1, d_in=1, vocab_size=4)  # 8 * 53 bytes
+    save_corpus(generate_synthetic(padded), tmp_path / "padded.jsonl")
+    assert _tables(load_corpus(tmp_path / "padded.jsonl")) == _tables(generate_synthetic(padded))
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1210,14 +1284,16 @@ def test_no_records_are_built_on_the_hot_path(tmp_path, monkeypatch):
 def _tables(corpus):
     """What a corpus holds, as plain values, and its level index."""
     return (corpus.config, corpus.video_ids, corpus.clip_ids, corpus.video_clips.tolist(),
-            corpus.clip_rows.tolist(), corpus.segments.tolist(), corpus.frame_table.tobytes(),
+            corpus.clip_rows.tolist(), corpus.segments.tolist(), corpus.frame_table.dtype,
+            corpus.token_table.dtype, corpus.frame_table.tobytes(),
             [(corpus.texts(kind).ids.tolist(), corpus.texts(kind).lengths.tolist())
              for kind in corpus_module.TEXT_KINDS],
             [tuple(a.tolist() for a in runs) for runs in corpus.levels.values()])
 
 
 def assert_saved_as_records(corpus, path):
-    """`save_corpus` writes the header and each video's `record_line`, and the file loads back."""
+    """`save_corpus` writes the header and each video's `record_line`, and the file loads
+    back to the same tables, bit for bit, by the loader and by the strict decode alone."""
     save_corpus(corpus, path)
     lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
     assert lines[0] == header_line(corpus.config)
@@ -1225,6 +1301,8 @@ def assert_saved_as_records(corpus, path):
     for line, video in zip(lines[1:], corpus.videos):
         assert line == record_line(video)
     assert _tables(load_corpus(path)) == _tables(corpus)
+    with patch.object(corpus_module, "_decode_payload", _strict_payload):
+        assert _tables(load_corpus(path)) == _tables(corpus)
 
 
 @pytest.mark.parametrize("cfg", [GeneratorConfig(), GeneratorConfig(vocab_size=45_000_000)],
@@ -1235,10 +1313,30 @@ def test_saved_lines_are_json_dumps_of_the_records(cfg, tmp_path):
         assert_saved_as_records(c, tmp_path / f"{name}.jsonl")
 
 
+@settings(max_examples=40, deadline=None)
+@given(num_videos=st.integers(1, 3), num_classes=st.integers(1, 3),
+       clips_per_phase=st.integers(1, 3), frames_per_clip=st.integers(1, 3),
+       d_in=st.integers(1, 4), extra_vocab=st.integers(0, 2**62), seed=st.integers(0, 99))
+@example(num_videos=2, num_classes=1, clips_per_phase=1, frames_per_clip=1, d_in=1,
+         extra_vocab=3, seed=0)  # padded: 53 values a video
+@example(num_videos=2, num_classes=2, clips_per_phase=1, frames_per_clip=1, d_in=2,
+         extra_vocab=10, seed=0)  # unpadded: 84 values a video
+def test_saved_small_corpora_are_json_dumps_of_the_records(num_videos, num_classes,
+                                                            clips_per_phase, frames_per_clip,
+                                                            d_in, extra_vocab, seed):
+    cfg = GeneratorConfig(num_videos=num_videos, num_classes=num_classes,
+                          clips_per_phase=clips_per_phase, frames_per_clip=frames_per_clip,
+                          d_in=d_in, vocab_size=num_classes + extra_vocab, seed=seed)
+    corpus = generate_synthetic(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, c in enumerate((corpus, *(corpus.split(0.5) if num_videos > 1 else ()))):
+            assert_saved_as_records(c, Path(tmp) / f"{i}.jsonl")
+
+
 @settings(max_examples=30, deadline=None)
 @given(ragged_corpora())
 def test_saved_ragged_lines_are_json_dumps_of_the_records(built):
-    # d_in=2: a clip's 16 bytes per row leave base64 padding.
+    # d_in=2 and texts of 1-4 tokens: some payloads are padded, some are not.
     with tempfile.TemporaryDirectory() as tmp:
         for i, c in enumerate((built, *(built.split(0.5) if len(built.video_ids) > 1 else ()))):
             assert_saved_as_records(c, Path(tmp) / f"{i}.jsonl")
